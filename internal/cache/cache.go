@@ -94,6 +94,23 @@ func (e *Entry) HasColumns(fields []string) bool {
 	return true
 }
 
+// ColumnNames lists the attributes a columnar entry holds, in either
+// tier (nil for the other layouts).
+func (e *Entry) ColumnNames() []string {
+	var names []string
+	if e.Enc != nil {
+		for name := range e.Enc.Cols {
+			names = append(names, name)
+		}
+	} else {
+		for name := range e.Cols {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
 // Stats aggregates cache activity for the experiments (E4: cache-hit
 // ratio over the 150-query workload).
 type Stats struct {
@@ -237,7 +254,11 @@ func (m *Manager) PutColumnVectors(dataset string, n int, cols map[string]vec.Co
 	k := key(dataset, LayoutColumns)
 	old := m.entries[k]
 	if old != nil && old.N != n {
-		// Shape changed (file grew): replace wholesale.
+		// A harvest of a different row count is a different file generation
+		// (or a column set with different malformed rows): columns of two
+		// lengths never share an entry, so the new harvest replaces the old
+		// one wholesale. A file that merely grew does not come through here
+		// — Refresh extends the entry in place with ExtendColumns.
 		m.removeLocked(k)
 		old = nil
 	}
@@ -285,6 +306,85 @@ func (m *Manager) PutColumnVectors(dataset string, n int, cols map[string]vec.Co
 	m.spillLocked(e)
 	m.evictLocked()
 	return nil
+}
+
+// ExtendColumns grows the columnar entry of a dataset whose file was
+// appended to: tail holds, for exactly the attributes the entry holds,
+// the rows past oldN. Like every other change to a published entry it is
+// copy-on-write — a successor entry takes the old one's place, and the
+// scans still reading the old one see nothing move. A hot entry's vectors
+// are extended (in their spare capacity when the tail fits, which never
+// touches rows below oldN; reallocated with bounded headroom otherwise);
+// an encoded entry re-encodes from its last full block boundary. It
+// reports false, changing nothing, when the entry cannot be extended — no
+// entry, a row count other than oldN, a different attribute set, tail
+// columns of unequal length or another representation, or rows/BSON/spans
+// entries of the same dataset that would be left stale. The caller then
+// invalidates the dataset.
+func (m *Manager) ExtendColumns(dataset string, oldN int, tail map[string]vec.Col) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range m.entries {
+		if e.Dataset == dataset && e.Layout != LayoutColumns {
+			return false
+		}
+	}
+	k := key(dataset, LayoutColumns)
+	old := m.entries[k]
+	if old == nil || old.N != oldN {
+		return false
+	}
+	names := old.ColumnNames()
+	if len(names) == 0 || len(names) != len(tail) {
+		return false
+	}
+	add := -1
+	e := &Entry{Dataset: dataset, Layout: LayoutColumns, tick: old.tick, hits: old.hits}
+	if old.Enc != nil {
+		e.Enc = &colenc.Table{Cols: make(map[string]*colenc.Col, len(names))}
+	} else {
+		e.Cols = make(map[string]vec.Col, len(names))
+	}
+	for _, name := range names {
+		t, ok := tail[name]
+		if !ok || (add >= 0 && t.Len() != add) {
+			return false
+		}
+		add = t.Len()
+		if old.Enc != nil {
+			col, err := old.Enc.Cols[name].Append(&t)
+			if err != nil {
+				return false
+			}
+			e.Enc.Cols[name] = col
+			continue
+		}
+		oc := old.Cols[name]
+		col, ok := oc.Extend(&t)
+		if !ok {
+			return false
+		}
+		e.Cols[name] = col
+		e.size += EstimateColBytes(&col)
+	}
+	e.N = oldN + add
+	m.removeLocked(k)
+	m.entries[k] = e
+	if e.Enc != nil {
+		e.Enc.N = e.N
+		e.size = e.Enc.SizeBytes()
+		m.encodedUsed += e.size
+	} else {
+		m.hotUsed += e.size
+	}
+	m.used += e.size
+	m.maybeEncodeLocked()
+	// The spill file is keyed by the file's content: the old generation's
+	// no longer matches anything on disk.
+	m.removeSpillFilesLocked(dataset)
+	m.spillLocked(m.entries[k])
+	m.evictLocked()
+	return true
 }
 
 // maybeEncodeLocked transitions the coldest columnar entries from flat

@@ -40,8 +40,10 @@
 // equivalents and the same budget holds proportionally more data.
 // Eviction is strict LRU over entries (not columns): every Get/Touch
 // bumps the entry's logical tick and the lowest tick is dropped until
-// the budget holds. File changes invalidate all of a dataset's entries
-// wholesale.
+// the budget holds. A file that changed invalidates all of its
+// dataset's entries wholesale — unless it only grew: then Refresh
+// extends the columnar entry by the tail rows (ExtendColumns),
+// copy-on-write like every other change to a published entry.
 //
 // # Encoded tier
 //

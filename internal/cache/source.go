@@ -107,17 +107,7 @@ func (s *ColumnsSource) fieldList(fields []string) []string {
 	if len(fields) > 0 {
 		return fields
 	}
-	if s.Entry.Enc != nil {
-		for f := range s.Entry.Enc.Cols {
-			fields = append(fields, f)
-		}
-	} else {
-		for f := range s.Entry.Cols {
-			fields = append(fields, f)
-		}
-	}
-	sortStrings(fields)
-	return fields
+	return s.Entry.ColumnNames()
 }
 
 // resolveCols maps requested fields (all cached fields when empty, in
@@ -342,12 +332,4 @@ func (s *BSONSource) Iterate(fields []string, yield func(values.Value) error) er
 		}
 	}
 	return nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

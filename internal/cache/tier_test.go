@@ -124,7 +124,14 @@ func TestTrackedBytesNoDriftUnderChurn(t *testing.T) {
 	}
 	for step := 0; step < 400; step++ {
 		ds := datasets[rng.Intn(len(datasets))]
-		switch rng.Intn(5) {
+		switch rng.Intn(6) {
+		case 5: // extend whatever columnar entry is resident, in either tier
+			if e, ok := m.Peek(ds, LayoutColumns); ok {
+				_, rows := m.Peek(ds, LayoutRows) // would go stale: extension must refuse
+				if k := 1 + rng.Intn(5000); m.ExtendColumns(ds, e.N, tierCols(k, int64(step))) == rows {
+					t.Fatalf("step %d: extension of a resident %d-row entry beside rows=%v", step, e.N, rows)
+				}
+			}
 		case 0, 1: // grow/replace columnar entry (can trigger encode + evict)
 			n := 500 + rng.Intn(3000)
 			if err := m.PutColumnVectors(ds, n, tierCols(n, int64(step))); err != nil {

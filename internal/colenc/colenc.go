@@ -138,69 +138,89 @@ func EncodeColumns(cols map[string]vec.Col, n int) (*Table, error) {
 
 // EncodeCol encodes one column vector into checksummed blocks.
 func EncodeCol(c *vec.Col) (*Col, error) {
-	n := c.Len()
-	out := &Col{Tag: c.Tag, N: n}
+	out := &Col{Tag: c.Tag, N: c.Len()}
+	var codes []uint32
 	switch c.Tag {
 	case vec.Int64:
 		out.Enc = EncDelta
 	case vec.Float64:
 		out.Enc = EncFloat
 	case vec.Str, vec.StrDict:
-		out.Tag = vec.Str
-		dict, codes := buildDict(c, n)
-		if dict != nil {
-			out.Enc, out.Dict = EncDict, dict
-			return encodeBlocks(out, c, n, func(buf []byte, lo, hi int) ([]byte, error) {
-				for i := lo; i < hi; i++ {
-					buf = binary.AppendUvarint(buf, uint64(codes[i]))
-				}
-				return buf, nil
-			})
+		out.Tag, out.Enc = vec.Str, EncStr
+		if out.Dict, codes = buildDict(c, out.N); out.Dict != nil {
+			out.Enc = EncDict
 		}
-		out.Enc = EncStr
 	case vec.Boxed:
 		out.Enc = EncBoxed
 	default:
 		return nil, fmt.Errorf("unencodable tag %s", c.Tag)
 	}
-	return encodeBlocks(out, c, n, func(buf []byte, lo, hi int) ([]byte, error) {
-		switch out.Enc {
-		case EncDelta:
-			prev := int64(0)
-			for i := lo; i < hi; i++ {
-				v := int64(0)
-				if c.Nulls == nil || !c.Nulls[i] {
-					v = c.Ints[i]
-				}
-				if i == lo {
-					buf = binary.AppendUvarint(buf, zigzag(v))
-				} else {
-					buf = binary.AppendUvarint(buf, zigzag(v-prev))
-				}
-				prev = v
-			}
-		case EncFloat:
-			for i := lo; i < hi; i++ {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Floats[i]))
-			}
-		case EncStr:
-			for i := lo; i < hi; i++ {
-				s := c.StrAt(i)
-				buf = binary.AppendUvarint(buf, uint64(len(s)))
-				buf = append(buf, s...)
-			}
-		case EncBoxed:
-			for i := lo; i < hi; i++ {
-				doc, err := bsonlite.Marshal(c.Boxed[i])
+	blocks, err := encodeBlocks(out.Enc, c, codes)
+	if err != nil {
+		return nil, err
+	}
+	out.Blocks = blocks
+	return out, nil
+}
+
+// Append returns a copy of c followed by the rows of tail; c itself, which
+// scans may be decoding, is not touched. Blocks are self-contained, so
+// only the rows past the last full BlockRows boundary are encoded again:
+// the trailing partial block (if any) is decoded, joined with tail and
+// re-cut into blocks that replace it. A dictionary column keeps its
+// dictionary when every tail string is already in it; a new string would
+// shift the sorted codes of every block, so that case re-encodes the
+// column whole. tail must have the representation c decodes to.
+func (c *Col) Append(tail *vec.Col) (*Col, error) {
+	if tail.Len() == 0 {
+		return c, nil // encoded columns are immutable: c is its own copy
+	}
+	full := len(c.Blocks)
+	if full > 0 && c.Blocks[full-1].Rows < BlockRows {
+		full--
+	}
+	var last vec.Col
+	if full < len(c.Blocks) {
+		if err := c.DecodeBlock(full, &last); err != nil {
+			return nil, err
+		}
+	}
+	col := joinCols(&last, tail)
+	if col.Tag != c.Tag {
+		return nil, fmt.Errorf("colenc: appending a %s tail to a %s column", tail.Tag, c.Tag)
+	}
+	var codes []uint32
+	if c.Enc == EncDict {
+		codes = make([]uint32, len(col.Strs))
+		for i, s := range col.Strs {
+			k := sort.SearchStrings(c.Dict, s)
+			if k == len(c.Dict) || c.Dict[k] != s {
+				all, err := c.Decode()
 				if err != nil {
 					return nil, err
 				}
-				buf = binary.AppendUvarint(buf, uint64(len(doc)))
-				buf = append(buf, doc...)
+				whole := joinCols(&all, tail)
+				return EncodeCol(&whole)
 			}
+			codes[i] = uint32(k)
 		}
-		return buf, nil
-	})
+	}
+	blocks, err := encodeBlocks(c.Enc, &col, codes)
+	if err != nil {
+		return nil, err
+	}
+	out := &Col{Tag: c.Tag, Enc: c.Enc, N: c.N + tail.Len(), Dict: c.Dict}
+	out.Blocks = append(append(make([]Block, 0, full+len(blocks)), c.Blocks[:full]...), blocks...)
+	return out, nil
+}
+
+// joinCols concatenates two flat columns (dictionary windows come out as
+// plain strings; columns of different tags come out boxed).
+func joinCols(a, b *vec.Col) vec.Col {
+	cb := vec.NewColBuilder(a.Len() + b.Len())
+	cb.Append(a, &vec.Batch{N: a.Len()})
+	cb.Append(b, &vec.Batch{N: b.Len()})
+	return cb.Finish()
 }
 
 // buildDict returns the sorted dictionary and per-row codes of a string
@@ -239,14 +259,15 @@ func buildDict(c *vec.Col, n int) ([]string, []uint32) {
 	return dict, codes
 }
 
-// encodeBlocks splits [0,n) into BlockRows runs, prepending the flags
-// byte + null bitmap and checksumming each block.
-func encodeBlocks(out *Col, c *vec.Col, n int, payload func(buf []byte, lo, hi int) ([]byte, error)) (*Col, error) {
-	for lo := 0; lo < n || (n == 0 && lo == 0); lo += BlockRows {
-		hi := lo + BlockRows
-		if hi > n {
-			hi = n
-		}
+// encodeBlocks cuts c into BlockRows runs under encoding enc (codes
+// carries the per-row dictionary codes of EncDict), prepending the flags
+// byte + null bitmap and checksumming each block. An empty column still
+// yields one empty block.
+func encodeBlocks(enc Encoding, c *vec.Col, codes []uint32) ([]Block, error) {
+	n := c.Len()
+	var blocks []Block
+	for lo := 0; lo < n || lo == 0; lo += BlockRows {
+		hi := min(lo+BlockRows, n)
 		rows := hi - lo
 		buf := make([]byte, 0, rows+1)
 		if c.Nulls != nil {
@@ -261,16 +282,48 @@ func encodeBlocks(out *Col, c *vec.Col, n int, payload func(buf []byte, lo, hi i
 		} else {
 			buf = append(buf, 0)
 		}
-		buf, err := payload(buf, lo, hi)
-		if err != nil {
-			return nil, err
+		switch enc {
+		case EncDelta:
+			prev := int64(0)
+			for i := lo; i < hi; i++ {
+				v := int64(0)
+				if c.Nulls == nil || !c.Nulls[i] {
+					v = c.Ints[i]
+				}
+				if i == lo {
+					buf = binary.AppendUvarint(buf, zigzag(v))
+				} else {
+					buf = binary.AppendUvarint(buf, zigzag(v-prev))
+				}
+				prev = v
+			}
+		case EncFloat:
+			for i := lo; i < hi; i++ {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Floats[i]))
+			}
+		case EncDict:
+			for i := lo; i < hi; i++ {
+				buf = binary.AppendUvarint(buf, uint64(codes[i]))
+			}
+		case EncStr:
+			for i := lo; i < hi; i++ {
+				s := c.StrAt(i)
+				buf = binary.AppendUvarint(buf, uint64(len(s)))
+				buf = append(buf, s...)
+			}
+		case EncBoxed:
+			for i := lo; i < hi; i++ {
+				doc, err := bsonlite.Marshal(c.Boxed[i])
+				if err != nil {
+					return nil, err
+				}
+				buf = binary.AppendUvarint(buf, uint64(len(doc)))
+				buf = append(buf, doc...)
+			}
 		}
-		out.Blocks = append(out.Blocks, Block{Rows: rows, Data: buf, CRC: crc32.Checksum(buf, castagnoli)})
-		if n == 0 {
-			break
-		}
+		blocks = append(blocks, Block{Rows: rows, Data: buf, CRC: crc32.Checksum(buf, castagnoli)})
 	}
-	return out, nil
+	return blocks, nil
 }
 
 // VerifyBlock recomputes the checksum of block bi.

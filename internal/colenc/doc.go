@@ -44,6 +44,11 @@
 // quarantines the whole file); the in-memory decode path trusts blocks
 // it encoded itself and skips the check.
 //
+// Blocks are self-contained — a delta chain restarts and the null flag
+// is per block — which is what makes Col.Append cheap: rows appended to
+// a column re-encode only from its last full block boundary, and every
+// full block is shared with the column it was appended to.
+//
 // # Spill file format
 //
 // One file holds one dataset's encoded columnar entry (little-endian):
@@ -58,8 +63,10 @@
 //
 // Block payloads follow the header in column order, then block order.
 // The generation string keys the file to one raw-file generation
-// (content hash), so a source Refresh makes the file stale and the
-// cache layer deletes rather than rehydrates it. Truncated or
+// (content hash), so a source Refresh that finds new content makes the
+// file stale: the cache layer deletes it (and, when the file only grew,
+// writes the extended table under the new generation) rather than
+// rehydrate it. Truncated or
 // checksum-failing files never crash a reader: every parse returns an
 // error the caller turns into a .bad quarantine.
 package colenc

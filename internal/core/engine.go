@@ -142,12 +142,14 @@ type Stats struct {
 	JoinBuildRows     int64
 	JoinProbeRows     int64
 	JoinTableMaxBytes int64
-}
-
-// refresher is implemented by readers that can detect file changes.
-type refresher interface {
-	Refresh() (bool, error)
-	SetInvalidateHook(func())
+	// Refresh tallies, per changed source: files that only grew and kept
+	// their positional map and cached columns (extended by the tail rows
+	// and bytes counted here), and files whose derived state was dropped
+	// wholesale.
+	RefreshAppends      int64
+	RefreshReplacements int64
+	RefreshTailRows     int64
+	RefreshTailBytes    int64
 }
 
 type sourceEntry struct {
@@ -222,6 +224,15 @@ type Engine struct {
 	// allocation rationale as kernelStatsFn). Deltas arrive concurrently
 	// from probe morsels.
 	joinStatsFn func(folds, buildRows, probeRows, tableBytes int64)
+
+	// refreshMu serializes Refresh: each call sees the cache state its
+	// predecessor left, so an append is extended from exactly the row
+	// count the reader reports.
+	refreshMu           sync.Mutex
+	refreshAppends      atomic.Int64
+	refreshReplacements atomic.Int64
+	refreshTailRows     atomic.Int64
+	refreshTailBytes    atomic.Int64
 
 	planShards     [planShardCount]planShard
 	planCacheLimit int // per shard
@@ -337,12 +348,6 @@ func (e *Engine) Register(desc *sdg.Description) error {
 		return fmt.Errorf("core: format %s needs RegisterSource", desc.Format)
 	}
 	name := desc.Name
-	if rf, ok := entry.src.(refresher); ok {
-		rf.SetInvalidateHook(func() {
-			e.caches.Invalidate(name)
-			e.epoch.Add(1)
-		})
-	}
 	e.mu.Lock()
 	if _, dup := e.sources[name]; dup {
 		e.mu.Unlock()
@@ -484,31 +489,6 @@ func (e *Engine) Description(name string) (*sdg.Description, bool) {
 	return s.desc, true
 }
 
-// Refresh re-checks every file-backed source; changed files drop their
-// auxiliary structures and cache entries (paper §2.1).
-func (e *Engine) Refresh() error {
-	e.mu.RLock()
-	entries := make([]*sourceEntry, 0, len(e.sources))
-	for _, s := range e.sources {
-		entries = append(entries, s)
-	}
-	e.mu.RUnlock()
-	changed := false
-	for _, s := range entries {
-		if rf, ok := s.src.(refresher); ok {
-			ch, err := rf.Refresh()
-			if err != nil {
-				return err
-			}
-			changed = changed || ch
-		}
-	}
-	if changed {
-		e.dropPlans()
-	}
-	return nil
-}
-
 // Epoch returns the catalog/data generation counter. It increases
 // whenever registered data may have changed (source added or removed,
 // cleaner attached, file change detected), so any cache keyed on
@@ -604,6 +584,10 @@ func (e *Engine) StatsSnapshot() Stats {
 		JoinBuildRows:          e.joinBuildRows.Load(),
 		JoinProbeRows:          e.joinProbeRows.Load(),
 		JoinTableMaxBytes:      e.joinTableBytes.Load(),
+		RefreshAppends:         e.refreshAppends.Load(),
+		RefreshReplacements:    e.refreshReplacements.Load(),
+		RefreshTailRows:        e.refreshTailRows.Load(),
+		RefreshTailBytes:       e.refreshTailBytes.Load(),
 	}
 }
 

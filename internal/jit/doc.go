@@ -58,8 +58,11 @@
 //     slot-keyed hash joins never box a key row.
 //
 // Unboxed reduce kernels cover the count/sum/avg/min/max monoids over
-// slot or kernel heads; every other shape falls back to the row-wise
-// compiled closures, batch by batch.
+// slot or kernel heads, and over numeric constant heads (a literal or a
+// bound parameter — SQL's COUNT(*) lowers to `sum 1`), which fold as
+// arithmetic on the batch's live row count without touching a row; every
+// other shape falls back to the row-wise compiled closures, batch by
+// batch.
 //
 // # Grouped aggregation
 //

@@ -519,9 +519,14 @@ type reduceConsumer struct {
 	filter     batchFilter // may be nil
 	headIdx    int         // >= 0: head is this slot (no per-row evaluation)
 	headKernel vecExpr     // non-nil: head is a vectorized expression kernel
-	head       compiledExpr
-	row        []values.Value
-	kind       aggKind
+	// headConst marks a numeric constant head (a literal or a bound
+	// parameter, as in COUNT(*) = sum 1): every live row contributes the
+	// same value, so a batch folds as arithmetic on its row count.
+	headConst bool
+	constVal  values.Value
+	head      compiledExpr
+	row       []values.Value
+	kind      aggKind
 
 	// Unboxed partial aggregates, folded into acc by finish. Typed
 	// kernels only run on columns without a validity mask; batches with
@@ -589,6 +594,10 @@ func (rc *reduceConsumer) consume(b *vec.Batch) error {
 	}
 	n := b.Len()
 	if n == 0 {
+		return nil
+	}
+	if rc.headConst {
+		rc.foldConst(int64(n))
 		return nil
 	}
 	if rc.headIdx < 0 && rc.headKernel == nil {
@@ -767,6 +776,35 @@ func (rc *reduceConsumer) consume(b *vec.Batch) error {
 	return nil
 }
 
+// foldConst accumulates n rows of the constant head. Integer sums wrap
+// exactly as n additions would; float sums are one multiplication, which
+// rounds once where n additions round n times — the same latitude the
+// per-batch partial sums of the typed kernels already take.
+func (rc *reduceConsumer) foldConst(n int64) {
+	isInt := rc.constVal.Kind() == values.KindInt
+	switch rc.kind {
+	case aggCount:
+		rc.count += n
+	case aggSum:
+		if isInt {
+			rc.isum += rc.constVal.Int() * n
+			rc.sawInt = true
+		} else {
+			rc.fsum += rc.constVal.Float() * float64(n)
+			rc.sawFloat = true
+		}
+	case aggAvg:
+		rc.fsum += rc.constVal.Float() * float64(n)
+		rc.count += n
+	case aggMin, aggMax:
+		if isInt {
+			rc.noteInt(rc.constVal.Int())
+		} else {
+			rc.noteFloat(rc.constVal.Float())
+		}
+	}
+}
+
 func (rc *reduceConsumer) noteInt(v int64) {
 	if rc.kind == aggMin {
 		if !rc.haveIMin || v < rc.imin {
@@ -842,8 +880,8 @@ func (rc *reduceConsumer) finish() {
 
 // compileReduceConsumer stages the root reduce: predicate filter, head
 // evaluation and monoid accumulation, with unboxed kernels when the head
-// is a slot reference or a vectorized expression kernel and the monoid
-// is one of count/sum/avg/min/max.
+// is a slot reference, a numeric constant or a vectorized expression
+// kernel and the monoid is one of count/sum/avg/min/max.
 func (c *compiler) compileReduceConsumer(p *algebra.Reduce, input *compiledPlan) (func() *reduceConsumer, error) {
 	var mkFilter func() batchFilter
 	var err error
@@ -856,7 +894,17 @@ func (c *compiler) compileReduceConsumer(p *algebra.Reduce, input *compiledPlan)
 	headIdx := slotOf(p.Head, input.frame)
 	var mkHeadKernel func() vecExpr
 	var head compiledExpr
-	if headIdx < 0 {
+	constVal, headConst := constOf(p.Head)
+	switch p.M.Name() {
+	case "count", "sum", "avg", "min", "max":
+		headConst = headConst && !c.opts.NoExprKernels &&
+			(constVal.Kind() == values.KindInt || constVal.Kind() == values.KindFloat)
+	default:
+		headConst = false
+	}
+	if headConst {
+		c.vecStages++
+	} else if headIdx < 0 {
 		if !c.opts.NoExprKernels {
 			mkHeadKernel = compileVecExpr(p.Head, input.frame)
 		}
@@ -873,7 +921,7 @@ func (c *compiler) compileReduceConsumer(p *algebra.Reduce, input *compiledPlan)
 		c.vecStages++
 	}
 	kind := aggGeneric
-	if headIdx >= 0 || mkHeadKernel != nil {
+	if headIdx >= 0 || mkHeadKernel != nil || headConst {
 		switch p.M.Name() {
 		case "count":
 			kind = aggCount
@@ -898,10 +946,11 @@ func (c *compiler) compileReduceConsumer(p *algebra.Reduce, input *compiledPlan)
 	}
 	width := input.frame.width()
 	return func() *reduceConsumer {
-		rc := &reduceConsumer{headIdx: headIdx, head: head, kind: kind, reserve: reserve}
+		rc := &reduceConsumer{headIdx: headIdx, head: head, kind: kind, reserve: reserve,
+			headConst: headConst, constVal: constVal}
 		if mkHeadKernel != nil {
 			rc.headKernel = mkHeadKernel()
-		} else if headIdx < 0 {
+		} else if headIdx < 0 && !headConst {
 			rc.row = make([]values.Value, width)
 		}
 		if mkFilter != nil {

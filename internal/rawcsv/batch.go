@@ -358,18 +358,7 @@ func sortByCol(order, cols []int) {
 // jumps.
 func (r *Reader) iterateFullBatches(st *fileState, cols []int, batchSize int, yield func(*vec.Batch) error) error {
 	r.stats.FullScans.Add(1)
-	nAttrs := len(r.rowType.Attrs)
-	outPos := make([]int, nAttrs) // schema col -> position in cols, -1 when unused
-	for i := range outPos {
-		outPos[i] = -1
-	}
-	maxCol := 0
-	for i, j := range cols {
-		outPos[j] = i
-		if j > maxCol {
-			maxCol = j
-		}
-	}
+	outPos, maxCol := r.outPositions(cols)
 	tags := make([]vec.Tag, len(cols))
 	for i, j := range cols {
 		tags[i] = colTag(r.rowType.Attrs[j].Type.Kind)
@@ -398,19 +387,7 @@ func (r *Reader) iterateFullBatches(st *fileState, cols []int, batchSize int, yi
 	committed := 0
 	data := st.data
 	for off < int64(len(data)) {
-		nl := int64(-1)
-		if i := indexByte(data[off:], '\n'); i >= 0 {
-			nl = off + int64(i)
-		}
-		var next, lineEnd int64
-		if nl < 0 {
-			next = int64(len(data))
-			lineEnd = next
-		} else {
-			next = nl + 1
-			lineEnd = nl
-		}
-		line := data[off:lineEnd]
+		line, next := nextLine(data, off)
 		if first && r.header {
 			first = false
 			off = next
@@ -421,25 +398,7 @@ func (r *Reader) iterateFullBatches(st *fileState, cols []int, batchSize int, yi
 			off = next
 			continue
 		}
-		// Tokenize up to the highest requested column.
-		found := 0
-		col, start := 0, 0
-		for i := 0; i <= len(line); i++ {
-			if i != len(line) && line[i] != r.delim {
-				continue
-			}
-			if col < nAttrs {
-				if p := outPos[col]; p >= 0 {
-					spanS[p], spanE[p] = int32(start), int32(i)
-					found++
-				}
-			}
-			col++
-			start = i + 1
-			if col > maxCol {
-				break
-			}
-		}
+		found := r.fieldSpans(line, outPos, maxCol, spanS, spanE)
 		// The row index covers every data line — a row malformed for this
 		// column set is still a row (other columns may parse fine), so it
 		// is indexed but not yielded. Spans are positional and recorded
@@ -502,6 +461,59 @@ func (r *Reader) iterateFullBatches(st *fileState, cols []int, batchSize int, yi
 
 func indexByte(b []byte, c byte) int {
 	return bytes.IndexByte(b, c)
+}
+
+// nextLine returns the line starting at off, without its newline, and
+// the offset of the line after it.
+func nextLine(data []byte, off int64) (line []byte, next int64) {
+	if i := bytes.IndexByte(data[off:], '\n'); i >= 0 {
+		return data[off : off+int64(i)], off + int64(i) + 1
+	}
+	return data[off:], int64(len(data))
+}
+
+// outPositions inverts a column list for fieldSpans: outPos maps a schema
+// column to its position in cols (-1 when not listed), maxCol is the
+// highest listed column (-1 for an empty list).
+func (r *Reader) outPositions(cols []int) (outPos []int, maxCol int) {
+	outPos = make([]int, len(r.rowType.Attrs))
+	for i := range outPos {
+		outPos[i] = -1
+	}
+	maxCol = -1
+	for i, j := range cols {
+		outPos[j] = i
+		if j > maxCol {
+			maxCol = j
+		}
+	}
+	return outPos, maxCol
+}
+
+// fieldSpans is the row tokenizer of the first-touch scan and of the
+// append path: it walks line up to column maxCol and stores the
+// [start,end) span of every listed column it passes at that column's
+// position in spanS/spanE, returning how many it found (a short row
+// leaves its highest columns untouched).
+func (r *Reader) fieldSpans(line []byte, outPos []int, maxCol int, spanS, spanE []int32) (found int) {
+	col, start := 0, 0
+	for i := 0; i <= len(line); i++ {
+		if i != len(line) && line[i] != r.delim {
+			continue
+		}
+		if col < len(outPos) {
+			if p := outPos[col]; p >= 0 {
+				spanS[p], spanE[p] = int32(start), int32(i)
+				found++
+			}
+		}
+		col++
+		start = i + 1
+		if col > maxCol {
+			break
+		}
+	}
+	return found
 }
 
 // OpenRange implements the JIT's RangeBatchSource contract: ok only when

@@ -10,9 +10,9 @@ import (
 
 // This file persists the per-file auxiliary state across restarts:
 //
-//   - Generation keys the current file content (a content hash), so
-//     spilled cache blocks written against one generation are never
-//     trusted for another.
+//   - Generation keys the current file content (a memoized content
+//     hash), so spilled cache blocks written against one generation are
+//     never trusted for another.
 //   - SaveAux/LoadAux write and read a positional-map sidecar. The
 //     sidecar is versioned, validated against the file's current
 //     mtime+size, and CRC-protected; any mismatch falls back to a
@@ -27,12 +27,19 @@ var auxCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // Generation returns a short hex key for the current file content. Two
 // files with identical bytes share a generation regardless of path or
 // mtime, which is what lets a regenerated-but-identical demo dataset
-// rehydrate spilled cache blocks after a restart.
+// rehydrate spilled cache blocks after a restart. The checksum is
+// computed once per file generation (every cache spill asks for it), and
+// a generation produced by an appending Refresh extends its
+// predecessor's over the tail instead of re-hashing the file.
 func (r *Reader) Generation() string {
 	st := r.state.Load()
-	h := crc32.New(auxCRCTable)
-	h.Write(st.data)
-	return fmt.Sprintf("%08x-%x", h.Sum32(), len(st.data))
+	st.crcMu.Lock()
+	if !st.crcOK {
+		st.crc, st.crcOK = crc32.Checksum(st.data, auxCRCTable), true
+	}
+	crc := st.crc
+	st.crcMu.Unlock()
+	return fmt.Sprintf("%08x-%x", crc, len(st.data))
 }
 
 // SaveAux writes the current positional map to path (atomically, via

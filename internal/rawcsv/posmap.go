@@ -10,10 +10,13 @@ package rawcsv
 
 import "sync"
 
-// PosMap is the positional map of one CSV file: row starts plus per-column
-// field offsets (relative to row start) for the columns queries have
-// touched so far. It grows adaptively as a side effect of scans and is
-// dropped wholesale when the underlying file changes (paper §2.1).
+// PosMap is the positional map of one CSV file generation: row starts
+// plus per-column field offsets (relative to row start) for the columns
+// queries have touched so far. It grows adaptively as a side effect of
+// scans. When the file changes, Refresh gives the new generation a new
+// map: after an append, this one's rows and columns extended by the tail
+// (sharing storage — nothing installed here is ever written below its
+// length); after any other change, an empty one (paper §2.1).
 type PosMap struct {
 	mu   sync.RWMutex
 	rows []int64         // byte offset of each data row start
@@ -105,9 +108,10 @@ func (m *PosMap) NearestAnchor(j int) (int, bool) {
 
 // Snapshot is an immutable view of a PosMap taken at one instant: scan
 // loops read it without taking the map's lock per row. The row and
-// column slices are shared with the map (they are replaced wholesale,
-// never mutated in place), so a snapshot stays internally consistent
-// even if the map grows or is dropped concurrently.
+// column slices are shared with the map (they are replaced wholesale or
+// extended past their length, never mutated below it), so a snapshot
+// stays internally consistent even if the map grows or is dropped
+// concurrently.
 type Snapshot struct {
 	Rows []int64
 	Cols map[int][]int32

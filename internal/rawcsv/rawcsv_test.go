@@ -220,12 +220,11 @@ func TestRefreshInvalidatesOnChange(t *testing.T) {
 	if !r.PosMap().HasCol(0) {
 		t.Fatal("posmap missing after scan")
 	}
-	invalidated := false
-	r.SetInvalidateHook(func() { invalidated = true })
 
-	// Rewrite the file with different content and a new mtime (bumped
-	// explicitly: filesystem mtime granularity can be coarse).
-	newContent := sample + "4,zed,1.0,false\n"
+	// Rewrite the file with a different first row and a new mtime (bumped
+	// explicitly: filesystem mtime granularity can be coarse). The file
+	// also grew, so only the byte comparison tells it from an append.
+	newContent := strings.Replace(sample, "ada", "eve", 1) + "4,zed,1.0,false\n"
 	if err := os.WriteFile(path, []byte(newContent), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -233,21 +232,22 @@ func TestRefreshInvalidatesOnChange(t *testing.T) {
 	if err := os.Chtimes(path, bumped, bumped); err != nil {
 		t.Fatal(err)
 	}
-	changed, err := r.Refresh()
+	ch, err := r.Refresh()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !changed {
-		t.Fatal("Refresh did not detect the change")
-	}
-	if !invalidated {
-		t.Fatal("invalidate hook not fired")
+	if ch.Kind != Replaced || ch.Reason == "" {
+		t.Fatalf("Refresh = %+v, want Replaced with a reason", ch)
 	}
 	if r.PosMap().HasRows() {
 		t.Fatal("posmap survived invalidation")
 	}
-	if rows := collect(t, r, nil); len(rows) != 4 {
+	rows := collect(t, r, nil)
+	if len(rows) != 4 {
 		t.Fatalf("rows after refresh = %d", len(rows))
+	}
+	if got := rows[0].MustGet("name").Str(); got != "eve" {
+		t.Fatalf("first row name after refresh = %q, want the rewritten value", got)
 	}
 }
 
@@ -257,9 +257,9 @@ func TestRefreshNoChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	changed, err := r.Refresh()
-	if err != nil || changed {
-		t.Fatalf("Refresh = %v, %v; want false, nil", changed, err)
+	ch, err := r.Refresh()
+	if err != nil || ch.Kind != Unchanged {
+		t.Fatalf("Refresh = %+v, %v; want Unchanged, nil", ch, err)
 	}
 }
 

@@ -43,10 +43,24 @@ type Stats struct {
 // bytes. Scans load the pointer once and use a single generation
 // throughout, so a concurrent Refresh can never hand a scan offsets
 // into bytes they were not computed from.
+//
+// A generation that Refresh derived from its predecessor by an append
+// (append.go) shares storage with it: data, the row index and the column
+// offsets may be the predecessor's arrays, longer. That is sound because
+// nothing published is ever written below its length — the older
+// generation reads only its own prefix — and because every generation
+// has exactly one successor (Refresh is serialized and always extends
+// the current one).
 type fileState struct {
 	data  []byte
 	mtime time.Time
 	pm    *PosMap
+
+	// crc memoizes the content checksum behind Generation: computed on
+	// first demand, and carried over the tail by an appending Refresh.
+	crcMu sync.Mutex
+	crcOK bool
+	crc   uint32
 }
 
 // Reader provides query access to one raw CSV file. It implements
@@ -67,8 +81,9 @@ type Reader struct {
 	buildMu sync.Mutex
 	stats   Stats
 	colIdx  map[string]int
-	// onInvalidate is called when Refresh detects a file change.
-	onInvalidate func()
+	// refreshMu serializes Refresh, so each generation is extended at
+	// most once (see fileState).
+	refreshMu sync.Mutex
 }
 
 // Open loads the CSV file described by desc. Options honored (from
@@ -120,7 +135,8 @@ func (r *Reader) Name() string { return r.desc.Name }
 
 // PosMap exposes the positional map (for the optimizer's cost model and
 // the experiments). It belongs to the current file generation; Refresh
-// replaces it wholesale.
+// installs a new one — extended from this one after an append, empty
+// after any other change.
 func (r *Reader) PosMap() *PosMap { return r.state.Load().pm }
 
 // StatsSnapshot returns a copy of the counters.
@@ -147,32 +163,70 @@ func (r *Reader) BuildStats() (builds, nanos int64) {
 // SizeBytes returns the raw file size.
 func (r *Reader) SizeBytes() int64 { return int64(len(r.state.Load().data)) }
 
-// SetInvalidateHook registers a callback fired when Refresh drops state.
-func (r *Reader) SetInvalidateHook(fn func()) { r.onInvalidate = fn }
+// ChangeKind classifies what Refresh found on disk.
+type ChangeKind uint8
 
-// Refresh re-checks the file; if it changed, the data is re-read and all
-// auxiliary structures are dropped (paper §2.1: "Updates to the underlying
-// files result in dropping the auxiliary structures affected").
-func (r *Reader) Refresh() (changed bool, err error) {
+// The outcomes of a Refresh.
+const (
+	Unchanged ChangeKind = iota
+	// Appended: the file is the previous generation plus a tail. The
+	// reader kept its bytes and extended its positional map by the tail.
+	Appended
+	// Replaced: anything else. The file was re-read and the positional
+	// map dropped (paper §2.1: "Updates to the underlying files result in
+	// dropping the auxiliary structures affected").
+	Replaced
+)
+
+// Change is the result of a Refresh.
+type Change struct {
+	Kind ChangeKind
+	// OldRows and NewRows bound the appended rows, as indexes into the new
+	// generation's row index (Appended only).
+	OldRows, NewRows int
+	// TailBytes is the number of bytes appended (Appended only).
+	TailBytes int64
+	// Reason says why a changed file was not treated as an append
+	// (Replaced only).
+	Reason string
+}
+
+// Refresh re-checks the file and publishes a new generation if it
+// changed. The decision ladder, each rung falling through to Replaced:
+// the file must be strictly longer than the generation in memory; that
+// generation must have a row index (otherwise there is nothing to keep)
+// and end on a row boundary (otherwise the tail continues its last row);
+// and the first len(data) bytes on disk must equal the bytes in memory,
+// compared in full — size and mtime cannot tell an append from a rewrite
+// that happens to be longer. Past the ladder the reader reads only the
+// tail, tokenizes only the tail, and publishes old bytes + tail with the
+// positional map extended in step; see appendGeneration.
+func (r *Reader) Refresh() (Change, error) {
+	r.refreshMu.Lock()
+	defer r.refreshMu.Unlock()
 	st := r.state.Load()
 	fi, err := os.Stat(r.desc.Path)
 	if err != nil {
-		return false, err
+		return Change{}, err
 	}
 	if fi.ModTime().Equal(st.mtime) && fi.Size() == int64(len(st.data)) {
-		return false, nil
+		return Change{}, nil
 	}
-	data, err := os.ReadFile(r.desc.Path)
+	next, ch, err := r.appendGeneration(st)
 	if err != nil {
-		return false, err
+		return Change{}, err
 	}
-	// A new generation with a fresh (empty) positional map; scans
-	// holding the old generation keep a consistent data+map pair.
-	r.state.Store(&fileState{data: data, mtime: fi.ModTime(), pm: NewPosMap()})
-	if r.onInvalidate != nil {
-		r.onInvalidate()
+	if next == nil {
+		data, err := os.ReadFile(r.desc.Path)
+		if err != nil {
+			return Change{}, err
+		}
+		// A new generation with a fresh (empty) positional map; scans
+		// holding the old generation keep a consistent data+map pair.
+		next = &fileState{data: data, mtime: fi.ModTime(), pm: NewPosMap()}
 	}
-	return true, nil
+	r.state.Store(next)
+	return ch, nil
 }
 
 // Iterate implements algebra.Source: it streams one record per CSV row,
@@ -546,7 +600,8 @@ func parseIntBytes(b []byte) (int64, bool) {
 
 // parseFloatBytes parses a float64 from raw bytes without copying them
 // into a string: the unsafe view never escapes strconv, and the file
-// buffer is only ever replaced wholesale, never mutated in place.
+// buffer is never written below a published length (it is replaced
+// wholesale, or extended past its end by an appending Refresh).
 func parseFloatBytes(b []byte) (float64, bool) {
 	if len(b) == 0 {
 		return 0, false

@@ -126,10 +126,9 @@ type Reader struct {
 	state atomic.Pointer[jsonState]
 	// buildMu single-flights the object-index skip scan so concurrent
 	// cold queries don't all walk the whole file.
-	buildMu      sync.Mutex
-	stats        Stats
-	failOnBad    bool
-	onInvalidate func()
+	buildMu   sync.Mutex
+	stats     Stats
+	failOnBad bool
 }
 
 // Open loads the JSON file described by desc. The "onerror" option
@@ -186,9 +185,6 @@ func (r *Reader) BuildStats() (builds, nanos int64) {
 	return r.stats.Builds.Load(), r.stats.BuildNanos.Load()
 }
 
-// SetInvalidateHook registers a callback fired when Refresh drops state.
-func (r *Reader) SetInvalidateHook(fn func()) { r.onInvalidate = fn }
-
 // Refresh re-checks the file, replacing the whole generation (bytes plus
 // a fresh semi-index) on change.
 func (r *Reader) Refresh() (changed bool, err error) {
@@ -205,9 +201,6 @@ func (r *Reader) Refresh() (changed bool, err error) {
 		return false, err
 	}
 	r.state.Store(&jsonState{data: data, mtime: fi.ModTime(), ix: newSemiIndex()})
-	if r.onInvalidate != nil {
-		r.onInvalidate()
-	}
 	return true, nil
 }
 

@@ -129,6 +129,16 @@ var metricDefs = []metricDef{
 	{"vida_join_table_max_bytes", "gauge", "Largest single sealed join table observed (bytes).", "engine.JoinTableMaxBytes",
 		false, func(v *statsView) int64 { return v.eng.JoinTableMaxBytes }},
 
+	// Engine: refresh outcomes per changed source (append vs. replace).
+	{"vida_refresh_appends_total", "counter", "Changed sources whose file only grew: positional map and cached columns extended by the tail.", "engine.RefreshAppends",
+		false, func(v *statsView) int64 { return v.eng.RefreshAppends }},
+	{"vida_refresh_replacements_total", "counter", "Changed sources whose auxiliary structures and cache entries were dropped wholesale.", "engine.RefreshReplacements",
+		false, func(v *statsView) int64 { return v.eng.RefreshReplacements }},
+	{"vida_refresh_tail_rows_total", "counter", "Rows indexed and cached by append refreshes.", "engine.RefreshTailRows",
+		false, func(v *statsView) int64 { return v.eng.RefreshTailRows }},
+	{"vida_refresh_tail_bytes_total", "counter", "File bytes read by append refreshes.", "engine.RefreshTailBytes",
+		false, func(v *statsView) int64 { return v.eng.RefreshTailBytes }},
+
 	// Service: admission and request outcomes.
 	{"vida_serve_admitted_total", "counter", "Requests admitted past the in-flight gate.", "service.admitted",
 		false, func(v *statsView) int64 { return v.svc.Admitted }},

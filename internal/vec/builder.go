@@ -133,10 +133,14 @@ func (cb *ColBuilder) boxify() {
 
 // Finish returns the accumulated column. The builder must not be used
 // afterwards; the column owns its storage exclusively, so callers may
-// publish it as immutable.
+// publish it as immutable. A payload that grew by doubling (no row-count
+// hint) is clipped to its length first: the column outlives the scan by
+// the life of its cache entry, and would hold the slack that long.
 func (cb *ColBuilder) Finish() Col {
 	if !cb.decided {
 		cb.col.Tag = Boxed
 	}
+	c := &cb.col
+	c.Boxed, c.Ints, c.Floats, c.Strs, c.Nulls = clip(c.Boxed), clip(c.Ints), clip(c.Floats), clip(c.Strs), clip(c.Nulls)
 	return cb.col
 }

@@ -402,8 +402,10 @@ func (e *Engine) AttachCleaner(source string, rules ...CleanRule) error {
 	return e.inner.AttachCleaner(source, clean.New(converted...))
 }
 
-// Refresh re-checks registered files for modification, dropping affected
-// auxiliary structures and caches.
+// Refresh re-checks registered files for modification. A CSV file that
+// only grew keeps its positional map and cached columns, extended by the
+// appended rows; any other change drops the affected auxiliary
+// structures and caches.
 func (e *Engine) Refresh() error { return e.inner.Refresh() }
 
 // Stats returns engine activity counters.
