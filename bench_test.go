@@ -20,12 +20,12 @@ import (
 
 	"vida"
 	"vida/internal/cache"
-	"vida/internal/core"
 	"vida/internal/experiments"
 	"vida/internal/sched"
 	"vida/internal/serve"
 	"vida/internal/trace"
 	"vida/internal/values"
+	"vida/internal/vec"
 	"vida/internal/workload"
 )
 
@@ -496,40 +496,34 @@ func boxifyColumns(b *testing.B, eng *vida.Engine, dataset string) {
 	if !ok {
 		b.Fatalf("no columnar entry for %s", dataset)
 	}
-	boxed := make(map[string][]values.Value, len(e.Cols))
+	boxed := make(map[string]vec.Col, len(e.Cols))
 	for name, col := range e.Cols {
 		c := col
 		vs := make([]values.Value, e.N)
 		for i := range vs {
 			vs[i] = c.Value(i)
 		}
-		boxed[name] = vs
+		boxed[name] = vec.Col{Tag: vec.Boxed, Boxed: vs}
 	}
 	m.Invalidate(dataset)
-	if err := m.PutColumns(dataset, e.N, boxed); err != nil {
+	if err := m.PutColumnVectors(dataset, e.N, boxed); err != nil {
 		b.Fatal(err)
 	}
 }
 
 // BenchmarkWarmCacheAggScan is the typed-cache acceptance benchmark: a
 // warm 300k-row aggregate whose head is an arithmetic expression, in
-// three configurations.
+// two configurations.
 //
 //   - typed: typed cache entry + vectorized expression kernels (the
 //     engine as shipped)
 //   - boxed: the same kernels over a boxed cache entry — isolates the
 //     layout effect
-//   - boxed-baseline: boxed entry with the kernels disabled (row-wise
-//     head evaluation) — the pre-typed-cache engine, which paid ~2
-//     allocations per row in the avg monoid's Unit/Merge
-//
-// Acceptance: typed beats boxed-baseline by ≥1.5x ns/op and ≥3x
-// allocs/op (measured ~90x and ~7600x; see the README table).
 func BenchmarkWarmCacheAggScan(b *testing.B) {
 	path := writeBigPeopleCSV(b, 300_000)
 	q := `for { p <- People, p.age > 40 } yield avg (p.id * 2 + p.age)`
-	run := func(b *testing.B, opts []vida.Option, boxify bool) {
-		eng := vida.New(opts...)
+	run := func(b *testing.B, boxify bool) {
+		eng := vida.New()
 		must(b, eng.RegisterCSV("People", path, bigPeopleSchema, nil))
 		if _, err := eng.Query(q); err != nil {
 			b.Fatal(err)
@@ -544,11 +538,8 @@ func BenchmarkWarmCacheAggScan(b *testing.B) {
 			}
 		}
 	}
-	b.Run("typed", func(b *testing.B) { run(b, nil, false) })
-	b.Run("boxed", func(b *testing.B) { run(b, nil, true) })
-	b.Run("boxed-baseline", func(b *testing.B) {
-		run(b, []vida.Option{func(o *core.Options) { o.NoExprKernels = true }}, true)
-	})
+	b.Run("typed", func(b *testing.B) { run(b, false) })
+	b.Run("boxed", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkJoinWarmTypedKeys measures the vectorized join-key path: a

@@ -426,18 +426,6 @@ func (m *Manager) maybeEncodeLocked() {
 	}
 }
 
-// PutColumns is the boxed-compatibility form of PutColumnVectors: each
-// column is installed under the boxed fallback layout. Row-at-a-time
-// harvest paths (record and slot scans) use it; the vectorized harvest
-// installs typed vectors directly.
-func (m *Manager) PutColumns(dataset string, n int, cols map[string][]values.Value) error {
-	vcols := make(map[string]vec.Col, len(cols))
-	for name, col := range cols {
-		vcols[name] = vec.Col{Tag: vec.Boxed, Boxed: col}
-	}
-	return m.PutColumnVectors(dataset, n, vcols)
-}
-
 // PutRows installs the row-layout entry for a dataset.
 func (m *Manager) PutRows(dataset string, rows []values.Value) {
 	var sz int64

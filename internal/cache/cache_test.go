@@ -17,9 +17,19 @@ func intCol(n int, f func(int) int64) []values.Value {
 	return out
 }
 
+// putBoxed installs columns under the boxed fallback representation —
+// what a scan of a record-only plug-in, or a mixed-type column, harvests.
+func putBoxed(m *Manager, dataset string, n int, cols map[string][]values.Value) error {
+	vcols := make(map[string]vec.Col, len(cols))
+	for name, col := range cols {
+		vcols[name] = vec.Col{Tag: vec.Boxed, Boxed: col}
+	}
+	return m.PutColumnVectors(dataset, n, vcols)
+}
+
 func TestColumnsPutGetAndAccumulate(t *testing.T) {
 	m := New(0)
-	if err := m.PutColumns("p", 3, map[string][]values.Value{
+	if err := putBoxed(m, "p", 3, map[string][]values.Value{
 		"id": intCol(3, func(i int) int64 { return int64(i) }),
 	}); err != nil {
 		t.Fatal(err)
@@ -31,7 +41,7 @@ func TestColumnsPutGetAndAccumulate(t *testing.T) {
 		t.Fatal("should miss: age not cached")
 	}
 	// Accumulate a second column; both must now be served.
-	if err := m.PutColumns("p", 3, map[string][]values.Value{
+	if err := putBoxed(m, "p", 3, map[string][]values.Value{
 		"age": intCol(3, func(i int) int64 { return int64(30 + i) }),
 	}); err != nil {
 		t.Fatal(err)
@@ -47,7 +57,7 @@ func TestColumnsPutGetAndAccumulate(t *testing.T) {
 
 func TestColumnsLengthMismatchRejected(t *testing.T) {
 	m := New(0)
-	err := m.PutColumns("p", 3, map[string][]values.Value{
+	err := putBoxed(m, "p", 3, map[string][]values.Value{
 		"id": intCol(2, func(i int) int64 { return 0 }),
 	})
 	if err == nil {
@@ -57,8 +67,8 @@ func TestColumnsLengthMismatchRejected(t *testing.T) {
 
 func TestColumnsShapeChangeReplaces(t *testing.T) {
 	m := New(0)
-	_ = m.PutColumns("p", 3, map[string][]values.Value{"id": intCol(3, func(i int) int64 { return 0 })})
-	_ = m.PutColumns("p", 5, map[string][]values.Value{"id": intCol(5, func(i int) int64 { return 0 })})
+	_ = putBoxed(m, "p", 3, map[string][]values.Value{"id": intCol(3, func(i int) int64 { return 0 })})
+	_ = putBoxed(m, "p", 5, map[string][]values.Value{"id": intCol(5, func(i int) int64 { return 0 })})
 	e, ok := m.GetColumns("p", []string{"id"})
 	if !ok || e.N != 5 {
 		t.Fatalf("entry after shape change: %+v, %v", e, ok)
@@ -87,7 +97,7 @@ func TestRowsBSONSpans(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	m := New(0)
-	_ = m.PutColumns("p", 1, map[string][]values.Value{"id": intCol(1, func(i int) int64 { return 0 })})
+	_ = putBoxed(m, "p", 1, map[string][]values.Value{"id": intCol(1, func(i int) int64 { return 0 })})
 	m.PutSpans("p", []Span{{0, 5}})
 	m.PutSpans("q", []Span{{0, 5}})
 	m.Invalidate("p")
@@ -147,7 +157,7 @@ func TestPeekDoesNotDistortStats(t *testing.T) {
 
 func TestColumnsSourceIterate(t *testing.T) {
 	m := New(0)
-	_ = m.PutColumns("p", 3, map[string][]values.Value{
+	_ = putBoxed(m, "p", 3, map[string][]values.Value{
 		"id":  intCol(3, func(i int) int64 { return int64(i + 1) }),
 		"age": intCol(3, func(i int) int64 { return int64(30 + i) }),
 	})
@@ -240,7 +250,7 @@ func TestBSONSourceFieldDecode(t *testing.T) {
 
 func TestDescribe(t *testing.T) {
 	m := New(0)
-	_ = m.PutColumns("p", 1, map[string][]values.Value{"id": intCol(1, func(i int) int64 { return 0 })})
+	_ = putBoxed(m, "p", 1, map[string][]values.Value{"id": intCol(1, func(i int) int64 { return 0 })})
 	m.PutSpans("q", []Span{{0, 5}})
 	s := m.Describe()
 	for _, want := range []string{"p [columns]", "q [spans]", "cols=[id:boxed]"} {
@@ -285,7 +295,7 @@ func TestColumnsSourceBatches(t *testing.T) {
 		cols["a"] = append(cols["a"], values.NewInt(int64(i)))
 		cols["b"] = append(cols["b"], values.NewString("x"))
 	}
-	if err := m.PutColumns("D", n, cols); err != nil {
+	if err := putBoxed(m, "D", n, cols); err != nil {
 		t.Fatal(err)
 	}
 	e, ok := m.GetColumns("D", []string{"a", "b"})
@@ -336,7 +346,7 @@ func TestColumnsSourceBatches(t *testing.T) {
 
 func TestManagerTouch(t *testing.T) {
 	m := New(0)
-	if err := m.PutColumns("D", 1, map[string][]values.Value{"a": {values.NewInt(1)}}); err != nil {
+	if err := putBoxed(m, "D", 1, map[string][]values.Value{"a": {values.NewInt(1)}}); err != nil {
 		t.Fatal(err)
 	}
 	before := m.Stats().Hits

@@ -14,8 +14,9 @@
 //   - LayoutColumns — one vec.Col per attribute. Columns stay in the
 //     typed representation the harvesting scan produced (int64/float64/
 //     string payload slices with optional validity masks); attributes
-//     whose rows mix types, or that arrive from row-at-a-time access
-//     paths, fall back to boxed []values.Value payloads. Warm scans are
+//     whose rows mix types, or that arrive boxed because the plug-in
+//     only produces records (lifted by vec.PackRecords), are stored as
+//     boxed []values.Value payloads. Warm scans are
 //     served as slice windows of these vectors — zero copies, marked
 //     vec.Batch.Stable so consumers may retain them header-only.
 //   - LayoutRows — record values in row order (the "C++ object"

@@ -17,12 +17,13 @@ type MemReserver interface {
 	Release(n int64)
 }
 
-// ColumnsSource adapts a columnar cache entry to algebra.Source: batch
-// scans serve slice windows of the typed column vectors zero-copy (the
-// cheapest access path in the engine), and the row-oriented contracts
-// box rows on demand for the fallback executors. Encoded-tier entries
-// decode per block on demand instead: dictionary string columns come
-// back as vec.StrDict windows, which the JIT filters on codes.
+// ColumnsSource serves a columnar cache entry through the batch scan
+// contract: slice windows of the typed column vectors, zero-copy (the
+// cheapest access path in the engine). Encoded-tier entries decode per
+// block on demand instead: dictionary string columns come back as
+// vec.StrDict windows, which the JIT filters on codes. Iterate is the
+// record view of the same batches, for callers that hold an
+// algebra.Source.
 type ColumnsSource struct {
 	Entry   *Entry
 	Dataset string
@@ -35,70 +36,12 @@ type ColumnsSource struct {
 // Name implements algebra.Source.
 func (s *ColumnsSource) Name() string { return s.Dataset }
 
-// Iterate implements algebra.Source.
+// Iterate implements algebra.Source by boxing the rows of IterateBatches.
 func (s *ColumnsSource) Iterate(fields []string, yield func(values.Value) error) error {
-	if s.Entry.Enc != nil {
-		fields = s.fieldList(fields)
-		return s.IterateBatches(fields, vec.DefaultBatchSize, func(b *vec.Batch) error {
-			for row := 0; row < b.N; row++ {
-				rec := make([]values.Field, len(fields))
-				for i, f := range fields {
-					rec[i] = values.Field{Name: f, Val: b.Cols[i].Value(row)}
-				}
-				if err := yield(values.NewRecord(rec...)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	cols, fields, err := s.resolveCols(fields)
-	if err != nil {
-		return err
-	}
-	for row := 0; row < s.Entry.N; row++ {
-		rec := make([]values.Field, len(fields))
-		for i, f := range fields {
-			rec[i] = values.Field{Name: f, Val: cols[i].Value(row)}
-		}
-		if err := yield(values.NewRecord(rec...)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// IterateSlots is the specialized row access path for the JIT executor:
-// slot rows are boxed straight from the column vectors.
-func (s *ColumnsSource) IterateSlots(fields []string, yield func([]values.Value) error) error {
-	if s.Entry.Enc != nil {
-		buf := make([]values.Value, len(fields))
-		return s.IterateBatches(fields, vec.DefaultBatchSize, func(b *vec.Batch) error {
-			for row := 0; row < b.N; row++ {
-				for i := range b.Cols {
-					buf[i] = b.Cols[i].Value(row)
-				}
-				if err := yield(buf); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	cols, fields, err := s.resolveCols(fields)
-	if err != nil {
-		return err
-	}
-	buf := make([]values.Value, len(fields))
-	for row := 0; row < s.Entry.N; row++ {
-		for i := range cols {
-			buf[i] = cols[i].Value(row)
-		}
-		if err := yield(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	fields = s.fieldList(fields)
+	return s.IterateBatches(fields, vec.DefaultBatchSize, func(b *vec.Batch) error {
+		return vec.BoxRecords(b, fields, yield)
+	})
 }
 
 // fieldList defaults empty field requests to every resident column, in
@@ -112,18 +55,17 @@ func (s *ColumnsSource) fieldList(fields []string) []string {
 
 // resolveCols maps requested fields (all cached fields when empty, in
 // sorted order) to the entry's column vectors.
-func (s *ColumnsSource) resolveCols(fields []string) ([]vec.Col, []string, error) {
-	e := s.Entry
+func (s *ColumnsSource) resolveCols(fields []string) ([]vec.Col, error) {
 	fields = s.fieldList(fields)
 	cols := make([]vec.Col, len(fields))
 	for i, f := range fields {
-		col, ok := e.Cols[f]
+		col, ok := s.Entry.Cols[f]
 		if !ok {
-			return nil, nil, fmt.Errorf("cache: column %q not resident for %s", f, s.Dataset)
+			return nil, fmt.Errorf("cache: column %q not resident for %s", f, s.Dataset)
 		}
 		cols[i] = col
 	}
-	return cols, fields, nil
+	return cols, nil
 }
 
 // resolveEnc maps requested fields to the entry's encoded columns.
@@ -153,7 +95,7 @@ func (s *ColumnsSource) IterateBatches(fields []string, batchSize int, yield fun
 		}
 		return s.encodedScan(cols)(0, s.Entry.N, batchSize, yield)
 	}
-	cols, _, err := s.resolveCols(fields)
+	cols, err := s.resolveCols(fields)
 	if err != nil {
 		return err
 	}
@@ -171,7 +113,7 @@ func (s *ColumnsSource) OpenRange(fields []string) (func(lo, hi, batchSize int, 
 		}
 		return s.encodedScan(cols), s.Entry.N, true
 	}
-	cols, _, err := s.resolveCols(fields)
+	cols, err := s.resolveCols(fields)
 	if err != nil {
 		return nil, 0, false
 	}

@@ -83,7 +83,7 @@ func TestTypedEvictionAccounting(t *testing.T) {
 	for i := range boxed {
 		boxed[i] = values.NewInt(0)
 	}
-	if err := m.PutColumns("boxed", n, map[string][]values.Value{"id": boxed}); err != nil {
+	if err := putBoxed(m, "boxed", n, map[string][]values.Value{"id": boxed}); err != nil {
 		t.Fatal(err)
 	}
 	te, _ := m.Peek("typed", LayoutColumns)

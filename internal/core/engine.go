@@ -18,12 +18,10 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"vida/internal/algebra"
 	"vida/internal/cache"
 	"vida/internal/clean"
-	"vida/internal/faultinject"
 	"vida/internal/jit"
 	"vida/internal/mcl"
 	"vida/internal/optimizer"
@@ -35,7 +33,6 @@ import (
 	"vida/internal/sdg"
 	"vida/internal/trace"
 	"vida/internal/values"
-	"vida/internal/vec"
 )
 
 // ErrClosed is returned by queries against a closed engine.
@@ -97,10 +94,6 @@ type Options struct {
 	// parallel hash-join build (0 = jit default; rounded up to a power
 	// of two).
 	JoinPartitions int
-	// NoExprKernels disables the JIT's vectorized arithmetic/projection
-	// kernels (row-wise fallback) — an A/B switch for benchmarks and
-	// fallback-equivalence tests, not for production use.
-	NoExprKernels bool
 	// MemoryBudgetBytes bounds the engine's tracked execution memory
 	// (collection results, join build sides, dedup tables, in-flight
 	// cache harvests) across all queries (<=0: unlimited). Under
@@ -152,9 +145,15 @@ type Stats struct {
 	RefreshTailBytes    int64
 }
 
+// sourceEntry is one registered source. Entries are immutable once
+// published in Engine.sources — a change installs a fresh copy — so a scan
+// keeps reading the entry it resolved without holding the catalog lock.
 type sourceEntry struct {
-	desc   *sdg.Description
+	desc *sdg.Description
+	// src is the plug-in (behind its cleaner, when one is attached) as
+	// registered; raw is its batch view (jit.Lift), which scans read.
 	src    algebra.Source
+	raw    jit.BatchSource
 	csv    *rawcsv.Reader
 	json   *rawjson.Reader
 	arr    *rawarr.Reader
@@ -347,6 +346,7 @@ func (e *Engine) Register(desc *sdg.Description) error {
 	default:
 		return fmt.Errorf("core: format %s needs RegisterSource", desc.Format)
 	}
+	entry.raw = jit.Lift(entry.src)
 	name := desc.Name
 	e.mu.Lock()
 	if _, dup := e.sources[name]; dup {
@@ -402,7 +402,7 @@ func (e *Engine) RegisterSource(desc *sdg.Description, src algebra.Source) error
 		e.mu.Unlock()
 		return fmt.Errorf("core: source %q already registered", desc.Name)
 	}
-	e.sources[desc.Name] = &sourceEntry{desc: desc, src: src, isView: true}
+	e.sources[desc.Name] = &sourceEntry{desc: desc, src: src, raw: jit.Lift(src), isView: true}
 	e.mu.Unlock()
 	e.epoch.Add(1)
 	return nil
@@ -448,7 +448,11 @@ func (e *Engine) AttachCleaner(name string, c *clean.Cleaner) error {
 		e.mu.Unlock()
 		return fmt.Errorf("core: unknown source %q", name)
 	}
-	s.src = &cleanedSource{inner: s.src, cleaner: c}
+	// Copy-on-write: in-flight scans keep the entry they resolved.
+	cleaned := *s
+	cleaned.src = &cleanedSource{inner: s.src, cleaner: c}
+	cleaned.raw = jit.Lift(cleaned.src)
+	e.sources[name] = &cleaned
 	e.mu.Unlock()
 	e.caches.Invalidate(name)
 	e.dropPlans()
@@ -589,521 +593,6 @@ func (e *Engine) StatsSnapshot() Stats {
 		RefreshTailRows:        e.refreshTailRows.Load(),
 		RefreshTailBytes:       e.refreshTailBytes.Load(),
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Catalog with cache interposition
-// ---------------------------------------------------------------------------
-
-// catalog adapts the engine to algebra.Catalog + jit.SchemaCatalog. Scans
-// consult the cache first; raw scans populate it for next time.
-type catalog struct {
-	e *Engine
-}
-
-// Source implements algebra.Catalog.
-func (c catalog) Source(name string) (algebra.Source, bool) {
-	return c.e.sourceFor(name, nil)
-}
-
-// Description implements jit.SchemaCatalog.
-func (c catalog) Description(name string) (*sdg.Description, bool) {
-	return c.e.Description(name)
-}
-
-// tracedCatalog is the armed variant of catalog: the sources it hands
-// out record scan spans under sp. It is a separate (heap-allocated)
-// type, not a field on catalog, so the disarmed catalog value stays
-// pointer-shaped and its interface conversion allocation-free on the
-// warm query path.
-type tracedCatalog struct {
-	e  *Engine
-	sp *trace.Span
-}
-
-// Source implements algebra.Catalog.
-func (c *tracedCatalog) Source(name string) (algebra.Source, bool) {
-	return c.e.sourceFor(name, c.sp)
-}
-
-// Description implements jit.SchemaCatalog.
-func (c *tracedCatalog) Description(name string) (*sdg.Description, bool) {
-	return c.e.Description(name)
-}
-
-// sourceFor resolves a catalog source, wiring the cache interposition
-// layer and the (possibly nil) trace span scans record under.
-func (e *Engine) sourceFor(name string, sp *trace.Span) (algebra.Source, bool) {
-	e.mu.RLock()
-	s, ok := e.sources[name]
-	e.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	if e.opts.DisableCaching || s.isView {
-		return &countingSource{e: e, inner: s.src, raw: true, sp: sp}, true
-	}
-	return &cachingSource{e: e, entry: s, sp: sp}, true
-}
-
-// traceYield wraps a batch yield to account rows/bytes/batches into sp.
-// A nil sp returns yield unchanged, so the disarmed path allocates no
-// closure.
-func traceYield(sp *trace.Span, yield func(*vec.Batch) error) func(*vec.Batch) error {
-	if sp == nil {
-		return yield
-	}
-	return func(b *vec.Batch) error {
-		sp.AddBatches(1)
-		sp.AddRows(int64(b.Len()))
-		sp.AddBytes(b.MemoryBytes())
-		return yield(b)
-	}
-}
-
-// countingSource tags scans for the statistics (cache vs raw).
-type countingSource struct {
-	e     *Engine
-	inner algebra.Source
-	raw   bool
-	sp    *trace.Span // parent for scan spans; nil when disarmed
-}
-
-// scanSpan opens a scan span for this source (nil when disarmed). The
-// explicit nil check matters: SetAttr's arguments would box to `any` at
-// the call site even for a nil receiver, allocating on the disarmed path.
-func (s *countingSource) scanSpan() *trace.Span {
-	if s.sp == nil {
-		return nil
-	}
-	sp := s.sp.Child("scan")
-	sp.SetAttr("source", s.inner.Name())
-	if s.raw {
-		sp.SetAttr("mode", "raw")
-	} else {
-		sp.SetAttr("mode", "cache")
-	}
-	return sp
-}
-
-func (s *countingSource) Name() string { return s.inner.Name() }
-
-func (s *countingSource) Iterate(fields []string, yield func(values.Value) error) error {
-	s.count()
-	return s.inner.Iterate(fields, yield)
-}
-
-func (s *countingSource) count() {
-	if s.raw {
-		s.e.rawScans.Add(1)
-	} else {
-		s.e.cacheScans.Add(1)
-	}
-}
-
-// IterateSlots forwards the JIT slot fast path when the wrapped source
-// has one (cache-disabled engines still get specialized raw scans) and
-// falls back to exploding records otherwise.
-func (s *countingSource) IterateSlots(fields []string, yield func([]values.Value) error) error {
-	if ss, ok := s.inner.(jit.SlotSource); ok {
-		s.count()
-		return ss.IterateSlots(fields, yield)
-	}
-	return slotsFromRecords(s, fields, yield)
-}
-
-// IterateBatches forwards the JIT batch fast path when the wrapped
-// source has one and packs slot rows into boxed batches otherwise.
-func (s *countingSource) IterateBatches(fields []string, batchSize int, yield func(*vec.Batch) error) error {
-	if bs, ok := s.inner.(jit.BatchSource); ok {
-		s.count()
-		sp := s.scanSpan()
-		defer sp.End()
-		return bs.IterateBatches(fields, batchSize, traceYield(sp, yield))
-	}
-	return batchesFromSlots(s.IterateSlots, fields, batchSize, yield)
-}
-
-// OpenRange forwards range-partitioned scans (morsel parallelism).
-func (s *countingSource) OpenRange(fields []string) (func(lo, hi, batchSize int, yield func(*vec.Batch) error) error, int, bool) {
-	rs, ok := s.inner.(jit.RangeBatchSource)
-	if !ok {
-		return nil, 0, false
-	}
-	scan, n, ok := rs.OpenRange(fields)
-	if !ok {
-		return nil, 0, false
-	}
-	var once sync.Once
-	return func(lo, hi, batchSize int, yield func(*vec.Batch) error) error {
-		once.Do(s.count)
-		return scan(lo, hi, batchSize, yield)
-	}, n, true
-}
-
-// cachingSource serves scans from the columnar cache when it covers the
-// requested fields; otherwise it reads raw and promotes the touched
-// fields into the cache (the paper's access-driven cache growth).
-type cachingSource struct {
-	e     *Engine
-	entry *sourceEntry
-	sp    *trace.Span // parent for scan spans; nil when disarmed
-}
-
-// scanSpan opens a scan span for this source (nil when disarmed). The
-// explicit nil check matters: SetAttr's arguments would box to `any` at
-// the call site even for a nil receiver, allocating on the disarmed path.
-func (s *cachingSource) scanSpan(mode string) *trace.Span {
-	if s.sp == nil {
-		return nil
-	}
-	sp := s.sp.Child("scan")
-	sp.SetAttr("source", s.entry.desc.Name)
-	sp.SetAttr("mode", mode)
-	return sp
-}
-
-// buildStats reads the raw reader's cumulative auxiliary-build counters
-// (positional map / semi-index). The tracer diffs them around a raw scan
-// to attribute a build to the query that paid for it.
-func (s *cachingSource) buildStats() (builds, nanos int64, event string) {
-	switch {
-	case s.entry.csv != nil:
-		b, n := s.entry.csv.BuildStats()
-		return b, n, "posmap_build"
-	case s.entry.json != nil:
-		b, n := s.entry.json.BuildStats()
-		return b, n, "semiindex_build"
-	}
-	return 0, 0, ""
-}
-
-// recordBuild emits a completed build child span on sp when the scan
-// between the buildStats snapshot (b0, n0) and now ran one.
-func (s *cachingSource) recordBuild(sp *trace.Span, b0, n0 int64) {
-	if sp == nil {
-		return
-	}
-	b1, n1, event := s.buildStats()
-	if event != "" && b1 > b0 {
-		sp.Event(event, time.Duration(n1-n0), trace.Attr{Key: "builds", Val: b1 - b0})
-	}
-}
-
-// harvestGuard snapshots the engine epoch before a raw scan whose rows
-// will be promoted into the cache. A Refresh racing the scan swaps the
-// file generation and invalidates the cache mid-harvest; without the
-// guard the scan would then install pre-refresh rows that every later
-// query reads as current. put runs the promotion only when the epoch is
-// unchanged, and re-checks afterwards (invalidating what it just wrote)
-// to close the check-then-put window.
-type harvestGuard struct {
-	e       *Engine
-	dataset string
-	epoch   int64
-}
-
-func (s *cachingSource) newHarvestGuard() harvestGuard {
-	return harvestGuard{e: s.e, dataset: s.entry.desc.Name, epoch: s.e.epoch.Load()}
-}
-
-func (g harvestGuard) put(install func() error) error {
-	if g.e.epoch.Load() != g.epoch {
-		return nil // data moved mid-scan: the harvest is stale, drop it
-	}
-	if err := install(); err != nil {
-		return err
-	}
-	if g.e.epoch.Load() != g.epoch {
-		g.e.caches.Invalidate(g.dataset)
-	}
-	return nil
-}
-
-// cacheScanMode labels a cache-hit scan span by the entry's tier.
-func cacheScanMode(e *cache.Entry) string {
-	if e.Encoded() {
-		return "cache-encoded"
-	}
-	return "cache"
-}
-
-// Name implements algebra.Source.
-func (s *cachingSource) Name() string { return s.entry.desc.Name }
-
-// Iterate implements algebra.Source.
-func (s *cachingSource) Iterate(fields []string, yield func(values.Value) error) error {
-	name := s.entry.desc.Name
-	if len(fields) > 0 {
-		if entry, ok := s.e.caches.GetColumns(name, fields); ok {
-			s.e.cacheScans.Add(1)
-			src := &cache.ColumnsSource{Entry: entry, Dataset: name, Mgr: s.e.caches, Mem: &s.e.mem}
-			return src.Iterate(fields, yield)
-		}
-	} else if entry, ok := s.e.caches.Get(name, cache.LayoutRows); ok {
-		s.e.cacheScans.Add(1)
-		src := &cache.RowsSource{Entry: entry, Dataset: name}
-		return src.Iterate(fields, yield)
-	}
-	// Raw access; harvest the stream into the cache — unless the engine
-	// is under memory pressure, in which case the scan still answers but
-	// the cache does not grow (harvest shedding, the graceful step before
-	// any query hits the budget ceiling).
-	s.e.rawScans.Add(1)
-	if s.e.mem.underPressure() {
-		s.e.harvestSkips.Add(1)
-		return s.entry.src.Iterate(fields, yield)
-	}
-	guard := s.newHarvestGuard()
-	if len(fields) > 0 {
-		cols := make(map[string][]values.Value, len(fields))
-		for _, f := range fields {
-			cols[f] = nil
-		}
-		n := 0
-		err := s.entry.src.Iterate(fields, func(v values.Value) error {
-			for _, f := range fields {
-				fv, _ := v.Get(f)
-				cols[f] = append(cols[f], fv)
-			}
-			n++
-			return yield(v)
-		})
-		if err != nil {
-			return err
-		}
-		return guard.put(func() error { return s.e.caches.PutColumns(name, n, cols) })
-	}
-	var rows []values.Value
-	err := s.entry.src.Iterate(nil, func(v values.Value) error {
-		rows = append(rows, v)
-		return yield(v)
-	})
-	if err != nil {
-		return err
-	}
-	return guard.put(func() error { s.e.caches.PutRows(name, rows); return nil })
-}
-
-// IterateSlots lets the JIT fast path run against the cache (or the raw
-// reader's own slot path) while preserving the harvest-into-cache
-// behaviour.
-func (s *cachingSource) IterateSlots(fields []string, yield func([]values.Value) error) error {
-	name := s.entry.desc.Name
-	if len(fields) > 0 {
-		if entry, ok := s.e.caches.GetColumns(name, fields); ok {
-			s.e.cacheScans.Add(1)
-			src := &cache.ColumnsSource{Entry: entry, Dataset: name, Mgr: s.e.caches, Mem: &s.e.mem}
-			return src.IterateSlots(fields, yield)
-		}
-		// Raw slot scan with harvesting (shed under memory pressure).
-		if ss, ok := s.entry.src.(jit.SlotSource); ok {
-			s.e.rawScans.Add(1)
-			if s.e.mem.underPressure() {
-				s.e.harvestSkips.Add(1)
-				return ss.IterateSlots(fields, yield)
-			}
-			guard := s.newHarvestGuard()
-			cols := make(map[string][]values.Value, len(fields))
-			n := 0
-			err := ss.IterateSlots(fields, func(row []values.Value) error {
-				for i, f := range fields {
-					cols[f] = append(cols[f], row[i])
-				}
-				n++
-				return yield(row)
-			})
-			if err != nil {
-				return err
-			}
-			return guard.put(func() error { return s.e.caches.PutColumns(name, n, cols) })
-		}
-	}
-	// Fall back to the record path, exploding into slots.
-	return slotsFromRecords(s, fields, yield)
-}
-
-// IterateBatches is the vectorized counterpart of IterateSlots: cache
-// hits serve zero-copy column-slice batches, raw scans stream the
-// plugin's typed batches while harvesting boxed columns into the cache,
-// and everything else packs slot rows into boxed batches.
-func (s *cachingSource) IterateBatches(fields []string, batchSize int, yield func(*vec.Batch) error) error {
-	name := s.entry.desc.Name
-	if len(fields) > 0 {
-		if entry, ok := s.e.caches.GetColumns(name, fields); ok {
-			s.e.cacheScans.Add(1)
-			sp := s.scanSpan(cacheScanMode(entry))
-			defer sp.End()
-			src := &cache.ColumnsSource{Entry: entry, Dataset: name, Mgr: s.e.caches, Mem: &s.e.mem}
-			return src.IterateBatches(fields, batchSize, traceYield(sp, yield))
-		}
-		if bs, ok := s.entry.src.(jit.BatchSource); ok {
-			s.e.rawScans.Add(1)
-			sp := s.scanSpan("raw")
-			if sp != nil {
-				b0, n0, _ := s.buildStats()
-				defer func() {
-					s.recordBuild(sp, b0, n0)
-					sp.End()
-				}()
-				yield = traceYield(sp, yield)
-			}
-			guard := s.newHarvestGuard()
-			// Pre-size harvest columns when the reader already knows its
-			// row count — repeated scans then build cache columns with a
-			// single allocation each.
-			hint := 0
-			if s.entry.csv != nil {
-				if pm := s.entry.csv.PosMap(); pm.HasRows() {
-					hint = pm.NumRows()
-				}
-			}
-			// Typed harvest: the plugin's column vectors are retained in
-			// their typed representation, so the cache entry serves the
-			// next scan unboxed. Mixed-type columns demote to boxed
-			// inside the builder.
-			//
-			// Harvesting is the engine's first victim under memory
-			// pressure: each harvested batch reserves its estimated bytes
-			// against the global budget, and past the high-water mark (or
-			// at the ceiling) the harvest is shed — the query still
-			// answers from raw, the cache just does not grow — before any
-			// query is killed.
-			harvest := !s.e.mem.underPressure()
-			if !harvest {
-				s.e.harvestSkips.Add(1)
-			}
-			sp.SetAttr("harvest", harvest)
-			var builders []*vec.ColBuilder
-			if harvest {
-				builders = make([]*vec.ColBuilder, len(fields))
-				for i := range builders {
-					builders[i] = vec.NewColBuilder(hint)
-				}
-			}
-			var reserved int64
-			defer func() { s.e.mem.release(reserved) }()
-			n := 0
-			err := bs.IterateBatches(fields, batchSize, func(b *vec.Batch) error {
-				if ferr := faultinject.Hit(faultinject.RefreshDuringScan); ferr != nil {
-					return ferr
-				}
-				if harvest {
-					// Harvest before the JIT refines the selection: the cache
-					// stores every scanned row, filters apply per query.
-					delta := b.MemoryBytes() + faultinject.Value(faultinject.AllocSpike)
-					if rerr := s.e.mem.reserve(delta); rerr != nil {
-						harvest, builders = false, nil
-						s.e.harvestSkips.Add(1)
-					} else {
-						reserved += delta
-						for c := range fields {
-							builders[c].Append(&b.Cols[c], b)
-						}
-					}
-				}
-				n += b.Len()
-				return yield(b)
-			})
-			if err != nil {
-				return err
-			}
-			if !harvest {
-				return nil
-			}
-			if err := guard.put(func() error {
-				cols := make(map[string]vec.Col, len(fields))
-				for i, f := range fields {
-					cols[f] = builders[i].Finish()
-				}
-				return s.e.caches.PutColumnVectors(name, n, cols)
-			}); err != nil {
-				return err
-			}
-			// The harvesting scan just built (or extended) the positional
-			// map as a side effect; persist it so a restart skips the
-			// first-touch rebuild.
-			s.e.saveAux(s.entry)
-			return nil
-		}
-	}
-	return batchesFromSlots(s.IterateSlots, fields, batchSize, yield)
-}
-
-// OpenRange serves morsel-parallel scans: from the columnar cache when it
-// covers the fields (zero-copy, with deferred hit accounting), else from
-// the raw plugin's own range scan. Raw range scans skip cache promotion —
-// ranges arrive out of order — but a source only becomes range-capable
-// after a sequential first touch, which does promote.
-func (s *cachingSource) OpenRange(fields []string) (func(lo, hi, batchSize int, yield func(*vec.Batch) error) error, int, bool) {
-	if len(fields) == 0 {
-		return nil, 0, false
-	}
-	name := s.entry.desc.Name
-	if entry, ok := s.e.caches.Peek(name, cache.LayoutColumns); ok && entry.HasColumns(fields) {
-		src := &cache.ColumnsSource{Entry: entry, Dataset: name, Mgr: s.e.caches, Mem: &s.e.mem}
-		scan, n, ok := src.OpenRange(fields)
-		if !ok {
-			return nil, 0, false
-		}
-		// The range scan span has no single end point (morsels finish with
-		// the job); it is opened on the first morsel and closed by
-		// Tracer.Finish. once.Do's memory barrier publishes sp to every
-		// morsel worker.
-		var sp *trace.Span
-		var once sync.Once
-		return func(lo, hi, batchSize int, yield func(*vec.Batch) error) error {
-			once.Do(func() {
-				s.e.caches.Touch(name, cache.LayoutColumns)
-				s.e.cacheScans.Add(1)
-				sp = s.scanSpan(cacheScanMode(entry))
-				sp.SetAttr("range", true)
-			})
-			return scan(lo, hi, batchSize, traceYield(sp, yield))
-		}, n, true
-	}
-	rs, ok := s.entry.src.(jit.RangeBatchSource)
-	if !ok {
-		return nil, 0, false
-	}
-	scan, n, ok := rs.OpenRange(fields)
-	if !ok {
-		return nil, 0, false
-	}
-	var sp *trace.Span
-	var once sync.Once
-	return func(lo, hi, batchSize int, yield func(*vec.Batch) error) error {
-		once.Do(func() {
-			s.e.rawScans.Add(1)
-			sp = s.scanSpan("raw")
-			sp.SetAttr("range", true)
-		})
-		return scan(lo, hi, batchSize, traceYield(sp, yield))
-	}, n, true
-}
-
-// slotsFromRecords adapts a record stream to the slot contract.
-func slotsFromRecords(src algebra.Source, fields []string, yield func([]values.Value) error) error {
-	buf := make([]values.Value, len(fields))
-	return src.Iterate(fields, func(v values.Value) error {
-		for i, f := range fields {
-			fv, _ := v.Get(f)
-			buf[i] = fv
-		}
-		return yield(buf)
-	})
-}
-
-// batchesFromSlots packs slot rows into boxed batches.
-func batchesFromSlots(iter func(fields []string, yield func([]values.Value) error) error, fields []string, batchSize int, yield func(*vec.Batch) error) error {
-	if batchSize <= 0 {
-		batchSize = vec.DefaultBatchSize
-	}
-	p := vec.NewPacker(len(fields), batchSize, nil, yield)
-	if err := iter(fields, p.Add); err != nil {
-		return err
-	}
-	return p.Flush()
 }
 
 // ---------------------------------------------------------------------------
@@ -1400,16 +889,9 @@ func (p *Prepared) runPlanCtx(ctx context.Context, plan *algebra.Reduce) (values
 	e.mu.RUnlock()
 	execSp := trace.FromContext(ctx).Root().Child("execute")
 	defer execSp.End()
-	var cat jit.SchemaCatalog = catalog{e: e}
-	if execSp != nil {
-		cat = &tracedCatalog{e: e, sp: execSp}
-	}
-	if ctx.Done() != nil {
-		cat = ctxCatalog{inner: cat, ctx: ctx}
-	}
 	qm := e.newQueryMem()
 	defer qm.release()
-	v, err := e.execPlan(ctx, mode, plan, cat, qm, execSp)
+	v, err := e.execPlan(ctx, mode, plan, e.catalogFor(ctx, execSp), qm, execSp)
 	if err != nil {
 		if errors.Is(err, ErrMemoryBudget) {
 			e.memKills.Add(1)
@@ -1454,12 +936,18 @@ func (e *Engine) execPlan(ctx context.Context, mode ExecMode, plan *algebra.Redu
 	case ModeReference:
 		return algebra.Reference{}.Run(plan, cat)
 	default:
-		opts := jit.Options{Pool: e.opts.Pool, Workers: e.opts.Workers,
-			NoExprKernels: e.opts.NoExprKernels, JoinPartitions: e.opts.JoinPartitions,
-			MemReserve: qm.reserveFunc(), Trace: sp, KernelStats: e.kernelStatsFn,
-			GroupStats: e.groupStatsFn, JoinStats: e.joinStatsFn}
-		return jit.Executor{Opts: opts}.RunCtx(ctx, plan, cat)
+		return jit.Executor{Opts: e.jitOptions(qm, sp)}.RunCtx(ctx, plan, cat)
 	}
+}
+
+// jitOptions assembles the JIT executor's options for one query run:
+// the engine's pool and fan-out, the query's memory ledger and span, and
+// the always-on statistics hooks.
+func (e *Engine) jitOptions(qm *queryMem, sp *trace.Span) jit.Options {
+	return jit.Options{Pool: e.opts.Pool, Workers: e.opts.Workers,
+		JoinPartitions: e.opts.JoinPartitions,
+		MemReserve:     qm.reserveFunc(), Trace: sp, KernelStats: e.kernelStatsFn,
+		GroupStats: e.groupStatsFn, JoinStats: e.joinStatsFn}
 }
 
 // Plan returns the optimized plan (EXPLAIN).

@@ -103,11 +103,7 @@ func (e *Engine) streamRows(ctx context.Context, plan *algebra.Reduce) (*Rows, e
 	e.queries.Add(1)
 	rawBefore := e.rawScans.Load()
 	execSp := trace.FromContext(ctx).Root().Child("execute")
-	var inner jit.SchemaCatalog = catalog{e: e}
-	if execSp != nil {
-		inner = &tracedCatalog{e: e, sp: execSp}
-	}
-	cat := ctxCatalog{inner: inner, ctx: sctx}
+	cat := e.catalogFor(sctx, execSp)
 	go func() {
 		defer e.endQuery()
 		defer qm.release()
@@ -149,11 +145,7 @@ func (e *Engine) runStream(ctx context.Context, plan *algebra.Reduce, cat jit.Sc
 			err = perr
 		}
 	}()
-	opts := jit.Options{Pool: e.opts.Pool, Workers: e.opts.Workers,
-		NoExprKernels: e.opts.NoExprKernels, JoinPartitions: e.opts.JoinPartitions,
-		MemReserve: qm.reserveFunc(), Trace: sp, KernelStats: e.kernelStatsFn,
-		GroupStats: e.groupStatsFn, JoinStats: e.joinStatsFn}
-	return jit.Executor{Opts: opts}.RunStream(ctx, plan, cat, emit)
+	return jit.Executor{Opts: e.jitOptions(qm, sp)}.RunStream(ctx, plan, cat, emit)
 }
 
 // materializedRows wraps an already-computed result value as a cursor:

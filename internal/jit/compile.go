@@ -28,21 +28,30 @@ type SchemaCatalog interface {
 	Description(name string) (*sdg.Description, bool)
 }
 
-// SlotSource is implemented by access paths that can emit slot rows
-// directly (no record construction): slot order follows the fields
-// argument. It is the row-based fallback contract for plugins that do not
-// implement BatchSource.
-type SlotSource interface {
-	IterateSlots(fields []string, yield func([]values.Value) error) error
-}
-
-// BatchSource is implemented by access paths that emit column-vector
-// batches directly — typed (unboxed) columns where the schema allows.
-// This is the preferred scan contract: the CSV plugin fills whole column
-// vectors per positional-map jump, and columnar cache entries serve their
-// slices zero-copy. Batches are reused between yields.
+// BatchSource is the one scan contract the generated pipelines read:
+// column-vector batches — typed (unboxed) columns where the schema
+// allows. The CSV plugin fills whole column vectors per positional-map
+// jump and columnar cache entries serve their slices zero-copy; plug-ins
+// written against algebra.Source.Iterate alone are lifted into it (Lift).
+// Batches are reused between yields.
 type BatchSource interface {
 	IterateBatches(fields []string, batchSize int, yield func(*vec.Batch) error) error
+}
+
+// Lift returns the batch view of a source: the source itself when it
+// already implements BatchSource (so a RangeBatchSource stays one), else
+// an adapter packing its records into boxed batches.
+func Lift(src algebra.Source) BatchSource {
+	if bs, ok := src.(BatchSource); ok {
+		return bs
+	}
+	return recordBatches{src}
+}
+
+type recordBatches struct{ src algebra.Source }
+
+func (r recordBatches) IterateBatches(fields []string, batchSize int, yield func(*vec.Batch) error) error {
+	return vec.PackRecords(r.src.Iterate, fields, batchSize, yield)
 }
 
 // RangeBatchSource is implemented by access paths that can serve an
@@ -467,11 +476,9 @@ func (c *compiler) compilePlan(p algebra.Plan) (*compiledPlan, error) {
 	return nil, fmt.Errorf("jit: unknown plan node %T", p)
 }
 
-// compileScan selects the input plugin for the source format and stages a
-// specialized scan loop. Sources that can emit column batches
-// (BatchSource) feed the pipeline with typed vectors; slot sources are
-// packed into boxed batches; generic sources are exploded into slots when
-// the schema is known, or bound as whole values otherwise.
+// compileScan stages the scan loop over the source's batch view: one
+// slot per attribute when the schema (or the plan) names them, whole
+// values otherwise.
 func (c *compiler) compileScan(n *algebra.Scan) (*compiledPlan, error) {
 	src, ok := c.cat.Source(n.Source)
 	if !ok {
@@ -535,77 +542,37 @@ func (c *compiler) compileScan(n *algebra.Scan) (*compiledPlan, error) {
 		}
 	}
 	cp := &compiledPlan{frame: f}
-	filterOf := func() batchFilter {
+	// filtered fuses the scan filter (a fresh instance per run or morsel:
+	// filters carry scratch) in front of the sink.
+	filtered := func(sink batchSink) func(*vec.Batch) error {
 		if mkFilter == nil {
-			return nil
+			return sink
 		}
-		return mkFilter()
-	}
-	if bsrc, ok := src.(BatchSource); ok {
-		// Specialized plugin: the access path fills column vectors.
-		cp.run = func(sink batchSink) error {
-			flt := filterOf()
-			return bsrc.IterateBatches(fields, bs, func(b *vec.Batch) error {
-				if flt != nil {
-					if err := flt(b); err != nil {
-						return err
-					}
-					if b.Len() == 0 {
-						return nil
-					}
-				}
-				return sink(b)
-			})
-		}
-		if rsrc, ok := src.(RangeBatchSource); ok {
-			cp.openRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
-				scan, total, ok := rsrc.OpenRange(fields)
-				if !ok {
-					return nil, 0, false
-				}
-				return func(lo, hi int, sink batchSink) error {
-					flt := filterOf()
-					return scan(lo, hi, bs, func(b *vec.Batch) error {
-						if flt != nil {
-							if err := flt(b); err != nil {
-								return err
-							}
-							if b.Len() == 0 {
-								return nil
-							}
-						}
-						return sink(b)
-					})
-				}, total, true
-			}
-		}
-		return cp, nil
-	}
-	if ss, ok := src.(SlotSource); ok {
-		// Slot plugin (row-based fallback): pack slot rows into batches.
-		cp.run = func(sink batchSink) error {
-			p := vec.NewPacker(len(fields), bs, filterOf(), sink)
-			if err := ss.IterateSlots(fields, p.Add); err != nil {
+		flt := mkFilter()
+		return func(b *vec.Batch) error {
+			if err := flt(b); err != nil {
 				return err
 			}
-			return p.Flush()
-		}
-		return cp, nil
-	}
-	// Generic record source.
-	cp.run = func(sink batchSink) error {
-		p := vec.NewPacker(len(fields), bs, filterOf(), sink)
-		row := make([]values.Value, len(fields))
-		if err := src.Iterate(fields, func(v values.Value) error {
-			for i, fld := range fields {
-				fv, _ := v.Get(fld)
-				row[i] = fv
+			if b.Len() == 0 {
+				return nil
 			}
-			return p.Add(row)
-		}); err != nil {
-			return err
+			return sink(b)
 		}
-		return p.Flush()
+	}
+	bsrc := Lift(src)
+	cp.run = func(sink batchSink) error {
+		return bsrc.IterateBatches(fields, bs, filtered(sink))
+	}
+	if rsrc, ok := bsrc.(RangeBatchSource); ok {
+		cp.openRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
+			scan, total, ok := rsrc.OpenRange(fields)
+			if !ok {
+				return nil, 0, false
+			}
+			return func(lo, hi int, sink batchSink) error {
+				return scan(lo, hi, bs, filtered(sink))
+			}, total, true
+		}
 	}
 	return cp, nil
 }

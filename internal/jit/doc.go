@@ -24,12 +24,16 @@
 // boundaries: interpreted expressions, join build sides, and the
 // monoid-reduce root when no unboxed kernel applies.
 //
-// Scan plugins plug into the batch pipeline through three contracts, in
-// preference order: BatchSource (column vectors, typed fast path),
-// SlotSource (slot rows, packed into boxed batches), and plain
-// algebra.Source (records, exploded into slots). Warm scans of
-// previously-touched fields come from the typed columnar cache, which
-// serves slice windows of its published vectors zero-copy.
+// Scans enter the batch pipeline through one contract, BatchSource
+// (column-vector batches), optionally extended by RangeBatchSource
+// (arbitrary row ranges, what morsel-parallel scans build on). A plug-in
+// written against algebra.Source.Iterate alone is lifted into it by Lift:
+// vec.PackRecords packs its records into boxed batches, so the compiler
+// stages exactly one scan loop whatever the format. The only scan that
+// reads records directly is the open-schema one, which has no field list
+// to vectorize over and binds each datum as one whole-value slot. Warm
+// scans of previously-touched fields come from the typed columnar cache,
+// which serves slice windows of its published vectors zero-copy.
 //
 // # Vectorized kernels
 //

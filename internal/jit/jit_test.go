@@ -175,8 +175,23 @@ func TestExecutorsOnJoinPlans(t *testing.T) {
 	}
 }
 
-func TestJITUsesSlotSource(t *testing.T) {
-	// A CSV-backed scan must go through IterateSlots (posmap fast path).
+// recordPathTrap is a CSV reader whose record path fails the test: the
+// batch methods are promoted from the embedded reader, Iterate is not.
+type recordPathTrap struct {
+	*rawcsv.Reader
+	t *testing.T
+}
+
+func (s recordPathTrap) Iterate(fields []string, yield func(values.Value) error) error {
+	s.t.Error("JIT scan of a batch-capable source built records")
+	return s.Reader.Iterate(fields, yield)
+}
+
+// TestJITScansCSVThroughBatchPath pins what the scan compiler does with a
+// batch-capable plug-in: cold or warm it reads column batches and never
+// constructs records, and once the first touch built the positional map
+// the scan is served by jumping through it.
+func TestJITScansCSVThroughBatchPath(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "e.csv")
 	content := "id,score\n1,10\n2,20\n3,30\n"
@@ -193,7 +208,7 @@ func TestJITUsesSlotSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := &schemaCat{
-		MapCatalog: algebra.MapCatalog{"E": rd},
+		MapCatalog: algebra.MapCatalog{"E": recordPathTrap{Reader: rd, t: t}},
 		descs:      map[string]*sdg.Description{"E": desc},
 	}
 	plan := planFor2(t, "for { x <- E, x.score > 15 } yield sum x.score", cat)
@@ -204,7 +219,7 @@ func TestJITUsesSlotSource(t *testing.T) {
 	if got.Int() != 50 {
 		t.Fatalf("sum = %v", got)
 	}
-	// Run again: the posmap path must now serve it and agree.
+	cold := rd.StatsSnapshot()
 	got2, err := Executor{}.Run(plan, cat)
 	if err != nil {
 		t.Fatal(err)
@@ -212,8 +227,9 @@ func TestJITUsesSlotSource(t *testing.T) {
 	if !values.Equal(got, got2) {
 		t.Fatalf("posmap run diverged: %v vs %v", got, got2)
 	}
-	if rd.StatsSnapshot()["posmap_scans"] == 0 {
-		t.Fatal("JIT scan did not use the positional map on the second run")
+	warm := rd.StatsSnapshot()
+	if warm["posmap_scans"] != cold["posmap_scans"]+1 || warm["full_scans"] != cold["full_scans"] {
+		t.Fatalf("warm scan did not jump through the positional map: cold %v, warm %v", cold, warm)
 	}
 }
 

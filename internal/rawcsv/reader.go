@@ -610,67 +610,6 @@ func parseFloatBytes(b []byte) (float64, bool) {
 	return f, err == nil
 }
 
-// IterateSlots is the specialized access path used by the JIT executor:
-// it fills a reused slot buffer (one slot per requested field, in request
-// order) with converted values, skipping record construction entirely.
-// When the positional map covers the fields it jumps straight to their
-// bytes; otherwise it falls back to a full scan (which installs the map
-// for next time).
-func (r *Reader) IterateSlots(fields []string, yield func([]values.Value) error) error {
-	cols, err := r.resolveFields(fields)
-	if err != nil {
-		return err
-	}
-	st := r.state.Load()
-	if snap := st.pm.Snapshot(); len(snap.Rows) > 0 && snap.HasCols(cols) {
-		r.stats.PosmapScans.Add(1)
-		data := st.data
-		n := len(snap.Rows)
-		starts := make([][]int32, len(cols))
-		ends := make([][]int32, len(cols))
-		for i, j := range cols {
-			starts[i], ends[i] = snap.Cols[j], snap.Ends[j]
-		}
-		buf := make([]values.Value, len(cols))
-		for row := 0; row < n; row++ {
-			base := snap.Rows[row]
-			bad := false
-			for i, j := range cols {
-				s := base + int64(starts[i][row])
-				e := base + int64(ends[i][row])
-				r.stats.FieldsJumped.Add(1)
-				v, ok := r.convert(j, data[s:e])
-				if !ok {
-					bad = true
-					break
-				}
-				buf[i] = v
-			}
-			if bad {
-				r.stats.RowsSkipped.Add(1)
-				if r.policy == FailOnBadRows {
-					return fmt.Errorf("rawcsv: %s: malformed row %d", r.desc.Name, row)
-				}
-				continue
-			}
-			if err := yield(buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Full scan fallback: reuse the record path and explode. Field order
-	// in the emitted record matches the request, so extraction is
-	// positional.
-	buf := make([]values.Value, len(cols))
-	return r.iterateFull(st, cols, func(v values.Value) error {
-		for i, f := range v.Fields() {
-			buf[i] = f.Val
-		}
-		return yield(buf)
-	})
-}
-
 // NumRows returns the row count, building the row index if needed.
 func (r *Reader) NumRows() (int, error) {
 	st := r.state.Load()

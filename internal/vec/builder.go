@@ -104,20 +104,6 @@ func (cb *ColBuilder) Append(src *Col, b *Batch) {
 	}
 }
 
-// AppendValue boxes one row into the builder, demoting a typed column.
-// Row-at-a-time harvest paths (slot sources) use it.
-func (cb *ColBuilder) AppendValue(v values.Value) {
-	if !cb.decided {
-		cb.decided = true
-		cb.col.Tag = Boxed
-		cb.col.Boxed = make([]values.Value, 0, cb.hint)
-	}
-	if cb.col.Tag != Boxed {
-		cb.boxify()
-	}
-	cb.col.Boxed = append(cb.col.Boxed, v)
-}
-
 // boxify converts the accumulated typed payload to boxed values.
 func (cb *ColBuilder) boxify() {
 	if cb.col.Tag == Boxed {

@@ -1,10 +1,6 @@
 package vec
 
-import (
-	"testing"
-
-	"vida/internal/values"
-)
+import "testing"
 
 func intBatch(vals ...int64) *Batch {
 	b := &Batch{Cols: make([]Col, 1), N: len(vals)}
@@ -82,16 +78,6 @@ func TestColBuilderMixedTagFallsBackToBoxed(t *testing.T) {
 	}
 }
 
-func TestColBuilderAppendValueDemotes(t *testing.T) {
-	cb := NewColBuilder(0)
-	cb.Append(&intBatch(7).Cols[0], intBatch(7))
-	cb.AppendValue(values.NewString("s"))
-	col := cb.Finish()
-	if col.Tag != Boxed || col.Len() != 2 || col.Boxed[1].Str() != "s" {
-		t.Fatalf("col = %+v", col)
-	}
-}
-
 func TestColBuilderEmptyFinishesBoxed(t *testing.T) {
 	col := NewColBuilder(4).Finish()
 	if col.Tag != Boxed || col.Len() != 0 {
@@ -111,6 +97,14 @@ func TestColSliceSharesStorage(t *testing.T) {
 	s := Col{Tag: Str, Strs: []string{"a", "b"}}
 	if sw := s.Slice(1, 2); sw.Strs[0] != "b" || &sw.Strs[0] != &s.Strs[1] {
 		t.Fatal("string window must alias parent storage")
+	}
+	// A window is sized as the window: a traced scan sizes every batch, and
+	// walking each window's strings to the end of the column made that
+	// quadratic in the column length.
+	long := Col{Tag: Str, Strs: []string{"aa", "bb", "cc", "dd", "ee"}}
+	b := &Batch{Cols: []Col{long.Slice(1, 3)}, N: 2}
+	if got := b.MemoryBytes(); got != 2*(2+16) {
+		t.Fatalf("window batch sized at %d bytes, want %d", got, 2*(2+16))
 	}
 }
 

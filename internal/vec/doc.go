@@ -43,4 +43,12 @@
 // drops unselected rows (re-indexing the result). Anything downstream
 // of a mutation point (Packer, Bind extension columns) must clear
 // Stable.
+//
+// # Records in, records out
+//
+// Batches are the only scan contract the engine speaks; the record
+// contract plug-ins are written against (algebra.Source.Iterate) meets
+// it through two adapters that live here because every layer imports
+// this package: PackRecords lifts a record iterator into boxed batches,
+// BoxRecords lowers a batch's live rows back into records.
 package vec

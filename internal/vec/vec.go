@@ -106,24 +106,26 @@ func (c *Col) Value(i int) values.Value {
 // Slice returns the [lo, hi) window of the column, sharing its storage.
 // The window is only as immutable as the parent: cache entries hand out
 // windows of published (immutable) columns, which is what makes warm
-// scans zero-copy.
+// scans zero-copy. Its capacity ends with the window, so sizing a batch
+// of windows (MemoryBytes walks capacities) costs the window, not the
+// rest of the column.
 func (c *Col) Slice(lo, hi int) Col {
 	out := Col{Tag: c.Tag}
 	switch c.Tag {
 	case Int64:
-		out.Ints = c.Ints[lo:hi]
+		out.Ints = c.Ints[lo:hi:hi]
 	case Float64:
-		out.Floats = c.Floats[lo:hi]
+		out.Floats = c.Floats[lo:hi:hi]
 	case Str:
-		out.Strs = c.Strs[lo:hi]
+		out.Strs = c.Strs[lo:hi:hi]
 	case StrDict:
-		out.Codes = c.Codes[lo:hi]
+		out.Codes = c.Codes[lo:hi:hi]
 		out.Dict = c.Dict
 	default:
-		out.Boxed = c.Boxed[lo:hi]
+		out.Boxed = c.Boxed[lo:hi:hi]
 	}
 	if c.Nulls != nil {
-		out.Nulls = c.Nulls[lo:hi]
+		out.Nulls = c.Nulls[lo:hi:hi]
 	}
 	return out
 }
@@ -415,8 +417,8 @@ func (b *Batch) AppendRow(row []values.Value) {
 
 // Packer accumulates rows into a reused boxed batch and emits it to Sink
 // when full (and on Flush), optionally refining the selection through
-// Filter first. It adapts row-at-a-time producers — slot sources, record
-// sources, exploding operators — to the batch pipeline.
+// Filter first. It adapts row-at-a-time producers — record sources
+// (PackRecords), exploding operators — to the batch pipeline.
 type Packer struct {
 	b      Batch
 	size   int
@@ -465,4 +467,42 @@ func (p *Packer) Flush() error {
 	}
 	p.b.Reset()
 	return err
+}
+
+// PackRecords lifts a record iterator (the algebra.Source.Iterate shape,
+// the contract input plug-ins are written against) into the batch scan
+// contract: each record's requested fields become one row of a boxed
+// batch of up to batchSize rows. A field a record lacks reads as null.
+func PackRecords(iterate func(fields []string, yield func(values.Value) error) error, fields []string, batchSize int, yield func(*Batch) error) error {
+	if batchSize <= 0 {
+		batchSize = DefaultBatchSize
+	}
+	p := NewPacker(len(fields), batchSize, nil, yield)
+	row := make([]values.Value, len(fields))
+	if err := iterate(fields, func(v values.Value) error {
+		for i, f := range fields {
+			row[i], _ = v.Get(f)
+		}
+		return p.Add(row)
+	}); err != nil {
+		return err
+	}
+	return p.Flush()
+}
+
+// BoxRecords lowers a batch back to the record contract: every live row
+// of b is boxed into a {field: value} record, fields naming b's columns
+// in order. It is the row view the reference and static executors read.
+func BoxRecords(b *Batch, fields []string, yield func(values.Value) error) error {
+	for k, n := 0, b.Len(); k < n; k++ {
+		row := b.Index(k)
+		rec := make([]values.Field, len(fields))
+		for i, f := range fields {
+			rec[i] = values.Field{Name: f, Val: b.Cols[i].Value(row)}
+		}
+		if err := yield(values.NewRecord(rec...)); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -76,3 +76,52 @@ func TestRetain(t *testing.T) {
 		t.Fatal("stable retention should share backing storage")
 	}
 }
+
+// TestPackAndBoxRecordsRoundTrip pins the two adapters of the scan
+// contract: records lift into boxed batches (a missing field reads as
+// null, batches honour the size), and the live rows of a batch lower
+// back into records in field order.
+func TestPackAndBoxRecordsRoundTrip(t *testing.T) {
+	recs := []values.Value{
+		values.NewRecord(values.Field{Name: "a", Val: values.NewInt(1)}, values.Field{Name: "b", Val: values.NewString("x")}),
+		values.NewRecord(values.Field{Name: "a", Val: values.NewInt(2)}),
+		values.NewRecord(values.Field{Name: "b", Val: values.NewString("z")}, values.Field{Name: "a", Val: values.NewInt(3)}),
+	}
+	iterate := func(fields []string, yield func(values.Value) error) error {
+		for _, r := range recs {
+			if err := yield(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	fields := []string{"b", "a"}
+	var sizes []int
+	var got []values.Value
+	err := PackRecords(iterate, fields, 2, func(b *Batch) error {
+		sizes = append(sizes, b.Len())
+		if b.Stable {
+			t.Error("packed batches reuse storage and must not be Stable")
+		}
+		// Drop the first row of every batch through the selection vector:
+		// only live rows may come back.
+		b.Sel = []int{}
+		for i := 1; i < b.N; i++ {
+			b.Sel = append(b.Sel, i)
+		}
+		return BoxRecords(b, fields, func(v values.Value) error {
+			got = append(got, v)
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sizes) != 2 || sizes[0] != 2 || sizes[1] != 1 {
+		t.Fatalf("batch sizes = %v, want [2 1]", sizes)
+	}
+	want := values.NewRecord(values.Field{Name: "b", Val: values.Null}, values.Field{Name: "a", Val: values.NewInt(2)})
+	if len(got) != 1 || !values.Equal(got[0], want) || got[0].Fields()[0].Name != "b" {
+		t.Fatalf("lowered rows = %v, want [%v]", got, want)
+	}
+}
