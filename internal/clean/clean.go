@@ -9,6 +9,7 @@ package clean
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"vida/internal/values"
 )
@@ -195,10 +196,12 @@ type Stats struct {
 }
 
 // Cleaner applies a rule set to record rows; it wraps a source's stream
-// (the "specialized input plugin" of §7).
+// (the "specialized input plugin" of §7). Apply is safe for concurrent
+// use: every query over a cleaned source calls it, possibly at once.
 type Cleaner struct {
 	rules map[string]*Rule
-	stats Stats
+
+	rowsChecked, rowsSkipped, fieldsNulled, fieldsFixed atomic.Int64
 }
 
 // New builds a Cleaner from rules (one per attribute).
@@ -212,12 +215,19 @@ func New(rules ...Rule) *Cleaner {
 }
 
 // Stats returns a snapshot of the counters.
-func (c *Cleaner) Stats() Stats { return c.stats }
+func (c *Cleaner) Stats() Stats {
+	return Stats{
+		RowsChecked:  c.rowsChecked.Load(),
+		RowsSkipped:  c.rowsSkipped.Load(),
+		FieldsNulled: c.fieldsNulled.Load(),
+		FieldsFixed:  c.fieldsFixed.Load(),
+	}
+}
 
 // Apply validates and repairs one record. ok=false means the row is
 // dropped (SkipRow policy fired).
 func (c *Cleaner) Apply(row values.Value) (values.Value, bool) {
-	c.stats.RowsChecked++
+	c.rowsChecked.Add(1)
 	if row.Kind() != values.KindRecord {
 		return row, true
 	}
@@ -231,13 +241,13 @@ func (c *Cleaner) Apply(row values.Value) (values.Value, bool) {
 		}
 		repaired, keep := rule.Repair(f.Val)
 		if !keep {
-			c.stats.RowsSkipped++
+			c.rowsSkipped.Add(1)
 			return values.Null, false
 		}
 		if repaired.IsNull() {
-			c.stats.FieldsNulled++
+			c.fieldsNulled.Add(1)
 		} else {
-			c.stats.FieldsFixed++
+			c.fieldsFixed.Add(1)
 		}
 		fixed = append(fixed, values.Field{Name: f.Name, Val: repaired})
 		changed = true

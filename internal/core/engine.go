@@ -873,11 +873,22 @@ func (p *Prepared) RunParamsCtx(ctx context.Context, params map[string]values.Va
 	if err != nil {
 		return values.Null, err
 	}
-	return p.runPlanCtx(ctx, plan)
+	return p.engine.execute(ctx, plan, nil)
 }
 
-func (p *Prepared) runPlanCtx(ctx context.Context, plan *algebra.Reduce) (values.Value, error) {
-	e := p.engine
+// execute is the one way a plan runs. A buffered run calls it on the
+// caller's goroutine with a nil sink and gets the result value; a cursor
+// calls it on its producer goroutine with the channel sink, and the
+// result's rows go there instead (every executor: the JIT streams its
+// root into the sink, the reference and static engines emit their
+// materialized result through jit.EmitResult). It owns, once each, the
+// close gate, the query counters and raw/cache classification, the
+// execute span, the query's memory ledger and the mapping of failures:
+// budget kills are counted, cancellation surfaces as the ctx error, and
+// a panic anywhere outside the scheduler's own per-morsel barrier
+// becomes this query's error (a *sched.PanicError) instead of crashing
+// the process.
+func (e *Engine) execute(ctx context.Context, plan *algebra.Reduce, sink jit.StreamSink) (v values.Value, err error) {
 	if err := e.beginQuery(); err != nil {
 		return values.Null, err
 	}
@@ -887,57 +898,54 @@ func (p *Prepared) runPlanCtx(ctx context.Context, plan *algebra.Reduce) (values
 	e.mu.RLock()
 	mode := e.opts.Mode
 	e.mu.RUnlock()
-	execSp := trace.FromContext(ctx).Root().Child("execute")
-	defer execSp.End()
+	sp := trace.FromContext(ctx).Root().Child("execute")
+	defer sp.End()
 	qm := e.newQueryMem()
 	defer qm.release()
-	v, err := e.execPlan(ctx, mode, plan, e.catalogFor(ctx, execSp), qm, execSp)
-	if err != nil {
-		if errors.Is(err, ErrMemoryBudget) {
-			e.memKills.Add(1)
-			return values.Null, err
-		}
-		// Surface cancellation as the ctx error, not a wrapped scan error.
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return values.Null, ctxErr
-		}
-		return values.Null, err
-	}
-	if e.rawScans.Load() == rawBefore {
-		e.cacheQueries.Add(1)
-	} else {
-		e.rawQueries.Add(1)
-	}
-	return v, nil
-}
-
-// execPlan runs the chosen executor inside a recover barrier: a panic
-// anywhere in serial plan execution becomes this query's error (a
-// *sched.PanicError) instead of crashing the process. Parallel morsels
-// have their own barrier in the scheduler; this one covers the serial
-// paths and everything around them.
-func (e *Engine) execPlan(ctx context.Context, mode ExecMode, plan *algebra.Reduce, cat jit.SchemaCatalog, qm *queryMem, sp *trace.Span) (v values.Value, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(*sched.PanicError); !ok {
+			perr, ok := r.(*sched.PanicError)
+			if !ok {
 				// First recovery of this panic: count and log it once.
 				e.panics.Add(1)
-				perr := &sched.PanicError{Value: r, Stack: debug.Stack()}
+				perr = &sched.PanicError{Value: r, Stack: debug.Stack()}
 				slog.Error("recovered panic in query execution",
 					"component", "core", "panic", fmt.Sprint(r), "stack", string(perr.Stack))
-				r = perr
 			}
-			v, err = values.Null, r.(*sched.PanicError)
+			err = perr
+		}
+		switch {
+		case err == nil && e.rawScans.Load() == rawBefore:
+			e.cacheQueries.Add(1)
+		case err == nil:
+			e.rawQueries.Add(1)
+		case errors.Is(err, ErrMemoryBudget):
+			e.memKills.Add(1)
+		case ctx.Err() != nil:
+			// Surface cancellation as the ctx error, not a wrapped scan error.
+			err = ctx.Err()
+		}
+		if err != nil {
+			v = values.Null
 		}
 	}()
+	cat := e.catalogFor(ctx, sp)
 	switch mode {
 	case ModeStatic:
-		return jit.StaticExecutor{}.Run(plan, cat)
+		v, err = jit.StaticExecutor{}.Run(plan, cat)
 	case ModeReference:
-		return algebra.Reference{}.Run(plan, cat)
+		v, err = algebra.Reference{}.Run(plan, cat)
 	default:
-		return jit.Executor{Opts: e.jitOptions(qm, sp)}.RunCtx(ctx, plan, cat)
+		ex := jit.Executor{Opts: e.jitOptions(qm, sp)}
+		if sink == nil {
+			return ex.RunCtx(ctx, plan, cat)
+		}
+		return values.Null, ex.RunStream(ctx, plan, cat, sink)
 	}
+	if err == nil && sink != nil {
+		v, err = values.Null, jit.EmitResult(v, sink)
+	}
+	return v, err
 }
 
 // jitOptions assembles the JIT executor's options for one query run:
@@ -952,24 +960,6 @@ func (e *Engine) jitOptions(qm *queryMem, sp *trace.Span) jit.Options {
 
 // Plan returns the optimized plan (EXPLAIN).
 func (p *Prepared) Plan() *algebra.Reduce { return p.plan }
-
-// MonoidName returns the root monoid's name ("bag", "count", ...).
-func (p *Prepared) MonoidName() string { return p.plan.M.Name() }
-
-// OrderedResult reports whether the query carries ORDER BY keys: its
-// result is an ordered list (streamed in order by cursors) regardless of
-// the declared collection monoid.
-func (p *Prepared) OrderedResult() bool { return p.plan.Order.Ordered() }
-
-// Streamable reports whether the query's results can be served by a
-// streaming cursor without materialization (collection-rooted plans
-// under the JIT executor).
-func (p *Prepared) Streamable() bool {
-	p.engine.mu.RLock()
-	mode := p.engine.opts.Mode
-	p.engine.mu.RUnlock()
-	return mode == ModeJIT && jit.CanStream(p.plan)
-}
 
 // Query parses, plans and executes in one call.
 func (e *Engine) Query(src string) (values.Value, error) {

@@ -2,16 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"log/slog"
-	"runtime/debug"
 	"sync/atomic"
 
-	"vida/internal/algebra"
-	"vida/internal/jit"
-	"vida/internal/sched"
-	"vida/internal/trace"
 	"vida/internal/values"
 )
 
@@ -28,17 +20,12 @@ const streamChanCap = 4
 // called (it is idempotent and safe after exhaustion). A Rows is not
 // safe for concurrent use.
 type Rows struct {
-	// Streaming state: ch carries chunk ownership from the producer
-	// goroutine; err is written by the producer before it closes ch, so
-	// the channel close is the synchronization point.
+	// ch carries chunk ownership from the producer goroutine; err is
+	// written by the producer before it closes ch, so the channel close is
+	// the synchronization point.
 	cancel context.CancelFunc
 	ch     chan []values.Value
 	err    error
-
-	// Materialized state (non-JIT executors, scalar results): the whole
-	// result is already in memory and served as a single chunk.
-	static    []values.Value
-	staticEOF bool
 
 	// closed is atomic so a double Close — including one racing the
 	// producer's terminal error — stays safe; NextChunk itself remains
@@ -46,14 +33,15 @@ type Rows struct {
 	closed atomic.Bool
 }
 
-// RowsCtx opens a streaming cursor over the prepared query. Collection
-// results (list/bag/set) under the JIT executor stream batch-at-a-time:
-// morsel-parallel producers feed a bounded channel, and the first chunk
-// is available as soon as the first batch clears the pipeline — long
-// before a full materialization would finish. Everything else (scalar
-// aggregates, the static/reference executors) executes eagerly and is
-// served as a one-chunk cursor, so the cursor API is uniform across
-// query shapes.
+// RowsCtx opens a streaming cursor over the prepared query: a producer
+// goroutine runs the one execution path (Engine.execute) into a bounded
+// channel, holding a slot in the engine's close gate for the stream's
+// lifetime, so Engine.Close drains open cursors like any other query.
+// Bag and set results stream batch-at-a-time from morsel-parallel
+// producers, and the first chunk is available as soon as the first batch
+// clears the pipeline; a list over a partitioned scan is emitted in
+// morsel order once its fold completes; an ordered result once its top-k
+// fold completes; a scalar as one row, an array as its elements.
 //
 // Cancelling ctx aborts the stream mid-scan; abandoning a cursor without
 // Close leaks its producer until ctx is cancelled, so callers must
@@ -64,100 +52,28 @@ func (p *Prepared) RowsCtx(ctx context.Context, params map[string]values.Value) 
 		return nil, err
 	}
 	e := p.engine
-	e.mu.RLock()
-	mode := e.opts.Mode
-	e.mu.RUnlock()
-	if mode != ModeJIT || !jit.CanStream(plan) {
-		v, err := p.runPlanCtx(ctx, plan)
-		if err != nil {
-			return nil, err
-		}
-		return materializedRows(v), nil
-	}
-	return e.streamRows(ctx, plan)
-}
-
-// streamRows starts the producer goroutine for a streamable plan. The
-// producer holds a query slot in the engine's close gate for the whole
-// stream, so Engine.Close drains open cursors like any other query.
-func (e *Engine) streamRows(ctx context.Context, plan *algebra.Reduce) (*Rows, error) {
-	if err := e.beginQuery(); err != nil {
+	// Fail a closed engine here rather than from the first NextChunk; the
+	// producer takes its own close-gate slot.
+	if err := e.Ping(); err != nil {
 		return nil, err
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	r := &Rows{cancel: cancel, ch: make(chan []values.Value, streamChanCap)}
-	qm := e.newQueryMem()
-	emit := jit.StreamSink(func(chunk []values.Value) error {
-		select {
-		case r.ch <- chunk:
-			return nil
-		case <-sctx.Done():
-			return sctx.Err()
-		}
-	})
-	if plan.M.Name() == "set" && plan.Order == nil {
-		// Ordered and bounded set plans dedup inside the JIT root (before
-		// the sort/quota applies); only plain set streams dedup here.
-		emit = jit.DedupSink(emit, qm.reserveFunc())
-	}
-	e.queries.Add(1)
-	rawBefore := e.rawScans.Load()
-	execSp := trace.FromContext(ctx).Root().Child("execute")
-	cat := e.catalogFor(sctx, execSp)
 	go func() {
-		defer e.endQuery()
-		defer qm.release()
-		defer execSp.End()
-		err := e.runStream(sctx, plan, cat, emit, qm, execSp)
-		if err != nil {
-			if errors.Is(err, ErrMemoryBudget) {
-				e.memKills.Add(1)
-			} else if ctxErr := sctx.Err(); ctxErr != nil {
-				err = ctxErr
+		_, err := e.execute(sctx, plan, func(chunk []values.Value) error {
+			select {
+			case r.ch <- chunk:
+				return nil
+			case <-sctx.Done():
+				return sctx.Err()
 			}
-		} else if e.rawScans.Load() == rawBefore {
-			e.cacheQueries.Add(1)
-		} else {
-			e.rawQueries.Add(1)
-		}
+		})
 		// The err write happens-before close(ch): consumers that observe
 		// the closed channel read a settled error.
 		r.err = err
 		close(r.ch)
 	}()
 	return r, nil
-}
-
-// runStream executes a streaming plan inside a recover barrier at the
-// producer-goroutine boundary: a panic anywhere in the serial stream
-// pipeline becomes the cursor's terminal error instead of crashing the
-// process (parallel morsels have their own barrier in the scheduler).
-func (e *Engine) runStream(ctx context.Context, plan *algebra.Reduce, cat jit.SchemaCatalog, emit jit.StreamSink, qm *queryMem, sp *trace.Span) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			perr, ok := r.(*sched.PanicError)
-			if !ok {
-				e.panics.Add(1)
-				perr = &sched.PanicError{Value: r, Stack: debug.Stack()}
-				slog.Error("recovered panic in stream producer",
-					"component", "core", "panic", fmt.Sprint(r), "stack", string(perr.Stack))
-			}
-			err = perr
-		}
-	}()
-	return jit.Executor{Opts: e.jitOptions(qm, sp)}.RunStream(ctx, plan, cat, emit)
-}
-
-// materializedRows wraps an already-computed result value as a cursor:
-// collections become their element chunk, scalars a single-row chunk.
-func materializedRows(v values.Value) *Rows {
-	var chunk []values.Value
-	if v.IsCollection() || v.Kind() == values.KindArray {
-		chunk = v.Elems()
-	} else {
-		chunk = []values.Value{v}
-	}
-	return &Rows{static: chunk}
 }
 
 // NextChunk returns the next chunk of result elements, blocking until
@@ -167,14 +83,6 @@ func materializedRows(v values.Value) *Rows {
 func (r *Rows) NextChunk() ([]values.Value, error) {
 	if r.closed.Load() {
 		return nil, r.err
-	}
-	if r.static != nil || r.staticEOF {
-		chunk := r.static
-		r.static, r.staticEOF = nil, true
-		return chunk, nil
-	}
-	if r.ch == nil {
-		return nil, nil
 	}
 	chunk, ok := <-r.ch
 	if !ok {
@@ -189,14 +97,10 @@ func (r *Rows) NextChunk() ([]values.Value, error) {
 // channel close, so each returns with the terminal error settled).
 func (r *Rows) Close() error {
 	r.closed.Store(true)
-	if r.cancel != nil {
-		r.cancel()
-	}
-	if r.ch != nil {
-		// Drain until the producer closes the channel: its exit is what
-		// releases the close-gate slot.
-		for range r.ch {
-		}
+	r.cancel()
+	// Drain until the producer closes the channel: its exit is what
+	// releases the close-gate slot.
+	for range r.ch {
 	}
 	return nil
 }

@@ -206,10 +206,7 @@ type compiler struct {
 
 // reportKernels publishes the staging tally to the options hooks once
 // compilation succeeded.
-func (c *compiler) reportKernels(prog func() (values.Value, error), err error) (func() (values.Value, error), error) {
-	if err != nil {
-		return nil, err
-	}
+func (c *compiler) reportKernels() {
 	if c.opts.KernelStats != nil {
 		c.opts.KernelStats(c.vecStages, c.boxedStages)
 	}
@@ -218,7 +215,6 @@ func (c *compiler) reportKernels(prog func() (values.Value, error), err error) (
 		sp.SetAttr("kernels_boxed", c.boxedStages)
 		sp.SetAttr("boxed_fallback", c.boxedStages > 0)
 	}
-	return prog, nil
 }
 
 // Executor is the just-in-time engine. The zero value is ready to use
@@ -240,13 +236,22 @@ func (e Executor) Run(p *algebra.Reduce, cat algebra.Catalog) (values.Value, err
 // RunCtx is Run with a cancellation context: the morsel scheduler stops
 // dispatching this query's morsels once ctx is done.
 func (e Executor) RunCtx(ctx context.Context, p *algebra.Reduce, cat algebra.Catalog) (values.Value, error) {
-	opts := e.Opts
-	opts.Ctx = ctx
-	prog, err := CompileWith(p, cat, opts)
+	e.Opts.Ctx = ctx
+	return e.Run(p, cat)
+}
+
+// RunStream runs the same program as Run into emit instead of buffering
+// it: element roots emit chunks of result elements as the pipeline
+// produces them (bag and set morsels in completion order, list morsels
+// in morsel order once the fold completes), a fold root emits its result
+// once (see EmitResult).
+func (e Executor) RunStream(ctx context.Context, p *algebra.Reduce, cat algebra.Catalog, emit StreamSink) error {
+	e.Opts.Ctx = ctx
+	prog, err := compile(p, cat, e.Opts)
 	if err != nil {
-		return values.Null, err
+		return err
 	}
-	return prog()
+	return prog.stream(emit)
 }
 
 // Compile stages the plan into an executable program with default options.
@@ -254,84 +259,24 @@ func Compile(p *algebra.Reduce, cat algebra.Catalog) (func() (values.Value, erro
 	return CompileWith(p, cat, Options{})
 }
 
-// CompileWith stages the plan into an executable program. Compilation is
-// the reproduction's analogue of the paper's per-query code generation:
-// all schema resolution, slot layout, plugin selection and operator
-// fusion happen here, once, leaving a closure chain with no per-row
-// decisions. The staged pipeline moves data batch-at-a-time (column
-// vectors with typed fast paths) and, when the access path supports row
-// ranges, executes the scan morsel-parallel with per-worker partial
-// aggregates merged in morsel order at the root reduce.
+// CompileWith stages the plan into an executable program returning the
+// buffered result. Compilation is the reproduction's analogue of the
+// paper's per-query code generation: all schema resolution, slot layout,
+// plugin selection and operator fusion happen here, once, leaving a
+// closure chain with no per-row decisions. The staged pipeline moves data
+// batch-at-a-time (column vectors with typed fast paths) and, when the
+// access path supports row ranges, executes the scan morsel-parallel. A
+// fold root returns its value; every other root drains into the
+// collecting sink.
 func CompileWith(p *algebra.Reduce, cat algebra.Catalog, opts Options) (func() (values.Value, error), error) {
-	opts = opts.withDefaults()
-	c := &compiler{cat: cat, opts: opts}
-	if sc, ok := cat.(SchemaCatalog); ok {
-		c.schemas = sc
-	}
-	env, err := c.materializeFreeSources(p)
+	prog, err := compile(p, cat, opts)
 	if err != nil {
 		return nil, err
 	}
-	c.baseEnv = env
-
-	input, err := c.compilePlan(p.Input)
-	if err != nil {
-		return nil, err
+	if prog.fold != nil {
+		return prog.fold, nil
 	}
-	// Grouped reduces interpose the hash-aggregation stage: the input
-	// subtree folds into the group table once (single scan), and the
-	// root consumers below run over group rows with the grouping clause
-	// stripped — Pred is HAVING, Order/Limit rank groups.
-	if p.Grouped() {
-		input, err = c.compileGroupAgg(p, input)
-		if err != nil {
-			return nil, err
-		}
-		p = shadowGrouped(p)
-	}
-	// Ordered and bounded roots replace the monoid collector: sort keys
-	// turn the fold into a keyed top-k, a bare LIMIT/OFFSET routes
-	// through the streaming quota (early producer cancellation) and
-	// collects the surviving rows.
-	if p.Order.Ordered() {
-		return c.reportKernels(c.compileOrdered(p, input))
-	}
-	if p.Order != nil {
-		return c.reportKernels(c.compileBareBound(p, input))
-	}
-	mkCons, err := c.compileReduceConsumer(p, input)
-	if err != nil {
-		return nil, err
-	}
-	m := p.M
-	return c.reportKernels(func() (values.Value, error) {
-		if opts.Workers > 1 && input.openRange != nil {
-			if scan, n, ok := input.openRange(); ok && n >= opts.ParallelThreshold {
-				sp := opts.Trace.Child("fold")
-				sp.SetAttr("kind", "reduce")
-				sp.SetAttr("parallel", true)
-				popts := opts
-				popts.Trace = sp
-				v, err := runParallelReduce(popts.Ctx, scan, n, mkCons, m, popts)
-				sp.End()
-				return v, err
-			}
-		}
-		// The fold span wraps the whole serial pipeline run (the scan
-		// feeds the consumer in one closure chain), so its wall time is
-		// inclusive of scan time — phase rollups subtract scan spans.
-		sp := opts.Trace.Child("fold")
-		sp.SetAttr("kind", "reduce")
-		defer sp.End()
-		acc := monoid.NewCollector(m)
-		rc := mkCons()
-		rc.reset(acc)
-		if err := input.run(rc.consume); err != nil {
-			return values.Null, err
-		}
-		rc.finish()
-		return acc.Result(), nil
-	}, nil)
+	return prog.collect, nil
 }
 
 // materializeFreeSources loads catalog sources referenced from inside

@@ -48,7 +48,7 @@
 //     trees — + - * / % and negation over slots, numeric constants
 //     folded into the kernel — into per-batch column loops. They feed
 //     comparison filters over computed values, reduce heads, ORDER BY
-//     key extraction, stream heads and Bind extension columns (which
+//     key extraction, element heads and Bind extension columns (which
 //     then stay typed for everything downstream). Inputs that arrive
 //     boxed at run time take a row-wise mcl.ApplyBinOp loop inside the
 //     kernel, so semantics (null propagation, int/float promotion,
@@ -91,13 +91,15 @@
 // When the access path can serve arbitrary row ranges (RangeBatchSource —
 // the CSV plugin over a built positional map, columnar cache entries) and
 // the operator chain above it is per-row independent (scan, select, bind,
-// generate), the root reduce runs the scan morsel-parallel: the row range
-// is split into morsels handed out to Options.Workers workers, each
-// worker drives a thread-local clone of the staged pipeline, and the
-// per-morsel partial aggregates are merged at the root in morsel order.
-// Merging partials with the monoid's associative ⊕ keeps results exactly
-// equal to the serial fold, including for the non-commutative list
-// monoid. Sources below Options.ParallelThreshold rows stay serial.
+// generate), a scan of at least Options.ParallelThreshold rows runs
+// morsel-parallel through one driver (parallel.go): the row range is
+// split into a few morsels per worker, submitted as one job to the shared
+// scheduler pool, each morsel drives its own clone of the staged pipeline
+// and the per-morsel results come back in morsel order. Every parallel
+// operator — the fold, elements and top-k roots, the group-agg stage and
+// the join build — is that driver plus a merge: partials merged in morsel
+// order with the monoid's associative ⊕ equal the serial fold exactly,
+// including for the non-commutative list monoid.
 //
 // # Partitioned parallel hash join
 //
@@ -118,57 +120,45 @@
 // stay serial over an identical index layout. The join traces as a
 // fold span (kind=join) with join_build/join_seal/join_probe children.
 //
-// # Pull-sink streaming mode
+// # One root per plan; results go to sinks
 //
-// Collection-rooted plans (list/bag/set reduces) have a second execution
-// mode next to collect-into-a-Collector: CompileStream stages the same
-// pipeline but replaces the root reduceConsumer with a streamConsumer
-// that evaluates the head per live row and emits fixed-size chunks of
-// head values to a caller-supplied StreamSink. Nothing above the root
-// changes — the same scan plugins, vectorized filters and frames serve
-// both modes. The sink owns each emitted chunk, so a cursor layer can
-// hand chunks across a bounded channel without copying; backpressure
-// from a slow consumer blocks the producer inside emit, which keeps
-// resident memory at O(channel capacity × chunk size) regardless of
-// result cardinality, and gives first-row latency independent of total
-// result size. For the commutative bag and set monoids, large
-// partitionable scans stream morsel-parallel with workers emitting
-// chunks in completion order; the non-commutative list monoid streams
-// serially so element order matches the collect mode exactly. Scalar
-// aggregates keep the collect mode: their value is only known after the
-// full fold, so there is nothing to stream.
+// Every plan compiles once (root.go) into the staged pipeline under
+// exactly one root, chosen from the plan alone: a fold (scalar and other
+// non-collection monoids, into a monoid collector through the unboxed
+// reduce kernels), elements (list/bag/set: the head of every live row,
+// emitted in chunks), a keyed top-k (ORDER BY) or a row quota (bare
+// LIMIT/OFFSET). How the result leaves is the sink's business, not a
+// second compilation mode: a cursor passes a StreamSink feeding a bounded
+// channel — ownership of each chunk transfers, so nothing is copied, a
+// slow consumer blocks the producer in emit (resident memory O(channel
+// capacity × chunk size)) and the first chunk leaves at the first input
+// batch — while CompileWith drains the same program into a collecting
+// sink that rebuilds the collection and charges the query memory budget
+// for every element it keeps. A fold root hands back its value directly,
+// or emits it once (a scalar as one row, an array as its elements). Bag
+// and set morsels emit in completion order; list morsels hold their
+// chunks until the fold completes and emit in morsel order. Set roots
+// deduplicate in the root, first occurrence wins.
 //
-// # ORDER BY / LIMIT / OFFSET pushdown
+// The top-k root evaluates the sort keys per live row (slot fast paths
+// for pure column references) and offers the entry to a monoid.TopKAcc
+// bounded to offset+limit entries — O(offset+limit) memory, never
+// O(rows). A keys-only competitiveness pre-check rejects rows that cannot
+// place before their head is evaluated, so a wide SELECT under a small
+// LIMIT folds allocation-free in the steady state. Morsel-parallel
+// partial heaps merge at the root, sound for any monoid because the final
+// sort's total order (keys, then the element value) does not depend on
+// input order. Set plans deduplicate at finalize, so DISTINCT + ORDER BY
+// + LIMIT bounds distinct elements. The sorted, offset/limit-applied
+// elements are emitted once the fold completes.
 //
-// An ordered plan (Reduce.Order with sort keys) replaces the root fold
-// with a keyed top-k accumulator (monoid.TopKAcc): per live row the sort
-// keys are evaluated (slot fast paths where they are pure column
-// references) and the entry offered to a bounded heap retaining at most
-// offset+limit entries — heap memory is O(offset+limit), never O(rows).
-// A keys-only competitiveness pre-check rejects rows that cannot place
-// before their head expression is evaluated, so a wide SELECT under a
-// small LIMIT folds allocation-free in the steady state. The fold runs
-// morsel-parallel over partitionable scans: each worker keeps its own
-// bounded partial heap and partials merge at the root — sound for any
-// collection monoid because the final sort's total order (keys, then the
-// element value as tiebreaker) does not depend on input order, which
-// also makes parallel top-k results deterministic across worker counts.
-// Set plans deduplicate at finalize (first entry in key order wins), so
-// DISTINCT + ORDER BY + LIMIT bounds distinct elements; dedup disables
-// the heap bound. In stream mode the fold is blocking: chunks of the
-// sorted, offset/limit-applied elements are emitted once the fold
-// completes, so ordered NDJSON responses buffer nothing beyond the heap.
-//
-// A bare LIMIT/OFFSET (no sort keys) on a collection plan instead pushes
-// a row quota into the stream: offset rows are dropped, at most limit
-// rows emitted, and the moment the quota fills the remaining producers
-// are cancelled — the sentinel stops the serial pipeline mid-scan and a
-// context cancellation stops morsel dispatch in the shared scheduler, so
-// a cold 300k-row scan under LIMIT 10 reads a few batches, not the file.
-// Which rows survive a bare bag limit is unspecified (bag semantics);
-// list plans take their in-order prefix. Collect mode shares the same
-// quota machinery and gathers the surviving chunks into the declared
-// collection.
+// The quota root drops offset rows, emits at most limit rows, and the
+// moment the quota fills cancels the remaining producers — a sentinel
+// stops the serial pipeline mid-scan and a context cancellation stops
+// morsel dispatch, so a cold 300k-row scan under LIMIT 10 reads a few
+// batches, not the file. Which rows survive a bare bag limit is
+// unspecified (bag semantics); list plans scan serially and take their
+// in-order prefix.
 //
 // # The static executor
 //

@@ -4,6 +4,7 @@ import (
 	"vida/internal/algebra"
 	"vida/internal/mcl"
 	"vida/internal/monoid"
+	"vida/internal/trace"
 	"vida/internal/values"
 	"vida/internal/vec"
 )
@@ -724,9 +725,9 @@ func (gc *groupConsumer) emit(bs int, sink batchSink) error {
 // stage: the input subtree feeds the group table (morsel-parallel when
 // the scan partitions), and the finished groups stream out as batches
 // over the group frame — one slot per key name, then per aggregate
-// name. The root consumers (reduce/top-k/quota/stream) then run
-// unchanged over group rows: HAVING is the root predicate, ORDER
-// BY/LIMIT feed TopKAcc directly.
+// name. The root (fold, elements, top-k or quota) then runs unchanged
+// over group rows: HAVING is the root predicate, ORDER BY/LIMIT feed
+// TopKAcc directly.
 func (c *compiler) compileGroupAgg(p *algebra.Reduce, input *compiledPlan) (*compiledPlan, error) {
 	nKeys := len(p.GroupBy)
 	mkKeyGets := make([]func() valGetter, nKeys)
@@ -772,75 +773,53 @@ func (c *compiler) compileGroupAgg(p *algebra.Reduce, input *compiledPlan) (*com
 		gc.keyCols = make([]*vec.Col, nKeys)
 		return gc
 	}
-	run := func(sink batchSink) error {
-		sp := opts.Trace.Child("fold")
-		sp.SetAttr("kind", "groupagg")
+	// fold builds the finished group table under sp: one consumer over a
+	// serial input, else per-morsel partial tables absorbed in morsel order.
+	fold := func(sp *trace.Span) (*groupConsumer, error) {
 		root := mkCons()
-		parallel := false
-		if opts.Workers > 1 && input.openRange != nil {
-			if scan, n, ok := input.openRange(); ok && n >= opts.ParallelThreshold {
-				parallel = true
-				sp.SetAttr("parallel", true)
-				workers := opts.Workers
-				morselRows := (n + workers*4 - 1) / (workers * 4)
-				if morselRows < opts.BatchSize {
-					morselRows = opts.BatchSize
-				}
-				numMorsels := (n + morselRows - 1) / morselRows
-				sp.SetAttr("morsels", numMorsels)
-				sp.SetAttr("workers", workers)
-				partials := make([]*groupConsumer, numMorsels)
-				err := opts.Pool.Run(opts.Ctx, numMorsels, func(i int) error {
-					if err := opts.Ctx.Err(); err != nil {
-						return err
-					}
-					gc := mkCons()
-					lo := i * morselRows
-					hi := lo + morselRows
-					if hi > n {
-						hi = n
-					}
-					if err := scan(lo, hi, gc.consume); err != nil {
-						return err
-					}
-					partials[i] = gc
-					return nil
-				})
-				if err != nil {
-					sp.End()
-					return err
-				}
-				msp := sp.Child("merge")
-				for _, part := range partials {
-					if part == nil {
-						continue
-					}
-					if err := root.absorb(part); err != nil {
-						msp.End()
-						sp.End()
-						return err
-					}
-				}
-				msp.End()
+		if scan, n, ok := parallelInput(input, opts, opts.ParallelThreshold); ok {
+			sp.SetAttr("parallel", true)
+			partials, err := morsels(opts.Ctx, opts, sp, n, func(lo, hi int) (*groupConsumer, error) {
+				gc := mkCons()
+				return gc, scan(lo, hi, gc.consume)
+			})
+			if err != nil {
+				return nil, err
 			}
-		}
-		if !parallel {
-			if err := input.run(root.consume); err != nil {
-				sp.End()
-				return err
+			msp := sp.Child("merge")
+			for _, part := range partials {
+				if err = root.absorb(part); err != nil {
+					break
+				}
 			}
+			msp.End()
+			if err != nil {
+				return nil, err
+			}
+		} else if err := input.run(root.consume); err != nil {
+			return nil, err
 		}
 		if err := root.maybeCharge(true); err != nil {
-			sp.End()
-			return err
+			return nil, err
 		}
 		sp.AddRows(root.rows)
 		sp.SetAttr("groups", root.numGroups())
 		sp.SetAttr("table_bytes", root.tableBytes()+root.boxed)
 		sp.SetAttr("partial_merges", root.partialMerges)
-		sp.End()
 		if opts.GroupStats != nil {
 			opts.GroupStats(int64(root.numGroups()), root.tableBytes()+root.boxed, root.partialMerges)
+		}
+		return root, nil
+	}
+	run := func(sink batchSink) error {
+		// The span closes before the groups flow downstream: the root's
+		// work over group rows is not the hash fold's.
+		sp := opts.Trace.Child("fold")
+		sp.SetAttr("kind", "groupagg")
+		root, err := fold(sp)
+		sp.End()
+		if err != nil {
+			return err
 		}
 		return root.emit(opts.BatchSize, sink)
 	}

@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -228,8 +229,8 @@ func TestGroupedMemoryBudget(t *testing.T) {
 	}
 }
 
-// TestGroupedStream routes a grouped plan through the streaming
-// (pull-sink) compiler and checks it matches the collected result.
+// TestGroupedStream runs a grouped plan into a sink (RunStream) and
+// checks it matches the collected result.
 func TestGroupedStream(t *testing.T) {
 	cat := groupTestCatalog()
 	q := `for { s <- Sales } group by { r := s.region } agg { t := sum s.amount, n := count s } having n > 1 yield list (r := r, t := t)`
@@ -239,11 +240,7 @@ func TestGroupedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []values.Value
-	prog, err := CompileStream(plan, cat, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog(func(chunk []values.Value) error {
+	if err := (Executor{}).RunStream(context.Background(), plan, cat, func(chunk []values.Value) error {
 		got = append(got, chunk...)
 		return nil
 	}); err != nil {

@@ -203,9 +203,6 @@ func (js *joinState) seal(partials []*joinPartial) (*joinIndex, error) {
 	base := make([]int32, len(partials))
 	var retainedBytes int64
 	for mi, m := range partials {
-		if m == nil {
-			continue
-		}
 		base[mi] = int32(len(idx.retained))
 		idx.retained = append(idx.retained, m.retained...)
 		for i := range m.retained {
@@ -216,9 +213,7 @@ func (js *joinState) seal(partials []*joinPartial) (*joinIndex, error) {
 	for pi := range idx.parts {
 		total := 0
 		for _, m := range partials {
-			if m != nil {
-				total += len(m.parts[pi].hashes)
-			}
+			total += len(m.parts[pi].hashes)
 		}
 		part := &idx.parts[pi]
 		if total > 0 {
@@ -227,9 +222,6 @@ func (js *joinState) seal(partials []*joinPartial) (*joinIndex, error) {
 			part.row = make([]int32, 0, total)
 		}
 		for mi, m := range partials {
-			if m == nil {
-				continue
-			}
 			ch := &m.parts[pi]
 			for k := range ch.hashes {
 				part.hashes = append(part.hashes, ch.hashes[k])
@@ -286,38 +278,13 @@ func (js *joinState) buildIndex() (*joinIndex, *trace.Span, error) {
 	bsp := fold.Child("join_build")
 	var partials []*joinPartial
 	var err error
-	parallel := false
-	if opts.Workers > 1 && js.r.openRange != nil {
-		if scan, n, ok := js.r.openRange(); ok && n >= opts.JoinBuildThreshold {
-			parallel = true
-			workers := opts.Workers
-			morselRows := (n + workers*4 - 1) / (workers * 4)
-			if morselRows < opts.BatchSize {
-				morselRows = opts.BatchSize
-			}
-			numMorsels := (n + morselRows - 1) / morselRows
-			bsp.SetAttr("morsels", numMorsels)
-			bsp.SetAttr("workers", workers)
-			partials = make([]*joinPartial, numMorsels)
-			err = opts.Pool.Run(opts.Ctx, numMorsels, func(i int) error {
-				if err := opts.Ctx.Err(); err != nil {
-					return err
-				}
-				lo := i * morselRows
-				hi := lo + morselRows
-				if hi > n {
-					hi = n
-				}
-				part := js.newPartial()
-				if err := scan(lo, hi, js.mkBuildAbsorb(part, bsp)); err != nil {
-					return err
-				}
-				partials[i] = part
-				return nil
-			})
-		}
-	}
-	if !parallel {
+	scan, n, parallel := parallelInput(js.r, opts, opts.JoinBuildThreshold)
+	if parallel {
+		partials, err = morsels(opts.Ctx, opts, bsp, n, func(lo, hi int) (*joinPartial, error) {
+			part := js.newPartial()
+			return part, scan(lo, hi, js.mkBuildAbsorb(part, bsp))
+		})
+	} else {
 		part := js.newPartial()
 		err = js.r.run(js.mkBuildAbsorb(part, bsp))
 		partials = []*joinPartial{part}

@@ -3,23 +3,23 @@ package jit
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"vida/internal/algebra"
 	"vida/internal/monoid"
+	"vida/internal/trace"
 	"vida/internal/values"
 	"vida/internal/vec"
 )
 
-// This file implements ORDER BY / LIMIT / OFFSET pushdown: the root
-// reduce of an ordered plan becomes a keyed top-k fold (bounded to
-// offset+limit entries when a limit is present) executed serially or
-// morsel-parallel with per-worker partial heaps merged at the root, and
-// a bare LIMIT on a collection plan becomes a row quota that cancels the
-// remaining producers through the scheduler the moment enough rows have
-// been emitted — a cold 300k-row scan with LIMIT 10 stops mid-file.
+// This file implements the machinery of ORDER BY / LIMIT / OFFSET
+// pushdown behind the top-k and quota roots (root.go): the keyed top-k
+// fold (bounded to offset+limit entries when a limit is present)
+// executed serially or morsel-parallel with per-worker partial heaps
+// merged at the root, and the row quota that cancels the remaining
+// producers through the scheduler the moment enough rows have been
+// emitted — a cold 300k-row scan with LIMIT 10 stops mid-file.
 
 // errLimitReached is the internal control-flow sentinel a quota sink
 // returns to stop its pipeline. It never escapes to callers: the
@@ -189,66 +189,34 @@ func (c *compiler) compileOrderedConsumer(p *algebra.Reduce, input *compiledPlan
 }
 
 // runTopK executes an ordered plan's fold: morsel-parallel over a
-// partitionable input (partial heaps merged at the root — sound for any
-// collection monoid, since the final sort's total order is independent
-// of input order), serial otherwise. It returns the accumulator, ready
-// to Finalize.
-func runTopK(ctx context.Context, input *compiledPlan, mkCons func() *orderedConsumer, desc []bool, keep int, opts Options) (*monoid.TopKAcc, error) {
-	if opts.Workers > 1 && input.openRange != nil {
-		if scan, n, ok := input.openRange(); ok && n >= opts.ParallelThreshold {
-			return runParallelTopK(ctx, scan, n, mkCons, desc, keep, opts)
-		}
+// partitionable input, serial otherwise. Each morsel folds its rows into
+// a partial heap bounded to keep entries (so the parallel fold is
+// O(workers × keep) resident) and partials merge at the root — sound for
+// any collection monoid, since the final sort's total order is
+// independent of input order. It returns the accumulator, ready to
+// Finalize.
+func runTopK(input *compiledPlan, mkCons func() *orderedConsumer, desc []bool, keep int, opts Options, sp *trace.Span) (*monoid.TopKAcc, error) {
+	root := monoid.NewTopKAcc(desc, keep)
+	scan, n, ok := parallelInput(input, opts, opts.ParallelThreshold)
+	if !ok {
+		oc := mkCons()
+		oc.reset(root)
+		return root, input.run(oc.consume)
 	}
-	acc := monoid.NewTopKAcc(desc, keep)
-	oc := mkCons()
-	oc.reset(acc)
-	if err := input.run(oc.consume); err != nil {
-		return nil, err
-	}
-	return acc, nil
-}
-
-// runParallelTopK is runParallelReduce for the keyed top-k fold: each
-// morsel folds its rows into a bounded partial heap, and partials merge
-// at the root. Keeping every partial bounded to keep entries makes the
-// whole parallel fold O(workers × keep) resident.
-func runParallelTopK(ctx context.Context, scan func(lo, hi int, sink batchSink) error, n int, mkCons func() *orderedConsumer, desc []bool, keep int, opts Options) (*monoid.TopKAcc, error) {
-	workers := opts.Workers
-	morselRows := (n + workers*4 - 1) / (workers * 4)
-	if morselRows < opts.BatchSize {
-		morselRows = opts.BatchSize
-	}
-	numMorsels := (n + morselRows - 1) / morselRows
-
-	partials := make([]*monoid.TopKAcc, numMorsels)
+	sp.SetAttr("parallel", true)
 	consumers := sync.Pool{New: func() any { return mkCons() }}
-	err := opts.Pool.Run(ctx, numMorsels, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	partials, err := morsels(opts.Ctx, opts, sp, n, func(lo, hi int) (*monoid.TopKAcc, error) {
 		oc := consumers.Get().(*orderedConsumer)
 		defer consumers.Put(oc)
-		lo := i * morselRows
-		hi := lo + morselRows
-		if hi > n {
-			hi = n
-		}
 		acc := monoid.NewTopKAcc(desc, keep)
 		oc.reset(acc)
-		if err := scan(lo, hi, oc.consume); err != nil {
-			return err
-		}
-		partials[i] = acc
-		return nil
+		return acc, scan(lo, hi, oc.consume)
 	})
 	if err != nil {
 		return nil, err
 	}
-	root := monoid.NewTopKAcc(desc, keep)
 	for _, part := range partials {
-		if part != nil {
-			root.MergeFrom(part)
-		}
+		root.MergeFrom(part)
 	}
 	return root, nil
 }
@@ -377,98 +345,4 @@ func resolveOrder(p *algebra.Reduce) (limit, offset, keep int, dedup bool, err e
 		keep = offset + limit
 	}
 	return limit, offset, keep, dedup, nil
-}
-
-// compileOrdered stages the execution root of an ordered plan (keys
-// present) in collect mode.
-func (c *compiler) compileOrdered(p *algebra.Reduce, input *compiledPlan) (func() (values.Value, error), error) {
-	mkCons, desc, err := c.compileOrderedConsumer(p, input)
-	if err != nil {
-		return nil, err
-	}
-	opts := c.opts
-	return func() (values.Value, error) {
-		sp := opts.Trace.Child("fold")
-		sp.SetAttr("kind", "topk")
-		defer sp.End()
-		limit, offset, keep, dedup, err := resolveOrder(p)
-		if err != nil {
-			return values.Null, err
-		}
-		acc, err := runTopK(opts.Ctx, input, mkCons, desc, keep, opts)
-		if err != nil {
-			return values.Null, err
-		}
-		return values.NewList(acc.Finalize(offset, limit, dedup)...), nil
-	}, nil
-}
-
-// compileBareBound stages the execution root of a collection plan with a
-// bare LIMIT/OFFSET (no sort keys) in collect mode: the streaming quota
-// path runs underneath and the chunks are gathered into the declared
-// collection, so the early-stop machinery is shared with cursors.
-func (c *compiler) compileBareBound(p *algebra.Reduce, input *compiledPlan) (func() (values.Value, error), error) {
-	if !monoid.IsCollection(p.M) || p.M.Name() == "array" {
-		return nil, fmt.Errorf("jit: limit/offset on %s-monoid results", p.M.Name())
-	}
-	mkCons, err := c.compileStreamConsumer(p, input)
-	if err != nil {
-		return nil, err
-	}
-	opts := c.opts
-	name := p.M.Name()
-	commutative := p.M.Commutative()
-	return func() (values.Value, error) {
-		sp := opts.Trace.Child("fold")
-		sp.SetAttr("kind", "limit")
-		defer sp.End()
-		var mu sync.Mutex
-		var elems []values.Value
-		collect := func(chunk []values.Value) error {
-			mu.Lock()
-			elems = append(elems, chunk...)
-			mu.Unlock()
-			return nil
-		}
-		if err := runBoundedStream(p, input, mkCons, commutative, name, collect, opts); err != nil {
-			return values.Null, err
-		}
-		switch name {
-		case "list":
-			return values.NewList(elems...), nil
-		case "set":
-			return values.NewSet(elems...), nil
-		default:
-			return values.NewBag(elems...), nil
-		}
-	}, nil
-}
-
-// runBoundedStream drives a collection pipeline with the row quota
-// applied: offset rows dropped, at most limit rows delivered to emit,
-// producers cancelled as soon as the quota fills. Set plans dedup before
-// the quota so LIMIT counts distinct elements.
-func runBoundedStream(p *algebra.Reduce, input *compiledPlan, mkCons func(StreamSink) *streamConsumer, commutative bool, name string, emit StreamSink, opts Options) error {
-	limit, offset, err := algebra.ResolveExtents(p.Order)
-	if err != nil {
-		return err
-	}
-	qctx, cancel := context.WithCancel(opts.Ctx)
-	defer cancel()
-	q := newRowQuota(limit, offset, cancel)
-	sink := q.wrap(emit)
-	if name == "set" {
-		sink = DedupSink(sink, opts.MemReserve)
-	}
-	if opts.Workers > 1 && commutative && input.openRange != nil {
-		if scan, n, ok := input.openRange(); ok && n >= opts.ParallelThreshold {
-			err := runParallelStream(qctx, scan, n, mkCons, sink, opts)
-			return swallowLimit(err, q, opts.Ctx)
-		}
-	}
-	sc := mkCons(sink)
-	if err := input.run(sc.consume); err != nil {
-		return swallowLimit(err, q, opts.Ctx)
-	}
-	return swallowLimit(sc.flush(), q, opts.Ctx)
 }

@@ -5,72 +5,85 @@ import (
 	"sync"
 
 	"vida/internal/monoid"
+	"vida/internal/trace"
 	"vida/internal/values"
-	"vida/internal/vec"
 )
 
-// runParallelReduce executes a partitionable pipeline with morsel-driven
-// parallelism (Leis et al., adopted here for raw scans): the row range is
-// split into morsels submitted as one job to the shared scheduler pool
-// (sched.Pool), whose fixed workers interleave the morsels of every
-// in-flight query — concurrent queries share cores instead of each
-// fanning out GOMAXPROCS goroutines. Each morsel drives its own clone of
-// the staged pipeline (scan is safe for concurrent disjoint ranges;
-// filters and consumers come from a free list), and per-morsel partial
-// aggregates are merged at the root in morsel order. Associativity of
-// the monoid's ⊕ makes the merge exact — including for the
-// non-commutative list monoid — which is the paper's algebra paying
-// rent.
-func runParallelReduce(ctx context.Context, scan func(lo, hi int, sink batchSink) error, n int, mkCons func() *reduceConsumer, m monoid.Monoid, opts Options) (values.Value, error) {
-	workers := opts.Workers
-	// Aim for a few morsels per worker so interleaving evens out skew,
-	// but never below one batch per morsel.
-	morselRows := (n + workers*4 - 1) / (workers * 4)
-	if morselRows < opts.BatchSize {
-		morselRows = opts.BatchSize
+// parallelInput opens the morsel-parallel runner of a compiled subtree
+// when the plan allows it: more than one worker, a partitionable subtree
+// (openRange) and at least threshold rows. ok false means run serially.
+func parallelInput(cp *compiledPlan, opts Options, threshold int) (scan func(lo, hi int, sink batchSink) error, n int, ok bool) {
+	if opts.Workers <= 1 || cp.openRange == nil {
+		return nil, 0, false
 	}
-	numMorsels := (n + morselRows - 1) / morselRows
-	if sp := opts.Trace; sp != nil { // guard: avoid arg boxing when disarmed
-		sp.SetAttr("morsels", numMorsels)
+	scan, n, ok = cp.openRange()
+	if !ok || n < threshold {
+		return nil, 0, false
+	}
+	return scan, n, true
+}
+
+// morsels is the one morsel driver (morsel-driven parallelism, Leis et
+// al., adopted here for raw scans). It splits the row range [0,n) into a
+// few morsels per worker — never below one batch each, so interleaving
+// evens out skew without shredding batches — and submits them as one job
+// to the shared scheduler pool (sched.Pool), whose fixed workers
+// interleave the morsels of every in-flight query: concurrent queries
+// share cores instead of each fanning out GOMAXPROCS goroutines. work
+// runs once per morsel, concurrently over disjoint ranges, and the
+// per-morsel results come back in morsel order — the order every merge
+// that reproduces the serial result relies on. Dispatch stops once ctx
+// is done; sp, when armed, records the split.
+func morsels[T any](ctx context.Context, opts Options, sp *trace.Span, n int, work func(lo, hi int) (T, error)) ([]T, error) {
+	workers := opts.Workers
+	rows := max((n+workers*4-1)/(workers*4), opts.BatchSize)
+	count := (n + rows - 1) / rows
+	if sp != nil { // guard: avoid arg boxing when disarmed
+		sp.SetAttr("morsels", count)
 		sp.SetAttr("workers", workers)
 	}
-
-	partials := make([]*monoid.Collector, numMorsels)
-	// Consumers carry per-run scratch (filter selection buffers, typed
-	// accumulators); a free list bounds their number by the pool's
-	// concurrency while letting morsels reuse them.
-	consumers := sync.Pool{New: func() any { return mkCons() }}
-	err := opts.Pool.Run(ctx, numMorsels, func(i int) error {
+	out := make([]T, count)
+	err := opts.Pool.Run(ctx, count, func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		lo := i * rows
+		v, err := work(lo, min(lo+rows, n))
+		out[i] = v
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// runParallelReduce is the morsel-parallel fold root: each morsel drives
+// its own clone of the staged pipeline (consumers come from a free list
+// bounded by the pool's concurrency) into a partial collector, and the
+// partials merge at the root in morsel order. Associativity of the
+// monoid's ⊕ makes the merge exact — including for the non-commutative
+// list and array monoids — which is the paper's algebra paying rent.
+func runParallelReduce(scan func(lo, hi int, sink batchSink) error, n int, mkCons func() *reduceConsumer, m monoid.Monoid, opts Options, sp *trace.Span) (values.Value, error) {
+	consumers := sync.Pool{New: func() any { return mkCons() }}
+	partials, err := morsels(opts.Ctx, opts, sp, n, func(lo, hi int) (*monoid.Collector, error) {
 		rc := consumers.Get().(*reduceConsumer)
 		defer consumers.Put(rc)
-		lo := i * morselRows
-		hi := lo + morselRows
-		if hi > n {
-			hi = n
-		}
 		acc := monoid.NewCollector(m)
 		rc.reset(acc)
-		if err := scan(lo, hi, func(b *vec.Batch) error {
-			return rc.consume(b)
-		}); err != nil {
-			return err
+		if err := scan(lo, hi, rc.consume); err != nil {
+			return nil, err
 		}
 		rc.finish()
-		partials[i] = acc
-		return nil
+		return acc, nil
 	})
 	if err != nil {
 		return values.Null, err
 	}
-	msp := opts.Trace.Child("merge")
+	msp := sp.Child("merge")
 	root := monoid.NewCollector(m)
 	for _, part := range partials {
-		if part != nil {
-			root.MergeFrom(part)
-		}
+		root.MergeFrom(part)
 	}
 	msp.End()
 	return root.Result(), nil

@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -14,12 +15,9 @@ import (
 func TestBareLimitSinkErrorNotSwallowed(t *testing.T) {
 	cat := testCatalog()
 	plan := planFor(t, `for { e <- Employees } yield bag e.id limit 2`, cat)
-	prog, err := CompileStream(plan, cat, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	boom := errors.New("sink exploded")
-	err = prog(func(chunk []values.Value) error { return boom })
+	err := Executor{Opts: Options{Workers: 1}}.RunStream(context.Background(), plan, cat,
+		func(chunk []values.Value) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the sink error", err)
 	}

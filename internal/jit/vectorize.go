@@ -939,9 +939,7 @@ func (c *compiler) compileReduceConsumer(p *algebra.Reduce, input *compiledPlan)
 	// them; scalar folds (count/sum/min/...) keep O(1) state no matter
 	// how many boxed values pass through.
 	reserve := c.opts.MemReserve
-	switch p.M.Name() {
-	case "list", "bag", "set", "array", "median":
-	default:
+	if name := p.M.Name(); name != "array" && name != "median" {
 		reserve = nil
 	}
 	width := input.frame.width()

@@ -291,8 +291,9 @@ const streamFlushRows = 1024
 // JSON document per line, flushed batch-at-a-time straight off the
 // engine's cursor — memory stays bounded no matter the result size
 // (except set-monoid queries, whose streamed dedup state is O(distinct
-// elements)), and the first rows reach the client while the scan is
-// still running. The
+// elements), and lists over morsel-parallel scans, emitted in order once
+// their fold completes), and the first rows reach the client while the
+// scan is still running. The
 // final line is a summary record {"done":true,"rows":N}; if the query
 // dies mid-stream (timeout, disconnect, data error) the stream instead
 // ends with a trailer-style error record {"error":...,"status":499|504|500}

@@ -110,8 +110,8 @@ type Stats struct {
 	Failed           int64 `json:"failed"`
 	Cancelled        int64 `json:"cancelled"`
 	InFlight         int64 `json:"in_flight"`
-	QueueDepth       int64 `json:"queue_depth"`       // waiting for a slot now
-	QueueWaits       int64 `json:"queue_waits"`       // admissions observed by the wait histogram
+	QueueDepth       int64 `json:"queue_depth"` // waiting for a slot now
+	QueueWaits       int64 `json:"queue_waits"` // admissions observed by the wait histogram
 	QueueWaitTotalMS int64 `json:"queue_wait_total_ms"`
 	HandlerPanics    int64 `json:"handler_panics"` // HTTP handler panics recovered
 	Streams          int64 `json:"streams"`

@@ -176,6 +176,51 @@ func TestQueryBudgetKillIsTyped(t *testing.T) {
 	}
 }
 
+// TestQueryBudgetChargesBufferedResults: a buffered collection result is
+// retained state like any other, so every collection monoid and the
+// ordered root charge the per-query budget for the elements they keep —
+// 900 wide Patients records (~828 000 estimated bytes) overrun 16 KiB
+// whether they come back as a list, set, bag or ordered bag, through
+// either frontend. Results that keep a handful of rows still answer.
+func TestQueryBudgetChargesBufferedResults(t *testing.T) {
+	eng := robustEngine(t, vida.WithQueryMemoryBudget(16<<10))
+	kills := eng.Stats().Memory.QueryKills
+	for _, q := range []string{
+		"for { p <- Patients } yield list p",
+		"for { p <- Patients } yield set p",
+		"for { p <- Patients } yield bag p",
+		"for { p <- Patients } yield bag p order by p.id",
+		"SQL:SELECT * FROM Patients p",
+	} {
+		var err error
+		if sql, ok := strings.CutPrefix(q, "SQL:"); ok {
+			_, err = eng.QuerySQL(sql)
+		} else {
+			_, err = eng.Query(q)
+		}
+		var mbe *core.MemoryBudgetError
+		if !errors.As(err, &mbe) || mbe.Scope != "query" {
+			t.Fatalf("%s: err = %v, want a query-scoped *core.MemoryBudgetError", q, err)
+		}
+		kills++
+		if got := eng.Stats().Memory.QueryKills; got != kills {
+			t.Fatalf("%s: QueryKills = %d, want %d (one per killed query)", q, got, kills)
+		}
+	}
+	for q, want := range map[string]int{
+		"SELECT p.id, p.bmi FROM Patients p ORDER BY p.bmi DESC, p.id LIMIT 10": 10,
+		"SELECT p.city, COUNT(*) AS n FROM Patients p GROUP BY p.city":          8,
+	} {
+		res, err := eng.QuerySQL(q)
+		if err != nil {
+			t.Fatalf("%s under a 16 KiB budget: %v", q, err)
+		}
+		if res.Len() != want {
+			t.Fatalf("%s: %d rows, want %d", q, res.Len(), want)
+		}
+	}
+}
+
 // TestJoinBuildStallFaultPoint: the jit.join_build_stall point fires on
 // every retained build batch, so an injected error aborts the join as a
 // query-scoped failure and an injected panic is contained by the same

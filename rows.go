@@ -100,9 +100,9 @@ func toValue(a any) (values.Value, error) {
 
 // Rows is a streaming cursor over a query's result: rows are produced
 // batch-at-a-time by the engine (morsel-parallel for large raw scans)
-// and pulled one at a time with Next, so results larger than memory
-// stream with bounded residency and the first row arrives long before
-// the last would. The usage mirrors database/sql:
+// and pulled one at a time with Next, so bag results (what SELECT
+// yields) larger than memory stream with bounded residency and the first
+// row arrives long before the last would. The usage mirrors database/sql:
 //
 //	rows, err := eng.QuerySQLRows(`SELECT name, age FROM People WHERE age > $1`, 40)
 //	defer rows.Close()
@@ -114,8 +114,8 @@ func toValue(a any) (values.Value, error) {
 //	if err := rows.Err(); err != nil { ... }
 //
 // A Rows is not safe for concurrent use. Close is idempotent and must
-// be called; abandoning an open cursor pins a query slot (and, for a
-// streaming cursor, its scheduler workers) until its context ends.
+// be called; abandoning an open cursor pins a query slot and its
+// scheduler workers until its context ends.
 type Rows struct {
 	inner    *core.Rows
 	cols     []string
@@ -465,32 +465,6 @@ func goValue(v values.Value) any {
 		return v.Str()
 	default:
 		return v.String()
-	}
-}
-
-// collectValue drains a cursor and rebuilds the collection value under
-// the root monoid — the collect-over-cursor path Query uses, which
-// guarantees the buffered and streaming APIs see identical execution.
-func collectValue(rows *core.Rows, monoidName string) (values.Value, error) {
-	defer rows.Close()
-	var elems []values.Value
-	for {
-		chunk, err := rows.NextChunk()
-		if err != nil {
-			return values.Null, err
-		}
-		if chunk == nil {
-			break
-		}
-		elems = append(elems, chunk...)
-	}
-	switch monoidName {
-	case "list":
-		return values.NewList(elems...), nil
-	case "set":
-		return values.NewSet(elems...), nil
-	default:
-		return values.NewBag(elems...), nil
 	}
 }
 

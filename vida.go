@@ -298,35 +298,14 @@ func (p *Prepared) Run(args ...any) (*Result, error) {
 	return p.RunCtx(context.Background(), args...)
 }
 
-// RunCtx executes the prepared query under a cancellation context.
-// Bag and set results run as a thin collect over the streaming cursor —
-// the buffered and cursor APIs share one execution path, and bag/set
-// canonicalization makes the unordered parallel stream deterministic.
-// List results keep the reduce path: it merges morsel partials in
-// order, so large ordered results stay parallel (the cursor streams
-// lists serially to preserve order row-by-row). Scalar aggregates fold
-// directly.
+// RunCtx executes the prepared query under a cancellation context, on
+// the caller's goroutine: the engine runs the same program a cursor
+// (RunRowsCtx) would, into a collecting sink that rebuilds the result
+// and charges the query's memory budget for every element it keeps.
 func (p *Prepared) RunCtx(ctx context.Context, args ...any) (*Result, error) {
 	params, err := argsToParams(args)
 	if err != nil {
 		return nil, err
-	}
-	if p.inner.Streamable() && (p.inner.OrderedResult() || p.inner.MonoidName() != "list") {
-		rows, err := p.inner.RowsCtx(ctx, params)
-		if err != nil {
-			return nil, err
-		}
-		monoidName := p.inner.MonoidName()
-		if p.inner.OrderedResult() {
-			// ORDER BY results are ordered lists; bag/set canonicalization
-			// would destroy the sort.
-			monoidName = "list"
-		}
-		v, err := collectValue(rows, monoidName)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{val: Value{raw: v}}, nil
 	}
 	v, err := p.inner.RunParamsCtx(ctx, params)
 	if err != nil {
