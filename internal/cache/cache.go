@@ -166,7 +166,7 @@ type Manager struct {
 	rehydrated  int64
 	corrupt     int64
 	// spillKeys maps a dataset to its current raw-file generation (the
-	// spill key); registered by the engine when a spill dir is active.
+	// spill key); only keyed datasets spill.
 	spillKeys map[string]func() string
 	// decodedBlocks is written by concurrent scans outside mu.
 	decodedBlocks atomic.Int64
@@ -184,10 +184,16 @@ func NewWithConfig(cfg Config) *Manager {
 
 // SetSpillKey registers the generation provider of a dataset: spill
 // files are keyed by its value so a raw-file change strands (and the
-// cache then deletes) the stale spill.
+// cache then deletes) the stale spill. A nil gen removes the key — the
+// dataset stops spilling, and the manager lets go of the provider (and
+// of whatever reader it is bound to).
 func (m *Manager) SetSpillKey(dataset string, gen func() string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if gen == nil {
+		delete(m.spillKeys, dataset)
+		return
+	}
 	m.spillKeys[dataset] = gen
 }
 

@@ -68,7 +68,10 @@
 // table to a spill file named by the dataset and a caller-provided
 // generation key (a content hash — see SetSpillKey), so a process
 // restart can Rehydrate the entry from disk instead of re-scanning the
-// raw source. Files from stale generations are deleted; truncated or
+// raw source. A dataset without a key never spills: the engine keys only
+// what is the raw file's own content, so a cleaned generation (repaired
+// or dropped rows) stays in memory and a restart never mistakes it for
+// the file. Files from stale generations are deleted; truncated or
 // checksum-failing files are quarantined (renamed *.bad) and counted,
 // never served. Invalidate removes a dataset's spill files along with
 // its entries.

@@ -39,7 +39,7 @@ func (m *Manager) spillLocked(e *Entry) {
 		return
 	}
 	gen, ok := m.spillKeys[e.Dataset]
-	if !ok || gen == nil {
+	if !ok {
 		return
 	}
 	tab := e.Enc

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"log/slog"
 	"os"
 	"runtime/debug"
@@ -22,6 +23,7 @@ import (
 	"vida/internal/algebra"
 	"vida/internal/cache"
 	"vida/internal/clean"
+	"vida/internal/faultinject"
 	"vida/internal/jit"
 	"vida/internal/mcl"
 	"vida/internal/optimizer"
@@ -145,9 +147,11 @@ type Stats struct {
 	RefreshTailBytes    int64
 }
 
-// sourceEntry is one registered source. Entries are immutable once
-// published in Engine.sources — a change installs a fresh copy — so a scan
-// keeps reading the entry it resolved without holding the catalog lock.
+// sourceEntry is one generation of a registered source. Entries are
+// immutable once published in Engine.sources — every catalog change
+// publishes a fresh one (see publish) — so a scan keeps reading the entry
+// it resolved without holding the catalog lock, and whatever it derives
+// from that entry is valid exactly while the entry is still published.
 type sourceEntry struct {
 	desc *sdg.Description
 	// src is the plug-in (behind its cleaner, when one is attached) as
@@ -159,6 +163,12 @@ type sourceEntry struct {
 	arr    *rawarr.Reader
 	xls    *rawxls.Reader
 	isView bool
+}
+
+// cleaned reports whether a cleaner sits between the plug-in and scans.
+func (s *sourceEntry) cleaned() bool {
+	_, ok := s.src.(*cleanedSource)
+	return ok
 }
 
 // planShardCount shards the plan cache so concurrent warm Prepare calls
@@ -236,9 +246,8 @@ type Engine struct {
 	planShards     [planShardCount]planShard
 	planCacheLimit int // per shard
 
-	// epoch counts catalog/data generations: it bumps whenever a source
-	// is (de)registered, a cleaner attached, or a file change invalidates
-	// caches. Result caches key on it to stay consistent with the data.
+	// epoch counts catalog generations: it bumps once per publish. Result
+	// caches key on it to stay consistent with the data.
 	epoch atomic.Int64
 
 	// closeMu gates the query lifecycle for graceful shutdown: queries
@@ -318,68 +327,104 @@ func (e *Engine) Register(desc *sdg.Description) error {
 		return err
 	}
 	entry := &sourceEntry{desc: desc}
+	var err error
 	switch desc.Format {
 	case sdg.FormatCSV:
-		r, err := rawcsv.Open(desc)
-		if err != nil {
-			return err
-		}
-		entry.csv, entry.src = r, r
+		entry.csv, err = rawcsv.Open(desc)
+		entry.src = entry.csv
 	case sdg.FormatJSON:
-		r, err := rawjson.Open(desc)
-		if err != nil {
-			return err
-		}
-		entry.json, entry.src = r, r
+		entry.json, err = rawjson.Open(desc)
+		entry.src = entry.json
 	case sdg.FormatArray:
-		r, err := rawarr.Open(desc)
-		if err != nil {
-			return err
-		}
-		entry.arr, entry.src = r, r
+		entry.arr, err = rawarr.Open(desc)
+		entry.src = entry.arr
 	case sdg.FormatXLS:
-		r, err := rawxls.Open(desc)
-		if err != nil {
-			return err
-		}
-		entry.xls, entry.src = r, r
+		entry.xls, err = rawxls.Open(desc)
+		entry.src = entry.xls
 	default:
 		return fmt.Errorf("core: format %s needs RegisterSource", desc.Format)
 	}
-	entry.raw = jit.Lift(entry.src)
-	name := desc.Name
-	e.mu.Lock()
-	if _, dup := e.sources[name]; dup {
-		e.mu.Unlock()
-		return fmt.Errorf("core: source %q already registered", name)
+	if err != nil {
+		return err
 	}
-	e.sources[name] = entry
-	e.mu.Unlock()
-	e.epoch.Add(1)
+	entry.raw = jit.Lift(entry.src)
+	if err := e.publish(desc.Name, add(entry)); err != nil {
+		return err
+	}
 	// Warm restart: rehydrate spilled cache blocks and the persisted
 	// positional map, both keyed so stale state is never trusted (spill
 	// files by content generation, the posmap sidecar by mtime+size).
-	if entry.csv != nil {
-		e.caches.SetSpillKey(name, entry.csv.Generation)
-		if e.opts.CacheDir != "" {
-			e.caches.Rehydrate(name, entry.csv.Generation())
-			if _, err := entry.csv.LoadAux(e.auxPath(name)); err != nil {
-				slog.Warn("core: posmap sidecar unusable, rebuilding on demand", "dataset", name, "err", err)
-			}
+	if entry.csv != nil && e.opts.CacheDir != "" {
+		e.caches.Rehydrate(desc.Name, entry.csv.Generation())
+		if _, err := entry.csv.LoadAux(e.auxPath(desc.Name)); err != nil {
+			slog.Warn("core: posmap sidecar unusable, rebuilding on demand", "dataset", desc.Name, "err", err)
 		}
 	}
 	return nil
 }
 
+// change derives a dataset's next catalog entry from the current one (nil
+// when absent): the next entry (nil removes the source) and whether the
+// cache entries and plans derived so far stay valid — or an error, and
+// nothing moves.
+type change func(cur *sourceEntry) (next *sourceEntry, keep bool, err error)
+
+// publish is the one way the catalog changes. Under the exclusive catalog
+// lock it derives the dataset's next entry from the current one, swaps it
+// in, drops the dataset's cache entries unless the change keeps them,
+// points the spill key at the next entry and bumps the epoch. A harvest
+// installs under the shared lock and only onto the entry it scanned
+// (scanSource.install), so it lands wholly before a change — which then
+// drops or extends it — or not at all. Plans are dropped after the lock
+// is released.
+func (e *Engine) publish(name string, ch change) error {
+	_ = faultinject.Hit(faultinject.Publish) // a pause point: see its doc
+	e.mu.Lock()
+	next, keep, err := ch(e.sources[name])
+	if err != nil {
+		e.mu.Unlock()
+		return err
+	}
+	if next == nil {
+		delete(e.sources, name)
+	} else {
+		e.sources[name] = next
+	}
+	if !keep {
+		e.caches.Invalidate(name)
+	}
+	// Only an uncleaned CSV generation spills: a cleaned one's columns are
+	// not the file's, and a removed source's reader must not stay reachable.
+	var gen func() string
+	if next != nil && next.csv != nil && !next.cleaned() {
+		gen = next.csv.Generation
+	}
+	e.caches.SetSpillKey(name, gen)
+	e.epoch.Add(1)
+	e.mu.Unlock()
+	if !keep {
+		e.dropPlans()
+	}
+	return nil
+}
+
+// add registers entry under a new name, keeping state: the cache holds
+// nothing of an absent name but what Rehydrate is about to load for it.
+func add(entry *sourceEntry) change {
+	return func(cur *sourceEntry) (*sourceEntry, bool, error) {
+		if cur != nil {
+			return nil, false, fmt.Errorf("core: source %q already registered", entry.desc.Name)
+		}
+		return entry, true, nil
+	}
+}
+
 // auxPath is where a dataset's positional-map sidecar lives inside the
 // cache directory (hashed name, like the spill files).
 func (e *Engine) auxPath(name string) string {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return fmt.Sprintf("%s/p-%016x.posmap", e.opts.CacheDir, h)
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return fmt.Sprintf("%s/p-%016x.posmap", e.opts.CacheDir, h.Sum64())
 }
 
 // saveAux persists a CSV source's positional map into the cache
@@ -397,15 +442,7 @@ func (e *Engine) saveAux(entry *sourceEntry) {
 // RegisterSource adds an arbitrary source (in-memory data, a baseline
 // store wrapper, ...) with its description.
 func (e *Engine) RegisterSource(desc *sdg.Description, src algebra.Source) error {
-	e.mu.Lock()
-	if _, dup := e.sources[desc.Name]; dup {
-		e.mu.Unlock()
-		return fmt.Errorf("core: source %q already registered", desc.Name)
-	}
-	e.sources[desc.Name] = &sourceEntry{desc: desc, src: src, raw: jit.Lift(src), isView: true}
-	e.mu.Unlock()
-	e.epoch.Add(1)
-	return nil
+	return e.publish(desc.Name, add(&sourceEntry{desc: desc, src: src, raw: jit.Lift(src), isView: true}))
 }
 
 // cleanedSource decorates a source with a data cleaner (paper §7): every
@@ -439,35 +476,23 @@ func (s *cleanedSource) Iterate(fields []string, yield func(values.Value) error)
 }
 
 // AttachCleaner installs a data cleaner on a registered source. Caches
-// for the source are invalidated: previously-promoted values may contain
+// for the source are dropped: previously-promoted values may contain
 // uncleaned data.
 func (e *Engine) AttachCleaner(name string, c *clean.Cleaner) error {
-	e.mu.Lock()
-	s, ok := e.sources[name]
-	if !ok {
-		e.mu.Unlock()
-		return fmt.Errorf("core: unknown source %q", name)
-	}
-	// Copy-on-write: in-flight scans keep the entry they resolved.
-	cleaned := *s
-	cleaned.src = &cleanedSource{inner: s.src, cleaner: c}
-	cleaned.raw = jit.Lift(cleaned.src)
-	e.sources[name] = &cleaned
-	e.mu.Unlock()
-	e.caches.Invalidate(name)
-	e.dropPlans()
-	e.epoch.Add(1)
-	return nil
+	return e.publish(name, func(cur *sourceEntry) (*sourceEntry, bool, error) {
+		if cur == nil {
+			return nil, false, fmt.Errorf("core: unknown source %q", name)
+		}
+		next := *cur
+		next.src = &cleanedSource{inner: cur.src, cleaner: c}
+		next.raw = jit.Lift(next.src)
+		return &next, false, nil
+	})
 }
 
 // Deregister removes a source and its cached data.
 func (e *Engine) Deregister(name string) {
-	e.mu.Lock()
-	delete(e.sources, name)
-	e.mu.Unlock()
-	e.caches.Invalidate(name)
-	e.dropPlans()
-	e.epoch.Add(1)
+	_ = e.publish(name, func(*sourceEntry) (*sourceEntry, bool, error) { return nil, false, nil }) // cannot fail
 }
 
 // Sources lists registered source names.
@@ -482,21 +507,26 @@ func (e *Engine) Sources() []string {
 	return out
 }
 
-// Description returns the catalog entry of a source (jit.SchemaCatalog).
-func (e *Engine) Description(name string) (*sdg.Description, bool) {
+// entry returns the published generation of a source.
+func (e *Engine) entry(name string) (*sourceEntry, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	s, ok := e.sources[name]
-	if !ok {
-		return nil, false
-	}
-	return s.desc, true
+	return s, ok
 }
 
-// Epoch returns the catalog/data generation counter. It increases
-// whenever registered data may have changed (source added or removed,
-// cleaner attached, file change detected), so any cache keyed on
-// (query, epoch) is invalidated by data movement for free.
+// Description returns the catalog entry of a source (jit.SchemaCatalog).
+func (e *Engine) Description(name string) (*sdg.Description, bool) {
+	if s, ok := e.entry(name); ok {
+		return s.desc, true
+	}
+	return nil, false
+}
+
+// Epoch returns the catalog generation counter. It increases once per
+// catalog change (source added or removed, cleaner attached, file change
+// detected), so any cache keyed on (query, epoch) is invalidated by data
+// movement for free.
 func (e *Engine) Epoch() int64 { return e.epoch.Load() }
 
 // Close marks the engine closed and waits for in-flight queries to
@@ -608,9 +638,7 @@ type liveCostModel struct {
 
 // SourceRows implements optimizer.CostModel.
 func (m liveCostModel) SourceRows(name string) int64 {
-	m.e.mu.RLock()
-	s, ok := m.e.sources[name]
-	m.e.mu.RUnlock()
+	s, ok := m.e.entry(name)
 	if !ok {
 		return 1000
 	}
@@ -645,9 +673,7 @@ func (m liveCostModel) PerTupleCost(name string, fields []string) float64 {
 	if !m.e.opts.DisableCaching && len(fields) > 0 && m.e.caches.PeekColumns(name, fields) {
 		return optimizer.CostCache * float64(nf)
 	}
-	m.e.mu.RLock()
-	s, ok := m.e.sources[name]
-	m.e.mu.RUnlock()
+	s, ok := m.e.entry(name)
 	if !ok {
 		return float64(nf)
 	}
@@ -701,9 +727,7 @@ func (m liveCostModel) PerTupleCost(name string, fields []string) float64 {
 
 // CheapestField implements optimizer.CostModel.
 func (m liveCostModel) CheapestField(name string) (string, bool) {
-	m.e.mu.RLock()
-	s, ok := m.e.sources[name]
-	m.e.mu.RUnlock()
+	s, ok := m.e.entry(name)
 	if !ok {
 		return "", false
 	}
@@ -992,17 +1016,12 @@ func (e *Engine) Explain(src string) (string, error) {
 
 // DescribeCatalog renders the catalog for the CLI.
 func (e *Engine) DescribeCatalog() string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	names := make([]string, 0, len(e.sources))
-	for n := range e.sources {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var sb strings.Builder
-	for _, n := range names {
-		sb.WriteString(e.sources[n].desc.String())
-		sb.WriteByte('\n')
+	for _, n := range e.Sources() {
+		if d, ok := e.Description(n); ok {
+			sb.WriteString(d.String())
+			sb.WriteByte('\n')
+		}
 	}
 	return sb.String()
 }

@@ -13,45 +13,31 @@ import (
 // map by the tail (rawcsv.Reader.Refresh), the columnar cache entry is
 // extended by the same rows, and compiled plans survive. Any other change
 // drops the source's auxiliary structures and cache entries wholesale and
-// every cached plan with them (paper §2.1). Either way the epoch moves,
-// after the caches are consistent with the new generation, so results
-// keyed on it roll over.
+// every cached plan with them (paper §2.1). Either way the change is one
+// publish, so results keyed on the epoch roll over.
 func (e *Engine) Refresh() error {
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()
 	// Readers are reached through the entry's typed fields, not through
 	// src: a cleaner wraps src and would hide the reader behind it.
-	type target struct {
-		entry   *sourceEntry
-		cleaned bool
-	}
 	e.mu.RLock()
-	targets := make([]target, 0, len(e.sources))
+	targets := make([]*sourceEntry, 0, len(e.sources))
 	for _, s := range e.sources {
 		if s.csv != nil || s.json != nil {
-			_, cleaned := s.src.(*cleanedSource)
-			targets = append(targets, target{entry: s, cleaned: cleaned})
+			targets = append(targets, s)
 		}
 	}
 	e.mu.RUnlock()
-	// Plans embed cost-model choices made against the old row counts and
-	// auxiliary structures; appends leave both close enough to keep them.
-	replaced := false
-	defer func() {
-		if replaced {
-			e.dropPlans()
-		}
-	}()
-	for _, t := range targets {
-		name := t.entry.desc.Name
+	for _, s := range targets {
+		name := s.desc.Name
 		var ch rawcsv.Change
-		if t.entry.csv != nil {
+		if s.csv != nil {
 			var err error
-			if ch, err = t.entry.csv.Refresh(); err != nil {
+			if ch, err = s.csv.Refresh(); err != nil {
 				return err
 			}
 		} else {
-			changed, err := t.entry.json.Refresh()
+			changed, err := s.json.Refresh()
 			if err != nil {
 				return err
 			}
@@ -59,68 +45,61 @@ func (e *Engine) Refresh() error {
 				ch = rawcsv.Change{Kind: rawcsv.Replaced, Reason: "json sources are re-read whole"}
 			}
 		}
-		if ch.Kind == rawcsv.Appended {
-			if reason := e.extendCached(t.entry, t.cleaned, ch); reason != "" {
-				ch = rawcsv.Change{Kind: rawcsv.Replaced, Reason: reason}
-			}
-		}
-		switch ch.Kind {
-		case rawcsv.Unchanged:
+		if ch.Kind == rawcsv.Unchanged {
 			continue
-		case rawcsv.Appended:
+		}
+		var tail map[string]vec.Col
+		if ch.Kind == rawcsv.Appended {
+			tail, ch.Reason = e.parseTail(s, ch)
+		}
+		_ = e.publish(name, func(cur *sourceEntry) (*sourceEntry, bool, error) { // cannot fail
+			if ch.Kind == rawcsv.Appended && ch.Reason == "" {
+				ch.Reason = e.extendCache(cur, s, ch, tail)
+			}
+			if ch.Reason != "" {
+				ch.Kind = rawcsv.Replaced
+			}
+			if cur == nil {
+				return nil, false, nil // deregistered meanwhile
+			}
+			next := *cur
+			return &next, ch.Kind == rawcsv.Appended, nil
+		})
+		if ch.Kind == rawcsv.Appended {
 			e.refreshAppends.Add(1)
 			e.refreshTailRows.Add(int64(ch.NewRows - ch.OldRows))
 			e.refreshTailBytes.Add(ch.TailBytes)
 			// The sidecar is validated by size and mtime: keep it describing
 			// the file on disk so a restart still skips the first-touch build.
-			e.saveAux(t.entry)
+			e.saveAux(s)
 			slog.Debug("core: refresh", "dataset", name, "path", "append",
 				"rows", ch.NewRows-ch.OldRows, "bytes", ch.TailBytes)
-		case rawcsv.Replaced:
-			replaced = true
-			e.caches.Invalidate(name)
+		} else {
 			e.refreshReplacements.Add(1)
 			slog.Debug("core: refresh", "dataset", name, "path", "replace", "reason", ch.Reason)
 		}
-		e.epoch.Add(1)
 	}
 	return nil
 }
 
-// extendCached brings the columnar cache entry of an appended CSV source
-// up to the reader's new generation by parsing the tail rows of exactly
-// the columns the entry holds. It returns "" when the cache is consistent
-// with the new generation (extended, or holding nothing for the source)
-// and otherwise the reason the caller must invalidate instead.
-func (e *Engine) extendCached(s *sourceEntry, cleaned bool, ch rawcsv.Change) string {
-	if cleaned {
-		return "cleaner attached: cached values are not the file's"
-	}
-	name := s.desc.Name
-	if e.opts.DisableCaching {
-		return ""
-	}
-	entry, ok := e.caches.Peek(name, cache.LayoutColumns)
-	if !ok {
-		for _, l := range []cache.Layout{cache.LayoutRows, cache.LayoutBSON, cache.LayoutSpans} {
-			if _, ok := e.caches.Peek(name, l); ok {
-				return "cached in a layout that cannot be extended"
-			}
-		}
-		return ""
+// parseTail parses, outside every lock, the tail rows of an appended CSV
+// source for exactly the columns its columnar cache entry holds. A nil
+// tail and no reason means nothing was cached; a reason means the cache
+// cannot follow the append and the change is a replace.
+func (e *Engine) parseTail(s *sourceEntry, ch rawcsv.Change) (map[string]vec.Col, string) {
+	entry, ok := e.caches.Peek(s.desc.Name, cache.LayoutColumns)
+	if !ok || s.cleaned() {
+		return nil, "" // extendCache decides under the lock
 	}
 	if entry.N != ch.OldRows {
-		return "cached columns do not cover every row of the previous generation"
+		return nil, "cached columns do not cover every row of the previous generation"
 	}
 	fields := entry.ColumnNames()
 	scan, n, ok := s.csv.OpenRange(fields)
 	if !ok || n != ch.NewRows {
-		return "a cached column is no longer in the positional map"
+		return nil, "a cached column is no longer in the positional map"
 	}
 	tailRows := ch.NewRows - ch.OldRows
-	if tailRows == 0 {
-		return "" // the tail held no rows (blank lines)
-	}
 	builders := make([]*vec.ColBuilder, len(fields))
 	for i := range builders {
 		builders[i] = vec.NewColBuilder(tailRows)
@@ -134,14 +113,37 @@ func (e *Engine) extendCached(s *sourceEntry, cleaned bool, ch rawcsv.Change) st
 		return nil
 	})
 	if err != nil || got != tailRows {
-		return "a tail row is malformed for a cached column"
+		return nil, "a tail row is malformed for a cached column"
 	}
 	tail := make(map[string]vec.Col, len(fields))
 	for i, f := range fields {
 		tail[f] = builders[i].Finish()
 	}
-	if !e.caches.ExtendColumns(name, ch.OldRows, tail) {
-		return "cache entry changed shape during the refresh"
+	return tail, ""
+}
+
+// extendCache brings the cache up to an appended generation, inside
+// publish: against the entry published now (cur), not the one the refresh
+// started from (was), and against whatever harvests installed meanwhile.
+// It returns "" when the cache is consistent with the grown file and
+// otherwise the reason the change must be a replace.
+func (e *Engine) extendCache(cur, was *sourceEntry, ch rawcsv.Change, tail map[string]vec.Col) string {
+	name := was.desc.Name
+	switch {
+	case cur == nil || cur.csv != was.csv:
+		return "the source was re-registered during the refresh"
+	case cur.cleaned():
+		return "cleaner attached: cached values are not the file's"
+	case tail != nil:
+		if !e.caches.ExtendColumns(name, ch.OldRows, tail) {
+			return "the cache holds what the tail cannot extend"
+		}
+		return ""
+	}
+	for _, l := range []cache.Layout{cache.LayoutColumns, cache.LayoutRows, cache.LayoutBSON, cache.LayoutSpans} {
+		if _, ok := e.caches.Peek(name, l); ok {
+			return "cached in a layout the tail was not parsed for"
+		}
 	}
 	return ""
 }

@@ -18,8 +18,8 @@ import (
 // This file is the cache interposition layer: every scan an executor runs
 // goes through one scanSource, which decides between serving the columnar
 // cache and reading the raw plug-in (harvesting what it reads), and owns
-// what surrounds that decision — the epoch guard, cancellation, the scan
-// span and the raw/cache scan counters.
+// what surrounds that decision — the generation check on every harvest,
+// cancellation, the scan span and the raw/cache scan counters.
 
 // catalog adapts the engine to algebra.Catalog + jit.SchemaCatalog for a
 // query that is neither traced nor cancellable. It is a one-pointer value
@@ -75,9 +75,7 @@ func (e *Engine) catalogFor(ctx context.Context, sp *trace.Span) jit.SchemaCatal
 // carries — stays valid for the whole scan whatever the catalog does
 // meanwhile.
 func (e *Engine) sourceFor(ctx context.Context, name string, sp *trace.Span) (algebra.Source, bool) {
-	e.mu.RLock()
-	s, ok := e.sources[name]
-	e.mu.RUnlock()
+	s, ok := e.entry(name)
 	if !ok {
 		return nil, false
 	}
@@ -189,34 +187,18 @@ func (s *scanSource) buildStats() (builds, nanos int64, event string) {
 	return 0, 0, ""
 }
 
-// harvestGuard snapshots the engine epoch before a raw scan whose rows
-// will be promoted into the cache. A Refresh racing the scan swaps the
-// file generation and invalidates the cache mid-harvest; without the
-// guard the scan would then install pre-refresh rows that every later
-// query reads as current. put runs the promotion only when the epoch is
-// unchanged, and re-checks afterwards (invalidating what it just wrote)
-// to close the check-then-put window.
-type harvestGuard struct {
-	e       *Engine
-	dataset string
-	epoch   int64
-}
-
-func (s *scanSource) newHarvestGuard() harvestGuard {
-	return harvestGuard{e: s.e, dataset: s.entry.desc.Name, epoch: s.e.epoch.Load()}
-}
-
-func (g harvestGuard) put(install func() error) error {
-	if g.e.epoch.Load() != g.epoch {
-		return nil // data moved mid-scan: the harvest is stale, drop it
+// install runs a harvest's cache write only if the entry the scan read is
+// still the published generation of its dataset, holding the shared
+// catalog lock throughout so no publish interleaves: a harvest lands
+// wholly before a catalog change (which then drops or extends it) or is
+// dropped, silently, as stale.
+func (s *scanSource) install(put func() error) error {
+	s.e.mu.RLock()
+	defer s.e.mu.RUnlock()
+	if s.e.sources[s.entry.desc.Name] != s.entry {
+		return nil
 	}
-	if err := install(); err != nil {
-		return err
-	}
-	if g.e.epoch.Load() != g.epoch {
-		g.e.caches.Invalidate(g.dataset)
-	}
-	return nil
+	return put()
 }
 
 // IterateBatches implements jit.BatchSource: a cache hit serves zero-copy
@@ -249,7 +231,6 @@ func (s *scanSource) IterateBatches(fields []string, batchSize int, yield func(*
 		}()
 	}
 	yield = s.observe(sp, yield)
-	guard := s.newHarvestGuard()
 	// Harvesting is the engine's first victim under memory pressure: each
 	// harvested batch reserves its estimated bytes against the global
 	// budget, and past the high-water mark (or at the ceiling) the harvest
@@ -302,13 +283,11 @@ func (s *scanSource) IterateBatches(fields []string, batchSize int, yield func(*
 	if err != nil || !harvest {
 		return err
 	}
-	if err := guard.put(func() error {
-		cols := make(map[string]vec.Col, len(fields))
-		for i, f := range fields {
-			cols[f] = builders[i].Finish()
-		}
-		return s.e.caches.PutColumnVectors(name, n, cols)
-	}); err != nil {
+	cols := make(map[string]vec.Col, len(fields))
+	for i, f := range fields {
+		cols[f] = builders[i].Finish()
+	}
+	if err := s.install(func() error { return s.e.caches.PutColumnVectors(name, n, cols) }); err != nil {
 		return err
 	}
 	// The harvesting scan just built (or extended) the positional map as
@@ -404,7 +383,6 @@ func (s *scanSource) Iterate(fields []string, yield func(values.Value) error) er
 		}
 	}
 	s.e.rawScans.Add(1)
-	guard := s.newHarvestGuard()
 	harvest := s.shouldHarvest(!s.noCache)
 	var rows []values.Value
 	err := s.entry.src.Iterate(nil, func(v values.Value) error {
@@ -416,5 +394,5 @@ func (s *scanSource) Iterate(fields []string, yield func(values.Value) error) er
 	if err != nil || !harvest {
 		return err
 	}
-	return guard.put(func() error { s.e.caches.PutRows(name, rows); return nil })
+	return s.install(func() error { s.e.caches.PutRows(name, rows); return nil })
 }

@@ -37,9 +37,16 @@ const (
 	JSONRead = "rawjson.read"
 	// RefreshDuringScan fires inside the raw-scan cache-harvest loop;
 	// arming it with a callback that rewrites and refreshes the source
-	// reproduces the file-changed-mid-scan race the harvest guard must
-	// contain.
+	// reproduces the file-changed-mid-scan race: the harvest of the
+	// outgoing catalog entry must not land once the change is published.
 	RefreshDuringScan = "core.refresh_during_scan"
+	// Publish fires at entry to every catalog change (Register,
+	// AttachCleaner, Deregister, Refresh), before the catalog lock. It is
+	// a pause point: tests arm it with a fault that runs a scan to
+	// completion and returns nil, landing a harvest right before the
+	// change. Its error is ignored and it is not in Points() — an error or
+	// panic halfway into a catalog change has no meaning.
+	Publish = "core.publish"
 	// PoolStall fires before each morsel executes on a scheduler
 	// worker; delay faults here model a stalled worker.
 	PoolStall = "sched.pool_stall"

@@ -108,12 +108,6 @@ type Options struct {
 	// observe cancellation through the catalog's context-checking
 	// sources, not through this field.
 	Ctx context.Context
-	// NoExprKernels disables the vectorized arithmetic/projection
-	// kernels (filters keep their PR-1 comparison shapes; computed
-	// heads, keys and bind columns fall back to row-wise evaluation).
-	// It exists for A/B benchmarking against the pre-kernel engine and
-	// for fallback-equivalence tests; production code leaves it false.
-	NoExprKernels bool
 	// MemReserve, when non-nil, charges estimated bytes against the
 	// query's memory budget at the sites that accumulate unbounded state
 	// (retained join build sides, boxed collection results, dedup
@@ -353,7 +347,7 @@ func (c *compiler) materializeFreeSources(p algebra.Plan) (*mcl.Env, error) {
 // boxed fallback otherwise. Each factory call returns a filter with its
 // own scratch, safe for one (serial) run or one morsel worker.
 func (c *compiler) compileFilter(e mcl.Expr, f *frame) (func() batchFilter, error) {
-	if vf := compileVecFilter(e, f, !c.opts.NoExprKernels); vf != nil {
+	if vf := compileVecFilter(e, f); vf != nil {
 		c.vecStages++
 		return vf, nil
 	}
@@ -579,10 +573,7 @@ func (c *compiler) compileBind(n *algebra.Bind) (*compiledPlan, error) {
 	}
 	f := in.frame.clone()
 	f.add(n.Var, "")
-	var mkKernel func() vecExpr
-	if !c.opts.NoExprKernels {
-		mkKernel = compileVecExpr(n.E, in.frame)
-	}
+	mkKernel := compileVecExpr(n.E, in.frame)
 	var e compiledExpr
 	if mkKernel == nil {
 		c.boxedStages++

@@ -11,8 +11,7 @@ import (
 // TestConstantHeadFolds pins the constant-head scalar folds (COUNT(*)
 // lowers to `sum 1`): for int, float and bound-parameter heads under
 // every scalar monoid, with and without a filter, the per-batch
-// arithmetic agrees with the row-wise engine (NoExprKernels) and the
-// reference executor — serially, morsel-parallel, over the cold and the
+// arithmetic agrees with the row-wise reference executor — serially, morsel-parallel, over the cold and the
 // posmap-served scan, and on an empty input. The float constants are
 // exact in binary, so n additions and one multiplication round alike.
 func TestConstantHeadFolds(t *testing.T) {
@@ -37,7 +36,6 @@ func TestConstantHeadFolds(t *testing.T) {
 			for name, ex := range map[string]Executor{
 				"serial":   {Opts: Options{Workers: 1}},
 				"parallel": {Opts: Options{Workers: 4, ParallelThreshold: 1, BatchSize: 64}},
-				"row-wise": {Opts: Options{Workers: 1, NoExprKernels: true}},
 			} {
 				for pass := 0; pass < 2; pass++ {
 					got, err := ex.Run(plan, cat)

@@ -53,8 +53,7 @@
 //     boxed at run time take a row-wise mcl.ApplyBinOp loop inside the
 //     kernel, so semantics (null propagation, int/float promotion,
 //     division-by-zero errors, string concatenation) are byte-identical
-//     with the row engine. Options.NoExprKernels disables this family
-//     for A/B benchmarks and fallback-equivalence tests.
+//     with the row engine.
 //   - Join-key kernels (hash.go) hash the key column of each build and
 //     probe batch in one tag-dispatched pass using the scalar hash
 //     helpers of internal/values (typed rows hash identically to their

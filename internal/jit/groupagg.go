@@ -56,14 +56,12 @@ func (c *compiler) mkGetter(e mcl.Expr, f *frame) (func() valGetter, error) {
 			return func(b *vec.Batch) (*vec.Col, error) { return &b.Cols[s], nil }
 		}, nil
 	}
-	if !c.opts.NoExprKernels {
-		if mk := compileVecExpr(e, f); mk != nil {
-			c.vecStages++
-			return func() valGetter {
-				k := mk()
-				return func(b *vec.Batch) (*vec.Col, error) { return k(b) }
-			}, nil
-		}
+	if mk := compileVecExpr(e, f); mk != nil {
+		c.vecStages++
+		return func() valGetter {
+			k := mk()
+			return func(b *vec.Batch) (*vec.Col, error) { return k(b) }
+		}, nil
 	}
 	c.boxedStages++
 	ce, err := c.compileExpr(e, f)

@@ -142,10 +142,7 @@ func (c *compiler) compileOrderedConsumer(p *algebra.Reduce, input *compiledPlan
 		desc[i] = k.Desc
 		keyIdxs[i] = slotOf(k.E, input.frame)
 		if keyIdxs[i] < 0 {
-			if !c.opts.NoExprKernels {
-				mkKeyKernels[i] = compileVecExpr(k.E, input.frame)
-			}
-			if mkKeyKernels[i] != nil {
+			if mkKeyKernels[i] = compileVecExpr(k.E, input.frame); mkKeyKernels[i] != nil {
 				continue
 			}
 			keyEs[i], err = c.compileExpr(k.E, input.frame)

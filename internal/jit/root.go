@@ -440,7 +440,7 @@ func (c *compiler) compileStreamConsumer(p *algebra.Reduce, input *compiledPlan)
 	headIdx := slotOf(p.Head, input.frame)
 	var mkHeadKernel func() vecExpr
 	var head compiledExpr
-	if headIdx < 0 && !c.opts.NoExprKernels {
+	if headIdx < 0 {
 		mkHeadKernel = compileVecExpr(p.Head, input.frame)
 	}
 	if headIdx < 0 && mkHeadKernel == nil {

@@ -58,8 +58,7 @@ func sparseCatalog() *schemaCat {
 }
 
 // TestVecExprKernelEquivalence pins the kernels to the row-wise
-// fallback (NoExprKernels) and the reference executor: all three must
-// agree on every kernel shape.
+// reference executor on every kernel shape.
 func TestVecExprKernelEquivalence(t *testing.T) {
 	cat := sparseCatalog()
 	for _, q := range kernelQueries {
@@ -74,13 +73,6 @@ func TestVecExprKernelEquivalence(t *testing.T) {
 		}
 		if !values.Equal(got, want) {
 			t.Fatalf("kernels diverged on %q:\nkernels: %v\nref: %v", q, got, want)
-		}
-		fallback, err := Executor{Opts: Options{NoExprKernels: true}}.Run(plan, cat)
-		if err != nil {
-			t.Fatalf("fallback %q: %v", q, err)
-		}
-		if !values.Equal(fallback, want) {
-			t.Fatalf("fallback diverged on %q:\nfallback: %v\nref: %v", q, fallback, want)
 		}
 	}
 }
@@ -136,8 +128,8 @@ func TestVecExprKernelsOnTypedBatches(t *testing.T) {
 	}
 }
 
-// TestVecExprDivisionByZero checks the kernels surface the row engine's
-// integer-division error.
+// TestVecExprDivisionByZero checks the kernels surface the reference
+// executor's integer-division error, text for text.
 func TestVecExprDivisionByZero(t *testing.T) {
 	cat := testCatalog()
 	plan := planFor(t, `for { e <- Employees } yield sum (e.id / (e.deptNo - e.deptNo))`, cat)
@@ -145,9 +137,9 @@ func TestVecExprDivisionByZero(t *testing.T) {
 	if kerr == nil || !strings.Contains(kerr.Error(), "division by zero") {
 		t.Fatalf("kernel error = %v", kerr)
 	}
-	_, ferr := Executor{Opts: Options{NoExprKernels: true}}.Run(plan, cat)
-	if ferr == nil || kerr.Error() != ferr.Error() {
-		t.Fatalf("kernel error %q != fallback error %q", kerr, ferr)
+	_, rerr := algebra.Reference{}.Run(plan, cat)
+	if rerr == nil || kerr.Error() != rerr.Error() {
+		t.Fatalf("kernel error %q != reference error %q", kerr, rerr)
 	}
 }
 

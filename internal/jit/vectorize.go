@@ -92,18 +92,18 @@ func isCmpOp(op mcl.BinOp) bool {
 
 // compileVecFilter stages a predicate as a vectorized selection kernel
 // when its shape allows (comparisons whose sides are slots, constants
-// or — when kernels is true — arithmetic kernels over them, plus
+// or arithmetic kernels over them, plus
 // conjunctions thereof); nil means the caller must use the row-wise
 // fallback. Comparison semantics match mcl.ApplyBinOp exactly: null
 // operands compare false, int/float compare numerically.
-func compileVecFilter(e mcl.Expr, f *frame, kernels bool) func() batchFilter {
+func compileVecFilter(e mcl.Expr, f *frame) func() batchFilter {
 	n, ok := e.(*mcl.BinExpr)
 	if !ok {
 		return nil
 	}
 	if n.Op == mcl.OpAnd {
-		l := compileVecFilter(n.L, f, kernels)
-		r := compileVecFilter(n.R, f, kernels)
+		l := compileVecFilter(n.L, f)
+		r := compileVecFilter(n.R, f)
 		if l == nil || r == nil {
 			return nil
 		}
@@ -136,9 +136,6 @@ func compileVecFilter(e mcl.Expr, f *frame, kernels bool) func() batchFilter {
 		if cv, ok := constOf(n.L); ok {
 			return colConstFilter(ri, flipOp(n.Op), cv)
 		}
-	}
-	if !kernels {
-		return nil
 	}
 	// Computed sides: arithmetic kernels feed the same comparison loops.
 	lk := compileVecExpr(n.L, f)
@@ -897,18 +894,14 @@ func (c *compiler) compileReduceConsumer(p *algebra.Reduce, input *compiledPlan)
 	constVal, headConst := constOf(p.Head)
 	switch p.M.Name() {
 	case "count", "sum", "avg", "min", "max":
-		headConst = headConst && !c.opts.NoExprKernels &&
-			(constVal.Kind() == values.KindInt || constVal.Kind() == values.KindFloat)
+		headConst = headConst && (constVal.Kind() == values.KindInt || constVal.Kind() == values.KindFloat)
 	default:
 		headConst = false
 	}
 	if headConst {
 		c.vecStages++
 	} else if headIdx < 0 {
-		if !c.opts.NoExprKernels {
-			mkHeadKernel = compileVecExpr(p.Head, input.frame)
-		}
-		if mkHeadKernel == nil {
+		if mkHeadKernel = compileVecExpr(p.Head, input.frame); mkHeadKernel == nil {
 			c.boxedStages++
 			head, err = c.compileExpr(p.Head, input.frame)
 			if err != nil {

@@ -30,8 +30,9 @@
 //     query-result cache that skips execution entirely, bounded by
 //     entry count and by an approximate byte budget (a single huge
 //     result cannot monopolize it). The epoch key makes invalidation
-//     free — Refresh, registration changes and file-change detection
-//     bump the engine epoch, orphaning every stale entry in place.
+//     free — the engine epoch bumps once per catalog change it
+//     publishes (registration, cleaner, deregistration, each source a
+//     Refresh found changed), orphaning every stale entry in place.
 //     QueryRows opens a streaming cursor instead of a buffered result:
 //     the admission slot is held for the stream's lifetime, so an open
 //     cursor occupies capacity exactly like an executing query.

@@ -39,11 +39,14 @@ func clip[T any](s []T) []T {
 // stays valid for holders of the shorter version while the result is
 // published as its successor. ok is false when the two representations
 // cannot be concatenated (a typed column followed by a different tag); a
-// boxed column accepts any tail by boxing it.
+// boxed column accepts any tail by boxing it, and an empty tail of any tag
+// extends any column to itself.
 func (c *Col) Extend(tail *Col) (out Col, ok bool) {
 	n, tn := c.Len(), tail.Len()
 	out = Col{Tag: c.Tag}
 	switch {
+	case tn == 0:
+		return *c, true
 	case c.Tag == Boxed:
 		boxed := tail.Boxed
 		if tail.Tag != Boxed {
