@@ -507,3 +507,34 @@ func TestHarvestNullMaskRoundTrip(t *testing.T) {
 		t.Fatalf("cold %v warm %v", cold, warm)
 	}
 }
+
+// TestStaticSelfJoinColdCSV: the static executor runs both sides of a
+// self-join as concurrent scans of one cold file, each feeding a bounded
+// channel the join drains one side at a time; neither scan may wait on
+// the other's consumer.
+func TestStaticSelfJoinColdCSV(t *testing.T) {
+	path := writePatients(t, t.TempDir(), "p.csv", patientRows(0, 3000, 1))
+	queries := []string{
+		`for { p <- P, q <- P, p.id = q.id } yield count p`,
+		`for { p <- P, q <- P, p.id = q.id } yield sum q.score`,
+		`for { p <- P, q <- P, p.age > 60, q.id < 3 } yield count p`,
+	}
+	for _, q := range queries {
+		for pass := 0; pass < 5; pass++ {
+			e := freshEngine(t, path, Options{Mode: ModeStatic})
+			done := make(chan error, 1)
+			go func() {
+				_, err := e.Query(q)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatalf("%s: the self-join's scans deadlocked", q)
+			}
+		}
+	}
+}

@@ -105,10 +105,10 @@ func prefixEqual(f io.Reader, want []byte) (bool, error) {
 
 // extendPosMap builds the positional map of data from snap, the map of
 // its first `from` bytes: the lines past from are indexed as rows and
-// tokenized for exactly the columns snap has mapped. A mapped column that
-// some tail row is too short to hold is left out of the result — as on
-// first touch, a column is mapped for every row or not at all — and is
-// located again by the next scan that asks for it.
+// tokenized for exactly the columns snap has mapped, under the map's one
+// installation rule (PosMap.SetCol) — a mapped column that some tail row
+// is too short to hold is left out of the result and located again by
+// the next scan that asks for it.
 func (r *Reader) extendPosMap(snap *Snapshot, data []byte, from int64) *PosMap {
 	cols := make([]int, 0, len(snap.Cols))
 	for j := range snap.Cols {
@@ -118,36 +118,27 @@ func (r *Reader) extendPosMap(snap *Snapshot, data []byte, from int64) *PosMap {
 	var rows []int64
 	starts := make([][]int32, len(cols))
 	ends := make([][]int32, len(cols))
-	short := make([]bool, len(cols))
 	spanS := make([]int32, len(cols))
 	spanE := make([]int32, len(cols))
 	for off := from; off < int64(len(data)); {
 		line, next := nextLine(data, off)
 		if len(line) > 0 {
 			rows = append(rows, off)
-			for i := range spanS {
-				spanS[i] = -1
-			}
-			r.fieldSpans(line, outPos, maxCol, spanS, spanE)
-			for i := range cols {
-				if spanS[i] < 0 {
-					short[i] = true
-					continue
+			reached := r.fieldSpans(line, outPos, maxCol, spanS, spanE)
+			for i, j := range cols {
+				if j < reached {
+					starts[i] = append(starts[i], spanS[i])
+					ends[i] = append(ends[i], spanE[i])
 				}
-				starts[i] = append(starts[i], spanS[i])
-				ends[i] = append(ends[i], spanE[i])
 			}
 		}
 		off = next
 	}
 	r.stats.FieldsTokenized.Add(int64(len(rows) * len(cols)))
 	pm := NewPosMap()
-	pm.rows = vec.AppendBounded(snap.Rows, rows)
+	pm.SetRows(vec.AppendBounded(snap.Rows, rows))
 	for i, j := range cols {
-		if !short[i] {
-			pm.cols[j] = vec.AppendBounded(snap.Cols[j], starts[i])
-			pm.ends[j] = vec.AppendBounded(snap.Ends[j], ends[i])
-		}
+		pm.SetCol(j, vec.AppendBounded(snap.Cols[j], starts[i]), vec.AppendBounded(snap.Ends[j], ends[i]))
 	}
 	return pm
 }

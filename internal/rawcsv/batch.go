@@ -90,7 +90,7 @@ func (c *rowConverter) convert() bool {
 		case vec.Str:
 			c.strs[i] = string(raw)
 		default:
-			v, ok := c.rd.convert(j, raw)
+			v, ok := boxField(c.rd.rowType.Attrs[j].Type.Kind, raw)
 			if !ok {
 				return false
 			}
@@ -98,6 +98,14 @@ func (c *rowConverter) convert() bool {
 		}
 	}
 	return true
+}
+
+// fill points raws at the row's spans and converts them.
+func (c *rowConverter) fill(line []byte, spanS, spanE []int32) bool {
+	for i := range c.raws {
+		c.raws[i] = line[spanS[i]:spanE[i]]
+	}
+	return c.convert()
 }
 
 // commit appends the converted row across the batch's columns and
@@ -123,11 +131,12 @@ func (c *rowConverter) commit(b *vec.Batch) {
 	b.N++
 }
 
-// IterateBatches implements the JIT's BatchSource contract. With the
-// positional map built it runs the typed vectorized scan over all rows;
-// on first touch it falls back to the tokenizing full scan (which
-// installs the map as a side effect), packing slot rows into boxed
-// batches.
+// IterateBatches implements the JIT's BatchSource contract, and is the
+// reader's one scan: Iterate lowers it to records. With the positional
+// map covering the fields it runs the typed jump scan over all rows;
+// otherwise it tokenizes — every row on first touch, forward from the
+// nearest mapped column once rows are indexed — installing what it
+// located in the map as a side effect.
 func (r *Reader) IterateBatches(fields []string, batchSize int, yield func(*vec.Batch) error) error {
 	cols, err := r.resolveFields(fields)
 	if err != nil {
@@ -140,19 +149,12 @@ func (r *Reader) IterateBatches(fields []string, batchSize int, yield func(*vec.
 	if scan, n, ok := r.openRangeCols(st, cols); ok {
 		return scan(0, n, batchSize, yield)
 	}
-	// Cold or partially mapped: single-flight the tokenizing build.
-	// Concurrent first touches of the same columns wait here, then jump
-	// through the positional map the winner installed instead of each
-	// re-tokenizing the file. (Within one query a source is never
-	// scanned re-entrantly mid-scan — build sides materialize fully
-	// before probes — so the lock cannot self-deadlock.)
-	r.buildMu.Lock()
-	st = r.state.Load() // the build we waited for may be a newer generation
-	if scan, n, ok := r.openRangeCols(st, cols); ok {
-		r.buildMu.Unlock()
-		return scan(0, n, batchSize, yield)
-	}
-	defer r.buildMu.Unlock()
+	// Cold or partially mapped: tokenize, and install what is located. The
+	// scan takes no lock across its yields, so it never waits on another
+	// scan's consumer — the two scans of a self-join run side by side in
+	// the static executor, and a stalled cursor holds only its own scan.
+	// Scans that overlap build the same positions from the same bytes, so
+	// whichever installs last installs what the other would have.
 	yield = injectCSVFaults(yield)
 	// This scan pays the tokenizing build (it installs the positional map
 	// as a side effect); record its cost so tracing can attribute it.
@@ -208,14 +210,14 @@ func (r *Reader) iterateAnchoredBatches(st *fileState, snap *Snapshot, cols []in
 	}
 	sortByCol(order, cols)
 	plans := make([]colPlan, 0, len(cols))
-	record := make([]bool, len(cols))
+	nMapped := 0
 	for _, i := range order {
 		j := cols[i]
 		p := colPlan{col: j, out: i}
 		if s := snap.Cols[j]; s != nil {
 			p.starts, p.ends = s, snap.Ends[j]
+			nMapped++
 		} else {
-			record[i] = true
 			best := -1
 			for a, s := range snap.Cols {
 				if a < j && a > best && s != nil {
@@ -228,10 +230,7 @@ func (r *Reader) iterateAnchoredBatches(st *fileState, snap *Snapshot, cols []in
 		}
 		plans = append(plans, p)
 	}
-	tags := make([]vec.Tag, len(cols))
-	for i, j := range cols {
-		tags[i] = colTag(r.rowType.Attrs[j].Type.Kind)
-	}
+	tags := r.colTags(cols)
 	b := vec.NewTyped(tags, min(batchSize, len(snap.Rows)))
 
 	newStarts := make([][]int32, len(cols))
@@ -246,19 +245,12 @@ func (r *Reader) iterateAnchoredBatches(st *fileState, snap *Snapshot, cols []in
 	tokenized := 0
 	for row := 0; row < len(snap.Rows); row++ {
 		base := snap.Rows[row]
-		// Bound the row by its own newline (indexed rows can skip
-		// malformed or blank lines, so the next row start is not enough).
-		limit := int64(len(data))
-		if row+1 < len(snap.Rows) {
-			limit = snap.Rows[row+1]
-		}
-		lineEnd := limit
-		if nl := indexByte(data[base:limit], '\n'); nl >= 0 {
-			lineEnd = base + int64(nl)
-		}
+		line, _ := nextLine(data, base)
+		lineEnd := base + int64(len(line))
 		bad := false
 		// Locate every requested column's span, advancing a forward-only
-		// cursor for the unmapped ones.
+		// cursor for the unmapped ones. A located span is recorded for the
+		// map whether or not its row converts: spans are positional.
 		curField, curOff := 0, base
 		for _, p := range plans {
 			if p.starts != nil {
@@ -271,7 +263,7 @@ func (r *Reader) iterateAnchoredBatches(st *fileState, snap *Snapshot, cols []in
 				f, off = p.anchorCol, base+int64(p.anchorStarts[row])
 			}
 			for f < p.col {
-				d := indexByte(data[off:lineEnd], delim)
+				d := bytes.IndexByte(data[off:lineEnd], delim)
 				if d < 0 {
 					bad = true // row ends before the column
 					break
@@ -289,23 +281,12 @@ func (r *Reader) iterateAnchoredBatches(st *fileState, snap *Snapshot, cols []in
 			}
 			spanS[p.out] = int32(off - base)
 			spanE[p.out] = int32(end - base)
+			newStarts[p.out] = append(newStarts[p.out], spanS[p.out])
+			newEnds[p.out] = append(newEnds[p.out], spanE[p.out])
 			curField, curOff = p.col, off
 			tokenized++
 		}
-		if !bad {
-			// Spans are positional: record them for the map even when a
-			// value below fails to convert (the row is then skipped from
-			// the yield, not from the index).
-			for i := range cols {
-				if record[i] {
-					newStarts[i] = append(newStarts[i], spanS[i])
-					newEnds[i] = append(newEnds[i], spanE[i])
-				}
-				rc.raws[i] = data[base+int64(spanS[i]) : base+int64(spanE[i])]
-			}
-			bad = !rc.convert()
-		}
-		if bad {
+		if bad || !rc.fill(line, spanS, spanE) {
 			r.stats.RowsSkipped.Add(1)
 			if r.policy == FailOnBadRows {
 				return fmt.Errorf("rawcsv: %s: malformed row %d", r.desc.Name, row)
@@ -321,18 +302,11 @@ func (r *Reader) iterateAnchoredBatches(st *fileState, snap *Snapshot, cols []in
 			b.Reset()
 		}
 	}
-	nMapped := 0
-	for _, p := range plans {
-		if p.starts != nil {
-			nMapped++
-		}
-	}
 	r.stats.FieldsTokenized.Add(int64(tokenized))
 	r.stats.FieldsJumped.Add(int64(committed * nMapped))
-	// Install only columns whose spans cover every indexed row.
-	for i, j := range cols {
-		if record[i] && len(newStarts[i]) == len(snap.Rows) {
-			st.pm.SetCol(j, newStarts[i], newEnds[i])
+	for _, p := range plans {
+		if p.starts == nil {
+			st.pm.SetCol(p.col, newStarts[p.out], newEnds[p.out])
 		}
 	}
 	if b.N > 0 {
@@ -350,34 +324,35 @@ func sortByCol(order, cols []int) {
 	}
 }
 
+// colTags is the batch representation of each requested column.
+func (r *Reader) colTags(cols []int) []vec.Tag {
+	tags := make([]vec.Tag, len(cols))
+	for i, j := range cols {
+		tags[i] = colTag(r.rowType.Attrs[j].Type.Kind)
+	}
+	return tags
+}
+
 // iterateFullBatches is the vectorized first-touch scan: it tokenizes
 // every row once, converts the requested columns straight into typed
 // column vectors (no record construction, no per-row maps) and installs
-// row starts plus the touched columns in the positional map as a side
+// row starts plus the requested columns in the positional map as a side
 // effect — after which openRangeCols serves the same fields with direct
 // jumps.
 func (r *Reader) iterateFullBatches(st *fileState, cols []int, batchSize int, yield func(*vec.Batch) error) error {
 	r.stats.FullScans.Add(1)
 	outPos, maxCol := r.outPositions(cols)
-	tags := make([]vec.Tag, len(cols))
-	for i, j := range cols {
-		tags[i] = colTag(r.rowType.Attrs[j].Type.Kind)
-	}
+	tags := r.colTags(cols)
 	b := vec.NewTyped(tags, min(batchSize, 128))
 
-	// Positional-map harvest: row starts (when absent) and per-row spans
-	// of every requested column not yet mapped.
-	buildRows := !st.pm.HasRows()
+	// Positional-map harvest: the start of every data line, and the span of
+	// every requested column in each row long enough to hold it.
 	var rowStarts []int64
-	record := make([]bool, len(cols))
 	colStarts := make([][]int32, len(cols))
 	colEnds := make([][]int32, len(cols))
-	for i, j := range cols {
-		record[i] = !st.pm.HasCol(j)
-	}
 
 	// Per-row scratch: spans plus converted payloads; a row commits to the
-	// batch and the positional map only when every field converts cleanly.
+	// batch only when it holds every requested field and each converts.
 	spanS := make([]int32, len(cols))
 	spanE := make([]int32, len(cols))
 	rc := r.newRowConverter(cols, tags)
@@ -398,32 +373,20 @@ func (r *Reader) iterateFullBatches(st *fileState, cols []int, batchSize int, yi
 			off = next
 			continue
 		}
-		found := r.fieldSpans(line, outPos, maxCol, spanS, spanE)
 		// The row index covers every data line — a row malformed for this
 		// column set is still a row (other columns may parse fine), so it
 		// is indexed but not yielded. Spans are positional and recorded
 		// whenever tokenization found the field, independent of whether
-		// its value converts.
-		if buildRows {
-			rowStarts = append(rowStarts, off)
-		}
-		arityBad := found < len(cols)
-		if !arityBad {
-			for i := range cols {
-				if record[i] {
-					colStarts[i] = append(colStarts[i], spanS[i])
-					colEnds[i] = append(colEnds[i], spanE[i])
-				}
+		// the row's values convert.
+		rowStarts = append(rowStarts, off)
+		reached := r.fieldSpans(line, outPos, maxCol, spanS, spanE)
+		for i, j := range cols {
+			if j < reached {
+				colStarts[i] = append(colStarts[i], spanS[i])
+				colEnds[i] = append(colEnds[i], spanE[i])
 			}
 		}
-		bad := arityBad
-		if !bad {
-			for i := range cols {
-				rc.raws[i] = line[spanS[i]:spanE[i]]
-			}
-			bad = !rc.convert()
-		}
-		if bad {
+		if reached <= maxCol || !rc.fill(line, spanS, spanE) {
 			r.stats.RowsSkipped.Add(1)
 			if r.policy == FailOnBadRows {
 				return fmt.Errorf("rawcsv: %s: malformed row at byte %d", r.desc.Name, off)
@@ -443,24 +406,14 @@ func (r *Reader) iterateFullBatches(st *fileState, cols []int, batchSize int, yi
 	}
 	r.stats.BytesRead.Add(int64(len(data)))
 	r.stats.FieldsTokenized.Add(int64(committed * len(cols)))
-	if buildRows {
-		st.pm.SetRows(rowStarts)
-	}
-	// Install a column only when its spans cover every indexed row —
-	// misaligned offsets would silently corrupt later posmap jumps.
+	st.pm.SetRows(rowStarts)
 	for i, j := range cols {
-		if record[i] && len(colStarts[i]) == st.pm.NumRows() {
-			st.pm.SetCol(j, colStarts[i], colEnds[i])
-		}
+		st.pm.SetCol(j, colStarts[i], colEnds[i])
 	}
 	if b.N > 0 {
 		return yield(b)
 	}
 	return nil
-}
-
-func indexByte(b []byte, c byte) int {
-	return bytes.IndexByte(b, c)
 }
 
 // nextLine returns the line starting at off, without its newline, and
@@ -493,9 +446,10 @@ func (r *Reader) outPositions(cols []int) (outPos []int, maxCol int) {
 // fieldSpans is the row tokenizer of the first-touch scan and of the
 // append path: it walks line up to column maxCol and stores the
 // [start,end) span of every listed column it passes at that column's
-// position in spanS/spanE, returning how many it found (a short row
-// leaves its highest columns untouched).
-func (r *Reader) fieldSpans(line []byte, outPos []int, maxCol int, spanS, spanE []int32) (found int) {
+// position in spanS/spanE. It returns how many fields it passed: the
+// listed columns below that count were found, a short row leaves the
+// others untouched.
+func (r *Reader) fieldSpans(line []byte, outPos []int, maxCol int, spanS, spanE []int32) (reached int) {
 	col, start := 0, 0
 	for i := 0; i <= len(line); i++ {
 		if i != len(line) && line[i] != r.delim {
@@ -504,7 +458,6 @@ func (r *Reader) fieldSpans(line []byte, outPos []int, maxCol int, spanS, spanE 
 		if col < len(outPos) {
 			if p := outPos[col]; p >= 0 {
 				spanS[p], spanE[p] = int32(start), int32(i)
-				found++
 			}
 		}
 		col++
@@ -513,7 +466,7 @@ func (r *Reader) fieldSpans(line []byte, outPos []int, maxCol int, spanS, spanE 
 			break
 		}
 	}
-	return found
+	return col
 }
 
 // OpenRange implements the JIT's RangeBatchSource contract: ok only when
@@ -536,11 +489,10 @@ func (r *Reader) openRangeCols(st *fileState, cols []int) (func(lo, hi, batchSiz
 	}
 	starts := make([][]int32, len(cols))
 	ends := make([][]int32, len(cols))
-	tags := make([]vec.Tag, len(cols))
 	for i, j := range cols {
 		starts[i], ends[i] = snap.Cols[j], snap.Ends[j]
-		tags[i] = colTag(r.rowType.Attrs[j].Type.Kind)
 	}
+	tags := r.colTags(cols)
 	data := st.data
 	rows := snap.Rows
 	var once sync.Once // stats count one logical scan, however many morsels

@@ -203,7 +203,7 @@ func TestPosMapSnapshot(t *testing.T) {
 	}
 	// Mutating the map afterwards must not disturb the snapshot view.
 	m.SetCol(0, []int32{0, 0, 0}, []int32{1, 1, 1})
-	m.Drop()
+	m.SetRows(nil)
 	if len(snap.Rows) != 3 || snap.Cols[1] == nil {
 		t.Fatal("snapshot not immune to later map mutations")
 	}

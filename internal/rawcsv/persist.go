@@ -59,11 +59,8 @@ func (r *Reader) SaveAux(path string) error {
 		body = binary.AppendUvarint(body, uint64(off))
 	}
 	body = binary.AppendUvarint(body, uint64(len(snap.Cols)))
-	for j, starts := range snap.Cols {
+	for j, starts := range snap.Cols { // every mapped column covers every row (PosMap.SetCol)
 		ends := snap.Ends[j]
-		if len(starts) != len(snap.Rows) || len(ends) != len(snap.Rows) {
-			continue // partially built column: skip, rebuild on demand
-		}
 		body = binary.AppendUvarint(body, uint64(j))
 		for i := range starts {
 			body = binary.AppendUvarint(body, uint64(uint32(starts[i])))

@@ -43,18 +43,18 @@ func (m *PosMap) NumRows() int {
 	return len(m.rows)
 }
 
-// SetRows installs the row-start offsets (first full scan).
+// SetRows installs the row-start offsets, dropping any column that does
+// not cover them (see SetCol).
 func (m *PosMap) SetRows(rows []int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.rows = rows
-}
-
-// Row returns the byte offset of row i.
-func (m *PosMap) Row(i int) int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.rows[i]
+	for j, c := range m.cols {
+		if len(c) != len(rows) {
+			delete(m.cols, j)
+			delete(m.ends, j)
+		}
+	}
 }
 
 // HasCol reports whether column j's positions are recorded.
@@ -64,19 +64,22 @@ func (m *PosMap) HasCol(j int) bool {
 	return m.cols[j] != nil
 }
 
-// SetCol installs the per-row [start,end) offsets of column j.
+// SetCol installs the per-row [start,end) offsets of column j, provided
+// they cover every indexed row, and drops them otherwise. This is the
+// map's one installation rule, whichever scan located the spans: a
+// column is mapped for every row or not at all, so a jump can never land
+// on offsets recorded for a different row. A span is positional — it is
+// recorded for every row long enough to hold the column, whether or not
+// the field converts — so only a row too short for the column keeps it
+// out of the map, and the next scan that asks for it locates it again.
 func (m *PosMap) SetCol(j int, starts, ends []int32) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if len(m.rows) == 0 || len(starts) != len(m.rows) || len(ends) != len(m.rows) {
+		return
+	}
 	m.cols[j] = starts
 	m.ends[j] = ends
-}
-
-// Col returns the per-row offsets of column j (nil when absent).
-func (m *PosMap) Col(j int) (starts, ends []int32) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.cols[j], m.ends[j]
 }
 
 // Cols returns the indexes of all recorded columns.
@@ -88,22 +91,6 @@ func (m *PosMap) Cols() []int {
 		out = append(out, j)
 	}
 	return out
-}
-
-// NearestAnchor returns the largest recorded column index <= j together
-// with whether one exists. Scanning for column j can start tokenizing from
-// the anchor instead of the row start, which is the "distance" term in the
-// optimizer's CSV cost model (paper §5).
-func (m *PosMap) NearestAnchor(j int) (int, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	best := -1
-	for k := range m.cols {
-		if k <= j && k > best {
-			best = k
-		}
-	}
-	return best, best >= 0
 }
 
 // Snapshot is an immutable view of a PosMap taken at one instant: scan
@@ -143,15 +130,6 @@ func (m *PosMap) Snapshot() Snapshot {
 		ends[j] = c
 	}
 	return Snapshot{Rows: m.rows, Cols: cols, Ends: ends}
-}
-
-// Drop discards everything; used when the file's mtime changes.
-func (m *PosMap) Drop() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rows = nil
-	m.cols = map[int][]int32{}
-	m.ends = map[int][]int32{}
 }
 
 // MemoryBytes estimates the map's footprint, reported by the engine's

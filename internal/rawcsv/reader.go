@@ -1,7 +1,6 @@
 package rawcsv
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -13,6 +12,7 @@ import (
 
 	"vida/internal/sdg"
 	"vida/internal/values"
+	"vida/internal/vec"
 )
 
 // ErrorPolicy selects what happens when a row fails to parse (paper §7,
@@ -74,12 +74,8 @@ type Reader struct {
 	policy  ErrorPolicy
 	nullTok string
 	state   atomic.Pointer[fileState]
-	// buildMu single-flights the tokenizing first-touch scan of the
-	// vectorized path: concurrent cold queries wait for one build and
-	// then jump through the freshly installed positional map instead of
-	// each re-tokenizing the whole file.
-	buildMu sync.Mutex
 	stats   Stats
+	names   []string // schema attribute names, in file order
 	colIdx  map[string]int
 	// refreshMu serializes Refresh, so each generation is extended at
 	// most once (see fileState).
@@ -125,6 +121,7 @@ func Open(desc *sdg.Description) (*Reader, error) {
 		r.policy = FailOnBadRows
 	}
 	for i, a := range r.rowType.Attrs {
+		r.names = append(r.names, a.Name)
 		r.colIdx[a.Name] = i
 	}
 	return r, nil
@@ -229,332 +226,68 @@ func (r *Reader) Refresh() (Change, error) {
 	return ch, nil
 }
 
-// Iterate implements algebra.Source: it streams one record per CSV row,
-// containing only the requested fields (all schema fields when fields is
-// empty). The first scan tokenizes rows fully and installs row starts plus
-// the touched columns in the positional map; subsequent scans jump.
+// Iterate implements algebra.Source. The record view is the batch scan
+// lowered: the same tokenizer, conversions, malformed-row rule and
+// positional-map side effects as IterateBatches, with every row boxed
+// into a record of the requested fields (all schema fields when fields is
+// empty).
 func (r *Reader) Iterate(fields []string, yield func(values.Value) error) error {
-	cols, err := r.resolveFields(fields)
-	if err != nil {
-		return err
+	if len(fields) == 0 {
+		fields = r.names
 	}
-	st := r.state.Load()
-	if snap := st.pm.Snapshot(); len(snap.Rows) > 0 && snap.HasCols(cols) {
-		return r.iteratePosmap(st, &snap, cols, yield)
-	}
-	return r.iterateFull(st, cols, yield)
+	return r.IterateBatches(fields, vec.DefaultBatchSize, func(b *vec.Batch) error {
+		return vec.BoxRecords(b, fields, yield)
+	})
 }
 
-// IterateRow reads a single row by index through the positional map
-// (PathRowID access). It requires a prior full scan.
-func (r *Reader) IterateRow(rowIdx int, fields []string) (values.Value, error) {
-	st := r.state.Load()
-	if !st.pm.HasRows() {
-		// Force the row index build with a cheap pass that tokenizes
-		// nothing but newlines.
-		if err := r.buildRowIndex(st); err != nil {
-			return values.Null, err
-		}
+// NumRows returns the row count, indexing the rows with a scan of the
+// first column when no scan has yet.
+func (r *Reader) NumRows() (int, error) {
+	if pm := r.PosMap(); pm.HasRows() {
+		return pm.NumRows(), nil
 	}
-	if rowIdx < 0 || rowIdx >= st.pm.NumRows() {
-		return values.Null, fmt.Errorf("rawcsv: row %d out of range", rowIdx)
+	if err := r.IterateBatches(r.names[:min(1, len(r.names))], 0, func(*vec.Batch) error { return nil }); err != nil {
+		return 0, err
 	}
-	cols, err := r.resolveFields(fields)
-	if err != nil {
-		return values.Null, err
-	}
-	start := st.pm.Row(rowIdx)
-	line := lineAt(st.data, start)
-	rec, ok := r.parseRow(line, cols, nil, nil)
-	if !ok {
-		return values.Null, fmt.Errorf("rawcsv: row %d is malformed", rowIdx)
-	}
-	return rec, nil
+	return r.PosMap().NumRows(), nil
 }
 
+// resolveFields maps field names to schema columns; no fields means every
+// column. A field named twice is refused: each requested column owns one
+// position in the batch and in the record.
 func (r *Reader) resolveFields(fields []string) ([]int, error) {
 	if len(fields) == 0 {
-		cols := make([]int, len(r.rowType.Attrs))
-		for i := range cols {
-			cols[i] = i
-		}
-		return cols, nil
+		fields = r.names
 	}
 	cols := make([]int, len(fields))
+	seen := make([]bool, len(r.names))
 	for i, f := range fields {
 		j, ok := r.colIdx[f]
 		if !ok {
 			return nil, fmt.Errorf("rawcsv: %s has no attribute %q", r.desc.Name, f)
 		}
+		if seen[j] {
+			return nil, fmt.Errorf("rawcsv: %s: attribute %q requested twice", r.desc.Name, f)
+		}
+		seen[j] = true
 		cols[i] = j
 	}
 	return cols, nil
 }
 
-// lineAt returns the line starting at offset (without trailing newline).
-func lineAt(data []byte, off int64) []byte {
-	end := bytes.IndexByte(data[off:], '\n')
-	if end < 0 {
-		return data[off:]
-	}
-	return data[off : off+int64(end)]
-}
-
-// buildRowIndex records row starts without tokenizing fields.
-func (r *Reader) buildRowIndex(st *fileState) error {
-	var rows []int64
-	off := int64(0)
-	first := true
-	for off < int64(len(st.data)) {
-		end := bytes.IndexByte(st.data[off:], '\n')
-		var next int64
-		if end < 0 {
-			next = int64(len(st.data))
-		} else {
-			next = off + int64(end) + 1
-		}
-		if first && r.header {
-			first = false
-		} else {
-			if next-off > 1 || (next-off == 1 && st.data[off] != '\n') {
-				rows = append(rows, off)
-			}
-			first = false
-		}
-		off = next
-	}
-	st.pm.SetRows(rows)
-	r.stats.BytesRead.Add(int64(len(st.data)))
-	return nil
-}
-
-// iterateFull tokenizes every row, yielding projected records and
-// populating the positional map for the touched columns as a side effect.
-func (r *Reader) iterateFull(st *fileState, cols []int, yield func(values.Value) error) error {
-	r.stats.FullScans.Add(1)
-	buildRows := !st.pm.HasRows()
-	var rowStarts []int64
-	colStarts := make(map[int][]int32, len(cols))
-	colEnds := make(map[int][]int32, len(cols))
-	for _, j := range cols {
-		if !st.pm.HasCol(j) {
-			colStarts[j] = nil
-			colEnds[j] = nil
-		}
-	}
-
-	recordCols := make([]int, 0, len(colStarts))
-	for j := range colStarts {
-		recordCols = append(recordCols, j)
-	}
-
-	off := int64(0)
-	first := true
-	rowIdx := 0
-	scratch := make([]fieldSpan, len(recordCols))
-	data := st.data
-	for off < int64(len(data)) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		var next int64
-		var lineEnd int64
-		if nl < 0 {
-			next = int64(len(data))
-			lineEnd = next
-		} else {
-			next = off + int64(nl) + 1
-			lineEnd = next - 1
-		}
-		line := data[off:lineEnd]
-		if first && r.header {
-			first = false
-			off = next
-			continue
-		}
-		first = false
-		if len(line) == 0 {
-			off = next
-			continue
-		}
-		// The row index covers every data line — a row malformed for this
-		// column set is still a row (other columns may parse fine), so it
-		// is indexed even when skipped from the yield.
-		if buildRows {
-			rowStarts = append(rowStarts, off)
-		}
-		rec, ok := r.parseRow(line, cols, recordCols, scratch)
-		if !ok {
-			r.stats.RowsSkipped.Add(1)
-			if r.policy == FailOnBadRows {
-				return fmt.Errorf("rawcsv: %s: malformed row at byte %d", r.desc.Name, off)
-			}
-			off = next
-			continue
-		}
-		// Commit positions only after the whole row parsed cleanly, so a
-		// malformed row can never leave a partial entry in the map.
-		for i, j := range recordCols {
-			colStarts[j] = append(colStarts[j], scratch[i].start)
-			colEnds[j] = append(colEnds[j], scratch[i].end)
-		}
-		if err := yield(rec); err != nil {
-			return err
-		}
-		rowIdx++
-		off = next
-	}
-	r.stats.BytesRead.Add(int64(len(data)))
-	if buildRows {
-		st.pm.SetRows(rowStarts)
-	}
-	// Install a column only when its offsets cover every indexed row —
-	// misaligned offsets would silently corrupt later posmap jumps. (The
-	// record path records spans only for fully-parsed rows, so any
-	// skipped row blocks installation; the batch scans are finer-grained.)
-	for j, starts := range colStarts {
-		if len(starts) == st.pm.NumRows() {
-			st.pm.SetCol(j, starts, colEnds[j])
-		}
-	}
-	return nil
-}
-
-// fieldSpan is the [start,end) byte range of a field within its row.
-type fieldSpan struct{ start, end int32 }
-
-// parseRow tokenizes a row, converting only the requested columns.
-// recordCols lists columns whose spans must be captured into scratch
-// (parallel to recordCols). ok=false flags a malformed row (wrong arity or
-// conversion failure); scratch contents are then meaningless.
-func (r *Reader) parseRow(line []byte, cols, recordCols []int, scratch []fieldSpan) (values.Value, bool) {
-	need := make(map[int]int, len(cols)) // col -> position in output
-	maxCol := -1
-	for i, j := range cols {
-		need[j] = i
-		if j > maxCol {
-			maxCol = j
-		}
-	}
-	recIdx := make(map[int]int, len(recordCols))
-	for i, j := range recordCols {
-		recIdx[j] = i
-		if j > maxCol {
-			maxCol = j
-		}
-	}
-	fields := make([]values.Field, len(cols))
-	found := 0
-	col := 0
-	start := 0
-	for i := 0; i <= len(line); i++ {
-		if i != len(line) && line[i] != r.delim {
-			continue
-		}
-		if col < len(r.rowType.Attrs) {
-			if k, ok := recIdx[col]; ok {
-				scratch[k] = fieldSpan{start: int32(start), end: int32(i)}
-			}
-			if outIdx, ok := need[col]; ok {
-				r.stats.FieldsTokenized.Add(1)
-				v, ok := r.convert(col, line[start:i])
-				if !ok {
-					return values.Null, false
-				}
-				fields[outIdx] = values.Field{Name: r.rowType.Attrs[col].Name, Val: v}
-				found++
-			}
-		}
-		col++
-		start = i + 1
-		if col > maxCol {
-			break
-		}
-	}
-	if found < len(cols) {
-		// Row has fewer fields than the needed columns.
-		return values.Null, false
-	}
-	return values.NewRecord(fields...), true
-}
-
-// iteratePosmap serves a scan entirely from recorded positions: no row
-// tokenization, just direct jumps to the needed fields. It reads the
-// positional map through a snapshot taken once per scan — the hot loop
-// never touches the map's lock.
-func (r *Reader) iteratePosmap(st *fileState, snap *Snapshot, cols []int, yield func(values.Value) error) error {
-	r.stats.PosmapScans.Add(1)
-	data := st.data
-	n := len(snap.Rows)
-	type colRef struct {
-		out    int
-		starts []int32
-		ends   []int32
-		name   string
-		col    int
-	}
-	refs := make([]colRef, len(cols))
-	for i, j := range cols {
-		refs[i] = colRef{out: i, starts: snap.Cols[j], ends: snap.Ends[j], name: r.rowType.Attrs[j].Name, col: j}
-	}
-	for row := 0; row < n; row++ {
-		base := snap.Rows[row]
-		fields := make([]values.Field, len(cols))
-		bad := false
-		for _, ref := range refs {
-			s := base + int64(ref.starts[row])
-			e := base + int64(ref.ends[row])
-			r.stats.FieldsJumped.Add(1)
-			v, ok := r.convert(ref.col, data[s:e])
-			if !ok {
-				bad = true
-				break
-			}
-			fields[ref.out] = values.Field{Name: ref.name, Val: v}
-		}
-		if bad {
-			r.stats.RowsSkipped.Add(1)
-			if r.policy == FailOnBadRows {
-				return fmt.Errorf("rawcsv: %s: malformed row %d", r.desc.Name, row)
-			}
-			continue
-		}
-		if err := yield(values.NewRecord(fields...)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// convert parses the raw bytes of column col per its schema type. It
-// allocates only for string columns (the value must outlive the scan);
-// numeric and boolean conversions work on the bytes in place.
-func (r *Reader) convert(col int, raw []byte) (values.Value, bool) {
-	if string(raw) == r.nullTok { // comparison only: no allocation
-		return values.Null, true
-	}
-	switch r.rowType.Attrs[col].Type.Kind {
-	case sdg.TInt:
-		n, ok := parseIntBytes(raw)
-		if !ok {
-			return values.Null, false
-		}
-		return values.NewInt(n), true
-	case sdg.TFloat:
-		f, ok := parseFloatBytes(raw)
-		if !ok {
-			return values.Null, false
-		}
-		return values.NewFloat(f), true
-	case sdg.TBool:
-		switch string(raw) {
-		case "true", "TRUE", "1", "t":
-			return values.True, true
-		case "false", "FALSE", "0", "f":
-			return values.False, true
-		}
-		return values.Null, false
-	default:
+// boxField converts a field of a column that has no typed vector: bools,
+// and any other kind as its text.
+func boxField(k sdg.TypeKind, raw []byte) (values.Value, bool) {
+	if k != sdg.TBool {
 		return values.NewString(string(raw)), true
 	}
+	switch string(raw) {
+	case "true", "TRUE", "1", "t":
+		return values.True, true
+	case "false", "FALSE", "0", "f":
+		return values.False, true
+	}
+	return values.Null, false
 }
 
 // parseIntBytes parses a base-10 int64 from raw bytes with the same
@@ -608,15 +341,4 @@ func parseFloatBytes(b []byte) (float64, bool) {
 	}
 	f, err := strconv.ParseFloat(unsafe.String(&b[0], len(b)), 64)
 	return f, err == nil
-}
-
-// NumRows returns the row count, building the row index if needed.
-func (r *Reader) NumRows() (int, error) {
-	st := r.state.Load()
-	if !st.pm.HasRows() {
-		if err := r.buildRowIndex(st); err != nil {
-			return 0, err
-		}
-	}
-	return st.pm.NumRows(), nil
 }
