@@ -82,12 +82,14 @@ type Options struct {
 	Adaptive bool
 	// DisableCaching turns the cache layer off (for experiments).
 	DisableCaching bool
-	// Pool is the shared morsel scheduler for parallel scans (default
+	// Pool is the shared morsel scheduler for parallel scans and for the
+	// helpers of a raw CSV's chunked first touch (default
 	// sched.Default()). A query server injects one pool so concurrent
 	// queries share workers instead of oversubscribing cores.
 	Pool *sched.Pool
-	// Workers bounds each query's morsel fan-out (0 = GOMAXPROCS; 1
-	// forces serial execution). The pool's own size bounds actual
+	// Workers bounds each query's morsel fan-out and the goroutines
+	// tokenizing a cold CSV (0 = GOMAXPROCS; 1 forces serial execution
+	// and a one-chunk first touch). The pool's own size bounds actual
 	// concurrency — Workers controls how finely a query's scans split,
 	// which is how benchmarks pin serial and parallel plans to the same
 	// pool.
@@ -331,6 +333,9 @@ func (e *Engine) Register(desc *sdg.Description) error {
 	switch desc.Format {
 	case sdg.FormatCSV:
 		entry.csv, err = rawcsv.Open(desc)
+		if err == nil {
+			entry.csv.UseScheduler(e.opts.Pool, e.opts.Workers)
+		}
 		entry.src = entry.csv
 	case sdg.FormatJSON:
 		entry.json, err = rawjson.Open(desc)

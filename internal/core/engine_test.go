@@ -514,23 +514,37 @@ func TestHarvestNullMaskRoundTrip(t *testing.T) {
 // the other's consumer.
 func TestStaticSelfJoinColdCSV(t *testing.T) {
 	path := writePatients(t, t.TempDir(), "p.csv", patientRows(0, 3000, 1))
-	queries := []string{
-		`for { p <- P, q <- P, p.id = q.id } yield count p`,
-		`for { p <- P, q <- P, p.id = q.id } yield sum q.score`,
-		`for { p <- P, q <- P, p.age > 60, q.id < 3 } yield count p`,
-	}
-	for _, q := range queries {
-		for pass := 0; pass < 5; pass++ {
-			e := freshEngine(t, path, Options{Mode: ModeStatic})
+	// Past 1 MiB a first touch is cut into chunks that pool helpers
+	// tokenize beside the scanning goroutine.
+	multiChunk := writePatients(t, t.TempDir(), "p.csv", patientRows(0, 100000, 1))
+	for _, c := range []struct {
+		path, q string
+		passes  int
+		want    values.Value
+	}{
+		{path, `for { p <- P, q <- P, p.id = q.id } yield count p`, 5, values.NewInt(3000)},
+		{path, `for { p <- P, q <- P, p.id = q.id } yield sum q.score`, 5, values.NewFloat(3000)},
+		{path, `for { p <- P, q <- P, p.age > 60, q.id < 3 } yield count p`, 5, values.NewInt(540 * 3)},
+		{multiChunk, `for { p <- P, q <- P, p.id = q.id } yield count p`, 2, values.NewInt(100000)},
+		{multiChunk, `for { p <- P, q <- P, p.id = q.id } yield sum q.score`, 2, values.NewFloat(100000)},
+	} {
+		q := c.q
+		for pass := 0; pass < c.passes; pass++ {
+			e := freshEngine(t, c.path, Options{Mode: ModeStatic})
 			done := make(chan error, 1)
+			var got values.Value
 			go func() {
-				_, err := e.Query(q)
+				var err error
+				got, err = e.Query(q)
 				done <- err
 			}()
 			select {
 			case err := <-done:
 				if err != nil {
 					t.Fatalf("%s: %v", q, err)
+				}
+				if !values.Equal(got, c.want) {
+					t.Fatalf("%s: %v, want %v", q, got, c.want)
 				}
 			case <-time.After(20 * time.Second):
 				t.Fatalf("%s: the self-join's scans deadlocked", q)

@@ -2,7 +2,9 @@ package rawcsv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -233,8 +235,16 @@ func (r *Reader) iterateAnchoredBatches(st *fileState, snap *Snapshot, cols []in
 	tags := r.colTags(cols)
 	b := vec.NewTyped(tags, min(batchSize, len(snap.Rows)))
 
+	// Span arrays of the unmapped columns, sized for every indexed row:
+	// a column some row is too short for is refused by SetCol anyway.
 	newStarts := make([][]int32, len(cols))
 	newEnds := make([][]int32, len(cols))
+	for _, p := range plans {
+		if p.starts == nil {
+			newStarts[p.out] = make([]int32, 0, len(snap.Rows))
+			newEnds[p.out] = make([]int32, 0, len(snap.Rows))
+		}
+	}
 	spanS := make([]int32, len(cols))
 	spanE := make([]int32, len(cols))
 	rc := r.newRowConverter(cols, tags)
@@ -244,46 +254,40 @@ func (r *Reader) iterateAnchoredBatches(st *fileState, snap *Snapshot, cols []in
 	committed := 0
 	tokenized := 0
 	for row := 0; row < len(snap.Rows); row++ {
-		base := snap.Rows[row]
-		line, _ := nextLine(data, base)
-		lineEnd := base + int64(len(line))
+		line, _ := nextLine(data, snap.Rows[row])
 		bad := false
 		// Locate every requested column's span, advancing a forward-only
 		// cursor for the unmapped ones. A located span is recorded for the
 		// map whether or not its row converts: spans are positional.
-		curField, curOff := 0, base
+		curField, curAt := 0, 0
 		for _, p := range plans {
 			if p.starts != nil {
 				spanS[p.out] = p.starts[row]
 				spanE[p.out] = p.ends[row]
 				continue
 			}
-			f, off := curField, curOff
+			f, at := curField, curAt
 			if p.anchorStarts != nil && p.anchorCol >= f {
-				f, off = p.anchorCol, base+int64(p.anchorStarts[row])
+				f, at = p.anchorCol, int(p.anchorStarts[row])
 			}
 			for f < p.col {
-				d := bytes.IndexByte(data[off:lineEnd], delim)
-				if d < 0 {
+				d := nextDelim(line, at, delim)
+				if d == len(line) {
 					bad = true // row ends before the column
 					break
 				}
-				off += int64(d) + 1
+				at = d + 1
 				f++
 				tokenized++
 			}
 			if bad {
 				break
 			}
-			end := off
-			for end < lineEnd && data[end] != delim {
-				end++
-			}
-			spanS[p.out] = int32(off - base)
-			spanE[p.out] = int32(end - base)
+			spanS[p.out] = int32(at)
+			spanE[p.out] = int32(nextDelim(line, at, delim))
 			newStarts[p.out] = append(newStarts[p.out], spanS[p.out])
 			newEnds[p.out] = append(newEnds[p.out], spanE[p.out])
-			curField, curOff = p.col, off
+			curField, curAt = p.col, at
 			tokenized++
 		}
 		if bad || !rc.fill(line, spanS, spanE) {
@@ -333,89 +337,6 @@ func (r *Reader) colTags(cols []int) []vec.Tag {
 	return tags
 }
 
-// iterateFullBatches is the vectorized first-touch scan: it tokenizes
-// every row once, converts the requested columns straight into typed
-// column vectors (no record construction, no per-row maps) and installs
-// row starts plus the requested columns in the positional map as a side
-// effect — after which openRangeCols serves the same fields with direct
-// jumps.
-func (r *Reader) iterateFullBatches(st *fileState, cols []int, batchSize int, yield func(*vec.Batch) error) error {
-	r.stats.FullScans.Add(1)
-	outPos, maxCol := r.outPositions(cols)
-	tags := r.colTags(cols)
-	b := vec.NewTyped(tags, min(batchSize, 128))
-
-	// Positional-map harvest: the start of every data line, and the span of
-	// every requested column in each row long enough to hold it.
-	var rowStarts []int64
-	colStarts := make([][]int32, len(cols))
-	colEnds := make([][]int32, len(cols))
-
-	// Per-row scratch: spans plus converted payloads; a row commits to the
-	// batch only when it holds every requested field and each converts.
-	spanS := make([]int32, len(cols))
-	spanE := make([]int32, len(cols))
-	rc := r.newRowConverter(cols, tags)
-
-	off := int64(0)
-	first := true
-	committed := 0
-	data := st.data
-	for off < int64(len(data)) {
-		line, next := nextLine(data, off)
-		if first && r.header {
-			first = false
-			off = next
-			continue
-		}
-		first = false
-		if len(line) == 0 {
-			off = next
-			continue
-		}
-		// The row index covers every data line — a row malformed for this
-		// column set is still a row (other columns may parse fine), so it
-		// is indexed but not yielded. Spans are positional and recorded
-		// whenever tokenization found the field, independent of whether
-		// the row's values convert.
-		rowStarts = append(rowStarts, off)
-		reached := r.fieldSpans(line, outPos, maxCol, spanS, spanE)
-		for i, j := range cols {
-			if j < reached {
-				colStarts[i] = append(colStarts[i], spanS[i])
-				colEnds[i] = append(colEnds[i], spanE[i])
-			}
-		}
-		if reached <= maxCol || !rc.fill(line, spanS, spanE) {
-			r.stats.RowsSkipped.Add(1)
-			if r.policy == FailOnBadRows {
-				return fmt.Errorf("rawcsv: %s: malformed row at byte %d", r.desc.Name, off)
-			}
-			off = next
-			continue
-		}
-		rc.commit(b)
-		committed++
-		if b.N >= batchSize {
-			if err := yield(b); err != nil {
-				return err
-			}
-			b.Reset()
-		}
-		off = next
-	}
-	r.stats.BytesRead.Add(int64(len(data)))
-	r.stats.FieldsTokenized.Add(int64(committed * len(cols)))
-	st.pm.SetRows(rowStarts)
-	for i, j := range cols {
-		st.pm.SetCol(j, colStarts[i], colEnds[i])
-	}
-	if b.N > 0 {
-		return yield(b)
-	}
-	return nil
-}
-
 // nextLine returns the line starting at off, without its newline, and
 // the offset of the line after it.
 func nextLine(data []byte, off int64) (line []byte, next int64) {
@@ -451,27 +372,56 @@ func (r *Reader) outPositions(cols []int) (outPos []int, maxCol int) {
 // others untouched.
 func (r *Reader) fieldSpans(line []byte, outPos []int, maxCol int, spanS, spanE []int32) (reached int) {
 	col, start := 0, 0
-	for i := 0; i <= len(line); i++ {
-		if i != len(line) && line[i] != r.delim {
-			continue
-		}
+	for {
+		end := nextDelim(line, start, r.delim)
 		if col < len(outPos) {
 			if p := outPos[col]; p >= 0 {
-				spanS[p], spanE[p] = int32(start), int32(i)
+				spanS[p], spanE[p] = int32(start), int32(end)
 			}
 		}
 		col++
-		start = i + 1
-		if col > maxCol {
-			break
+		if end == len(line) || col > maxCol {
+			return col
+		}
+		start = end + 1
+	}
+}
+
+// SWAR constants: one in every byte's low bit, and every byte's low seven
+// bits.
+const (
+	lsbs = 0x0101010101010101
+	low7 = 0x7f7f7f7f7f7f7f7f
+)
+
+// nextDelim returns the index of the first delim in line at or after i,
+// or len(line) when there is none. It is the one delimiter finder of the
+// tokenizing scans, and tests eight bytes a step: x = word ^ delim·lsbs
+// has a zero byte exactly where the word holds delim, and
+// ((x&low7)+low7)|x|low7 sets every byte's top bit except a zero byte's.
+// No sum carries out of its byte, so a hit is never false — unlike the
+// (x-lsbs)&^x test, whose borrows flag the byte after a delimiter when it
+// holds delim^1 (",-").
+func nextDelim(line []byte, i int, delim byte) int {
+	pat := uint64(delim) * lsbs
+	for ; i+8 <= len(line); i += 8 {
+		x := binary.LittleEndian.Uint64(line[i:]) ^ pat
+		if m := ^(((x & low7) + low7) | x | low7); m != 0 {
+			return i + bits.TrailingZeros64(m)>>3
 		}
 	}
-	return col
+	for ; i < len(line); i++ {
+		if line[i] == delim {
+			return i
+		}
+	}
+	return len(line)
 }
 
 // OpenRange implements the JIT's RangeBatchSource contract: ok only when
 // the positional map already covers the requested columns (a cold file
-// must be tokenized sequentially first). The returned scan is safe for
+// is first tokenized by IterateBatches, whose chunked first touch
+// learns the row numbers ranges are cut by). The returned scan is safe for
 // concurrent calls over disjoint ranges — it reads a one-time snapshot of
 // the positional map and each call allocates its own batch.
 func (r *Reader) OpenRange(fields []string) (func(lo, hi, batchSize int, yield func(*vec.Batch) error) error, int, bool) {

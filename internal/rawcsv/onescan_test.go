@@ -251,10 +251,14 @@ func TestPosMapMapsEveryColumnEveryRowReaches(t *testing.T) {
 // reads — must not hold up a cold scan of the same reader, through
 // either contract.
 func TestColdScanNeverWaitsOnAnotherScan(t *testing.T) {
-	for _, view := range []string{"record", "batch"} {
+	for _, view := range []string{"record", "batch", "record, chunked", "batch, chunked"} {
 		r, err := Open(desc(t, writeFile(t, sample), nil))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if strings.HasSuffix(view, "chunked") {
+			withChunkBytes(t, 8) // a chunk per line, tokenized by pool helpers
+			r.UseScheduler(chunkPool, 0)
 		}
 		parked, release, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 		go func() {
@@ -267,7 +271,7 @@ func TestColdScanNeverWaitsOnAnotherScan(t *testing.T) {
 		}()
 		<-parked
 		scan := iterateAll
-		if view == "batch" {
+		if strings.HasPrefix(view, "batch") {
 			scan = boxBatches
 		}
 		finished := make(chan error, 1)

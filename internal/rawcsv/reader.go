@@ -10,6 +10,7 @@ import (
 	"time"
 	"unsafe"
 
+	"vida/internal/sched"
 	"vida/internal/sdg"
 	"vida/internal/values"
 	"vida/internal/vec"
@@ -35,7 +36,7 @@ type Stats struct {
 	RowsSkipped     atomic.Int64 // malformed rows skipped
 	BytesRead       atomic.Int64
 	Builds          atomic.Int64 // tokenizing first-touch builds of the positional map
-	BuildNanos      atomic.Int64 // wall time spent in those builds
+	BuildNanos      atomic.Int64 // wall time of those builds, not the CPU time of their helpers
 }
 
 // fileState is one immutable generation of the file: its bytes, their
@@ -80,6 +81,9 @@ type Reader struct {
 	// refreshMu serializes Refresh, so each generation is extended at
 	// most once (see fileState).
 	refreshMu sync.Mutex
+	// pool and workers are where a cold scan finds help (UseScheduler).
+	pool    *sched.Pool
+	workers int
 }
 
 // Open loads the CSV file described by desc. Options honored (from

@@ -130,7 +130,9 @@ func (p *Pool) StatsSnapshot() Stats {
 // Run executes tasks 0..n-1 on the pool workers and blocks until all
 // dispatched tasks have finished. The first task error stops dispatch of
 // the remaining tasks and is returned; ctx cancellation stops dispatch
-// and returns the ctx error. Tasks of concurrent Run calls interleave.
+// and returns the ctx error as soon as the tasks in flight have finished,
+// even while every worker is busy elsewhere. Tasks of concurrent Run
+// calls interleave.
 func (p *Pool) Run(ctx context.Context, n int, run func(task int) error) error {
 	if n <= 0 {
 		return nil
@@ -147,7 +149,23 @@ func (p *Pool) Run(ctx context.Context, n int, run func(task int) error) error {
 	p.ring = append(p.ring, j)
 	p.mu.Unlock()
 	p.cond.Broadcast()
-	<-j.done
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+		// A cancelled job leaves the ring now rather than when a worker
+		// next looks at it: its caller waits for the tasks in flight, never
+		// for a free worker to learn that nothing more will run.
+		p.mu.Lock()
+		for idx, k := range p.ring {
+			if k == j {
+				p.retireLocked(idx)
+				break
+			}
+		}
+		j.maybeCompleteLocked()
+		p.mu.Unlock()
+		<-j.done
+	}
 	p.jobs.Add(1)
 	if j.err != nil {
 		return j.err
@@ -225,10 +243,9 @@ func (p *Pool) take() (*job, int, bool) {
 			idx := p.rr % len(p.ring)
 			j := p.ring[idx]
 			if j.failed || j.next >= j.n || j.ctx.Err() != nil {
-				// Dispatch is over for this job: retire it (the swap keeps
-				// the ring compact) and re-examine the slot.
-				p.ring[idx] = p.ring[len(p.ring)-1]
-				p.ring = p.ring[:len(p.ring)-1]
+				// Dispatch is over for this job: retire it and re-examine
+				// the slot.
+				p.retireLocked(idx)
 				j.maybeCompleteLocked()
 				continue
 			}
@@ -240,6 +257,12 @@ func (p *Pool) take() (*job, int, bool) {
 		}
 		p.cond.Wait()
 	}
+}
+
+// retireLocked removes ring slot idx; the swap keeps the ring compact.
+func (p *Pool) retireLocked(idx int) {
+	p.ring[idx] = p.ring[len(p.ring)-1]
+	p.ring = p.ring[:len(p.ring)-1]
 }
 
 // finish retires one executed task and records its error (first error

@@ -84,6 +84,43 @@ func TestCancelledBeforeDispatch(t *testing.T) {
 	}
 }
 
+// TestCancelledWhileWorkersBusy: a job cancelled before any worker came
+// free returns at once, having run nothing, and leaves the ring.
+func TestCancelledWhileWorkersBusy(t *testing.T) {
+	p := NewPool(1)
+	defer p.Close()
+	held, release := make(chan struct{}), make(chan struct{})
+	busy := make(chan error, 1)
+	go func() {
+		busy <- p.Run(context.Background(), 1, func(int) error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	var ran atomic.Int32
+	go func() { done <- p.Run(ctx, 10, func(int) error { ran.Add(1); return nil }) }()
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) || ran.Load() != 0 {
+			t.Fatalf("err = %v after %d tasks, want context.Canceled after none", err, ran.Load())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a cancelled job waited for a busy worker")
+	}
+	if n := p.StatsSnapshot().ActiveJobs; n != 1 {
+		t.Fatalf("%d jobs in the ring, want the busy one only", n)
+	}
+	close(release)
+	if err := <-busy; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestConcurrentJobsInterleave verifies that a short job completes while
 // a long job is still running: dispatch must rotate between jobs rather
 // than draining one before starting the next.

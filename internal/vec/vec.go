@@ -1,6 +1,10 @@
 package vec
 
-import "vida/internal/values"
+import (
+	"slices"
+
+	"vida/internal/values"
+)
 
 // DefaultBatchSize is the default number of rows per pipeline batch.
 const DefaultBatchSize = 1024
@@ -223,6 +227,33 @@ func (c *Col) AppendNull() {
 		c.Codes = append(c.Codes, 0)
 	default:
 		c.Boxed = append(c.Boxed, values.Null)
+	}
+}
+
+// AppendRows appends rows [lo, hi) of src, a column of the same tag
+// (Int64, Float64, Str or Boxed), in bulk. It leaves the column as
+// appending the rows one at a time would: a typed column's validity mask
+// is materialized only once a null arrives.
+func (c *Col) AppendRows(src *Col, lo, hi int) {
+	n := c.Len()
+	switch c.Tag {
+	case Int64:
+		c.Ints = append(c.Ints, src.Ints[lo:hi]...)
+	case Float64:
+		c.Floats = append(c.Floats, src.Floats[lo:hi]...)
+	case Str:
+		c.Strs = append(c.Strs, src.Strs[lo:hi]...)
+	default:
+		c.Boxed = append(c.Boxed, src.Boxed[lo:hi]...)
+		return // boxed columns hold values.Null, not a mask
+	}
+	switch {
+	case c.Nulls != nil && src.Nulls != nil:
+		c.Nulls = append(c.Nulls, src.Nulls[lo:hi]...)
+	case c.Nulls != nil:
+		c.Nulls = append(c.Nulls, make([]bool, hi-lo)...)
+	case src.Nulls != nil && slices.Contains(src.Nulls[lo:hi], true):
+		c.Nulls = append(make([]bool, n, n+hi-lo), src.Nulls[lo:hi]...)
 	}
 }
 

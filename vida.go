@@ -107,7 +107,8 @@ func WithScheduler(p *sched.Pool) Option {
 }
 
 // WithWorkers bounds each query's morsel fan-out to n (1 forces serial
-// execution; 0 restores the GOMAXPROCS default). The scheduler pool's
+// execution, a cold CSV's first touch included; 0 restores the
+// GOMAXPROCS default). The scheduler pool's
 // own size still bounds actual concurrency — this option controls how
 // finely one query's scans split, which is how benchmarks compare
 // serial and parallel plans on the same pool.
