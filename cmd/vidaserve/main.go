@@ -2,7 +2,8 @@
 // service: raw CSV/JSON/array/spreadsheet files are registered at
 // startup and queried over POST /query (monoid comprehensions) and
 // POST /sql, with admission control, per-query timeouts, shared morsel
-// scheduling across queries, and epoch-keyed result caching.
+// scheduling across queries, and result caching keyed on the source
+// generations each result read.
 //
 // Usage:
 //

@@ -358,9 +358,9 @@ func TestAppendRefreshDifferential(t *testing.T) {
 	}
 }
 
-// scanModes runs q under a tracer and returns the mode of every scan span
-// plus whether a positional-map build was recorded.
-func scanModes(t *testing.T, e *Engine, q string) (modes []string, built bool) {
+// scanModes runs q under a tracer and returns the mode of every scan span,
+// whether a positional-map build was recorded and the plan-cache outcome.
+func scanModes(t *testing.T, e *Engine, q string) (modes []string, built bool, plan string) {
 	t.Helper()
 	tr := trace.New("t", "test")
 	if _, err := e.QueryCtx(trace.WithTracer(context.Background(), tr), q); err != nil {
@@ -373,55 +373,54 @@ func scanModes(t *testing.T, e *Engine, q string) (modes []string, built bool) {
 			modes = append(modes, fmt.Sprint(n.Attrs["mode"]))
 		case "posmap_build":
 			built = true
+		case "frontend":
+			plan = fmt.Sprint(n.Attrs["plan_cache"])
 		}
 	})
-	return modes, built
+	return modes, built, plan
 }
 
 // TestAppendNextQueryStaysInCache pins what the append path buys: after
 // an appending Refresh the very next query of every template is served
 // from the cache — no raw scan span, no positional-map build, no raw
-// touch — in the hot and in the encoded tier, and plans compiled before
-// the append are still in the plan cache. A replacement loses all three.
+// touch — in the hot and in the encoded tier. The appended entry is a new
+// generation, so each template's first run after the append prepares its
+// plan again and the second finds it cached. A replacement loses the
+// cache as well.
 func TestAppendNextQueryStaysInCache(t *testing.T) {
 	for _, opts := range []Options{{}, {CacheHotBytes: 1}} {
 		f := &appendFile{t: t, path: filepath.Join(t.TempDir(), "e.csv"), rng: rand.New(rand.NewSource(5))}
 		f.rewrite(appendHeader + f.rows(500))
 		e := appendEngine(t, f.path, opts)
 		appendAnswers(t, e, "warm-up")
-		planned := func() int {
-			n := 0
-			for i := range e.planShards {
-				e.planShards[i].mu.RLock()
-				n += len(e.planShards[i].m)
-				e.planShards[i].mu.RUnlock()
-			}
-			return n
+		gen := func() int64 {
+			e.mu.RLock()
+			defer e.mu.RUnlock()
+			return e.sources["E"].gen
 		}
-		if planned() != len(appendTemplates) {
-			t.Fatalf("plan cache holds %d plans after warm-up", planned())
-		}
-		epoch := e.Epoch()
+		before := gen()
 		f.grow(f.rows(25))
 		if err := e.Refresh(); err != nil {
 			t.Fatal(err)
 		}
-		if e.Epoch() == epoch {
-			t.Fatal("an append must still move the epoch: results keyed on it are stale")
-		}
-		if planned() != len(appendTemplates) {
-			t.Fatalf("an append dropped compiled plans: %d left", planned())
+		if gen() == before {
+			t.Fatal("the appended entry kept its predecessor's generation: what was derived from the shorter file would stay current")
 		}
 		raw := e.StatsSnapshot().QueriesTouchedRaw
 		for _, q := range appendTemplates {
-			modes, built := scanModes(t, e, q)
-			for _, m := range modes {
-				if !strings.HasPrefix(m, "cache") {
-					t.Errorf("hot bytes %d: after an append %q ran a %s scan", opts.CacheHotBytes, q, m)
+			for run, wantPlan := range []string{"miss", "hit"} {
+				modes, built, plan := scanModes(t, e, q)
+				if plan != wantPlan {
+					t.Errorf("hot bytes %d: run %d of %q after an append: plan_cache=%s, want %s", opts.CacheHotBytes, run, q, plan, wantPlan)
 				}
-			}
-			if built || len(modes) == 0 {
-				t.Errorf("hot bytes %d: after an append %q: posmap build = %v, scans = %v", opts.CacheHotBytes, q, built, modes)
+				for _, m := range modes {
+					if !strings.HasPrefix(m, "cache") {
+						t.Errorf("hot bytes %d: after an append %q ran a %s scan", opts.CacheHotBytes, q, m)
+					}
+				}
+				if built || len(modes) == 0 {
+					t.Errorf("hot bytes %d: after an append %q: posmap build = %v, scans = %v", opts.CacheHotBytes, q, built, modes)
+				}
 			}
 		}
 		if got := e.StatsSnapshot().QueriesTouchedRaw; got != raw {
@@ -433,11 +432,8 @@ func TestAppendNextQueryStaysInCache(t *testing.T) {
 		if err := e.Refresh(); err != nil {
 			t.Fatal(err)
 		}
-		if planned() != 0 {
-			t.Fatalf("a replacement kept %d compiled plans", planned())
-		}
-		if modes, built := scanModes(t, e, appendTemplates[0]); len(modes) != 1 || modes[0] != "raw" || !built {
-			t.Fatalf("after a replacement the first scan ran as %v (posmap build %v), want a raw rebuild", modes, built)
+		if modes, built, plan := scanModes(t, e, appendTemplates[0]); len(modes) != 1 || modes[0] != "raw" || !built || plan != "miss" {
+			t.Fatalf("after a replacement the first run ran its scans as %v (posmap build %v, plan_cache=%s), want a raw rebuild under a new plan", modes, built, plan)
 		}
 		assertLikeFreshEngine(t, e, f.path, "after replacement")
 	}

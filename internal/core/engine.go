@@ -147,6 +147,9 @@ type Stats struct {
 	RefreshReplacements int64
 	RefreshTailRows     int64
 	RefreshTailBytes    int64
+	// Plan-cache hits and misses and catalog changes published; a query
+	// service reports them as its own counters.
+	PlanHits, PlanMisses, Publishes int64 `json:"-"`
 }
 
 // sourceEntry is one generation of a registered source. Entries are
@@ -155,6 +158,7 @@ type Stats struct {
 // it resolved without holding the catalog lock, and whatever it derives
 // from that entry is valid exactly while the entry is still published.
 type sourceEntry struct {
+	gen  int64 // this generation's number, given by publish
 	desc *sdg.Description
 	// src is the plug-in (behind its cleaner, when one is attached) as
 	// registered; raw is its batch view (jit.Lift), which scans read.
@@ -173,10 +177,23 @@ func (s *sourceEntry) cleaned() bool {
 	return ok
 }
 
-// planShardCount shards the plan cache so concurrent warm Prepare calls
-// don't serialize on one mutex (reads take a shard RLock). Must be a
-// power of two.
-const planShardCount = 16
+// Generation names one generation of one source by the number publish
+// gave it. Harvests, plans and cached results record the generations they
+// read and are valid while all are still published (Engine.Current);
+// numbers are never reused, so one published before and after some work
+// was published throughout it.
+type Generation struct {
+	Source string
+	Gen    int64
+}
+
+// The plan cache is sharded so concurrent warm Prepare calls don't
+// serialize on one mutex (reads take a shard RLock); the shard count must
+// be a power of two. A full shard evicts a random entry per insert.
+const (
+	planShardCount = 16
+	planShardCap   = 512 / planShardCount
+)
 
 // planShard is one stripe of the plan cache.
 type planShard struct {
@@ -187,11 +204,13 @@ type planShard struct {
 // planEntry caches the outcome of the query frontend for one query text.
 // Parameterized queries cache like any other: the key is the query text
 // with its $n placeholders, so same-shape queries with different
-// constants share one frontend run.
+// constants share one frontend run. It is served while the generations
+// of the sources it read are current.
 type planEntry struct {
 	plan   *algebra.Reduce
-	typ    *sdg.Type
+	Type   *sdg.Type // the result type
 	params []string
+	reads  []Generation
 }
 
 // Engine is one just-in-time database instance over raw files.
@@ -245,12 +264,11 @@ type Engine struct {
 	refreshTailRows     atomic.Int64
 	refreshTailBytes    atomic.Int64
 
-	planShards     [planShardCount]planShard
-	planCacheLimit int // per shard
+	planShards [planShardCount]planShard
+	planHits   atomic.Int64
+	planMisses atomic.Int64
 
-	// epoch counts catalog generations: it bumps once per publish. Result
-	// caches key on it to stay consistent with the data.
-	epoch atomic.Int64
+	published int64 // catalog changes so far; numbers generations (under mu)
 
 	// closeMu gates the query lifecycle for graceful shutdown: queries
 	// hold it shared for their whole run, Close takes it exclusively, so
@@ -269,7 +287,6 @@ func NewEngine(opts Options) *Engine {
 			HotBytes:    opts.CacheHotBytes,
 			SpillDir:    opts.CacheDir,
 		}),
-		planCacheLimit: 512 / planShardCount,
 	}
 	e.mem.limit = opts.MemoryBudgetBytes
 	if opts.CacheDir != "" {
@@ -370,18 +387,17 @@ func (e *Engine) Register(desc *sdg.Description) error {
 
 // change derives a dataset's next catalog entry from the current one (nil
 // when absent): the next entry (nil removes the source) and whether the
-// cache entries and plans derived so far stay valid — or an error, and
-// nothing moves.
+// cache entries derived so far stay valid — or an error, and nothing
+// moves.
 type change func(cur *sourceEntry) (next *sourceEntry, keep bool, err error)
 
 // publish is the one way the catalog changes. Under the exclusive catalog
-// lock it derives the dataset's next entry from the current one, swaps it
-// in, drops the dataset's cache entries unless the change keeps them,
-// points the spill key at the next entry and bumps the epoch. A harvest
-// installs under the shared lock and only onto the entry it scanned
-// (scanSource.install), so it lands wholly before a change — which then
-// drops or extends it — or not at all. Plans are dropped after the lock
-// is released.
+// lock it derives the dataset's next entry from the current one, numbers
+// it as a new generation, swaps it in, drops the dataset's cache entries
+// unless the change keeps them and points the spill key at the next
+// entry. A harvest installs under the shared lock and only onto the
+// generation it scanned (scanSource.install), so it lands wholly before a
+// change — which then drops or extends it — or not at all.
 func (e *Engine) publish(name string, ch change) error {
 	_ = faultinject.Hit(faultinject.Publish) // a pause point: see its doc
 	e.mu.Lock()
@@ -390,9 +406,11 @@ func (e *Engine) publish(name string, ch change) error {
 		e.mu.Unlock()
 		return err
 	}
+	e.published++
 	if next == nil {
 		delete(e.sources, name)
 	} else {
+		next.gen = e.published
 		e.sources[name] = next
 	}
 	if !keep {
@@ -405,11 +423,7 @@ func (e *Engine) publish(name string, ch change) error {
 		gen = next.csv.Generation
 	}
 	e.caches.SetSpillKey(name, gen)
-	e.epoch.Add(1)
 	e.mu.Unlock()
-	if !keep {
-		e.dropPlans()
-	}
 	return nil
 }
 
@@ -528,11 +542,23 @@ func (e *Engine) Description(name string) (*sdg.Description, bool) {
 	return nil, false
 }
 
-// Epoch returns the catalog generation counter. It increases once per
-// catalog change (source added or removed, cleaner attached, file change
-// detected), so any cache keyed on (query, epoch) is invalidated by data
-// movement for free.
-func (e *Engine) Epoch() int64 { return e.epoch.Load() }
+// Current reports whether every generation in gens is still published:
+// the one validity test of what was derived from the catalog.
+func (e *Engine) Current(gens []Generation) bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.currentLocked(gens)
+}
+
+// currentLocked is Current under a held catalog lock.
+func (e *Engine) currentLocked(gens []Generation) bool {
+	for _, g := range gens {
+		if s := e.sources[g.Source]; s == nil || s.gen != g.Gen {
+			return false
+		}
+	}
+	return true
+}
 
 // Close marks the engine closed and waits for in-flight queries to
 // drain. Subsequent queries fail with ErrClosed; sources and caches stay
@@ -575,19 +601,11 @@ func (e *Engine) planShard(src string) *planShard {
 	return &e.planShards[h&(planShardCount-1)]
 }
 
-func (e *Engine) dropPlans() {
-	for i := range e.planShards {
-		sh := &e.planShards[i]
-		sh.mu.Lock()
-		sh.m = map[string]*planEntry{}
-		sh.mu.Unlock()
-	}
-}
-
 // StatsSnapshot returns engine counters.
 func (e *Engine) StatsSnapshot() Stats {
 	var aux int64
 	e.mu.RLock()
+	published := e.published
 	for _, s := range e.sources {
 		if s.csv != nil {
 			aux += s.csv.PosMap().MemoryBytes()
@@ -627,6 +645,9 @@ func (e *Engine) StatsSnapshot() Stats {
 		RefreshReplacements:    e.refreshReplacements.Load(),
 		RefreshTailRows:        e.refreshTailRows.Load(),
 		RefreshTailBytes:       e.refreshTailBytes.Load(),
+		PlanHits:               e.planHits.Load(),
+		PlanMisses:             e.planMisses.Load(),
+		Publishes:              published,
 	}
 }
 
@@ -755,10 +776,12 @@ func (m liveCostModel) CheapestField(name string) (string, bool) {
 // frontend.
 type Prepared struct {
 	engine *Engine
-	plan   *algebra.Reduce
-	Type   *sdg.Type
-	params []string
+	*planEntry
 }
+
+// Generations returns the generations the plan read (see Generation). The
+// slice is shared and must not be modified.
+func (p *Prepared) Generations() []Generation { return p.reads }
 
 // ParamNames returns the query's bind-parameter names in
 // first-occurrence order (positional parameters are named "1".."n").
@@ -811,10 +834,12 @@ func (e *Engine) PrepareCtx(ctx context.Context, src string) (*Prepared, error) 
 	sh.mu.RLock()
 	cached := sh.m[src]
 	sh.mu.RUnlock()
-	if cached != nil {
+	if cached != nil && e.Current(cached.reads) {
+		e.planHits.Add(1)
 		fsp.SetAttr("plan_cache", "hit")
-		return &Prepared{engine: e, plan: cached.plan, Type: cached.typ, params: cached.params}, nil
+		return &Prepared{engine: e, planEntry: cached}, nil
 	}
+	e.planMisses.Add(1)
 	fsp.SetAttr("plan_cache", "miss")
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -829,22 +854,34 @@ func (e *Engine) PrepareCtx(ctx context.Context, src string) (*Prepared, error) 
 	// so the contract the user sees is stable even when a rewrite folds a
 	// placeholder away.
 	params := mcl.Params(expr)
+	// One catalog critical section yields the type environment (sources
+	// type as bags of what their scans yield), the source set and the
+	// generations of the sources among the query's free names.
 	tsp := fsp.Child("typecheck")
-	typ, err := e.typeCheck(expr)
+	env, sources := map[string]*sdg.Type{}, map[string]bool{}
+	var reads []Generation
+	e.mu.RLock()
+	for n, s := range e.sources {
+		sources[n] = true
+		env[n] = sdg.Unknown
+		if s.desc.Schema != nil {
+			env[n] = sdg.Bag(s.desc.IterationType())
+		}
+	}
+	for _, n := range mcl.FreeVars(expr) {
+		if s, ok := e.sources[n]; ok {
+			reads = append(reads, Generation{Source: n, Gen: s.gen})
+		}
+	}
+	e.mu.RUnlock()
+	typ, err := mcl.Check(expr, mcl.NewTypeEnv(env))
 	tsp.End()
 	if err != nil {
 		return nil, err
 	}
 	osp := fsp.Child("optimize")
 	defer osp.End()
-	norm := mcl.Normalize(expr)
-	sources := map[string]bool{}
-	e.mu.RLock()
-	for n := range e.sources {
-		sources[n] = true
-	}
-	e.mu.RUnlock()
-	plan, err := algebra.Translate(norm, sources)
+	plan, err := algebra.Translate(mcl.Normalize(expr), sources)
 	if err != nil {
 		return nil, err
 	}
@@ -858,28 +895,18 @@ func (e *Engine) PrepareCtx(ctx context.Context, src string) (*Prepared, error) 
 	} else {
 		opt = optimizer.Optimize(plan, cm)
 	}
+	_ = faultinject.Hit(faultinject.PlanInstall) // a pause point: see its doc
 	sh.mu.Lock()
-	if len(sh.m) < e.planCacheLimit {
-		sh.m[src] = &planEntry{plan: opt, typ: typ, params: params}
-	}
-	sh.mu.Unlock()
-	return &Prepared{engine: e, plan: opt, Type: typ, params: params}, nil
-}
-
-func (e *Engine) typeCheck(expr mcl.Expr) (*sdg.Type, error) {
-	envMap := map[string]*sdg.Type{}
-	e.mu.RLock()
-	for n, s := range e.sources {
-		if s.desc.Schema == nil {
-			envMap[n] = sdg.Unknown
-			continue
+	for victim := range sh.m { // map order: a random victim
+		if len(sh.m) < planShardCap {
+			break
 		}
-		// Sources type as bags of what their scans actually yield
-		// (array sources include dimension attributes).
-		envMap[n] = sdg.Bag(s.desc.IterationType())
+		delete(sh.m, victim)
 	}
-	e.mu.RUnlock()
-	return mcl.Check(expr, mcl.NewTypeEnv(envMap))
+	entry := &planEntry{plan: opt, Type: typ, params: params, reads: reads}
+	sh.m[src] = entry
+	sh.mu.Unlock()
+	return &Prepared{engine: e, planEntry: entry}, nil
 }
 
 // Run executes the prepared plan.

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,17 +15,18 @@ import (
 	"vida/internal/clean"
 	"vida/internal/faultinject"
 	"vida/internal/jit"
-	"vida/internal/rawcsv"
 	"vida/internal/sdg"
+	"vida/internal/trace"
 	"vida/internal/values"
 	"vida/internal/vec"
 )
 
-// The lifecycle suite holds one rule: a harvest lands only on the catalog
-// generation it was scanned from. Whatever a catalog change is and
-// wherever a harvest of the outgoing generation completes relative to it,
-// the engine answers like a fresh engine over the files and catalog the
-// change left.
+// The lifecycle suite holds one rule: what was derived from a catalog
+// generation — a harvest, a cached plan — is used only while that
+// generation is published. Whatever a catalog change is and wherever a
+// harvest of the outgoing generation completes or a plan is prepared
+// relative to it, the engine answers like a fresh engine over the files
+// and catalog the change left.
 
 func patientsSchema() *sdg.Type {
 	return sdg.Bag(sdg.Record(
@@ -159,71 +160,121 @@ func harvestThrough(t *testing.T, src algebra.Source, fields ...string) {
 	}
 }
 
-// stallInDropPlans runs change with a plan shard held, so a change that
-// drops plans stalls there, waits until the catalog no longer holds the
-// entry name had before, runs during, and lets the change finish.
-func stallInDropPlans(t *testing.T, e *Engine, name string, change, during func()) {
-	t.Helper()
-	e.mu.RLock()
-	before := e.sources[name]
-	e.mu.RUnlock()
-	sh := &e.planShards[0]
-	sh.mu.RLock()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		change()
-	}()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		e.mu.RLock()
-		swapped := e.sources[name] != before
-		e.mu.RUnlock()
-		if swapped {
-			break
-		}
-		if time.Now().After(deadline) {
-			sh.mu.RUnlock()
-			t.Fatal("the change never published")
-		}
-	}
-	during()
-	sh.mu.RUnlock()
-	<-done
-}
-
-// TestPublishAttachCleanerWindow: a cold harvest of the uncleaned entry
-// that completes while AttachCleaner is still dropping plans must not
-// install uncleaned columns.
-func TestPublishAttachCleanerWindow(t *testing.T) {
-	e := newEngine(t, Options{})
-	old, _ := e.sourceFor(nil, "Patients", nil)
-	stallInDropPlans(t, e, "Patients", func() {
-		if err := e.AttachCleaner("Patients", clean.New(skipScore)); err != nil {
-			t.Error(err)
-		}
-	}, func() { harvestThrough(t, old, "score") })
-	got, err := e.Query(`for { p <- Patients } yield count p.score`)
-	if err != nil || got.Int() != 11 {
-		t.Fatalf("count p.score after attaching a cleaner = %v (%v), want 11: an uncleaned harvest landed", got, err)
-	}
-}
-
 // TestPublishReregisterWindow: a harvest of a deregistered file that
-// completes while Deregister is still dropping plans must not answer for
-// the file registered next under the same name.
+// completes from the Publish point of the next Register under the same
+// name — after the Deregister, before the swap — must not answer for the
+// file registered next.
 func TestPublishReregisterWindow(t *testing.T) {
+	defer faultinject.Reset()
 	e := newEngine(t, Options{})
 	next := writePatients(t, t.TempDir(), "next.csv", patientRows(0, 50, 1000))
 	old, _ := e.sourceFor(nil, "Patients", nil)
-	stallInDropPlans(t, e, "Patients", func() {
-		e.Deregister("Patients")
-		if err := e.Register(sdg.DefaultDescription("Patients", sdg.FormatCSV, next, patientsSchema())); err != nil {
-			t.Error(err)
-		}
-	}, func() { harvestThrough(t, old, "score") })
+	e.Deregister("Patients")
+	faultinject.Set(faultinject.Publish, func() error {
+		harvestThrough(t, old, "score")
+		return nil
+	})
+	if err := e.Register(sdg.DefaultDescription("Patients", sdg.FormatCSV, next, patientsSchema())); err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Clear(faultinject.Publish)
 	got, err := e.Query(`for { p <- Patients } yield sum p.score`)
 	if err != nil || got.Float() != 50000 {
 		t.Fatalf("sum p.score over the re-registered file = %v (%v), want 50000: the old file's harvest landed", got, err)
+	}
+}
+
+// prepareTraced prepares q under a tracer and returns the plan-cache
+// outcome its frontend span recorded.
+func prepareTraced(t *testing.T, e *Engine, q string) (*Prepared, string) {
+	t.Helper()
+	tr := trace.New("t", "test")
+	p, err := e.PrepareCtx(trace.WithTracer(context.Background(), tr), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	var outcome string
+	tr.Snapshot().Walk(func(n *trace.SpanNode) {
+		if n.Name == "frontend" {
+			outcome = fmt.Sprint(n.Attrs["plan_cache"])
+		}
+	})
+	return p, outcome
+}
+
+// TestPlanPreparedAcrossReregister: a Prepare reads the catalog, P is
+// deregistered and re-registered under another schema, and only then the
+// plan enters the plan cache. That plan read a generation no longer
+// published, so it is never served: the next Prepare runs the frontend
+// again, and the next query answers like a fresh engine over the new file.
+func TestPlanPreparedAcrossReregister(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	e := freshEngine(t, writePatients(t, dir, "p.csv", patientRows(0, 50, -1)), Options{})
+	// The new schema renames the first attribute, which a row-count-only
+	// scan reads: a plan optimized against the old schema scans "id".
+	next := filepath.Join(dir, "next.csv")
+	if err := os.WriteFile(next, []byte("key,age,city,score\n"+patientRows(0, 30, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	keyed := sdg.Bag(sdg.Record(
+		sdg.Attr{Name: "key", Type: sdg.Int},
+		sdg.Attr{Name: "age", Type: sdg.Int},
+		sdg.Attr{Name: "city", Type: sdg.String},
+		sdg.Attr{Name: "score", Type: sdg.Float},
+	))
+	const q = `for { p <- P } yield count 1`
+	var fired atomic.Bool
+	faultinject.Set(faultinject.PlanInstall, func() error {
+		if fired.CompareAndSwap(false, true) {
+			e.Deregister("P")
+			if err := e.Register(sdg.DefaultDescription("P", sdg.FormatCSV, next, keyed)); err != nil {
+				t.Error(err)
+			}
+		}
+		return nil
+	})
+	stale, err := e.Prepare(q)
+	faultinject.Clear(faultinject.PlanInstall)
+	if err != nil || !fired.Load() {
+		t.Fatalf("prepare across the re-registration: %v (re-registered: %v)", err, fired.Load())
+	}
+	if p, outcome := prepareTraced(t, e, q); outcome != "miss" || p.Plan() == stale.Plan() {
+		t.Fatalf("the plan prepared across the re-registration was served (plan_cache=%s)", outcome)
+	}
+	fresh := NewEngine(Options{})
+	if err := fresh.Register(sdg.DefaultDescription("P", sdg.FormatCSV, next, keyed)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := e.Query(q); err != nil || !values.Equal(got, want) {
+		t.Fatalf("%s = %v (%v), want %v (fresh engine)", q, got, err, want)
+	}
+	if _, outcome := prepareTraced(t, e, q); outcome != "hit" {
+		t.Fatalf("the re-prepared plan is not served: plan_cache=%s", outcome)
+	}
+}
+
+// TestPlanCacheAdmitsPastFullShards: once every shard of the plan cache is
+// full, a new text still gets cached — a full shard evicts one entry
+// instead of refusing the insert — so its second Prepare is a hit.
+func TestPlanCacheAdmitsPastFullShards(t *testing.T) {
+	e := newEngine(t, Options{})
+	for i := 0; i < 2000; i++ {
+		if _, err := e.Prepare(fmt.Sprintf(`for { p <- Patients, p.age > %d } yield count p`, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		q := fmt.Sprintf(`for { p <- Patients, p.score > %d } yield count p`, i)
+		prepareTraced(t, e, q)
+		if _, outcome := prepareTraced(t, e, q); outcome != "hit" {
+			t.Fatalf("second prepare of new text %d: plan_cache=%s, want hit", i, outcome)
+		}
 	}
 }
 
@@ -250,33 +301,6 @@ func TestSpillSkipsCleanedGeneration(t *testing.T) {
 	if got := count(freshEngine(t, path, Options{CacheDir: dir}, skipScore)); got != 11 {
 		t.Fatalf("restarted engine with the cleaner re-attached counts %d, want 11", got)
 	}
-}
-
-// TestDeregisterReleasesReader: once a source is deregistered nothing in
-// the engine keeps its reader (and the file's bytes) reachable.
-func TestDeregisterReleasesReader(t *testing.T) {
-	e := newEngine(t, Options{})
-	if _, err := e.Query(`for { p <- Patients, p.age > 30 } yield sum p.score`); err != nil {
-		t.Fatal(err)
-	}
-	released := make(chan struct{})
-	func() {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		runtime.SetFinalizer(e.sources["Patients"].csv, func(*rawcsv.Reader) { close(released) })
-	}()
-	e.Deregister("Patients")
-	for i := 0; i < 10; i++ {
-		runtime.GC()
-		select {
-		case <-released:
-			runtime.KeepAlive(e)
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	runtime.KeepAlive(e)
-	t.Fatal("the deregistered reader is still reachable after 10 collections")
 }
 
 // parkedHarvest starts a cold harvesting scan of fields through the entry
@@ -383,7 +407,8 @@ func lifecycleChanges() []lifecycleChange {
 
 // TestLifecycleHarvestMatrix crosses every change kind with both places a
 // harvest of the outgoing generation can complete — from the change's
-// Publish point, or after the change returned — in every cache state.
+// Publish point, or after the change returned — in every cache state, and
+// runs plans prepared before the change after it.
 func TestLifecycleHarvestMatrix(t *testing.T) {
 	defer faultinject.Reset()
 	states := []struct {
@@ -408,6 +433,14 @@ func TestLifecycleHarvestMatrix(t *testing.T) {
 					// Warm-up caches id and age; the parked scan harvests score.
 					if _, err := e.Query(lifecycleQueries[3]); err != nil {
 						t.Fatal(err)
+					}
+					// The plan column: plans prepared before the change run after it.
+					plans := make([]*Prepared, len(lifecycleQueries))
+					for i, q := range lifecycleQueries {
+						var err error
+						if plans[i], err = e.Prepare(q); err != nil {
+							t.Fatal(err)
+						}
 					}
 					finish := parkedHarvest(t, e, "P", "score")
 					defer finish()
@@ -436,9 +469,21 @@ func TestLifecycleHarvestMatrix(t *testing.T) {
 								t.Fatalf("the deregistered source keeps a %v cache entry", l)
 							}
 						}
+						for i, p := range plans {
+							if _, err := p.Run(); err == nil {
+								t.Fatalf("%s, prepared before the change, answered over the deregistered source", lifecycleQueries[i])
+							}
+						}
 						return
 					}
-					assertLikeFresh(t, e, fresh(), ch.name)
+					f := fresh()
+					assertLikeFresh(t, e, f, ch.name)
+					want := lifecycleAnswers(t, f, ch.name+" (fresh engine)")
+					for i, p := range plans {
+						if got, err := p.Run(); err != nil || !values.Equal(got, want[i]) {
+							t.Fatalf("%s, prepared before the change: %v (%v), want %v (fresh engine)", lifecycleQueries[i], got, err, want[i])
+						}
+					}
 				})
 			}
 		}

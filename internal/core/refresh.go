@@ -10,11 +10,11 @@ import (
 
 // Refresh re-checks every file-backed source. A CSV file that only grew
 // keeps what the engine built over it: the reader extends its positional
-// map by the tail (rawcsv.Reader.Refresh), the columnar cache entry is
-// extended by the same rows, and compiled plans survive. Any other change
-// drops the source's auxiliary structures and cache entries wholesale and
-// every cached plan with them (paper §2.1). Either way the change is one
-// publish, so results keyed on the epoch roll over.
+// map by the tail (rawcsv.Reader.Refresh) and the columnar cache entry is
+// extended by the same rows. Any other change drops the source's
+// auxiliary structures and cache entries wholesale (paper §2.1). Either
+// way the change is one publish of a new generation, so plans and cached
+// results that read the source are prepared and computed again.
 func (e *Engine) Refresh() error {
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()

@@ -187,15 +187,14 @@ func (s *scanSource) buildStats() (builds, nanos int64, event string) {
 	return 0, 0, ""
 }
 
-// install runs a harvest's cache write only if the entry the scan read is
-// still the published generation of its dataset, holding the shared
-// catalog lock throughout so no publish interleaves: a harvest lands
-// wholly before a catalog change (which then drops or extends it) or is
-// dropped, silently, as stale.
+// install runs a harvest's cache write only if the generation the scan
+// read is still current, holding the shared catalog lock throughout so no
+// publish interleaves: a harvest lands wholly before a catalog change
+// (which then drops or extends it) or is dropped, silently, as stale.
 func (s *scanSource) install(put func() error) error {
 	s.e.mu.RLock()
 	defer s.e.mu.RUnlock()
-	if s.e.sources[s.entry.desc.Name] != s.entry {
+	if !s.e.currentLocked([]Generation{{Source: s.entry.desc.Name, Gen: s.entry.gen}}) {
 		return nil
 	}
 	return put()

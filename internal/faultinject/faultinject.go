@@ -47,6 +47,12 @@ const (
 	// change. Its error is ignored and it is not in Points() — an error or
 	// panic halfway into a catalog change has no meaning.
 	Publish = "core.publish"
+	// PlanInstall fires in Prepare after the frontend read the catalog
+	// and before its plan enters the plan cache. Like Publish it is a
+	// pause point, with its error ignored and absent from Points(): tests
+	// run a catalog change from it, so the plan installed next was
+	// prepared across that change.
+	PlanInstall = "core.plan_install"
 	// PoolStall fires before each morsel executes on a scheduler
 	// worker; delay faults here model a stalled worker.
 	PoolStall = "sched.pool_stall"

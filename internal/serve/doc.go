@@ -23,16 +23,13 @@
 //     behaviour. Admitted queries run under a
 //     per-query timeout and the caller's cancellation context, threaded
 //     through Engine.QueryCtx → the JIT executor → the batch sources, so
-//     a cancelled query stops mid-scan and frees its pool workers. Two
-//     session caches sit in front of the engine, both LRU and both
-//     keyed on (query text, bind parameters, engine epoch): a
-//     prepared-statement cache that skips the query frontend, and a
-//     query-result cache that skips execution entirely, bounded by
-//     entry count and by an approximate byte budget (a single huge
-//     result cannot monopolize it). The epoch key makes invalidation
-//     free — the engine epoch bumps once per catalog change it
-//     publishes (registration, cleaner, deregistration, each source a
-//     Refresh found changed), orphaning every stale entry in place.
+//     a cancelled query stops mid-scan and frees its pool workers. A
+//     query-result LRU keyed on (query text, bind parameters), bounded
+//     by entry count and an approximate byte budget, skips execution
+//     entirely. A result is served while the source generations its
+//     plan read (core.Generation) are current, the rule of the engine's
+//     plan cache too: each catalog change the engine publishes makes a
+//     new generation of one source, orphaning exactly what read it.
 //     QueryRows opens a streaming cursor instead of a buffered result:
 //     the admission slot is held for the stream's lifetime, so an open
 //     cursor occupies capacity exactly like an executing query.
@@ -59,7 +56,7 @@
 // O(offset+limit) heap before the first ordered row is written; a bare
 // LIMIT cancels the scan's remaining morsels as soon as enough rows
 // have been produced, so the admission slot frees early too). LIMIT $1
-// keeps the prepared-statement cache warm across different bounds.
+// keeps the plan cache warm across different bounds.
 //
 // # Request lifecycle and failure taxonomy
 //
@@ -96,7 +93,7 @@
 //
 // Every executed query runs with an internal/trace span recorder armed
 // on its context; the settled tree covers queue wait, the frontend
-// (parse/typecheck/optimize, prepared-cache hit/miss), per-source scans
+// (parse/typecheck/optimize, plan-cache hit/miss), per-source scans
 // (raw vs cache, rows/bytes/batches, positional-map and semi-index
 // build events, harvest outcome) and the fold (joins, parallel merges).
 // The tree surfaces three ways, correlated by the query ID every

@@ -6,49 +6,53 @@ import (
 	"testing"
 
 	"vida"
+	"vida/internal/core"
 )
+
+// always treats every entry's generations as current.
+func always([]core.Generation) bool { return true }
 
 func TestLRUByteBudgetEviction(t *testing.T) {
 	c := newLRU(100, 1000)
 	for i := 0; i < 10; i++ {
-		c.put(fmt.Sprintf("k%d", i), 1, i, 300)
+		c.put(fmt.Sprintf("k%d", i), nil, i, 300)
 	}
 	// 1000/300 → at most 3 entries resident.
-	if n := c.len(); n > 3 {
+	if n := c.ll.Len(); n > 3 {
 		t.Fatalf("entries = %d, want <= 3 under the byte budget", n)
 	}
 	if b := c.bytesUsed(); b > 1000 {
 		t.Fatalf("bytes = %d, want <= 1000", b)
 	}
 	// The newest entries survive.
-	if _, ok := c.get("k9", 1); !ok {
+	if _, ok := c.get("k9", always); !ok {
 		t.Fatal("most recent entry evicted")
 	}
-	if _, ok := c.get("k0", 1); ok {
+	if _, ok := c.get("k0", always); ok {
 		t.Fatal("oldest entry still resident past the budget")
 	}
 }
 
 func TestLRUOversizedEntryRejected(t *testing.T) {
 	c := newLRU(100, 1000)
-	c.put("small", 1, "v", 100)
-	c.put("huge", 1, "v", 5000)
-	if _, ok := c.get("huge", 1); ok {
+	c.put("small", nil, "v", 100)
+	c.put("huge", nil, "v", 5000)
+	if _, ok := c.get("huge", always); ok {
 		t.Fatal("entry larger than the whole budget must not be cached")
 	}
-	if _, ok := c.get("small", 1); !ok {
+	if _, ok := c.get("small", always); !ok {
 		t.Fatal("oversized insert evicted resident entries")
 	}
 }
 
 func TestLRUResizeOnUpdate(t *testing.T) {
 	c := newLRU(100, 1000)
-	c.put("k", 1, "v", 100)
-	c.put("k", 1, "v2", 400)
+	c.put("k", nil, "v", 100)
+	c.put("k", nil, "v2", 400)
 	if b := c.bytesUsed(); b != 400 {
 		t.Fatalf("bytes = %d after update, want 400", b)
 	}
-	c.put("k", 1, "v3", 50)
+	c.put("k", nil, "v3", 50)
 	if b := c.bytesUsed(); b != 50 {
 		t.Fatalf("bytes = %d after shrink, want 50", b)
 	}

@@ -157,18 +157,18 @@ var metricDefs = []metricDef{
 	{"vida_serve_streams_total", "counter", "Streaming cursors opened via /stream.", "service.streams",
 		false, func(v *statsView) int64 { return v.svc.Streams }},
 
-	// Service: session caches and epoch.
+	// Service: result cache; the engine's plan cache and publish count.
 	{"vida_result_cache_hits_total", "counter", "Result cache hits.", "service.result_cache_hits",
 		false, func(v *statsView) int64 { return v.svc.ResultHits }},
 	{"vida_result_cache_misses_total", "counter", "Result cache misses.", "service.result_cache_misses",
 		false, func(v *statsView) int64 { return v.svc.ResultMisses }},
 	{"vida_result_cache_bytes", "gauge", "Approximate bytes resident in the result cache.", "service.result_cache_bytes",
 		false, func(v *statsView) int64 { return v.svc.ResultCacheBytes }},
-	{"vida_prepared_cache_hits_total", "counter", "Prepared-statement cache hits.", "service.prepared_cache_hits",
+	{"vida_prepared_cache_hits_total", "counter", "Plan cache lookups that found a current plan.", "service.prepared_cache_hits",
 		false, func(v *statsView) int64 { return v.svc.PreparedHits }},
-	{"vida_prepared_cache_misses_total", "counter", "Prepared-statement cache misses.", "service.prepared_cache_misses",
+	{"vida_prepared_cache_misses_total", "counter", "Plan cache lookups that ran the query frontend.", "service.prepared_cache_misses",
 		false, func(v *statsView) int64 { return v.svc.PreparedMisses }},
-	{"vida_engine_epoch", "gauge", "Engine data epoch (bumped by refresh and registration changes).", "service.epoch",
+	{"vida_engine_epoch", "gauge", "Catalog changes published by the engine (registrations, cleaners, deregistrations, refreshed sources).", "service.epoch",
 		false, func(v *statsView) int64 { return v.svc.Epoch }},
 
 	// Panic containment, per barrier plus the aggregate.

@@ -115,8 +115,8 @@ func TestExplainAnalyzeColdWarm(t *testing.T) {
 	if wroot.Find("posmap_build") != nil {
 		t.Fatalf("warm cache scan still records a posmap build:\n%s", spanDump(wroot))
 	}
-	if wroot.Attrs["prepared_cache"] != "hit" {
-		t.Fatalf("warm repeat missed the prepared cache: %v", wroot.Attrs)
+	if fsp := wroot.Find("frontend"); fsp == nil || fsp.Attrs["plan_cache"] != "hit" {
+		t.Fatalf("warm repeat missed the plan cache:\n%s", spanDump(wroot))
 	}
 }
 

@@ -55,9 +55,6 @@ type Config struct {
 	// the byte budget, leaving only the entry bound). One enormous
 	// result can no longer pin the memory of 256 of them.
 	ResultCacheBytes int64
-	// PreparedCacheEntries bounds the prepared-statement LRU (default
-	// 256; <0 disables).
-	PreparedCacheEntries int
 	// ProfileEntries bounds the ring of completed query profiles served
 	// at GET /debug/queries (default 128; <0 disables retention).
 	ProfileEntries int
@@ -85,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ResultCacheBytes == 0 {
 		c.ResultCacheBytes = 64 << 20
-	}
-	if c.PreparedCacheEntries == 0 {
-		c.PreparedCacheEntries = 256
 	}
 	switch {
 	case c.ProfileEntries == 0:
@@ -118,14 +112,14 @@ type Stats struct {
 	ResultHits       int64 `json:"result_cache_hits"`
 	ResultMisses     int64 `json:"result_cache_misses"`
 	ResultCacheBytes int64 `json:"result_cache_bytes"`
-	PreparedHits     int64 `json:"prepared_cache_hits"`
+	PreparedHits     int64 `json:"prepared_cache_hits"` // the engine's plan cache
 	PreparedMisses   int64 `json:"prepared_cache_misses"`
-	Epoch            int64 `json:"epoch"`
+	Epoch            int64 `json:"epoch"` // catalog changes the engine published
 }
 
 // Service is the admission/session layer over one engine: bounded
-// in-flight queries, per-query timeouts and cancellation, and
-// epoch-keyed prepared-statement and result caches.
+// in-flight queries, per-query timeouts and cancellation, and a result
+// cache keyed on the source generations each result read.
 type Service struct {
 	eng   *vida.Engine
 	core  *core.Engine
@@ -133,8 +127,7 @@ type Service struct {
 	cfg   Config
 	admit *admitQueue
 
-	prepared *lruCache
-	results  *lruCache
+	results *lruCache
 
 	// Observability: the /debug/queries profile ring, per-endpoint
 	// request-duration histograms (fixed keys, read-only after init)
@@ -152,8 +145,6 @@ type Service struct {
 	streams      atomic.Int64
 	resultHits   atomic.Int64
 	resultMisses atomic.Int64
-	prepHits     atomic.Int64
-	prepMisses   atomic.Int64
 	panics       atomic.Int64 // HTTP handler panics recovered
 }
 
@@ -168,7 +159,6 @@ func NewService(eng *vida.Engine, pool *sched.Pool, cfg Config) *Service {
 		pool:     pool,
 		cfg:      cfg,
 		admit:    newAdmitQueue(cfg.MaxInFlight, cfg.MaxQueue),
-		prepared: newLRU(cfg.PreparedCacheEntries, 0),
 		results:  newLRU(cfg.ResultCacheEntries, cfg.ResultCacheBytes),
 		profiles: newProfileRing(cfg.ProfileEntries),
 		reqHists: map[string]*durHist{
@@ -213,6 +203,7 @@ func (s *Service) Close() error { return s.eng.Close() }
 // StatsSnapshot returns service counters.
 func (s *Service) StatsSnapshot() Stats {
 	_, waitSum, waitCount := s.admit.WaitStats()
+	eng := s.core.StatsSnapshot()
 	return Stats{
 		Admitted:         s.admitted.Load(),
 		Rejected:         s.rejected.Load(),
@@ -228,9 +219,9 @@ func (s *Service) StatsSnapshot() Stats {
 		ResultHits:       s.resultHits.Load(),
 		ResultMisses:     s.resultMisses.Load(),
 		ResultCacheBytes: s.results.bytesUsed(),
-		PreparedHits:     s.prepHits.Load(),
-		PreparedMisses:   s.prepMisses.Load(),
-		Epoch:            s.core.Epoch(),
+		PreparedHits:     eng.PlanHits,
+		PreparedMisses:   eng.PlanMisses,
+		Epoch:            eng.Publishes,
 	}
 }
 
@@ -271,10 +262,9 @@ func (s *Service) run(ctx context.Context, endpoint, src string, args []any, tim
 	// admission queue entirely — repeats stay cheap exactly when the
 	// engine is saturated. ExplainAnalyze must observe a real execution,
 	// so it neither reads nor populates the cache.
-	epoch := s.core.Epoch()
 	key := cacheKey(src, args)
 	if cacheable {
-		if v, ok := s.results.get(key, epoch); ok {
+		if v, ok := s.results.get(key, s.core.Current); ok {
 			s.resultHits.Add(1)
 			s.completed.Add(1)
 			out := &Outcome{Result: v.(*vida.Result), Cached: true, Elapsed: time.Since(start), QueryID: trace.NewID()}
@@ -309,7 +299,7 @@ func (s *Service) run(ctx context.Context, endpoint, src string, args []any, tim
 		s.admit.Release()
 	}()
 
-	p, err := s.preparedFor(ctx, src, epoch, tr.Root())
+	p, err := s.prepare(ctx, src)
 	if err != nil {
 		s.failed.Add(1)
 		s.finish(tr, endpoint, src, start, 0, err)
@@ -325,11 +315,10 @@ func (s *Service) run(ctx context.Context, endpoint, src string, args []any, tim
 		s.finish(tr, endpoint, src, start, 0, err)
 		return nil, err
 	}
-	// Re-read the epoch: a refresh that raced this execution may have
-	// changed the data mid-run, and caching the result under the old
-	// epoch could serve a mixed-generation answer forever.
-	if cacheable && s.core.Epoch() == epoch {
-		s.results.put(key, epoch, res, approxResultBytes(res))
+	// The plan's generations were current when it was prepared; if they
+	// still are, the run read exactly them, else the result is not cached.
+	if reads := p.Internal().Generations(); cacheable && s.core.Current(reads) {
+		s.results.put(key, reads, res, approxResultBytes(res))
 	}
 	s.completed.Add(1)
 	out := &Outcome{Result: res, Elapsed: time.Since(start), QueryID: tr.ID()}
@@ -506,7 +495,7 @@ func (s *Service) QueryRows(ctx context.Context, src string, sql bool, args []an
 			s.finish(tr, epStream, src, start, 0, err)
 		})
 	}
-	p, err := s.preparedFor(ctx, src, s.core.Epoch(), tr.Root())
+	p, err := s.prepare(ctx, src)
 	if err != nil {
 		finish(func() error { return err })
 		return nil, "", nil, err
@@ -545,22 +534,10 @@ func cacheKey(src string, args []any) string {
 	return sb.String()
 }
 
-// preparedFor returns the cached prepared statement for (src, epoch) or
-// runs the frontend and installs it. The root span is annotated with the
-// prepared-cache outcome — a hit skips the frontend entirely, so the
-// span tree would otherwise show no compile phase without explanation.
-func (s *Service) preparedFor(ctx context.Context, src string, epoch int64, sp *trace.Span) (*vida.Prepared, error) {
-	if v, ok := s.prepared.get(src, epoch); ok {
-		s.prepHits.Add(1)
-		if sp != nil {
-			sp.SetAttr("prepared_cache", "hit")
-		}
-		return v.(*vida.Prepared), nil
-	}
-	s.prepMisses.Add(1)
-	if sp != nil {
-		sp.SetAttr("prepared_cache", "miss")
-	}
+// prepare runs the engine's frontend — a lookup in its plan cache for a
+// text it has seen, recorded on the frontend span — and classifies a
+// failure as the caller's cancellation or a bad query.
+func (s *Service) prepare(ctx context.Context, src string) (*vida.Prepared, error) {
 	p, err := s.eng.PrepareCtx(ctx, src)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -568,7 +545,6 @@ func (s *Service) preparedFor(ctx context.Context, src string, epoch int64, sp *
 		}
 		return nil, &BadQueryError{Err: err}
 	}
-	s.prepared.put(src, epoch, p, 0)
 	return p, nil
 }
 
@@ -617,11 +593,12 @@ func approxValueBytes(v vida.Value, depth int) int64 {
 	}
 }
 
-// lruCache is a small epoch-aware LRU: entries whose epoch no longer
-// matches the engine's are treated as absent (and evicted on touch), so
-// Refresh invalidates the whole cache without a sweep. Eviction honours
-// two budgets: an entry count and, when maxBytes > 0, the summed
-// approximate byte size of the entries.
+// lruCache is a small LRU whose entries carry the source generations
+// their value was computed from: an entry whose generations are no longer
+// all current is treated as absent (and evicted on touch), so a catalog
+// change invalidates exactly what read the changed source, without a
+// sweep. Eviction honours two budgets: an entry count and, when
+// maxBytes > 0, the summed approximate byte size of the entries.
 type lruCache struct {
 	mu       sync.Mutex
 	max      int
@@ -633,7 +610,7 @@ type lruCache struct {
 
 type lruEntry struct {
 	key   string
-	epoch int64
+	reads []core.Generation
 	val   any
 	size  int64
 }
@@ -648,7 +625,9 @@ func newLRU(max int, maxBytes int64) *lruCache {
 	return &lruCache{max: max, maxBytes: maxBytes, ll: list.New(), items: map[string]*list.Element{}}
 }
 
-func (c *lruCache) get(key string, epoch int64) (any, bool) {
+// get returns the value under key while current holds for its
+// generations.
+func (c *lruCache) get(key string, current func([]core.Generation) bool) (any, bool) {
 	if c.max == 0 {
 		return nil, false
 	}
@@ -659,7 +638,7 @@ func (c *lruCache) get(key string, epoch int64) (any, bool) {
 		return nil, false
 	}
 	ent := el.Value.(*lruEntry)
-	if ent.epoch != epoch {
+	if !current(ent.reads) {
 		c.removeLocked(el)
 		return nil, false
 	}
@@ -667,7 +646,7 @@ func (c *lruCache) get(key string, epoch int64) (any, bool) {
 	return ent.val, true
 }
 
-func (c *lruCache) put(key string, epoch int64, val any, size int64) {
+func (c *lruCache) put(key string, reads []core.Generation, val any, size int64) {
 	if c.max == 0 {
 		return
 	}
@@ -681,10 +660,10 @@ func (c *lruCache) put(key string, epoch int64, val any, size int64) {
 	if el, ok := c.items[key]; ok {
 		ent := el.Value.(*lruEntry)
 		c.bytes += size - ent.size
-		ent.epoch, ent.val, ent.size = epoch, val, size
+		ent.reads, ent.val, ent.size = reads, val, size
 		c.ll.MoveToFront(el)
 	} else {
-		c.items[key] = c.ll.PushFront(&lruEntry{key: key, epoch: epoch, val: val, size: size})
+		c.items[key] = c.ll.PushFront(&lruEntry{key: key, reads: reads, val: val, size: size})
 		c.bytes += size
 	}
 	for c.ll.Len() > c.max || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
@@ -707,10 +686,4 @@ func (c *lruCache) bytesUsed() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
-}
-
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

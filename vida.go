@@ -294,6 +294,10 @@ func (e *Engine) PrepareCtx(ctx context.Context, src string) (*Prepared, error) 
 	return &Prepared{inner: p}, nil
 }
 
+// Internal exposes the underlying prepared plan to sibling packages (the
+// query service reads the source generations it was prepared against).
+func (p *Prepared) Internal() *core.Prepared { return p.inner }
+
 // Run executes the prepared query with the given parameter bindings.
 func (p *Prepared) Run(args ...any) (*Result, error) {
 	return p.RunCtx(context.Background(), args...)
