@@ -157,24 +157,43 @@ type Stats struct {
 // publishes a fresh one (see publish) — so a scan keeps reading the entry
 // it resolved without holding the catalog lock, and whatever it derives
 // from that entry is valid exactly while the entry is still published.
+// A file reader is one generation of its file, so the entry pins the
+// bytes its scans read too.
 type sourceEntry struct {
 	gen  int64 // this generation's number, given by publish
 	desc *sdg.Description
-	// src is the plug-in (behind its cleaner, when one is attached) as
-	// registered; raw is its batch view (jit.Lift), which scans read.
-	src    algebra.Source
-	raw    jit.BatchSource
-	csv    *rawcsv.Reader
-	json   *rawjson.Reader
-	arr    *rawarr.Reader
-	xls    *rawxls.Reader
-	isView bool
+	// The plug-in — a file reader, or a caller's view (RegisterSource) —
+	// and the cleaner attached to it (paper §7).
+	csv     *rawcsv.Reader
+	json    *rawjson.Reader
+	arr     *rawarr.Reader
+	xls     *rawxls.Reader
+	view    algebra.Source
+	cleaner *clean.Cleaner
+	// src is the plug-in behind its cleaner and raw its batch view
+	// (jit.Lift), which scans read.
+	src algebra.Source
+	raw jit.BatchSource
 }
 
-// cleaned reports whether a cleaner sits between the plug-in and scans.
-func (s *sourceEntry) cleaned() bool {
-	_, ok := s.src.(*cleanedSource)
-	return ok
+// derive sets src and raw from the plug-in and cleaner, and returns s.
+func (s *sourceEntry) derive() *sourceEntry {
+	src := s.view
+	switch {
+	case s.csv != nil:
+		src = s.csv
+	case s.json != nil:
+		src = s.json
+	case s.arr != nil:
+		src = s.arr
+	case s.xls != nil:
+		src = s.xls
+	}
+	if s.cleaner != nil {
+		src = &cleanedSource{inner: src, cleaner: s.cleaner}
+	}
+	s.src, s.raw = src, jit.Lift(src)
+	return s
 }
 
 // Generation names one generation of one source by the number publish
@@ -353,34 +372,36 @@ func (e *Engine) Register(desc *sdg.Description) error {
 		if err == nil {
 			entry.csv.UseScheduler(e.opts.Pool, e.opts.Workers)
 		}
-		entry.src = entry.csv
 	case sdg.FormatJSON:
 		entry.json, err = rawjson.Open(desc)
-		entry.src = entry.json
 	case sdg.FormatArray:
 		entry.arr, err = rawarr.Open(desc)
-		entry.src = entry.arr
 	case sdg.FormatXLS:
 		entry.xls, err = rawxls.Open(desc)
-		entry.src = entry.xls
 	default:
 		return fmt.Errorf("core: format %s needs RegisterSource", desc.Format)
 	}
 	if err != nil {
 		return err
 	}
-	entry.raw = jit.Lift(entry.src)
-	if err := e.publish(desc.Name, add(entry)); err != nil {
-		return err
-	}
-	// Warm restart: rehydrate spilled cache blocks and the persisted
-	// positional map, both keyed so stale state is never trusted (spill
-	// files by content generation, the posmap sidecar by mtime+size).
-	if entry.csv != nil && e.opts.CacheDir != "" {
-		e.caches.Rehydrate(desc.Name, entry.csv.Generation())
+	warm := entry.csv != nil && e.opts.CacheDir != ""
+	// Warm restart: the posmap sidecar (trusted for the mtime+size read)
+	// loads into the reader while it is private; the spill (keyed by the
+	// content read) lands only while the generation is still current.
+	if warm {
 		if _, err := entry.csv.LoadAux(e.auxPath(desc.Name)); err != nil {
 			slog.Warn("core: posmap sidecar unusable, rebuilding on demand", "dataset", desc.Name, "err", err)
 		}
+	}
+	if err := e.publish(desc.Name, add(entry.derive())); err != nil {
+		return err
+	}
+	_ = faultinject.Hit(faultinject.RegisterPublished) // a pause point: see its doc
+	if warm {
+		_ = e.whileCurrent([]Generation{{Source: desc.Name, Gen: entry.gen}}, func() error {
+			e.caches.Rehydrate(desc.Name, entry.csv.Generation())
+			return nil
+		})
 	}
 	return nil
 }
@@ -419,7 +440,7 @@ func (e *Engine) publish(name string, ch change) error {
 	// Only an uncleaned CSV generation spills: a cleaned one's columns are
 	// not the file's, and a removed source's reader must not stay reachable.
 	var gen func() string
-	if next != nil && next.csv != nil && !next.cleaned() {
+	if next != nil && next.csv != nil && next.cleaner == nil {
 		gen = next.csv.Generation
 	}
 	e.caches.SetSpillKey(name, gen)
@@ -447,8 +468,9 @@ func (e *Engine) auxPath(name string) string {
 }
 
 // saveAux persists a CSV source's positional map into the cache
-// directory after a harvesting scan built it. Failures only cost the
-// next restart's first touch.
+// directory while the entry is current (whileCurrent), so an older
+// generation's map never overwrites a newer one's. Failures only cost
+// the next restart's first touch.
 func (e *Engine) saveAux(entry *sourceEntry) {
 	if e.opts.CacheDir == "" || entry.csv == nil {
 		return
@@ -461,7 +483,7 @@ func (e *Engine) saveAux(entry *sourceEntry) {
 // RegisterSource adds an arbitrary source (in-memory data, a baseline
 // store wrapper, ...) with its description.
 func (e *Engine) RegisterSource(desc *sdg.Description, src algebra.Source) error {
-	return e.publish(desc.Name, add(&sourceEntry{desc: desc, src: src, raw: jit.Lift(src), isView: true}))
+	return e.publish(desc.Name, add((&sourceEntry{desc: desc, view: src}).derive()))
 }
 
 // cleanedSource decorates a source with a data cleaner (paper §7): every
@@ -494,18 +516,17 @@ func (s *cleanedSource) Iterate(fields []string, yield func(values.Value) error)
 	})
 }
 
-// AttachCleaner installs a data cleaner on a registered source. Caches
-// for the source are dropped: previously-promoted values may contain
-// uncleaned data.
+// AttachCleaner installs a data cleaner on a registered source, in place
+// of any attached before. Caches for the source are dropped:
+// previously-promoted values may contain uncleaned data.
 func (e *Engine) AttachCleaner(name string, c *clean.Cleaner) error {
 	return e.publish(name, func(cur *sourceEntry) (*sourceEntry, bool, error) {
 		if cur == nil {
 			return nil, false, fmt.Errorf("core: unknown source %q", name)
 		}
 		next := *cur
-		next.src = &cleanedSource{inner: cur.src, cleaner: c}
-		next.raw = jit.Lift(next.src)
-		return &next, false, nil
+		next.cleaner = c
+		return next.derive(), false, nil
 	})
 }
 
@@ -545,19 +566,24 @@ func (e *Engine) Description(name string) (*sdg.Description, bool) {
 // Current reports whether every generation in gens is still published:
 // the one validity test of what was derived from the catalog.
 func (e *Engine) Current(gens []Generation) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.currentLocked(gens)
+	current := false
+	_ = e.whileCurrent(gens, func() error { current = true; return nil })
+	return current
 }
 
-// currentLocked is Current under a held catalog lock.
-func (e *Engine) currentLocked(gens []Generation) bool {
+// whileCurrent runs put only if every generation in gens is published,
+// under the shared catalog lock: what put installs (a harvest, a
+// rehydrated spill, a sidecar) lands wholly before a catalog change or
+// not at all, silently, as stale.
+func (e *Engine) whileCurrent(gens []Generation, put func() error) error {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	for _, g := range gens {
 		if s := e.sources[g.Source]; s == nil || s.gen != g.Gen {
-			return false
+			return nil
 		}
 	}
-	return true
+	return put()
 }
 
 // Close marks the engine closed and waits for in-flight queries to
@@ -705,43 +731,15 @@ func (m liveCostModel) PerTupleCost(name string, fields []string) float64 {
 	}
 	switch {
 	case s.csv != nil:
-		per := optimizer.CostCSVCold
-		if s.csv.PosMap().HasRows() {
-			covered := true
-			rt := s.desc.RowType()
-			for _, f := range fields {
-				idx := -1
-				for i, a := range rt.Attrs {
-					if a.Name == f {
-						idx = i
-						break
-					}
-				}
-				if idx < 0 || !s.csv.PosMap().HasCol(idx) {
-					covered = false
-					break
-				}
-			}
-			if covered && len(fields) > 0 {
-				per = optimizer.CostCSVMapped
-			}
+		if len(fields) > 0 && s.csv.Mapped(fields) {
+			return optimizer.CostCSVMapped * float64(nf)
 		}
-		return per * float64(nf)
+		return optimizer.CostCSVCold * float64(nf)
 	case s.json != nil:
-		per := optimizer.CostJSONCold
-		if s.json.SemiIndex().HasObjects() && len(fields) > 0 {
-			covered := true
-			for _, f := range fields {
-				if !s.json.SemiIndex().HasField(f) {
-					covered = false
-					break
-				}
-			}
-			if covered {
-				per = optimizer.CostJSONMapped
-			}
+		if ix := s.json.SemiIndex(); len(fields) > 0 && ix.HasObjects() && ix.HasFields(fields) {
+			return optimizer.CostJSONMapped * float64(nf)
 		}
-		return per * float64(nf)
+		return optimizer.CostJSONCold * float64(nf)
 	case s.arr != nil:
 		return optimizer.CostArray * float64(nf)
 	case s.xls != nil:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -538,5 +539,114 @@ func TestRefreshCleanerAttachedMidRefresh(t *testing.T) {
 				t.Fatalf("%s = %v (%v), want %v (fresh engine)", q, got, err, want)
 			}
 		}
+	}
+}
+
+// TestRehydrateOnlyOntoItsGeneration: a restarted engine's Register
+// publishes P and only then rehydrates the spilled columns keyed by the
+// content it read. An append refreshed in between publishes the grown
+// file first; the spill of the shorter file must then not land over it.
+func TestRehydrateOnlyOntoItsGeneration(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	path := writePatients(t, t.TempDir(), "p.csv", patientRows(0, 50, -1))
+	lifecycleAnswers(t, freshEngine(t, path, Options{CacheDir: dir}), "spilling engine")
+	e := NewEngine(Options{CacheDir: dir})
+	var fired atomic.Bool
+	faultinject.Set(faultinject.RegisterPublished, func() error {
+		if fired.CompareAndSwap(false, true) {
+			appendPatients(t, path)
+			if err := e.Refresh(); err != nil {
+				t.Error(err)
+			}
+		}
+		return nil
+	})
+	if err := e.Register(sdg.DefaultDescription("P", sdg.FormatCSV, path, patientsSchema())); err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Clear(faultinject.RegisterPublished)
+	if !fired.Load() {
+		t.Fatal("Register never reached its pause point")
+	}
+	assertLikeFresh(t, e, freshEngine(t, path, Options{}), "append between Register's publish and its rehydration")
+}
+
+// TestOneGenerationPerQuery: a query running while an append is being
+// refreshed — from the Publish point of the refresh, after the successor
+// reader was derived and before it is published — reads the file it
+// started on from every side: one side of the self-join below is served
+// by P's cached age column and the other reads score raw, and both must
+// see the old rows.
+func TestOneGenerationPerQuery(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	old := patientRows(0, 50, -1)
+	path := writePatients(t, dir, "p.csv", old)
+	e := freshEngine(t, path, Options{})
+	if _, err := e.Query(`for { p <- P, p.age > 30 } yield sum p.age`); err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := e.Caches().Peek("P", cache.LayoutColumns); !ok || fmt.Sprint(c.ColumnNames()) != "[age]" {
+		t.Fatal("the warm-up did not cache exactly the age column")
+	}
+	// Ages repeat every 50 rows, so the appended rows add pairs.
+	const q = `for { p <- P, r <- P, p.age = r.age, r.score >= 0 } yield count 1`
+	want, err := freshEngine(t, writePatients(t, dir, "old.csv", old), Options{}).Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got values.Value
+	var modes []string
+	var fired atomic.Bool
+	faultinject.Set(faultinject.Publish, func() error {
+		if fired.CompareAndSwap(false, true) {
+			tr := trace.New("t", "test")
+			got, err = e.QueryCtx(trace.WithTracer(context.Background(), tr), q)
+			tr.Finish()
+			tr.Snapshot().Walk(func(n *trace.SpanNode) {
+				if n.Name == "scan" {
+					modes = append(modes, fmt.Sprint(n.Attrs["mode"]))
+				}
+			})
+		}
+		return nil
+	})
+	appendPatients(t, path)
+	if rerr := e.Refresh(); rerr != nil {
+		t.Fatal(rerr)
+	}
+	faultinject.Clear(faultinject.Publish)
+	if err != nil || !values.Equal(got, want) {
+		t.Fatalf("%s during the append's publish = %v (%v), want %v (fresh engine over the old file)", q, got, err, want)
+	}
+	if sort.Strings(modes); fmt.Sprint(modes) != "[cache raw]" {
+		t.Fatalf("the self-join ran its scans as %v, want one served by the cache and one raw", modes)
+	}
+	assertLikeFresh(t, e, freshEngine(t, path, Options{}), "after the append")
+}
+
+// TestStaleHarvestKeepsSuccessorSidecar: a harvest of the generation an
+// append replaced completes after the append's Refresh. Its positional
+// map describes the shorter file, so it must not overwrite the sidecar
+// the Refresh wrote for the grown one: a restarted engine loads that
+// sidecar and starts with the grown file's rows indexed.
+func TestStaleHarvestKeepsSuccessorSidecar(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	path := writePatients(t, t.TempDir(), "p.csv", patientRows(0, 50, -1))
+	e := freshEngine(t, path, Options{CacheDir: dir})
+	if _, err := e.Query(lifecycleQueries[3]); err != nil {
+		t.Fatal(err)
+	}
+	finish := parkedHarvest(t, e, "P", "score")
+	appendPatients(t, path)
+	if err := e.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	finish()
+	restarted := freshEngine(t, path, Options{CacheDir: dir})
+	if pm := CSVReader(restarted, "P").PosMap(); pm.NumRows() != 60 {
+		t.Fatalf("restarted engine indexed %d rows from the sidecar, want the grown file's 60", pm.NumRows())
 	}
 }

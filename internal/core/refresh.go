@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"log/slog"
 
 	"vida/internal/cache"
@@ -8,18 +9,16 @@ import (
 	"vida/internal/vec"
 )
 
-// Refresh re-checks every file-backed source. A CSV file that only grew
-// keeps what the engine built over it: the reader extends its positional
-// map by the tail (rawcsv.Reader.Refresh) and the columnar cache entry is
-// extended by the same rows. Any other change drops the source's
-// auxiliary structures and cache entries wholesale (paper §2.1). Either
-// way the change is one publish of a new generation, so plans and cached
-// results that read the source are prepared and computed again.
+// Refresh re-checks every file-backed source. A reader is one generation
+// of its file: its Refresh returns the successor, which only publish
+// shows to later scans, so one query reads one file. A CSV file that only
+// grew keeps what the engine built over it: the successor extends the
+// positional map by the tail (rawcsv.Reader.Refresh) and the columnar
+// cache entry is extended by the same rows. Any other change drops the
+// source's auxiliary structures and cache entries wholesale (paper §2.1).
 func (e *Engine) Refresh() error {
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()
-	// Readers are reached through the entry's typed fields, not through
-	// src: a cleaner wraps src and would hide the reader behind it.
 	e.mu.RLock()
 	targets := make([]*sourceEntry, 0, len(e.sources))
 	for _, s := range e.sources {
@@ -29,73 +28,94 @@ func (e *Engine) Refresh() error {
 	}
 	e.mu.RUnlock()
 	for _, s := range targets {
-		name := s.desc.Name
-		var ch rawcsv.Change
-		if s.csv != nil {
-			var err error
-			if ch, err = s.csv.Refresh(); err != nil {
-				return err
-			}
-		} else {
-			changed, err := s.json.Refresh()
-			if err != nil {
-				return err
-			}
-			if changed {
-				ch = rawcsv.Change{Kind: rawcsv.Replaced, Reason: "json sources are re-read whole"}
-			}
-		}
-		if ch.Kind == rawcsv.Unchanged {
-			continue
-		}
-		var tail map[string]vec.Col
-		if ch.Kind == rawcsv.Appended {
-			tail, ch.Reason = e.parseTail(s, ch)
-		}
-		_ = e.publish(name, func(cur *sourceEntry) (*sourceEntry, bool, error) { // cannot fail
-			if ch.Kind == rawcsv.Appended && ch.Reason == "" {
-				ch.Reason = e.extendCache(cur, s, ch, tail)
-			}
-			if ch.Reason != "" {
-				ch.Kind = rawcsv.Replaced
-			}
-			if cur == nil {
-				return nil, false, nil // deregistered meanwhile
-			}
-			next := *cur
-			return &next, ch.Kind == rawcsv.Appended, nil
-		})
-		if ch.Kind == rawcsv.Appended {
-			e.refreshAppends.Add(1)
-			e.refreshTailRows.Add(int64(ch.NewRows - ch.OldRows))
-			e.refreshTailBytes.Add(ch.TailBytes)
-			// The sidecar is validated by size and mtime: keep it describing
-			// the file on disk so a restart still skips the first-touch build.
-			e.saveAux(s)
-			slog.Debug("core: refresh", "dataset", name, "path", "append",
-				"rows", ch.NewRows-ch.OldRows, "bytes", ch.TailBytes)
-		} else {
-			e.refreshReplacements.Add(1)
-			slog.Debug("core: refresh", "dataset", name, "path", "replace", "reason", ch.Reason)
+		if err := e.refresh(s); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// errSuperseded aborts the publish of a successor whose reader was
+// replaced or removed meanwhile.
+var errSuperseded = errors.New("core: the refreshed reader is no longer published")
+
+// refresh publishes the successor of s's reader, wrapped in the cleaner
+// of the entry published then, if that entry still holds s's reader;
+// else, like a stale harvest, the successor is dropped.
+func (e *Engine) refresh(s *sourceEntry) error {
+	name := s.desc.Name
+	next := *s // s with its reader replaced by the successor
+	var ch rawcsv.Change
+	var err error
+	if s.csv != nil {
+		next.csv, ch, err = s.csv.Refresh()
+	} else {
+		var changed bool
+		next.json, changed, err = s.json.Refresh()
+		if changed {
+			ch = rawcsv.Change{Kind: rawcsv.Replaced, Reason: "json sources are re-read whole"}
+		}
+	}
+	if err != nil || ch.Kind == rawcsv.Unchanged {
+		return err
+	}
+	var tail map[string]vec.Col
+	if ch.Kind == rawcsv.Appended {
+		tail, ch.Reason = e.parseTail(s, next.csv, ch)
+	}
+	var published *sourceEntry
+	err = e.publish(name, func(cur *sourceEntry) (*sourceEntry, bool, error) {
+		if cur == nil || cur.csv != s.csv || cur.json != s.json {
+			return nil, false, errSuperseded
+		}
+		succ := *cur
+		succ.csv, succ.json = next.csv, next.json
+		published = succ.derive()
+		if ch.Kind == rawcsv.Appended && ch.Reason == "" {
+			ch.Reason = e.extendCache(published, ch, tail)
+		}
+		if ch.Reason != "" {
+			ch.Kind = rawcsv.Replaced
+		}
+		return published, ch.Kind == rawcsv.Appended, nil
+	})
+	if errors.Is(err, errSuperseded) {
+		return nil
+	}
+	if ch.Kind == rawcsv.Appended {
+		e.refreshAppends.Add(1)
+		e.refreshTailRows.Add(int64(ch.NewRows - ch.OldRows))
+		e.refreshTailBytes.Add(ch.TailBytes)
+		// The sidecar is validated by size and mtime: keep it describing
+		// the file on disk so a restart still skips the first-touch build.
+		_ = e.whileCurrent([]Generation{{Source: name, Gen: published.gen}}, func() error {
+			e.saveAux(published)
+			return nil
+		})
+		slog.Debug("core: refresh", "dataset", name, "path", "append",
+			"rows", ch.NewRows-ch.OldRows, "bytes", ch.TailBytes)
+	} else {
+		e.refreshReplacements.Add(1)
+		slog.Debug("core: refresh", "dataset", name, "path", "replace", "reason", ch.Reason)
+	}
+	return nil
+}
+
 // parseTail parses, outside every lock, the tail rows of an appended CSV
-// source for exactly the columns its columnar cache entry holds. A nil
-// tail and no reason means nothing was cached; a reason means the cache
-// cannot follow the append and the change is a replace.
-func (e *Engine) parseTail(s *sourceEntry, ch rawcsv.Change) (map[string]vec.Col, string) {
+// source from its successor next for exactly the columns its columnar
+// cache entry holds. A nil tail and no reason means nothing was cached; a
+// reason means the cache cannot follow the append and the change is a
+// replace.
+func (e *Engine) parseTail(s *sourceEntry, next *rawcsv.Reader, ch rawcsv.Change) (map[string]vec.Col, string) {
 	entry, ok := e.caches.Peek(s.desc.Name, cache.LayoutColumns)
-	if !ok || s.cleaned() {
+	if !ok || s.cleaner != nil {
 		return nil, "" // extendCache decides under the lock
 	}
 	if entry.N != ch.OldRows {
 		return nil, "cached columns do not cover every row of the previous generation"
 	}
 	fields := entry.ColumnNames()
-	scan, n, ok := s.csv.OpenRange(fields)
+	scan, n, ok := next.OpenRange(fields)
 	if !ok || n != ch.NewRows {
 		return nil, "a cached column is no longer in the positional map"
 	}
@@ -122,19 +142,19 @@ func (e *Engine) parseTail(s *sourceEntry, ch rawcsv.Change) (map[string]vec.Col
 	return tail, ""
 }
 
-// extendCache brings the cache up to an appended generation, inside
-// publish: against the entry published now (cur), not the one the refresh
-// started from (was), and against whatever harvests installed meanwhile.
-// It returns "" when the cache is consistent with the grown file and
-// otherwise the reason the change must be a replace.
-func (e *Engine) extendCache(cur, was *sourceEntry, ch rawcsv.Change, tail map[string]vec.Col) string {
-	name := was.desc.Name
+// extendCache brings the cache up to next, the appended generation about
+// to be published, inside publish and against whatever harvests installed
+// meanwhile. It returns "" when the cache is consistent with the grown
+// file and otherwise the reason the change must be a replace.
+func (e *Engine) extendCache(next *sourceEntry, ch rawcsv.Change, tail map[string]vec.Col) string {
+	name := next.desc.Name
 	switch {
-	case cur == nil || cur.csv != was.csv:
-		return "the source was re-registered during the refresh"
-	case cur.cleaned():
+	case next.cleaner != nil:
 		return "cleaner attached: cached values are not the file's"
 	case tail != nil:
+		// ExtendColumns respills the grown entry under the current spill
+		// key, which must already name the successor's content.
+		e.caches.SetSpillKey(name, next.csv.Generation)
 		if !e.caches.ExtendColumns(name, ch.OldRows, tail) {
 			return "the cache holds what the tail cannot extend"
 		}

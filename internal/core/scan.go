@@ -79,7 +79,7 @@ func (e *Engine) sourceFor(ctx context.Context, name string, sp *trace.Span) (al
 	if !ok {
 		return nil, false
 	}
-	return &scanSource{e: e, entry: s, ctx: ctx, sp: sp, noCache: e.opts.DisableCaching || s.isView}, true
+	return &scanSource{e: e, entry: s, ctx: ctx, sp: sp, noCache: e.opts.DisableCaching || s.view != nil}, true
 }
 
 // scanSource is the engine's side of the scan contract. IterateBatches
@@ -187,17 +187,10 @@ func (s *scanSource) buildStats() (builds, nanos int64, event string) {
 	return 0, 0, ""
 }
 
-// install runs a harvest's cache write only if the generation the scan
-// read is still current, holding the shared catalog lock throughout so no
-// publish interleaves: a harvest lands wholly before a catalog change
-// (which then drops or extends it) or is dropped, silently, as stale.
+// install runs a harvest's cache write only while the generation the
+// scan read is current (Engine.whileCurrent).
 func (s *scanSource) install(put func() error) error {
-	s.e.mu.RLock()
-	defer s.e.mu.RUnlock()
-	if !s.e.currentLocked([]Generation{{Source: s.entry.desc.Name, Gen: s.entry.gen}}) {
-		return nil
-	}
-	return put()
+	return s.e.whileCurrent([]Generation{{Source: s.entry.desc.Name, Gen: s.entry.gen}}, put)
 }
 
 // IterateBatches implements jit.BatchSource: a cache hit serves zero-copy
@@ -286,14 +279,16 @@ func (s *scanSource) IterateBatches(fields []string, batchSize int, yield func(*
 	for i, f := range fields {
 		cols[f] = builders[i].Finish()
 	}
-	if err := s.install(func() error { return s.e.caches.PutColumnVectors(name, n, cols) }); err != nil {
-		return err
-	}
-	// The harvesting scan just built (or extended) the positional map as
-	// a side effect; persist it so a restart skips the first-touch
-	// rebuild.
-	s.e.saveAux(s.entry)
-	return nil
+	return s.install(func() error {
+		if err := s.e.caches.PutColumnVectors(name, n, cols); err != nil {
+			return err
+		}
+		// The harvesting scan just built (or extended) the positional map
+		// as a side effect; persist it so a restart skips the first-touch
+		// rebuild.
+		s.e.saveAux(s.entry)
+		return nil
+	})
 }
 
 // OpenRange implements jit.RangeBatchSource for morsel-parallel scans:

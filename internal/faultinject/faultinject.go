@@ -53,6 +53,18 @@ const (
 	// run a catalog change from it, so the plan installed next was
 	// prepared across that change.
 	PlanInstall = "core.plan_install"
+	// FileLoad fires in rawcsv's and rawjson's file load, after the file
+	// is opened and before its handle is stat'ed and read. Like Publish it
+	// is a pause point, with its error ignored and absent from Points():
+	// tests replace the file from it, and the load must still pair the
+	// bytes it reads with their own mtime.
+	FileLoad = "raw.file_load"
+	// RegisterPublished fires in Register after its publish and before it
+	// rehydrates the spilled cache. Like Publish it is a pause point, with
+	// its error ignored and absent from Points(): tests change the file
+	// and Refresh from it, so the generation Register published is no
+	// longer current when its rehydration lands.
+	RegisterPublished = "core.register_published"
 	// PoolStall fires before each morsel executes on a scheduler
 	// worker; delay faults here model a stalled worker.
 	PoolStall = "sched.pool_stall"

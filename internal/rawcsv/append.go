@@ -14,18 +14,18 @@ import (
 // comparison of the old prefix, one read and one tokenizing pass of the
 // new bytes. Every intermediate state answers exactly like a reader
 // opened fresh on the grown file; anything that is not provably an append
-// returns a nil generation and Refresh rebuilds wholesale.
+// returns no successor and Refresh rebuilds wholesale.
 
 // verifyChunk is the buffer the prefix comparison streams the file
 // through: large enough that read syscalls do not dominate, small enough
 // to stay out of the way of the heap (a 24 MB prefix verifies in ~3 ms).
 const verifyChunk = 1 << 20
 
-// appendGeneration derives the successor of st when the file on disk is
-// st's bytes plus a tail. It returns a nil generation and a Replaced
-// change naming the failed rung otherwise.
-func (r *Reader) appendGeneration(st *fileState) (*fileState, Change, error) {
-	replaced := func(reason string) (*fileState, Change, error) {
+// appendGeneration derives the successor of r when the file on disk is
+// r's bytes plus a tail. It returns no successor and a Replaced change
+// naming the failed rung otherwise.
+func (r *Reader) appendGeneration() (*Reader, Change, error) {
+	replaced := func(reason string) (*Reader, Change, error) {
 		return nil, Change{Kind: Replaced, Reason: reason}, nil
 	}
 	f, err := os.Open(r.desc.Path)
@@ -40,30 +40,34 @@ func (r *Reader) appendGeneration(st *fileState) (*fileState, Change, error) {
 	if err != nil {
 		return nil, Change{}, err
 	}
-	old, size := int64(len(st.data)), fi.Size()
-	snap := st.pm.Snapshot()
+	old, size := int64(len(r.data)), fi.Size()
+	snap := r.pm.Snapshot()
 	switch {
 	case size <= old:
 		return replaced("file did not grow")
 	case len(snap.Rows) == 0:
 		return replaced("no positional map to extend")
-	case st.data[old-1] != '\n':
+	case r.data[old-1] != '\n':
 		return replaced("previous generation ended mid-row")
 	}
-	same, err := prefixEqual(f, st.data)
+	same, err := prefixEqual(f, r.data)
 	if err != nil {
 		return nil, Change{}, err
 	}
 	if !same {
 		return replaced("prefix differs from the generation in memory")
 	}
-	// The tail is read straight into the generation's spare capacity when
-	// it fits — bytes past len(st.data) are invisible to st — and into a
-	// reallocation with bounded headroom when it does not.
-	data := st.data
+	// The first successor takes r's spare capacity, invisible to r, and
+	// reads the tail into it when it fits; a later successor, or a tail
+	// that does not fit, reallocates with bounded headroom.
+	data := r.data
+	if !r.extended.CompareAndSwap(false, true) {
+		data = clipped(data)
+		snap.clip()
+	}
 	if int64(cap(data)) < size {
 		data = make([]byte, old, size+int64(vec.Spare(int(size))))
-		copy(data, st.data)
+		copy(data, r.data)
 	}
 	data = data[:size]
 	if _, err := io.ReadFull(f, data[old:]); err != nil {
@@ -72,15 +76,26 @@ func (r *Reader) appendGeneration(st *fileState) (*fileState, Change, error) {
 		}
 		return nil, Change{}, err
 	}
-	next := &fileState{data: data, mtime: fi.ModTime(), pm: r.extendPosMap(&snap, data, old)}
-	st.crcMu.Lock()
-	if st.crcOK {
-		next.crc, next.crcOK = crc32.Update(st.crc, auxCRCTable, data[old:]), true
+	next := &Reader{shared: r.shared, data: data, mtime: fi.ModTime(), pm: r.extendPosMap(&snap, data, old)}
+	r.crcMu.Lock()
+	if r.crcOK {
+		next.crc, next.crcOK = crc32.Update(r.crc, auxCRCTable, data[old:]), true
 	}
-	st.crcMu.Unlock()
+	r.crcMu.Unlock()
 	ch := Change{Kind: Appended, OldRows: len(snap.Rows), NewRows: next.pm.NumRows(), TailBytes: size - old}
 	r.stats.BytesRead.Add(ch.TailBytes)
 	return next, ch, nil
+}
+
+// clipped returns s without its spare capacity, so appending to it copies.
+func clipped[T any](s []T) []T { return s[:len(s):len(s)] }
+
+// clip drops the spare capacity of every array of the snapshot.
+func (s *Snapshot) clip() {
+	s.Rows = clipped(s.Rows)
+	for j := range s.Cols {
+		s.Cols[j], s.Ends[j] = clipped(s.Cols[j]), clipped(s.Ends[j])
+	}
 }
 
 // prefixEqual reports whether f starts with want, reading it through a

@@ -4,10 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"vida/internal/faultinject"
 	"vida/internal/values"
 	"vida/internal/vec"
 )
@@ -45,12 +49,17 @@ func bumpTime(t *testing.T, path string) {
 	}
 }
 
-func refresh(t *testing.T, r *Reader) Change {
+// refresh refreshes *r and moves *r to the generation Refresh returned.
+func refresh(t *testing.T, r **Reader) Change {
 	t.Helper()
-	ch, err := r.Refresh()
+	next, ch, err := (*r).Refresh()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if (ch.Kind == Unchanged) != (next == *r) {
+		t.Fatalf("Refresh = %+v with successor %p of %p", ch, next, *r)
+	}
+	*r = next
 	return ch
 }
 
@@ -106,14 +115,14 @@ func TestRefreshAppendExtendsPosMap(t *testing.T) {
 	collectBatches(t, r, []string{"id", "score"}, 0)
 	tail := "4,zed,1.5,false\n\n5,yan,2.5,true\n"
 	appendFile(t, path, tail)
-	ch := refresh(t, r)
+	ch := refresh(t, &r)
 	want := Change{Kind: Appended, OldRows: 3, NewRows: 5, TailBytes: int64(len(tail))}
 	if ch != want {
 		t.Fatalf("Refresh = %+v, want %+v", ch, want)
 	}
 	pm := r.PosMap()
 	if pm.NumRows() != 5 || !pm.HasCol(0) || !pm.HasCol(2) || pm.HasCol(1) {
-		t.Fatalf("extended map: %d rows, cols %v", pm.NumRows(), pm.Cols())
+		t.Fatalf("extended map: %d rows, cols %v", pm.NumRows(), pm.Snapshot().Cols)
 	}
 	// The mapped columns are served by jumps: no tokenizing scan, no build.
 	before := r.StatsSnapshot()
@@ -126,7 +135,7 @@ func TestRefreshAppendExtendsPosMap(t *testing.T) {
 		t.Fatalf("scan after append: stats %v → %v", before, after)
 	}
 	assertLikeFresh(t, r, path, "append")
-	if ch := refresh(t, r); ch.Kind != Unchanged {
+	if ch := refresh(t, &r); ch.Kind != Unchanged {
 		t.Fatalf("second Refresh = %+v", ch)
 	}
 }
@@ -171,7 +180,7 @@ func TestRefreshLadderFallsBack(t *testing.T) {
 			}
 			gen := r.Generation()
 			c.change(t, path)
-			ch := refresh(t, r)
+			ch := refresh(t, &r)
 			if ch.Kind != Replaced || !strings.Contains(ch.Reason, c.reason) {
 				t.Fatalf("Refresh = %+v, want Replaced because %q", ch, c.reason)
 			}
@@ -197,22 +206,22 @@ func TestRefreshAppendShortAndPartialRows(t *testing.T) {
 	}
 	collectBatches(t, r, nil, 0)
 	appendFile(t, path, "4,zed\n")
-	if ch := refresh(t, r); ch.Kind != Appended || ch.NewRows != 4 {
+	if ch := refresh(t, &r); ch.Kind != Appended || ch.NewRows != 4 {
 		t.Fatalf("short row: Refresh = %+v", ch)
 	}
 	pm := r.PosMap()
 	if !pm.HasCol(0) || !pm.HasCol(1) || pm.HasCol(2) || pm.HasCol(3) {
-		t.Fatalf("after a two-field row the map holds columns %v, want 0 and 1", pm.Cols())
+		t.Fatalf("after a two-field row the map holds columns %v, want 0 and 1", pm.Snapshot().Cols)
 	}
 	assertLikeFresh(t, r, path, "short row")
 
 	appendFile(t, path, "5,yan,2.") // the writer is mid-line
-	if ch := refresh(t, r); ch.Kind != Appended || ch.NewRows != 5 {
+	if ch := refresh(t, &r); ch.Kind != Appended || ch.NewRows != 5 {
 		t.Fatalf("partial line: Refresh = %+v", ch)
 	}
 	assertLikeFresh(t, r, path, "partial line")
 	appendFile(t, path, "5,true\n6,xin,3.5,false\n")
-	if ch := refresh(t, r); ch.Kind != Replaced || !strings.Contains(ch.Reason, "mid-row") {
+	if ch := refresh(t, &r); ch.Kind != Replaced || !strings.Contains(ch.Reason, "mid-row") {
 		t.Fatalf("completed line: Refresh = %+v", ch)
 	}
 	assertLikeFresh(t, r, path, "completed line")
@@ -252,14 +261,14 @@ func TestRefreshAppendKeepsOlderGenerationsValid(t *testing.T) {
 		gens = append(gens, held{scan, n})
 	}
 	hold()
-	states := []*fileState{r.state.Load()}
+	states := []*Reader{r}
 	for i := 0; i < 3; i++ {
 		appendFile(t, path, fmt.Sprintf("%d,late,%g,true\n", rows+i, float64(rows+i)/4))
-		if ch := refresh(t, r); ch.Kind != Appended || ch.NewRows != rows+i+1 {
+		if ch := refresh(t, &r); ch.Kind != Appended || ch.NewRows != rows+i+1 {
 			t.Fatalf("append %d: Refresh = %+v", i, ch)
 		}
 		hold()
-		states = append(states, r.state.Load())
+		states = append(states, r)
 	}
 	if &states[1].data[0] == &states[0].data[0] {
 		t.Fatal("the first append cannot fit a file read at its exact size")
@@ -316,11 +325,11 @@ func TestGenerationExtendedOverTail(t *testing.T) {
 			before = r.Generation()
 		}
 		appendFile(t, path, "500,late,125,true\n501,late,125.25,false\n")
-		if ch := refresh(t, r); ch.Kind != Appended {
+		if ch := refresh(t, &r); ch.Kind != Appended {
 			t.Fatalf("Refresh = %+v", ch)
 		}
-		if st := r.state.Load(); st.crcOK != askedBefore {
-			t.Fatalf("asked before = %v, checksum carried over = %v", askedBefore, st.crcOK)
+		if r.crcOK != askedBefore {
+			t.Fatalf("asked before = %v, checksum carried over = %v", askedBefore, r.crcOK)
 		}
 		fresh, err := Open(desc(t, path, nil))
 		if err != nil {
@@ -384,7 +393,7 @@ func TestRefreshRandomSequence(t *testing.T) {
 				content += tail
 				appendFile(t, path, tail)
 			}
-			kinds[refresh(t, r).Kind]++
+			kinds[refresh(t, &r).Kind]++
 			assertLikeFresh(t, r, path, name)
 		}
 		if kinds[Appended] == 0 || kinds[Replaced] == 0 || kinds[Unchanged] != 0 {
@@ -395,8 +404,9 @@ func TestRefreshRandomSequence(t *testing.T) {
 
 // TestRefreshAppendConcurrentScans: scans beside an appending Refresh use
 // one generation throughout — every scan sees a prefix of the final rows
-// whose length is a generation's, never columns of two lengths. Run with
-// -race.
+// whose length is a generation's, never columns of two lengths — while
+// each successor extends its predecessor in the storage those scans read.
+// Run with -race.
 func TestRefreshAppendConcurrentScans(t *testing.T) {
 	const base, appends, perAppend = 3000, 25, 40
 	path := writeFile(t, bigCSV(base))
@@ -405,6 +415,8 @@ func TestRefreshAppendConcurrentScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	collectBatches(t, r, []string{"id", "score"}, 0)
+	var cur atomic.Pointer[Reader] // the generation scans start on
+	cur.Store(r)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -419,7 +431,7 @@ func TestRefreshAppendConcurrentScans(t *testing.T) {
 				default:
 				}
 				n := 0
-				err := r.IterateBatches(fields, 256, func(b *vec.Batch) error {
+				err := cur.Load().IterateBatches(fields, 256, func(b *vec.Batch) error {
 					for c := range b.Cols {
 						if b.Cols[c].Len() != b.N {
 							t.Errorf("reader %d: column %d has %d rows in a batch of %d", w, c, b.Cols[c].Len(), b.N)
@@ -455,11 +467,133 @@ func TestRefreshAppendConcurrentScans(t *testing.T) {
 			id++
 		}
 		appendFile(t, path, sb.String())
-		if ch := refresh(t, r); ch.Kind != Appended {
+		if ch := refresh(t, &r); ch.Kind != Appended {
 			t.Errorf("append %d: Refresh = %+v", a, ch)
 		}
+		cur.Store(r)
 	}
 	close(stop)
 	wg.Wait()
 	assertLikeFresh(t, r, path, "after concurrent appends")
+}
+
+// TestSuccessorsOfOneGeneration: two successors derived from one
+// generation by two different tails — the file grew, was cut back to that
+// generation and grew otherwise — each answer for their own bytes, and so
+// does the generation they came from. The first successor took the
+// generation's spare capacity, the second copied, and a successor of the
+// first extends further into the storage the generation shares. Scans of
+// all four run side by side; run with -race.
+func TestSuccessorsOfOneGeneration(t *testing.T) {
+	base := bigCSV(2000)
+	path := writeFile(t, base)
+	g, err := Open(desc(t, path, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	collectBatches(t, g, []string{"id", "score"}, 0)
+	// A first append reallocates with headroom: g is then a generation
+	// with spare capacity to hand out.
+	tail := "2000,a,500,true\n"
+	appendFile(t, path, tail)
+	if ch := refresh(t, &g); ch.Kind != Appended {
+		t.Fatalf("first append: Refresh = %+v", ch)
+	}
+	base += tail
+	derive := func(from *Reader, content string) *Reader {
+		t.Helper()
+		rewriteFile(t, path, content)
+		next, ch, err := from.Refresh()
+		if err != nil || ch.Kind != Appended {
+			t.Fatalf("Refresh = %+v, %v; want Appended", ch, err)
+		}
+		return next
+	}
+	tailA, tailB, tailA2 := "2001,a,1,true\n2002,a,2,false\n", "2001,b,7,false\n", "2003,c,3.5,true\n"
+	a := derive(g, base+tailA)
+	b := derive(g, base+tailB)
+	a2 := derive(a, base+tailA+tailA2)
+	rows := func(r *Reader) *int64 { return &r.pm.Snapshot().Rows[0] }
+	switch {
+	case &a.data[0] != &g.data[0] || rows(a) != rows(g):
+		t.Fatal("the first successor did not extend into its predecessor's spare capacity")
+	case &b.data[0] == &g.data[0] || rows(b) == rows(g):
+		t.Fatal("a second successor of one generation shares the storage the first owns")
+	case &a2.data[0] != &g.data[0]:
+		t.Fatal("the first successor's successor did not extend into the spare capacity it inherited")
+	}
+	gens := []struct {
+		name    string
+		r       *Reader
+		content string
+	}{{"predecessor", g, base}, {"first", a, base + tailA}, {"second", b, base + tailB}, {"first's successor", a2, base + tailA + tailA2}}
+	t.Run("side by side", func(t *testing.T) {
+		for _, x := range gens {
+			t.Run(x.name, func(t *testing.T) {
+				t.Parallel()
+				assertLikeFresh(t, x.r, writeFile(t, x.content), x.name)
+			})
+		}
+	})
+}
+
+// TestLoadPairsBytesWithTheirMtime: a file replaced by rename while Open
+// or a replacing Refresh loads it is read whole from the handle opened
+// first, with that handle's mtime. The new file's mtime over the old
+// file's bytes would make every later Refresh report Unchanged.
+func TestLoadPairsBytesWithTheirMtime(t *testing.T) {
+	defer faultinject.Reset()
+	path := filepath.Join(t.TempDir(), "data.csv")
+	put := func(content string, at time.Time) {
+		t.Helper()
+		tmp := path + ".next"
+		if err := os.WriteFile(tmp, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(tmp, at, at); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(tmp, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// putWhileLoading replaces the file from inside the next load, after
+	// it opened the file and before it read it.
+	putWhileLoading := func(content string, at time.Time) {
+		var fired atomic.Bool
+		faultinject.Set(faultinject.FileLoad, func() error {
+			if fired.CompareAndSwap(false, true) {
+				put(content, at)
+			}
+			return nil
+		})
+	}
+	firstName := func(r *Reader) string { return collect(t, r, nil)[0].MustGet("name").Str() }
+	t0 := time.Now().Add(-time.Hour).Truncate(time.Second)
+	put(sample, t0)
+	putWhileLoading(strings.Replace(sample, "ada", "ann", 1), t0.Add(time.Second))
+	r, err := Open(desc(t, path, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := firstName(r); got != "ada" {
+		t.Fatalf("Open read %q, want the file it opened", got)
+	}
+	// The loaded mtime is the opened file's, so the rename is noticed.
+	r, ch, err := r.Refresh()
+	if err != nil || ch.Kind != Replaced || firstName(r) != "ann" {
+		t.Fatalf("Refresh after a rename during Open = %+v, %v", ch, err)
+	}
+	// The same race in the replace path of Refresh.
+	longer := strings.Replace(sample, "ada", "zed", 1) + "4,kim,1,true\n"
+	put(longer, t0.Add(2*time.Second))
+	putWhileLoading(strings.Replace(longer, "zed", "zoe", 1), t0.Add(3*time.Second))
+	for _, want := range []string{"zed", "zoe"} {
+		if r, ch, err = r.Refresh(); err != nil || ch.Kind != Replaced || firstName(r) != want {
+			t.Fatalf("Refresh = %+v, %v; want Replaced reading %q", ch, err, want)
+		}
+	}
+	if next, ch, err := r.Refresh(); err != nil || ch.Kind != Unchanged || next != r {
+		t.Fatalf("Refresh of a settled file = %+v, %v", ch, err)
+	}
 }

@@ -147,8 +147,7 @@ func (r *Reader) IterateBatches(fields []string, batchSize int, yield func(*vec.
 	if batchSize <= 0 {
 		batchSize = vec.DefaultBatchSize
 	}
-	st := r.state.Load()
-	if scan, n, ok := r.openRangeCols(st, cols); ok {
+	if scan, n, ok := r.openRangeCols(cols); ok {
 		return scan(0, n, batchSize, yield)
 	}
 	// Cold or partially mapped: tokenize, and install what is located. The
@@ -165,10 +164,10 @@ func (r *Reader) IterateBatches(fields []string, batchSize int, yield func(*vec.
 		r.stats.Builds.Add(1)
 		r.stats.BuildNanos.Add(int64(time.Since(start)))
 	}()
-	if snap := st.pm.Snapshot(); len(snap.Rows) > 0 {
-		return r.iterateAnchoredBatches(st, &snap, cols, batchSize, yield)
+	if snap := r.pm.Snapshot(); len(snap.Rows) > 0 {
+		return r.iterateAnchoredBatches(&snap, cols, batchSize, yield)
 	}
-	return r.iterateFullBatches(st, cols, batchSize, yield)
+	return r.iterateFullBatches(cols, batchSize, yield)
 }
 
 // injectCSVFaults interposes the chaos points on a batch yield:
@@ -194,7 +193,7 @@ func injectCSVFaults(yield func(*vec.Batch) error) func(*vec.Batch) error {
 // — instead of from the row start (the positional map's "distance" term,
 // paper §5 / NoDB). Newly located columns are installed in the map, so
 // the next scan jumps everywhere.
-func (r *Reader) iterateAnchoredBatches(st *fileState, snap *Snapshot, cols []int, batchSize int, yield func(*vec.Batch) error) error {
+func (r *Reader) iterateAnchoredBatches(snap *Snapshot, cols []int, batchSize int, yield func(*vec.Batch) error) error {
 	r.stats.PosmapScans.Add(1)
 	type colPlan struct {
 		col          int
@@ -249,7 +248,7 @@ func (r *Reader) iterateAnchoredBatches(st *fileState, snap *Snapshot, cols []in
 	spanE := make([]int32, len(cols))
 	rc := r.newRowConverter(cols, tags)
 
-	data := st.data
+	data := r.data
 	delim := r.delim
 	committed := 0
 	tokenized := 0
@@ -310,7 +309,7 @@ func (r *Reader) iterateAnchoredBatches(st *fileState, snap *Snapshot, cols []in
 	r.stats.FieldsJumped.Add(int64(committed * nMapped))
 	for _, p := range plans {
 		if p.starts == nil {
-			st.pm.SetCol(p.col, newStarts[p.out], newEnds[p.out])
+			r.pm.SetCol(p.col, newStarts[p.out], newEnds[p.out])
 		}
 	}
 	if b.N > 0 {
@@ -429,11 +428,11 @@ func (r *Reader) OpenRange(fields []string) (func(lo, hi, batchSize int, yield f
 	if err != nil {
 		return nil, 0, false
 	}
-	return r.openRangeCols(r.state.Load(), cols)
+	return r.openRangeCols(cols)
 }
 
-func (r *Reader) openRangeCols(st *fileState, cols []int) (func(lo, hi, batchSize int, yield func(*vec.Batch) error) error, int, bool) {
-	snap := st.pm.Snapshot()
+func (r *Reader) openRangeCols(cols []int) (func(lo, hi, batchSize int, yield func(*vec.Batch) error) error, int, bool) {
+	snap := r.pm.Snapshot()
 	if len(snap.Rows) == 0 || !snap.HasCols(cols) {
 		return nil, 0, false
 	}
@@ -443,7 +442,7 @@ func (r *Reader) openRangeCols(st *fileState, cols []int) (func(lo, hi, batchSiz
 		starts[i], ends[i] = snap.Cols[j], snap.Ends[j]
 	}
 	tags := r.colTags(cols)
-	data := st.data
+	data := r.data
 	rows := snap.Rows
 	var once sync.Once // stats count one logical scan, however many morsels
 	scan := func(lo, hi, batchSize int, yield func(*vec.Batch) error) error {

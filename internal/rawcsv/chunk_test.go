@@ -53,7 +53,7 @@ func readerOn(t testing.TB, path string, data []byte, opts map[string]string, ch
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.state.Store(&fileState{data: data, pm: NewPosMap()})
+	r.data = data
 	if chunked {
 		r.UseScheduler(chunkPool, 4)
 	} else {
@@ -400,7 +400,7 @@ func FuzzFieldSpans(f *testing.F) {
 				n++
 			}
 		}
-		r := &Reader{delim: delim}
+		r := &Reader{shared: &shared{delim: delim}}
 		gotS, gotE := make([]int32, n), make([]int32, n)
 		wantS, wantE := make([]int32, n), make([]int32, n)
 		got := r.fieldSpans(line, outPos, int(maxCol), gotS, gotE)

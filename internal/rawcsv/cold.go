@@ -139,9 +139,9 @@ func (s *coldScan) claim() int {
 // through. A scan that ends early — a yield error, a malformed row under
 // FailOnBadRows — installs nothing, and returns only after its helpers
 // have.
-func (r *Reader) iterateFullBatches(st *fileState, cols []int, batchSize int, yield func(*vec.Batch) error) error {
+func (r *Reader) iterateFullBatches(cols []int, batchSize int, yield func(*vec.Batch) error) error {
 	r.stats.FullScans.Add(1)
-	s := &coldScan{r: r, data: st.data, cols: cols, tags: r.colTags(cols), batchSize: batchSize}
+	s := &coldScan{r: r, data: r.data, cols: cols, tags: r.colTags(cols), batchSize: batchSize}
 	s.outPos, s.maxCol = r.outPositions(cols)
 	pool, helpers := r.helpers()
 	size := int64(len(s.data)) + 1
@@ -193,7 +193,7 @@ func (r *Reader) iterateFullBatches(st *fileState, cols []int, batchSize int, yi
 			return err
 		}
 	}
-	s.seal(st.pm)
+	s.seal(r.pm)
 	if b.N > 0 {
 		return yield(b)
 	}

@@ -242,7 +242,7 @@ func TestPosMapMapsEveryColumnEveryRowReaches(t *testing.T) {
 	m.SetCol(1, []int32{0}, []int32{1})
 	m.SetCol(2, []int32{0, 0}, []int32{1, 1})
 	if m.HasCol(0) || m.HasCol(1) || !m.HasCol(2) {
-		t.Fatalf("SetCol installed partial or row-less spans: cols %v", m.Cols())
+		t.Fatalf("SetCol installed partial or row-less spans: cols %v", m.Snapshot().Cols)
 	}
 }
 

@@ -28,32 +28,30 @@ var auxCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // files with identical bytes share a generation regardless of path or
 // mtime, which is what lets a regenerated-but-identical demo dataset
 // rehydrate spilled cache blocks after a restart. The checksum is
-// computed once per file generation (every cache spill asks for it), and
-// a generation produced by an appending Refresh extends its
-// predecessor's over the tail instead of re-hashing the file.
+// computed once per reader (every cache spill asks for it), and a
+// successor derived by an appending Refresh extends its predecessor's
+// over the tail instead of re-hashing the file.
 func (r *Reader) Generation() string {
-	st := r.state.Load()
-	st.crcMu.Lock()
-	if !st.crcOK {
-		st.crc, st.crcOK = crc32.Checksum(st.data, auxCRCTable), true
+	r.crcMu.Lock()
+	if !r.crcOK {
+		r.crc, r.crcOK = crc32.Checksum(r.data, auxCRCTable), true
 	}
-	crc := st.crc
-	st.crcMu.Unlock()
-	return fmt.Sprintf("%08x-%x", crc, len(st.data))
+	crc := r.crc
+	r.crcMu.Unlock()
+	return fmt.Sprintf("%08x-%x", crc, len(r.data))
 }
 
-// SaveAux writes the current positional map to path (atomically, via
+// SaveAux writes the positional map to path (atomically, via
 // temp+rename). A map with no recorded rows is not worth persisting and
 // saves nothing.
 func (r *Reader) SaveAux(path string) error {
-	st := r.state.Load()
-	snap := st.pm.Snapshot()
+	snap := r.pm.Snapshot()
 	if len(snap.Rows) == 0 {
 		return nil
 	}
 	body := make([]byte, 0, 64+8*len(snap.Rows))
-	body = binary.AppendVarint(body, st.mtime.UnixNano())
-	body = binary.AppendUvarint(body, uint64(len(st.data)))
+	body = binary.AppendVarint(body, r.mtime.UnixNano())
+	body = binary.AppendUvarint(body, uint64(len(r.data)))
 	body = binary.AppendUvarint(body, uint64(len(snap.Rows)))
 	for _, off := range snap.Rows {
 		body = binary.AppendUvarint(body, uint64(off))
@@ -133,15 +131,14 @@ func (r *Reader) LoadAux(path string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	st := r.state.Load()
-	if st.mtime.UnixNano() != mtime || uint64(len(st.data)) != size {
+	if r.mtime.UnixNano() != mtime || uint64(len(r.data)) != size {
 		return false, nil // file changed since the sidecar was written
 	}
 	nRows, err := uv()
 	if err != nil {
 		return false, err
 	}
-	if nRows > uint64(len(st.data))+1 {
+	if nRows > uint64(len(r.data))+1 {
 		return false, fmt.Errorf("rawcsv: %s: implausible row count %d", path, nRows)
 	}
 	rows := make([]int64, nRows)
@@ -150,7 +147,7 @@ func (r *Reader) LoadAux(path string) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if v > uint64(len(st.data)) {
+		if v > uint64(len(r.data)) {
 			return false, fmt.Errorf("rawcsv: %s: row offset %d out of range", path, v)
 		}
 		rows[i] = int64(v)
@@ -190,9 +187,9 @@ func (r *Reader) LoadAux(path string) (bool, error) {
 		}
 		cols = append(cols, colPair{j: int(j), starts: starts, ends: ends})
 	}
-	st.pm.SetRows(rows)
+	r.pm.SetRows(rows)
 	for _, c := range cols {
-		st.pm.SetCol(c.j, c.starts, c.ends)
+		r.pm.SetCol(c.j, c.starts, c.ends)
 	}
 	return true, nil
 }

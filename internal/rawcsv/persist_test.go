@@ -31,11 +31,12 @@ func TestGenerationTracksContent(t *testing.T) {
 	if err := os.WriteFile(path, []byte(sample+"4,zed,1.0,false\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Refresh(); err != nil {
+	next, _, err := r.Refresh()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Generation() == g1 {
-		t.Fatal("generation unchanged after content change")
+	if r.Generation() != g1 || next.Generation() == g1 {
+		t.Fatalf("after a content change: generation %q, successor %q, was %q", r.Generation(), next.Generation(), g1)
 	}
 }
 

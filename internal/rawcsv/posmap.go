@@ -30,11 +30,7 @@ func NewPosMap() *PosMap {
 }
 
 // HasRows reports whether row starts have been recorded.
-func (m *PosMap) HasRows() bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.rows) > 0
-}
+func (m *PosMap) HasRows() bool { return m.NumRows() > 0 }
 
 // NumRows returns the number of recorded rows.
 func (m *PosMap) NumRows() int {
@@ -80,17 +76,6 @@ func (m *PosMap) SetCol(j int, starts, ends []int32) {
 	}
 	m.cols[j] = starts
 	m.ends[j] = ends
-}
-
-// Cols returns the indexes of all recorded columns.
-func (m *PosMap) Cols() []int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]int, 0, len(m.cols))
-	for j := range m.cols {
-		out = append(out, j)
-	}
-	return out
 }
 
 // Snapshot is an immutable view of a PosMap taken at one instant: scan

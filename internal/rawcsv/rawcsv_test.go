@@ -217,7 +217,8 @@ func TestRefreshInvalidatesOnChange(t *testing.T) {
 	if err := os.Chtimes(path, bumped, bumped); err != nil {
 		t.Fatal(err)
 	}
-	ch, err := r.Refresh()
+	old := r
+	r, ch, err := r.Refresh()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +227,11 @@ func TestRefreshInvalidatesOnChange(t *testing.T) {
 	}
 	if r.PosMap().HasRows() {
 		t.Fatal("posmap survived invalidation")
+	}
+	// Refresh never changes its receiver: the old generation still
+	// answers for the bytes it read.
+	if !old.PosMap().HasCol(0) || collect(t, old, nil)[0].MustGet("name").Str() != "ada" {
+		t.Fatal("Refresh changed the generation it was called on")
 	}
 	rows := collect(t, r, nil)
 	if len(rows) != 4 {
@@ -242,9 +248,9 @@ func TestRefreshNoChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := r.Refresh()
-	if err != nil || ch.Kind != Unchanged {
-		t.Fatalf("Refresh = %+v, %v; want Unchanged, nil", ch, err)
+	next, ch, err := r.Refresh()
+	if err != nil || ch.Kind != Unchanged || next != r {
+		t.Fatalf("Refresh = %p, %+v, %v; want %p, Unchanged, nil", next, ch, err, r)
 	}
 }
 

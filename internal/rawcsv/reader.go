@@ -2,6 +2,7 @@ package rawcsv
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 	"time"
 	"unsafe"
 
+	"vida/internal/faultinject"
 	"vida/internal/sched"
 	"vida/internal/sdg"
 	"vida/internal/values"
@@ -39,23 +41,23 @@ type Stats struct {
 	BuildNanos      atomic.Int64 // wall time of those builds, not the CPU time of their helpers
 }
 
-// fileState is one immutable generation of the file: its bytes, their
-// modification time and the positional map built over exactly those
-// bytes. Scans load the pointer once and use a single generation
-// throughout, so a concurrent Refresh can never hand a scan offsets
-// into bytes they were not computed from.
+// Reader provides query access to one generation of a raw CSV file: its
+// bytes, their mtime and the positional map built over exactly those
+// bytes. It implements algebra.Source and is safe for concurrent scans.
+// A generation never changes: Refresh returns the next one, so a scan
+// reads one file from start to end whatever Refresh does meanwhile.
 //
-// A generation that Refresh derived from its predecessor by an append
-// (append.go) shares storage with it: data, the row index and the column
-// offsets may be the predecessor's arrays, longer. That is sound because
-// nothing published is ever written below its length — the older
-// generation reads only its own prefix — and because every generation
-// has exactly one successor (Refresh is serialized and always extends
-// the current one).
-type fileState struct {
-	data  []byte
-	mtime time.Time
-	pm    *PosMap
+// A successor derived by an append (append.go) may share data, the row
+// index and the column offsets with its predecessor, longer. Nothing a
+// generation holds is written below its length, and its spare capacity
+// goes to the first successor that claims it (extended); later
+// successors of the same generation copy.
+type Reader struct {
+	*shared
+	data     []byte
+	mtime    time.Time
+	pm       *PosMap
+	extended atomic.Bool
 
 	// crc memoizes the content checksum behind Generation: computed on
 	// first demand, and carried over the tail by an appending Refresh.
@@ -64,23 +66,18 @@ type fileState struct {
 	crc   uint32
 }
 
-// Reader provides query access to one raw CSV file. It implements
-// algebra.Source. Readers are safe for concurrent scans and for scans
-// concurrent with Refresh.
-type Reader struct {
+// shared is what every generation of one file has in common; its
+// counters stay cumulative across generations.
+type shared struct {
 	desc    *sdg.Description
 	rowType *sdg.Type
 	delim   byte
 	header  bool
 	policy  ErrorPolicy
 	nullTok string
-	state   atomic.Pointer[fileState]
 	stats   Stats
 	names   []string // schema attribute names, in file order
 	colIdx  map[string]int
-	// refreshMu serializes Refresh, so each generation is extended at
-	// most once (see fileState).
-	refreshMu sync.Mutex
 	// pool and workers are where a cold scan finds help (UseScheduler).
 	pool    *sched.Pool
 	workers int
@@ -97,48 +94,52 @@ func Open(desc *sdg.Description) (*Reader, error) {
 	if desc.Format != sdg.FormatCSV {
 		return nil, fmt.Errorf("rawcsv: %s is not a CSV source", desc.Name)
 	}
-	data, err := os.ReadFile(desc.Path)
+	data, mtime, err := load(desc.Path)
 	if err != nil {
 		return nil, fmt.Errorf("rawcsv: %s: %w", desc.Name, err)
 	}
-	fi, err := os.Stat(desc.Path)
-	if err != nil {
-		return nil, err
-	}
-	r := &Reader{
-		desc:    desc,
-		rowType: desc.RowType(),
-		delim:   ',',
-		header:  true,
-		nullTok: "",
-		colIdx:  map[string]int{},
-	}
-	r.state.Store(&fileState{data: data, mtime: fi.ModTime(), pm: NewPosMap()})
+	sh := &shared{desc: desc, rowType: desc.RowType(), delim: ',', colIdx: map[string]int{},
+		header: desc.Option("header", "true") != "false", nullTok: desc.Option("null", "")}
 	if d := desc.Option("delim", ","); len(d) == 1 {
-		r.delim = d[0]
+		sh.delim = d[0]
 	}
-	if desc.Option("header", "true") == "false" {
-		r.header = false
-	}
-	r.nullTok = desc.Option("null", "")
 	if desc.Option("onerror", "skip") == "fail" {
-		r.policy = FailOnBadRows
+		sh.policy = FailOnBadRows
 	}
-	for i, a := range r.rowType.Attrs {
-		r.names = append(r.names, a.Name)
-		r.colIdx[a.Name] = i
+	for i, a := range sh.rowType.Attrs {
+		sh.names = append(sh.names, a.Name)
+		sh.colIdx[a.Name] = i
 	}
-	return r, nil
+	return &Reader{shared: sh, data: data, mtime: mtime, pm: NewPosMap()}, nil
+}
+
+// load reads the file at path with the mtime of the handle it reads: a
+// rename over path in between must not pair one file's mtime with
+// another's bytes, which Refresh would take for unchanged for good.
+func load(path string) ([]byte, time.Time, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	defer f.Close()
+	_ = faultinject.Hit(faultinject.FileLoad) // a pause point: see its doc
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	data := make([]byte, fi.Size())
+	_, err = io.ReadFull(f, data)
+	return data, fi.ModTime(), err
 }
 
 // Name implements algebra.Source.
 func (r *Reader) Name() string { return r.desc.Name }
 
 // PosMap exposes the positional map (for the optimizer's cost model and
-// the experiments). It belongs to the current file generation; Refresh
-// installs a new one — extended from this one after an append, empty
-// after any other change.
-func (r *Reader) PosMap() *PosMap { return r.state.Load().pm }
+// the experiments). It belongs to this generation; a successor has its
+// own — extended from this one after an append, empty after any other
+// change.
+func (r *Reader) PosMap() *PosMap { return r.pm }
 
 // StatsSnapshot returns a copy of the counters.
 func (r *Reader) StatsSnapshot() map[string]int64 {
@@ -162,7 +163,7 @@ func (r *Reader) BuildStats() (builds, nanos int64) {
 }
 
 // SizeBytes returns the raw file size.
-func (r *Reader) SizeBytes() int64 { return int64(len(r.state.Load().data)) }
+func (r *Reader) SizeBytes() int64 { return int64(len(r.data)) }
 
 // ChangeKind classifies what Refresh found on disk.
 type ChangeKind uint8
@@ -192,42 +193,33 @@ type Change struct {
 	Reason string
 }
 
-// Refresh re-checks the file and publishes a new generation if it
-// changed. The decision ladder, each rung falling through to Replaced:
-// the file must be strictly longer than the generation in memory; that
-// generation must have a row index (otherwise there is nothing to keep)
-// and end on a row boundary (otherwise the tail continues its last row);
-// and the first len(data) bytes on disk must equal the bytes in memory,
-// compared in full — size and mtime cannot tell an append from a rewrite
-// that happens to be longer. Past the ladder the reader reads only the
-// tail, tokenizes only the tail, and publishes old bytes + tail with the
-// positional map extended in step; see appendGeneration.
-func (r *Reader) Refresh() (Change, error) {
-	r.refreshMu.Lock()
-	defer r.refreshMu.Unlock()
-	st := r.state.Load()
+// Refresh re-checks the file and returns the generation that describes
+// it: the receiver when the file is unchanged, else a successor. It never
+// changes the receiver. The decision ladder, each rung falling through to
+// Replaced: the file must be strictly longer than this generation, which
+// must have a row index (else there is nothing to keep) and end on a row
+// boundary (else the tail continues its last row); and the first
+// len(data) bytes on disk must equal the bytes in memory, compared in
+// full — size and mtime cannot tell an append from a longer rewrite. Past
+// the ladder the successor reads and tokenizes only the tail; see
+// appendGeneration.
+func (r *Reader) Refresh() (*Reader, Change, error) {
 	fi, err := os.Stat(r.desc.Path)
 	if err != nil {
-		return Change{}, err
+		return nil, Change{}, err
 	}
-	if fi.ModTime().Equal(st.mtime) && fi.Size() == int64(len(st.data)) {
-		return Change{}, nil
+	if fi.ModTime().Equal(r.mtime) && fi.Size() == int64(len(r.data)) {
+		return r, Change{}, nil
 	}
-	next, ch, err := r.appendGeneration(st)
+	next, ch, err := r.appendGeneration()
+	if next != nil || err != nil {
+		return next, ch, err
+	}
+	data, mtime, err := load(r.desc.Path)
 	if err != nil {
-		return Change{}, err
+		return nil, Change{}, err
 	}
-	if next == nil {
-		data, err := os.ReadFile(r.desc.Path)
-		if err != nil {
-			return Change{}, err
-		}
-		// A new generation with a fresh (empty) positional map; scans
-		// holding the old generation keep a consistent data+map pair.
-		next = &fileState{data: data, mtime: fi.ModTime(), pm: NewPosMap()}
-	}
-	r.state.Store(next)
-	return ch, nil
+	return &Reader{shared: r.shared, data: data, mtime: mtime, pm: NewPosMap()}, ch, nil
 }
 
 // Iterate implements algebra.Source. The record view is the batch scan
@@ -254,6 +246,17 @@ func (r *Reader) NumRows() (int, error) {
 		return 0, err
 	}
 	return r.PosMap().NumRows(), nil
+}
+
+// Mapped reports whether the positional map locates every listed field,
+// so a scan of them jumps instead of tokenizing (the cost model asks).
+func (r *Reader) Mapped(fields []string) bool {
+	for _, f := range fields {
+		if j, ok := r.colIdx[f]; !ok || !r.pm.HasCol(j) {
+			return false
+		}
+	}
+	return r.pm.HasRows()
 }
 
 // resolveFields maps field names to schema columns; no fields means every

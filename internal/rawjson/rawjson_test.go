@@ -6,8 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"vida/internal/faultinject"
 	"vida/internal/sdg"
 	"vida/internal/values"
 )
@@ -262,13 +265,20 @@ func TestRefreshDropsIndex(t *testing.T) {
 	if err := os.Chtimes(path, bump, bump); err != nil {
 		t.Fatal(err)
 	}
-	changed, err := r.Refresh()
+	next, changed, err := r.Refresh()
 	if err != nil || !changed {
 		t.Fatalf("Refresh = %v, %v", changed, err)
 	}
-	n, err := r.NumObjects()
+	n, err := next.NumObjects()
 	if err != nil || n != 4 {
 		t.Fatalf("NumObjects after refresh = %d, %v", n, err)
+	}
+	// Refresh never changes its receiver.
+	if n, err := r.NumObjects(); err != nil || n != 3 || !r.SemiIndex().HasObjects() {
+		t.Fatalf("the refreshed generation changed: NumObjects = %d, %v", n, err)
+	}
+	if again, changed, err := next.Refresh(); err != nil || changed || again != next {
+		t.Fatalf("Refresh of an unchanged file = %p, %v, %v; want %p, false", again, changed, err, next)
 	}
 }
 
@@ -412,5 +422,54 @@ func TestMalformedObjectsFailPolicy(t *testing.T) {
 	}
 	if err := r.Iterate(nil, func(values.Value) error { return nil }); err == nil {
 		t.Fatal("fail policy should surface malformed objects")
+	}
+}
+
+// TestLoadPairsBytesWithTheirMtime: a file replaced by rename while Open
+// loads it is read whole from the handle opened first, with that handle's
+// mtime, so the next Refresh notices the rename instead of pairing the
+// new file's mtime with the old file's bytes for good.
+func TestLoadPairsBytesWithTheirMtime(t *testing.T) {
+	defer faultinject.Reset()
+	path := filepath.Join(t.TempDir(), "data.json")
+	put := func(content string, at time.Time) {
+		t.Helper()
+		tmp := path + ".next"
+		if err := os.WriteFile(tmp, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(tmp, at, at); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(tmp, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t0 := time.Now().Add(-time.Hour).Truncate(time.Second)
+	put(ndjsonFile, t0)
+	var fired atomic.Bool
+	faultinject.Set(faultinject.FileLoad, func() error {
+		if fired.CompareAndSwap(false, true) {
+			put(strings.Replace(ndjsonFile, "r1", "s1", 1), t0.Add(time.Second))
+		}
+		return nil
+	})
+	r, err := Open(sdg.DefaultDescription("j", sdg.FormatJSON, path, sdg.Bag(sdg.Unknown)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := func(r *Reader) string {
+		v, err := r.ExtractPath(0, "name")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.Str()
+	}
+	if got := name(r); got != "r1" {
+		t.Fatalf("Open read %q, want the file it opened", got)
+	}
+	next, changed, err := r.Refresh()
+	if err != nil || !changed || name(next) != "s1" {
+		t.Fatalf("Refresh after a rename during Open: changed %v, %v", changed, err)
 	}
 }

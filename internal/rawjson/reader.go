@@ -2,6 +2,7 @@ package rawjson
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -76,26 +77,6 @@ func (ix *SemiIndex) HasField(name string) bool {
 	return ix.fields[name] != nil
 }
 
-// Fields returns the recorded field names.
-func (ix *SemiIndex) Fields() []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]string, 0, len(ix.fields))
-	for f := range ix.fields {
-		out = append(out, f)
-	}
-	return out
-}
-
-// Drop discards the index.
-func (ix *SemiIndex) Drop() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.objects = nil
-	ix.fields = map[string][]span{}
-	ix.bad = nil
-}
-
 // MemoryBytes estimates the index footprint.
 func (ix *SemiIndex) MemoryBytes() int64 {
 	ix.mu.RLock()
@@ -107,26 +88,25 @@ func (ix *SemiIndex) MemoryBytes() int64 {
 	return total
 }
 
-// jsonState is one immutable generation of the file: its bytes, their
-// modification time and the semi-index built over exactly those bytes.
-// Scans load the pointer once, so a concurrent Refresh can never hand a
-// scan spans into bytes they were not computed from.
-type jsonState struct {
+// Reader provides query access to one generation of a raw JSON file
+// holding either a top-level array of objects or newline-delimited
+// objects: its bytes, their mtime and the semi-index built over exactly
+// those bytes. It implements algebra.Source and is safe for concurrent
+// scans. A generation never changes: Refresh returns the next one.
+type Reader struct {
+	*shared
 	data  []byte
 	mtime time.Time
 	ix    *SemiIndex
-}
-
-// Reader provides query access to one raw JSON file holding either a
-// top-level array of objects or newline-delimited objects. It implements
-// algebra.Source. Readers are safe for concurrent scans and for scans
-// concurrent with Refresh.
-type Reader struct {
-	desc  *sdg.Description
-	state atomic.Pointer[jsonState]
 	// buildMu single-flights the object-index skip scan so concurrent
 	// cold queries don't all walk the whole file.
-	buildMu   sync.Mutex
+	buildMu sync.Mutex
+}
+
+// shared is what every generation of one file has in common; its
+// counters stay cumulative across generations.
+type shared struct {
+	desc      *sdg.Description
 	stats     Stats
 	failOnBad bool
 }
@@ -141,30 +121,41 @@ func Open(desc *sdg.Description) (*Reader, error) {
 	if desc.Format != sdg.FormatJSON {
 		return nil, fmt.Errorf("rawjson: %s is not a JSON source", desc.Name)
 	}
-	data, err := os.ReadFile(desc.Path)
+	data, mtime, err := load(desc.Path)
 	if err != nil {
 		return nil, fmt.Errorf("rawjson: %s: %w", desc.Name, err)
 	}
-	fi, err := os.Stat(desc.Path)
+	sh := &shared{desc: desc, failOnBad: desc.Option("onerror", "skip") == "fail"}
+	return &Reader{shared: sh, data: data, mtime: mtime, ix: newSemiIndex()}, nil
+}
+
+// load reads the file at path with the mtime of the handle it reads, so
+// a rename over path in between cannot pair one file's mtime with
+// another's bytes.
+func load(path string) ([]byte, time.Time, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, time.Time{}, err
 	}
-	r := &Reader{desc: desc}
-	r.state.Store(&jsonState{data: data, mtime: fi.ModTime(), ix: newSemiIndex()})
-	if desc.Option("onerror", "skip") == "fail" {
-		r.failOnBad = true
+	defer f.Close()
+	_ = faultinject.Hit(faultinject.FileLoad) // a pause point: see its doc
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, time.Time{}, err
 	}
-	return r, nil
+	data := make([]byte, fi.Size())
+	_, err = io.ReadFull(f, data)
+	return data, fi.ModTime(), err
 }
 
 // Name implements algebra.Source.
 func (r *Reader) Name() string { return r.desc.Name }
 
-// SemiIndex exposes the structural index of the current file generation.
-func (r *Reader) SemiIndex() *SemiIndex { return r.state.Load().ix }
+// SemiIndex exposes the structural index of this generation.
+func (r *Reader) SemiIndex() *SemiIndex { return r.ix }
 
 // SizeBytes returns the raw file size.
-func (r *Reader) SizeBytes() int64 { return int64(len(r.state.Load().data)) }
+func (r *Reader) SizeBytes() int64 { return int64(len(r.data)) }
 
 // StatsSnapshot returns a copy of the counters.
 func (r *Reader) StatsSnapshot() map[string]int64 {
@@ -185,35 +176,35 @@ func (r *Reader) BuildStats() (builds, nanos int64) {
 	return r.stats.Builds.Load(), r.stats.BuildNanos.Load()
 }
 
-// Refresh re-checks the file, replacing the whole generation (bytes plus
-// a fresh semi-index) on change.
-func (r *Reader) Refresh() (changed bool, err error) {
-	st := r.state.Load()
+// Refresh re-checks the file and returns the generation that describes
+// it: the receiver when the file is unchanged, else a successor with the
+// whole file re-read and a fresh semi-index. It never changes the
+// receiver.
+func (r *Reader) Refresh() (next *Reader, changed bool, err error) {
 	fi, err := os.Stat(r.desc.Path)
 	if err != nil {
-		return false, err
+		return nil, false, err
 	}
-	if fi.ModTime().Equal(st.mtime) && fi.Size() == int64(len(st.data)) {
-		return false, nil
+	if fi.ModTime().Equal(r.mtime) && fi.Size() == int64(len(r.data)) {
+		return r, false, nil
 	}
-	data, err := os.ReadFile(r.desc.Path)
+	data, mtime, err := load(r.desc.Path)
 	if err != nil {
-		return false, err
+		return nil, false, err
 	}
-	r.state.Store(&jsonState{data: data, mtime: fi.ModTime(), ix: newSemiIndex()})
-	return true, nil
+	return &Reader{shared: r.shared, data: data, mtime: mtime, ix: newSemiIndex()}, true, nil
 }
 
 // buildObjectIndex records the span of every top-level object using the
 // skip scanner (no materialization). Concurrent builders single-flight:
 // the first walks the file, the rest find the index installed.
-func (r *Reader) buildObjectIndex(st *jsonState) error {
-	if st.ix.HasObjects() {
+func (r *Reader) buildObjectIndex() error {
+	if r.ix.HasObjects() {
 		return nil
 	}
 	r.buildMu.Lock()
 	defer r.buildMu.Unlock()
-	if st.ix.HasObjects() {
+	if r.ix.HasObjects() {
 		return nil
 	}
 	// This caller pays the skip scan; record its cost for tracing.
@@ -222,7 +213,7 @@ func (r *Reader) buildObjectIndex(st *jsonState) error {
 		r.stats.Builds.Add(1)
 		r.stats.BuildNanos.Add(int64(time.Since(start)))
 	}()
-	data := st.data
+	data := r.data
 	var objs []span
 	pos := skipWS(data, 0)
 	arrayFile := pos < len(data) && data[pos] == '['
@@ -267,20 +258,19 @@ func (r *Reader) buildObjectIndex(st *jsonState) error {
 		objs = append(objs, span{start: int64(start), end: int64(next)})
 		pos = next
 	}
-	st.ix.mu.Lock()
-	st.ix.objects = objs
-	st.ix.mu.Unlock()
+	r.ix.mu.Lock()
+	r.ix.objects = objs
+	r.ix.mu.Unlock()
 	r.stats.BytesRead.Add(int64(len(data)))
 	return nil
 }
 
 // NumObjects returns the number of top-level objects.
 func (r *Reader) NumObjects() (int, error) {
-	st := r.state.Load()
-	if err := r.buildObjectIndex(st); err != nil {
+	if err := r.buildObjectIndex(); err != nil {
 		return 0, err
 	}
-	return st.ix.NumObjects(), nil
+	return r.ix.NumObjects(), nil
 }
 
 // Iterate implements algebra.Source: one record per top-level object,
@@ -288,8 +278,7 @@ func (r *Reader) NumObjects() (int, error) {
 // first pass over a projection records field spans; later passes parse
 // exactly the spans.
 func (r *Reader) Iterate(fields []string, yield func(values.Value) error) error {
-	st := r.state.Load()
-	if err := r.buildObjectIndex(st); err != nil {
+	if err := r.buildObjectIndex(); err != nil {
 		return err
 	}
 	// Chaos point: JSONRead fires once per delivered object (read error
@@ -302,15 +291,16 @@ func (r *Reader) Iterate(fields []string, yield func(values.Value) error) error 
 		return inner(v)
 	}
 	if len(fields) == 0 {
-		return r.iterateFull(st, yield)
+		return r.iterateFull(yield)
 	}
-	if allFieldsIndexed(st.ix, fields) {
-		return r.iterateIndexed(st, fields, yield)
+	if r.ix.HasFields(fields) {
+		return r.iterateIndexed(fields, yield)
 	}
-	return r.iteratePartial(st, fields, yield)
+	return r.iteratePartial(fields, yield)
 }
 
-func allFieldsIndexed(ix *SemiIndex, fields []string) bool {
+// HasFields reports whether every listed field's spans are recorded.
+func (ix *SemiIndex) HasFields(fields []string) bool {
 	for _, f := range fields {
 		if !ix.HasField(f) {
 			return false
@@ -325,19 +315,19 @@ func objects(ix *SemiIndex) []span {
 	return ix.objects
 }
 
-func (r *Reader) iterateFull(st *jsonState, yield func(values.Value) error) error {
-	for i, o := range objects(st.ix) {
-		if st.ix.isBad(i) {
+func (r *Reader) iterateFull(yield func(values.Value) error) error {
+	for i, o := range objects(r.ix) {
+		if r.ix.isBad(i) {
 			continue
 		}
 		r.stats.FullParses.Add(1)
-		v, _, err := ParseValue(st.data, int(o.start))
+		v, _, err := ParseValue(r.data, int(o.start))
 		if err != nil {
 			if r.failOnBad {
 				return err
 			}
 			r.stats.ObjectsSkipped.Add(1)
-			st.ix.markBad(i)
+			r.ix.markBad(i)
 			continue
 		}
 		if err := yield(v); err != nil {
@@ -349,18 +339,18 @@ func (r *Reader) iterateFull(st *jsonState, yield func(values.Value) error) erro
 
 // iteratePartial parses each object skipping unrequested fields, and
 // records the spans of the requested ones into the semi-index.
-func (r *Reader) iteratePartial(st *jsonState, fields []string, yield func(values.Value) error) error {
+func (r *Reader) iteratePartial(fields []string, yield func(values.Value) error) error {
 	want := make(map[string]bool, len(fields))
 	for _, f := range fields {
 		want[f] = true
 	}
-	objs := objects(st.ix)
+	objs := objects(r.ix)
 	newSpans := make(map[string][]span, len(fields))
 	for _, f := range fields {
 		newSpans[f] = make([]span, 0, len(objs))
 	}
 	for i, o := range objs {
-		if st.ix.isBad(i) {
+		if r.ix.isBad(i) {
 			for _, f := range fields {
 				newSpans[f] = append(newSpans[f], span{start: -1, end: -1})
 			}
@@ -368,13 +358,13 @@ func (r *Reader) iteratePartial(st *jsonState, fields []string, yield func(value
 		}
 		r.stats.PartialParses.Add(1)
 		spans := map[string][2]int{}
-		v, _, err := parseObject(st.data, int(o.start), want, spans)
+		v, _, err := parseObject(r.data, int(o.start), want, spans)
 		if err != nil {
 			if r.failOnBad {
 				return err
 			}
 			r.stats.ObjectsSkipped.Add(1)
-			st.ix.markBad(i)
+			r.ix.markBad(i)
 			for _, f := range fields {
 				newSpans[f] = append(newSpans[f], span{start: -1, end: -1})
 			}
@@ -391,25 +381,25 @@ func (r *Reader) iteratePartial(st *jsonState, fields []string, yield func(value
 			return err
 		}
 	}
-	st.ix.mu.Lock()
+	r.ix.mu.Lock()
 	for f, s := range newSpans {
-		st.ix.fields[f] = s
+		r.ix.fields[f] = s
 	}
-	st.ix.mu.Unlock()
+	r.ix.mu.Unlock()
 	return nil
 }
 
 // iterateIndexed serves the projection straight from recorded spans.
-func (r *Reader) iterateIndexed(st *jsonState, fields []string, yield func(values.Value) error) error {
-	objs := objects(st.ix)
+func (r *Reader) iterateIndexed(fields []string, yield func(values.Value) error) error {
+	objs := objects(r.ix)
 	fieldSpans := make([][]span, len(fields))
-	st.ix.mu.RLock()
+	r.ix.mu.RLock()
 	for i, f := range fields {
-		fieldSpans[i] = st.ix.fields[f]
+		fieldSpans[i] = r.ix.fields[f]
 	}
-	st.ix.mu.RUnlock()
+	r.ix.mu.RUnlock()
 	for objIdx := range objs {
-		if st.ix.isBad(objIdx) {
+		if r.ix.isBad(objIdx) {
 			continue
 		}
 		recFields := make([]values.Field, len(fields))
@@ -420,7 +410,7 @@ func (r *Reader) iterateIndexed(st *jsonState, fields []string, yield func(value
 				continue
 			}
 			r.stats.IndexedReads.Add(1)
-			v, _, err := ParseValue(st.data, int(s.start))
+			v, _, err := ParseValue(r.data, int(s.start))
 			if err != nil {
 				return err
 			}
@@ -452,62 +442,53 @@ func projectInOrder(v values.Value, fields []string) values.Value {
 // two integers through evaluation and assemble the object only at result
 // projection.
 func (r *Reader) ObjectSpan(i int) (start, end int64, err error) {
-	st := r.state.Load()
-	_, s, err := r.objectSpanState(st, i)
-	if err != nil {
-		return 0, 0, err
-	}
-	return s.start, s.end, nil
+	s, err := r.objectSpan(i)
+	return s.start, s.end, err
 }
 
-// objectSpanState resolves object i within one generation, so callers
-// can apply the span to the very bytes it indexes.
-func (r *Reader) objectSpanState(st *jsonState, i int) (*jsonState, span, error) {
-	if err := r.buildObjectIndex(st); err != nil {
-		return st, span{}, err
+// objectSpan resolves object i, building the object index on demand.
+func (r *Reader) objectSpan(i int) (span, error) {
+	if err := r.buildObjectIndex(); err != nil {
+		return span{}, err
 	}
-	objs := objects(st.ix)
+	objs := objects(r.ix)
 	if i < 0 || i >= len(objs) {
-		return st, span{}, fmt.Errorf("rawjson: object %d out of range", i)
+		return span{}, fmt.Errorf("rawjson: object %d out of range", i)
 	}
-	return st, objs[i], nil
+	return objs[i], nil
 }
 
 // ObjectBytes returns the raw bytes of object i (Figure 4a layout).
 func (r *Reader) ObjectBytes(i int) ([]byte, error) {
-	st, s, err := r.objectSpanState(r.state.Load(), i)
+	s, err := r.objectSpan(i)
 	if err != nil {
 		return nil, err
 	}
-	return st.data[s.start:s.end], nil
+	return r.data[s.start:s.end], nil
 }
 
 // ParseObject fully parses object i (Figure 4c layout).
 func (r *Reader) ParseObject(i int) (values.Value, error) {
-	st, s, err := r.objectSpanState(r.state.Load(), i)
+	s, err := r.objectSpan(i)
 	if err != nil {
 		return values.Null, err
 	}
 	r.stats.FullParses.Add(1)
-	v, _, err := ParseValue(st.data, int(s.start))
+	v, _, err := ParseValue(r.data, int(s.start))
 	return v, err
 }
 
 // ExtractPath parses only the value at a dotted path ("coords.x") within
 // object i, skipping everything else.
 func (r *Reader) ExtractPath(i int, path string) (values.Value, error) {
-	st := r.state.Load()
-	if err := r.buildObjectIndex(st); err != nil {
+	s, err := r.objectSpan(i)
+	if err != nil {
 		return values.Null, err
 	}
-	objs := objects(st.ix)
-	if i < 0 || i >= len(objs) {
-		return values.Null, fmt.Errorf("rawjson: object %d out of range", i)
-	}
 	parts := strings.Split(path, ".")
-	pos := int(objs[i].start)
+	pos := int(s.start)
 	for depth, part := range parts {
-		vpos, ok, err := findField(st.data, pos, part)
+		vpos, ok, err := findField(r.data, pos, part)
 		if err != nil {
 			return values.Null, err
 		}
@@ -515,7 +496,7 @@ func (r *Reader) ExtractPath(i int, path string) (values.Value, error) {
 			return values.Null, nil
 		}
 		if depth == len(parts)-1 {
-			v, _, err := ParseValue(st.data, vpos)
+			v, _, err := ParseValue(r.data, vpos)
 			return v, err
 		}
 		pos = vpos

@@ -366,9 +366,10 @@ type CleanRule struct {
 func CleanFloat(f float64) *float64 { return &f }
 
 // AttachCleaner installs data-cleaning rules on a registered source
-// (paper §7): invalid entries are skipped, nulled, or snapped to the
-// nearest acceptable value (Hamming/edit distance for dictionaries,
-// clamping for ranges) as the raw data streams in.
+// (paper §7), in place of any attached before: invalid entries are
+// skipped, nulled, or snapped to the nearest acceptable value
+// (Hamming/edit distance for dictionaries, clamping for ranges) as the
+// raw data streams in.
 func (e *Engine) AttachCleaner(source string, rules ...CleanRule) error {
 	converted := make([]clean.Rule, len(rules))
 	for i, r := range rules {
