@@ -1,10 +1,9 @@
 // Package bsonlite implements a compact binary JSON serialization modeled
 // on BSON. ViDa uses it in three places: as the docstore baseline's on-disk
 // document format (reproducing MongoDB's import behaviour, including its
-// space overhead relative to raw JSON), as one of the candidate cache
-// layouts for JSON-carrying attributes (paper Figure 4b), and as the
-// intermediate-result format chosen when downstream queries want binary
-// JSON (paper §5 "Re-using and re-shaping results").
+// space overhead relative to raw JSON), as the binary-JSON layout of the
+// Figure 4 micro-experiment (paper Figure 4b), and as colenc's encoding
+// of boxed cache columns.
 //
 // Wire format (little-endian, BSON-inspired):
 //

@@ -12,51 +12,25 @@ import (
 	"vida/internal/vec"
 )
 
-// Layout enumerates the cache representations of Figure 4 plus the
-// columnar re-shaping of §5.
+// Layout names the one shape a cache entry has: typed columns (§5,
+// "cache replicas of tabular, row-oriented data in a columnar format").
+// It survives only as the second argument of Peek, which the benchmark
+// harness calls; drop both together.
 type Layout uint8
 
-// The cache layouts.
-const (
-	LayoutColumns Layout = iota // typed column vectors (tabular re-shape)
-	LayoutRows                  // record values in row order ("C++ object" analogue, Fig 4c)
-	LayoutBSON                  // binary JSON documents (Fig 4b)
-	LayoutSpans                 // (start,end) byte positions into the raw file (Fig 4d)
-)
+// LayoutColumns is the columnar layout, the only one.
+const LayoutColumns Layout = 0
 
-// String returns the layout name.
-func (l Layout) String() string {
-	switch l {
-	case LayoutColumns:
-		return "columns"
-	case LayoutRows:
-		return "rows"
-	case LayoutBSON:
-		return "bson"
-	case LayoutSpans:
-		return "spans"
-	default:
-		return fmt.Sprintf("layout(%d)", uint8(l))
-	}
-}
-
-// Span is a byte range into a raw file.
-type Span struct{ Start, End int64 }
-
-// Entry is one cached representation of (part of) a dataset.
+// Entry is the cached columns of one dataset.
 type Entry struct {
 	Dataset string
-	Layout  Layout
-	N       int // row/object count
+	N       int // row count
 
-	// Cols holds the columnar layout: one vector per attribute, kept in
-	// the typed representation the harvesting scan produced (boxed only
-	// for mixed-type or generic columns). Published columns are
-	// immutable — scans serve slice windows of them zero-copy.
-	Cols  map[string]vec.Col // LayoutColumns
-	Rows  []values.Value     // LayoutRows
-	Docs  [][]byte           // LayoutBSON
-	Spans []Span             // LayoutSpans
+	// Cols holds one vector per attribute, kept in the typed
+	// representation the harvesting scan produced (boxed only for
+	// mixed-type or generic columns). Published columns are immutable —
+	// scans serve slice windows of them zero-copy.
+	Cols map[string]vec.Col
 
 	// Enc is the second-tier representation: when non-nil the entry holds
 	// encoded blocks instead of flat vectors (Cols is then nil) and size
@@ -80,9 +54,6 @@ func (e *Entry) Encoded() bool { return e.Enc != nil }
 
 // HasColumns reports whether the entry covers all the given fields.
 func (e *Entry) HasColumns(fields []string) bool {
-	if e.Layout != LayoutColumns {
-		return false
-	}
 	if e.Enc != nil {
 		return e.Enc.HasColumns(fields)
 	}
@@ -94,8 +65,7 @@ func (e *Entry) HasColumns(fields []string) bool {
 	return true
 }
 
-// ColumnNames lists the attributes a columnar entry holds, in either
-// tier (nil for the other layouts).
+// ColumnNames lists the attributes the entry holds, in either tier.
 func (e *Entry) ColumnNames() []string {
 	var names []string
 	if e.Enc != nil {
@@ -146,14 +116,15 @@ type Config struct {
 	SpillDir string
 }
 
-// Manager owns all cache entries under one byte budget.
+// Manager owns all cache entries under one byte budget, at most one
+// entry per dataset.
 type Manager struct {
 	mu      sync.Mutex
 	cfg     Config
 	budget  int64
 	used    int64 // hotUsed + encodedUsed: every resident entry's size
 	tick    uint64
-	entries map[string]*Entry
+	entries map[string]*Entry // by dataset
 	hits    int64
 	misses  int64
 	evicted int64
@@ -195,10 +166,6 @@ func (m *Manager) SetSpillKey(dataset string, gen func() string) {
 		return
 	}
 	m.spillKeys[dataset] = gen
-}
-
-func key(dataset string, layout Layout) string {
-	return dataset + "\x00" + layout.String()
 }
 
 // EstimateValueBytes approximates the in-memory footprint of a value; it
@@ -257,18 +224,17 @@ func (m *Manager) PutColumnVectors(dataset string, n int, cols map[string]vec.Co
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := key(dataset, LayoutColumns)
-	old := m.entries[k]
+	old := m.entries[dataset]
 	if old != nil && old.N != n {
 		// A harvest of a different row count is a different file generation
 		// (or a column set with different malformed rows): columns of two
 		// lengths never share an entry, so the new harvest replaces the old
 		// one wholesale. A file that merely grew does not come through here
 		// — Refresh extends the entry in place with ExtendColumns.
-		m.removeLocked(k)
+		m.removeLocked(dataset)
 		old = nil
 	}
-	e := &Entry{Dataset: dataset, Layout: LayoutColumns, N: n, Cols: make(map[string]vec.Col, len(cols))}
+	e := &Entry{Dataset: dataset, N: n, Cols: make(map[string]vec.Col, len(cols))}
 	if old != nil {
 		e.tick, e.hits = old.tick, old.hits
 		oldCols := old.Cols
@@ -287,7 +253,7 @@ func (m *Manager) PutColumnVectors(dataset string, n int, cols map[string]vec.Co
 		for name, col := range oldCols {
 			e.Cols[name] = col
 		}
-		m.removeLocked(k)
+		m.removeLocked(dataset)
 	} else {
 		m.puts++
 	}
@@ -304,7 +270,7 @@ func (m *Manager) PutColumnVectors(dataset string, n int, cols map[string]vec.Co
 		col := e.Cols[name]
 		e.size += EstimateColBytes(&col)
 	}
-	m.entries[k] = e
+	m.entries[dataset] = e
 	m.used += e.size
 	m.hotUsed += e.size
 	m.touchLocked(e)
@@ -323,20 +289,13 @@ func (m *Manager) PutColumnVectors(dataset string, n int, cols map[string]vec.Co
 // touches rows below oldN; reallocated with bounded headroom otherwise);
 // an encoded entry re-encodes from its last full block boundary. It
 // reports false, changing nothing, when the entry cannot be extended — no
-// entry, a row count other than oldN, a different attribute set, tail
-// columns of unequal length or another representation, or rows/BSON/spans
-// entries of the same dataset that would be left stale. The caller then
+// entry, a row count other than oldN, a different attribute set, or tail
+// columns of unequal length or another representation. The caller then
 // invalidates the dataset.
 func (m *Manager) ExtendColumns(dataset string, oldN int, tail map[string]vec.Col) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, e := range m.entries {
-		if e.Dataset == dataset && e.Layout != LayoutColumns {
-			return false
-		}
-	}
-	k := key(dataset, LayoutColumns)
-	old := m.entries[k]
+	old := m.entries[dataset]
 	if old == nil || old.N != oldN {
 		return false
 	}
@@ -345,7 +304,7 @@ func (m *Manager) ExtendColumns(dataset string, oldN int, tail map[string]vec.Co
 		return false
 	}
 	add := -1
-	e := &Entry{Dataset: dataset, Layout: LayoutColumns, tick: old.tick, hits: old.hits}
+	e := &Entry{Dataset: dataset, tick: old.tick, hits: old.hits}
 	if old.Enc != nil {
 		e.Enc = &colenc.Table{Cols: make(map[string]*colenc.Col, len(names))}
 	} else {
@@ -374,8 +333,8 @@ func (m *Manager) ExtendColumns(dataset string, oldN int, tail map[string]vec.Co
 		e.size += EstimateColBytes(&col)
 	}
 	e.N = oldN + add
-	m.removeLocked(k)
-	m.entries[k] = e
+	m.removeLocked(dataset)
+	m.entries[dataset] = e
 	if e.Enc != nil {
 		e.Enc.N = e.N
 		e.size = e.Enc.SizeBytes()
@@ -388,12 +347,12 @@ func (m *Manager) ExtendColumns(dataset string, oldN int, tail map[string]vec.Co
 	// The spill file is keyed by the file's content: the old generation's
 	// no longer matches anything on disk.
 	m.removeSpillFilesLocked(dataset)
-	m.spillLocked(m.entries[k])
+	m.spillLocked(m.entries[dataset])
 	m.evictLocked()
 	return true
 }
 
-// maybeEncodeLocked transitions the coldest columnar entries from flat
+// maybeEncodeLocked transitions the coldest entries from flat
 // vectors to encoded blocks while the hot tier is over its budget. The
 // swap is copy-on-write: in-flight scans keep reading the flat entry
 // they resolved; new lookups see the encoded one.
@@ -405,7 +364,7 @@ func (m *Manager) maybeEncodeLocked() {
 		var coldestKey string
 		var coldest *Entry
 		for k, e := range m.entries {
-			if e.Layout != LayoutColumns || e.Enc != nil || e.Cols == nil {
+			if e.Enc != nil {
 				continue
 			}
 			if coldest == nil || e.tick < coldest.tick {
@@ -421,7 +380,7 @@ func (m *Manager) maybeEncodeLocked() {
 			return
 		}
 		enc := &Entry{
-			Dataset: coldest.Dataset, Layout: LayoutColumns, N: coldest.N,
+			Dataset: coldest.Dataset, N: coldest.N,
 			Enc: tab, size: tab.SizeBytes(), tick: coldest.tick, hits: coldest.hits,
 		}
 		m.entries[coldestKey] = enc
@@ -432,62 +391,11 @@ func (m *Manager) maybeEncodeLocked() {
 	}
 }
 
-// PutRows installs the row-layout entry for a dataset.
-func (m *Manager) PutRows(dataset string, rows []values.Value) {
-	var sz int64
-	for _, r := range rows {
-		sz += EstimateValueBytes(r)
-	}
-	m.put(&Entry{Dataset: dataset, Layout: LayoutRows, N: len(rows), Rows: rows, size: sz})
-}
-
-// PutBSON installs the binary-JSON entry for a dataset.
-func (m *Manager) PutBSON(dataset string, docs [][]byte) {
-	var sz int64
-	for _, d := range docs {
-		sz += int64(len(d))
-	}
-	m.put(&Entry{Dataset: dataset, Layout: LayoutBSON, N: len(docs), Docs: docs, size: sz})
-}
-
-// PutSpans installs the positional entry for a dataset.
-func (m *Manager) PutSpans(dataset string, spans []Span) {
-	m.put(&Entry{Dataset: dataset, Layout: LayoutSpans, N: len(spans), Spans: spans, size: int64(len(spans) * 16)})
-}
-
-func (m *Manager) put(e *Entry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	k := key(e.Dataset, e.Layout)
-	m.removeLocked(k)
-	m.entries[k] = e
-	m.used += e.size
-	m.hotUsed += e.size
-	m.puts++
-	m.touchLocked(e)
-	m.evictLocked()
-}
-
-// Get returns the entry of a dataset in a specific layout.
-func (m *Manager) Get(dataset string, layout Layout) (*Entry, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[key(dataset, layout)]
-	if !ok {
-		m.misses++
-		return nil, false
-	}
-	m.hits++
-	e.hits++
-	m.touchLocked(e)
-	return e, true
-}
-
-// GetColumns returns the columnar entry if it covers all fields.
+// GetColumns returns the dataset's entry if it covers all fields.
 func (m *Manager) GetColumns(dataset string, fields []string) (*Entry, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.entries[key(dataset, LayoutColumns)]
+	e, ok := m.entries[dataset]
 	if !ok || !e.HasColumns(fields) {
 		m.misses++
 		return nil, false
@@ -501,22 +409,23 @@ func (m *Manager) GetColumns(dataset string, fields []string) (*Entry, bool) {
 // Touch records a served lookup (hit + LRU bump) for an entry that was
 // resolved via Peek — the deferred-accounting path range scans use so
 // that probing for parallelizability does not double-count hits.
-func (m *Manager) Touch(dataset string, layout Layout) {
+func (m *Manager) Touch(dataset string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e, ok := m.entries[key(dataset, layout)]; ok {
+	if e, ok := m.entries[dataset]; ok {
 		m.hits++
 		e.hits++
 		m.touchLocked(e)
 	}
 }
 
-// Peek is Get without statistics or LRU effects (used by the optimizer's
-// cost model to probe residency without distorting hit rates).
-func (m *Manager) Peek(dataset string, layout Layout) (*Entry, bool) {
+// Peek returns the dataset's entry without statistics or LRU effects
+// (used by the optimizer's cost model to probe residency without
+// distorting hit rates).
+func (m *Manager) Peek(dataset string, _ Layout) (*Entry, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.entries[key(dataset, layout)]
+	e, ok := m.entries[dataset]
 	return e, ok
 }
 
@@ -524,20 +433,16 @@ func (m *Manager) Peek(dataset string, layout Layout) (*Entry, bool) {
 func (m *Manager) PeekColumns(dataset string, fields []string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.entries[key(dataset, LayoutColumns)]
+	e, ok := m.entries[dataset]
 	return ok && e.HasColumns(fields)
 }
 
-// Invalidate drops every entry of a dataset (file changed), along with
-// any spill files: their generation no longer exists.
+// Invalidate drops a dataset's entry (file changed), along with any
+// spill files: their generation no longer exists.
 func (m *Manager) Invalidate(dataset string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for k, e := range m.entries {
-		if e.Dataset == dataset {
-			m.removeLocked(k)
-		}
-	}
+	m.removeLocked(dataset)
 	m.removeSpillFilesLocked(dataset)
 }
 
@@ -584,11 +489,11 @@ func (m *Manager) Describe() string {
 	var sb strings.Builder
 	for _, k := range keys {
 		e := m.entries[k]
-		fmt.Fprintf(&sb, "%s [%s] n=%d size=%dB hits=%d", e.Dataset, e.Layout, e.N, e.size, e.hits)
+		fmt.Fprintf(&sb, "%s n=%d size=%dB hits=%d", e.Dataset, e.N, e.size, e.hits)
 		if e.Encoded() {
 			fmt.Fprintf(&sb, " tier=encoded blocks=%d", e.Enc.NumBlocks())
 		}
-		if e.Layout == LayoutColumns && e.Cols != nil {
+		if e.Cols != nil {
 			cols := make([]string, 0, len(e.Cols))
 			for c := range e.Cols {
 				col := e.Cols[c]
@@ -607,15 +512,15 @@ func (m *Manager) touchLocked(e *Entry) {
 	e.tick = m.tick
 }
 
-func (m *Manager) removeLocked(k string) {
-	if e, ok := m.entries[k]; ok {
+func (m *Manager) removeLocked(dataset string) {
+	if e, ok := m.entries[dataset]; ok {
 		m.used -= e.size
 		if e.Encoded() {
 			m.encodedUsed -= e.size
 		} else {
 			m.hotUsed -= e.size
 		}
-		delete(m.entries, k)
+		delete(m.entries, dataset)
 	}
 }
 

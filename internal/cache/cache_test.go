@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"vida/internal/bsonlite"
 	"vida/internal/values"
 	"vida/internal/vec"
 )
@@ -75,54 +74,38 @@ func TestColumnsShapeChangeReplaces(t *testing.T) {
 	}
 }
 
-func TestRowsBSONSpans(t *testing.T) {
-	m := New(0)
-	rows := []values.Value{
-		values.NewRecord(values.Field{Name: "a", Val: values.NewInt(1)}),
-	}
-	m.PutRows("r", rows)
-	if e, ok := m.Get("r", LayoutRows); !ok || e.N != 1 {
-		t.Fatal("rows entry missing")
-	}
-	doc, _ := bsonlite.Marshal(rows[0])
-	m.PutBSON("b", [][]byte{doc})
-	if e, ok := m.Get("b", LayoutBSON); !ok || e.N != 1 {
-		t.Fatal("bson entry missing")
-	}
-	m.PutSpans("s", []Span{{0, 10}, {10, 25}})
-	if e, ok := m.Get("s", LayoutSpans); !ok || e.N != 2 {
-		t.Fatal("spans entry missing")
-	}
-}
-
 func TestInvalidate(t *testing.T) {
 	m := New(0)
 	_ = putBoxed(m, "p", 1, map[string][]values.Value{"id": intCol(1, func(i int) int64 { return 0 })})
-	m.PutSpans("p", []Span{{0, 5}})
-	m.PutSpans("q", []Span{{0, 5}})
+	_ = putBoxed(m, "q", 1, map[string][]values.Value{"id": intCol(1, func(i int) int64 { return 0 })})
 	m.Invalidate("p")
 	if _, ok := m.Peek("p", LayoutColumns); ok {
 		t.Fatal("columns survived invalidation")
 	}
-	if _, ok := m.Peek("p", LayoutSpans); ok {
-		t.Fatal("spans survived invalidation")
-	}
-	if _, ok := m.Peek("q", LayoutSpans); !ok {
+	if _, ok := m.Peek("q", LayoutColumns); !ok {
 		t.Fatal("unrelated dataset invalidated")
 	}
+	if st := m.Stats(); st.Entries != 1 || st.BytesUsed != st.HotBytes || st.HotBytes <= 0 {
+		t.Fatalf("stats after invalidation = %+v", st)
+	}
+}
+
+// int64Cols is n rows of one typed column: 8n bytes against the budget.
+func int64Cols(n int) map[string]vec.Col {
+	return map[string]vec.Col{"id": {Tag: vec.Int64, Ints: make([]int64, n)}}
 }
 
 func TestLRUEvictionUnderBudget(t *testing.T) {
 	m := New(400)
-	m.PutSpans("a", make([]Span, 10)) // 160 bytes
-	m.PutSpans("b", make([]Span, 10))
+	_ = m.PutColumnVectors("a", 20, int64Cols(20)) // 160 bytes
+	_ = m.PutColumnVectors("b", 20, int64Cols(20))
 	// Touch "a" so "b" is the LRU victim.
-	m.Get("a", LayoutSpans)
-	m.PutSpans("c", make([]Span, 10)) // pushes over 400
-	if _, ok := m.Peek("b", LayoutSpans); ok {
+	m.GetColumns("a", []string{"id"})
+	_ = m.PutColumnVectors("c", 20, int64Cols(20)) // pushes over 400
+	if _, ok := m.Peek("b", LayoutColumns); ok {
 		t.Fatal("LRU victim b survived")
 	}
-	if _, ok := m.Peek("a", LayoutSpans); !ok {
+	if _, ok := m.Peek("a", LayoutColumns); !ok {
 		t.Fatal("recently used a evicted")
 	}
 	if m.Stats().Evictions == 0 {
@@ -132,9 +115,9 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	m := New(0)
-	m.PutSpans("a", []Span{{0, 1}})
-	m.Get("a", LayoutSpans)
-	m.Get("nope", LayoutSpans)
+	_ = m.PutColumnVectors("a", 1, int64Cols(1))
+	m.GetColumns("a", []string{"id"})
+	m.GetColumns("nope", []string{"id"})
 	st := m.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Insertions != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -146,8 +129,8 @@ func TestStatsCounting(t *testing.T) {
 
 func TestPeekDoesNotDistortStats(t *testing.T) {
 	m := New(0)
-	m.PutSpans("a", []Span{{0, 1}})
-	m.Peek("a", LayoutSpans)
+	_ = m.PutColumnVectors("a", 1, int64Cols(1))
+	m.Peek("a", LayoutColumns)
 	m.PeekColumns("a", []string{"x"})
 	st := m.Stats()
 	if st.Hits != 0 || st.Misses != 0 {
@@ -189,71 +172,12 @@ func TestColumnsSourceIterate(t *testing.T) {
 	}
 }
 
-func TestRowsSourceProjection(t *testing.T) {
-	rows := []values.Value{
-		values.NewRecord(
-			values.Field{Name: "a", Val: values.NewInt(1)},
-			values.Field{Name: "b", Val: values.NewString("x")},
-		),
-	}
-	m := New(0)
-	m.PutRows("r", rows)
-	e, _ := m.Get("r", LayoutRows)
-	src := &RowsSource{Entry: e, Dataset: "r"}
-	var out []values.Value
-	if err := src.Iterate([]string{"b"}, func(v values.Value) error {
-		out = append(out, v)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if out[0].Len() != 1 || out[0].MustGet("b").Str() != "x" {
-		t.Fatalf("projected = %v", out[0])
-	}
-}
-
-func TestBSONSourceFieldDecode(t *testing.T) {
-	v := values.NewRecord(
-		values.Field{Name: "big", Val: values.NewString(string(make([]byte, 1000)))},
-		values.Field{Name: "id", Val: values.NewInt(9)},
-	)
-	doc, err := bsonlite.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New(0)
-	m.PutBSON("d", [][]byte{doc})
-	e, _ := m.Get("d", LayoutBSON)
-	src := &BSONSource{Entry: e, Dataset: "d"}
-	var out []values.Value
-	if err := src.Iterate([]string{"id"}, func(v values.Value) error {
-		out = append(out, v)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if out[0].MustGet("id").Int() != 9 {
-		t.Fatalf("bson projection = %v", out[0])
-	}
-	// Full decode path.
-	var full []values.Value
-	if err := src.Iterate(nil, func(v values.Value) error {
-		full = append(full, v)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if full[0].Len() != 2 {
-		t.Fatalf("full bson decode = %v", full[0])
-	}
-}
-
 func TestDescribe(t *testing.T) {
 	m := New(0)
 	_ = putBoxed(m, "p", 1, map[string][]values.Value{"id": intCol(1, func(i int) int64 { return 0 })})
-	m.PutSpans("q", []Span{{0, 5}})
+	_ = m.PutColumnVectors("q", 3, int64Cols(3))
 	s := m.Describe()
-	for _, want := range []string{"p [columns]", "q [spans]", "cols=[id:boxed]"} {
+	for _, want := range []string{"p n=1", "cols=[id:boxed]", "q n=3 size=24B", "cols=[id:int64]"} {
 		if !contains(s, want) {
 			t.Fatalf("Describe missing %q:\n%s", want, s)
 		}
@@ -350,7 +274,7 @@ func TestManagerTouch(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := m.Stats().Hits
-	m.Touch("D", LayoutColumns)
+	m.Touch("D")
 	if got := m.Stats().Hits; got != before+1 {
 		t.Fatalf("hits = %d, want %d", got, before+1)
 	}

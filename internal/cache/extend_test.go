@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"vida/internal/values"
 	"vida/internal/vec"
 )
 
@@ -163,9 +162,14 @@ func TestExtendColumnsRefusals(t *testing.T) {
 	if e.N != 100 || m.Stats().HotBytes != before.HotBytes {
 		t.Fatalf("refusals changed the entry: n=%d hot=%d (was %d)", e.N, m.Stats().HotBytes, before.HotBytes)
 	}
-	m.PutRows("D", []values.Value{values.NewInt(1)})
+	// A harvest that lands between parsing the tail and extending adds a
+	// column the tail does not cover: the entry would go stale.
+	score := vec.Col{Tag: vec.Float64, Floats: make([]float64, 100)}
+	if err := m.PutColumnVectors("D", 100, map[string]vec.Col{"score": score}); err != nil {
+		t.Fatal(err)
+	}
 	if m.ExtendColumns("D", 100, tail) {
-		t.Fatal("extended beside a row-layout entry that would go stale")
+		t.Fatal("extended an entry with a column the tail does not cover")
 	}
 }
 

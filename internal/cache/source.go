@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 
-	"vida/internal/bsonlite"
 	"vida/internal/colenc"
 	"vida/internal/values"
 	"vida/internal/vec"
@@ -209,69 +208,4 @@ func (s *ColumnsSource) rangeScan(cols []vec.Col) func(lo, hi, batchSize int, yi
 		}
 		return nil
 	}
-}
-
-// RowsSource adapts a row-layout entry to algebra.Source.
-type RowsSource struct {
-	Entry   *Entry
-	Dataset string
-}
-
-// Name implements algebra.Source.
-func (s *RowsSource) Name() string { return s.Dataset }
-
-// Iterate implements algebra.Source.
-func (s *RowsSource) Iterate(fields []string, yield func(values.Value) error) error {
-	for _, r := range s.Entry.Rows {
-		if len(fields) > 0 {
-			rec := make([]values.Field, len(fields))
-			for i, f := range fields {
-				v, _ := r.Get(f)
-				rec[i] = values.Field{Name: f, Val: v}
-			}
-			r = values.NewRecord(rec...)
-		}
-		if err := yield(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BSONSource adapts a binary-JSON entry to algebra.Source, decoding only
-// the projected fields of each document.
-type BSONSource struct {
-	Entry   *Entry
-	Dataset string
-}
-
-// Name implements algebra.Source.
-func (s *BSONSource) Name() string { return s.Dataset }
-
-// Iterate implements algebra.Source.
-func (s *BSONSource) Iterate(fields []string, yield func(values.Value) error) error {
-	for _, doc := range s.Entry.Docs {
-		var rec values.Value
-		if len(fields) == 0 {
-			v, err := bsonlite.Unmarshal(doc)
-			if err != nil {
-				return err
-			}
-			rec = v
-		} else {
-			fs := make([]values.Field, len(fields))
-			for i, f := range fields {
-				v, _, err := bsonlite.GetField(doc, f)
-				if err != nil {
-					return err
-				}
-				fs[i] = values.Field{Name: f, Val: v}
-			}
-			rec = values.NewRecord(fs...)
-		}
-		if err := yield(rec); err != nil {
-			return err
-		}
-	}
-	return nil
 }

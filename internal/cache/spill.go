@@ -123,10 +123,9 @@ func (m *Manager) Rehydrate(dataset, generation string) int {
 				meta.Dataset, meta.Generation, dataset, generation))
 			continue
 		}
-		k := key(dataset, LayoutColumns)
-		m.removeLocked(k)
-		e := &Entry{Dataset: dataset, Layout: LayoutColumns, N: tab.N, Enc: tab, size: tab.SizeBytes()}
-		m.entries[k] = e
+		m.removeLocked(dataset)
+		e := &Entry{Dataset: dataset, N: tab.N, Enc: tab, size: tab.SizeBytes()}
+		m.entries[dataset] = e
 		m.used += e.size
 		m.encodedUsed += e.size
 		m.touchLocked(e)

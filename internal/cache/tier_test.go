@@ -125,11 +125,11 @@ func TestTrackedBytesNoDriftUnderChurn(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		ds := datasets[rng.Intn(len(datasets))]
 		switch rng.Intn(6) {
-		case 5: // extend whatever columnar entry is resident, in either tier
+		case 5: // extend whatever entry is resident, in either tier
 			if e, ok := m.Peek(ds, LayoutColumns); ok {
-				_, rows := m.Peek(ds, LayoutRows) // would go stale: extension must refuse
-				if k := 1 + rng.Intn(5000); m.ExtendColumns(ds, e.N, tierCols(k, int64(step))) == rows {
-					t.Fatalf("step %d: extension of a resident %d-row entry beside rows=%v", step, e.N, rows)
+				fits := len(e.ColumnNames()) == 2 // tierCols' attributes: nothing accumulated
+				if k := 1 + rng.Intn(5000); m.ExtendColumns(ds, e.N, tierCols(k, int64(step))) != fits {
+					t.Fatalf("step %d: extension of a resident %d-row entry of %v: want %v", step, e.N, e.ColumnNames(), fits)
 				}
 			}
 		case 0, 1: // grow/replace columnar entry (can trigger encode + evict)
@@ -137,8 +137,13 @@ func TestTrackedBytesNoDriftUnderChurn(t *testing.T) {
 			if err := m.PutColumnVectors(ds, n, tierCols(n, int64(step))); err != nil {
 				t.Fatal(err)
 			}
-		case 2: // row-layout put
-			m.PutRows(ds, []values.Value{values.NewInt(int64(step))})
+		case 2: // accumulate a column onto whatever entry is resident
+			if e, ok := m.Peek(ds, LayoutColumns); ok {
+				score := vec.Col{Tag: vec.Float64, Floats: make([]float64, e.N)}
+				if err := m.PutColumnVectors(ds, e.N, map[string]vec.Col{"score": score}); err != nil {
+					t.Fatal(err)
+				}
+			}
 		case 3: // LRU touch
 			m.GetColumns(ds, []string{"id"})
 		case 4: // invalidate

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"vida/internal/cache"
 	"vida/internal/clean"
 	"vida/internal/sched"
 	"vida/internal/sdg"
@@ -473,25 +472,30 @@ func TestAppendKeepsCacheDirCurrent(t *testing.T) {
 	}
 }
 
-// TestAppendBesideOtherLayouts: cache entries Refresh cannot extend send
-// the whole dataset down the replace path rather than going stale.
-func TestAppendBesideOtherLayouts(t *testing.T) {
+// TestAppendAfterWholeRecordScan: a whole-record scan reads, and
+// harvests into, the source's one columnar entry, so an append after it
+// extends that entry instead of replacing a second, boxed copy.
+func TestAppendAfterWholeRecordScan(t *testing.T) {
 	f := &appendFile{t: t, path: filepath.Join(t.TempDir(), "e.csv"), rng: rand.New(rand.NewSource(3))}
 	f.rewrite(appendHeader + f.rows(50))
-	e := appendEngine(t, f.path, Options{})
-	appendAnswers(t, e, "warm-up")
-	e.Caches().PutSpans("E", []cache.Span{{Start: 0, End: 1}})
+	e := appendEngine(t, f.path, Options{Mode: ModeReference})
+	for _, q := range []string{`for { e <- E } yield count e`, `for { e <- E, e.k < 50 } yield sum e.f`} {
+		if _, err := e.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := e.Caches().Stats().Entries; n != 1 {
+		t.Fatalf("%d cache entries after a whole-record and a projected scan", n)
+	}
 	f.grow(f.rows(5))
 	if err := e.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.StatsSnapshot(); st.RefreshAppends != 0 || st.RefreshReplacements != 1 {
-		t.Fatalf("refresh stats = %+v", st)
+	if st := e.StatsSnapshot(); st.Cache.Entries != 1 || st.RefreshAppends != 1 || st.RefreshReplacements != 0 {
+		t.Fatalf("%d cache entries, %d appends, %d replacements after a whole-record scan and an append",
+			st.Cache.Entries, st.RefreshAppends, st.RefreshReplacements)
 	}
-	if _, ok := e.Caches().Peek("E", cache.LayoutSpans); ok {
-		t.Fatal("the spans entry of the previous generation survived")
-	}
-	assertLikeFreshEngine(t, e, f.path, "append beside a spans entry")
+	assertLikeFreshEngine(t, e, f.path, "append after a whole-record scan")
 }
 
 // TestRefreshSeesThroughCleaner is the regression test for Refresh

@@ -465,10 +465,8 @@ func TestLifecycleHarvestMatrix(t *testing.T) {
 						if _, err := e.Query(lifecycleQueries[0]); err == nil {
 							t.Fatal("a query over the deregistered source answered")
 						}
-						for _, l := range []cache.Layout{cache.LayoutColumns, cache.LayoutRows} {
-							if _, ok := e.Caches().Peek("P", l); ok {
-								t.Fatalf("the deregistered source keeps a %v cache entry", l)
-							}
+						if st := e.Caches().Stats(); st.Entries != 0 {
+							t.Fatalf("the deregistered source keeps %d cache entries", st.Entries)
 						}
 						for i, p := range plans {
 							if _, err := p.Run(); err == nil {

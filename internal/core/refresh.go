@@ -160,10 +160,8 @@ func (e *Engine) extendCache(next *sourceEntry, ch rawcsv.Change, tail map[strin
 		}
 		return ""
 	}
-	for _, l := range []cache.Layout{cache.LayoutColumns, cache.LayoutRows, cache.LayoutBSON, cache.LayoutSpans} {
-		if _, ok := e.caches.Peek(name, l); ok {
-			return "cached in a layout the tail was not parsed for"
-		}
+	if _, ok := e.caches.Peek(name, cache.LayoutColumns); ok {
+		return "cached columns the tail was not parsed for"
 	}
 	return ""
 }

@@ -331,7 +331,7 @@ func (s *scanSource) OpenRange(fields []string) (func(lo, hi, batchSize int, yie
 			if mode == "raw" {
 				s.e.rawScans.Add(1)
 			} else {
-				s.e.caches.Touch(name, cache.LayoutColumns)
+				s.e.caches.Touch(name)
 				s.e.cacheScans.Add(1)
 			}
 			sp = s.scanSpan(mode)
@@ -345,11 +345,18 @@ func (s *scanSource) OpenRange(fields []string) (func(lo, hi, batchSize int, yie
 // checks (batch scans check per batch).
 const ctxRowStride = 256
 
-// Iterate implements algebra.Source. A projected scan is the batch scan
-// lowered to records, so every executor reads — and builds — the same
-// cache entries. A whole-record scan (open schema: no field list to
-// vectorize over) is served from, and harvested into, the row layout.
+// Iterate implements algebra.Source: the batch scan lowered to records,
+// so every executor reads — and builds — the one columnar entry. A
+// whole-record scan of a record-typed source is the scan of every
+// attribute, as in the JIT. An open-schema source (JSON without a
+// schema) has no columnar form: its whole objects stream from the raw
+// reader and are not harvested.
 func (s *scanSource) Iterate(fields []string, yield func(values.Value) error) error {
+	if len(fields) == 0 {
+		if t := s.entry.desc.IterationType(); t != nil && t.Kind == sdg.TRecord {
+			fields = t.AttrNames()
+		}
+	}
 	if len(fields) > 0 {
 		return s.IterateBatches(fields, vec.DefaultBatchSize, func(b *vec.Batch) error {
 			return vec.BoxRecords(b, fields, yield)
@@ -358,35 +365,18 @@ func (s *scanSource) Iterate(fields []string, yield func(values.Value) error) er
 	if err := s.ctxErr(); err != nil {
 		return err
 	}
-	if ctx := s.ctx; ctx != nil {
-		inner, n := yield, 0
-		yield = func(v values.Value) error {
-			if n++; n%ctxRowStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			return inner(v)
-		}
-	}
-	name := s.entry.desc.Name
-	if !s.noCache {
-		if entry, ok := s.e.caches.Get(name, cache.LayoutRows); ok {
-			s.e.cacheScans.Add(1)
-			return (&cache.RowsSource{Entry: entry, Dataset: name}).Iterate(nil, yield)
-		}
-	}
 	s.e.rawScans.Add(1)
-	harvest := s.shouldHarvest(!s.noCache)
-	var rows []values.Value
-	err := s.entry.src.Iterate(nil, func(v values.Value) error {
-		if harvest {
-			rows = append(rows, v)
+	sp := s.scanSpan("raw")
+	sp.SetAttr("harvest", false)
+	defer sp.End()
+	n := 0
+	return s.entry.src.Iterate(nil, func(v values.Value) error {
+		if n++; s.ctx != nil && n%ctxRowStride == 0 {
+			if err := s.ctx.Err(); err != nil {
+				return err
+			}
 		}
+		sp.AddRows(1)
 		return yield(v)
 	})
-	if err != nil || !harvest {
-		return err
-	}
-	return s.install(func() error { s.e.caches.PutRows(name, rows); return nil })
 }

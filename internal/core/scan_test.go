@@ -53,6 +53,7 @@ var matrixQueries = []matrixQuery{
 	{"top-k", `for { t <- T } yield list (id := t.id, v := t.v) order by t.v desc, t.id limit 5`, 1},
 	{"self-join", `for { a <- T, b <- T, a.id = b.id, a.g = 1 } yield count a`, 2},
 	{"count-star", `for { t <- T } yield sum 1`, 1},
+	{"whole-records", `for { t <- T } yield list t order by t.id limit 5`, 1},
 }
 
 // matrixKind registers T over one plug-in; view kinds never cache and
@@ -241,6 +242,9 @@ func TestScanContractMatrix(t *testing.T) {
 						if q.name == "count-star" && got.Int() != count {
 							t.Errorf("%s = %v, oracle %v", label, got, count)
 						}
+						if q.name == "whole-records" && (got.Len() != 5 || got.Elems()[4].Len() != 3 || got.Elems()[4].MustGet("id").Int() != 4) {
+							t.Errorf("%s = %v, want the records of ids 0-4", label, got)
+						}
 					}
 					// (The cold state ends on an Invalidate followed, for a mapped
 					// CSV file under parallel workers, by a raw range scan — which
@@ -329,6 +333,135 @@ func TestScanSpans(t *testing.T) {
 		step := fmt.Sprintf("%+v", tc.opts)
 		check(step+" cold", scan(e, q), true, tc.cold)
 		check(step+" warm", scan(e, q), false, tc.warm)
+	}
+	// A reference-mode whole-record scan is the batch scan of every
+	// attribute; an open-schema source streams its objects raw, unharvested.
+	whole := `for { t <- T } yield count t`
+	e := NewEngine(Options{Mode: ModeReference})
+	kinds[0].register(t, e) // csv
+	check("reference whole-record cold", scan(e, whole), true, map[string]any{"source": "T", "mode": "raw", "harvest": true})
+	check("reference whole-record warm", scan(e, whole), false, map[string]any{"source": "T", "mode": "cache"})
+	open := writeOpenJSON(t, matrixRows)
+	for _, mode := range []ExecMode{ModeReference, ModeJIT} {
+		e := NewEngine(Options{Mode: mode})
+		registerOpenJSON(t, e, open)
+		for _, pass := range []string{"cold", "warm"} {
+			check(fmt.Sprintf("%s open-schema %s", mode, pass), scan(e, whole), false, map[string]any{"source": "T", "mode": "raw", "harvest": false})
+		}
+	}
+}
+
+// writeOpenJSON writes n JSON objects of no one shape — keys absent or in
+// another order, nested values — the data an open schema exists for.
+func writeOpenJSON(t *testing.T, n int) string {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteByte('[')
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		switch i % 3 {
+		case 0:
+			fmt.Fprintf(&sb, `{"id": %d, "g": %d}`, i, i%7)
+		case 1:
+			fmt.Fprintf(&sb, `{"g": %d, "id": %d, "tags": ["a", "b"]}`, i%7, i)
+		default:
+			fmt.Fprintf(&sb, `{"id": %d, "geo": {"x": %d, "ys": [1, 2]}}`, i, i)
+		}
+	}
+	sb.WriteByte(']')
+	path := filepath.Join(t.TempDir(), "open.json")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// registerOpenJSON registers the JSON file at path as T without a schema.
+func registerOpenJSON(t *testing.T, e *Engine, path string) {
+	t.Helper()
+	if err := e.Register(sdg.DefaultDescription("T", sdg.FormatJSON, path, sdg.Bag(sdg.Unknown))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWholeRecordScanOneEntry: a whole-record query and a projected one
+// over the same source share its one cache entry, in either order and
+// under either executor, and both are then served from it.
+func TestWholeRecordScanOneEntry(t *testing.T) {
+	whole := `for { t <- T } yield list t order by t.id limit 5`
+	projected := `for { t <- T, t.g > 3 } yield sum t.v`
+	for _, kind := range matrixKinds(t) {
+		if kind.view {
+			continue
+		}
+		for _, mode := range []ExecMode{ModeReference, ModeJIT} {
+			for i, order := range [][]string{{whole, projected}, {projected, whole}} {
+				label := fmt.Sprintf("%s/%s/%s first", kind.name, mode, []string{"whole", "projected"}[i])
+				e := NewEngine(Options{Mode: mode})
+				kind.register(t, e)
+				var first []values.Value
+				for _, q := range order {
+					got, err := e.Query(q)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					first = append(first, got)
+				}
+				if n := e.Caches().Stats().Entries; n != 1 {
+					t.Fatalf("%s: %d cache entries, want 1", label, n)
+				}
+				before := e.StatsSnapshot()
+				for i, q := range order {
+					if got, err := e.Query(q); err != nil || !values.Equal(got, first[i]) {
+						t.Fatalf("%s: %s warm = %v (%v), want %v", label, q, got, err, first[i])
+					}
+				}
+				if after := e.StatsSnapshot(); after.RawScans != before.RawScans || after.Cache.Entries != 1 {
+					t.Fatalf("%s: %d raw scans and %d entries once both queries ran",
+						label, after.RawScans-before.RawScans, after.Cache.Entries)
+				}
+			}
+		}
+	}
+}
+
+// TestWholeRecordOpenSchemaStreamsRaw: the objects of a JSON source
+// registered without a schema have no columnar form, so every executor
+// streams them whole from the raw reader — the reference executor's
+// answer, one raw scan a run, no cache entry.
+func TestWholeRecordOpenSchemaStreamsRaw(t *testing.T) {
+	path := writeOpenJSON(t, 300)
+	q := `for { t <- T } yield list t`
+	var want values.Value
+	for _, opts := range []Options{{Mode: ModeReference}, {Mode: ModeStatic}, {Workers: 1}, {Workers: 4}} {
+		e := NewEngine(opts)
+		registerOpenJSON(t, e, path)
+		for run := 0; run < 2; run++ {
+			label := fmt.Sprintf("%s/w%d run %d", opts.Mode, opts.Workers, run)
+			before := e.StatsSnapshot()
+			got, err := e.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			after := e.StatsSnapshot()
+			if raw, hit := after.RawScans-before.RawScans, after.CacheScans-before.CacheScans; raw != 1 || hit != 0 {
+				t.Errorf("%s: %d raw and %d cache scans, want one raw scan", label, raw, hit)
+			}
+			if n := after.Cache.Entries; n != 0 {
+				t.Errorf("%s: %d cache entries over an open schema", label, n)
+			}
+			if want.Kind() != values.KindList {
+				want = got
+				objs := want.Elems()
+				if len(objs) != 300 || objs[1].Fields()[0].Name != "g" || objs[2].MustGet("geo").Kind() != values.KindRecord {
+					t.Fatalf("%s: reference answer lost the objects' shapes: %v", label, objs[:3])
+				}
+			} else if !values.Equal(got, want) {
+				t.Errorf("%s = %v, want the reference answer %v", label, got, want)
+			}
+		}
 	}
 }
 

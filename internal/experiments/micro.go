@@ -25,6 +25,9 @@ import (
 // E3 — Figure 4: layouts for a tuple carrying a JSON object
 // ---------------------------------------------------------------------------
 
+// span is a byte range into the raw file, the (d) layout's per-row entry.
+type span struct{ start, end int64 }
+
 // Fig4Row is one layout's cost profile.
 type Fig4Row struct {
 	Layout        string
@@ -148,14 +151,14 @@ func RunFig4(dir string, sc workload.Scale, repeats int, seed int64) ([]Fig4Row,
 	// (d) positions: carry (start,end) plus the scalar columns; assemble
 	// the pipeline object from the raw file only for qualifying rows.
 	t0 = time.Now()
-	spans := make([]cache.Span, n)
+	spans := make([]span, n)
 	vols := make([]float64, n)
 	for i := 0; i < n; i++ {
 		s, e, err := rd.ObjectSpan(i)
 		if err != nil {
 			return nil, err
 		}
-		spans[i] = cache.Span{Start: s, End: e}
+		spans[i] = span{start: s, end: e}
 		v, err := rd.ExtractPath(i, "volume")
 		if err != nil {
 			return nil, err

@@ -9,10 +9,6 @@
 // the ordering logic itself stays format-agnostic.
 package optimizer
 
-import (
-	"vida/internal/cache"
-)
-
 // CostModel supplies the optimizer's per-source estimates. Engine code
 // implements it against live reader state (posmap coverage, semi-index
 // coverage, cache residency); tests use StaticCostModel.
@@ -81,45 +77,4 @@ func (m *StaticCostModel) CheapestField(name string) (string, bool) {
 		return f, ok
 	}
 	return "", false
-}
-
-// OutputNeeds describes what a query does with a materialized result; the
-// layout decision of Figure 4 is a function of these.
-type OutputNeeds struct {
-	// BinaryJSONRequested: the consumer wants binary JSON (e.g. a RESTful
-	// service layer, paper §5).
-	BinaryJSONRequested bool
-	// CarriesLargeObjects: the plan carries deep hierarchies it does not
-	// inspect — only their identity/extent matters until projection.
-	CarriesLargeObjects bool
-	// InspectsCarriedObjects: predicates or heads actually look inside
-	// the carried objects.
-	InspectsCarriedObjects bool
-	// ProjectedFields is the width of the scalar projection.
-	ProjectedFields int
-	// ReuseLikely: workload locality suggests future queries will touch
-	// this data again.
-	ReuseLikely bool
-}
-
-// ChooseLayout picks the cache layout for a materialized intermediate
-// (paper Figure 4: JSON text / BSON / parsed object / byte positions).
-func ChooseLayout(n OutputNeeds) cache.Layout {
-	switch {
-	case n.CarriesLargeObjects && !n.InspectsCarriedObjects:
-		// Carry (start,end) positions; assemble at projection (Fig 4d:
-		// avoids polluting the caches with huge objects).
-		return cache.LayoutSpans
-	case n.BinaryJSONRequested:
-		// Serve binary JSON directly (Fig 4b).
-		return cache.LayoutBSON
-	case n.ProjectedFields > 0 && n.ProjectedFields <= 8:
-		// Narrow scalar projections re-shape best as typed columns (§5
-		// "cache replicas of tabular, row-oriented data in a columnar
-		// format").
-		return cache.LayoutColumns
-	default:
-		// Wide or structural access: parsed objects (Fig 4c).
-		return cache.LayoutRows
-	}
 }

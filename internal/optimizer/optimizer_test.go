@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vida/internal/algebra"
-	"vida/internal/cache"
 	"vida/internal/jit"
 	"vida/internal/mcl"
 	"vida/internal/values"
@@ -298,24 +297,6 @@ func TestMeasureSelectivity(t *testing.T) {
 	s2 := &algebra.Scan{Source: "X", Var: "x"}
 	if sel, _ := MeasureSelectivity(cat, s2, 10); sel != 1.0 {
 		t.Fatalf("no-filter selectivity = %v", sel)
-	}
-}
-
-func TestChooseLayout(t *testing.T) {
-	cases := []struct {
-		needs OutputNeeds
-		want  cache.Layout
-	}{
-		{OutputNeeds{CarriesLargeObjects: true}, cache.LayoutSpans},
-		{OutputNeeds{CarriesLargeObjects: true, InspectsCarriedObjects: true, ProjectedFields: 20}, cache.LayoutRows},
-		{OutputNeeds{BinaryJSONRequested: true}, cache.LayoutBSON},
-		{OutputNeeds{ProjectedFields: 3}, cache.LayoutColumns},
-		{OutputNeeds{ProjectedFields: 40}, cache.LayoutRows},
-	}
-	for _, c := range cases {
-		if got := ChooseLayout(c.needs); got != c.want {
-			t.Fatalf("ChooseLayout(%+v) = %s, want %s", c.needs, got, c.want)
-		}
 	}
 }
 

@@ -130,32 +130,44 @@ func TestRowsDoubleCloseRace(t *testing.T) {
 
 // TestGlobalBudgetShedsHarvestNotQueries: with a global budget too small
 // for the columnar caches, cold scans still answer — the engine sheds
-// the harvest (counted in stats) instead of killing the query.
+// the harvest (counted in stats) instead of killing the query. The
+// reference executor's whole-record scan harvests through the same
+// governor as the JIT's projected one.
 func TestGlobalBudgetShedsHarvestNotQueries(t *testing.T) {
-	eng := robustEngine(t, vida.WithMemoryBudget(16<<10))
+	for _, tc := range []struct {
+		name string
+		opts []vida.Option
+	}{
+		{"jit", nil},
+		{"whole-record", []vida.Option{vida.WithReferenceExecutor()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := robustEngine(t, append(tc.opts, vida.WithMemoryBudget(16<<10))...)
 
-	res, err := eng.Query("for { p <- Patients } yield count p")
-	if err != nil {
-		t.Fatalf("cold scan under tiny global budget: %v", err)
-	}
-	if res.Len() == 0 {
-		t.Fatal("empty result")
-	}
-	mem := eng.Stats().Memory
-	if mem.HarvestSkips == 0 {
-		t.Fatalf("harvest not shed under a 16KiB global budget: %+v", mem)
-	}
-	if mem.QueryKills != 0 {
-		t.Fatalf("query killed instead of harvest shed: %+v", mem)
-	}
+			res, err := eng.Query("for { p <- Patients } yield count p")
+			if err != nil {
+				t.Fatalf("cold scan under tiny global budget: %v", err)
+			}
+			if res.Len() == 0 {
+				t.Fatal("empty result")
+			}
+			st := eng.Stats()
+			if st.Memory.HarvestSkips == 0 || st.Cache.BytesUsed != 0 {
+				t.Fatalf("harvest not shed under a 16KiB global budget: %+v, %d cached bytes", st.Memory, st.Cache.BytesUsed)
+			}
+			if st.Memory.QueryKills != 0 {
+				t.Fatalf("query killed instead of harvest shed: %+v", st.Memory)
+			}
 
-	// Rerunning still answers (raw every time, never cached) and matches.
-	res2, err := eng.Query("for { p <- Patients } yield count p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value().String() != res2.Value().String() {
-		t.Fatalf("unharvested rescan drifted: %v vs %v", res.Value(), res2.Value())
+			// Rerunning still answers (raw every time, never cached) and matches.
+			res2, err := eng.Query("for { p <- Patients } yield count p")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Value().String() != res2.Value().String() {
+				t.Fatalf("unharvested rescan drifted: %v vs %v", res.Value(), res2.Value())
+			}
+		})
 	}
 }
 
