@@ -164,16 +164,21 @@ type sourceEntry struct {
 	desc *sdg.Description
 	// The plug-in — a file reader, or a caller's view (RegisterSource) —
 	// and the cleaner attached to it (paper §7).
-	csv     *rawcsv.Reader
-	json    *rawjson.Reader
-	arr     *rawarr.Reader
-	xls     *rawxls.Reader
+	files
 	view    algebra.Source
 	cleaner *clean.Cleaner
 	// src is the plug-in behind its cleaner and raw its batch view
 	// (jit.Lift), which scans read.
 	src algebra.Source
 	raw jit.BatchSource
+}
+
+// files holds a source's file reader, one of the four (none for a view).
+type files struct {
+	csv  *rawcsv.Reader
+	json *rawjson.Reader
+	arr  *rawarr.Reader
+	xls  *rawxls.Reader
 }
 
 // derive sets src and raw from the plug-in and cleaner, and returns s.

@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"log/slog"
 
 	"vida/internal/cache"
 	"vida/internal/rawcsv"
+	"vida/internal/rawfile"
 	"vida/internal/vec"
 )
 
@@ -16,23 +18,25 @@ import (
 // positional map by the tail (rawcsv.Reader.Refresh) and the columnar
 // cache entry is extended by the same rows. Any other change drops the
 // source's auxiliary structures and cache entries wholesale (paper §2.1).
+// An unreadable file keeps its source's generation; errors are joined.
 func (e *Engine) Refresh() error {
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()
 	e.mu.RLock()
 	targets := make([]*sourceEntry, 0, len(e.sources))
 	for _, s := range e.sources {
-		if s.csv != nil || s.json != nil {
+		if s.files != (files{}) {
 			targets = append(targets, s)
 		}
 	}
 	e.mu.RUnlock()
+	var errs []error
 	for _, s := range targets {
 		if err := e.refresh(s); err != nil {
-			return err
+			errs = append(errs, fmt.Errorf("core: refresh %s: %w", s.desc.Name, err))
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // errSuperseded aborts the publish of a successor whose reader was
@@ -45,44 +49,45 @@ var errSuperseded = errors.New("core: the refreshed reader is no longer publishe
 func (e *Engine) refresh(s *sourceEntry) error {
 	name := s.desc.Name
 	next := *s // s with its reader replaced by the successor
-	var ch rawcsv.Change
+	var ch rawfile.Change
 	var err error
-	if s.csv != nil {
+	switch {
+	case s.csv != nil:
 		next.csv, ch, err = s.csv.Refresh()
-	} else {
-		var changed bool
-		next.json, changed, err = s.json.Refresh()
-		if changed {
-			ch = rawcsv.Change{Kind: rawcsv.Replaced, Reason: "json sources are re-read whole"}
-		}
+	case s.json != nil:
+		next.json, ch, err = s.json.Refresh()
+	case s.arr != nil:
+		next.arr, ch, err = s.arr.Refresh()
+	default:
+		next.xls, ch, err = s.xls.Refresh()
 	}
-	if err != nil || ch.Kind == rawcsv.Unchanged {
+	if err != nil || ch.Kind == rawfile.Unchanged {
 		return err
 	}
 	var tail map[string]vec.Col
-	if ch.Kind == rawcsv.Appended {
+	if ch.Kind == rawfile.Appended {
 		tail, ch.Reason = e.parseTail(s, next.csv, ch)
 	}
 	var published *sourceEntry
 	err = e.publish(name, func(cur *sourceEntry) (*sourceEntry, bool, error) {
-		if cur == nil || cur.csv != s.csv || cur.json != s.json {
+		if cur == nil || cur.files != s.files {
 			return nil, false, errSuperseded
 		}
 		succ := *cur
-		succ.csv, succ.json = next.csv, next.json
+		succ.files = next.files
 		published = succ.derive()
-		if ch.Kind == rawcsv.Appended && ch.Reason == "" {
+		if ch.Kind == rawfile.Appended && ch.Reason == "" {
 			ch.Reason = e.extendCache(published, ch, tail)
 		}
 		if ch.Reason != "" {
-			ch.Kind = rawcsv.Replaced
+			ch.Kind = rawfile.Replaced
 		}
-		return published, ch.Kind == rawcsv.Appended, nil
+		return published, ch.Kind == rawfile.Appended, nil
 	})
 	if errors.Is(err, errSuperseded) {
 		return nil
 	}
-	if ch.Kind == rawcsv.Appended {
+	if ch.Kind == rawfile.Appended {
 		e.refreshAppends.Add(1)
 		e.refreshTailRows.Add(int64(ch.NewRows - ch.OldRows))
 		e.refreshTailBytes.Add(ch.TailBytes)
@@ -106,7 +111,7 @@ func (e *Engine) refresh(s *sourceEntry) error {
 // cache entry holds. A nil tail and no reason means nothing was cached; a
 // reason means the cache cannot follow the append and the change is a
 // replace.
-func (e *Engine) parseTail(s *sourceEntry, next *rawcsv.Reader, ch rawcsv.Change) (map[string]vec.Col, string) {
+func (e *Engine) parseTail(s *sourceEntry, next *rawcsv.Reader, ch rawfile.Change) (map[string]vec.Col, string) {
 	entry, ok := e.caches.Peek(s.desc.Name, cache.LayoutColumns)
 	if !ok || s.cleaner != nil {
 		return nil, "" // extendCache decides under the lock
@@ -146,7 +151,7 @@ func (e *Engine) parseTail(s *sourceEntry, next *rawcsv.Reader, ch rawcsv.Change
 // to be published, inside publish and against whatever harvests installed
 // meanwhile. It returns "" when the cache is consistent with the grown
 // file and otherwise the reason the change must be a replace.
-func (e *Engine) extendCache(next *sourceEntry, ch rawcsv.Change, tail map[string]vec.Col) string {
+func (e *Engine) extendCache(next *sourceEntry, ch rawfile.Change, tail map[string]vec.Col) string {
 	name := next.desc.Name
 	switch {
 	case next.cleaner != nil:

@@ -20,7 +20,7 @@ func doc(id int64, name string, vol float64) values.Value {
 	)
 }
 
-func load(t *testing.T, n int) (*Store, *Collection) {
+func loadCollection(t *testing.T, n int) (*Store, *Collection) {
 	t.Helper()
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -42,7 +42,7 @@ func load(t *testing.T, n int) (*Store, *Collection) {
 }
 
 func TestInsertFind(t *testing.T) {
-	_, c := load(t, 100)
+	_, c := loadCollection(t, 100)
 	if c.NumDocs() != 100 {
 		t.Fatalf("docs = %d", c.NumDocs())
 	}
@@ -65,7 +65,7 @@ func TestInsertFind(t *testing.T) {
 }
 
 func TestProjection(t *testing.T) {
-	_, c := load(t, 10)
+	_, c := loadCollection(t, 10)
 	var out []values.Value
 	if err := c.Find([]string{"id"}, nil, func(v values.Value) error {
 		out = append(out, v)
@@ -79,7 +79,7 @@ func TestProjection(t *testing.T) {
 }
 
 func TestIndexNarrowsEquality(t *testing.T) {
-	_, c := load(t, 1000)
+	_, c := loadCollection(t, 1000)
 	if err := c.EnsureIndex("id"); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestSizeAmplification(t *testing.T) {
 	// The encoded size must exceed a compact raw-JSON rendering: field
 	// names repeat per document plus framing overhead (paper: Mongo
 	// import reached 2x the raw JSON size).
-	_, c := load(t, 500)
+	_, c := loadCollection(t, 500)
 	var rawJSON int64
 	for i := 0; i < 500; i++ {
 		rawJSON += int64(len(fmt.Sprintf(`{"id":%d,"name":"r%d","volume":%g,"meta":{"algo":"a"}}`, i%10, i, float64(i)*1.5)))
@@ -152,7 +152,7 @@ func TestPersistedFile(t *testing.T) {
 }
 
 func TestDocAccess(t *testing.T) {
-	_, c := load(t, 5)
+	_, c := loadCollection(t, 5)
 	v, err := c.Doc(2)
 	if err != nil || v.MustGet("name").Str() != "r2" {
 		t.Fatalf("Doc(2) = %v, %v", v, err)

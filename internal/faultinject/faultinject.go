@@ -53,8 +53,9 @@ const (
 	// run a catalog change from it, so the plan installed next was
 	// prepared across that change.
 	PlanInstall = "core.plan_install"
-	// FileLoad fires in rawcsv's and rawjson's file load, after the file
-	// is opened and before its handle is stat'ed and read. Like Publish it
+	// FileLoad fires in rawfile.Load — every raw plugin's one whole-file
+	// read — after the file is opened and before its handle is stat'ed
+	// and read. Like Publish it
 	// is a pause point, with its error ignored and absent from Points():
 	// tests replace the file from it, and the load must still pair the
 	// bytes it reads with their own mtime.

@@ -20,6 +20,7 @@ import (
 	"math"
 	"os"
 
+	"vida/internal/rawfile"
 	"vida/internal/sdg"
 	"vida/internal/values"
 )
@@ -115,6 +116,7 @@ func Write(path string, h *Header, next func(cell int) ([]values.Value, error)) 
 // indices plus the cell fields.
 type Reader struct {
 	desc     *sdg.Description
+	file     *rawfile.Generation
 	hdr      Header
 	data     []byte // cell payload only
 	dimNames []string
@@ -124,10 +126,23 @@ type Reader struct {
 // Open loads the array file described by desc. Dimension names come from
 // the description's Array schema when present (d0, d1, ... otherwise).
 func Open(desc *sdg.Description) (*Reader, error) {
-	raw, err := os.ReadFile(desc.Path)
+	file, err := rawfile.Load(desc.Path)
 	if err != nil {
 		return nil, fmt.Errorf("rawarr: %s: %w", desc.Name, err)
 	}
+	return open(desc, file)
+}
+
+// Refresh re-checks the file: the receiver while it is unchanged, else the
+// file parsed again (rawfile.Reopen).
+func (r *Reader) Refresh() (*Reader, rawfile.Change, error) {
+	return rawfile.Reopen(r, r.file, func(file *rawfile.Generation) (*Reader, error) {
+		return open(r.desc, file)
+	})
+}
+
+func open(desc *sdg.Description, file *rawfile.Generation) (*Reader, error) {
+	raw := file.Bytes()
 	if len(raw) < 8 || string(raw[:4]) != magic {
 		return nil, fmt.Errorf("rawarr: %s: bad magic", desc.Name)
 	}
@@ -166,7 +181,7 @@ func Open(desc *sdg.Description) (*Reader, error) {
 	if len(raw)-pos != want {
 		return nil, fmt.Errorf("rawarr: %s: payload is %d bytes, want %d", desc.Name, len(raw)-pos, want)
 	}
-	r := &Reader{desc: desc, hdr: h, data: raw[pos:], colIdx: map[string]int{}}
+	r := &Reader{desc: desc, file: file, hdr: h, data: raw[pos:], colIdx: map[string]int{}}
 	if desc.Schema != nil && desc.Schema.Kind == sdg.TArray {
 		for _, d := range desc.Schema.Dims {
 			r.dimNames = append(r.dimNames, d.Name)

@@ -1,88 +1,38 @@
 package rawcsv
 
 import (
-	"bytes"
-	"hash/crc32"
-	"io"
-	"os"
-
+	"vida/internal/rawfile"
 	"vida/internal/vec"
 )
 
-// This file is the append path of Refresh: a file that only grew keeps
-// the generation in memory and pays for the tail alone — one streaming
-// comparison of the old prefix, one read and one tokenizing pass of the
-// new bytes. Every intermediate state answers exactly like a reader
-// opened fresh on the grown file; anything that is not provably an append
-// returns no successor and Refresh rebuilds wholesale.
-
-// verifyChunk is the buffer the prefix comparison streams the file
-// through: large enough that read syscalls do not dominate, small enough
-// to stay out of the way of the heap (a 24 MB prefix verifies in ~3 ms).
-const verifyChunk = 1 << 20
-
-// appendGeneration derives the successor of r when the file on disk is
-// r's bytes plus a tail. It returns no successor and a Replaced change
-// naming the failed rung otherwise.
-func (r *Reader) appendGeneration() (*Reader, Change, error) {
-	replaced := func(reason string) (*Reader, Change, error) {
-		return nil, Change{Kind: Replaced, Reason: reason}, nil
+// Refresh re-checks the file and returns the generation that describes
+// it: the receiver when the file is unchanged or cannot be read, else a
+// successor. It never changes the receiver. An append (rawfile) extends
+// the positional map by the tail, provided this generation has a row
+// index (else there is nothing to keep) and ends on a row boundary (else
+// the tail continues its last row); any other change, or a failed rung,
+// starts the successor on an empty map (Replaced). Either way the
+// successor answers exactly like a reader opened fresh on the file.
+func (r *Reader) Refresh() (*Reader, rawfile.Change, error) {
+	file, ch, err := r.file.Next()
+	if err != nil || ch.Kind == rawfile.Unchanged {
+		return r, ch, err
 	}
-	f, err := os.Open(r.desc.Path)
-	if err != nil {
-		return nil, Change{}, err
-	}
-	defer f.Close()
-	// Size and mtime come from the handle the bytes are read through: an
-	// atomic-rename replace between the caller's stat and this open must
-	// not pair one file's mtime with another's content.
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, Change{}, err
-	}
-	old, size := int64(len(r.data)), fi.Size()
+	next := &Reader{shared: r.shared, file: file, data: file.Bytes(), pm: NewPosMap()}
 	snap := r.pm.Snapshot()
 	switch {
-	case size <= old:
-		return replaced("file did not grow")
+	case ch.Kind == rawfile.Replaced:
+		return next, ch, nil
 	case len(snap.Rows) == 0:
-		return replaced("no positional map to extend")
-	case r.data[old-1] != '\n':
-		return replaced("previous generation ended mid-row")
+		return next, rawfile.Change{Kind: rawfile.Replaced, Reason: "no positional map to extend"}, nil
+	case r.data[len(r.data)-1] != '\n':
+		return next, rawfile.Change{Kind: rawfile.Replaced, Reason: "previous generation ended mid-row"}, nil
 	}
-	same, err := prefixEqual(f, r.data)
-	if err != nil {
-		return nil, Change{}, err
-	}
-	if !same {
-		return replaced("prefix differs from the generation in memory")
-	}
-	// The first successor takes r's spare capacity, invisible to r, and
-	// reads the tail into it when it fits; a later successor, or a tail
-	// that does not fit, reallocates with bounded headroom.
-	data := r.data
-	if !r.extended.CompareAndSwap(false, true) {
-		data = clipped(data)
+	if !ch.Inherited {
 		snap.clip()
 	}
-	if int64(cap(data)) < size {
-		data = make([]byte, old, size+int64(vec.Spare(int(size))))
-		copy(data, r.data)
-	}
-	data = data[:size]
-	if _, err := io.ReadFull(f, data[old:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return replaced("file shrank while its tail was read")
-		}
-		return nil, Change{}, err
-	}
-	next := &Reader{shared: r.shared, data: data, mtime: fi.ModTime(), pm: r.extendPosMap(&snap, data, old)}
-	r.crcMu.Lock()
-	if r.crcOK {
-		next.crc, next.crcOK = crc32.Update(r.crc, auxCRCTable, data[old:]), true
-	}
-	r.crcMu.Unlock()
-	ch := Change{Kind: Appended, OldRows: len(snap.Rows), NewRows: next.pm.NumRows(), TailBytes: size - old}
+	next.pm = r.extendPosMap(&snap, next.data, int64(len(r.data)))
+	ch.OldRows, ch.NewRows = len(snap.Rows), next.pm.NumRows()
 	r.stats.BytesRead.Add(ch.TailBytes)
 	return next, ch, nil
 }
@@ -96,26 +46,6 @@ func (s *Snapshot) clip() {
 	for j := range s.Cols {
 		s.Cols[j], s.Ends[j] = clipped(s.Cols[j]), clipped(s.Ends[j])
 	}
-}
-
-// prefixEqual reports whether f starts with want, reading it through a
-// fixed buffer. A file shorter than want is simply not equal.
-func prefixEqual(f io.Reader, want []byte) (bool, error) {
-	buf := make([]byte, min(verifyChunk, len(want)))
-	for len(want) > 0 {
-		n, err := io.ReadFull(f, buf[:min(len(buf), len(want))])
-		if !bytes.Equal(buf[:n], want[:n]) {
-			return false, nil
-		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		want = want[n:]
-	}
-	return true, nil
 }
 
 // extendPosMap builds the positional map of data from snap, the map of

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"vida/internal/faultinject"
+	"vida/internal/rawfile"
 	"vida/internal/values"
 	"vida/internal/vec"
 )
@@ -50,13 +48,13 @@ func bumpTime(t *testing.T, path string) {
 }
 
 // refresh refreshes *r and moves *r to the generation Refresh returned.
-func refresh(t *testing.T, r **Reader) Change {
+func refresh(t *testing.T, r **Reader) rawfile.Change {
 	t.Helper()
 	next, ch, err := (*r).Refresh()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if (ch.Kind == Unchanged) != (next == *r) {
+	if (ch.Kind == rawfile.Unchanged) != (next == *r) {
 		t.Fatalf("Refresh = %+v with successor %p of %p", ch, next, *r)
 	}
 	*r = next
@@ -116,7 +114,7 @@ func TestRefreshAppendExtendsPosMap(t *testing.T) {
 	tail := "4,zed,1.5,false\n\n5,yan,2.5,true\n"
 	appendFile(t, path, tail)
 	ch := refresh(t, &r)
-	want := Change{Kind: Appended, OldRows: 3, NewRows: 5, TailBytes: int64(len(tail))}
+	want := rawfile.Change{Kind: rawfile.Appended, OldRows: 3, NewRows: 5, TailBytes: int64(len(tail)), Inherited: true}
 	if ch != want {
 		t.Fatalf("Refresh = %+v, want %+v", ch, want)
 	}
@@ -135,7 +133,7 @@ func TestRefreshAppendExtendsPosMap(t *testing.T) {
 		t.Fatalf("scan after append: stats %v → %v", before, after)
 	}
 	assertLikeFresh(t, r, path, "append")
-	if ch := refresh(t, &r); ch.Kind != Unchanged {
+	if ch := refresh(t, &r); ch.Kind != rawfile.Unchanged {
 		t.Fatalf("second Refresh = %+v", ch)
 	}
 }
@@ -181,7 +179,7 @@ func TestRefreshLadderFallsBack(t *testing.T) {
 			gen := r.Generation()
 			c.change(t, path)
 			ch := refresh(t, &r)
-			if ch.Kind != Replaced || !strings.Contains(ch.Reason, c.reason) {
+			if ch.Kind != rawfile.Replaced || !strings.Contains(ch.Reason, c.reason) {
 				t.Fatalf("Refresh = %+v, want Replaced because %q", ch, c.reason)
 			}
 			if r.PosMap().HasRows() {
@@ -206,7 +204,7 @@ func TestRefreshAppendShortAndPartialRows(t *testing.T) {
 	}
 	collectBatches(t, r, nil, 0)
 	appendFile(t, path, "4,zed\n")
-	if ch := refresh(t, &r); ch.Kind != Appended || ch.NewRows != 4 {
+	if ch := refresh(t, &r); ch.Kind != rawfile.Appended || ch.NewRows != 4 {
 		t.Fatalf("short row: Refresh = %+v", ch)
 	}
 	pm := r.PosMap()
@@ -216,12 +214,12 @@ func TestRefreshAppendShortAndPartialRows(t *testing.T) {
 	assertLikeFresh(t, r, path, "short row")
 
 	appendFile(t, path, "5,yan,2.") // the writer is mid-line
-	if ch := refresh(t, &r); ch.Kind != Appended || ch.NewRows != 5 {
+	if ch := refresh(t, &r); ch.Kind != rawfile.Appended || ch.NewRows != 5 {
 		t.Fatalf("partial line: Refresh = %+v", ch)
 	}
 	assertLikeFresh(t, r, path, "partial line")
 	appendFile(t, path, "5,true\n6,xin,3.5,false\n")
-	if ch := refresh(t, &r); ch.Kind != Replaced || !strings.Contains(ch.Reason, "mid-row") {
+	if ch := refresh(t, &r); ch.Kind != rawfile.Replaced || !strings.Contains(ch.Reason, "mid-row") {
 		t.Fatalf("completed line: Refresh = %+v", ch)
 	}
 	assertLikeFresh(t, r, path, "completed line")
@@ -264,7 +262,7 @@ func TestRefreshAppendKeepsOlderGenerationsValid(t *testing.T) {
 	states := []*Reader{r}
 	for i := 0; i < 3; i++ {
 		appendFile(t, path, fmt.Sprintf("%d,late,%g,true\n", rows+i, float64(rows+i)/4))
-		if ch := refresh(t, &r); ch.Kind != Appended || ch.NewRows != rows+i+1 {
+		if ch := refresh(t, &r); ch.Kind != rawfile.Appended || ch.NewRows != rows+i+1 {
 			t.Fatalf("append %d: Refresh = %+v", i, ch)
 		}
 		hold()
@@ -308,39 +306,6 @@ func TestRefreshAppendKeepsOlderGenerationsValid(t *testing.T) {
 	}
 }
 
-// TestGenerationExtendedOverTail: the spill key after an append equals
-// the key of a reader opened fresh on the grown file, whether or not the
-// key had been asked for before the append — and when it had, the new
-// generation carries it without hashing the file again.
-func TestGenerationExtendedOverTail(t *testing.T) {
-	for _, askedBefore := range []bool{true, false} {
-		path := writeFile(t, bigCSV(500))
-		r, err := Open(desc(t, path, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		collectBatches(t, r, []string{"id"}, 0)
-		var before string
-		if askedBefore {
-			before = r.Generation()
-		}
-		appendFile(t, path, "500,late,125,true\n501,late,125.25,false\n")
-		if ch := refresh(t, &r); ch.Kind != Appended {
-			t.Fatalf("Refresh = %+v", ch)
-		}
-		if r.crcOK != askedBefore {
-			t.Fatalf("asked before = %v, checksum carried over = %v", askedBefore, r.crcOK)
-		}
-		fresh, err := Open(desc(t, path, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := r.Generation(), fresh.Generation(); got != want || got == before {
-			t.Fatalf("asked before = %v: generation %q, fresh reader %q, previous %q", askedBefore, got, want, before)
-		}
-	}
-}
-
 // TestRefreshRandomSequence drives a seeded sequence of file changes —
 // appends of whole rows, blank lines, rows malformed for a column, short
 // rows, partial lines and their completion, rewrites and truncations —
@@ -359,7 +324,7 @@ func TestRefreshRandomSequence(t *testing.T) {
 			next++
 			return fmt.Sprintf("%d,r%d,%g,%v\n", next, rng.Intn(9), float64(rng.Intn(100))/8, rng.Intn(2) == 0)
 		}
-		kinds := map[ChangeKind]int{}
+		kinds := map[rawfile.Kind]int{}
 		for step := 0; step < 60; step++ {
 			// Touch a random projection so the map covers varying columns.
 			collectBatches(t, r, appendProjections[rng.Intn(len(appendProjections))], 0)
@@ -396,7 +361,7 @@ func TestRefreshRandomSequence(t *testing.T) {
 			kinds[refresh(t, &r).Kind]++
 			assertLikeFresh(t, r, path, name)
 		}
-		if kinds[Appended] == 0 || kinds[Replaced] == 0 || kinds[Unchanged] != 0 {
+		if kinds[rawfile.Appended] == 0 || kinds[rawfile.Replaced] == 0 || kinds[rawfile.Unchanged] != 0 {
 			t.Fatalf("seed %d: outcomes %v, want a mix of appends and replacements", seed, kinds)
 		}
 	}
@@ -467,7 +432,7 @@ func TestRefreshAppendConcurrentScans(t *testing.T) {
 			id++
 		}
 		appendFile(t, path, sb.String())
-		if ch := refresh(t, &r); ch.Kind != Appended {
+		if ch := refresh(t, &r); ch.Kind != rawfile.Appended {
 			t.Errorf("append %d: Refresh = %+v", a, ch)
 		}
 		cur.Store(r)
@@ -482,8 +447,8 @@ func TestRefreshAppendConcurrentScans(t *testing.T) {
 // generation and grew otherwise — each answer for their own bytes, and so
 // does the generation they came from. The first successor took the
 // generation's spare capacity, the second copied, and a successor of the
-// first extends further into the storage the generation shares. Scans of
-// all four run side by side; run with -race.
+// first extends further into the row index the generation shares. Scans
+// of all four run side by side; run with -race.
 func TestSuccessorsOfOneGeneration(t *testing.T) {
 	base := bigCSV(2000)
 	path := writeFile(t, base)
@@ -496,7 +461,7 @@ func TestSuccessorsOfOneGeneration(t *testing.T) {
 	// with spare capacity to hand out.
 	tail := "2000,a,500,true\n"
 	appendFile(t, path, tail)
-	if ch := refresh(t, &g); ch.Kind != Appended {
+	if ch := refresh(t, &g); ch.Kind != rawfile.Appended {
 		t.Fatalf("first append: Refresh = %+v", ch)
 	}
 	base += tail
@@ -504,7 +469,7 @@ func TestSuccessorsOfOneGeneration(t *testing.T) {
 		t.Helper()
 		rewriteFile(t, path, content)
 		next, ch, err := from.Refresh()
-		if err != nil || ch.Kind != Appended {
+		if err != nil || ch.Kind != rawfile.Appended {
 			t.Fatalf("Refresh = %+v, %v; want Appended", ch, err)
 		}
 		return next
@@ -513,14 +478,16 @@ func TestSuccessorsOfOneGeneration(t *testing.T) {
 	a := derive(g, base+tailA)
 	b := derive(g, base+tailB)
 	a2 := derive(a, base+tailA+tailA2)
+	// The row index follows the bytes' one ownership decision (the bytes
+	// themselves: rawfile's TestSuccessorsOfOneGeneration).
 	rows := func(r *Reader) *int64 { return &r.pm.Snapshot().Rows[0] }
 	switch {
-	case &a.data[0] != &g.data[0] || rows(a) != rows(g):
-		t.Fatal("the first successor did not extend into its predecessor's spare capacity")
-	case &b.data[0] == &g.data[0] || rows(b) == rows(g):
-		t.Fatal("a second successor of one generation shares the storage the first owns")
-	case &a2.data[0] != &g.data[0]:
-		t.Fatal("the first successor's successor did not extend into the spare capacity it inherited")
+	case rows(a) != rows(g):
+		t.Fatal("the first successor did not extend its predecessor's row index in place")
+	case rows(b) == rows(g):
+		t.Fatal("a second successor of one generation shares the row index the first owns")
+	case rows(a2) != rows(g):
+		t.Fatal("the first successor's successor did not extend the row index it inherited")
 	}
 	gens := []struct {
 		name    string
@@ -535,65 +502,4 @@ func TestSuccessorsOfOneGeneration(t *testing.T) {
 			})
 		}
 	})
-}
-
-// TestLoadPairsBytesWithTheirMtime: a file replaced by rename while Open
-// or a replacing Refresh loads it is read whole from the handle opened
-// first, with that handle's mtime. The new file's mtime over the old
-// file's bytes would make every later Refresh report Unchanged.
-func TestLoadPairsBytesWithTheirMtime(t *testing.T) {
-	defer faultinject.Reset()
-	path := filepath.Join(t.TempDir(), "data.csv")
-	put := func(content string, at time.Time) {
-		t.Helper()
-		tmp := path + ".next"
-		if err := os.WriteFile(tmp, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Chtimes(tmp, at, at); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// putWhileLoading replaces the file from inside the next load, after
-	// it opened the file and before it read it.
-	putWhileLoading := func(content string, at time.Time) {
-		var fired atomic.Bool
-		faultinject.Set(faultinject.FileLoad, func() error {
-			if fired.CompareAndSwap(false, true) {
-				put(content, at)
-			}
-			return nil
-		})
-	}
-	firstName := func(r *Reader) string { return collect(t, r, nil)[0].MustGet("name").Str() }
-	t0 := time.Now().Add(-time.Hour).Truncate(time.Second)
-	put(sample, t0)
-	putWhileLoading(strings.Replace(sample, "ada", "ann", 1), t0.Add(time.Second))
-	r, err := Open(desc(t, path, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := firstName(r); got != "ada" {
-		t.Fatalf("Open read %q, want the file it opened", got)
-	}
-	// The loaded mtime is the opened file's, so the rename is noticed.
-	r, ch, err := r.Refresh()
-	if err != nil || ch.Kind != Replaced || firstName(r) != "ann" {
-		t.Fatalf("Refresh after a rename during Open = %+v, %v", ch, err)
-	}
-	// The same race in the replace path of Refresh.
-	longer := strings.Replace(sample, "ada", "zed", 1) + "4,kim,1,true\n"
-	put(longer, t0.Add(2*time.Second))
-	putWhileLoading(strings.Replace(longer, "zed", "zoe", 1), t0.Add(3*time.Second))
-	for _, want := range []string{"zed", "zoe"} {
-		if r, ch, err = r.Refresh(); err != nil || ch.Kind != Replaced || firstName(r) != want {
-			t.Fatalf("Refresh = %+v, %v; want Replaced reading %q", ch, err, want)
-		}
-	}
-	if next, ch, err := r.Refresh(); err != nil || ch.Kind != Unchanged || next != r {
-		t.Fatalf("Refresh of a settled file = %+v, %v", ch, err)
-	}
 }

@@ -24,22 +24,9 @@ const auxVersion = 1
 
 var auxCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Generation returns a short hex key for the current file content. Two
-// files with identical bytes share a generation regardless of path or
-// mtime, which is what lets a regenerated-but-identical demo dataset
-// rehydrate spilled cache blocks after a restart. The checksum is
-// computed once per reader (every cache spill asks for it), and a
-// successor derived by an appending Refresh extends its predecessor's
-// over the tail instead of re-hashing the file.
-func (r *Reader) Generation() string {
-	r.crcMu.Lock()
-	if !r.crcOK {
-		r.crc, r.crcOK = crc32.Checksum(r.data, auxCRCTable), true
-	}
-	crc := r.crc
-	r.crcMu.Unlock()
-	return fmt.Sprintf("%08x-%x", crc, len(r.data))
-}
+// Generation returns the content key of this generation's bytes
+// (rawfile.Generation.Key), which keys spilled cache blocks.
+func (r *Reader) Generation() string { return r.file.Key() }
 
 // SaveAux writes the positional map to path (atomically, via
 // temp+rename). A map with no recorded rows is not worth persisting and
@@ -50,7 +37,7 @@ func (r *Reader) SaveAux(path string) error {
 		return nil
 	}
 	body := make([]byte, 0, 64+8*len(snap.Rows))
-	body = binary.AppendVarint(body, r.mtime.UnixNano())
+	body = binary.AppendVarint(body, r.file.Mtime().UnixNano())
 	body = binary.AppendUvarint(body, uint64(len(r.data)))
 	body = binary.AppendUvarint(body, uint64(len(snap.Rows)))
 	for _, off := range snap.Rows {
@@ -131,7 +118,7 @@ func (r *Reader) LoadAux(path string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if r.mtime.UnixNano() != mtime || uint64(len(r.data)) != size {
+	if r.file.Mtime().UnixNano() != mtime || uint64(len(r.data)) != size {
 		return false, nil // file changed since the sidecar was written
 	}
 	nRows, err := uv()

@@ -7,39 +7,6 @@ import (
 	"time"
 )
 
-func TestGenerationTracksContent(t *testing.T) {
-	path := writeFile(t, sample)
-	r, err := Open(desc(t, path, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1 := r.Generation()
-	if g1 == "" {
-		t.Fatal("empty generation")
-	}
-	// Identical bytes at a different path/mtime share the generation —
-	// this is what lets a regenerated demo dataset rehydrate.
-	path2 := writeFile(t, sample)
-	r2, err := Open(desc(t, path2, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Generation() != g1 {
-		t.Fatalf("same content, different generations: %q vs %q", g1, r2.Generation())
-	}
-	// Changed bytes change the generation.
-	if err := os.WriteFile(path, []byte(sample+"4,zed,1.0,false\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	next, _, err := r.Refresh()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Generation() != g1 || next.Generation() == g1 {
-		t.Fatalf("after a content change: generation %q, successor %q, was %q", r.Generation(), next.Generation(), g1)
-	}
-}
-
 func TestSaveLoadAuxRoundTrip(t *testing.T) {
 	path := writeFile(t, sample)
 	r, err := Open(desc(t, path, nil))

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"vida/internal/rawfile"
 	"vida/internal/sdg"
 	"vida/internal/values"
 )
@@ -222,7 +223,7 @@ func TestRefreshInvalidatesOnChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.Kind != Replaced || ch.Reason == "" {
+	if ch.Kind != rawfile.Replaced || ch.Reason == "" {
 		t.Fatalf("Refresh = %+v, want Replaced with a reason", ch)
 	}
 	if r.PosMap().HasRows() {
@@ -249,7 +250,7 @@ func TestRefreshNoChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	next, ch, err := r.Refresh()
-	if err != nil || ch.Kind != Unchanged || next != r {
+	if err != nil || ch.Kind != rawfile.Unchanged || next != r {
 		t.Fatalf("Refresh = %p, %+v, %v; want %p, Unchanged, nil", next, ch, err, r)
 	}
 }

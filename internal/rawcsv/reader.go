@@ -2,16 +2,12 @@ package rawcsv
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"strconv"
-	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
-	"vida/internal/faultinject"
+	"vida/internal/rawfile"
 	"vida/internal/sched"
 	"vida/internal/sdg"
 	"vida/internal/values"
@@ -41,29 +37,21 @@ type Stats struct {
 	BuildNanos      atomic.Int64 // wall time of those builds, not the CPU time of their helpers
 }
 
-// Reader provides query access to one generation of a raw CSV file: its
-// bytes, their mtime and the positional map built over exactly those
+// Reader provides query access to one generation of a raw CSV file (a
+// rawfile.Generation) and the positional map built over exactly its
 // bytes. It implements algebra.Source and is safe for concurrent scans.
 // A generation never changes: Refresh returns the next one, so a scan
 // reads one file from start to end whatever Refresh does meanwhile.
 //
-// A successor derived by an append (append.go) may share data, the row
-// index and the column offsets with its predecessor, longer. Nothing a
-// generation holds is written below its length, and its spare capacity
-// goes to the first successor that claims it (extended); later
-// successors of the same generation copy.
+// A successor derived by an append may share the bytes, the row index and
+// the column offsets with its predecessor, longer; the index follows the
+// file's one decision of which successor owns the spare capacity
+// (rawfile.Change.Inherited).
 type Reader struct {
 	*shared
-	data     []byte
-	mtime    time.Time
-	pm       *PosMap
-	extended atomic.Bool
-
-	// crc memoizes the content checksum behind Generation: computed on
-	// first demand, and carried over the tail by an appending Refresh.
-	crcMu sync.Mutex
-	crcOK bool
-	crc   uint32
+	file *rawfile.Generation
+	data []byte // file.Bytes(), held for the scan loops
+	pm   *PosMap
 }
 
 // shared is what every generation of one file has in common; its
@@ -94,7 +82,7 @@ func Open(desc *sdg.Description) (*Reader, error) {
 	if desc.Format != sdg.FormatCSV {
 		return nil, fmt.Errorf("rawcsv: %s is not a CSV source", desc.Name)
 	}
-	data, mtime, err := load(desc.Path)
+	file, err := rawfile.Load(desc.Path)
 	if err != nil {
 		return nil, fmt.Errorf("rawcsv: %s: %w", desc.Name, err)
 	}
@@ -110,26 +98,7 @@ func Open(desc *sdg.Description) (*Reader, error) {
 		sh.names = append(sh.names, a.Name)
 		sh.colIdx[a.Name] = i
 	}
-	return &Reader{shared: sh, data: data, mtime: mtime, pm: NewPosMap()}, nil
-}
-
-// load reads the file at path with the mtime of the handle it reads: a
-// rename over path in between must not pair one file's mtime with
-// another's bytes, which Refresh would take for unchanged for good.
-func load(path string) ([]byte, time.Time, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, time.Time{}, err
-	}
-	defer f.Close()
-	_ = faultinject.Hit(faultinject.FileLoad) // a pause point: see its doc
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, time.Time{}, err
-	}
-	data := make([]byte, fi.Size())
-	_, err = io.ReadFull(f, data)
-	return data, fi.ModTime(), err
+	return &Reader{shared: sh, file: file, data: file.Bytes(), pm: NewPosMap()}, nil
 }
 
 // Name implements algebra.Source.
@@ -164,63 +133,6 @@ func (r *Reader) BuildStats() (builds, nanos int64) {
 
 // SizeBytes returns the raw file size.
 func (r *Reader) SizeBytes() int64 { return int64(len(r.data)) }
-
-// ChangeKind classifies what Refresh found on disk.
-type ChangeKind uint8
-
-// The outcomes of a Refresh.
-const (
-	Unchanged ChangeKind = iota
-	// Appended: the file is the previous generation plus a tail. The
-	// reader kept its bytes and extended its positional map by the tail.
-	Appended
-	// Replaced: anything else. The file was re-read and the positional
-	// map dropped (paper §2.1: "Updates to the underlying files result in
-	// dropping the auxiliary structures affected").
-	Replaced
-)
-
-// Change is the result of a Refresh.
-type Change struct {
-	Kind ChangeKind
-	// OldRows and NewRows bound the appended rows, as indexes into the new
-	// generation's row index (Appended only).
-	OldRows, NewRows int
-	// TailBytes is the number of bytes appended (Appended only).
-	TailBytes int64
-	// Reason says why a changed file was not treated as an append
-	// (Replaced only).
-	Reason string
-}
-
-// Refresh re-checks the file and returns the generation that describes
-// it: the receiver when the file is unchanged, else a successor. It never
-// changes the receiver. The decision ladder, each rung falling through to
-// Replaced: the file must be strictly longer than this generation, which
-// must have a row index (else there is nothing to keep) and end on a row
-// boundary (else the tail continues its last row); and the first
-// len(data) bytes on disk must equal the bytes in memory, compared in
-// full — size and mtime cannot tell an append from a longer rewrite. Past
-// the ladder the successor reads and tokenizes only the tail; see
-// appendGeneration.
-func (r *Reader) Refresh() (*Reader, Change, error) {
-	fi, err := os.Stat(r.desc.Path)
-	if err != nil {
-		return nil, Change{}, err
-	}
-	if fi.ModTime().Equal(r.mtime) && fi.Size() == int64(len(r.data)) {
-		return r, Change{}, nil
-	}
-	next, ch, err := r.appendGeneration()
-	if next != nil || err != nil {
-		return next, ch, err
-	}
-	data, mtime, err := load(r.desc.Path)
-	if err != nil {
-		return nil, Change{}, err
-	}
-	return &Reader{shared: r.shared, data: data, mtime: mtime, pm: NewPosMap()}, ch, nil
-}
 
 // Iterate implements algebra.Source. The record view is the batch scan
 // lowered: the same tokenizer, conversions, malformed-row rule and

@@ -6,11 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"vida/internal/faultinject"
+	"vida/internal/rawfile"
 	"vida/internal/sdg"
 	"vida/internal/values"
 )
@@ -265,9 +264,11 @@ func TestRefreshDropsIndex(t *testing.T) {
 	if err := os.Chtimes(path, bump, bump); err != nil {
 		t.Fatal(err)
 	}
-	next, changed, err := r.Refresh()
-	if err != nil || !changed {
-		t.Fatalf("Refresh = %v, %v", changed, err)
+	// The file grew by a tail, which the semi-index does not follow: it is
+	// rebuilt, and the change is a replacement.
+	next, ch, err := r.Refresh()
+	if err != nil || ch.Kind != rawfile.Replaced {
+		t.Fatalf("Refresh = %+v, %v", ch, err)
 	}
 	n, err := next.NumObjects()
 	if err != nil || n != 4 {
@@ -277,8 +278,8 @@ func TestRefreshDropsIndex(t *testing.T) {
 	if n, err := r.NumObjects(); err != nil || n != 3 || !r.SemiIndex().HasObjects() {
 		t.Fatalf("the refreshed generation changed: NumObjects = %d, %v", n, err)
 	}
-	if again, changed, err := next.Refresh(); err != nil || changed || again != next {
-		t.Fatalf("Refresh of an unchanged file = %p, %v, %v; want %p, false", again, changed, err, next)
+	if again, ch, err := next.Refresh(); err != nil || ch.Kind != rawfile.Unchanged || again != next {
+		t.Fatalf("Refresh of an unchanged file = %p, %+v, %v; want %p, Unchanged", again, ch, err, next)
 	}
 }
 
@@ -425,51 +426,81 @@ func TestMalformedObjectsFailPolicy(t *testing.T) {
 	}
 }
 
-// TestLoadPairsBytesWithTheirMtime: a file replaced by rename while Open
-// loads it is read whole from the handle opened first, with that handle's
-// mtime, so the next Refresh notices the rename instead of pairing the
-// new file's mtime with the old file's bytes for good.
-func TestLoadPairsBytesWithTheirMtime(t *testing.T) {
-	defer faultinject.Reset()
-	path := filepath.Join(t.TempDir(), "data.json")
-	put := func(content string, at time.Time) {
-		t.Helper()
-		tmp := path + ".next"
-		if err := os.WriteFile(tmp, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Chtimes(tmp, at, at); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			t.Fatal(err)
-		}
+// TestSuccessorsOfOneGeneration: two successors derived from one NDJSON
+// generation by two different tails — the file grew, was cut back to that
+// generation and grew otherwise — and a successor of the first each answer
+// like a reader opened fresh on their bytes, and so does the generation
+// they came from, scanned side by side. Run with -race.
+func TestSuccessorsOfOneGeneration(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 500; i++ {
+		fmt.Fprintf(&sb, "{\"id\": %d, \"name\": \"n%d\", \"v\": %g}\n", i, i%7, float64(i)/4)
 	}
-	t0 := time.Now().Add(-time.Hour).Truncate(time.Second)
-	put(ndjsonFile, t0)
-	var fired atomic.Bool
-	faultinject.Set(faultinject.FileLoad, func() error {
-		if fired.CompareAndSwap(false, true) {
-			put(strings.Replace(ndjsonFile, "r1", "s1", 1), t0.Add(time.Second))
+	base := sb.String()
+	path := writeFile(t, base)
+	d := sdg.DefaultDescription("j", sdg.FormatJSON, path, sdg.Bag(sdg.Unknown))
+	at := time.Now().Add(-time.Hour).Truncate(time.Second)
+	derive := func(from *Reader, content string) *Reader {
+		t.Helper()
+		at = at.Add(time.Second)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	r, err := Open(sdg.DefaultDescription("j", sdg.FormatJSON, path, sdg.Bag(sdg.Unknown)))
+		if err := os.Chtimes(path, at, at); err != nil {
+			t.Fatal(err)
+		}
+		next, ch, err := from.Refresh()
+		if err != nil || ch.Kind != rawfile.Replaced || next == from {
+			t.Fatalf("Refresh = %+v, %v; want a successor with its semi-index rebuilt", ch, err)
+		}
+		return next
+	}
+	g, err := Open(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	name := func(r *Reader) string {
-		v, err := r.ExtractPath(0, "name")
-		if err != nil {
+	// A first append reallocates with headroom: g is then a generation
+	// with spare capacity to hand out.
+	base += "{\"id\": 500, \"name\": \"g\", \"v\": 1}\n"
+	g = derive(g, base)
+	tailA, tailB, tailA2 := "{\"id\": 501, \"name\": \"a\"}\n{\"id\": 502, \"v\": 2}\n", "{\"id\": 501, \"name\": \"b\", \"v\": 7}\n", "{\"id\": 503, \"v\": 3.5}\n"
+	a := derive(g, base+tailA)
+	b := derive(g, base+tailB)
+	a2 := derive(a, base+tailA+tailA2)
+	gens := []struct {
+		name    string
+		r       *Reader
+		content string
+	}{{"predecessor", g, base}, {"first", a, base + tailA}, {"second", b, base + tailB}, {"first's successor", a2, base + tailA + tailA2}}
+	scan := func(r *Reader, fields []string) []values.Value {
+		var out []values.Value
+		if err := r.Iterate(fields, func(v values.Value) error {
+			out = append(out, v)
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
-		return v.Str()
+		return out
 	}
-	if got := name(r); got != "r1" {
-		t.Fatalf("Open read %q, want the file it opened", got)
-	}
-	next, changed, err := r.Refresh()
-	if err != nil || !changed || name(next) != "s1" {
-		t.Fatalf("Refresh after a rename during Open: changed %v, %v", changed, err)
-	}
+	t.Run("side by side", func(t *testing.T) {
+		for _, x := range gens {
+			t.Run(x.name, func(t *testing.T) {
+				t.Parallel()
+				fresh := open(t, x.content)
+				// The second pass over a projection reads the spans the
+				// first recorded.
+				for _, fields := range [][]string{nil, {"id", "v"}, {"id", "v"}, {"name"}} {
+					want, got := scan(fresh, fields), scan(x.r, fields)
+					if len(got) != len(want) {
+						t.Fatalf("fields %v: %d objects, fresh reader has %d", fields, len(got), len(want))
+					}
+					for i := range want {
+						if !values.Equal(got[i], want[i]) {
+							t.Fatalf("fields %v, object %d: %v, fresh reader has %v", fields, i, got[i], want[i])
+						}
+					}
+				}
+			})
+		}
+	})
 }

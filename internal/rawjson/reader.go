@@ -2,14 +2,13 @@ package rawjson
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"vida/internal/faultinject"
+	"vida/internal/rawfile"
 	"vida/internal/sdg"
 	"vida/internal/values"
 )
@@ -90,14 +89,14 @@ func (ix *SemiIndex) MemoryBytes() int64 {
 
 // Reader provides query access to one generation of a raw JSON file
 // holding either a top-level array of objects or newline-delimited
-// objects: its bytes, their mtime and the semi-index built over exactly
-// those bytes. It implements algebra.Source and is safe for concurrent
-// scans. A generation never changes: Refresh returns the next one.
+// objects (a rawfile.Generation) and the semi-index built over exactly its
+// bytes. It implements algebra.Source and is safe for concurrent scans. A
+// generation never changes: Refresh returns the next one.
 type Reader struct {
 	*shared
-	data  []byte
-	mtime time.Time
-	ix    *SemiIndex
+	file *rawfile.Generation
+	data []byte // file.Bytes(), held for the parse loops
+	ix   *SemiIndex
 	// buildMu single-flights the object-index skip scan so concurrent
 	// cold queries don't all walk the whole file.
 	buildMu sync.Mutex
@@ -121,31 +120,12 @@ func Open(desc *sdg.Description) (*Reader, error) {
 	if desc.Format != sdg.FormatJSON {
 		return nil, fmt.Errorf("rawjson: %s is not a JSON source", desc.Name)
 	}
-	data, mtime, err := load(desc.Path)
+	file, err := rawfile.Load(desc.Path)
 	if err != nil {
 		return nil, fmt.Errorf("rawjson: %s: %w", desc.Name, err)
 	}
 	sh := &shared{desc: desc, failOnBad: desc.Option("onerror", "skip") == "fail"}
-	return &Reader{shared: sh, data: data, mtime: mtime, ix: newSemiIndex()}, nil
-}
-
-// load reads the file at path with the mtime of the handle it reads, so
-// a rename over path in between cannot pair one file's mtime with
-// another's bytes.
-func load(path string) ([]byte, time.Time, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, time.Time{}, err
-	}
-	defer f.Close()
-	_ = faultinject.Hit(faultinject.FileLoad) // a pause point: see its doc
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, time.Time{}, err
-	}
-	data := make([]byte, fi.Size())
-	_, err = io.ReadFull(f, data)
-	return data, fi.ModTime(), err
+	return &Reader{shared: sh, file: file, data: file.Bytes(), ix: newSemiIndex()}, nil
 }
 
 // Name implements algebra.Source.
@@ -177,22 +157,12 @@ func (r *Reader) BuildStats() (builds, nanos int64) {
 }
 
 // Refresh re-checks the file and returns the generation that describes
-// it: the receiver when the file is unchanged, else a successor with the
-// whole file re-read and a fresh semi-index. It never changes the
-// receiver.
-func (r *Reader) Refresh() (next *Reader, changed bool, err error) {
-	fi, err := os.Stat(r.desc.Path)
-	if err != nil {
-		return nil, false, err
-	}
-	if fi.ModTime().Equal(r.mtime) && fi.Size() == int64(len(r.data)) {
-		return r, false, nil
-	}
-	data, mtime, err := load(r.desc.Path)
-	if err != nil {
-		return nil, false, err
-	}
-	return &Reader{shared: r.shared, data: data, mtime: mtime, ix: newSemiIndex()}, true, nil
+// it (rawfile.Reopen): a successor's bytes are extended by the tail after
+// an append and read whole otherwise, and its semi-index starts empty.
+func (r *Reader) Refresh() (*Reader, rawfile.Change, error) {
+	return rawfile.Reopen(r, r.file, func(file *rawfile.Generation) (*Reader, error) {
+		return &Reader{shared: r.shared, file: file, data: file.Bytes(), ix: newSemiIndex()}, nil
+	})
 }
 
 // buildObjectIndex records the span of every top-level object using the

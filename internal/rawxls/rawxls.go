@@ -20,6 +20,7 @@ import (
 	"math"
 	"os"
 
+	"vida/internal/rawfile"
 	"vida/internal/sdg"
 	"vida/internal/values"
 )
@@ -100,6 +101,7 @@ func Write(path string, s *Sheet, rows [][]values.Value) error {
 // algebra.Source.
 type Reader struct {
 	desc    *sdg.Description
+	file    *rawfile.Generation
 	sheet   Sheet
 	rowOffs []int
 	data    []byte
@@ -108,10 +110,23 @@ type Reader struct {
 
 // Open loads the sheet file described by desc.
 func Open(desc *sdg.Description) (*Reader, error) {
-	raw, err := os.ReadFile(desc.Path)
+	file, err := rawfile.Load(desc.Path)
 	if err != nil {
 		return nil, fmt.Errorf("rawxls: %s: %w", desc.Name, err)
 	}
+	return open(desc, file)
+}
+
+// Refresh re-checks the file: the receiver while it is unchanged, else the
+// file parsed again (rawfile.Reopen).
+func (r *Reader) Refresh() (*Reader, rawfile.Change, error) {
+	return rawfile.Reopen(r, r.file, func(file *rawfile.Generation) (*Reader, error) {
+		return open(r.desc, file)
+	})
+}
+
+func open(desc *sdg.Description, file *rawfile.Generation) (*Reader, error) {
+	raw := file.Bytes()
 	if len(raw) < 8 || string(raw[:4]) != magic {
 		return nil, fmt.Errorf("rawxls: %s: bad magic", desc.Name)
 	}
@@ -122,7 +137,7 @@ func Open(desc *sdg.Description) (*Reader, error) {
 	pos += 2
 	ncols := int(binary.LittleEndian.Uint16(raw[pos:]))
 	pos += 2
-	r := &Reader{desc: desc, data: raw, colIdx: map[string]int{}}
+	r := &Reader{desc: desc, file: file, data: raw, colIdx: map[string]int{}}
 	for i := 0; i < ncols; i++ {
 		if pos >= len(raw) {
 			return nil, fmt.Errorf("rawxls: %s: truncated columns", desc.Name)

@@ -19,7 +19,7 @@ func attrs() []sdg.Attr {
 	}
 }
 
-func load(t *testing.T, n int) (*Store, *Table, string) {
+func loadTable(t *testing.T, n int) (*Store, *Table, string) {
 	t.Helper()
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -48,7 +48,7 @@ func load(t *testing.T, n int) (*Store, *Table, string) {
 }
 
 func TestScanRoundTrip(t *testing.T) {
-	_, tbl, _ := load(t, 500)
+	_, tbl, _ := loadTable(t, 500)
 	var rows []values.Value
 	if err := tbl.Scan(nil, nil, func(v values.Value) error {
 		rows = append(rows, v)
@@ -65,7 +65,7 @@ func TestScanRoundTrip(t *testing.T) {
 }
 
 func TestSelectionVector(t *testing.T) {
-	_, tbl, _ := load(t, 100)
+	_, tbl, _ := loadTable(t, 100)
 	preds := []basequery.Pred{
 		{Col: "score", Op: basequery.OpGe, Val: values.NewFloat(20)},
 		{Col: "ok", Op: basequery.OpEq, Val: values.True},
@@ -81,7 +81,7 @@ func TestSelectionVector(t *testing.T) {
 }
 
 func TestAggregateFastPath(t *testing.T) {
-	_, tbl, _ := load(t, 100)
+	_, tbl, _ := loadTable(t, 100)
 	sum, err := tbl.Aggregate(basequery.AggSum, "score", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestAggregateFastPath(t *testing.T) {
 }
 
 func TestDictionaryEncoding(t *testing.T) {
-	_, tbl, _ := load(t, 1000)
+	_, tbl, _ := loadTable(t, 1000)
 	n, err := tbl.DictSize("city")
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestTypeMismatchRejected(t *testing.T) {
 }
 
 func TestPersistedFilesExist(t *testing.T) {
-	_, tbl, dir := load(t, 10)
+	_, tbl, dir := loadTable(t, 10)
 	if tbl.MemBytes() == 0 {
 		t.Fatal("no memory accounted")
 	}
@@ -172,7 +172,7 @@ func TestPersistedFilesExist(t *testing.T) {
 }
 
 func TestUnknownColumn(t *testing.T) {
-	_, tbl, _ := load(t, 5)
+	_, tbl, _ := loadTable(t, 5)
 	if _, err := tbl.Select([]basequery.Pred{{Col: "zz", Op: basequery.OpEq, Val: values.NewInt(1)}}); err == nil {
 		t.Fatal("unknown predicate column accepted")
 	}

@@ -387,10 +387,13 @@ func (e *Engine) AttachCleaner(source string, rules ...CleanRule) error {
 	return e.inner.AttachCleaner(source, clean.New(converted...))
 }
 
-// Refresh re-checks registered files for modification. A CSV file that
-// only grew keeps its positional map and cached columns, extended by the
-// appended rows; any other change drops the affected auxiliary
-// structures and caches.
+// Refresh re-checks every registered file — CSV, JSON, array and sheet
+// sources alike — for modification. A CSV file that only grew keeps its
+// positional map and cached columns, extended by the appended rows; any
+// other change drops the affected auxiliary structures and caches. A file
+// that cannot be read leaves its source answering from what was loaded
+// before, the other sources are refreshed all the same, and the error
+// joins every failure, each naming its source.
 func (e *Engine) Refresh() error { return e.inner.Refresh() }
 
 // Stats returns engine activity counters.
