@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"vida/internal/faultinject"
 	"vida/internal/rawfile"
 	"vida/internal/values"
 	"vida/internal/vec"
@@ -502,4 +505,65 @@ func TestSuccessorsOfOneGeneration(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestLoadPairsBytesWithTheirMtime: a file replaced by rename while Open
+// or a replacing Refresh loads it is read whole from the handle opened
+// first, with that handle's mtime. The new file's mtime over the old
+// file's bytes would make every later Refresh report Unchanged.
+func TestLoadPairsBytesWithTheirMtime(t *testing.T) {
+	defer faultinject.Reset()
+	path := filepath.Join(t.TempDir(), "data.csv")
+	put := func(content string, at time.Time) {
+		t.Helper()
+		tmp := path + ".next"
+		if err := os.WriteFile(tmp, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(tmp, at, at); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(tmp, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// putWhileLoading replaces the file from inside the next load, after
+	// it opened the file and before it read it.
+	putWhileLoading := func(content string, at time.Time) {
+		var fired atomic.Bool
+		faultinject.Set(faultinject.FileLoad, func() error {
+			if fired.CompareAndSwap(false, true) {
+				put(content, at)
+			}
+			return nil
+		})
+	}
+	firstName := func(r *Reader) string { return collect(t, r, nil)[0].MustGet("name").Str() }
+	t0 := time.Now().Add(-time.Hour).Truncate(time.Second)
+	put(sample, t0)
+	putWhileLoading(strings.Replace(sample, "ada", "ann", 1), t0.Add(time.Second))
+	r, err := Open(desc(t, path, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := firstName(r); got != "ada" {
+		t.Fatalf("Open read %q, want the file it opened", got)
+	}
+	// The loaded mtime is the opened file's, so the rename is noticed.
+	r, ch, err := r.Refresh()
+	if err != nil || ch.Kind != rawfile.Replaced || firstName(r) != "ann" {
+		t.Fatalf("Refresh after a rename during Open = %+v, %v", ch, err)
+	}
+	// The same race in the replace path of Refresh.
+	longer := strings.Replace(sample, "ada", "zed", 1) + "4,kim,1,true\n"
+	put(longer, t0.Add(2*time.Second))
+	putWhileLoading(strings.Replace(longer, "zed", "zoe", 1), t0.Add(3*time.Second))
+	for _, want := range []string{"zed", "zoe"} {
+		if r, ch, err = r.Refresh(); err != nil || ch.Kind != rawfile.Replaced || firstName(r) != want {
+			t.Fatalf("Refresh = %+v, %v; want Replaced reading %q", ch, err, want)
+		}
+	}
+	if next, ch, err := r.Refresh(); err != nil || ch.Kind != rawfile.Unchanged || next != r {
+		t.Fatalf("Refresh of a settled file = %+v, %v", ch, err)
+	}
 }

@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"vida/internal/faultinject"
 	"vida/internal/rawfile"
 	"vida/internal/sdg"
 	"vida/internal/values"
@@ -503,4 +505,53 @@ func TestSuccessorsOfOneGeneration(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestLoadPairsBytesWithTheirMtime: a file replaced by rename while Open
+// loads it is read whole from the handle opened first, with that handle's
+// mtime, so the next Refresh notices the rename instead of pairing the
+// new file's mtime with the old file's bytes for good.
+func TestLoadPairsBytesWithTheirMtime(t *testing.T) {
+	defer faultinject.Reset()
+	path := filepath.Join(t.TempDir(), "data.json")
+	put := func(content string, at time.Time) {
+		t.Helper()
+		tmp := path + ".next"
+		if err := os.WriteFile(tmp, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(tmp, at, at); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(tmp, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t0 := time.Now().Add(-time.Hour).Truncate(time.Second)
+	put(ndjsonFile, t0)
+	var fired atomic.Bool
+	faultinject.Set(faultinject.FileLoad, func() error {
+		if fired.CompareAndSwap(false, true) {
+			put(strings.Replace(ndjsonFile, "r1", "s1", 1), t0.Add(time.Second))
+		}
+		return nil
+	})
+	r, err := Open(sdg.DefaultDescription("j", sdg.FormatJSON, path, sdg.Bag(sdg.Unknown)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := func(r *Reader) string {
+		v, err := r.ExtractPath(0, "name")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.Str()
+	}
+	if got := name(r); got != "r1" {
+		t.Fatalf("Open read %q, want the file it opened", got)
+	}
+	next, ch, err := r.Refresh()
+	if err != nil || ch.Kind != rawfile.Replaced || name(next) != "s1" {
+		t.Fatalf("Refresh after a rename during Open = %+v, %v", ch, err)
+	}
 }
