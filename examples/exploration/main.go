@@ -82,7 +82,8 @@ func main() {
 	fmt.Printf("rows before append: %s, after Refresh: %s\n\n", before, after)
 
 	// 4. The same plan on the two executors: generated operators vs the
-	// pre-cooked channel-pipelined engine (the paper's static executor).
+	// interpreted operators pipelined over Go channels (the paper's
+	// static executor, the reference executor's operators on channels).
 	// Both engines get one warm-up run so the comparison measures pure
 	// execution, not first-touch raw parsing (the Refresh above dropped
 	// eng's caches).

@@ -169,3 +169,43 @@ func TestGroupByUnorderedDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupByCorrelatedSubquery checks that a correlated subquery over a
+// catalog source inside a group key or an aggregate reaches that source
+// under every executor, each answering what the JIT answers.
+func TestGroupByCorrelatedSubquery(t *testing.T) {
+	queries := []struct{ name, q string }{
+		{"agg", `for { e <- Employees } group by { g := e.deptNo }
+		   agg { n := sum (for { d <- Departments, d.id = e.deptNo } yield sum 1) }
+		   yield list (g := g, n := n) order by g`},
+		{"key", `for { e <- Employees } group by { g := for { d <- Departments, d.id = e.deptNo } yield max d.id }
+		   agg { n := sum 1 }
+		   yield list (g := g, n := n) order by g`},
+	}
+	const want = "g=10,n=2; g=20,n=1; g=30,n=1"
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"jit", nil},
+		{"static", []Option{WithStaticExecutor()}},
+		{"reference", []Option{WithReferenceExecutor()}},
+	} {
+		e := setup(t, tc.opts...)
+		for _, q := range queries {
+			t.Run(tc.name+"/"+q.name, func(t *testing.T) {
+				res, err := e.Query(q.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				for _, row := range res.Rows() {
+					got = append(got, groupRow(row))
+				}
+				if strings.Join(got, "; ") != want {
+					t.Fatalf("groups = %q, want %q", strings.Join(got, "; "), want)
+				}
+			})
+		}
+	}
+}

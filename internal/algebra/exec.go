@@ -1,264 +1,507 @@
 package algebra
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"vida/internal/mcl"
 	"vida/internal/monoid"
 	"vida/internal/values"
 )
 
-// Executor is implemented by every ViDa execution engine (the reference
-// executor here, the static channel executor and the JIT executor in
-// internal/jit). Run evaluates the plan against the catalog and returns
+// Executor is implemented by every ViDa execution engine: the two drivers
+// of the interpreter here (Reference and Static) and the JIT executor in
+// internal/jit. Run evaluates the plan against the catalog and returns
 // the reduced result.
 type Executor interface {
 	Run(p *Reduce, cat Catalog) (values.Value, error)
 }
 
-// Reference is the materializing reference executor: simple, obviously
-// correct, used to validate the optimized engines. It evaluates each node
-// to a slice of binding environments.
+// Reference drives the interpreter lazily in the caller's goroutine: a
+// node's bindings are produced one at a time as its consumer asks for
+// them, and every expression is evaluated by walking its AST. It is the
+// simple, obviously correct oracle the JIT engine is checked against.
 type Reference struct{}
 
 // Run implements Executor.
 func (Reference) Run(p *Reduce, cat Catalog) (values.Value, error) {
-	base, err := baseEnv(p, cat)
+	return execute(p, cat, 0)
+}
+
+// Static drives the same interpreted operators as Reference, but runs
+// every plan node in its own goroutine, which feeds its consumer through
+// a channel of ChanBuf bindings. Its generic operators carry on every row
+// the interpretation overhead the JIT removes (§4: "a 'pre-cooked'
+// operator offering all these capabilities must be very generic, thus
+// introducing significant interpretation overhead"); it is the baseline
+// of the JIT-vs-static experiment.
+type Static struct {
+	// ChanBuf is the channel buffer size between operators (default 64).
+	ChanBuf int
+}
+
+// Run implements Executor.
+func (s Static) Run(p *Reduce, cat Catalog) (values.Value, error) {
+	buf := s.ChanBuf
+	if buf <= 0 {
+		buf = 64
+	}
+	return execute(p, cat, buf)
+}
+
+// rows is a plan node's stream of bindings: it calls emit once per
+// binding, in order, and returns the first error, emit's included.
+type rows func(emit func(*mcl.Env) error) error
+
+// interp is one run of the interpreter. With buf 0 (Reference) a node's
+// stream runs in its consumer's goroutine; otherwise (Static) open starts
+// the node's goroutine behind a channel of buf bindings.
+type interp struct {
+	cat  Catalog
+	base *mcl.Env
+	buf  int
+
+	wg   sync.WaitGroup
+	stop chan struct{} // closed at the first error and when the run ends
+	once sync.Once
+	mu   sync.Mutex
+	err  error // the first error of the run
+}
+
+// errStopped ends a producer whose run has stopped; it is never the
+// run's error.
+var errStopped = errors.New("algebra: run stopped")
+
+func execute(p *Reduce, cat Catalog, buf int) (values.Value, error) {
+	base, err := BaseEnv(p, cat)
 	if err != nil {
 		return values.Null, err
 	}
-	rows, err := refRows(p.Input, cat, base)
-	if err != nil {
+	r := &interp{cat: cat, base: base, buf: buf, stop: make(chan struct{})}
+	v, err := r.reduce(p)
+	r.halt(err)
+	r.wg.Wait()
+	if err := r.failed(); err != nil {
 		return values.Null, err
 	}
-	if p.Grouped() {
-		// One pass over the input partitions rows into groups; downstream
-		// (Pred = HAVING, Head, Order) then runs once per group env.
-		rows, err = groupEnvs(p, rows, base)
+	return v, nil
+}
+
+// halt records err unless an error came first, and stops every producer.
+func (r *interp) halt(err error) {
+	r.mu.Lock()
+	if r.err == nil && err != errStopped {
+		r.err = err
+	}
+	r.mu.Unlock()
+	r.once.Do(func() { close(r.stop) })
+}
+
+func (r *interp) failed() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err
+}
+
+// open returns the stream of plan node p; a nil plan is the single base
+// binding (the unit row driving qualifier-free comprehensions). Reference
+// and Static differ only here: under Static the node's goroutine starts
+// now, so opening the root starts every node of the plan, and the
+// returned stream drains the node's channel.
+func (r *interp) open(p Plan) rows {
+	s := r.operator(p)
+	if r.buf == 0 {
+		return s
+	}
+	ch := make(chan *mcl.Env, r.buf)
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		defer close(ch)
+		err := s(func(env *mcl.Env) error {
+			select {
+			case ch <- env:
+				return nil
+			case <-r.stop:
+				return errStopped
+			}
+		})
 		if err != nil {
-			return values.Null, err
+			r.halt(err)
 		}
+	}()
+	return func(emit func(*mcl.Env) error) error {
+		for env := range ch {
+			if err := emit(env); err != nil {
+				return err
+			}
+		}
+		// A producer that failed recorded its error before closing ch.
+		return r.failed()
+	}
+}
+
+// operator is the interpreted operator of one plan node. Binary nodes
+// open both inputs before draining either, so under Static the two sides
+// of a self-join are concurrent scans.
+func (r *interp) operator(p Plan) rows {
+	switch n := p.(type) {
+	case nil:
+		return func(emit func(*mcl.Env) error) error { return emit(r.base) }
+	case *Scan:
+		return func(emit func(*mcl.Env) error) error {
+			src, ok := r.cat.Source(n.Source)
+			if !ok {
+				return fmt.Errorf("algebra: unknown source %q", n.Source)
+			}
+			return src.Iterate(n.Fields, func(v values.Value) error {
+				env := r.base.Bind(n.Var, v)
+				if ok, err := holds(n.Filter, env); !ok {
+					return err
+				}
+				return emit(env)
+			})
+		}
+	case *Select:
+		in := r.open(n.Input)
+		return func(emit func(*mcl.Env) error) error {
+			return in(func(env *mcl.Env) error {
+				if ok, err := holds(n.Pred, env); !ok {
+					return err
+				}
+				return emit(env)
+			})
+		}
+	case *Bind:
+		in := r.open(n.Input)
+		return func(emit func(*mcl.Env) error) error {
+			return in(func(env *mcl.Env) error {
+				v, err := mcl.Eval(n.E, env)
+				if err != nil {
+					return err
+				}
+				return emit(env.Bind(n.Var, v))
+			})
+		}
+	case *Generate:
+		in := r.open(n.Input)
+		return func(emit func(*mcl.Env) error) error {
+			return in(func(env *mcl.Env) error {
+				coll, err := mcl.Eval(n.E, env)
+				if err != nil || coll.IsNull() {
+					return err
+				}
+				if !coll.IsCollection() && coll.Kind() != values.KindArray {
+					return fmt.Errorf("algebra: generate over %s", coll.Kind())
+				}
+				for _, e := range coll.Elems() {
+					if err := emit(env.Bind(n.Var, e)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+	case *Product:
+		l, right := r.open(n.L), r.open(n.R)
+		rVars := BoundVars(n.R)
+		return func(emit func(*mcl.Env) error) error {
+			var renvs []*mcl.Env
+			if err := right(func(env *mcl.Env) error { renvs = append(renvs, env); return nil }); err != nil {
+				return err
+			}
+			return l(func(le *mcl.Env) error {
+				for _, re := range renvs {
+					if err := emit(splice(le, re, rVars)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+	case *Join:
+		return r.join(n)
+	}
+	return func(func(*mcl.Env) error) error {
+		return fmt.Errorf("algebra: unknown plan node %T", p)
+	}
+}
+
+// join is a hash join on the equi-key expressions: the right input is
+// the build side, the left probes it in order. Null keys never join
+// (`a = b` is false when either side is null), so rows with a null key
+// part are dropped on both sides; the residual filters each match.
+func (r *interp) join(n *Join) rows {
+	l, right := r.open(n.L), r.open(n.R)
+	rVars := BoundVars(n.R)
+	key := func(env *mcl.Env, left bool) (values.Value, bool, error) {
+		parts, err := evalKeys(env, len(n.On), func(i int) mcl.Expr {
+			if left {
+				return n.On[i].LExpr
+			}
+			return n.On[i].RExpr
+		})
+		if err != nil {
+			return values.Null, false, err
+		}
+		for _, v := range parts {
+			if v.IsNull() {
+				return values.Null, false, nil
+			}
+		}
+		return values.NewList(parts...), true, nil
+	}
+	return func(emit func(*mcl.Env) error) error {
+		type bucket struct {
+			keys []values.Value
+			envs []*mcl.Env
+		}
+		table := map[uint64]*bucket{}
+		err := right(func(env *mcl.Env) error {
+			k, ok, err := key(env, false)
+			if !ok {
+				return err
+			}
+			b := table[k.Hash()]
+			if b == nil {
+				b = &bucket{}
+				table[k.Hash()] = b
+			}
+			b.keys = append(b.keys, k)
+			b.envs = append(b.envs, env)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		return l(func(le *mcl.Env) error {
+			k, ok, err := key(le, true)
+			if !ok {
+				return err
+			}
+			b := table[k.Hash()]
+			if b == nil {
+				return nil
+			}
+			for i, bk := range b.keys {
+				if !values.Equal(k, bk) {
+					continue
+				}
+				env := splice(le, b.envs[i], rVars)
+				ok, err := holds(n.Residual, env)
+				if err != nil {
+					return err
+				}
+				if ok {
+					if err := emit(env); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		})
+	}
+}
+
+// reduce is the root: the grouped fold for a grouped plan, then the
+// keyed top-k (ORDER BY), the prefix of a bare LIMIT/OFFSET, or the
+// plain fold of the head over every binding that passes Pred (HAVING
+// on a grouped plan).
+func (r *interp) reduce(p *Reduce) (values.Value, error) {
+	in := r.open(p.Input)
+	if p.Grouped() {
+		in = r.group(p, in)
+	}
+	each := func(f func(env *mcl.Env, head values.Value) error) error {
+		return in(func(env *mcl.Env) error {
+			if ok, err := holds(p.Pred, env); !ok {
+				return err
+			}
+			h, err := mcl.Eval(p.Head, env)
+			if err != nil {
+				return err
+			}
+			return f(env, h)
+		})
 	}
 	if p.Order.Ordered() {
-		return orderedReduce(p, rows)
-	}
-	acc := monoid.NewCollector(p.M)
-	for _, env := range rows {
-		if p.Pred != nil {
-			ok, err := evalPred(p.Pred, env)
-			if err != nil {
-				return values.Null, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		h, err := mcl.Eval(p.Head, env)
+		limit, offset, keep, dedup, err := ResolveOrder(p)
 		if err != nil {
 			return values.Null, err
 		}
-		acc.Add(h)
+		desc := make([]bool, len(p.Order.Keys))
+		for i, k := range p.Order.Keys {
+			desc[i] = k.Desc
+		}
+		acc := monoid.NewTopKAcc(desc, keep)
+		err = each(func(env *mcl.Env, h values.Value) error {
+			keys, err := evalKeys(env, len(p.Order.Keys), func(i int) mcl.Expr { return p.Order.Keys[i].E })
+			if err == nil {
+				acc.Add(keys, h)
+			}
+			return err
+		})
+		if err != nil {
+			return values.Null, err
+		}
+		return values.NewList(acc.Finalize(offset, limit, dedup)...), nil
 	}
-	res := acc.Result()
 	if p.Order != nil {
-		return SliceCollection(res, p.Order)
+		return prefix(p, each)
 	}
-	return res, nil
+	acc := monoid.NewCollector(p.M)
+	err := each(func(_ *mcl.Env, h values.Value) error {
+		acc.Add(h)
+		return nil
+	})
+	if err != nil {
+		return values.Null, err
+	}
+	return acc.Result(), nil
 }
 
-// groupEnvs folds the input rows into per-group environments: rows are
-// partitioned by the key tuple (nulls equal, first-occurrence order),
-// each aggregate folds its input per group under grouped null semantics
-// (monoid.AggAdd), and every group becomes one environment over the base
-// env with the key and aggregate names bound — the reference semantics
-// of the grouped reduce every optimized engine must reproduce.
-func groupEnvs(p *Reduce, rows []*mcl.Env, base *mcl.Env) ([]*mcl.Env, error) {
-	type group struct {
-		keys []values.Value
-		accs []*monoid.Collector
-	}
-	var groups []*group
-	index := map[uint64][]int{}
-	for _, env := range rows {
-		keys := make([]values.Value, len(p.GroupBy))
-		for i, k := range p.GroupBy {
-			kv, err := mcl.Eval(k.E, env)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = kv
-		}
-		h := mcl.GroupHash(keys)
-		var g *group
-		for _, gi := range index[h] {
-			if mcl.GroupKeysEqual(groups[gi].keys, keys) {
-				g = groups[gi]
-				break
-			}
-		}
-		if g == nil {
-			g = &group{keys: keys, accs: make([]*monoid.Collector, len(p.Aggs))}
-			for i, a := range p.Aggs {
-				g.accs[i] = monoid.NewCollector(a.M)
-			}
-			index[h] = append(index[h], len(groups))
-			groups = append(groups, g)
-		}
-		for i, a := range p.Aggs {
-			av, err := mcl.Eval(a.E, env)
-			if err != nil {
-				return nil, err
-			}
-			monoid.AggAdd(g.accs[i], av)
-		}
-	}
-	out := make([]*mcl.Env, 0, len(groups))
-	for _, g := range groups {
-		genv := base
-		for i, k := range p.GroupBy {
-			genv = genv.Bind(k.Name, g.keys[i])
-		}
-		for i := range p.Aggs {
-			genv = genv.Bind(p.Aggs[i].Name, g.accs[i].Result())
-		}
-		out = append(out, genv)
-	}
-	return out, nil
-}
-
-// orderedReduce folds the rows through the keyed top-k accumulator —
-// the reference semantics of ORDER BY/LIMIT/OFFSET every optimized
-// engine must reproduce.
-func orderedReduce(p *Reduce, rows []*mcl.Env) (values.Value, error) {
+// prefix is the bare LIMIT/OFFSET of a collection: the in-order heads
+// (first occurrences for a set) after offset, at most limit of them —
+// what the JIT's row quota keeps over a serial scan.
+func prefix(p *Reduce, each func(func(*mcl.Env, values.Value) error) error) (values.Value, error) {
 	limit, offset, err := ResolveExtents(p.Order)
 	if err != nil {
 		return values.Null, err
 	}
-	dedup := p.M.Name() == "set"
-	desc := make([]bool, len(p.Order.Keys))
-	for i, k := range p.Order.Keys {
-		desc[i] = k.Desc
-	}
-	keep := -1
-	if limit >= 0 && !dedup {
-		keep = offset + limit
-	}
-	acc := monoid.NewTopKAcc(desc, keep)
-	for _, env := range rows {
-		if p.Pred != nil {
-			ok, err := evalPred(p.Pred, env)
-			if err != nil {
-				return values.Null, err
+	kind := p.M.Name()
+	var elems []values.Value
+	seen := map[uint64][]values.Value{}
+	err = each(func(_ *mcl.Env, h values.Value) error {
+		if kind == "set" {
+			for _, o := range seen[h.Hash()] {
+				if values.Equal(o, h) {
+					return nil
+				}
 			}
-			if !ok {
-				continue
-			}
+			seen[h.Hash()] = append(seen[h.Hash()], h)
 		}
-		keys := make([]values.Value, len(p.Order.Keys))
-		for i, k := range p.Order.Keys {
-			kv, err := mcl.Eval(k.E, env)
-			if err != nil {
-				return values.Null, err
-			}
-			keys[i] = kv
-		}
-		h, err := mcl.Eval(p.Head, env)
-		if err != nil {
-			return values.Null, err
-		}
-		acc.Add(keys, h)
-	}
-	return values.NewList(acc.Finalize(offset, limit, dedup)...), nil
-}
-
-// SliceCollection applies a keyless OrderSpec (bare limit/offset) to a
-// materialized collection result, preserving its kind. Materializing
-// executors share it; the JIT engine instead stops producers early.
-func SliceCollection(v values.Value, o *OrderSpec) (values.Value, error) {
-	limit, offset, err := ResolveExtents(o)
+		elems = append(elems, h)
+		return nil
+	})
 	if err != nil {
 		return values.Null, err
 	}
-	elems := v.Elems()
-	if offset > 0 {
-		if offset >= len(elems) {
-			elems = nil
-		} else {
-			elems = elems[offset:]
-		}
-	}
+	elems = elems[min(offset, len(elems)):]
 	if limit >= 0 && limit < len(elems) {
 		elems = elems[:limit]
 	}
-	switch v.Kind() {
-	case values.KindList:
+	switch kind {
+	case "list":
 		return values.NewList(elems...), nil
-	case values.KindSet:
+	case "set":
 		return values.NewSet(elems...), nil
-	default:
+	case "bag":
 		return values.NewBag(elems...), nil
+	}
+	return values.Null, fmt.Errorf("algebra: limit/offset on %s-monoid results", kind)
+}
+
+// group is the grouped fold: it partitions its input by the key tuple
+// (nulls equal, first-occurrence order), folds each aggregate per group
+// under grouped null semantics (monoid.AggAdd), and then streams one
+// binding per group over the base env with the key and aggregate names
+// bound — the semantics of the grouped reduce every engine reproduces.
+func (r *interp) group(p *Reduce, in rows) rows {
+	return func(emit func(*mcl.Env) error) error {
+		type group struct {
+			keys []values.Value
+			accs []*monoid.Collector
+		}
+		var groups []*group
+		index := map[uint64][]int{}
+		err := in(func(env *mcl.Env) error {
+			keys, err := evalKeys(env, len(p.GroupBy), func(i int) mcl.Expr { return p.GroupBy[i].E })
+			if err != nil {
+				return err
+			}
+			h := mcl.GroupHash(keys)
+			var g *group
+			for _, gi := range index[h] {
+				if mcl.GroupKeysEqual(groups[gi].keys, keys) {
+					g = groups[gi]
+					break
+				}
+			}
+			if g == nil {
+				g = &group{keys: keys, accs: make([]*monoid.Collector, len(p.Aggs))}
+				for i, a := range p.Aggs {
+					g.accs[i] = monoid.NewCollector(a.M)
+				}
+				index[h] = append(index[h], len(groups))
+				groups = append(groups, g)
+			}
+			for i, a := range p.Aggs {
+				av, err := mcl.Eval(a.E, env)
+				if err != nil {
+					return err
+				}
+				monoid.AggAdd(g.accs[i], av)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		for _, g := range groups {
+			genv := r.base
+			for i, k := range p.GroupBy {
+				genv = genv.Bind(k.Name, g.keys[i])
+			}
+			for i, a := range p.Aggs {
+				genv = genv.Bind(a.Name, g.accs[i].Result())
+			}
+			if err := emit(genv); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 }
 
-// baseEnv materializes every catalog source referenced by the plan's
-// expressions (correlated subqueries name sources directly) into the root
-// environment.
-func baseEnv(p Plan, cat Catalog) (*mcl.Env, error) {
-	needed := map[string]bool{}
+// ResolveOrder evaluates a reduce's order spec: concrete limit/offset
+// plus the retention bound of its top-k — offset+limit only with a limit
+// present, unbounded when a set's dedup could drop retained entries.
+func ResolveOrder(p *Reduce) (limit, offset, keep int, dedup bool, err error) {
+	limit, offset, err = ResolveExtents(p.Order)
+	if err != nil {
+		return 0, 0, 0, false, err
+	}
+	dedup = p.M.Name() == "set"
+	keep = -1
+	if limit >= 0 && !dedup {
+		keep = offset + limit
+	}
+	return limit, offset, keep, dedup, nil
+}
+
+// BaseEnv is the root environment of a run: every catalog source named
+// as a free variable by an expression anywhere in the plan (a correlated
+// subquery names its source directly), materialized as a list.
+func BaseEnv(p Plan, cat Catalog) (*mcl.Env, error) {
 	bound := map[string]bool{}
 	for _, v := range BoundVars(p) {
 		bound[v] = true
 	}
-	collect := func(e mcl.Expr) {
-		if e == nil {
-			return
-		}
-		for _, v := range mcl.FreeVars(e) {
-			if !bound[v] {
-				if _, ok := cat.Source(v); ok {
-					needed[v] = true
-				}
-			}
-		}
-	}
-	var walk func(Plan)
-	walk = func(p Plan) {
-		switch n := p.(type) {
-		case *Scan:
-			collect(n.Filter)
-		case *Generate:
-			collect(n.E)
-		case *Select:
-			collect(n.Pred)
-		case *Join:
-			for _, on := range n.On {
-				collect(on.LExpr)
-				collect(on.RExpr)
-			}
-			collect(n.Residual)
-		case *Bind:
-			collect(n.E)
-		case *Reduce:
-			collect(n.Head)
-			collect(n.Pred)
-			if n.Order != nil {
-				for _, k := range n.Order.Keys {
-					collect(k.E)
-				}
-			}
-		}
-		for _, in := range p.Inputs() {
-			walk(in)
-		}
-	}
-	walk(p)
 	bindings := map[string]values.Value{}
-	for name := range needed {
-		v, err := Materialize(cat, name)
-		if err != nil {
-			return nil, err
+	var err error
+	eachExpr(p, func(e mcl.Expr) {
+		for _, name := range mcl.FreeVars(e) {
+			if _, done := bindings[name]; done || bound[name] || err != nil {
+				continue
+			}
+			if _, ok := cat.Source(name); ok {
+				bindings[name], err = Materialize(cat, name)
+			}
 		}
-		bindings[name] = v
+	})
+	if err != nil {
+		return nil, err
 	}
 	return mcl.NewEnv(bindings), nil
 }
@@ -280,7 +523,11 @@ func Materialize(cat Catalog, name string) (values.Value, error) {
 	return values.NewList(rows...), nil
 }
 
-func evalPred(pred mcl.Expr, env *mcl.Env) (bool, error) {
+// holds reports whether pred is true over env; a nil pred always holds.
+func holds(pred mcl.Expr, env *mcl.Env) (bool, error) {
+	if pred == nil {
+		return true, nil
+	}
 	v, err := mcl.Eval(pred, env)
 	if err != nil {
 		return false, err
@@ -288,216 +535,25 @@ func evalPred(pred mcl.Expr, env *mcl.Env) (bool, error) {
 	return v.Kind() == values.KindBool && v.Bool(), nil
 }
 
-// refRows evaluates a plan node to its binding environments. A nil plan
-// yields the single base binding (the unit row driving qualifier-free
-// comprehensions).
-func refRows(p Plan, cat Catalog, base *mcl.Env) ([]*mcl.Env, error) {
-	if p == nil {
-		return []*mcl.Env{base}, nil
+// evalKeys evaluates the n key expressions expr(0..n-1) over env.
+func evalKeys(env *mcl.Env, n int, expr func(i int) mcl.Expr) ([]values.Value, error) {
+	keys := make([]values.Value, n)
+	for i := range keys {
+		v, err := mcl.Eval(expr(i), env)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = v
 	}
-	switch n := p.(type) {
-	case *Scan:
-		src, ok := cat.Source(n.Source)
-		if !ok {
-			return nil, fmt.Errorf("algebra: unknown source %q", n.Source)
-		}
-		var out []*mcl.Env
-		err := src.Iterate(n.Fields, func(v values.Value) error {
-			env := base.Bind(n.Var, v)
-			if n.Filter != nil {
-				ok, err := evalPred(n.Filter, env)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-			}
-			out = append(out, env)
-			return nil
-		})
-		return out, err
-	case *Generate:
-		in, err := refRows(n.Input, cat, base)
-		if err != nil {
-			return nil, err
-		}
-		var out []*mcl.Env
-		for _, env := range in {
-			coll, err := mcl.Eval(n.E, env)
-			if err != nil {
-				return nil, err
-			}
-			if coll.IsNull() {
-				continue
-			}
-			if !coll.IsCollection() && coll.Kind() != values.KindArray {
-				return nil, fmt.Errorf("algebra: generate over %s", coll.Kind())
-			}
-			for _, e := range coll.Elems() {
-				out = append(out, env.Bind(n.Var, e))
-			}
-		}
-		return out, nil
-	case *Select:
-		in, err := refRows(n.Input, cat, base)
-		if err != nil {
-			return nil, err
-		}
-		var out []*mcl.Env
-		for _, env := range in {
-			ok, err := evalPred(n.Pred, env)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, env)
-			}
-		}
-		return out, nil
-	case *Product:
-		// The right side restarts per left row; evaluate the right stream
-		// against the base env and splice its bindings onto each left env.
-		l, err := refRows(n.L, cat, base)
-		if err != nil {
-			return nil, err
-		}
-		r, err := refRows(n.R, cat, base)
-		if err != nil {
-			return nil, err
-		}
-		rVars := BoundVars(n.R)
-		var out []*mcl.Env
-		for _, le := range l {
-			for _, re := range r {
-				env := le
-				for _, v := range rVars {
-					if val, ok := re.Lookup(v); ok {
-						env = env.Bind(v, val)
-					}
-				}
-				out = append(out, env)
-			}
-		}
-		return out, nil
-	case *Join:
-		return refJoin(n, cat, base)
-	case *Bind:
-		in, err := refRows(n.Input, cat, base)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]*mcl.Env, len(in))
-		for i, env := range in {
-			v, err := mcl.Eval(n.E, env)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = env.Bind(n.Var, v)
-		}
-		return out, nil
-	case *Reduce:
-		return nil, fmt.Errorf("algebra: nested Reduce plans are not supported")
-	}
-	return nil, fmt.Errorf("algebra: unknown plan node %T", p)
+	return keys, nil
 }
 
-// refJoin is a straightforward hash join over the equi-key expressions.
-func refJoin(n *Join, cat Catalog, base *mcl.Env) ([]*mcl.Env, error) {
-	l, err := refRows(n.L, cat, base)
-	if err != nil {
-		return nil, err
-	}
-	r, err := refRows(n.R, cat, base)
-	if err != nil {
-		return nil, err
-	}
-	rVars := BoundVars(n.R)
-	// Build side: hash the right stream on its key expressions.
-	type bucket struct {
-		keys []values.Value
-		envs []*mcl.Env
-	}
-	table := map[uint64]*bucket{}
-	keyOf := func(env *mcl.Env, exprs []mcl.Expr) (values.Value, error) {
-		parts := make([]values.Value, len(exprs))
-		for i, e := range exprs {
-			v, err := mcl.Eval(e, env)
-			if err != nil {
-				return values.Null, err
-			}
-			parts[i] = v
-		}
-		return values.NewList(parts...), nil
-	}
-	rExprs := make([]mcl.Expr, len(n.On))
-	lExprs := make([]mcl.Expr, len(n.On))
-	for i, on := range n.On {
-		lExprs[i] = on.LExpr
-		rExprs[i] = on.RExpr
-	}
-	// Null keys never join: `a = b` is false when either side is null, so
-	// rows with null key parts are dropped on both sides, matching the
-	// Select-based semantics this operator replaces.
-	hasNull := func(k values.Value) bool {
-		for _, e := range k.Elems() {
-			if e.IsNull() {
-				return true
-			}
-		}
-		return false
-	}
-	for _, re := range r {
-		k, err := keyOf(re, rExprs)
-		if err != nil {
-			return nil, err
-		}
-		if hasNull(k) {
-			continue
-		}
-		h := k.Hash()
-		b := table[h]
-		if b == nil {
-			b = &bucket{}
-			table[h] = b
-		}
-		b.keys = append(b.keys, k)
-		b.envs = append(b.envs, re)
-	}
-	var out []*mcl.Env
-	for _, le := range l {
-		k, err := keyOf(le, lExprs)
-		if err != nil {
-			return nil, err
-		}
-		if hasNull(k) {
-			continue
-		}
-		b := table[k.Hash()]
-		if b == nil {
-			continue
-		}
-		for i, rk := range b.keys {
-			if !values.Equal(k, rk) {
-				continue
-			}
-			env := le
-			for _, v := range rVars {
-				if val, ok := b.envs[i].Lookup(v); ok {
-					env = env.Bind(v, val)
-				}
-			}
-			if n.Residual != nil {
-				ok, err := evalPred(n.Residual, env)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			out = append(out, env)
+// splice extends a left binding with the variables the right input bound.
+func splice(left, right *mcl.Env, rVars []string) *mcl.Env {
+	for _, v := range rVars {
+		if val, ok := right.Lookup(v); ok {
+			left = left.Bind(v, val)
 		}
 	}
-	return out, nil
+	return left
 }

@@ -5,67 +5,20 @@ import (
 	"vida/internal/values"
 )
 
-// exprFields enumerates the expression slots of one plan node, so the
-// parameter helpers stay in sync with the node set.
-func exprFields(p Plan) []mcl.Expr {
-	switch n := p.(type) {
-	case *Scan:
-		return []mcl.Expr{n.Filter}
-	case *Generate:
-		return []mcl.Expr{n.E}
-	case *Select:
-		return []mcl.Expr{n.Pred}
-	case *Join:
-		out := make([]mcl.Expr, 0, 2*len(n.On)+1)
-		for _, on := range n.On {
-			out = append(out, on.LExpr, on.RExpr)
-		}
-		return append(out, n.Residual)
-	case *Bind:
-		return []mcl.Expr{n.E}
-	case *Reduce:
-		out := []mcl.Expr{n.Head, n.Pred}
-		for _, k := range n.GroupBy {
-			out = append(out, k.E)
-		}
-		for _, a := range n.Aggs {
-			out = append(out, a.E)
-		}
-		if n.Order != nil {
-			for _, k := range n.Order.Keys {
-				out = append(out, k.E)
-			}
-			out = append(out, n.Order.Limit, n.Order.Offset)
-		}
-		return out
-	}
-	return nil
-}
-
 // PlanParams returns the bind-parameter names referenced anywhere in the
 // plan, in first-occurrence order (walking inputs before each node's own
 // expressions, matching qualifier order).
 func PlanParams(p Plan) []string {
 	var out []string
 	seen := map[string]bool{}
-	var walk func(Plan)
-	walk = func(p Plan) {
-		if p == nil {
-			return
-		}
-		for _, in := range p.Inputs() {
-			walk(in)
-		}
-		for _, e := range exprFields(p) {
-			for _, name := range mcl.Params(e) {
-				if !seen[name] {
-					seen[name] = true
-					out = append(out, name)
-				}
+	eachExpr(p, func(e mcl.Expr) {
+		for _, name := range mcl.Params(e) {
+			if !seen[name] {
+				seen[name] = true
+				out = append(out, name)
 			}
 		}
-	}
-	walk(p)
+	})
 	return out
 }
 

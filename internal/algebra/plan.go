@@ -11,6 +11,15 @@
 // Plans operate over streams of variable bindings rather than fixed-width
 // tuples: each row is an environment extension, which is what lets one
 // algebra span tabular, hierarchical and array data.
+//
+// One interpreter executes plans row at a time (exec.go): every operator
+// is written once over a node's stream of bindings, and two drivers run
+// it. Reference evaluates each node lazily in its consumer's goroutine;
+// it is the oracle the JIT engine (internal/jit) is checked against.
+// Static runs each node in its own goroutine behind a bounded channel —
+// the paper's fallback engine, "written in GO, exploiting GO's channels
+// to offer pipelined execution", and the baseline the JIT is measured
+// against.
 package algebra
 
 import (
@@ -292,6 +301,55 @@ func BoundVars(p Plan) []string {
 	}
 	walk(p)
 	return out
+}
+
+// eachExpr calls f on every non-nil expression of the plan tree, each
+// node's inputs before its own expressions (qualifier order), so the
+// walks over a plan's expressions stay in sync with the node set.
+func eachExpr(p Plan, f func(mcl.Expr)) {
+	if p == nil {
+		return
+	}
+	for _, in := range p.Inputs() {
+		eachExpr(in, f)
+	}
+	g := func(e mcl.Expr) {
+		if e != nil {
+			f(e)
+		}
+	}
+	switch n := p.(type) {
+	case *Scan:
+		g(n.Filter)
+	case *Generate:
+		g(n.E)
+	case *Select:
+		g(n.Pred)
+	case *Join:
+		for _, on := range n.On {
+			g(on.LExpr)
+			g(on.RExpr)
+		}
+		g(n.Residual)
+	case *Bind:
+		g(n.E)
+	case *Reduce:
+		g(n.Head)
+		g(n.Pred)
+		for _, k := range n.GroupBy {
+			g(k.E)
+		}
+		for _, a := range n.Aggs {
+			g(a.E)
+		}
+		if n.Order != nil {
+			for _, k := range n.Order.Keys {
+				g(k.E)
+			}
+			g(n.Order.Limit)
+			g(n.Order.Offset)
+		}
+	}
 }
 
 // UsedSourceFields computes, per scan variable, the set of attributes the

@@ -94,10 +94,6 @@ type Options struct {
 	// which is how benchmarks pin serial and parallel plans to the same
 	// pool.
 	Workers int
-	// JoinPartitions overrides the radix partition count of the
-	// parallel hash-join build (0 = jit default; rounded up to a power
-	// of two).
-	JoinPartitions int
 	// MemoryBudgetBytes bounds the engine's tracked execution memory
 	// (collection results, join build sides, dedup tables, in-flight
 	// cache harvests) across all queries (<=0: unlimited). Under
@@ -991,7 +987,7 @@ func (e *Engine) execute(ctx context.Context, plan *algebra.Reduce, sink jit.Str
 	cat := e.catalogFor(ctx, sp)
 	switch mode {
 	case ModeStatic:
-		v, err = jit.StaticExecutor{}.Run(plan, cat)
+		v, err = algebra.Static{}.Run(plan, cat)
 	case ModeReference:
 		v, err = algebra.Reference{}.Run(plan, cat)
 	default:
@@ -1012,8 +1008,7 @@ func (e *Engine) execute(ctx context.Context, plan *algebra.Reduce, sink jit.Str
 // the always-on statistics hooks.
 func (e *Engine) jitOptions(qm *queryMem, sp *trace.Span) jit.Options {
 	return jit.Options{Pool: e.opts.Pool, Workers: e.opts.Workers,
-		JoinPartitions: e.opts.JoinPartitions,
-		MemReserve:     qm.reserveFunc(), Trace: sp, KernelStats: e.kernelStatsFn,
+		MemReserve: qm.reserveFunc(), Trace: sp, KernelStats: e.kernelStatsFn,
 		GroupStats: e.groupStatsFn, JoinStats: e.joinStatsFn}
 }
 

@@ -316,7 +316,7 @@ func RunJITvsStatic(dir string, sc workload.Scale, repeats int, seed int64) ([]J
 		jitSec := time.Since(t0).Seconds()
 		t0 = time.Now()
 		for i := 0; i < repeats; i++ {
-			v, err := (jit.StaticExecutor{}).Run(opt, cat)
+			v, err := (algebra.Static{}).Run(opt, cat)
 			if err != nil {
 				return nil, err
 			}

@@ -273,75 +273,6 @@ func CompileWith(p *algebra.Reduce, cat algebra.Catalog, opts Options) (func() (
 	return prog.collect, nil
 }
 
-// materializeFreeSources loads catalog sources referenced from inside
-// expressions (correlated subqueries) into the base environment, as the
-// reference executor does.
-func (c *compiler) materializeFreeSources(p algebra.Plan) (*mcl.Env, error) {
-	bound := map[string]bool{}
-	for _, v := range algebra.BoundVars(p) {
-		bound[v] = true
-	}
-	needed := map[string]bool{}
-	collect := func(e mcl.Expr) {
-		if e == nil {
-			return
-		}
-		for _, v := range mcl.FreeVars(e) {
-			if !bound[v] {
-				if _, ok := c.cat.Source(v); ok {
-					needed[v] = true
-				}
-			}
-		}
-	}
-	var walk func(algebra.Plan)
-	walk = func(p algebra.Plan) {
-		switch n := p.(type) {
-		case *algebra.Scan:
-			collect(n.Filter)
-		case *algebra.Generate:
-			collect(n.E)
-		case *algebra.Select:
-			collect(n.Pred)
-		case *algebra.Join:
-			for _, on := range n.On {
-				collect(on.LExpr)
-				collect(on.RExpr)
-			}
-			collect(n.Residual)
-		case *algebra.Bind:
-			collect(n.E)
-		case *algebra.Reduce:
-			collect(n.Head)
-			collect(n.Pred)
-			for _, k := range n.GroupBy {
-				collect(k.E)
-			}
-			for _, a := range n.Aggs {
-				collect(a.E)
-			}
-			if n.Order != nil {
-				for _, k := range n.Order.Keys {
-					collect(k.E)
-				}
-			}
-		}
-		for _, in := range p.Inputs() {
-			walk(in)
-		}
-	}
-	walk(p)
-	bindings := map[string]values.Value{}
-	for name := range needed {
-		v, err := algebra.Materialize(c.cat, name)
-		if err != nil {
-			return nil, err
-		}
-		bindings[name] = v
-	}
-	return mcl.NewEnv(bindings), nil
-}
-
 // compileFilter stages a predicate as a batch filter factory: vectorized
 // kernels for the comparison shapes the compiler recognizes, a row-wise
 // boxed fallback otherwise. Each factory call returns a filter with its

@@ -1,4 +1,6 @@
-// Package jit implements ViDa's two execution engines over the algebra.
+// Package jit implements ViDa's just-in-time execution engine over the
+// algebra; the interpreted engines it is measured and checked against
+// are algebra.Static and algebra.Reference.
 //
 // # The just-in-time executor
 //
@@ -9,7 +11,8 @@
 // loop, and generic branches (type checks, record lookups) are eliminated
 // where the schema is known. Closure staging is this reproduction's
 // substitute for the paper's LLVM code generation — it removes the same
-// interpretation overheads relative to the static engine.
+// interpretation overheads relative to the interpreted operators of
+// algebra.Static.
 //
 // # Batch format
 //
@@ -158,12 +161,4 @@
 // batches, not the file. Which rows survive a bare bag limit is
 // unspecified (bag semantics); list plans scan serially and take their
 // in-order prefix.
-//
-// # The static executor
-//
-// Pre-cooked generic Volcano operators pipelined over Go channels,
-// evaluating expressions by AST interpretation on every row. This mirrors
-// the paper's own fallback engine ("the static executor is written in GO,
-// exploiting GO's channels to offer pipelined execution") and serves as
-// the baseline of the JIT-vs-static ablation (experiment E6).
 package jit

@@ -110,7 +110,7 @@ func TestGroupedExecutorEquivalence(t *testing.T) {
 		if !values.Equal(gotJIT, want) {
 			t.Fatalf("jit diverged on %q:\njit: %v\nref: %v", q, gotJIT, want)
 		}
-		gotStatic, err := StaticExecutor{}.Run(plan, cat)
+		gotStatic, err := algebra.Static{}.Run(plan, cat)
 		if err != nil {
 			t.Fatalf("static %q: %v", q, err)
 		}

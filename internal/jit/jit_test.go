@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"vida/internal/algebra"
 	"vida/internal/mcl"
@@ -136,7 +138,7 @@ func TestExecutorEquivalence(t *testing.T) {
 		if !values.Equal(gotJIT, want) {
 			t.Fatalf("jit diverged on %q:\njit: %v\nref: %v", q, gotJIT, want)
 		}
-		gotStatic, err := StaticExecutor{}.Run(plan, cat)
+		gotStatic, err := algebra.Static{}.Run(plan, cat)
 		if err != nil {
 			t.Fatalf("static %q: %v", q, err)
 		}
@@ -163,7 +165,7 @@ func TestExecutorsOnJoinPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, ex := range map[string]algebra.Executor{
-		"jit": Executor{}, "static": StaticExecutor{},
+		"jit": Executor{}, "static": algebra.Static{},
 	} {
 		got, err := ex.Run(plan, cat)
 		if err != nil {
@@ -264,7 +266,7 @@ func TestErrorsPropagate(t *testing.T) {
 	if _, err := (Executor{}).Run(plan, cat); err == nil {
 		t.Fatal("jit should propagate the error")
 	}
-	if _, err := (StaticExecutor{}).Run(plan, cat); err == nil {
+	if _, err := (algebra.Static{}).Run(plan, cat); err == nil {
 		t.Fatal("static should propagate the error")
 	}
 	// Unknown source.
@@ -276,7 +278,7 @@ func TestErrorsPropagate(t *testing.T) {
 	if _, err := (Executor{}).Run(bad, cat); err == nil {
 		t.Fatal("jit should fail on unknown source")
 	}
-	if _, err := (StaticExecutor{}).Run(bad, cat); err == nil {
+	if _, err := (algebra.Static{}).Run(bad, cat); err == nil {
 		t.Fatal("static should fail on unknown source")
 	}
 }
@@ -291,6 +293,21 @@ func TestRandomizedEquivalence(t *testing.T) {
 		"for { x <- Xs } yield set x.a",
 		"for { x <- Xs, x.a > 0 or x.b > 3 } yield count x",
 		"for { x <- Xs } yield avg x.b",
+		"for { x <- Xs } group by { k := x.a } agg { n := count x, s := sum x.b } having n > 1 yield list (k := k, s := s)",
+		"for { x <- Xs } yield list (a := x.a, b := x.b) order by x.b desc, x.a limit 3 offset 1",
+		"for { x <- Xs } yield set x.b limit 2",
+	}
+	// The optimizer never leaves a residual on a Join, so the join with a
+	// residual is built by hand.
+	residualJoin := &algebra.Reduce{
+		M:    mustMonoid("bag"),
+		Head: mcl.MustParse("(p := x.b, q := y.b)"),
+		Input: &algebra.Join{
+			L:        &algebra.Scan{Source: "Xs", Var: "x"},
+			R:        &algebra.Scan{Source: "Ys", Var: "y"},
+			On:       []algebra.EquiPair{{LExpr: mcl.MustParse("x.a"), RExpr: mcl.MustParse("y.a")}},
+			Residual: mcl.MustParse("x.b > y.b"),
+		},
 	}
 	xsType := sdg.Bag(sdg.Record(sdg.Attr{Name: "a", Type: sdg.Int}, sdg.Attr{Name: "b", Type: sdg.Int}))
 	for trial := 0; trial < 20; trial++ {
@@ -311,8 +328,12 @@ func TestRandomizedEquivalence(t *testing.T) {
 				"Ys": {Name: "Ys", Format: sdg.FormatTable, Schema: xsType},
 			},
 		}
+		plans := []*algebra.Reduce{residualJoin}
 		for _, q := range queries {
-			plan := planFor2(t, q, cat)
+			plans = append(plans, planFor2(t, q, cat))
+		}
+		for _, plan := range plans {
+			q := algebra.Format(plan)
 			want, err := algebra.Reference{}.Run(plan, cat)
 			if err != nil {
 				t.Fatalf("%q: %v", q, err)
@@ -321,7 +342,7 @@ func TestRandomizedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("jit %q: %v", q, err)
 			}
-			gotS, err := StaticExecutor{ChanBuf: 1 + r.Intn(8)}.Run(plan, cat)
+			gotS, err := algebra.Static{ChanBuf: 1 + r.Intn(8)}.Run(plan, cat)
 			if err != nil {
 				t.Fatalf("static %q: %v", q, err)
 			}
@@ -332,20 +353,54 @@ func TestRandomizedEquivalence(t *testing.T) {
 	}
 }
 
+// TestStaticEarlyStopDoesNotDeadlock: an error mid-stream must neither
+// leave a producer blocked on a full channel nor outlive Run, wherever
+// in the plan it is raised.
 func TestStaticEarlyStopDoesNotDeadlock(t *testing.T) {
-	// An error mid-stream must not leave upstream goroutines blocked.
 	rows := make([]values.Value, 10000)
 	for i := range rows {
 		rows[i] = rec("a", i)
 	}
 	cat := &schemaCat{
-		MapCatalog: algebra.MapCatalog{"Xs": &algebra.SliceSource{SrcName: "Xs", Rows: rows}},
-		descs:      map[string]*sdg.Description{},
+		MapCatalog: algebra.MapCatalog{
+			"Xs": &algebra.SliceSource{SrcName: "Xs", Rows: rows},
+			"Ys": &algebra.SliceSource{SrcName: "Ys", Rows: rows},
+		},
+		descs: map[string]*sdg.Description{},
 	}
-	// x.a.b projects through an int: error at row 1.
-	plan := planFor2(t, "for { x <- Xs, x.a.b > 0 } yield count x", cat)
-	if _, err := (StaticExecutor{ChanBuf: 1}).Run(plan, cat); err == nil {
-		t.Fatal("expected error")
+	// x.a.b projects through an int: each plan fails at its first row.
+	join := func(l, r string) *algebra.Reduce {
+		return &algebra.Reduce{
+			M:    mustMonoid("count"),
+			Head: mcl.MustParse("1"),
+			Input: &algebra.Join{
+				L:  &algebra.Scan{Source: "Xs", Var: "x"},
+				R:  &algebra.Scan{Source: "Ys", Var: "y"},
+				On: []algebra.EquiPair{{LExpr: mcl.MustParse(l), RExpr: mcl.MustParse(r)}},
+			},
+		}
+	}
+	plans := map[string]*algebra.Reduce{
+		"scan":        planFor2(t, "for { x <- Xs, x.a.b > 0 } yield count x", cat),
+		"build side":  join("x.a", "y.a.b"),
+		"probe side":  join("x.a.b", "y.a"),
+		"group key":   planFor2(t, "for { x <- Xs } group by { k := x.a.b } agg { n := count x } yield bag (k := k, n := n)", cat),
+		"select":      planFor2(t, "for { x <- Xs, y <- Ys, x.a.b = y.a } yield count x", cat),
+		"order key":   planFor2(t, "for { x <- Xs } yield list x.a order by x.a.b limit 3", cat),
+		"unnest over": planFor2(t, "for { x <- Xs, v <- x.a } yield count x", cat),
+	}
+	baseline := runtime.NumGoroutine()
+	for name, plan := range plans {
+		if _, err := (algebra.Static{ChanBuf: 1}).Run(plan, cat); err == nil {
+			t.Fatalf("%s: expected error", name)
+		}
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines outlived Run (baseline %d)", name, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 

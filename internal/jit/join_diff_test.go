@@ -291,7 +291,7 @@ func TestJoinDifferentialFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d (%s): reference: %v", ci, sc.desc, err)
 		}
-		if got, err := (StaticExecutor{}).Run(sc.plan, sc.cat); err != nil {
+		if got, err := (algebra.Static{}).Run(sc.plan, sc.cat); err != nil {
 			t.Fatalf("case %d (%s): static: %v", ci, sc.desc, err)
 		} else if !values.Equal(got, want) {
 			t.Fatalf("case %d (%s): static diverged:\n got %v\nwant %v", ci, sc.desc, got, want)
@@ -374,7 +374,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	}
 	got, err := algebra.Reference{}.Run(plan, cat)
 	check("reference", got, err)
-	got, err = (StaticExecutor{}).Run(plan, cat)
+	got, err = (algebra.Static{}).Run(plan, cat)
 	check("static", got, err)
 	got, err = (Executor{Opts: Options{Workers: 1}}).Run(plan, cat)
 	check("jit serial", got, err)

@@ -328,18 +328,3 @@ func swallowLimit(err error, q *rowQuota, outer context.Context) error {
 	}
 	return err
 }
-
-// resolveOrder evaluates an order spec against the options: concrete
-// limit/offset plus the derived retention bound.
-func resolveOrder(p *algebra.Reduce) (limit, offset, keep int, dedup bool, err error) {
-	limit, offset, err = algebra.ResolveExtents(p.Order)
-	if err != nil {
-		return 0, 0, 0, false, err
-	}
-	dedup = p.M.Name() == "set"
-	keep = -1
-	if limit >= 0 && !dedup {
-		keep = offset + limit
-	}
-	return limit, offset, keep, dedup, nil
-}

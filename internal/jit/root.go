@@ -46,11 +46,10 @@ func compile(p *algebra.Reduce, cat algebra.Catalog, opts Options) (program, err
 	if sc, ok := cat.(SchemaCatalog); ok {
 		c.schemas = sc
 	}
-	env, err := c.materializeFreeSources(p)
-	if err != nil {
+	var err error
+	if c.baseEnv, err = algebra.BaseEnv(p, cat); err != nil {
 		return program{}, err
 	}
-	c.baseEnv = env
 	input, err := c.compilePlan(p.Input)
 	if err != nil {
 		return program{}, err
@@ -210,7 +209,7 @@ func (c *compiler) topKRoot(p *algebra.Reduce, input *compiledPlan) (func(Stream
 		sp := opts.Trace.Child("fold")
 		sp.SetAttr("kind", "topk")
 		defer sp.End()
-		limit, offset, keep, dedup, err := resolveOrder(p)
+		limit, offset, keep, dedup, err := algebra.ResolveOrder(p)
 		if err != nil {
 			return err
 		}

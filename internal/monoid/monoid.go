@@ -387,9 +387,8 @@ func ByName(name string) (Monoid, error) {
 	return nil, fmt.Errorf("monoid: unknown monoid %q", name)
 }
 
-// Fold accumulates a stream of head values under m and finalizes. It is
-// the reference (unoptimized) comprehension evaluator used by tests and by
-// the static executor's reduce operator.
+// Fold accumulates a stream of head values under m and finalizes: the
+// unoptimized fold the monoid laws are tested against.
 func Fold(m Monoid, heads []values.Value) values.Value {
 	acc := m.Zero()
 	for _, h := range heads {

@@ -41,7 +41,8 @@ type Engine struct {
 type Option func(*core.Options)
 
 // WithStaticExecutor selects the pre-cooked channel-pipelined executor
-// instead of the default just-in-time generated one.
+// (the reference executor's interpreted operators, one goroutine per
+// plan node) instead of the default just-in-time generated one.
 func WithStaticExecutor() Option {
 	return func(o *core.Options) { o.Mode = core.ModeStatic }
 }
@@ -114,14 +115,6 @@ func WithScheduler(p *sched.Pool) Option {
 // serial and parallel plans on the same pool.
 func WithWorkers(n int) Option {
 	return func(o *core.Options) { o.Workers = n }
-}
-
-// WithJoinPartitions overrides the radix partition count of the
-// parallel hash-join build (0 keeps the engine default; values round up
-// to a power of two). Results are identical across partition counts —
-// this is a performance knob, not a semantic one.
-func WithJoinPartitions(n int) Option {
-	return func(o *core.Options) { o.JoinPartitions = n }
 }
 
 // New creates an engine.
