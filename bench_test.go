@@ -857,7 +857,7 @@ func joinBenchEngine(b *testing.B, people, dim string, pool *sched.Pool, workers
 
 const joinBenchQuery = "for { p <- People, d <- Dim, p.id = d.id } yield count p"
 
-// BenchmarkJoinParallelWarm measures the morsel-parallel partitioned
+// BenchmarkJoinParallelWarm measures the morsel-parallel
 // hash join against the serial build+probe on warm columnar caches:
 // 300k probe rows against a 60k-row build side. Acceptance (ROADMAP):
 // parallel at 4 workers ≥2x serial on a 4-core host.
@@ -888,7 +888,7 @@ func BenchmarkJoinParallelWarm(b *testing.B) {
 
 // BenchmarkJoinParallelColdCSV is the same join on a genuinely cold
 // first touch — fresh engine per iteration, so the raw CSV scans, the
-// partitioned build, and the probe all count.
+// parallel build, and the probe all count.
 func BenchmarkJoinParallelColdCSV(b *testing.B) {
 	people := writeBigPeopleCSV(b, 300_000)
 	dim := writeJoinDimCSV(b, 60_000)

@@ -209,3 +209,35 @@ func TestGroupByCorrelatedSubquery(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupByOverBind groups on a variable bound in the comprehension
+// and filtered before grouping: the bind survives normalization as a
+// plan node (the JIT's bind stage), and every executor answers the same
+// groups.
+func TestGroupByOverBind(t *testing.T) {
+	const q = `for { e <- Employees, d := e.salary * 2, d > 170 } group by { g := d }
+	   agg { n := sum 1, s := sum e.salary } yield list (g := g, n := n, s := s) order by g`
+	const want = "g=180,n=1,s=90; g=200,n=1,s=100; g=240,n=1,s=120"
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"jit", nil},
+		{"static", []Option{WithStaticExecutor()}},
+		{"reference", []Option{WithReferenceExecutor()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := setup(t, tc.opts...).Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, row := range res.Rows() {
+				got = append(got, groupRow(row))
+			}
+			if strings.Join(got, "; ") != want {
+				t.Fatalf("groups = %q, want %q", strings.Join(got, "; "), want)
+			}
+		})
+	}
+}

@@ -231,7 +231,7 @@ func (r *interp) operator(p Plan) rows {
 // join is a hash join on the equi-key expressions: the right input is
 // the build side, the left probes it in order. Null keys never join
 // (`a = b` is false when either side is null), so rows with a null key
-// part are dropped on both sides; the residual filters each match.
+// part are dropped on both sides.
 func (r *interp) join(n *Join) rows {
 	l, right := r.open(n.L), r.open(n.R)
 	rVars := BoundVars(n.R)
@@ -288,15 +288,8 @@ func (r *interp) join(n *Join) rows {
 				if !values.Equal(k, bk) {
 					continue
 				}
-				env := splice(le, b.envs[i], rVars)
-				ok, err := holds(n.Residual, env)
-				if err != nil {
+				if err := emit(splice(le, b.envs[i], rVars)); err != nil {
 					return err
-				}
-				if ok {
-					if err := emit(env); err != nil {
-						return err
-					}
 				}
 			}
 			return nil

@@ -61,10 +61,7 @@ func bindPlan(p Plan, params map[string]values.Value) Plan {
 				RExpr: mcl.BindParams(pair.RExpr, params),
 			}
 		}
-		return &Join{
-			L: bindPlan(n.L, params), R: bindPlan(n.R, params),
-			On: on, Residual: mcl.BindParams(n.Residual, params),
-		}
+		return &Join{L: bindPlan(n.L, params), R: bindPlan(n.R, params), On: on}
 	case *Bind:
 		return &Bind{Input: bindPlan(n.Input, params), Var: n.Var, E: mcl.BindParams(n.E, params)}
 	case *Reduce:

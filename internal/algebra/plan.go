@@ -83,13 +83,12 @@ type EquiPair struct {
 	LExpr, RExpr mcl.Expr
 }
 
-// Join is an equi-join with optional residual predicate, produced by the
-// optimizer from Product+Select patterns. Physical executors implement it
-// with a hash table on the key expressions.
+// Join is an equi-join, produced by the optimizer from Product+Select
+// patterns (non-equi conjuncts stay in a Select above it). Physical
+// executors implement it with a hash table on the key expressions.
 type Join struct {
-	L, R     Plan
-	On       []EquiPair
-	Residual mcl.Expr // may be nil
+	L, R Plan
+	On   []EquiPair
 }
 
 // Bind extends each binding with Var := E (the calculus let qualifier).
@@ -211,9 +210,6 @@ func (p *Join) String() string {
 		}
 		fmt.Fprintf(&sb, "%s = %s", on.LExpr, on.RExpr)
 	}
-	if p.Residual != nil {
-		fmt.Fprintf(&sb, " residual=%s", p.Residual)
-	}
 	sb.WriteByte(')')
 	return sb.String()
 }
@@ -330,7 +326,6 @@ func eachExpr(p Plan, f func(mcl.Expr)) {
 			g(on.LExpr)
 			g(on.RExpr)
 		}
-		g(n.Residual)
 	case *Bind:
 		g(n.E)
 	case *Reduce:
@@ -397,9 +392,6 @@ func UsedSourceFields(p Plan, scanVar string) (fields []string, usedWhole bool) 
 				visitExpr(on.LExpr)
 				visitExpr(on.RExpr)
 			}
-			if n.Residual != nil {
-				visitExpr(n.Residual)
-			}
 		case *Bind:
 			visitExpr(n.E)
 		case *Reduce:
@@ -454,7 +446,7 @@ func Clone(p Plan) Plan {
 	case *Product:
 		return &Product{L: Clone(n.L), R: Clone(n.R)}
 	case *Join:
-		return &Join{L: Clone(n.L), R: Clone(n.R), On: append([]EquiPair{}, n.On...), Residual: n.Residual}
+		return &Join{L: Clone(n.L), R: Clone(n.R), On: append([]EquiPair{}, n.On...)}
 	case *Bind:
 		return &Bind{Input: Clone(n.Input), Var: n.Var, E: n.E}
 	case *Reduce:

@@ -128,7 +128,7 @@ type Stats struct {
 	GroupsBuilt        int64
 	GroupTableMaxBytes int64
 	GroupPartialMerges int64
-	// Hash-join tallies from the JIT's partitioned join: sealed build
+	// Hash-join tallies from the JIT's parallel join: sealed build
 	// tables, build-side entries indexed, probe matches emitted, and
 	// the largest single sealed join table observed (bytes).
 	JoinFolds         int64
@@ -251,29 +251,9 @@ type Engine struct {
 	harvestSkips atomic.Int64
 	panics       atomic.Int64
 
-	kernelVec   atomic.Int64
-	kernelBoxed atomic.Int64
-	// kernelStatsFn is the pre-bound jit.Options.KernelStats hook: bound
-	// once here so the per-query Options assignment stays allocation-free
-	// (a method value created per query would allocate on the warm path).
-	kernelStatsFn func(vectorized, boxed int64)
-
-	groupFolds         atomic.Int64
-	groupsBuilt        atomic.Int64
-	groupTableBytes    atomic.Int64 // high-water mark of one fold's table
-	groupPartialMerges atomic.Int64
-	// groupStatsFn is the pre-bound jit.Options.GroupStats hook (same
-	// allocation rationale as kernelStatsFn).
-	groupStatsFn func(groups, tableBytes, partialMerges int64)
-
-	joinFolds      atomic.Int64
-	joinBuildRows  atomic.Int64
-	joinProbeRows  atomic.Int64
-	joinTableBytes atomic.Int64 // high-water mark of one sealed join table
-	// joinStatsFn is the pre-bound jit.Options.JoinStats hook (same
-	// allocation rationale as kernelStatsFn). Deltas arrive concurrently
-	// from probe morsels.
-	joinStatsFn func(folds, buildRows, probeRows, tableBytes int64)
+	// counters holds the always-on kernel, group-by and join tallies the
+	// generated pipelines record (jit.Options.Counters).
+	counters jit.Counters
 
 	// refreshMu serializes Refresh: each call sees the cache state its
 	// predecessor left, so an append is extended from exactly the row
@@ -316,32 +296,6 @@ func NewEngine(opts Options) *Engine {
 	}
 	for i := range e.planShards {
 		e.planShards[i].m = map[string]*planEntry{}
-	}
-	e.kernelStatsFn = func(vectorized, boxed int64) {
-		e.kernelVec.Add(vectorized)
-		e.kernelBoxed.Add(boxed)
-	}
-	e.groupStatsFn = func(groups, tableBytes, partialMerges int64) {
-		e.groupFolds.Add(1)
-		e.groupsBuilt.Add(groups)
-		e.groupPartialMerges.Add(partialMerges)
-		for {
-			cur := e.groupTableBytes.Load()
-			if tableBytes <= cur || e.groupTableBytes.CompareAndSwap(cur, tableBytes) {
-				break
-			}
-		}
-	}
-	e.joinStatsFn = func(folds, buildRows, probeRows, tableBytes int64) {
-		e.joinFolds.Add(folds)
-		e.joinBuildRows.Add(buildRows)
-		e.joinProbeRows.Add(probeRows)
-		for tableBytes > 0 {
-			cur := e.joinTableBytes.Load()
-			if tableBytes <= cur || e.joinTableBytes.CompareAndSwap(cur, tableBytes) {
-				break
-			}
-		}
 	}
 	return e
 }
@@ -658,16 +612,16 @@ func (e *Engine) StatsSnapshot() Stats {
 			UnderPressure: e.mem.underPressure(),
 		},
 		PanicsRecovered:        e.panics.Load(),
-		KernelStagesVectorized: e.kernelVec.Load(),
-		KernelStagesBoxed:      e.kernelBoxed.Load(),
-		GroupFolds:             e.groupFolds.Load(),
-		GroupsBuilt:            e.groupsBuilt.Load(),
-		GroupTableMaxBytes:     e.groupTableBytes.Load(),
-		GroupPartialMerges:     e.groupPartialMerges.Load(),
-		JoinFolds:              e.joinFolds.Load(),
-		JoinBuildRows:          e.joinBuildRows.Load(),
-		JoinProbeRows:          e.joinProbeRows.Load(),
-		JoinTableMaxBytes:      e.joinTableBytes.Load(),
+		KernelStagesVectorized: e.counters.KernelsVectorized.Load(),
+		KernelStagesBoxed:      e.counters.KernelsBoxed.Load(),
+		GroupFolds:             e.counters.GroupFolds.Load(),
+		GroupsBuilt:            e.counters.GroupsBuilt.Load(),
+		GroupTableMaxBytes:     e.counters.GroupTableMaxBytes.Load(),
+		GroupPartialMerges:     e.counters.GroupPartialMerges.Load(),
+		JoinFolds:              e.counters.JoinFolds.Load(),
+		JoinBuildRows:          e.counters.JoinBuildRows.Load(),
+		JoinProbeRows:          e.counters.JoinProbeRows.Load(),
+		JoinTableMaxBytes:      e.counters.JoinTableMaxBytes.Load(),
 		RefreshAppends:         e.refreshAppends.Load(),
 		RefreshReplacements:    e.refreshReplacements.Load(),
 		RefreshTailRows:        e.refreshTailRows.Load(),
@@ -1005,11 +959,10 @@ func (e *Engine) execute(ctx context.Context, plan *algebra.Reduce, sink jit.Str
 
 // jitOptions assembles the JIT executor's options for one query run:
 // the engine's pool and fan-out, the query's memory ledger and span, and
-// the always-on statistics hooks.
+// the engine's always-on counters.
 func (e *Engine) jitOptions(qm *queryMem, sp *trace.Span) jit.Options {
 	return jit.Options{Pool: e.opts.Pool, Workers: e.opts.Workers,
-		MemReserve: qm.reserveFunc(), Trace: sp, KernelStats: e.kernelStatsFn,
-		GroupStats: e.groupStatsFn, JoinStats: e.joinStatsFn}
+		MemReserve: qm.reserveFunc(), Trace: sp, Counters: &e.counters}
 }
 
 // Plan returns the optimized plan (EXPLAIN).

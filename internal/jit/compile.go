@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"vida/internal/algebra"
 	"vida/internal/mcl"
@@ -96,8 +97,9 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); 1 disables parallelism).
 	Workers int
 	// ParallelThreshold is the minimum partitionable row count before a
-	// scan goes parallel (default DefaultParallelThreshold). Small scans
-	// are not worth the goroutine fan-out.
+	// scan — a fold, a group-by, a join build or probe — goes parallel
+	// (default DefaultParallelThreshold). Small scans are not worth the
+	// goroutine fan-out.
 	ParallelThreshold int
 	// Pool is the morsel scheduler executing parallel scans (default
 	// sched.Default(), the process-wide shared pool). A query server
@@ -119,33 +121,32 @@ type Options struct {
 	// merge) and carries the kernel-staging attributes. Nil (disarmed)
 	// costs a pointer test per operator.
 	Trace *trace.Span
-	// KernelStats, when non-nil, receives the compile-time tally of
-	// pipeline stages staged as vectorized kernels vs. row-wise boxed
-	// fallbacks — the engine feeds its always-on fallback counters with
-	// it regardless of tracing.
-	KernelStats func(vectorized, boxed int64)
-	// GroupStats, when non-nil, receives the grouped-fold outcome after
-	// each hash aggregation completes: distinct groups built, resident
-	// group-table bytes, and how many morsel partials merged (0 for a
-	// serial fold). The engine feeds its always-on aggregation counters
-	// with it regardless of tracing.
-	GroupStats func(groups, tableBytes, partialMerges int64)
-	// JoinPartitions is the radix partition count of the hash-join build
-	// (default DefaultJoinPartitions; rounded up to a power of two,
-	// capped at maxJoinPartitions). One partition degenerates to a
-	// single shared chain table.
-	JoinPartitions int
-	// JoinBuildThreshold is the minimum build-side row count before a
-	// join build scans morsel-parallel (default ParallelThreshold):
-	// small build sides are not worth the fan-out.
-	JoinBuildThreshold int
-	// JoinStats, when non-nil, receives delta-style join-fold tallies:
-	// one call per sealed build (folds=1 with buildRows entries and
-	// tableBytes resident) and one per completed probe pipeline
-	// (probeRows matches emitted, possibly concurrent across probe
-	// morsels). The engine feeds its always-on join counters with it
-	// regardless of tracing. Must be safe for concurrent calls.
-	JoinStats func(folds, buildRows, probeRows, tableBytes int64)
+	// Counters, when non-nil, receives the always-on tallies of the
+	// generated pipelines regardless of tracing (the engine's metrics).
+	Counters *Counters
+}
+
+// Counters are the JIT's always-on tallies: kernel staging decisions,
+// grouped folds and hash joins, as atomics updated by parallel morsels
+// and concurrent queries alike. The *MaxBytes fields are high-water
+// marks of one fold's table.
+type Counters struct {
+	// KernelsVectorized/KernelsBoxed tally pipeline stages staged as
+	// vectorized kernels vs. row-wise boxed fallbacks.
+	KernelsVectorized, KernelsBoxed atomic.Int64
+	// GroupFolds counts completed hash aggregations, GroupsBuilt their
+	// distinct groups and GroupPartialMerges the morsel partials merged
+	// (0 for a serial fold).
+	GroupFolds, GroupsBuilt, GroupPartialMerges, GroupTableMaxBytes atomic.Int64
+	// JoinFolds counts sealed join builds, JoinBuildRows their entries
+	// and JoinProbeRows the matches the probes emitted.
+	JoinFolds, JoinBuildRows, JoinProbeRows, JoinTableMaxBytes atomic.Int64
+}
+
+// raiseMax lifts the high-water mark hw to v.
+func raiseMax(hw *atomic.Int64, v int64) {
+	for cur := hw.Load(); v > cur && !hw.CompareAndSwap(cur, v); cur = hw.Load() {
+	}
 }
 
 // DefaultParallelThreshold is the default minimum row count for
@@ -168,21 +169,6 @@ func (o Options) withDefaults() Options {
 	if o.Ctx == nil {
 		o.Ctx = context.Background()
 	}
-	if o.JoinPartitions <= 0 {
-		o.JoinPartitions = DefaultJoinPartitions
-	}
-	if o.JoinPartitions > maxJoinPartitions {
-		o.JoinPartitions = maxJoinPartitions
-	}
-	// Round up to a power of two: the radix split is hash >> shift.
-	p := 1
-	for p < o.JoinPartitions {
-		p *= 2
-	}
-	o.JoinPartitions = p
-	if o.JoinBuildThreshold <= 0 {
-		o.JoinBuildThreshold = o.ParallelThreshold
-	}
 	return o
 }
 
@@ -198,11 +184,12 @@ type compiler struct {
 	boxedStages int64
 }
 
-// reportKernels publishes the staging tally to the options hooks once
-// compilation succeeded.
+// reportKernels publishes the staging tally to the counters and the
+// trace once compilation succeeded.
 func (c *compiler) reportKernels() {
-	if c.opts.KernelStats != nil {
-		c.opts.KernelStats(c.vecStages, c.boxedStages)
+	if ct := c.opts.Counters; ct != nil {
+		ct.KernelsVectorized.Add(c.vecStages)
+		ct.KernelsBoxed.Add(c.boxedStages)
 	}
 	if sp := c.opts.Trace; sp != nil {
 		sp.SetAttr("kernels_vectorized", c.vecStages)
@@ -730,13 +717,13 @@ func retainForBuild(b *vec.Batch) (stored vec.Batch, compacted bool) {
 	return b.Retain(), false
 }
 
-// compileJoin stages a partitioned hash join: the right side is the
-// build side (its materialization is the operator's "output plugin"
-// state), the left side probes. Null keys never match. The staged
-// machinery lives in join.go — a radix-partitioned build (morsel-
-// parallel over partitionable build sides) sealed into an immutable
-// shared index, probed serially by run and morsel-parallel through
-// openRange when the probe side is partitionable.
+// compileJoin stages a hash join: the right side is the build side (its
+// materialization is the operator's "output plugin" state), the left
+// side probes. Null keys never match. The staged machinery lives in
+// join.go — a build (morsel-parallel over partitionable build sides)
+// sealed into an immutable shared chain table, probed serially by run
+// and morsel-parallel through openRange when the probe side is
+// partitionable.
 func (c *compiler) compileJoin(n *algebra.Join) (*compiledPlan, error) {
 	l, err := c.compilePlan(n.L)
 	if err != nil {
@@ -750,45 +737,22 @@ func (c *compiler) compileJoin(n *algebra.Join) (*compiledPlan, error) {
 	for _, s := range r.frame.slots {
 		f.add(s.key.varName, s.key.attr)
 	}
-	lKeys := make([]compiledExpr, len(n.On))
-	rKeys := make([]compiledExpr, len(n.On))
-	for i, on := range n.On {
-		if lKeys[i], err = c.compileExpr(on.LExpr, l.frame); err != nil {
+	js := &joinState{l: l, r: r, lw: l.frame.width(), rw: r.frame.width(), opts: c.opts}
+	extra := js.rw
+	for _, on := range n.On {
+		lk, err := c.mkGetter(on.LExpr, l.frame)
+		if err != nil {
 			return nil, err
 		}
-		if rKeys[i], err = c.compileExpr(on.RExpr, r.frame); err != nil {
+		rk, err := c.mkGetter(on.RExpr, r.frame)
+		if err != nil {
 			return nil, err
 		}
-	}
-	var residual compiledExpr
-	if n.Residual != nil {
-		if residual, err = c.compileExpr(n.Residual, f); err != nil {
-			return nil, err
+		at := slotOf(on.RExpr, r.frame)
+		if at < 0 {
+			at, extra = extra, extra+1
 		}
-	}
-	// Slot-reference keys — the overwhelmingly common case — read their
-	// column directly, skipping row materialization. This is the kind of
-	// decision the generated code specializes away.
-	lSlot, rSlot := -1, -1
-	if len(n.On) == 1 {
-		lSlot = slotOf(n.On[0].LExpr, l.frame)
-		rSlot = slotOf(n.On[0].RExpr, r.frame)
-	}
-	parts := c.opts.JoinPartitions
-	shift := uint(64)
-	for p := parts; p > 1; p /= 2 {
-		shift--
-	}
-	js := &joinState{
-		l: l, r: r,
-		lSlot: lSlot, rSlot: rSlot,
-		lKeys: lKeys, rKeys: rKeys,
-		residual: residual,
-		lw:       l.frame.width(),
-		rw:       r.frame.width(),
-		opts:     c.opts,
-		parts:    parts,
-		shift:    shift,
+		js.lKeys, js.rKeys, js.rKeyAt = append(js.lKeys, lk), append(js.rKeys, rk), append(js.rKeyAt, at)
 	}
 	return js.plan(f), nil
 }

@@ -55,13 +55,13 @@ func TestConstantHeadFolds(t *testing.T) {
 // row-at-a-time boxed collector (the 14 ms warm COUNT(*) over 300k rows).
 func TestConstantHeadStagesNoBoxedFold(t *testing.T) {
 	cat, _ := csvCatalog(t, 100)
-	var vectorized, boxed int64
-	opts := Options{Workers: 1, KernelStats: func(v, b int64) { vectorized += v; boxed += b }}
+	var ct Counters
+	opts := Options{Workers: 1, Counters: &ct}
 	got, err := Executor{Opts: opts}.Run(planFor2(t, `for { r <- R } yield sum 1`, cat), cat)
 	if err != nil || got.Int() != 100 {
 		t.Fatalf("sum 1 = %v, %v", got, err)
 	}
-	if vectorized == 0 || boxed != 0 {
+	if vectorized, boxed := ct.KernelsVectorized.Load(), ct.KernelsBoxed.Load(); vectorized == 0 || boxed != 0 {
 		t.Fatalf("stages: %d vectorized, %d boxed; the constant head must stage as a kernel", vectorized, boxed)
 	}
 }

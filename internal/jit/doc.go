@@ -103,24 +103,25 @@
 // order with the monoid's associative ⊕ equal the serial fold exactly,
 // including for the non-commutative list monoid.
 //
-// # Partitioned parallel hash join
+// # Parallel hash join
 //
 // Equi-joins (join.go) extend the same morsel machinery to both join
-// sides. The build side scans morsel-parallel: each morsel hashes its
-// key column with the join-key kernels, radix-partitions rows by the
-// top hash bits into Options.JoinPartitions private chunks (null keys
-// dropped — NULL = NULL never matches), and retains the batch,
-// compacting it first when a selective filter left few survivors. A
-// seal step concatenates the per-morsel partials in morsel order into
-// one immutable index — per partition a power-of-two bucket-head array
-// over entry chains that enumerate entries in build-scan order — after
-// which probe morsels share the index without synchronization and
-// produce output byte-identical to the serial join for any worker or
-// partition count (pinned by the differential fuzzer in
+// sides, with one key path and one chain table. Each side's join keys
+// are key columns staged like group keys (a slot, a kernel or the boxed
+// fallback), hashed per batch and combined into one tuple hash; a null
+// in any key drops the row (NULL = NULL never matches). The build side
+// scans morsel-parallel once it reaches Options.ParallelThreshold rows,
+// retaining each batch — compacted first when a selective filter left
+// few survivors — with its computed key columns beside it. A seal step
+// concatenates the per-morsel entries in morsel order into one
+// immutable index, a power-of-two bucket-head array over entry chains
+// that enumerate entries in build-scan order; probe morsels then share
+// it without synchronization, verify hash matches with typed column
+// equality, and produce output byte-identical to the serial join for
+// any worker count (pinned by the differential fuzzer in
 // join_diff_test.go). Retained batches and index arrays charge the
-// query memory budget; builds under Options.JoinBuildThreshold rows
-// stay serial over an identical index layout. The join traces as a
-// fold span (kind=join) with join_build/join_seal/join_probe children.
+// query memory budget. The join traces as a fold span (kind=join) with
+// join_build/join_seal/join_probe children.
 //
 // # One root per plan; results go to sinks
 //

@@ -14,23 +14,12 @@ import (
 // into a compact open-addressing group table (key tuple → dense group
 // index) and folds each aggregate into typed per-group accumulator
 // arrays, with a boxed per-group Collector fallback for monoids the
-// typed paths do not specialize. Group-key hashing reuses the join-key
-// kernels (hashLiveCol): one tag-dispatched pass per key column per
-// batch, typed payloads and vec.StrDict codes never boxing on the hash
-// path. Under morsel parallelism each worker builds a partial table;
+// typed paths do not specialize. Group keys hash like join keys
+// (keyHasher): one tag-dispatched pass per key column per batch, typed
+// payloads and vec.StrDict codes never boxing on the hash path. Under morsel parallelism each worker builds a partial table;
 // partials merge into the root in morsel order, which — with groups
 // kept in local first-occurrence order — reproduces the serial
 // first-occurrence group order exactly.
-
-// Group-tuple hash combine: FNV-1a over the per-key scalar hashes, with
-// the same constants as mcl.GroupHash so a tuple hashes identically to
-// its boxed form (nulls contribute a fixed marker — rows with null keys
-// share a group).
-const (
-	groupHashBasis uint64 = 1469598103934665603
-	groupHashPrime uint64 = 1099511628211
-	nullKeyHash    uint64 = 0x9e3779b97f4a7c15
-)
 
 // groupTableInitSlots is the initial open-addressing table size; the
 // table doubles (rehashing the dense group list) past 3/4 load.
@@ -90,6 +79,27 @@ func (c *compiler) mkGetter(e mcl.Expr, f *frame) (func() valGetter, error) {
 			return out, nil
 		}
 	}, nil
+}
+
+// newGetters instantiates one consumer's getters (getters own scratch).
+func newGetters(mks []func() valGetter) []valGetter {
+	gets := make([]valGetter, len(mks))
+	for j, mk := range mks {
+		gets[j] = mk()
+	}
+	return gets
+}
+
+// getCols produces the columns of b into cols.
+func getCols(gets []valGetter, b *vec.Batch, cols []*vec.Col) error {
+	for j, get := range gets {
+		col, err := get(b)
+		if err != nil {
+			return err
+		}
+		cols[j] = col
+	}
+	return nil
 }
 
 // colNullAt reports whether row i of col is null.
@@ -446,11 +456,9 @@ type groupConsumer struct {
 	boxed    int64 // accumulated boxed-accumulator bytes
 
 	// Per-batch scratch.
-	hs       []uint64
-	valid    []bool
-	combined []uint64
-	gidx     []int32
-	keyCols  []*vec.Col
+	kh      keyHasher
+	gidx    []int32
+	keyCols []*vec.Col
 }
 
 func (gc *groupConsumer) numGroups() int { return len(gc.hashes) }
@@ -627,32 +635,15 @@ func (gc *groupConsumer) consume(b *vec.Batch) error {
 		return nil
 	}
 	gc.rows += int64(n)
-	for j, get := range gc.keyGet {
-		col, err := get(b)
-		if err != nil {
-			return err
-		}
-		gc.keyCols[j] = col
+	if err := getCols(gc.keyGet, b, gc.keyCols); err != nil {
+		return err
 	}
-	// Combined tuple hash per live row (mcl.GroupHash semantics: nulls
-	// contribute a fixed marker, so null keys share a group).
-	gc.combined = gc.combined[:0]
-	for k := 0; k < n; k++ {
-		gc.combined = append(gc.combined, groupHashBasis)
-	}
-	for _, col := range gc.keyCols {
-		gc.hs, gc.valid = hashLiveCol(col, b, gc.hs[:0], gc.valid[:0])
-		for k := 0; k < n; k++ {
-			kh := nullKeyHash
-			if gc.valid[k] {
-				kh = gc.hs[k]
-			}
-			gc.combined[k] = (gc.combined[k] ^ kh) * groupHashPrime
-		}
-	}
+	// Tuple hash per live row (mcl.GroupHash semantics: null keys share
+	// a group).
+	gc.kh.hash(gc.keyCols, b)
 	gc.gidx = gc.gidx[:0]
 	for k := 0; k < n; k++ {
-		gc.gidx = append(gc.gidx, gc.findOrAddRow(gc.combined[k], b.Index(k)))
+		gc.gidx = append(gc.gidx, gc.findOrAddRow(gc.kh.sums[k], b.Index(k)))
 	}
 	for j, get := range gc.aggGet {
 		col, err := get(b)
@@ -756,19 +747,12 @@ func (c *compiler) compileGroupAgg(p *algebra.Reduce, input *compiledPlan) (*com
 	opts := c.opts
 	mkCons := func() *groupConsumer {
 		gc := &groupConsumer{nKeys: nKeys, reserve: opts.MemReserve}
-		gc.keyGet = make([]valGetter, nKeys)
-		for i, mk := range mkKeyGets {
-			gc.keyGet[i] = mk()
-		}
-		gc.aggGet = make([]valGetter, len(mkAggGets))
-		for i, mk := range mkAggGets {
-			gc.aggGet[i] = mk()
-		}
+		gc.keyGet, gc.keyCols = newGetters(mkKeyGets), make([]*vec.Col, nKeys)
+		gc.aggGet = newGetters(mkAggGets)
 		gc.aggs = make([]groupAcc, len(aggMs))
 		for i, m := range aggMs {
 			gc.aggs[i] = newGroupAcc(m)
 		}
-		gc.keyCols = make([]*vec.Col, nKeys)
 		return gc
 	}
 	// fold builds the finished group table under sp: one consumer over a
@@ -804,8 +788,11 @@ func (c *compiler) compileGroupAgg(p *algebra.Reduce, input *compiledPlan) (*com
 		sp.SetAttr("groups", root.numGroups())
 		sp.SetAttr("table_bytes", root.tableBytes()+root.boxed)
 		sp.SetAttr("partial_merges", root.partialMerges)
-		if opts.GroupStats != nil {
-			opts.GroupStats(int64(root.numGroups()), root.tableBytes()+root.boxed, root.partialMerges)
+		if ct := opts.Counters; ct != nil {
+			ct.GroupFolds.Add(1)
+			ct.GroupsBuilt.Add(int64(root.numGroups()))
+			ct.GroupPartialMerges.Add(root.partialMerges)
+			raiseMax(&ct.GroupTableMaxBytes, root.tableBytes()+root.boxed)
 		}
 		return root, nil
 	}

@@ -8,8 +8,10 @@ import (
 
 	"vida/internal/algebra"
 	"vida/internal/mcl"
+	"vida/internal/sdg"
 	"vida/internal/trace"
 	"vida/internal/values"
+	"vida/internal/vec"
 )
 
 // countingSource wraps a SliceSource and counts Iterate passes and rows
@@ -172,30 +174,48 @@ func TestGroupedManyGroups(t *testing.T) {
 }
 
 // TestGroupedParallelDeterminism runs the same grouped list query at
-// several worker counts over a scan large enough to go morsel-parallel
-// and requires bit-identical results: partials merge in morsel order,
-// so group order is the serial first-occurrence order regardless of
-// scheduling.
+// several worker counts over a range-capable scan large enough to go
+// morsel-parallel and requires bit-identical results: partials merge in
+// morsel order, so group order (and the collected list) is the serial
+// first-occurrence order regardless of scheduling. The aggregates cover
+// every accumulator kind — count, sum, avg, min/max and the collecting
+// fallback — and the run must really merge partials.
 func TestGroupedParallelDeterminism(t *testing.T) {
 	const n = 50000
-	rows := make([]values.Value, 0, n)
+	k := vec.Col{Tag: vec.Int64}
+	v := vec.Col{Tag: vec.Float64, Nulls: make([]bool, n)}
 	for i := 0; i < n; i++ {
-		rows = append(rows, rec("k", (i*7919)%101, "v", i))
+		k.Ints = append(k.Ints, int64((i*7919)%101))
+		v.Floats = append(v.Floats, float64(i%997))
+		v.Nulls[i] = i%13 == 0
 	}
-	cat := algebra.MapCatalog{"T": &algebra.SliceSource{SrcName: "T", Rows: rows}}
-	q := `for { t <- T } group by { k := t.k } agg { s := sum t.v, c := count t } yield list (k := k, s := s, c := c)`
-	plan := groupPlanFor(t, q, cat)
-	want, err := Executor{Opts: Options{Workers: 1}}.Run(plan, cat)
+	rowType := sdg.Bag(sdg.Record(sdg.Attr{Name: "k", Type: sdg.Int}, sdg.Attr{Name: "v", Type: sdg.Float}))
+	cat := &schemaCat{
+		MapCatalog: algebra.MapCatalog{"T": &diffTable{name: "T", fields: []string{"k", "v"}, cols: []vec.Col{k, v}, n: n}},
+		descs:      map[string]*sdg.Description{"T": {Name: "T", Format: sdg.FormatTable, Schema: rowType}},
+	}
+	q := `for { t <- T } group by { k := t.k }
+	      agg { c := count t, s := sum t.v, a := avg t.v, lo := min t.v, hi := max t.v, vs := list t.v }
+	      yield list (k := k, c := c, s := s, a := a, lo := lo, hi := hi, vs := vs)`
+	plan := planFor2(t, q, cat)
+	want, err := algebra.Reference{}.Run(plan, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got, err := (Executor{Opts: Options{Workers: 1}}).Run(plan, cat); err != nil || !values.Equal(got, want) {
+		t.Fatalf("serial jit diverged from the reference (%v)", err)
+	}
 	for _, workers := range []int{2, 4, 8} {
-		got, err := Executor{Opts: Options{Workers: workers, ParallelThreshold: 1}}.Run(plan, cat)
+		var ct Counters
+		got, err := Executor{Opts: Options{Workers: workers, ParallelThreshold: 1, Counters: &ct}}.Run(plan, cat)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !values.Equal(got, want) {
 			t.Fatalf("workers=%d diverged:\ngot:  %v\nwant: %v", workers, got, want)
+		}
+		if ct.GroupPartialMerges.Load() == 0 {
+			t.Fatalf("workers=%d: no partial merges; the fold ran serially", workers)
 		}
 	}
 }

@@ -297,18 +297,6 @@ func TestRandomizedEquivalence(t *testing.T) {
 		"for { x <- Xs } yield list (a := x.a, b := x.b) order by x.b desc, x.a limit 3 offset 1",
 		"for { x <- Xs } yield set x.b limit 2",
 	}
-	// The optimizer never leaves a residual on a Join, so the join with a
-	// residual is built by hand.
-	residualJoin := &algebra.Reduce{
-		M:    mustMonoid("bag"),
-		Head: mcl.MustParse("(p := x.b, q := y.b)"),
-		Input: &algebra.Join{
-			L:        &algebra.Scan{Source: "Xs", Var: "x"},
-			R:        &algebra.Scan{Source: "Ys", Var: "y"},
-			On:       []algebra.EquiPair{{LExpr: mcl.MustParse("x.a"), RExpr: mcl.MustParse("y.a")}},
-			Residual: mcl.MustParse("x.b > y.b"),
-		},
-	}
 	xsType := sdg.Bag(sdg.Record(sdg.Attr{Name: "a", Type: sdg.Int}, sdg.Attr{Name: "b", Type: sdg.Int}))
 	for trial := 0; trial < 20; trial++ {
 		mk := func(n int) []values.Value {
@@ -328,7 +316,7 @@ func TestRandomizedEquivalence(t *testing.T) {
 				"Ys": {Name: "Ys", Format: sdg.FormatTable, Schema: xsType},
 			},
 		}
-		plans := []*algebra.Reduce{residualJoin}
+		var plans []*algebra.Reduce
 		for _, q := range queries {
 			plans = append(plans, planFor2(t, q, cat))
 		}

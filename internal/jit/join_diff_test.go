@@ -17,10 +17,11 @@ import (
 // This file is the differential join-correctness harness: a seeded
 // generator producing random join scenarios — schemas, key types, key
 // distributions (uniform, skewed, all-null, all-duplicate, empty build
-// or probe side), filters that force build-side compaction, residuals,
-// multi-column keys — asserting that the morsel-parallel partitioned
-// join, the serial jit join, the static executor and the reference
-// executor all agree, across worker counts and partition counts. List
+// or probe side), filters that force build-side compaction, multi-column
+// keys, expression keys (slot, kernel and boxed-fallback key columns),
+// boxed sides — asserting that the morsel-parallel join, the serial jit
+// join and both drivers of the row interpreter (reference and static)
+// all agree, across worker counts. List
 // results make the comparison order-sensitive, so agreement here means
 // byte-identical output, not just equal multisets.
 
@@ -208,29 +209,31 @@ func genJoinScenario(rng *rand.Rand) joinScenario {
 	distL := rng.Intn(4)
 	distR := rng.Intn(4)
 	nullFrac := []float64{0, 0, 0.15, 1.0}[rng.Intn(4)]
-	multiKey := rng.Intn(4) == 0
-	residual := rng.Intn(3) == 0
+	keySet := rng.Intn(3)  // 0: k, 1: k and k2, 2: k2 alone
+	k2Shape := rng.Intn(4) // index into k2Keys
 	buildFilter := rng.Intn(3) == 0
 	boxedL := rng.Intn(4) == 0
 	boxedR := rng.Intn(4) == 0
 	monoidName := []string{"bag", "list", "sum", "count"}[rng.Intn(4)]
 
-	lFields := []string{"k", "a"}
-	rFields := []string{"k", "b"}
-	lCols := []vec.Col{genKeyCol(rng, nL, keyKind, distL, nullFrac), genIntCol(rng, nL, 100)}
-	rCols := []vec.Col{genKeyCol(rng, nR, keyKind, distR, nullFrac), genIntCol(rng, nR, 100)}
-	if multiKey {
-		lFields = append(lFields, "k2")
-		rFields = append(rFields, "k2")
-		lCols = append(lCols, genIntCol(rng, nL, 4))
-		rCols = append(rCols, genIntCol(rng, nR, 4))
-	}
+	lFields := []string{"k", "a", "k2"}
+	rFields := []string{"k", "b", "k2"}
+	lCols := []vec.Col{genKeyCol(rng, nL, keyKind, distL, nullFrac), genIntCol(rng, nL, 100), genKeyCol(rng, nL, 0, 0, nullFrac)}
+	rCols := []vec.Col{genKeyCol(rng, nR, keyKind, distR, nullFrac), genIntCol(rng, nR, 100), genKeyCol(rng, nR, 0, 0, nullFrac)}
 	left := &diffTable{name: "L", fields: lFields, cols: lCols, n: nL, boxed: boxedL}
 	right := &diffTable{name: "R", fields: rFields, cols: rCols, n: nR, boxed: boxedR}
 
+	// The k2 key pair comes in four shapes: slot columns, kernel
+	// expressions on both sides, a slot against a kernel, and a
+	// comparison no kernel covers (the boxed-fallback key column).
+	k2Keys := [][2]string{{"x.k2", "y.k2"}, {"x.k2 * 2", "y.k2 + y.k2"}, {"x.k2", "y.k2 * 1"}, {"x.k2 > 3", "y.k2 > 3"}}
+	k2 := algebra.EquiPair{LExpr: mcl.MustParse(k2Keys[k2Shape][0]), RExpr: mcl.MustParse(k2Keys[k2Shape][1])}
 	on := []algebra.EquiPair{{LExpr: mcl.MustParse("x.k"), RExpr: mcl.MustParse("y.k")}}
-	if multiKey {
-		on = append(on, algebra.EquiPair{LExpr: mcl.MustParse("x.k2"), RExpr: mcl.MustParse("y.k2")})
+	switch keySet {
+	case 1:
+		on = append(on, k2)
+	case 2:
+		on = []algebra.EquiPair{k2}
 	}
 	join := &algebra.Join{
 		L:  &algebra.Scan{Source: "L", Var: "x", Fields: lFields},
@@ -239,11 +242,8 @@ func genJoinScenario(rng *rand.Rand) joinScenario {
 	}
 	if buildFilter {
 		// A selective build-side filter drives retainForBuild through its
-		// compaction path (survivors re-indexed before partitioning).
+		// compaction path (survivors and their key columns re-indexed).
 		join.R.(*algebra.Scan).Filter = mcl.MustParse("y.b < 20")
-	}
-	if residual {
-		join.Residual = mcl.MustParse("x.a < y.b")
 	}
 	var head mcl.Expr
 	switch monoidName {
@@ -255,8 +255,8 @@ func genJoinScenario(rng *rand.Rand) joinScenario {
 		head = mcl.MustParse("(k := x.k, a := x.a, b := y.b)")
 	}
 	return joinScenario{
-		desc: fmt.Sprintf("nL=%d nR=%d key=%d distL=%d distR=%d nulls=%.2f multi=%v residual=%v filter=%v boxedL=%v boxedR=%v m=%s",
-			nL, nR, keyKind, distL, distR, nullFrac, multiKey, residual, buildFilter, boxedL, boxedR, monoidName),
+		desc: fmt.Sprintf("nL=%d nR=%d key=%d distL=%d distR=%d nulls=%.2f keys=%d k2=%d filter=%v boxedL=%v boxedR=%v m=%s",
+			nL, nR, keyKind, distL, distR, nullFrac, keySet, k2Shape, buildFilter, boxedL, boxedR, monoidName),
 		cat:  algebra.MapCatalog{"L": left, "R": right},
 		plan: &algebra.Reduce{M: mustMonoid(monoidName), Head: head, Input: join},
 		nL:   nL, nR: nR,
@@ -284,7 +284,6 @@ func TestJoinDifferentialFuzz(t *testing.T) {
 		cases = 8
 	}
 	workerCounts := []int{2, 4, 8}
-	partitionCounts := []int{1, 4, 16}
 	for ci := 0; ci < cases; ci++ {
 		sc := genJoinScenario(rng)
 		want, err := algebra.Reference{}.Run(sc.plan, sc.cat)
@@ -303,23 +302,13 @@ func TestJoinDifferentialFuzz(t *testing.T) {
 			t.Fatalf("case %d (%s): jit serial diverged:\n got %v\nwant %v", ci, sc.desc, got, want)
 		}
 		for _, w := range workerCounts {
-			for _, parts := range partitionCounts {
-				par := Executor{Opts: Options{
-					Workers:            w,
-					BatchSize:          64,
-					ParallelThreshold:  1,
-					JoinBuildThreshold: 1,
-					JoinPartitions:     parts,
-					Pool:               pool,
-				}}
-				got, err := par.Run(sc.plan, sc.cat)
-				if err != nil {
-					t.Fatalf("case %d (%s) w=%d parts=%d: %v", ci, sc.desc, w, parts, err)
-				}
-				if !values.Equal(got, want) {
-					t.Fatalf("case %d (%s) w=%d parts=%d diverged:\n got %v\nwant %v",
-						ci, sc.desc, w, parts, got, want)
-				}
+			par := Executor{Opts: Options{Workers: w, BatchSize: 64, ParallelThreshold: 1, Pool: pool}}
+			got, err := par.Run(sc.plan, sc.cat)
+			if err != nil {
+				t.Fatalf("case %d (%s) w=%d: %v", ci, sc.desc, w, err)
+			}
+			if !values.Equal(got, want) {
+				t.Fatalf("case %d (%s) w=%d diverged:\n got %v\nwant %v", ci, sc.desc, w, got, want)
 			}
 		}
 	}
@@ -378,11 +367,6 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	check("static", got, err)
 	got, err = (Executor{Opts: Options{Workers: 1}}).Run(plan, cat)
 	check("jit serial", got, err)
-	for _, parts := range []int{1, 8} {
-		got, err = (Executor{Opts: Options{
-			Workers: 4, BatchSize: 64, ParallelThreshold: 1, JoinBuildThreshold: 1,
-			JoinPartitions: parts, Pool: pool,
-		}}).Run(plan, cat)
-		check(fmt.Sprintf("jit parallel parts=%d", parts), got, err)
-	}
+	got, err = (Executor{Opts: Options{Workers: 4, BatchSize: 64, ParallelThreshold: 1, Pool: pool}}).Run(plan, cat)
+	check("jit parallel", got, err)
 }

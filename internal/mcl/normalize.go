@@ -467,12 +467,8 @@ func rewriteComprehension(c *Comprehension) (Expr, bool) {
 	for i, q := range qs {
 		switch {
 		case q.IsBind():
-			// (bind) inline the definition downstream. Lambdas stay: the
-			// evaluator applies them; beta reduction handles direct
-			// applications.
-			if _, isLam := q.Src.(*LambdaExpr); isLam {
-				continue
-			}
+			// (bind) inline the definition downstream; a lambda inlined
+			// into an application is then beta-reduced.
 			rest := with(head, append([]Qualifier{}, qs[i+1:]...))
 			restSub := Subst(rest, q.Var, q.Src).(*Comprehension)
 			out := &Comprehension{

@@ -119,7 +119,7 @@ var metricDefs = []metricDef{
 	{"vida_group_partial_merges_total", "counter", "Morsel-parallel group partials merged into root tables.", "engine.GroupPartialMerges",
 		false, func(v *statsView) int64 { return v.eng.GroupPartialMerges }},
 
-	// Engine: partitioned hash joins (morsel-parallel build and probe).
+	// Engine: hash joins (morsel-parallel build and probe).
 	{"vida_join_folds_total", "counter", "Hash-join build tables sealed.", "engine.JoinFolds",
 		false, func(v *statsView) int64 { return v.eng.JoinFolds }},
 	{"vida_join_build_rows_total", "counter", "Build-side entries indexed across all hash joins.", "engine.JoinBuildRows",

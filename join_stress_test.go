@@ -1,4 +1,4 @@
-// Race and determinism stress for the morsel-parallel partitioned hash
+// Race and determinism stress for the morsel-parallel hash
 // join: two 300k-row CSVs joined while Refresh churn atomically replaces
 // the build-side file underneath, plus mid-query cancellation once the
 // build has started. Every completed parallel result must byte-equal the
@@ -22,9 +22,9 @@ import (
 	"vida/internal/sched"
 )
 
-// joinStressRows is sized so both the parallel probe gate
-// (ParallelThreshold) and the parallel build gate (JoinBuildThreshold)
-// engage through the public API at their defaults.
+// joinStressRows is sized so the parallel gate (ParallelThreshold)
+// engages for both the build and the probe side through the public API
+// at its default.
 const joinStressRows = 300_000
 
 // writeJoinStressCSVs writes People(id,v) and Dim(id,w), both
@@ -65,7 +65,7 @@ func joinStressEngine(t testing.TB, people, dim string, opts ...vida.Option) *vi
 	return eng
 }
 
-// joinStressQueries exercise the join with a residual-free equi key, a
+// joinStressQueries exercise the join with a plain equi key, a
 // probe-side predicate, and a build-side predicate that forces retained
 // batches through selection compaction.
 var joinStressQueries = []string{
@@ -77,7 +77,7 @@ var joinStressQueries = []string{
 // TestJoinParallelDeterminismUnderChurn joins the two 300k-row CSVs
 // morsel-parallel while a churn goroutine atomically rewrites the
 // build-side file (same bytes, new mtime) and calls Refresh, so cache
-// invalidation and cold rescans race the partitioned build. Every
+// invalidation and cold rescans race the parallel build. Every
 // completed result must equal the serial baseline, and closing
 // everything must return the goroutine count to its starting level.
 func TestJoinParallelDeterminismUnderChurn(t *testing.T) {

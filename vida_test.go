@@ -204,6 +204,38 @@ func TestExecutorOptionsAgree(t *testing.T) {
 	}
 }
 
+// TestLambdaBindAcrossExecutors binds a lambda in a comprehension —
+// before the first generator and after one — and applies it in the
+// head: every executor answers what the calculus evaluator answers,
+// (100+80+120+90)*2.
+func TestLambdaBindAcrossExecutors(t *testing.T) {
+	queries := []struct{ name, q string }{
+		{"leading", `for { double := \x -> x * 2, e <- Employees } yield sum double(e.salary)`},
+		{"after-generator", `for { e <- Employees, double := \x -> x * 2 } yield sum double(e.salary)`},
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"jit", nil},
+		{"static", []Option{WithStaticExecutor()}},
+		{"reference", []Option{WithReferenceExecutor()}},
+	} {
+		e := setup(t, tc.opts...)
+		for _, q := range queries {
+			t.Run(tc.name+"/"+q.name, func(t *testing.T) {
+				res, err := e.Query(q.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res.Value().Float(); got != 780 {
+					t.Fatalf("sum = %v, want 780", res)
+				}
+			})
+		}
+	}
+}
+
 func TestParseQuery(t *testing.T) {
 	if _, err := ParseQuery(`for { x <- Xs } yield sum x.a`); err != nil {
 		t.Fatal(err)
