@@ -29,6 +29,7 @@ import (
 	"vida/internal/optimizer"
 	"vida/internal/rawarr"
 	"vida/internal/rawcsv"
+	"vida/internal/rawfile"
 	"vida/internal/rawjson"
 	"vida/internal/rawxls"
 	"vida/internal/sched"
@@ -114,6 +115,7 @@ type Stats struct {
 	CacheScans        int64
 	Cache             cache.Stats
 	AuxiliaryBytes    int64 // positional maps + semi-indexes
+	RawFileBytes      int64 // distinct file generations the catalog holds, each once
 	Memory            MemoryStats
 	PanicsRecovered   int64 // execution panics contained as query errors
 	// Kernel staging tallies from the JIT compiler: how many pipeline
@@ -175,6 +177,36 @@ type files struct {
 	json *rawjson.Reader
 	arr  *rawarr.Reader
 	xls  *rawxls.Reader
+}
+
+// file returns the file generation the reader reads (nil for a view).
+func (f files) file() *rawfile.Generation {
+	switch {
+	case f.csv != nil:
+		return f.csv.File()
+	case f.json != nil:
+		return f.json.File()
+	case f.arr != nil:
+		return f.arr.File()
+	case f.xls != nil:
+		return f.xls.File()
+	}
+	return nil
+}
+
+// known returns the file generations published entries over path hold: a
+// reader opened or refreshed over path shares the one that describes the
+// file (rawfile.Load), so aliases of a file hold one copy.
+func (e *Engine) known(path string) []*rawfile.Generation {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var out []*rawfile.Generation
+	for _, s := range e.sources {
+		if g := s.file(); g != nil && s.desc.Path == path {
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // derive sets src and raw from the plug-in and cleaner, and returns s.
@@ -320,19 +352,20 @@ func (e *Engine) Register(desc *sdg.Description) error {
 		return err
 	}
 	entry := &sourceEntry{desc: desc}
+	known := e.known(desc.Path)
 	var err error
 	switch desc.Format {
 	case sdg.FormatCSV:
-		entry.csv, err = rawcsv.Open(desc)
+		entry.csv, err = rawcsv.Open(desc, known...)
 		if err == nil {
 			entry.csv.UseScheduler(e.opts.Pool, e.opts.Workers)
 		}
 	case sdg.FormatJSON:
-		entry.json, err = rawjson.Open(desc)
+		entry.json, err = rawjson.Open(desc, known...)
 	case sdg.FormatArray:
-		entry.arr, err = rawarr.Open(desc)
+		entry.arr, err = rawarr.Open(desc, known...)
 	case sdg.FormatXLS:
-		entry.xls, err = rawxls.Open(desc)
+		entry.xls, err = rawxls.Open(desc, known...)
 	default:
 		return fmt.Errorf("core: format %s needs RegisterSource", desc.Format)
 	}
@@ -584,10 +617,15 @@ func (e *Engine) planShard(src string) *planShard {
 
 // StatsSnapshot returns engine counters.
 func (e *Engine) StatsSnapshot() Stats {
-	var aux int64
+	var aux, raw int64
 	e.mu.RLock()
 	published := e.published
+	held := map[*rawfile.Generation]bool{}
 	for _, s := range e.sources {
+		if g := s.file(); g != nil && !held[g] {
+			held[g] = true
+			raw += int64(len(g.Bytes()))
+		}
 		if s.csv != nil {
 			aux += s.csv.PosMap().MemoryBytes()
 		}
@@ -604,6 +642,7 @@ func (e *Engine) StatsSnapshot() Stats {
 		CacheScans:        e.cacheScans.Load(),
 		Cache:             e.caches.Stats(),
 		AuxiliaryBytes:    aux,
+		RawFileBytes:      raw,
 		Memory: MemoryStats{
 			TrackedBytes:  e.mem.used.Load(),
 			BudgetBytes:   e.mem.limit,

@@ -18,6 +18,8 @@ import (
 // positional map by the tail (rawcsv.Reader.Refresh) and the columnar
 // cache entry is extended by the same rows. Any other change drops the
 // source's auxiliary structures and cache entries wholesale (paper §2.1).
+// Sources over one path share its generations: the first one refreshed
+// reads the change, the rest adopt its published successor (Engine.known).
 // An unreadable file keeps its source's generation; errors are joined.
 func (e *Engine) Refresh() error {
 	e.refreshMu.Lock()
@@ -49,17 +51,18 @@ var errSuperseded = errors.New("core: the refreshed reader is no longer publishe
 func (e *Engine) refresh(s *sourceEntry) error {
 	name := s.desc.Name
 	next := *s // s with its reader replaced by the successor
+	known := e.known(s.desc.Path)
 	var ch rawfile.Change
 	var err error
 	switch {
 	case s.csv != nil:
-		next.csv, ch, err = s.csv.Refresh()
+		next.csv, ch, err = s.csv.Refresh(known...)
 	case s.json != nil:
-		next.json, ch, err = s.json.Refresh()
+		next.json, ch, err = s.json.Refresh(known...)
 	case s.arr != nil:
-		next.arr, ch, err = s.arr.Refresh()
+		next.arr, ch, err = s.arr.Refresh(known...)
 	default:
-		next.xls, ch, err = s.xls.Refresh()
+		next.xls, ch, err = s.xls.Refresh(known...)
 	}
 	if err != nil || ch.Kind == rawfile.Unchanged {
 		return err

@@ -55,10 +55,10 @@ const (
 	PlanInstall = "core.plan_install"
 	// FileLoad fires in rawfile.Load — every raw plugin's one whole-file
 	// read — after the file is opened and before its handle is stat'ed
-	// and read. Like Publish it
-	// is a pause point, with its error ignored and absent from Points():
-	// tests replace the file from it, and the load must still pair the
-	// bytes it reads with their own mtime.
+	// and read or matched to a known generation. Like Publish it is a
+	// pause point, with its error ignored and absent from Points(): tests
+	// replace the file from it, and the load must still pair the bytes it
+	// reads, or shares, with their own mtime.
 	FileLoad = "raw.file_load"
 	// RegisterPublished fires in Register after its publish and before it
 	// rehydrates the spilled cache. Like Publish it is a pause point, with

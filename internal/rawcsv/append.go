@@ -12,9 +12,10 @@ import (
 // index (else there is nothing to keep) and ends on a row boundary (else
 // the tail continues its last row); any other change, or a failed rung,
 // starts the successor on an empty map (Replaced). Either way the
-// successor answers exactly like a reader opened fresh on the file.
-func (r *Reader) Refresh() (*Reader, rawfile.Change, error) {
-	file, ch, err := r.file.Next()
+// successor answers exactly like a reader opened fresh on the file. A
+// known generation may be the successor's file (rawfile.Generation.Next).
+func (r *Reader) Refresh(known ...*rawfile.Generation) (*Reader, rawfile.Change, error) {
+	file, ch, err := r.file.Next(known...)
 	if err != nil || ch.Kind == rawfile.Unchanged {
 		return r, ch, err
 	}
@@ -28,7 +29,7 @@ func (r *Reader) Refresh() (*Reader, rawfile.Change, error) {
 	case r.data[len(r.data)-1] != '\n':
 		return next, rawfile.Change{Kind: rawfile.Replaced, Reason: "previous generation ended mid-row"}, nil
 	}
-	if !ch.Inherited {
+	if !r.extended.CompareAndSwap(false, true) {
 		snap.clip()
 	}
 	next.pm = r.extendPosMap(&snap, next.data, int64(len(r.data)))

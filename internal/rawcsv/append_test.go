@@ -117,7 +117,7 @@ func TestRefreshAppendExtendsPosMap(t *testing.T) {
 	tail := "4,zed,1.5,false\n\n5,yan,2.5,true\n"
 	appendFile(t, path, tail)
 	ch := refresh(t, &r)
-	want := rawfile.Change{Kind: rawfile.Appended, OldRows: 3, NewRows: 5, TailBytes: int64(len(tail)), Inherited: true}
+	want := rawfile.Change{Kind: rawfile.Appended, OldRows: 3, NewRows: 5, TailBytes: int64(len(tail))}
 	if ch != want {
 		t.Fatalf("Refresh = %+v, want %+v", ch, want)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -78,7 +79,10 @@ func (r *Reader) SaveAux(path string) error {
 // sidecar is intact and still describes the file on disk (same mtime
 // and size). Returns false when the sidecar is absent, stale, or
 // corrupt — the caller then just rebuilds on first touch; a malformed
-// sidecar is also an error so callers can log it.
+// sidecar is also an error so callers can log it. A checksum does not
+// make offsets true: rows must start in strictly increasing order inside
+// the file and every span must lie inside its row, or scans would slice
+// past it or read a line twice.
 func (r *Reader) LoadAux(path string) (bool, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -134,8 +138,8 @@ func (r *Reader) LoadAux(path string) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if v > uint64(len(r.data)) {
-			return false, fmt.Errorf("rawcsv: %s: row offset %d out of range", path, v)
+		if v >= uint64(len(r.data)) || i > 0 && int64(v) <= rows[i-1] {
+			return false, fmt.Errorf("rawcsv: %s: row offset %d out of order or range", path, v)
 		}
 		rows[i] = int64(v)
 	}
@@ -170,7 +174,14 @@ func (r *Reader) LoadAux(path string) (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			starts[i], ends[i] = int32(uint32(s)), int32(uint32(e))
+			next := int64(len(r.data))
+			if i+1 < nRows {
+				next = rows[i+1]
+			}
+			if s > e || e > uint64(min(next-rows[i], math.MaxInt32)) {
+				return false, fmt.Errorf("rawcsv: %s: span [%d,%d) outside row %d", path, s, e, i)
+			}
+			starts[i], ends[i] = int32(s), int32(e)
 		}
 		cols = append(cols, colPair{j: int(j), starts: starts, ends: ends})
 	}

@@ -1,10 +1,14 @@
 package rawcsv
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"vida/internal/vec"
 )
 
 func TestSaveLoadAuxRoundTrip(t *testing.T) {
@@ -104,4 +108,121 @@ func TestLoadAuxRejectsStaleAndCorrupt(t *testing.T) {
 	if ok, err := r2.LoadAux(filepath.Join(t.TempDir(), "absent.posmap")); ok || err != nil {
 		t.Fatalf("absent sidecar: ok=%v err=%v", ok, err)
 	}
+}
+
+// TestLoadAuxRejectsSpansOutsideTheirRow: a sidecar whose checksum holds
+// but whose offsets do not fit the file — a span past its row, a span
+// that ends before it starts, rows out of order, repeated or past the
+// end — is rejected as malformed, and the reader rebuilds its map on
+// demand; a scan never slices the file by a sidecar's word.
+func TestLoadAuxRejectsSpansOutsideTheirRow(t *testing.T) {
+	path := writeFile(t, sample)
+	fields := []string{"id", "name", "score", "active"}
+	for _, c := range []struct {
+		name   string
+		mutate func(s *Snapshot)
+	}{
+		{"last span ends past the file", func(s *Snapshot) { s.Ends[1][2] = 1 << 20 }},
+		{"span ends past the next row", func(s *Snapshot) { s.Ends[3][0] = s.Ends[3][0] + 3 }},
+		{"span ends before it starts", func(s *Snapshot) { s.Cols[2][1], s.Ends[2][1] = 5, 4 }},
+		{"rows out of order", func(s *Snapshot) { s.Rows[1], s.Rows[2] = s.Rows[2], s.Rows[1] }},
+		{"row at the end of the file", func(s *Snapshot) { s.Rows[2] = int64(len(sample)) }},
+		{"duplicate row start", func(s *Snapshot) {
+			// Row 1 becomes empty, so its spans fit; only the order fails.
+			s.Rows[2] = s.Rows[1]
+			for j := range s.Cols {
+				s.Cols[j][1], s.Ends[j][1] = 0, 0
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := Open(desc(t, path, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			collect(t, r, fields)
+			snap := r.PosMap().Snapshot()
+			c.mutate(&snap)
+			bad := NewPosMap()
+			bad.SetRows(snap.Rows)
+			for j := range snap.Cols {
+				bad.SetCol(j, snap.Cols[j], snap.Ends[j])
+			}
+			r.pm = bad
+			aux := filepath.Join(t.TempDir(), "t.posmap")
+			if err := r.SaveAux(aux); err != nil {
+				t.Fatal(err)
+			}
+			r2, err := Open(desc(t, path, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := r2.LoadAux(aux); ok || err == nil {
+				t.Fatalf("LoadAux = %v, %v; want a malformed-sidecar error", ok, err)
+			}
+			if r2.PosMap().HasRows() {
+				t.Fatal("a rejected sidecar installed rows")
+			}
+			if rows := collect(t, r2, fields); len(rows) != 3 || rows[2].MustGet("score").Float() != 7.25 {
+				t.Fatalf("rows after a rejected sidecar = %v", rows)
+			}
+		})
+	}
+}
+
+// FuzzLoadAux: a sidecar that loads never makes a scan panic. The fuzzer
+// mutates the sidecar body — mtime, size, rows and spans — and the
+// harness frames it with a valid header and checksum, since the checksum
+// only guards against torn writes. Seeds are SaveAux output over a file
+// with a blank line, a short row and no final newline.
+func FuzzLoadAux(f *testing.F) {
+	dir := f.TempDir()
+	path := filepath.Join(dir, "data.csv")
+	if err := os.WriteFile(path, []byte(sample+"\n4,zed\n5,ann,1.5,true"), 0o644); err != nil {
+		f.Fatal(err)
+	}
+	all := []string{"id", "name", "score", "active"}
+	scans := [][]string{{"id"}, {"name", "active"}, {"score"}, all}
+	for _, fields := range scans {
+		r, err := Open(desc(f, path, nil))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := r.IterateBatches(fields, 2, func(*vec.Batch) error { return nil }); err != nil {
+			f.Fatal(err)
+		}
+		aux := filepath.Join(dir, "seed.posmap")
+		if err := r.SaveAux(aux); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(aux)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if ok, err := r.LoadAux(aux); !ok {
+			f.Fatalf("a seed does not load: %v", err)
+		}
+		f.Add(raw[len(auxMagic)+2 : len(raw)-4])
+	}
+	aux := filepath.Join(dir, "fuzz.posmap")
+	f.Fuzz(func(t *testing.T, body []byte) {
+		raw := binary.LittleEndian.AppendUint16(append([]byte(nil), auxMagic...), auxVersion)
+		raw = binary.LittleEndian.AppendUint32(append(raw, body...), crc32.Checksum(body, auxCRCTable))
+		if err := os.WriteFile(aux, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(desc(t, path, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, _ := r.LoadAux(aux); !ok {
+			return
+		}
+		for _, fields := range scans {
+			_ = r.IterateBatches(fields, 2, func(*vec.Batch) error { return nil })
+			if scan, n, ok := r.OpenRange(fields); ok {
+				_ = scan(0, n, 2, func(*vec.Batch) error { return nil })
+			}
+		}
+	})
 }

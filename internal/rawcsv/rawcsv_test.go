@@ -23,7 +23,7 @@ func writeFile(t *testing.T, content string) string {
 	return path
 }
 
-func desc(t *testing.T, path string, opts map[string]string) *sdg.Description {
+func desc(t testing.TB, path string, opts map[string]string) *sdg.Description {
 	t.Helper()
 	schema := sdg.Bag(sdg.Record(
 		sdg.Attr{Name: "id", Type: sdg.Int},

@@ -44,14 +44,16 @@ type Stats struct {
 // reads one file from start to end whatever Refresh does meanwhile.
 //
 // A successor derived by an append may share the bytes, the row index and
-// the column offsets with its predecessor, longer; the index follows the
-// file's one decision of which successor owns the spare capacity
-// (rawfile.Change.Inherited).
+// the column offsets with its predecessor, longer. Each has its own owner
+// of the spare capacity: the file generation's first successor (rawfile)
+// and the positional map's (extended), as readers over one path share the
+// bytes but not the map.
 type Reader struct {
 	*shared
-	file *rawfile.Generation
-	data []byte // file.Bytes(), held for the scan loops
-	pm   *PosMap
+	file     *rawfile.Generation
+	data     []byte // file.Bytes(), held for the scan loops
+	pm       *PosMap
+	extended atomic.Bool // a successor claimed pm's spare capacity (Refresh)
 }
 
 // shared is what every generation of one file has in common; its
@@ -75,14 +77,15 @@ type shared struct {
 // desc.Options): "delim" (single character, default ","), "header"
 // ("true"/"false", default "true"), "null" (token treated as null,
 // default empty string), "onerror" ("skip"/"fail", default "skip").
-func Open(desc *sdg.Description) (*Reader, error) {
+// A known generation of the file is shared instead of read (rawfile.Load).
+func Open(desc *sdg.Description, known ...*rawfile.Generation) (*Reader, error) {
 	if err := desc.Validate(); err != nil {
 		return nil, err
 	}
 	if desc.Format != sdg.FormatCSV {
 		return nil, fmt.Errorf("rawcsv: %s is not a CSV source", desc.Name)
 	}
-	file, err := rawfile.Load(desc.Path)
+	file, err := rawfile.Load(desc.Path, known...)
 	if err != nil {
 		return nil, fmt.Errorf("rawcsv: %s: %w", desc.Name, err)
 	}
@@ -103,6 +106,9 @@ func Open(desc *sdg.Description) (*Reader, error) {
 
 // Name implements algebra.Source.
 func (r *Reader) Name() string { return r.desc.Name }
+
+// File returns the file generation this reader reads.
+func (r *Reader) File() *rawfile.Generation { return r.file }
 
 // PosMap exposes the positional map (for the optimizer's cost model and
 // the experiments). It belongs to this generation; a successor has its

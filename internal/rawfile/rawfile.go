@@ -32,25 +32,21 @@ const (
 )
 
 // Change is the result of Next and of a reader's Refresh. An append
-// reports TailBytes, the appended rows [OldRows, NewRows) of a row-indexed
-// format, and whether the successor Inherited its predecessor's spare
-// capacity: only that one may write past the length the two share, so a
-// format copies any index it shares with the predecessor unless Inherited.
-// A replacement gives the Reason it is not an append.
+// reports TailBytes and the appended rows [OldRows, NewRows) of a
+// row-indexed format. A replacement gives the Reason it is not an append.
 type Change struct {
 	Kind             Kind
 	OldRows, NewRows int
 	TailBytes        int64
-	Inherited        bool
 	Reason           string
 }
 
 // Reopen is the Refresh of a format that parses its file again on any
 // change: cur while the file is unchanged (or cannot be read), else parse
-// of the successor, the change reported as the replacement it is to an
-// index rebuilt whole.
-func Reopen[R any](cur R, g *Generation, parse func(*Generation) (R, error)) (R, Change, error) {
-	next, ch, err := g.Next()
+// of the successor (Next, given the known generations), the change
+// reported as the replacement it is to an index rebuilt whole.
+func Reopen[R any](cur R, g *Generation, parse func(*Generation) (R, error), known ...*Generation) (R, Change, error) {
+	next, ch, err := g.Next(known...)
 	if err != nil || ch.Kind == Unchanged {
 		return cur, ch, err
 	}
@@ -82,8 +78,11 @@ const verifyChunk = 1 << 20 // prefixEqual's buffer: a 24 MB prefix verifies in 
 
 // Load reads the file at path with the mtime of the handle it reads: a
 // rename over path in between must not pair one file's mtime with
-// another's bytes, which Next would take for unchanged for good.
-func Load(path string) (*Generation, error) {
+// another's bytes, which Next would take for unchanged for good. A known
+// generation of path with the handle's exact size and mtime is returned
+// instead of a read — the trust rule by which Next reports Unchanged — so
+// every name registered over one file shares one copy of it.
+func Load(path string, known ...*Generation) (*Generation, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -94,11 +93,25 @@ func Load(path string) (*Generation, error) {
 	if err != nil {
 		return nil, err
 	}
+	if k := match(path, fi, known); k != nil {
+		return k, nil
+	}
 	g := &Generation{path: path, data: make([]byte, fi.Size()), mtime: fi.ModTime()}
 	if _, err := io.ReadFull(f, g.data); err != nil {
 		return nil, err
 	}
 	return g, nil
+}
+
+// match returns the first known generation of path whose size and mtime
+// are fi's, or nil.
+func match(path string, fi os.FileInfo, known []*Generation) *Generation {
+	for _, k := range known {
+		if k.path == path && int64(len(k.data)) == fi.Size() && k.mtime.Equal(fi.ModTime()) {
+			return k
+		}
+	}
+	return nil
 }
 
 // Bytes returns the file content. Callers never write it.
@@ -129,7 +142,11 @@ func (g *Generation) Key() string {
 // compared in full — size and mtime cannot tell an append from a longer
 // rewrite; the successor then reads only the tail, through the handle
 // whose size and mtime it records. Anything else is Replaced.
-func (g *Generation) Next() (*Generation, Change, error) {
+//
+// A known generation that matches the file by size and mtime (Load) is
+// the successor instead of a read: Appended when its bytes extend the
+// receiver's — decided in memory — and Replaced otherwise.
+func (g *Generation) Next(known ...*Generation) (*Generation, Change, error) {
 	f, err := os.Open(g.path)
 	if err != nil {
 		return nil, Change{}, err
@@ -144,18 +161,26 @@ func (g *Generation) Next() (*Generation, Change, error) {
 	case fi.ModTime().Equal(g.mtime) && size == old:
 		return g, Change{}, nil
 	case size <= old:
-		return g.replaced("file did not grow")
+		return g.replaced("file did not grow", known)
+	}
+	if k := match(g.path, fi, known); k != nil {
+		// k holds g's bytes below old when it extends into the storage g
+		// shares, else when they compare equal.
+		if n := len(g.data); n == 0 || &k.data[0] == &g.data[0] || bytes.Equal(k.data[:n], g.data) {
+			return k, Change{Kind: Appended, TailBytes: size - old}, nil
+		}
+		return k, Change{Kind: Replaced, Reason: "prefix differs from the generation in memory"}, nil
 	}
 	if same, err := prefixEqual(f, g.data); err != nil {
 		return nil, Change{}, err
 	} else if !same {
-		return g.replaced("prefix differs from the generation in memory")
+		return g.replaced("prefix differs from the generation in memory", known)
 	}
 	// The first successor takes g's spare capacity, invisible to g, and
 	// reads the tail into it when it fits; a later successor, or a tail
 	// that does not fit, reallocates with bounded headroom.
-	data, inherited := g.data, g.extended.CompareAndSwap(false, true)
-	if !inherited {
+	data := g.data
+	if !g.extended.CompareAndSwap(false, true) {
 		data = data[:old:old]
 	}
 	if int64(cap(data)) < size {
@@ -164,7 +189,7 @@ func (g *Generation) Next() (*Generation, Change, error) {
 	}
 	data = data[:size]
 	if _, err := io.ReadFull(f, data[old:]); err == io.EOF || err == io.ErrUnexpectedEOF {
-		return g.replaced("file shrank while its tail was read")
+		return g.replaced("file shrank while its tail was read", known)
 	} else if err != nil {
 		return nil, Change{}, err
 	}
@@ -174,12 +199,13 @@ func (g *Generation) Next() (*Generation, Change, error) {
 		next.crc, next.crcOK = crc32.Update(g.crc, crcTable, data[old:]), true
 	}
 	g.crcMu.Unlock()
-	return next, Change{Kind: Appended, TailBytes: size - old, Inherited: inherited}, nil
+	return next, Change{Kind: Appended, TailBytes: size - old}, nil
 }
 
-// replaced reads the file whole, for the reason it is not an append.
-func (g *Generation) replaced(reason string) (*Generation, Change, error) {
-	next, err := Load(g.path)
+// replaced reads the file whole (Load, given the known generations), for
+// the reason it is not an append.
+func (g *Generation) replaced(reason string, known []*Generation) (*Generation, Change, error) {
+	next, err := Load(g.path, known...)
 	return next, Change{Kind: Replaced, Reason: reason}, err
 }
 

@@ -138,25 +138,22 @@ func TestSuccessorsOfOneGeneration(t *testing.T) {
 	base += lines(2000, 1)
 	f.put(base)
 	g, ch := f.next(g, Appended)
-	if !ch.Inherited || ch.TailBytes != int64(len(lines(2000, 1))) {
+	if ch.TailBytes != int64(len(lines(2000, 1))) {
 		t.Fatalf("first append = %+v", ch)
 	}
 	if slack := cap(g.Bytes()) - len(g.Bytes()); slack == 0 || slack > vec.Spare(len(g.Bytes())) {
 		t.Fatalf("an appended generation keeps %d spare, want 1..%d", slack, vec.Spare(len(g.Bytes())))
 	}
-	derive := func(from *Generation, content string, inherits bool) *Generation {
+	derive := func(from *Generation, content string) *Generation {
 		t.Helper()
 		f.put(content)
-		next, ch := f.next(from, Appended)
-		if ch.Inherited != inherits {
-			t.Fatalf("Next = %+v, want Inherited %v", ch, inherits)
-		}
+		next, _ := f.next(from, Appended)
 		return next
 	}
 	tailA, tailB, tailA2 := lines(2001, 2), lines(5000, 1), lines(2003, 1)
-	a := derive(g, base+tailA, true)
-	b := derive(g, base+tailB, false)
-	a2 := derive(a, base+tailA+tailA2, true)
+	a := derive(g, base+tailA)
+	b := derive(g, base+tailB)
+	a2 := derive(a, base+tailA+tailA2)
 	at := func(x *Generation) *byte { return &x.Bytes()[0] }
 	switch {
 	case at(a) != at(g):
@@ -246,4 +243,115 @@ func TestGenerationNextLadder(t *testing.T) {
 			f.next(g, Unchanged)
 		})
 	}
+}
+
+// putAt replaces the file like put, but with the mtime at given.
+func (f *file) putAt(content string, at time.Time) {
+	f.t.Helper()
+	f.put(content)
+	if err := os.Chtimes(f.path, at, at); err != nil {
+		f.t.Fatal(err)
+	}
+}
+
+// TestLoadSharesKnownGeneration: a known generation of the path with the
+// file's size and mtime is what Load returns, not a copy read again; one
+// of another path, size or mtime is passed over, whatever its bytes.
+func TestLoadSharesKnownGeneration(t *testing.T) {
+	f := newFile(t, lines(0, 3))
+	g := f.load()
+	if k, err := Load(f.path); err != nil || k == g {
+		t.Fatalf("Load without known = %p, %v; want a read of its own", k, err)
+	}
+	other := newFile(t, lines(0, 3))
+	other.putAt(lines(0, 3), g.Mtime())
+	elsewhere := other.load()
+	for _, known := range [][]*Generation{{g}, {elsewhere, g}, {g, g}} {
+		if k, err := Load(f.path, known...); err != nil || k != g {
+			t.Fatalf("Load(%d known) = %p, %v; want the known generation %p", len(known), k, err, g)
+		}
+	}
+	if k, err := Load(f.path, elsewhere); err != nil || k == elsewhere {
+		t.Fatalf("Load shared a generation of another path: %v", err)
+	}
+	for _, c := range []struct {
+		name, content string
+		at            time.Time
+	}{
+		{"another mtime, same bytes", lines(0, 3), g.Mtime().Add(time.Second)},
+		{"another size, same mtime", lines(0, 4), g.Mtime()},
+	} {
+		f.putAt(c.content, c.at)
+		k, err := Load(f.path, g)
+		if err != nil || k == g || string(k.Bytes()) != c.content {
+			t.Fatalf("%s: Load = %p holding %q, %v; want a read of the file", c.name, k, k.Bytes(), err)
+		}
+	}
+}
+
+// TestLoadKnownMatchesTheOpenedHandle: a rename over the path while a
+// second name loads it (the FileLoad pause, after the open) leaves the
+// load describing the file it opened. Here the name opened a newer
+// version; the rename then puts back a file with the first name's size
+// and mtime, which must not make the load share that name's generation
+// over the bytes it opened.
+func TestLoadKnownMatchesTheOpenedHandle(t *testing.T) {
+	defer faultinject.Reset()
+	f := newFile(t, "a1\nb\n")
+	first := f.load()
+	f.put("a2\nb\nc\n")
+	var fired atomic.Bool
+	faultinject.Set(faultinject.FileLoad, func() error {
+		if fired.CompareAndSwap(false, true) {
+			f.putAt("a1\nb\n", first.Mtime())
+		}
+		return nil
+	})
+	second, err := Load(f.path, first)
+	if err != nil || second == first || string(second.Bytes()) != "a2\nb\nc\n" {
+		t.Fatalf("Load during a rename = %p holding %q, %v; want the opened file's bytes", second, second.Bytes(), err)
+	}
+	// The file now matches the first name's generation: the second name's
+	// Next adopts it as the replacement it is.
+	next, ch, err := second.Next(first)
+	if err != nil || next != first || ch.Kind != Replaced {
+		t.Fatalf("Next = %+v, %v, adopted %v; want Replaced by the known generation", ch, err, next == first)
+	}
+}
+
+// TestNextAdoptsKnownSuccessor: a known generation that describes the
+// file is the successor without a read. It is an append when its bytes
+// extend the receiver's — sharing its storage or equal over its length —
+// and a replacement otherwise.
+func TestNextAdoptsKnownSuccessor(t *testing.T) {
+	base := lines(0, 200)
+	f := newFile(t, base)
+	g := f.load()
+	base += lines(200, 1)
+	f.put(base)
+	g, _ = f.next(g, Appended) // g now has spare capacity to hand out
+	adopt := func(from, known *Generation, want Kind) Change {
+		t.Helper()
+		next, ch, err := from.Next(known)
+		if err != nil || next != known || ch.Kind != want {
+			t.Fatalf("Next = %+v, %v, adopted %v; want %d from the known generation", ch, err, next == known, want)
+		}
+		return ch
+	}
+	tail := lines(201, 3)
+	f.put(base + tail)
+	adopt(g, f.load(), Appended) // equal bytes in another array
+	// Adopting took nothing from g: the first name to read the tail still
+	// gets g's spare capacity, and a name adopting that successor shares it.
+	read, _ := f.next(g, Appended)
+	if &read.Bytes()[0] != &g.Bytes()[0] {
+		t.Fatal("the successor that read the tail did not take the spare capacity")
+	}
+	if ch := adopt(g, read, Appended); ch.TailBytes != int64(len(tail)) {
+		t.Fatalf("adopted append = %+v, want %d tail bytes", ch, len(tail))
+	}
+	f.put(lines(1, 300))
+	adopt(g, f.load(), Replaced) // grew, prefix differs
+	f.put(lines(0, 10))
+	adopt(g, f.load(), Replaced) // shrank
 }

@@ -112,15 +112,16 @@ type shared struct {
 
 // Open loads the JSON file described by desc. The "onerror" option
 // ("skip" default, "fail") selects what happens to malformed objects —
-// the paper's conservative cleaning strategy skips them (§7).
-func Open(desc *sdg.Description) (*Reader, error) {
+// the paper's conservative cleaning strategy skips them (§7). A known
+// generation of the file is shared instead of read (rawfile.Load).
+func Open(desc *sdg.Description, known ...*rawfile.Generation) (*Reader, error) {
 	if err := desc.Validate(); err != nil {
 		return nil, err
 	}
 	if desc.Format != sdg.FormatJSON {
 		return nil, fmt.Errorf("rawjson: %s is not a JSON source", desc.Name)
 	}
-	file, err := rawfile.Load(desc.Path)
+	file, err := rawfile.Load(desc.Path, known...)
 	if err != nil {
 		return nil, fmt.Errorf("rawjson: %s: %w", desc.Name, err)
 	}
@@ -130,6 +131,9 @@ func Open(desc *sdg.Description) (*Reader, error) {
 
 // Name implements algebra.Source.
 func (r *Reader) Name() string { return r.desc.Name }
+
+// File returns the file generation this reader reads.
+func (r *Reader) File() *rawfile.Generation { return r.file }
 
 // SemiIndex exposes the structural index of this generation.
 func (r *Reader) SemiIndex() *SemiIndex { return r.ix }
@@ -159,10 +163,10 @@ func (r *Reader) BuildStats() (builds, nanos int64) {
 // Refresh re-checks the file and returns the generation that describes
 // it (rawfile.Reopen): a successor's bytes are extended by the tail after
 // an append and read whole otherwise, and its semi-index starts empty.
-func (r *Reader) Refresh() (*Reader, rawfile.Change, error) {
+func (r *Reader) Refresh(known ...*rawfile.Generation) (*Reader, rawfile.Change, error) {
 	return rawfile.Reopen(r, r.file, func(file *rawfile.Generation) (*Reader, error) {
 		return &Reader{shared: r.shared, file: file, data: file.Bytes(), ix: newSemiIndex()}, nil
-	})
+	}, known...)
 }
 
 // buildObjectIndex records the span of every top-level object using the

@@ -109,8 +109,8 @@ type Reader struct {
 }
 
 // Open loads the sheet file described by desc.
-func Open(desc *sdg.Description) (*Reader, error) {
-	file, err := rawfile.Load(desc.Path)
+func Open(desc *sdg.Description, known ...*rawfile.Generation) (*Reader, error) {
+	file, err := rawfile.Load(desc.Path, known...)
 	if err != nil {
 		return nil, fmt.Errorf("rawxls: %s: %w", desc.Name, err)
 	}
@@ -119,11 +119,14 @@ func Open(desc *sdg.Description) (*Reader, error) {
 
 // Refresh re-checks the file: the receiver while it is unchanged, else the
 // file parsed again (rawfile.Reopen).
-func (r *Reader) Refresh() (*Reader, rawfile.Change, error) {
+func (r *Reader) Refresh(known ...*rawfile.Generation) (*Reader, rawfile.Change, error) {
 	return rawfile.Reopen(r, r.file, func(file *rawfile.Generation) (*Reader, error) {
 		return open(r.desc, file)
-	})
+	}, known...)
 }
+
+// File returns the file generation this reader reads.
+func (r *Reader) File() *rawfile.Generation { return r.file }
 
 func open(desc *sdg.Description, file *rawfile.Generation) (*Reader, error) {
 	raw := file.Bytes()

@@ -58,6 +58,8 @@ var metricDefs = []metricDef{
 		false, func(v *statsView) int64 { return v.eng.CacheScans }},
 	{"vida_auxiliary_bytes", "gauge", "Bytes in positional maps and semi-indexes.", "engine.AuxiliaryBytes",
 		false, func(v *statsView) int64 { return v.eng.AuxiliaryBytes }},
+	{"vida_raw_file_bytes", "gauge", "Bytes of the raw file versions the catalog holds, each version counted once however many sources share it.", "engine.RawFileBytes",
+		false, func(v *statsView) int64 { return v.eng.RawFileBytes }},
 
 	// Engine: data-cache internals.
 	{"vida_data_cache_hits_total", "counter", "Data cache lookups that hit.", "engine.Cache.Hits",
