@@ -2,52 +2,141 @@ package jit
 
 import (
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"vida/internal/algebra"
+	"vida/internal/mcl"
+	"vida/internal/rawcsv"
+	"vida/internal/sdg"
 	"vida/internal/values"
+	"vida/internal/vec"
 )
 
+// constHeads are the constant aggregate inputs under monoid m: int and
+// float literals — 0.1 is inexact in binary, so its sums round once per
+// row — bound parameters of both kinds, arithmetic on a bound parameter
+// and, except under sum and avg (a type error there), a string.
+func constHeads(m string) []string {
+	heads := []string{"1", "3", "2.5", "0.1", "$1", "$2", "$3", "($1 + 1)"}
+	if m != "sum" && m != "avg" {
+		heads = append(heads, `"x"`)
+	}
+	return heads
+}
+
+var constParams = map[string]values.Value{
+	"1": values.NewInt(-7), "2": values.NewFloat(0.375), "3": values.NewFloat(0.1),
+}
+
+// identical reports whether a and b are the same value bit for bit: same
+// kinds all the way down (int 2 is not float 2), floats with equal bits,
+// collections element by element in order.
+func identical(a, b values.Value) bool {
+	return sameShape(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// mergeRounded is identical up to float rounding: a morsel-parallel fold
+// adds its per-morsel partial sums in morsel order, so an inexact float
+// sum rounds differently from the serial one — as any float column's
+// does. Floats agree within a relative 1e-9.
+func mergeRounded(a, b values.Value) bool {
+	return sameShape(a, b, func(x, y float64) bool {
+		return x == y || math.Abs(x-y) <= 1e-9*math.Max(math.Abs(x), math.Abs(y))
+	})
+}
+
+func sameShape(a, b values.Value, floatEq func(x, y float64) bool) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case values.KindFloat:
+		return floatEq(a.Float(), b.Float())
+	case values.KindRecord:
+		af, bf := a.Fields(), b.Fields()
+		if len(af) != len(bf) {
+			return false
+		}
+		for i := range af {
+			if af[i].Name != bf[i].Name || !sameShape(af[i].Val, bf[i].Val, floatEq) {
+				return false
+			}
+		}
+		return true
+	case values.KindList, values.KindBag, values.KindSet:
+		ae, be := a.Elems(), b.Elems()
+		if len(ae) != len(be) {
+			return false
+		}
+		for i := range ae {
+			if !sameShape(ae[i], be[i], floatEq) {
+				return false
+			}
+		}
+		return true
+	}
+	return values.Equal(a, b)
+}
+
+// constExecutors are the executors every constant-aggregate query runs
+// on; the serial one must be identical to the reference executor, the
+// parallel one (partial folds merged in morsel order) mergeRounded.
+var constExecutors = []struct {
+	name string
+	ex   Executor
+	same func(a, b values.Value) bool
+}{
+	{"serial", Executor{Opts: Options{Workers: 1}}, identical},
+	{"parallel", Executor{Opts: Options{Workers: 4, ParallelThreshold: 1, BatchSize: 64}}, mergeRounded},
+}
+
+// checkConstQueries runs every query over cat on both executors, twice
+// each (the cold and the posmap-served scan), against the reference.
+func checkConstQueries(t *testing.T, cat *schemaCat, rows int, queries []string) {
+	t.Helper()
+	for _, q := range queries {
+		plan := algebra.BindParams(planFor2(t, q, cat), constParams)
+		want, err := algebra.Reference{}.Run(plan, cat)
+		if err != nil {
+			t.Fatalf("reference %q over %d rows: %v", q, rows, err)
+		}
+		for _, ce := range constExecutors {
+			for pass := 0; pass < 2; pass++ {
+				got, err := ce.ex.Run(plan, cat)
+				if err != nil {
+					t.Fatalf("%s %q over %d rows: %v", ce.name, q, rows, err)
+				}
+				if !ce.same(got, want) {
+					t.Fatalf("%s pass %d diverged on %q over %d rows:\ngot: %v\nref: %v", ce.name, pass, q, rows, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestConstantHeadFolds pins the constant-head scalar folds (COUNT(*)
-// lowers to `sum 1`): for int, float and bound-parameter heads under
-// every scalar monoid, with and without a filter, the per-batch
-// arithmetic agrees with the row-wise reference executor — serially, morsel-parallel, over the cold and the
-// posmap-served scan, and on an empty input. The float constants are
-// exact in binary, so n additions and one multiplication round alike.
+// lowers to `sum 1`): for the constHeads under every scalar monoid, with and without a filter, the per-batch
+// arithmetic agrees with the row-wise reference executor — bit for bit
+// serially, `sum 0.1` included, and up to merge rounding
+// morsel-parallel — over the cold and the posmap-served scan, and on an
+// empty input.
 func TestConstantHeadFolds(t *testing.T) {
 	var queries []string
 	for _, m := range []string{"count", "sum", "avg", "min", "max"} {
-		for _, head := range []string{"1", "3", "2.5", "$1", "$2"} {
+		for _, head := range constHeads(m) {
 			queries = append(queries,
 				fmt.Sprintf(`for { r <- R } yield %s %s`, m, head),
 				fmt.Sprintf(`for { r <- R, r.score > 4 } yield %s %s`, m, head),
 				fmt.Sprintf(`for { r <- R, r.score > 99 } yield %s %s`, m, head)) // no row survives
 		}
 	}
-	params := map[string]values.Value{"1": values.NewInt(-7), "2": values.NewFloat(0.375)}
 	for _, rows := range []int{0, 1, 5000} {
 		cat, _ := csvCatalog(t, rows)
-		for _, q := range queries {
-			plan := algebra.BindParams(planFor2(t, q, cat), params)
-			want, err := algebra.Reference{}.Run(plan, cat)
-			if err != nil {
-				t.Fatalf("reference %q over %d rows: %v", q, rows, err)
-			}
-			for name, ex := range map[string]Executor{
-				"serial":   {Opts: Options{Workers: 1}},
-				"parallel": {Opts: Options{Workers: 4, ParallelThreshold: 1, BatchSize: 64}},
-			} {
-				for pass := 0; pass < 2; pass++ {
-					got, err := ex.Run(plan, cat)
-					if err != nil {
-						t.Fatalf("%s %q over %d rows: %v", name, q, rows, err)
-					}
-					if !values.Equal(got, want) {
-						t.Fatalf("%s pass %d diverged on %q over %d rows: %v, reference %v", name, pass, q, rows, got, want)
-					}
-				}
-			}
-		}
+		checkConstQueries(t, cat, rows, queries)
 	}
 }
 
@@ -63,5 +152,122 @@ func TestConstantHeadStagesNoBoxedFold(t *testing.T) {
 	}
 	if vectorized, boxed := ct.KernelsVectorized.Load(), ct.KernelsBoxed.Load(); vectorized == 0 || boxed != 0 {
 		t.Fatalf("stages: %d vectorized, %d boxed; the constant head must stage as a kernel", vectorized, boxed)
+	}
+}
+
+// groupCSVCatalog serves R(id int, k string, score int) from a raw CSV:
+// 60 string keys, with every 17th key empty (null), so one group
+// gathers the null keys.
+func groupCSVCatalog(t *testing.T, n int) *schemaCat {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString("id,k,score\n")
+	for i := 0; i < n; i++ {
+		k := ""
+		if i%17 != 0 {
+			k = fmt.Sprintf("k%02d", i%60)
+		}
+		fmt.Fprintf(&sb, "%d,%s,%d\n", i, k, i%7)
+	}
+	path := filepath.Join(t.TempDir(), "groups.csv")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	schema := sdg.Bag(sdg.Record(
+		sdg.Attr{Name: "id", Type: sdg.Int},
+		sdg.Attr{Name: "k", Type: sdg.String},
+		sdg.Attr{Name: "score", Type: sdg.Int},
+	))
+	desc := sdg.DefaultDescription("R", sdg.FormatCSV, path, schema)
+	rd, err := rawcsv.Open(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &schemaCat{
+		MapCatalog: algebra.MapCatalog{"R": rd},
+		descs:      map[string]*sdg.Description{"R": desc},
+	}
+}
+
+// TestGroupedConstantAggs is the grouped counterpart of
+// TestConstantHeadFolds: constant aggregate inputs — which the group
+// fold reads as broadcast columns — under every typed accumulator, with
+// and without a filter, with a null group key, over 0, 1 and 5000 rows.
+// Serially the groups are the reference executor's bit for bit (`sum
+// 0.1` adds 0.1 once per row there as here); morsel-parallel they agree
+// up to merge rounding.
+func TestGroupedConstantAggs(t *testing.T) {
+	var queries []string
+	for _, m := range []string{"count", "sum", "avg", "min", "max"} {
+		for _, head := range constHeads(m) {
+			queries = append(queries,
+				fmt.Sprintf(`for { r <- R } group by { g := r.k } agg { a := %s %s } yield list (g := g, a := a)`, m, head),
+				fmt.Sprintf(`for { r <- R, r.score > 4 } group by { g := r.k } agg { a := %s %s, n := count r.id } yield list (g := g, a := a, n := n)`, m, head))
+		}
+	}
+	for _, rows := range []int{0, 1, 5000} {
+		checkConstQueries(t, groupCSVCatalog(t, rows), rows, queries)
+	}
+}
+
+// TestGroupedConstantStagesNoBoxedGetter: a grouped `sum 1` stages its
+// input as a broadcast kernel, so it adds no boxed stage over the same
+// plan folding `count r.id` (a slot).
+func TestGroupedConstantStagesNoBoxedGetter(t *testing.T) {
+	cat := groupCSVCatalog(t, 100)
+	stages := func(agg string) (vectorized, boxed int64) {
+		t.Helper()
+		var ct Counters
+		q := fmt.Sprintf(`for { r <- R } group by { g := r.k } agg { n := %s } yield list (g := g, n := n)`, agg)
+		if _, err := (Executor{Opts: Options{Workers: 1, Counters: &ct}}).Run(planFor2(t, q, cat), cat); err != nil {
+			t.Fatalf("%s: %v", agg, err)
+		}
+		return ct.KernelsVectorized.Load(), ct.KernelsBoxed.Load()
+	}
+	sv, sb := stages("sum 1")
+	cv, cb := stages("count r.id")
+	if sb != cb || sv != cv {
+		t.Fatalf("sum 1 staged %d vectorized, %d boxed; count r.id %d, %d", sv, sb, cv, cb)
+	}
+}
+
+// BenchmarkGroupAggConstant times the grouped fold of COUNT(*) (`sum 1`)
+// against `count r.id` over 300k typed rows in 60 string-keyed groups,
+// serially: the constant's broadcast column should make the two cost
+// about the same.
+//
+//	go test -run '^$' -bench BenchmarkGroupAggConstant ./internal/jit
+func BenchmarkGroupAggConstant(b *testing.B) {
+	const n = 300_000
+	k := vec.Col{Tag: vec.Str, Strs: make([]string, n)}
+	id := vec.Col{Tag: vec.Int64, Ints: make([]int64, n)}
+	for i := 0; i < n; i++ {
+		k.Strs[i] = fmt.Sprintf("city%02d", (i*7919)%60)
+		id.Ints[i] = int64(i)
+	}
+	rowType := sdg.Bag(sdg.Record(sdg.Attr{Name: "id", Type: sdg.Int}, sdg.Attr{Name: "k", Type: sdg.String}))
+	cat := &schemaCat{
+		MapCatalog: algebra.MapCatalog{"R": &diffTable{name: "R", fields: []string{"id", "k"}, cols: []vec.Col{id, k}, n: n}},
+		descs:      map[string]*sdg.Description{"R": {Name: "R", Format: sdg.FormatTable, Schema: rowType}},
+	}
+	for _, agg := range []string{"sum 1", "count r.id"} {
+		b.Run(strings.ReplaceAll(agg, " ", "_"), func(b *testing.B) {
+			q := fmt.Sprintf(`for { r <- R } group by { g := r.k } agg { n := %s } yield list (g := g, n := n)`, agg)
+			e, err := mcl.Parse(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan, err := algebra.Translate(mcl.Normalize(e), map[string]bool{"R": true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ex := Executor{Opts: Options{Workers: 1}}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ex.Run(plan, cat); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -49,8 +49,10 @@
 //     slot⊕slot and conjunctions, with typed int/float/string loops.
 //   - Expression kernels (vecexpr.go) stage arithmetic/projection
 //     trees — + - * / % and negation over slots, numeric constants
-//     folded into the kernel — into per-batch column loops. They feed
-//     comparison filters over computed values, reduce heads, ORDER BY
+//     folded into the kernel — into per-batch column loops; a constant
+//     on its own is a broadcast column (Int64, Float64 or Str) filled
+//     once per kernel. They feed comparison filters over computed
+//     values, reduce heads, group keys and aggregate inputs, ORDER BY
 //     key extraction, element heads and Bind extension columns (which
 //     then stay typed for everything downstream). Inputs that arrive
 //     boxed at run time take a row-wise mcl.ApplyBinOp loop inside the
@@ -65,10 +67,11 @@
 //
 // Unboxed reduce kernels cover the count/sum/avg/min/max monoids over
 // slot or kernel heads, and over numeric constant heads (a literal or a
-// bound parameter — SQL's COUNT(*) lowers to `sum 1`), which fold as
-// arithmetic on the batch's live row count without touching a row; every
-// other shape falls back to the row-wise compiled closures, batch by
-// batch.
+// bound parameter — SQL's COUNT(*) lowers to `sum 1`), which fold on the
+// batch's live row count without touching a row: integer sums multiply,
+// float sums add the constant once per row so they round as the
+// reference executor does. Every other shape falls back to the row-wise
+// compiled closures, batch by batch.
 //
 // # Grouped aggregation
 //
@@ -78,7 +81,9 @@
 // folds into a typed per-group accumulator array (count/sum/avg/
 // min/max), with one boxed Collector per group as the generic
 // fallback. Key hashing and aggregate-head evaluation run per batch
-// through the same kernel families as ungrouped reduces; the per-row
+// through the same kernel families as ungrouped reduces — slots,
+// expression kernels and broadcast constants, so a grouped COUNT(*)
+// folds a typed column like `count` of a slot does; the per-row
 // key equality check on a hash match compares column payloads against
 // unpacked primitive mirrors of the stored keys, so the probe loop
 // never touches a boxed values.Value. Partitionable scans fold

@@ -16,10 +16,13 @@ import (
 // arrays, with a boxed per-group Collector fallback for monoids the
 // typed paths do not specialize. Group keys hash like join keys
 // (keyHasher): one tag-dispatched pass per key column per batch, typed
-// payloads and vec.StrDict codes never boxing on the hash path. Under morsel parallelism each worker builds a partial table;
-// partials merge into the root in morsel order, which — with groups
-// kept in local first-occurrence order — reproduces the serial
-// first-occurrence group order exactly.
+// payloads and vec.StrDict codes never boxing on the hash path. Keys and
+// aggregate inputs are staged by mkGetter through the expression kernels,
+// constants included: COUNT(*) (`sum 1`) folds a broadcast Int64 column.
+// Under morsel parallelism each worker builds a partial table; partials
+// merge into the root in morsel order, which — with groups kept in local
+// first-occurrence order — reproduces the serial first-occurrence group
+// order exactly.
 
 // groupTableInitSlots is the initial open-addressing table size; the
 // table doubles (rehashing the dense group list) past 3/4 load.
@@ -32,8 +35,9 @@ const groupChargeChunk = 256 << 10
 
 // valGetter produces the value column of one expression for a batch:
 // a slot reference returns its column untouched, a vectorized kernel
-// computes a typed column, the boxed fallback evaluates row-wise into a
-// reused boxed column (filled at physical indices, live rows only).
+// computes a typed column (a constant is a broadcast column filled once),
+// the boxed fallback evaluates row-wise into a reused boxed column
+// (filled at physical indices, live rows only).
 type valGetter func(b *vec.Batch) (*vec.Col, error)
 
 // mkGetter stages an expression as a valGetter factory; each factory

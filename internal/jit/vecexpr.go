@@ -14,8 +14,10 @@ import (
 // the live rows of a batch — typed int64/float64 loops when the inputs
 // are typed, a row-wise boxed loop (semantics identical to
 // mcl.ApplyBinOp) otherwise — so filters over computed values, reduce
-// heads, ORDER BY keys and Bind extension columns all stay unboxed when
-// the data is. Constants fold into the kernels at compile time.
+// heads, group keys and aggregates, ORDER BY keys and Bind extension
+// columns all stay unboxed when the data is. Constants fold into the
+// kernels at compile time; a constant standing alone (COUNT(*) lowers to
+// `sum 1`) is a broadcast column, typed for numbers and strings.
 
 // vecExpr computes an expression over the live rows of a batch into a
 // column indexed by physical row (dead rows hold stale values no
@@ -35,9 +37,10 @@ func isArithOp(op mcl.BinOp) bool {
 }
 
 // compileVecExpr stages an expression as a vectorized column-kernel
-// factory when its shape allows: slot references (identity), negation
-// and + - * / % trees over slots with numeric constants folded in. nil
-// means the caller must use the row-wise fallback. Each factory call
+// factory when its shape allows: slot references (identity), numeric
+// and string constants (broadcast), negation and + - * / % trees over
+// slots with numeric constants folded in. nil means the caller must use
+// the row-wise fallback. Each factory call
 // returns a kernel with its own scratch, safe for one serial run or one
 // morsel worker.
 func compileVecExpr(e mcl.Expr, f *frame) func() vecExpr {
@@ -50,6 +53,8 @@ func compileVecExpr(e mcl.Expr, f *frame) func() vecExpr {
 		return func() vecExpr {
 			return func(b *vec.Batch) (*vec.Col, error) { return &b.Cols[idx], nil }
 		}
+	case *mcl.ConstExpr:
+		return constKernel(n.Val)
 	case *mcl.NegExpr:
 		inner := compileVecExpr(n.E, f)
 		if inner == nil {
@@ -63,8 +68,6 @@ func compileVecExpr(e mcl.Expr, f *frame) func() vecExpr {
 		lc, lok := constOf(n.L)
 		rc, rok := constOf(n.R)
 		switch {
-		case lok && rok:
-			return nil // constant folding is normalization's job
 		case rok:
 			if !rc.IsNumeric() {
 				return nil
@@ -96,6 +99,53 @@ func compileVecExpr(e mcl.Expr, f *frame) func() vecExpr {
 		}
 	}
 	return nil
+}
+
+// constKernel stages a constant as a broadcast column: Int64 or Float64
+// payloads for numbers, a Str column for strings. The kernel fills its
+// column once and refills only when a batch is larger than any before it
+// — consumers never mutate kernel output, so the fill stays valid. Null
+// and the other kinds return nil (the row-wise fallback).
+func constKernel(cv values.Value) func() vecExpr {
+	switch cv.Kind() {
+	case values.KindInt, values.KindFloat, values.KindString:
+	default:
+		return nil
+	}
+	return func() vecExpr {
+		var full, out vec.Col
+		return func(b *vec.Batch) (*vec.Col, error) {
+			if full.Len() < b.N {
+				full = broadcast(cv, b.N)
+			}
+			out = full.Slice(0, b.N)
+			return &out, nil
+		}
+	}
+}
+
+// broadcast builds an n-row column holding the int, float or string cv
+// in every row.
+func broadcast(cv values.Value, n int) vec.Col {
+	switch cv.Kind() {
+	case values.KindInt:
+		c := vec.Col{Tag: vec.Int64, Ints: make([]int64, n)}
+		for i := range c.Ints {
+			c.Ints[i] = cv.Int()
+		}
+		return c
+	case values.KindFloat:
+		c := vec.Col{Tag: vec.Float64, Floats: make([]float64, n)}
+		for i := range c.Floats {
+			c.Floats[i] = cv.Float()
+		}
+		return c
+	}
+	c := vec.Col{Tag: vec.Str, Strs: make([]string, n)}
+	for i := range c.Strs {
+		c.Strs[i] = cv.Str()
+	}
+	return c
 }
 
 // prepOut readies a kernel's scratch column: tag set, payload resized to

@@ -18,8 +18,8 @@ import (
 // (int, float, mixed, constant-folded), computed filters against
 // constants and against other computed columns, binds feeding typed
 // extension columns, negation, integer division/modulo, string
-// concatenation through the boxed kernel loop, and computed ORDER BY
-// keys.
+// concatenation through the boxed kernel loop, computed ORDER BY keys
+// and constants as broadcast columns.
 var kernelQueries = []string{
 	`for { e <- Employees } yield sum (e.salary * 2.0 + 1.0)`,
 	`for { e <- Employees } yield avg (e.id + e.deptNo)`,
@@ -38,6 +38,9 @@ var kernelQueries = []string{
 	`for { e <- Employees } yield list (e.id - e.deptNo) order by 0 - e.id limit 3`,
 	`for { s <- Sparse, s.v + 1 > 2 } yield count s`,
 	`for { s <- Sparse } yield bag (s.v * 2)`,
+	// Broadcast constants: an element head and an ORDER BY key.
+	`for { e <- Employees } yield list "x"`,
+	`for { e <- Employees } yield list e.id order by 1, e.id desc limit 3`,
 }
 
 func sparseCatalog() *schemaCat {

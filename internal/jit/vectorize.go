@@ -138,11 +138,10 @@ func compileVecFilter(e mcl.Expr, f *frame) func() batchFilter {
 		}
 	}
 	// Computed sides: arithmetic kernels feed the same comparison loops.
+	// A constant side folds into the loop rather than running as a
+	// broadcast column.
 	lk := compileVecExpr(n.L, f)
 	rk := compileVecExpr(n.R, f)
-	if lk != nil && rk != nil {
-		return kernelPairFilter(lk, rk, n.Op)
-	}
 	if lk != nil {
 		if cv, ok := constOf(n.R); ok {
 			return kernelConstFilter(lk, n.Op, cv)
@@ -152,6 +151,9 @@ func compileVecFilter(e mcl.Expr, f *frame) func() batchFilter {
 		if cv, ok := constOf(n.L); ok {
 			return kernelConstFilter(rk, flipOp(n.Op), cv)
 		}
+	}
+	if lk != nil && rk != nil {
+		return kernelPairFilter(lk, rk, n.Op)
 	}
 	return nil
 }
@@ -518,7 +520,7 @@ type reduceConsumer struct {
 	headKernel vecExpr     // non-nil: head is a vectorized expression kernel
 	// headConst marks a numeric constant head (a literal or a bound
 	// parameter, as in COUNT(*) = sum 1): every live row contributes the
-	// same value, so a batch folds as arithmetic on its row count.
+	// same value, so a batch folds on its row count without reading a row.
 	headConst bool
 	constVal  values.Value
 	head      compiledExpr
@@ -773,10 +775,11 @@ func (rc *reduceConsumer) consume(b *vec.Batch) error {
 	return nil
 }
 
-// foldConst accumulates n rows of the constant head. Integer sums wrap
-// exactly as n additions would; float sums are one multiplication, which
-// rounds once where n additions round n times — the same latitude the
-// per-batch partial sums of the typed kernels already take.
+// foldConst accumulates n rows of the constant head. Integer sums are
+// one multiplication, exact mod 2^64 as n additions are. Float sums (and
+// avg's float sum) add the constant once per row, in row order: one
+// multiplication rounds once where the reference executor's n additions
+// round n times, so `sum 0.1` would not be its bit-for-bit answer.
 func (rc *reduceConsumer) foldConst(n int64) {
 	isInt := rc.constVal.Kind() == values.KindInt
 	switch rc.kind {
@@ -787,11 +790,11 @@ func (rc *reduceConsumer) foldConst(n int64) {
 			rc.isum += rc.constVal.Int() * n
 			rc.sawInt = true
 		} else {
-			rc.fsum += rc.constVal.Float() * float64(n)
+			rc.addFloats(rc.constVal.Float(), n)
 			rc.sawFloat = true
 		}
 	case aggAvg:
-		rc.fsum += rc.constVal.Float() * float64(n)
+		rc.addFloats(rc.constVal.Float(), n)
 		rc.count += n
 	case aggMin, aggMax:
 		if isInt {
@@ -800,6 +803,15 @@ func (rc *reduceConsumer) foldConst(n int64) {
 			rc.noteFloat(rc.constVal.Float())
 		}
 	}
+}
+
+// addFloats adds c to the float sum n times, one rounding per row.
+func (rc *reduceConsumer) addFloats(c float64, n int64) {
+	s := rc.fsum
+	for ; n > 0; n-- {
+		s += c
+	}
+	rc.fsum = s
 }
 
 func (rc *reduceConsumer) noteInt(v int64) {

@@ -270,3 +270,46 @@ func TestStringEscapes(t *testing.T) {
 		t.Fatalf("escaped quote lost: %s", comp)
 	}
 }
+
+// TestRepeatedAggregateSharesSlot: an aggregate named twice — COUNT(*)
+// in the select list and again in HAVING — folds once, in one slot,
+// and the answers are those of the query that names it once. Heads
+// compare as trees: SUM(1) and SUM(1.0) print alike but keep two slots.
+func TestRepeatedAggregateSharesSlot(t *testing.T) {
+	aggsOf := func(sql string) []mcl.AggSpec {
+		t.Helper()
+		comp, err := Translate(sql)
+		if err != nil {
+			t.Fatalf("Translate(%q): %v", sql, err)
+		}
+		return comp.(*mcl.Comprehension).Aggs
+	}
+	const twice = `SELECT e.deptNo, COUNT(*) AS n, SUM(e.salary) AS s FROM Employees e
+	               GROUP BY e.deptNo HAVING COUNT(*) > ?`
+	if aggs := aggsOf(twice); len(aggs) != 2 {
+		t.Fatalf("aggregates = %v, want COUNT(*) and SUM once each", aggs)
+	}
+	if aggs := aggsOf(`SELECT e.deptNo, SUM(1) AS i, SUM(1.0) AS f FROM Employees e GROUP BY e.deptNo`); len(aggs) != 2 {
+		t.Fatalf("aggregates = %v, want SUM(1) and SUM(1.0) apart", aggs)
+	}
+	comp, err := Translate(twice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := mcl.Eval(mcl.BindParams(comp, map[string]values.Value{"1": values.NewInt(1)}), env())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 1 {
+		t.Fatalf("having = %v", got)
+	}
+	g := got.Elems()[0]
+	if g.MustGet("deptNo").Int() != 10 || g.MustGet("n").Int() != 2 || g.MustGet("s").Float() != 180 {
+		t.Fatalf("having group = %v, want deptNo 10, n 2, s 180", g)
+	}
+	mixed := run(t, `SELECT e.deptNo, SUM(1) AS i, SUM(1.0) AS f FROM Employees e GROUP BY e.deptNo ORDER BY e.deptNo`)
+	first := mixed.Elems()[0]
+	if i, f := first.MustGet("i"), first.MustGet("f"); i.Kind() != values.KindInt || f.Kind() != values.KindFloat || i.Int() != 2 || f.Float() != 2 {
+		t.Fatalf("SUM(1), SUM(1.0) = %v, %v; want int 2 and float 2", i, f)
+	}
+}

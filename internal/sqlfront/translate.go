@@ -2,6 +2,7 @@ package sqlfront
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"vida/internal/mcl"
@@ -321,13 +322,20 @@ func (tr *translator) translateGroupBy() (mcl.Expr, error) {
 		return &mcl.VarExpr{Name: groupBy[i].Name}
 	}
 	// aggVar registers one aggregate slot and returns its group-scope
-	// variable. Each occurrence gets its own slot; all slots fold in the
-	// same single pass.
+	// variable. Repeats of an aggregate — the same monoid over the same
+	// head, as in `SELECT COUNT(*) … HAVING COUNT(*) > 1` — share one
+	// slot; all slots fold in the same single pass. Heads compare as
+	// trees, not as text: the constants 1 and 1.0 print alike.
 	var aggs []mcl.AggSpec
 	aggVar := func(agg *sqlAgg) (mcl.Expr, error) {
 		m, e, err := tr.aggMonoidAndHead(agg, aliases)
 		if err != nil {
 			return nil, err
+		}
+		for _, a := range aggs {
+			if a.M.Name() == m.Name() && reflect.DeepEqual(a.E, e) {
+				return &mcl.VarExpr{Name: a.Name}, nil
+			}
 		}
 		name := fmt.Sprintf("a$%d", len(aggs))
 		aggs = append(aggs, mcl.AggSpec{Name: name, M: m, E: e})
