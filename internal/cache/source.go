@@ -2,6 +2,8 @@ package cache
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"vida/internal/colenc"
 	"vida/internal/values"
@@ -119,19 +121,54 @@ func (s *ColumnsSource) OpenRange(fields []string) (func(lo, hi, batchSize int, 
 	return s.rangeScan(cols), s.Entry.N, true
 }
 
+// decodeScratch is what an encoded scan decodes into: one vector per
+// column, which DecodeBlock refills block after block, and the batch of
+// windows into them. A scan takes one from decodeScratches and gives it
+// back when it ends, so each morsel starts from the capacity an earlier
+// scan grew instead of growing its own.
+type decodeScratch struct {
+	dec []vec.Col
+	b   vec.Batch
+}
+
+var decodeScratches = sync.Pool{New: func() any { return new(decodeScratch) }}
+
+// getDecodeScratch takes scratch for n columns from the pool.
+func getDecodeScratch(n int) *decodeScratch {
+	d := decodeScratches.Get().(*decodeScratch)
+	if n > len(d.dec) {
+		d.dec = append(d.dec, make([]vec.Col, n-len(d.dec))...)
+	}
+	d.b.Cols = slices.Grow(d.b.Cols[:0], n)[:n]
+	return d
+}
+
+// release returns d to the pool, dropping its windows and the
+// dictionaries it points into so a pooled buffer pins no evicted entry.
+func (d *decodeScratch) release() {
+	for i := range d.dec {
+		d.dec[i].Dict = nil
+	}
+	clear(d.b.Cols)
+	decodeScratches.Put(d)
+}
+
 // encodedScan returns a range scanner over encoded columns. Each call
-// of the returned function owns its decode buffers (morsel workers scan
-// disjoint ranges concurrently), decodes each touched block once, and
-// yields sliced windows. Batches are not Stable: the buffers are reused
-// when the scan moves to the next block, so consumers that retain rows
-// copy them — exactly the contract raw-file scans already impose.
+// of the returned function takes decode buffers from a pool (morsel
+// workers scan disjoint ranges concurrently, each with its own), decodes
+// each touched block once, yields sliced windows and returns the buffers
+// when it ends. Batches are not Stable: the buffers are overwritten when
+// the scan moves to the next block and by whichever scan takes them
+// next, so consumers that retain rows copy them (vec.Retain, Compact) —
+// exactly the contract raw-file scans already impose.
 func (s *ColumnsSource) encodedScan(cols []*colenc.Col) func(lo, hi, batchSize int, yield func(*vec.Batch) error) error {
 	return func(lo, hi, batchSize int, yield func(*vec.Batch) error) error {
 		if batchSize <= 0 {
 			batchSize = vec.DefaultBatchSize
 		}
-		dec := make([]vec.Col, len(cols))
-		b := &vec.Batch{Cols: make([]vec.Col, len(cols))}
+		scratch := getDecodeScratch(len(cols))
+		defer scratch.release()
+		dec, b := scratch.dec[:len(cols)], &scratch.b
 		cur := -1
 		var reserved int64
 		if s.Mem != nil {

@@ -4,7 +4,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"vida/internal/colenc"
@@ -304,5 +307,89 @@ func TestRehydrateQuarantinesCorruptSpills(t *testing.T) {
 				t.Fatalf("corrupt spill left in place: %v", left)
 			}
 		})
+	}
+}
+
+// raceEnabled is set in race builds (race_test.go).
+var raceEnabled bool
+
+// TestEncodedScanReusesDecodeBuffers: an encoded scan decodes into pooled
+// buffers, so once a morsel-parallel scan has grown them, repeating it
+// allocates no decode payload — not for the integer, dictionary or float
+// columns, nor for a validity mask.
+func TestEncodedScanReusesDecodeBuffers(t *testing.T) {
+	m := NewWithConfig(Config{HotBytes: 1})
+	n := 4*colenc.BlockRows + 100
+	cols := tierCols(n, 0)
+	score := vec.Col{Tag: vec.Float64}
+	for i := 0; i < n; i++ {
+		if i%7 == 0 {
+			score.AppendNull()
+		} else {
+			score.AppendFloat(float64(i) / 4)
+		}
+	}
+	cols["score"] = score
+	if err := m.PutColumnVectors("D", n, cols); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := m.GetColumns("D", []string{"id", "cond", "score"})
+	if !ok || !e.Encoded() {
+		t.Fatal("entry not in the encoded tier")
+	}
+	src := &ColumnsSource{Entry: e, Dataset: "D", Mgr: m}
+	scan, total, ok := src.OpenRange([]string{"id", "cond", "score"})
+	if !ok || total != n {
+		t.Fatalf("OpenRange = %v, %d rows", ok, total)
+	}
+	const morsels = 4
+	sums := make([]int64, morsels)
+	errs := make([]error, morsels)
+	run := func() {
+		var wg sync.WaitGroup
+		for k := 0; k < morsels; k++ {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				sums[k] = 0
+				errs[k] = scan(k*n/morsels, (k+1)*n/morsels, 256, func(b *vec.Batch) error {
+					for i := 0; i < b.Len(); i++ {
+						sums[k] += b.Cols[0].Ints[i]
+					}
+					return nil
+				})
+			}(k)
+		}
+		wg.Wait()
+	}
+	run() // grows the pooled buffers
+	// The median run: two garbage collections in a row empty a sync.Pool,
+	// and the run after them grows its buffers again.
+	perRun := make([]uint64, 31)
+	for i := range perRun {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		perRun[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(perRun)
+	var sum int64
+	for k, s := range sums {
+		if errs[k] != nil {
+			t.Fatal(errs[k])
+		}
+		sum += s
+	}
+	if want := int64(n) * int64(n-1) / 2; sum != want {
+		t.Fatalf("sum of ids = %d, want %d", sum, want)
+	}
+	// One block of one dictionary column decodes 16 KiB of codes; a run
+	// decodes every block of three columns.
+	if raceEnabled {
+		return
+	}
+	if median := perRun[len(perRun)/2]; median > colenc.BlockRows {
+		t.Fatalf("a repeated scan allocated %d bytes (the median of %d runs)", median, len(perRun))
 	}
 }

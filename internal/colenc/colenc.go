@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sort"
 
 	"vida/internal/bsonlite"
@@ -338,8 +339,9 @@ func (c *Col) VerifyBlock(bi int) error {
 // DecodeBlock decodes block bi into dst, replacing its contents. Dict
 // columns decode to vec.StrDict sharing the column's dictionary; all
 // other encodings decode to their original tag. The destination keeps
-// its payload capacity across calls, so a scan reusing one dst per
-// column allocates only on the first (and largest) block.
+// its payload capacity across calls, its validity mask's included, so a
+// scan reusing one dst per column allocates only on the first (and
+// largest) block.
 func (c *Col) DecodeBlock(bi int, dst *vec.Col) error {
 	if bi < 0 || bi >= len(c.Blocks) {
 		return fmt.Errorf("colenc: block %d out of range [0,%d)", bi, len(c.Blocks))
@@ -353,8 +355,8 @@ func (c *Col) DecodeBlock(bi int, dst *vec.Col) error {
 	if c.Enc == EncDict {
 		tag = vec.StrDict
 	}
+	spare := dst.Nulls[:0]
 	dst.Reset(tag)
-	dst.Dict = nil
 	flags, data := data[0], data[1:]
 	var nulls []byte
 	if flags&1 != 0 {
@@ -363,7 +365,7 @@ func (c *Col) DecodeBlock(bi int, dst *vec.Col) error {
 			return fmt.Errorf("colenc: block %d: truncated null bitmap", bi)
 		}
 		nulls, data = data[:nb], data[nb:]
-		mask := make([]bool, b.Rows)
+		mask := slices.Grow(spare, b.Rows)[:b.Rows]
 		for i := 0; i < b.Rows; i++ {
 			mask[i] = nulls[i/8]&(1<<uint(i%8)) != 0
 		}

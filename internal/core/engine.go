@@ -114,7 +114,7 @@ type Stats struct {
 	RawScans          int64
 	CacheScans        int64
 	Cache             cache.Stats
-	AuxiliaryBytes    int64 // positional maps + semi-indexes
+	AuxiliaryBytes    int64 // positional maps (as loaded or built so far) + semi-indexes
 	RawFileBytes      int64 // distinct file generations the catalog holds, each once
 	Memory            MemoryStats
 	PanicsRecovered   int64 // execution panics contained as query errors
@@ -373,13 +373,13 @@ func (e *Engine) Register(desc *sdg.Description) error {
 		return err
 	}
 	warm := entry.csv != nil && e.opts.CacheDir != ""
-	// Warm restart: the posmap sidecar (trusted for the mtime+size read)
-	// loads into the reader while it is private; the spill (keyed by the
-	// content read) lands only while the generation is still current.
+	// Warm restart: the reader records the posmap sidecar while it is
+	// private and loads it (trusted for the mtime+size read) when a scan,
+	// the cost model or a Refresh first needs the map, so a restart the
+	// cache answers never decodes it; the spill (keyed by the content
+	// read) lands only while the generation is still current.
 	if warm {
-		if _, err := entry.csv.LoadAux(e.auxPath(desc.Name)); err != nil {
-			slog.Warn("core: posmap sidecar unusable, rebuilding on demand", "dataset", desc.Name, "err", err)
-		}
+		entry.csv.UseAux(e.auxPath(desc.Name))
 	}
 	if err := e.publish(desc.Name, add(entry.derive())); err != nil {
 		return err
@@ -627,7 +627,7 @@ func (e *Engine) StatsSnapshot() Stats {
 			raw += int64(len(g.Bytes()))
 		}
 		if s.csv != nil {
-			aux += s.csv.PosMap().MemoryBytes()
+			aux += s.csv.LoadedPosMap().MemoryBytes()
 		}
 		if s.json != nil {
 			aux += s.json.SemiIndex().MemoryBytes()
@@ -679,7 +679,8 @@ func (e *Engine) StatsSnapshot() Stats {
 // semi-index coverage (paper §5: the wrapper "takes into account any
 // auxiliary structures present, and normalizes access costs").
 type liveCostModel struct {
-	e *Engine
+	e  *Engine
+	sp *trace.Span // the optimize span, which a sidecar load the model pays for lands on
 }
 
 // SourceRows implements optimizer.CostModel.
@@ -690,8 +691,8 @@ func (m liveCostModel) SourceRows(name string) int64 {
 	}
 	switch {
 	case s.csv != nil:
-		if s.csv.PosMap().HasRows() {
-			return int64(s.csv.PosMap().NumRows())
+		if pm := s.csv.LoadedPosMap(); pm.HasRows() {
+			return int64(pm.NumRows())
 		}
 		// Estimate from file size: ~64 bytes per row.
 		return s.csv.SizeBytes()/64 + 1
@@ -725,6 +726,7 @@ func (m liveCostModel) PerTupleCost(name string, fields []string) float64 {
 	}
 	switch {
 	case s.csv != nil:
+		loadSidecar(s.csv, m.sp)
 		if len(fields) > 0 && s.csv.Mapped(fields) {
 			return optimizer.CostCSVMapped * float64(nf)
 		}
@@ -877,7 +879,7 @@ func (e *Engine) PrepareCtx(ctx context.Context, src string) (*Prepared, error) 
 	if err != nil {
 		return nil, err
 	}
-	cm := liveCostModel{e: e}
+	cm := liveCostModel{e: e, sp: osp}
 	var opt *algebra.Reduce
 	if e.opts.Adaptive {
 		opt, err = optimizer.AdaptiveOptimize(plan, catalog{e: e}, cm)

@@ -9,6 +9,7 @@ import (
 	"vida/internal/cache"
 	"vida/internal/faultinject"
 	"vida/internal/jit"
+	"vida/internal/rawcsv"
 	"vida/internal/sdg"
 	"vida/internal/trace"
 	"vida/internal/values"
@@ -187,6 +188,20 @@ func (s *scanSource) buildStats() (builds, nanos int64, event string) {
 	return 0, 0, ""
 }
 
+// loadSidecar loads the positional-map sidecar Register recorded on a
+// CSV reader unless something already has (rawcsv.Reader.LoadPosMap), and
+// puts the load on sp as a sidecar_load event when this call ran it: the
+// query whose scan or plan first needs the map pays for it, and a query
+// the cache serves never does.
+func loadSidecar(r *rawcsv.Reader, sp *trace.Span) {
+	if r == nil {
+		return
+	}
+	if took, ok := r.LoadPosMap(); ok && sp != nil {
+		sp.Event("sidecar_load", took, trace.Attr{Key: "source", Val: r.Name()})
+	}
+}
+
 // install runs a harvest's cache write only while the generation the
 // scan read is current (Engine.whileCurrent).
 func (s *scanSource) install(put func() error) error {
@@ -213,6 +228,7 @@ func (s *scanSource) IterateBatches(fields []string, batchSize int, yield func(*
 	}
 	s.e.rawScans.Add(1)
 	sp := s.scanSpan("raw")
+	loadSidecar(s.entry.csv, sp)
 	if sp != nil {
 		b0, n0, event := s.buildStats()
 		defer func() {
@@ -317,6 +333,9 @@ func (s *scanSource) OpenRange(fields []string) (func(lo, hi, batchSize int, yie
 		if !ok {
 			return nil, 0, false
 		}
+		// No scan span is open yet, and the JIT may still fall back to
+		// IterateBatches: the load lands on the query's span.
+		loadSidecar(s.entry.csv, s.sp)
 		if scan, n, ok = rs.OpenRange(fields); !ok {
 			return nil, 0, false
 		}

@@ -8,10 +8,11 @@ import (
 // Refresh re-checks the file and returns the generation that describes
 // it: the receiver when the file is unchanged or cannot be read, else a
 // successor. It never changes the receiver. An append (rawfile) extends
-// the positional map by the tail, provided this generation has a row
-// index (else there is nothing to keep) and ends on a row boundary (else
-// the tail continues its last row); any other change, or a failed rung,
-// starts the successor on an empty map (Replaced). Either way the
+// the positional map by the tail — a sidecar recorded by UseAux loads
+// first — provided this generation has a row index (else there is
+// nothing to keep) and ends on a row boundary (else the tail continues
+// its last row); any other change, or a failed rung, starts the
+// successor on an empty map (Replaced). Either way the
 // successor answers exactly like a reader opened fresh on the file. A
 // known generation may be the successor's file (rawfile.Generation.Next).
 func (r *Reader) Refresh(known ...*rawfile.Generation) (*Reader, rawfile.Change, error) {
@@ -20,10 +21,11 @@ func (r *Reader) Refresh(known ...*rawfile.Generation) (*Reader, rawfile.Change,
 		return r, ch, err
 	}
 	next := &Reader{shared: r.shared, file: file, data: file.Bytes(), pm: NewPosMap()}
-	snap := r.pm.Snapshot()
-	switch {
-	case ch.Kind == rawfile.Replaced:
+	if ch.Kind == rawfile.Replaced {
 		return next, ch, nil
+	}
+	snap := r.PosMap().Snapshot()
+	switch {
 	case len(snap.Rows) == 0:
 		return next, rawfile.Change{Kind: rawfile.Replaced, Reason: "no positional map to extend"}, nil
 	case r.data[len(r.data)-1] != '\n':

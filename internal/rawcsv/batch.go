@@ -164,7 +164,7 @@ func (r *Reader) IterateBatches(fields []string, batchSize int, yield func(*vec.
 		r.stats.Builds.Add(1)
 		r.stats.BuildNanos.Add(int64(time.Since(start)))
 	}()
-	if snap := r.pm.Snapshot(); len(snap.Rows) > 0 {
+	if snap := r.PosMap().Snapshot(); len(snap.Rows) > 0 {
 		return r.iterateAnchoredBatches(&snap, cols, batchSize, yield)
 	}
 	return r.iterateFullBatches(cols, batchSize, yield)
@@ -309,7 +309,7 @@ func (r *Reader) iterateAnchoredBatches(snap *Snapshot, cols []int, batchSize in
 	r.stats.FieldsJumped.Add(int64(committed * nMapped))
 	for _, p := range plans {
 		if p.starts == nil {
-			r.pm.SetCol(p.col, newStarts[p.out], newEnds[p.out])
+			r.PosMap().SetCol(p.col, newStarts[p.out], newEnds[p.out])
 		}
 	}
 	if b.N > 0 {
@@ -432,7 +432,7 @@ func (r *Reader) OpenRange(fields []string) (func(lo, hi, batchSize int, yield f
 }
 
 func (r *Reader) openRangeCols(cols []int) (func(lo, hi, batchSize int, yield func(*vec.Batch) error) error, int, bool) {
-	snap := r.pm.Snapshot()
+	snap := r.PosMap().Snapshot()
 	if len(snap.Rows) == 0 || !snap.HasCols(cols) {
 		return nil, 0, false
 	}

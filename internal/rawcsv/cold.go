@@ -193,7 +193,7 @@ func (r *Reader) iterateFullBatches(cols []int, batchSize int, yield func(*vec.B
 			return err
 		}
 	}
-	s.seal(r.pm)
+	s.seal(r.PosMap())
 	if b.N > 0 {
 		return yield(b)
 	}

@@ -18,6 +18,10 @@ import (
 //     sidecar is versioned, validated against the file's current
 //     mtime+size, and CRC-protected; any mismatch falls back to a
 //     fresh first-touch build instead of trusting stale offsets.
+//   - UseAux defers the read: a restarted engine records the sidecar on
+//     the reader, and LoadPosMap runs LoadAux the first time a scan,
+//     a range scan, the cost model, a Refresh or SaveAux needs the map.
+//     A restart that the rehydrated cache answers never decodes it.
 
 var auxMagic = []byte("VAUX")
 
@@ -33,7 +37,7 @@ func (r *Reader) Generation() string { return r.file.Key() }
 // temp+rename). A map with no recorded rows is not worth persisting and
 // saves nothing.
 func (r *Reader) SaveAux(path string) error {
-	snap := r.pm.Snapshot()
+	snap := r.PosMap().Snapshot()
 	if len(snap.Rows) == 0 {
 		return nil
 	}
@@ -82,7 +86,9 @@ func (r *Reader) SaveAux(path string) error {
 // sidecar is also an error so callers can log it. A checksum does not
 // make offsets true: rows must start in strictly increasing order inside
 // the file and every span must lie inside its row, or scans would slice
-// past it or read a line twice.
+// past it or read a line twice. Nor does a checksum make the row count
+// true: every row and span is at least one varint byte, so a count the
+// remaining body cannot hold is refused before anything is allocated.
 func (r *Reader) LoadAux(path string) (bool, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -129,7 +135,7 @@ func (r *Reader) LoadAux(path string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if nRows > uint64(len(r.data))+1 {
+	if nRows > uint64(len(r.data))+1 || nRows > uint64(len(body)-pos) {
 		return false, fmt.Errorf("rawcsv: %s: implausible row count %d", path, nRows)
 	}
 	rows := make([]int64, nRows)
@@ -162,6 +168,9 @@ func (r *Reader) LoadAux(path string) (bool, error) {
 		}
 		if j >= uint64(len(r.rowType.Attrs)) {
 			return false, fmt.Errorf("rawcsv: %s: column index %d out of range", path, j)
+		}
+		if 2*nRows > uint64(len(body)-pos) {
+			return false, fmt.Errorf("rawcsv: %s: truncated sidecar", path)
 		}
 		starts := make([]int32, nRows)
 		ends := make([]int32, nRows)

@@ -5,6 +5,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,6 +109,40 @@ func TestLoadAuxRejectsStaleAndCorrupt(t *testing.T) {
 	// Absent sidecar is a clean miss, not an error.
 	if ok, err := r2.LoadAux(filepath.Join(t.TempDir(), "absent.posmap")); ok || err != nil {
 		t.Fatalf("absent sidecar: ok=%v err=%v", ok, err)
+	}
+
+	// A checksummed sidecar of this very file whose row count its body
+	// cannot hold (every row start is at least one varint byte) is refused
+	// before the row index is allocated: a bogus count costs nothing like
+	// the 8 bytes per file byte the index would take.
+	bigPath := writeFile(t, sample+strings.Repeat("4,zed,1.5,false\n", 4096))
+	big, err := Open(desc(t, bigPath, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := uint64(big.SizeBytes())
+	body := binary.AppendVarint(nil, big.file.Mtime().UnixNano())
+	body = binary.AppendUvarint(body, size)
+	body = binary.AppendUvarint(body, size)
+	body = binary.AppendUvarint(body, 0)
+	raw := binary.LittleEndian.AppendUint16(append([]byte(nil), auxMagic...), auxVersion)
+	raw = binary.LittleEndian.AppendUint32(append(raw, body...), crc32.Checksum(body, auxCRCTable))
+	bogus := filepath.Join(t.TempDir(), "bogus.posmap")
+	if err := os.WriteFile(bogus, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ok, err := big.LoadAux(bogus)
+	runtime.ReadMemStats(&after)
+	if ok || err == nil {
+		t.Fatalf("bogus row count: ok=%v err=%v (want rejection error)", ok, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > size {
+		t.Fatalf("bogus row count: LoadAux allocated %d bytes for a %d-byte file", alloc, size)
+	}
+	if big.PosMap().HasRows() {
+		t.Fatal("bogus row count installed rows")
 	}
 }
 

@@ -2,9 +2,12 @@ package rawcsv
 
 import (
 	"fmt"
+	"log/slog"
 	"math"
 	"strconv"
+	"sync"
 	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"vida/internal/rawfile"
@@ -35,6 +38,8 @@ type Stats struct {
 	BytesRead       atomic.Int64
 	Builds          atomic.Int64 // tokenizing first-touch builds of the positional map
 	BuildNanos      atomic.Int64 // wall time of those builds, not the CPU time of their helpers
+	AuxLoads        atomic.Int64 // loads of a sidecar recorded by UseAux, usable or not
+	AuxLoadNanos    atomic.Int64 // wall time of those loads
 }
 
 // Reader provides query access to one generation of a raw CSV file (a
@@ -48,12 +53,18 @@ type Stats struct {
 // of the spare capacity: the file generation's first successor (rawfile)
 // and the positional map's (extended), as readers over one path share the
 // bytes but not the map.
+//
+// A reader may start from a persisted map (UseAux): the sidecar loads
+// into pm the first time something needs the map, so a restart whose
+// queries the cache serves never reads it.
 type Reader struct {
 	*shared
 	file     *rawfile.Generation
 	data     []byte // file.Bytes(), held for the scan loops
 	pm       *PosMap
 	extended atomic.Bool // a successor claimed pm's spare capacity (Refresh)
+	sidecar  string      // the sidecar pm starts from (UseAux), loaded once by LoadPosMap
+	loadOnce sync.Once
 }
 
 // shared is what every generation of one file has in common; its
@@ -111,10 +122,47 @@ func (r *Reader) Name() string { return r.desc.Name }
 func (r *Reader) File() *rawfile.Generation { return r.file }
 
 // PosMap exposes the positional map (for the optimizer's cost model and
-// the experiments). It belongs to this generation; a successor has its
-// own — extended from this one after an append, empty after any other
-// change.
-func (r *Reader) PosMap() *PosMap { return r.pm }
+// the experiments), first loading the sidecar UseAux recorded. It belongs
+// to this generation; a successor has its own — extended from this one
+// after an append, empty after any other change.
+func (r *Reader) PosMap() *PosMap {
+	r.LoadPosMap()
+	return r.pm
+}
+
+// LoadedPosMap returns the positional map as scans and a sidecar load
+// have left it, without loading a recorded sidecar: statistics and
+// estimates read it, so they never pay for a load.
+func (r *Reader) LoadedPosMap() *PosMap { return r.pm }
+
+// UseAux records the positional-map sidecar at path (SaveAux) for this
+// generation to start from. Nothing is read until something needs the
+// map — a scan, OpenRange, Mapped, NumRows, PosMap, Refresh or SaveAux —
+// which then loads it through LoadAux, once. Call it before the reader is
+// shared.
+func (r *Reader) UseAux(path string) { r.sidecar = path }
+
+// LoadPosMap loads the sidecar UseAux recorded unless some call already
+// has, and reports how long the load took to the one call that ran it,
+// so its cost lands on the query that paid for it. A sidecar that is
+// absent or stale loads nothing, and one that is unusable is logged;
+// either way the map stays empty and the next scan builds it.
+func (r *Reader) LoadPosMap() (took time.Duration, loaded bool) {
+	if r.sidecar == "" {
+		return 0, false
+	}
+	r.loadOnce.Do(func() {
+		start := time.Now()
+		_, err := r.LoadAux(r.sidecar)
+		took, loaded = time.Since(start), true
+		r.stats.AuxLoads.Add(1)
+		r.stats.AuxLoadNanos.Add(int64(took))
+		if err != nil {
+			slog.Warn("rawcsv: posmap sidecar unusable, rebuilding on demand", "dataset", r.desc.Name, "err", err)
+		}
+	})
+	return took, loaded
+}
 
 // StatsSnapshot returns a copy of the counters.
 func (r *Reader) StatsSnapshot() map[string]int64 {
@@ -127,6 +175,8 @@ func (r *Reader) StatsSnapshot() map[string]int64 {
 		"bytes_read":       r.stats.BytesRead.Load(),
 		"builds":           r.stats.Builds.Load(),
 		"build_nanos":      r.stats.BuildNanos.Load(),
+		"aux_loads":        r.stats.AuxLoads.Load(),
+		"aux_load_nanos":   r.stats.AuxLoadNanos.Load(),
 	}
 }
 
@@ -169,12 +219,13 @@ func (r *Reader) NumRows() (int, error) {
 // Mapped reports whether the positional map locates every listed field,
 // so a scan of them jumps instead of tokenizing (the cost model asks).
 func (r *Reader) Mapped(fields []string) bool {
+	pm := r.PosMap()
 	for _, f := range fields {
-		if j, ok := r.colIdx[f]; !ok || !r.pm.HasCol(j) {
+		if j, ok := r.colIdx[f]; !ok || !pm.HasCol(j) {
 			return false
 		}
 	}
-	return r.pm.HasRows()
+	return pm.HasRows()
 }
 
 // resolveFields maps field names to schema columns; no fields means every

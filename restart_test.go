@@ -8,7 +8,12 @@ import (
 	"testing"
 
 	"vida"
+	"vida/internal/algebra"
+	"vida/internal/cache"
+	"vida/internal/colenc"
 	"vida/internal/faultinject"
+	"vida/internal/jit"
+	"vida/internal/sdg"
 )
 
 // writeCondPeopleCSV writes a deterministic CSV with a sequential int
@@ -93,11 +98,31 @@ func TestRestartWarmFromCacheDir(t *testing.T) {
 	}
 }
 
+// encodedCatalog serves an engine's encoded cache entry to a JIT
+// executor run with options of its own.
+type encodedCatalog struct {
+	eng *vida.Engine
+	src *cache.ColumnsSource
+}
+
+func (c encodedCatalog) Source(name string) (algebra.Source, bool) {
+	return c.src, name == c.src.Dataset
+}
+
+func (c encodedCatalog) Description(name string) (*sdg.Description, bool) {
+	return c.eng.Internal().Description(name)
+}
+
 // TestEncodedCacheAgreesWithHot extends the executor-equality suite to
 // encoded sources: the same queries over a hot-vector cache, a
 // forced-encoded cache, an uncached engine, and the reference executor
 // must agree byte for byte — including dictionary-code filter fast
-// paths on every relational operator (<, =, >, absent constants).
+// paths on every relational operator (<, =, >, absent constants). An
+// encoded entry of several blocks is also scanned morsel-parallel in small
+// batches against the hot cache, so morsels reuse decode buffers earlier
+// ones returned to the pool:
+// a join build side, a top-k or a list root that kept a decoded window
+// without copying it would read another morsel's rows.
 func TestEncodedCacheAgreesWithHot(t *testing.T) {
 	dir := t.TempDir()
 	path := writeCondPeopleCSV(t, dir, 2500)
@@ -110,6 +135,9 @@ func TestEncodedCacheAgreesWithHot(t *testing.T) {
 		`for { p <- People, p.name = "p100" } yield sum p.id`,
 		`for { p <- People, p.id <= 20 } yield bag (c := p.cond) order by p.cond, p.id limit 10`,
 		`for { p <- People, q <- People, p.id = q.id, q.cond = "mild" } yield count p`,
+		`for { p <- People, q <- People, p.id = q.id + 3, q.cond = "mild" } yield bag (a := p.id, n := q.name, c := q.cond)`,
+		`for { p <- People, p.age > 25 } yield list (i := p.id, n := p.name, c := p.cond) order by p.age desc, p.id limit 15`,
+		`for { p <- People, p.age > 70 } yield list (i := p.id, c := p.cond, n := p.name)`,
 	}
 	type config struct {
 		name string
@@ -152,4 +180,63 @@ func TestEncodedCacheAgreesWithHot(t *testing.T) {
 			}
 		}
 	}
+
+	// A file several blocks long, so morsels decode different blocks into
+	// the buffers they pass on.
+	big := writeCondPeopleCSV(t, t.TempDir(), 3*colenc.BlockRows+500)
+	_, want := twoPasses(t, big, queries)
+	enc, _ := twoPasses(t, big, queries, vida.WithCacheHotBytes(1))
+	for i, got := range morselsOverEncoded(t, enc, queries) {
+		if got != want[i] {
+			t.Fatalf("encoded morsels diverged on %q: %s vs %s", queries[i], got, want[i])
+		}
+	}
+}
+
+// twoPasses runs queries twice over People at path on a new engine — the
+// first pass fills (and tiers) the cache — and returns the engine and the
+// second pass's rendered answers.
+func twoPasses(t *testing.T, path string, queries []string, opts ...vida.Option) (*vida.Engine, []string) {
+	t.Helper()
+	eng := vida.New(opts...)
+	if err := eng.RegisterCSV("People", path, condPeopleSchema, nil); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(queries))
+	for pass := 0; pass < 2; pass++ {
+		for i, q := range queries {
+			r, err := eng.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			out[i] = r.String()
+		}
+	}
+	return eng, out
+}
+
+// morselsOverEncoded runs queries over eng's encoded People entry with a
+// four-worker JIT that splits every scan into morsels of a few 64-row
+// batches, and returns the rendered answers.
+func morselsOverEncoded(t *testing.T, eng *vida.Engine, queries []string) []string {
+	t.Helper()
+	entry, ok := eng.Internal().Caches().Peek("People", cache.LayoutColumns)
+	if !ok || !entry.Encoded() {
+		t.Fatal("People is not in the encoded tier")
+	}
+	cat := encodedCatalog{eng: eng, src: &cache.ColumnsSource{Entry: entry, Dataset: "People"}}
+	ex := jit.Executor{Opts: jit.Options{Workers: 4, ParallelThreshold: 1, BatchSize: 64}}
+	out := make([]string, len(queries))
+	for i, q := range queries {
+		p, err := eng.Internal().Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := ex.Run(p.Plan(), cat)
+		if err != nil {
+			t.Fatalf("encoded-morsels: %s: %v", q, err)
+		}
+		out[i] = v.String()
+	}
+	return out
 }
