@@ -262,3 +262,97 @@ func TestAliasesScanBesideRefresh(t *testing.T) {
 	assertOneCopy(t, e, path, "after the appends", names...)
 	assertAliasesLikeFresh(t, e, path, "after the appends", names...)
 }
+
+// TestNextOncePerGeneration: one Refresh reads each file the catalog
+// holds once, however many names are registered over it — after appends,
+// after a rename that replaces a file and with nothing changed — and the
+// names then hold one copy each file and answer like a fresh engine.
+func TestNextOncePerGeneration(t *testing.T) {
+	const files, perFile = 2, 6
+	dir := t.TempDir()
+	var paths []string
+	for f := 0; f < files; f++ {
+		paths = append(paths, writePatients(t, dir, fmt.Sprintf("p%d.csv", f), patientRows(0, 50, -1)))
+	}
+	e := aliasEngine(t, paths, perFile)
+	for f := range paths {
+		for i := 0; i < perFile; i++ {
+			if _, err := e.Query(fmt.Sprintf(`for { p <- %s } yield count p.age`, aliasName(f, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	nexts := countNext(t, nil)
+	refresh := func(step string) {
+		t.Helper()
+		before := nexts.Load()
+		if err := e.Refresh(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if got := nexts.Load() - before; got != files {
+			t.Fatalf("%s: Refresh read %d successors over %d names, want one per file (%d)", step, got, files*perFile, files)
+		}
+		for f, path := range paths {
+			var names []string
+			for i := 0; i < perFile; i++ {
+				names = append(names, aliasName(f, i))
+			}
+			g := aliasFile(t, e, names[0])
+			for _, name := range names[1:] {
+				if aliasFile(t, e, name) != g {
+					t.Fatalf("%s: %s and %s hold two copies of %s", step, names[0], name, path)
+				}
+			}
+			assertAliasesLikeFresh(t, e, path, step, names...)
+		}
+	}
+	for _, path := range paths {
+		appendPatientRows(t, path, 50, 60)
+	}
+	before := e.StatsSnapshot()
+	refresh("appended")
+	if st := e.StatsSnapshot(); st.RefreshAppends-before.RefreshAppends != files*perFile {
+		t.Fatalf("appends tallied = %d, want one per name (%d)", st.RefreshAppends-before.RefreshAppends, files*perFile)
+	}
+	tmp := paths[0] + ".next"
+	if err := os.WriteFile(tmp, []byte("id,age,city,score\n"+patientRows(0, 40, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bumpMtime(t, tmp)
+	if err := os.Rename(tmp, paths[0]); err != nil {
+		t.Fatal(err)
+	}
+	refresh("one file replaced")
+	refresh("unchanged")
+}
+
+// TestDeregisterMidRefresh: a name deregistered after Refresh read its
+// file's successor and before anything was published over it is not
+// published again, and its siblings are: they hold the successor and
+// answer like a fresh engine over the grown file.
+func TestDeregisterMidRefresh(t *testing.T) {
+	const perFile = 4
+	path := writePatients(t, t.TempDir(), "p.csv", patientRows(0, 50, -1))
+	e := aliasEngine(t, []string{path}, perFile)
+	var names []string
+	for i := 0; i < perFile; i++ {
+		names = append(names, aliasName(0, i))
+	}
+	assertAliasesLikeFresh(t, e, path, "registered", names...)
+	gone := names[1]
+	countNext(t, func() { e.Deregister(gone) })
+	appendPatientRows(t, path, 50, 60)
+	before := e.StatsSnapshot()
+	if err := e.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.Description(gone); ok {
+		t.Fatalf("%s was published again after it was deregistered", gone)
+	}
+	siblings := append([]string{names[0]}, names[2:]...)
+	if st := e.StatsSnapshot(); st.RefreshAppends-before.RefreshAppends != int64(len(siblings)) {
+		t.Fatalf("appends tallied = %d, want one per sibling (%d)", st.RefreshAppends-before.RefreshAppends, len(siblings))
+	}
+	assertOneCopy(t, e, path, "after the refresh", siblings...)
+	assertAliasesLikeFresh(t, e, path, "after the refresh", siblings...)
+}

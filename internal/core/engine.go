@@ -162,7 +162,7 @@ type sourceEntry struct {
 	desc *sdg.Description
 	// The plug-in — a file reader, or a caller's view (RegisterSource) —
 	// and the cleaner attached to it (paper §7).
-	files
+	file    plugin
 	view    algebra.Source
 	cleaner *clean.Cleaner
 	// src is the plug-in behind its cleaner and raw its batch view
@@ -171,39 +171,60 @@ type sourceEntry struct {
 	raw jit.BatchSource
 }
 
-// files holds a source's file reader, one of the four (none for a view).
-type files struct {
-	csv  *rawcsv.Reader
-	json *rawjson.Reader
-	arr  *rawarr.Reader
-	xls  *rawxls.Reader
+// plugin is a file reader: a source over one generation of its file,
+// which it never reads again. Refresh builds the next one over the
+// file's successor (Engine.Refresh).
+type plugin interface {
+	algebra.Source
+	File() *rawfile.Generation
 }
 
-// file returns the file generation the reader reads (nil for a view).
-func (f files) file() *rawfile.Generation {
-	switch {
-	case f.csv != nil:
-		return f.csv.File()
-	case f.json != nil:
-		return f.json.File()
-	case f.arr != nil:
-		return f.arr.File()
-	case f.xls != nil:
-		return f.xls.File()
+// readers builds each file format's plug-in over one generation of its
+// file.
+var readers = map[sdg.Format]func(*sdg.Description, *rawfile.Generation) (plugin, error){
+	sdg.FormatCSV:   reader(rawcsv.New),
+	sdg.FormatJSON:  reader(rawjson.New),
+	sdg.FormatArray: reader(rawarr.New),
+	sdg.FormatXLS:   reader(rawxls.New),
+}
+
+// reader returns a format's constructor as a plug-in constructor, whose
+// plug-in is not to be used when it fails.
+func reader[R plugin](build func(*sdg.Description, *rawfile.Generation) (R, error)) func(*sdg.Description, *rawfile.Generation) (plugin, error) {
+	return func(desc *sdg.Description, file *rawfile.Generation) (plugin, error) { return build(desc, file) }
+}
+
+// csv returns the entry's reader when it is a CSV file's (nil for no
+// entry): the one format with a posmap sidecar, a scheduler, spilled cache
+// blocks and a refresh that keeps what it built (rawcsv.Reader.Follow).
+func (s *sourceEntry) csv() *rawcsv.Reader {
+	if s == nil {
+		return nil
 	}
-	return nil
+	r, _ := s.file.(*rawcsv.Reader)
+	return r
+}
+
+// indexer is a plug-in that builds an auxiliary index over its file as
+// queries touch it (paper §5): a CSV positional map, a JSON semi-index. It
+// reports the index's name, its size, and the count and wall time of its
+// builds.
+type indexer interface {
+	AuxName() string
+	AuxBytes() int64
+	BuildStats() (builds, nanos int64)
 }
 
 // known returns the file generations published entries over path hold: a
-// reader opened or refreshed over path shares the one that describes the
-// file (rawfile.Load), so aliases of a file hold one copy.
+// reader registered or refreshed over path shares the one that describes
+// the file (rawfile.Load), so aliases of a file hold one copy.
 func (e *Engine) known(path string) []*rawfile.Generation {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	var out []*rawfile.Generation
 	for _, s := range e.sources {
-		if g := s.file(); g != nil && s.desc.Path == path {
-			out = append(out, g)
+		if s.file != nil && s.desc.Path == path {
+			out = append(out, s.file.File())
 		}
 	}
 	return out
@@ -212,15 +233,8 @@ func (e *Engine) known(path string) []*rawfile.Generation {
 // derive sets src and raw from the plug-in and cleaner, and returns s.
 func (s *sourceEntry) derive() *sourceEntry {
 	src := s.view
-	switch {
-	case s.csv != nil:
-		src = s.csv
-	case s.json != nil:
-		src = s.json
-	case s.arr != nil:
-		src = s.arr
-	case s.xls != nil:
-		src = s.xls
+	if s.file != nil {
+		src = s.file
 	}
 	if s.cleaner != nil {
 		src = &cleanedSource{inner: src, cleaner: s.cleaner}
@@ -351,35 +365,30 @@ func (e *Engine) Register(desc *sdg.Description) error {
 	if err := desc.Validate(); err != nil {
 		return err
 	}
-	entry := &sourceEntry{desc: desc}
-	known := e.known(desc.Path)
-	var err error
-	switch desc.Format {
-	case sdg.FormatCSV:
-		entry.csv, err = rawcsv.Open(desc, known...)
-		if err == nil {
-			entry.csv.UseScheduler(e.opts.Pool, e.opts.Workers)
-		}
-	case sdg.FormatJSON:
-		entry.json, err = rawjson.Open(desc, known...)
-	case sdg.FormatArray:
-		entry.arr, err = rawarr.Open(desc, known...)
-	case sdg.FormatXLS:
-		entry.xls, err = rawxls.Open(desc, known...)
-	default:
+	build, ok := readers[desc.Format]
+	if !ok {
 		return fmt.Errorf("core: format %s needs RegisterSource", desc.Format)
 	}
+	file, err := rawfile.Load(desc.Path, e.known(desc.Path)...)
 	if err != nil {
+		return fmt.Errorf("core: %s: %w", desc.Name, err)
+	}
+	entry := &sourceEntry{desc: desc}
+	if entry.file, err = build(desc, file); err != nil {
 		return err
 	}
-	warm := entry.csv != nil && e.opts.CacheDir != ""
+	r := entry.csv()
+	warm := r != nil && e.opts.CacheDir != ""
+	if r != nil {
+		r.UseScheduler(e.opts.Pool, e.opts.Workers)
+	}
 	// Warm restart: the reader records the posmap sidecar while it is
 	// private and loads it (trusted for the mtime+size read) when a scan,
 	// the cost model or a Refresh first needs the map, so a restart the
 	// cache answers never decodes it; the spill (keyed by the content
 	// read) lands only while the generation is still current.
 	if warm {
-		entry.csv.UseAux(e.auxPath(desc.Name))
+		r.UseAux(e.auxPath(desc.Name))
 	}
 	if err := e.publish(desc.Name, add(entry.derive())); err != nil {
 		return err
@@ -387,7 +396,7 @@ func (e *Engine) Register(desc *sdg.Description) error {
 	_ = faultinject.Hit(faultinject.RegisterPublished) // a pause point: see its doc
 	if warm {
 		_ = e.whileCurrent([]Generation{{Source: desc.Name, Gen: entry.gen}}, func() error {
-			e.caches.Rehydrate(desc.Name, entry.csv.Generation())
+			e.caches.Rehydrate(desc.Name, r.Generation())
 			return nil
 		})
 	}
@@ -428,8 +437,8 @@ func (e *Engine) publish(name string, ch change) error {
 	// Only an uncleaned CSV generation spills: a cleaned one's columns are
 	// not the file's, and a removed source's reader must not stay reachable.
 	var gen func() string
-	if next != nil && next.csv != nil && next.cleaner == nil {
-		gen = next.csv.Generation
+	if r := next.csv(); r != nil && next.cleaner == nil {
+		gen = r.Generation
 	}
 	e.caches.SetSpillKey(name, gen)
 	e.mu.Unlock()
@@ -460,10 +469,11 @@ func (e *Engine) auxPath(name string) string {
 // generation's map never overwrites a newer one's. Failures only cost
 // the next restart's first touch.
 func (e *Engine) saveAux(entry *sourceEntry) {
-	if e.opts.CacheDir == "" || entry.csv == nil {
+	r := entry.csv()
+	if e.opts.CacheDir == "" || r == nil {
 		return
 	}
-	if err := entry.csv.SaveAux(e.auxPath(entry.desc.Name)); err != nil {
+	if err := r.SaveAux(e.auxPath(entry.desc.Name)); err != nil {
 		slog.Warn("core: saving posmap sidecar failed", "dataset", entry.desc.Name, "err", err)
 	}
 }
@@ -622,15 +632,12 @@ func (e *Engine) StatsSnapshot() Stats {
 	published := e.published
 	held := map[*rawfile.Generation]bool{}
 	for _, s := range e.sources {
-		if g := s.file(); g != nil && !held[g] {
-			held[g] = true
-			raw += int64(len(g.Bytes()))
+		if s.file != nil && !held[s.file.File()] {
+			held[s.file.File()] = true
+			raw += int64(len(s.file.File().Bytes()))
 		}
-		if s.csv != nil {
-			aux += s.csv.LoadedPosMap().MemoryBytes()
-		}
-		if s.json != nil {
-			aux += s.json.SemiIndex().MemoryBytes()
+		if ix, ok := s.file.(indexer); ok {
+			aux += ix.AuxBytes()
 		}
 	}
 	e.mu.RUnlock()
@@ -689,23 +696,23 @@ func (m liveCostModel) SourceRows(name string) int64 {
 	if !ok {
 		return 1000
 	}
-	switch {
-	case s.csv != nil:
-		if pm := s.csv.LoadedPosMap(); pm.HasRows() {
+	switch r := s.file.(type) {
+	case *rawcsv.Reader:
+		if pm := r.LoadedPosMap(); pm.HasRows() {
 			return int64(pm.NumRows())
 		}
 		// Estimate from file size: ~64 bytes per row.
-		return s.csv.SizeBytes()/64 + 1
-	case s.json != nil:
-		if s.json.SemiIndex().HasObjects() {
-			return int64(s.json.SemiIndex().NumObjects())
+		return r.SizeBytes()/64 + 1
+	case *rawjson.Reader:
+		if r.SemiIndex().HasObjects() {
+			return int64(r.SemiIndex().NumObjects())
 		}
-		return s.json.SizeBytes()/256 + 1
-	case s.arr != nil:
-		hdr := s.arr.Header()
+		return r.SizeBytes()/256 + 1
+	case *rawarr.Reader:
+		hdr := r.Header()
 		return int64(hdr.Cells())
-	case s.xls != nil:
-		return int64(s.xls.NumRows())
+	case *rawxls.Reader:
+		return int64(r.NumRows())
 	default:
 		return 1000
 	}
@@ -724,21 +731,21 @@ func (m liveCostModel) PerTupleCost(name string, fields []string) float64 {
 	if !ok {
 		return float64(nf)
 	}
-	switch {
-	case s.csv != nil:
-		loadSidecar(s.csv, m.sp)
-		if len(fields) > 0 && s.csv.Mapped(fields) {
+	switch r := s.file.(type) {
+	case *rawcsv.Reader:
+		loadSidecar(s, m.sp)
+		if len(fields) > 0 && r.Mapped(fields) {
 			return optimizer.CostCSVMapped * float64(nf)
 		}
 		return optimizer.CostCSVCold * float64(nf)
-	case s.json != nil:
-		if ix := s.json.SemiIndex(); len(fields) > 0 && ix.HasObjects() && ix.HasFields(fields) {
+	case *rawjson.Reader:
+		if ix := r.SemiIndex(); len(fields) > 0 && ix.HasObjects() && ix.HasFields(fields) {
 			return optimizer.CostJSONMapped * float64(nf)
 		}
 		return optimizer.CostJSONCold * float64(nf)
-	case s.arr != nil:
+	case *rawarr.Reader:
 		return optimizer.CostArray * float64(nf)
-	case s.xls != nil:
+	case *rawxls.Reader:
 		return optimizer.CostXLS * float64(nf)
 	default:
 		return optimizer.CostTable * float64(nf)

@@ -1,84 +1,93 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
 
 	"vida/internal/cache"
-	"vida/internal/rawcsv"
+	"vida/internal/jit"
 	"vida/internal/rawfile"
 	"vida/internal/vec"
 )
 
 // Refresh re-checks every file-backed source. A reader is one generation
-// of its file: its Refresh returns the successor, which only publish
-// shows to later scans, so one query reads one file. A CSV file that only
-// grew keeps what the engine built over it: the successor extends the
-// positional map by the tail (rawcsv.Reader.Refresh) and the columnar
-// cache entry is extended by the same rows. Any other change drops the
-// source's auxiliary structures and cache entries wholesale (paper §2.1).
-// Sources over one path share its generations: the first one refreshed
-// reads the change, the rest adopt its published successor (Engine.known).
-// An unreadable file keeps its source's generation; errors are joined.
+// of its file, and the catalog owns the generation: Refresh asks each
+// published generation for its successor once (rawfile.Generation.Next,
+// given the generations the catalog holds for the path, so names holding
+// different versions of one file converge on one copy), then publishes
+// every name over it with a reader built from that one successor, so one
+// query reads one file. A CSV file that only grew keeps what the engine
+// built over it: the successor's reader extends the positional map by the
+// tail (rawcsv.Reader.Follow) and the columnar cache entry is extended by
+// the same rows. Any other change drops the source's auxiliary structures
+// and cache entries wholesale (paper §2.1). An unreadable file keeps its
+// sources' generation; errors are joined.
 func (e *Engine) Refresh() error {
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()
 	e.mu.RLock()
-	targets := make([]*sourceEntry, 0, len(e.sources))
+	byFile := map[*rawfile.Generation][]*sourceEntry{}
 	for _, s := range e.sources {
-		if s.files != (files{}) {
-			targets = append(targets, s)
+		if s.file != nil {
+			byFile[s.file.File()] = append(byFile[s.file.File()], s)
 		}
 	}
 	e.mu.RUnlock()
 	var errs []error
-	for _, s := range targets {
-		if err := e.refresh(s); err != nil {
-			errs = append(errs, fmt.Errorf("core: refresh %s: %w", s.desc.Name, err))
+	for g, over := range byFile {
+		next, ch, err := nextGeneration(g, e.known(over[0].desc.Path)...)
+		for _, s := range over {
+			serr := err
+			if serr == nil && ch.Kind != rawfile.Unchanged {
+				serr = e.refresh(s, next, ch)
+			}
+			if serr != nil {
+				errs = append(errs, fmt.Errorf("core: refresh %s: %w", s.desc.Name, serr))
+			}
 		}
 	}
 	return errors.Join(errs...)
 }
 
+// nextGeneration is rawfile.Generation.Next, the one read of a changed
+// file per Refresh; tests count it.
+var nextGeneration = (*rawfile.Generation).Next
+
 // errSuperseded aborts the publish of a successor whose reader was
 // replaced or removed meanwhile.
 var errSuperseded = errors.New("core: the refreshed reader is no longer published")
 
-// refresh publishes the successor of s's reader, wrapped in the cleaner
-// of the entry published then, if that entry still holds s's reader;
-// else, like a stale harvest, the successor is dropped.
-func (e *Engine) refresh(s *sourceEntry) error {
+// refresh publishes s with a reader over file, the successor of its own
+// that Next reported as ch, wrapped in the cleaner of the entry published
+// then, if that entry still holds s's reader; else, like a stale harvest,
+// the successor is dropped. A CSV reader follows the change; any other
+// format is built again over the successor, which replaces it.
+func (e *Engine) refresh(s *sourceEntry, file *rawfile.Generation, ch rawfile.Change) error {
 	name := s.desc.Name
-	next := *s // s with its reader replaced by the successor
-	known := e.known(s.desc.Path)
-	var ch rawfile.Change
-	var err error
-	switch {
-	case s.csv != nil:
-		next.csv, ch, err = s.csv.Refresh(known...)
-	case s.json != nil:
-		next.json, ch, err = s.json.Refresh(known...)
-	case s.arr != nil:
-		next.arr, ch, err = s.arr.Refresh(known...)
-	default:
-		next.xls, ch, err = s.xls.Refresh(known...)
-	}
-	if err != nil || ch.Kind == rawfile.Unchanged {
-		return err
+	var succ plugin
+	if r := s.csv(); r != nil {
+		succ, ch = r.Follow(file, ch)
+	} else {
+		var err error
+		if succ, err = readers[s.desc.Format](s.desc, file); err != nil {
+			return err
+		}
+		ch.Reason = cmp.Or(ch.Reason, "the format rebuilds its index on any change")
 	}
 	var tail map[string]vec.Col
-	if ch.Kind == rawfile.Appended {
-		tail, ch.Reason = e.parseTail(s, next.csv, ch)
+	if ch.Kind == rawfile.Appended && ch.Reason == "" { // a CSV reader's append
+		tail, ch.Reason = e.parseTail(s, succ.(jit.RangeBatchSource), ch)
 	}
 	var published *sourceEntry
-	err = e.publish(name, func(cur *sourceEntry) (*sourceEntry, bool, error) {
-		if cur == nil || cur.files != s.files {
+	err := e.publish(name, func(cur *sourceEntry) (*sourceEntry, bool, error) {
+		if cur == nil || cur.file != s.file {
 			return nil, false, errSuperseded
 		}
-		succ := *cur
-		succ.files = next.files
-		published = succ.derive()
+		next := *cur
+		next.file = succ
+		published = next.derive()
 		if ch.Kind == rawfile.Appended && ch.Reason == "" {
 			ch.Reason = e.extendCache(published, ch, tail)
 		}
@@ -114,7 +123,7 @@ func (e *Engine) refresh(s *sourceEntry) error {
 // cache entry holds. A nil tail and no reason means nothing was cached; a
 // reason means the cache cannot follow the append and the change is a
 // replace.
-func (e *Engine) parseTail(s *sourceEntry, next *rawcsv.Reader, ch rawfile.Change) (map[string]vec.Col, string) {
+func (e *Engine) parseTail(s *sourceEntry, next jit.RangeBatchSource, ch rawfile.Change) (map[string]vec.Col, string) {
 	entry, ok := e.caches.Peek(s.desc.Name, cache.LayoutColumns)
 	if !ok || s.cleaner != nil {
 		return nil, "" // extendCache decides under the lock
@@ -162,7 +171,7 @@ func (e *Engine) extendCache(next *sourceEntry, ch rawfile.Change, tail map[stri
 	case tail != nil:
 		// ExtendColumns respills the grown entry under the current spill
 		// key, which must already name the successor's content.
-		e.caches.SetSpillKey(name, next.csv.Generation)
+		e.caches.SetSpillKey(name, next.csv().Generation)
 		if !e.caches.ExtendColumns(name, ch.OldRows, tail) {
 			return "the cache holds what the tail cannot extend"
 		}

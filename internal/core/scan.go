@@ -9,7 +9,6 @@ import (
 	"vida/internal/cache"
 	"vida/internal/faultinject"
 	"vida/internal/jit"
-	"vida/internal/rawcsv"
 	"vida/internal/sdg"
 	"vida/internal/trace"
 	"vida/internal/values"
@@ -177,13 +176,9 @@ func (s *scanSource) shouldHarvest(cacheable bool) bool {
 // (positional map / semi-index). The tracer diffs them around a raw scan
 // to attribute a build to the query that paid for it.
 func (s *scanSource) buildStats() (builds, nanos int64, event string) {
-	switch {
-	case s.entry.csv != nil:
-		b, n := s.entry.csv.BuildStats()
-		return b, n, "posmap_build"
-	case s.entry.json != nil:
-		b, n := s.entry.json.BuildStats()
-		return b, n, "semiindex_build"
+	if ix, ok := s.entry.file.(indexer); ok {
+		b, n := ix.BuildStats()
+		return b, n, ix.AuxName() + "_build"
 	}
 	return 0, 0, ""
 }
@@ -193,7 +188,8 @@ func (s *scanSource) buildStats() (builds, nanos int64, event string) {
 // puts the load on sp as a sidecar_load event when this call ran it: the
 // query whose scan or plan first needs the map pays for it, and a query
 // the cache serves never does.
-func loadSidecar(r *rawcsv.Reader, sp *trace.Span) {
+func loadSidecar(s *sourceEntry, sp *trace.Span) {
+	r := s.csv()
 	if r == nil {
 		return
 	}
@@ -228,7 +224,7 @@ func (s *scanSource) IterateBatches(fields []string, batchSize int, yield func(*
 	}
 	s.e.rawScans.Add(1)
 	sp := s.scanSpan("raw")
-	loadSidecar(s.entry.csv, sp)
+	loadSidecar(s.entry, sp)
 	if sp != nil {
 		b0, n0, event := s.buildStats()
 		defer func() {
@@ -251,8 +247,8 @@ func (s *scanSource) IterateBatches(fields []string, batchSize int, yield func(*
 		// count — repeated scans then build cache columns with a single
 		// allocation each.
 		hint := 0
-		if s.entry.csv != nil {
-			if pm := s.entry.csv.PosMap(); pm.HasRows() {
+		if r := s.entry.csv(); r != nil {
+			if pm := r.PosMap(); pm.HasRows() {
 				hint = pm.NumRows()
 			}
 		}
@@ -335,7 +331,7 @@ func (s *scanSource) OpenRange(fields []string) (func(lo, hi, batchSize int, yie
 		}
 		// No scan span is open yet, and the JIT may still fall back to
 		// IterateBatches: the load lands on the query's span.
-		loadSidecar(s.entry.csv, s.sp)
+		loadSidecar(s.entry, s.sp)
 		if scan, n, ok = rs.OpenRange(fields); !ok {
 			return nil, 0, false
 		}

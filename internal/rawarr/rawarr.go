@@ -54,12 +54,32 @@ func (h *Header) Cells() int {
 
 func (h *Header) cellBytes() int { return len(h.FieldNames) * 8 }
 
+// fits checks that the header's cells fill exactly payload bytes:
+// Π(dims) × 8·nfields, computed without wrapping. Cells never outnumber
+// payload bytes, so a header with cells but no field does not fit either.
+func (h *Header) fits(payload int) error {
+	cells := 1
+	for _, d := range h.Dims {
+		if d != 0 && cells > payload/d {
+			return fmt.Errorf("%d dims claim more cells than a %d-byte payload holds", len(h.Dims), payload)
+		}
+		cells *= d
+	}
+	if cells*h.cellBytes() != payload {
+		return fmt.Errorf("payload is %d bytes, want %d", payload, cells*h.cellBytes())
+	}
+	return nil
+}
+
 // Write creates an array file with the given header and cell data
 // supplied by next, called once per cell in row-major order; each call
 // returns the field values for one cell.
 func Write(path string, h *Header, next func(cell int) ([]values.Value, error)) error {
 	if len(h.FieldNames) != len(h.FieldTypes) {
 		return fmt.Errorf("rawarr: field names/types mismatch")
+	}
+	if len(h.FieldNames) == 0 {
+		return fmt.Errorf("rawarr: an array needs a field")
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -123,28 +143,25 @@ type Reader struct {
 	colIdx   map[string]int
 }
 
-// Open loads the array file described by desc. Dimension names come from
-// the description's Array schema when present (d0, d1, ... otherwise).
-func Open(desc *sdg.Description, known ...*rawfile.Generation) (*Reader, error) {
-	file, err := rawfile.Load(desc.Path, known...)
+// Open loads the array file described by desc and builds a reader over it.
+func Open(desc *sdg.Description) (*Reader, error) {
+	file, err := rawfile.Load(desc.Path)
 	if err != nil {
 		return nil, fmt.Errorf("rawarr: %s: %w", desc.Name, err)
 	}
-	return open(desc, file)
-}
-
-// Refresh re-checks the file: the receiver while it is unchanged, else the
-// file parsed again (rawfile.Reopen).
-func (r *Reader) Refresh(known ...*rawfile.Generation) (*Reader, rawfile.Change, error) {
-	return rawfile.Reopen(r, r.file, func(file *rawfile.Generation) (*Reader, error) {
-		return open(r.desc, file)
-	}, known...)
+	return New(desc, file)
 }
 
 // File returns the file generation this reader reads.
 func (r *Reader) File() *rawfile.Generation { return r.file }
 
-func open(desc *sdg.Description, file *rawfile.Generation) (*Reader, error) {
+// New parses the header of one generation of the array file described by
+// desc. Dimension names come from the description's Array schema when
+// present (d0, d1, ... otherwise). A header whose cells do not fill the
+// payload exactly (Header.fits), or whose rank is not the described
+// array's, is refused: the reader then never addresses past the file, and
+// it yields no more cells than the file has bytes.
+func New(desc *sdg.Description, file *rawfile.Generation) (*Reader, error) {
 	raw := file.Bytes()
 	if len(raw) < 8 || string(raw[:4]) != magic {
 		return nil, fmt.Errorf("rawarr: %s: bad magic", desc.Name)
@@ -180,12 +197,14 @@ func open(desc *sdg.Description, file *rawfile.Generation) (*Reader, error) {
 		h.FieldTypes = append(h.FieldTypes, FieldType(raw[pos]))
 		pos++
 	}
-	want := h.Cells() * h.cellBytes()
-	if len(raw)-pos != want {
-		return nil, fmt.Errorf("rawarr: %s: payload is %d bytes, want %d", desc.Name, len(raw)-pos, want)
+	if err := h.fits(len(raw) - pos); err != nil {
+		return nil, fmt.Errorf("rawarr: %s: %w", desc.Name, err)
 	}
 	r := &Reader{desc: desc, file: file, hdr: h, data: raw[pos:], colIdx: map[string]int{}}
 	if desc.Schema != nil && desc.Schema.Kind == sdg.TArray {
+		if len(desc.Schema.Dims) != ndims {
+			return nil, fmt.Errorf("rawarr: %s: the file has %d dims, its description %d", desc.Name, ndims, len(desc.Schema.Dims))
+		}
 		for _, d := range desc.Schema.Dims {
 			r.dimNames = append(r.dimNames, d.Name)
 		}

@@ -1,8 +1,10 @@
 package rawarr
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"vida/internal/sdg"
@@ -12,7 +14,7 @@ import (
 // writeTestArray writes a 3x4 elevation/temperature matrix — the paper's
 // §3.1 example schema — where elevation(i,j) = 100*i+j and
 // temperature(i,j) = float(i+j)/2.
-func writeTestArray(t *testing.T) string {
+func writeTestArray(t testing.TB) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "m.varr")
 	h := &Header{
@@ -165,6 +167,8 @@ func TestOpenRejectsCorruptFiles(t *testing.T) {
 		"badmag.varr":  []byte("NOPE0000"),
 		"truncd.varr":  append([]byte("VARR"), 1, 0, 2, 1),
 		"version.varr": append([]byte("VARR"), 9, 0, 1, 1, 4, 0, 0, 0),
+		"wraps.varr":   overflowingHeader(),
+		"nofield.varr": append([]byte("VARR"), 1, 0, 1, 0, 3, 0, 0, 0),
 	}
 	for name, data := range cases {
 		path := filepath.Join(dir, name)
@@ -184,6 +188,74 @@ func TestOpenRejectsCorruptFiles(t *testing.T) {
 	if _, err := Open(paperDesc(path)); err == nil {
 		t.Fatal("truncated payload should fail")
 	}
+	// A rank other than the described array's.
+	d := sdg.DefaultDescription("M", sdg.FormatArray, writeTestArray(t), sdg.Array(
+		[]sdg.Dim{{Name: "i", Type: sdg.Int}}, sdg.Record(sdg.Attr{Name: "elevation", Type: sdg.Int})))
+	if _, err := Open(d); err == nil {
+		t.Fatal("a 2-D file under a 1-D description should fail")
+	}
+}
+
+// overflowingHeader is a 23-byte file whose dims [2³¹, 2³¹, 4] of one int
+// field need 2⁶⁷ payload bytes, a product that wraps to 0 in int64.
+func overflowingHeader() []byte {
+	b := append([]byte("VARR"), 1, 0, 3, 1)
+	for _, d := range []uint32{1 << 31, 1 << 31, 4} {
+		b = binary.LittleEndian.AppendUint32(b, d)
+	}
+	return append(b, 1, 'v', byte(FieldInt))
+}
+
+// FuzzOpen: an array file that opens never makes an access unit panic,
+// and opening it allocates in proportion to its size.
+func FuzzOpen(f *testing.F) {
+	path := writeTestArray(f)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(overflowingHeader())
+	f.Add(append([]byte("VARR"), 1, 0, 1, 1, 2, 0, 0, 0, 1, 'x', byte(FieldFloat), 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "f.varr")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []*sdg.Description{{Name: "F", Format: sdg.FormatArray, Path: path}, paperDesc(path)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r, err := Open(d)
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+1<<16 {
+				t.Fatalf("Open of %d bytes allocated %d", len(data), grew)
+			}
+			if err != nil {
+				continue
+			}
+			drive(t, r)
+		}
+	})
+}
+
+// drive reads every access unit of r; any error is fine, a panic is not.
+func drive(t *testing.T, r *Reader) {
+	nop := func(values.Value) error { return nil }
+	h := r.Header()
+	_ = r.Iterate(nil, nop)
+	dims := r.DimNames()
+	_ = r.Iterate(append(dims[:min(1, len(dims)):min(1, len(dims))], h.FieldNames...), nop)
+	_ = r.Chunk(0, h.Cells(), func(int, values.Value) error { return nil })
+	first, last := make([]int, len(h.Dims)), make([]int, len(h.Dims))
+	for i, d := range h.Dims {
+		last[i] = d - 1
+	}
+	_, _ = r.Cell(first...)
+	_, _ = r.Cell(last...)
+	if len(h.Dims) == 2 {
+		_, _ = r.Row(0)
+		_, _ = r.Column(h.Dims[1] - 1)
+	}
 }
 
 func TestWriteValidation(t *testing.T) {
@@ -191,6 +263,9 @@ func TestWriteValidation(t *testing.T) {
 	h := &Header{Dims: []int{2}, FieldNames: []string{"a"}, FieldTypes: []FieldType{FieldInt, FieldFloat}}
 	if err := Write(path, h, nil); err == nil {
 		t.Fatal("mismatched header should fail")
+	}
+	if err := Write(path, &Header{Dims: []int{3}}, nil); err == nil {
+		t.Fatal("an array without a field should fail")
 	}
 	h = &Header{Dims: []int{2}, FieldNames: []string{"a"}, FieldTypes: []FieldType{FieldInt}}
 	err := Write(path, h, func(c int) ([]values.Value, error) {

@@ -5,39 +5,35 @@ import (
 	"vida/internal/vec"
 )
 
-// Refresh re-checks the file and returns the generation that describes
-// it: the receiver when the file is unchanged or cannot be read, else a
-// successor. It never changes the receiver. An append (rawfile) extends
-// the positional map by the tail — a sidecar recorded by UseAux loads
-// first — provided this generation has a row index (else there is
-// nothing to keep) and ends on a row boundary (else the tail continues
-// its last row); any other change, or a failed rung, starts the
-// successor on an empty map (Replaced). Either way the
-// successor answers exactly like a reader opened fresh on the file. A
-// known generation may be the successor's file (rawfile.Generation.Next).
-func (r *Reader) Refresh(known ...*rawfile.Generation) (*Reader, rawfile.Change, error) {
-	file, ch, err := r.file.Next(known...)
-	if err != nil || ch.Kind == rawfile.Unchanged {
-		return r, ch, err
-	}
-	next := &Reader{shared: r.shared, file: file, data: file.Bytes(), pm: NewPosMap()}
+// Follow returns the reader over next, the successor of r's file that
+// rawfile.Generation.Next reported as ch (Appended or Replaced), and the
+// change as the positional map takes it. It never changes the receiver and
+// reads nothing of the data file. An append extends the positional map by
+// the tail — a sidecar recorded by UseAux loads first — provided this
+// generation has a row index (else there is nothing to keep) and ends on a
+// row boundary (else the tail continues its last row); any other change,
+// or a failed rung, starts the successor on an empty map (Replaced).
+// Either way the successor answers exactly like a reader built fresh over
+// next.
+func (r *Reader) Follow(next *rawfile.Generation, ch rawfile.Change) (*Reader, rawfile.Change) {
+	succ := &Reader{shared: r.shared, file: next, data: next.Bytes(), pm: NewPosMap()}
 	if ch.Kind == rawfile.Replaced {
-		return next, ch, nil
+		return succ, ch
 	}
 	snap := r.PosMap().Snapshot()
 	switch {
 	case len(snap.Rows) == 0:
-		return next, rawfile.Change{Kind: rawfile.Replaced, Reason: "no positional map to extend"}, nil
+		return succ, rawfile.Change{Kind: rawfile.Replaced, Reason: "no positional map to extend"}
 	case r.data[len(r.data)-1] != '\n':
-		return next, rawfile.Change{Kind: rawfile.Replaced, Reason: "previous generation ended mid-row"}, nil
+		return succ, rawfile.Change{Kind: rawfile.Replaced, Reason: "previous generation ended mid-row"}
 	}
 	if !r.extended.CompareAndSwap(false, true) {
 		snap.clip()
 	}
-	next.pm = r.extendPosMap(&snap, next.data, int64(len(r.data)))
-	ch.OldRows, ch.NewRows = len(snap.Rows), next.pm.NumRows()
+	succ.pm = r.extendPosMap(&snap, succ.data, int64(len(r.data)))
+	ch.OldRows, ch.NewRows = len(snap.Rows), succ.pm.NumRows()
 	r.stats.BytesRead.Add(ch.TailBytes)
-	return next, ch, nil
+	return succ, ch
 }
 
 // clipped returns s without its spare capacity, so appending to it copies.

@@ -50,10 +50,21 @@ func bumpTime(t *testing.T, path string) {
 	}
 }
 
-// refresh refreshes *r and moves *r to the generation Refresh returned.
+// follow is the catalog's refresh of r: the successor of its file (Next),
+// followed.
+func follow(r *Reader) (*Reader, rawfile.Change, error) {
+	file, ch, err := r.File().Next()
+	if err != nil || ch.Kind == rawfile.Unchanged {
+		return r, ch, err
+	}
+	next, ch := r.Follow(file, ch)
+	return next, ch, nil
+}
+
+// refresh refreshes *r and moves *r to the generation follow returned.
 func refresh(t *testing.T, r **Reader) rawfile.Change {
 	t.Helper()
-	next, ch, err := (*r).Refresh()
+	next, ch, err := follow(*r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +482,7 @@ func TestSuccessorsOfOneGeneration(t *testing.T) {
 	derive := func(from *Reader, content string) *Reader {
 		t.Helper()
 		rewriteFile(t, path, content)
-		next, ch, err := from.Refresh()
+		next, ch, err := follow(from)
 		if err != nil || ch.Kind != rawfile.Appended {
 			t.Fatalf("Refresh = %+v, %v; want Appended", ch, err)
 		}
@@ -550,7 +561,7 @@ func TestLoadPairsBytesWithTheirMtime(t *testing.T) {
 		t.Fatalf("Open read %q, want the file it opened", got)
 	}
 	// The loaded mtime is the opened file's, so the rename is noticed.
-	r, ch, err := r.Refresh()
+	r, ch, err := follow(r)
 	if err != nil || ch.Kind != rawfile.Replaced || firstName(r) != "ann" {
 		t.Fatalf("Refresh after a rename during Open = %+v, %v", ch, err)
 	}
@@ -559,11 +570,11 @@ func TestLoadPairsBytesWithTheirMtime(t *testing.T) {
 	put(longer, t0.Add(2*time.Second))
 	putWhileLoading(strings.Replace(longer, "zed", "zoe", 1), t0.Add(3*time.Second))
 	for _, want := range []string{"zed", "zoe"} {
-		if r, ch, err = r.Refresh(); err != nil || ch.Kind != rawfile.Replaced || firstName(r) != want {
+		if r, ch, err = follow(r); err != nil || ch.Kind != rawfile.Replaced || firstName(r) != want {
 			t.Fatalf("Refresh = %+v, %v; want Replaced reading %q", ch, err, want)
 		}
 	}
-	if next, ch, err := r.Refresh(); err != nil || ch.Kind != rawfile.Unchanged || next != r {
+	if next, ch, err := follow(r); err != nil || ch.Kind != rawfile.Unchanged || next != r {
 		t.Fatalf("Refresh of a settled file = %+v, %v", ch, err)
 	}
 }

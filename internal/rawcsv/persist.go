@@ -20,7 +20,7 @@ import (
 //     fresh first-touch build instead of trusting stale offsets.
 //   - UseAux defers the read: a restarted engine records the sidecar on
 //     the reader, and LoadPosMap runs LoadAux the first time a scan,
-//     a range scan, the cost model, a Refresh or SaveAux needs the map.
+//     a range scan, the cost model, Follow or SaveAux needs the map.
 //     A restart that the rehydrated cache answers never decodes it.
 
 var auxMagic = []byte("VAUX")

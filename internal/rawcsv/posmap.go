@@ -13,7 +13,7 @@ import "sync"
 // PosMap is the positional map of one CSV file generation: row starts
 // plus per-column field offsets (relative to row start) for the columns
 // queries have touched so far. It grows adaptively as a side effect of
-// scans. When the file changes, Refresh gives the new generation a new
+// scans. When the file changes, Follow gives the new generation a new
 // map: after an append, this one's rows and columns extended by the tail
 // (sharing storage — nothing installed here is ever written below its
 // length); after any other change, an empty one (paper §2.1).

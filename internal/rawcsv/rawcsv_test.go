@@ -219,7 +219,7 @@ func TestRefreshInvalidatesOnChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := r
-	r, ch, err := r.Refresh()
+	r, ch, err := follow(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestRefreshNoChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, ch, err := r.Refresh()
+	next, ch, err := follow(r)
 	if err != nil || ch.Kind != rawfile.Unchanged || next != r {
 		t.Fatalf("Refresh = %p, %+v, %v; want %p, Unchanged, nil", next, ch, err, r)
 	}

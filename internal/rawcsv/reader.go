@@ -45,8 +45,8 @@ type Stats struct {
 // Reader provides query access to one generation of a raw CSV file (a
 // rawfile.Generation) and the positional map built over exactly its
 // bytes. It implements algebra.Source and is safe for concurrent scans.
-// A generation never changes: Refresh returns the next one, so a scan
-// reads one file from start to end whatever Refresh does meanwhile.
+// A generation never changes: Follow returns the next one, so a scan
+// reads one file from start to end whatever a refresh does meanwhile.
 //
 // A successor derived by an append may share the bytes, the row index and
 // the column offsets with its predecessor, longer. Each has its own owner
@@ -62,7 +62,7 @@ type Reader struct {
 	file     *rawfile.Generation
 	data     []byte // file.Bytes(), held for the scan loops
 	pm       *PosMap
-	extended atomic.Bool // a successor claimed pm's spare capacity (Refresh)
+	extended atomic.Bool // a successor claimed pm's spare capacity (Follow)
 	sidecar  string      // the sidecar pm starts from (UseAux), loaded once by LoadPosMap
 	loadOnce sync.Once
 }
@@ -84,21 +84,26 @@ type shared struct {
 	workers int
 }
 
-// Open loads the CSV file described by desc. Options honored (from
+// Open loads the CSV file described by desc and builds a reader over it.
+func Open(desc *sdg.Description) (*Reader, error) {
+	file, err := rawfile.Load(desc.Path)
+	if err != nil {
+		return nil, fmt.Errorf("rawcsv: %s: %w", desc.Name, err)
+	}
+	return New(desc, file)
+}
+
+// New returns a reader over one generation of the CSV file described by
+// desc, with an empty positional map. Options honored (from
 // desc.Options): "delim" (single character, default ","), "header"
 // ("true"/"false", default "true"), "null" (token treated as null,
 // default empty string), "onerror" ("skip"/"fail", default "skip").
-// A known generation of the file is shared instead of read (rawfile.Load).
-func Open(desc *sdg.Description, known ...*rawfile.Generation) (*Reader, error) {
+func New(desc *sdg.Description, file *rawfile.Generation) (*Reader, error) {
 	if err := desc.Validate(); err != nil {
 		return nil, err
 	}
 	if desc.Format != sdg.FormatCSV {
 		return nil, fmt.Errorf("rawcsv: %s is not a CSV source", desc.Name)
-	}
-	file, err := rawfile.Load(desc.Path, known...)
-	if err != nil {
-		return nil, fmt.Errorf("rawcsv: %s: %w", desc.Name, err)
 	}
 	sh := &shared{desc: desc, rowType: desc.RowType(), delim: ',', colIdx: map[string]int{},
 		header: desc.Option("header", "true") != "false", nullTok: desc.Option("null", "")}
@@ -137,7 +142,7 @@ func (r *Reader) LoadedPosMap() *PosMap { return r.pm }
 
 // UseAux records the positional-map sidecar at path (SaveAux) for this
 // generation to start from. Nothing is read until something needs the
-// map — a scan, OpenRange, Mapped, NumRows, PosMap, Refresh or SaveAux —
+// map — a scan, OpenRange, Mapped, NumRows, PosMap, Follow or SaveAux —
 // which then loads it through LoadAux, once. Call it before the reader is
 // shared.
 func (r *Reader) UseAux(path string) { r.sidecar = path }
@@ -186,6 +191,12 @@ func (r *Reader) StatsSnapshot() map[string]int64 {
 func (r *Reader) BuildStats() (builds, nanos int64) {
 	return r.stats.Builds.Load(), r.stats.BuildNanos.Load()
 }
+
+// AuxName names the auxiliary structure this reader builds.
+func (r *Reader) AuxName() string { return "posmap" }
+
+// AuxBytes returns the positional map's memory, loading no sidecar.
+func (r *Reader) AuxBytes() int64 { return r.pm.MemoryBytes() }
 
 // SizeBytes returns the raw file size.
 func (r *Reader) SizeBytes() int64 { return int64(len(r.data)) }
@@ -310,7 +321,7 @@ func parseIntBytes(b []byte) (int64, bool) {
 // parseFloatBytes parses a float64 from raw bytes without copying them
 // into a string: the unsafe view never escapes strconv, and the file
 // buffer is never written below a published length (it is replaced
-// wholesale, or extended past its end by an appending Refresh).
+// wholesale, or extended past its end by an appending Generation.Next).
 func parseFloatBytes(b []byte) (float64, bool) {
 	if len(b) == 0 {
 		return 0, false

@@ -1,9 +1,11 @@
 // Package rawfile owns what "the file changed" means for every raw plugin
 // (rawcsv, rawjson, rawarr, rawxls). A Generation is one version of a
 // file; Next says what changed on disk — nothing, an append, anything
-// else — and each format maps that Change onto its own index (ViDa §2.1:
-// "updates to the underlying files result in dropping the auxiliary
-// structures affected").
+// else. Readers are built over one generation and never read their file
+// again: the catalog calls Next once per generation it holds, and each
+// format maps the Change onto its own index (ViDa §2.1: "updates to the
+// underlying files result in dropping the auxiliary structures
+// affected").
 package rawfile
 
 import (
@@ -20,7 +22,7 @@ import (
 	"vida/internal/vec"
 )
 
-// Kind classifies what Next, or a reader's Refresh, found on disk.
+// Kind classifies what Next found on disk.
 type Kind uint8
 
 // The outcomes of Next. An append keeps the bytes in memory and reads the
@@ -31,30 +33,15 @@ const (
 	Replaced
 )
 
-// Change is the result of Next and of a reader's Refresh. An append
-// reports TailBytes and the appended rows [OldRows, NewRows) of a
-// row-indexed format. A replacement gives the Reason it is not an append.
+// Change is the result of Next, as a format maps it onto its index. An
+// append reports TailBytes and, once a row-indexed format followed it, the
+// appended rows [OldRows, NewRows). A replacement gives the Reason it is
+// not an append.
 type Change struct {
 	Kind             Kind
 	OldRows, NewRows int
 	TailBytes        int64
 	Reason           string
-}
-
-// Reopen is the Refresh of a format that parses its file again on any
-// change: cur while the file is unchanged (or cannot be read), else parse
-// of the successor (Next, given the known generations), the change
-// reported as the replacement it is to an index rebuilt whole.
-func Reopen[R any](cur R, g *Generation, parse func(*Generation) (R, error), known ...*Generation) (R, Change, error) {
-	next, ch, err := g.Next(known...)
-	if err != nil || ch.Kind == Unchanged {
-		return cur, ch, err
-	}
-	if ch.Kind == Appended {
-		ch = Change{Kind: Replaced, Reason: "the format rebuilds its index on any change"}
-	}
-	r, err := parse(next)
-	return r, ch, err
 }
 
 // Generation is one version of the file at a path: its bytes, the mtime of

@@ -91,42 +91,42 @@ func (ix *SemiIndex) MemoryBytes() int64 {
 // holding either a top-level array of objects or newline-delimited
 // objects (a rawfile.Generation) and the semi-index built over exactly its
 // bytes. It implements algebra.Source and is safe for concurrent scans. A
-// generation never changes: Refresh returns the next one.
+// generation never changes: a changed file gets a new reader (New) over
+// its successor, with the semi-index built again.
 type Reader struct {
-	*shared
-	file *rawfile.Generation
-	data []byte // file.Bytes(), held for the parse loops
-	ix   *SemiIndex
+	desc      *sdg.Description
+	failOnBad bool
+	stats     Stats
+	file      *rawfile.Generation
+	data      []byte // file.Bytes(), held for the parse loops
+	ix        *SemiIndex
 	// buildMu single-flights the object-index skip scan so concurrent
 	// cold queries don't all walk the whole file.
 	buildMu sync.Mutex
 }
 
-// shared is what every generation of one file has in common; its
-// counters stay cumulative across generations.
-type shared struct {
-	desc      *sdg.Description
-	stats     Stats
-	failOnBad bool
+// Open loads the JSON file described by desc and builds a reader over it.
+func Open(desc *sdg.Description) (*Reader, error) {
+	file, err := rawfile.Load(desc.Path)
+	if err != nil {
+		return nil, fmt.Errorf("rawjson: %s: %w", desc.Name, err)
+	}
+	return New(desc, file)
 }
 
-// Open loads the JSON file described by desc. The "onerror" option
-// ("skip" default, "fail") selects what happens to malformed objects —
-// the paper's conservative cleaning strategy skips them (§7). A known
-// generation of the file is shared instead of read (rawfile.Load).
-func Open(desc *sdg.Description, known ...*rawfile.Generation) (*Reader, error) {
+// New returns a reader over one generation of the JSON file described by
+// desc, with an empty semi-index. The "onerror" option ("skip" default,
+// "fail") selects what happens to malformed objects — the paper's
+// conservative cleaning strategy skips them (§7).
+func New(desc *sdg.Description, file *rawfile.Generation) (*Reader, error) {
 	if err := desc.Validate(); err != nil {
 		return nil, err
 	}
 	if desc.Format != sdg.FormatJSON {
 		return nil, fmt.Errorf("rawjson: %s is not a JSON source", desc.Name)
 	}
-	file, err := rawfile.Load(desc.Path, known...)
-	if err != nil {
-		return nil, fmt.Errorf("rawjson: %s: %w", desc.Name, err)
-	}
-	sh := &shared{desc: desc, failOnBad: desc.Option("onerror", "skip") == "fail"}
-	return &Reader{shared: sh, file: file, data: file.Bytes(), ix: newSemiIndex()}, nil
+	return &Reader{desc: desc, failOnBad: desc.Option("onerror", "skip") == "fail",
+		file: file, data: file.Bytes(), ix: newSemiIndex()}, nil
 }
 
 // Name implements algebra.Source.
@@ -137,6 +137,12 @@ func (r *Reader) File() *rawfile.Generation { return r.file }
 
 // SemiIndex exposes the structural index of this generation.
 func (r *Reader) SemiIndex() *SemiIndex { return r.ix }
+
+// AuxName names the auxiliary structure this reader builds.
+func (r *Reader) AuxName() string { return "semiindex" }
+
+// AuxBytes returns the memory the semi-index holds.
+func (r *Reader) AuxBytes() int64 { return r.ix.MemoryBytes() }
 
 // SizeBytes returns the raw file size.
 func (r *Reader) SizeBytes() int64 { return int64(len(r.data)) }
@@ -158,15 +164,6 @@ func (r *Reader) StatsSnapshot() map[string]int64 {
 // builds, diffed by the engine's tracer around a scan.
 func (r *Reader) BuildStats() (builds, nanos int64) {
 	return r.stats.Builds.Load(), r.stats.BuildNanos.Load()
-}
-
-// Refresh re-checks the file and returns the generation that describes
-// it (rawfile.Reopen): a successor's bytes are extended by the tail after
-// an append and read whole otherwise, and its semi-index starts empty.
-func (r *Reader) Refresh(known ...*rawfile.Generation) (*Reader, rawfile.Change, error) {
-	return rawfile.Reopen(r, r.file, func(file *rawfile.Generation) (*Reader, error) {
-		return &Reader{shared: r.shared, file: file, data: file.Bytes(), ix: newSemiIndex()}, nil
-	}, known...)
 }
 
 // buildObjectIndex records the span of every top-level object using the

@@ -108,27 +108,23 @@ type Reader struct {
 	colIdx  map[string]int
 }
 
-// Open loads the sheet file described by desc.
-func Open(desc *sdg.Description, known ...*rawfile.Generation) (*Reader, error) {
-	file, err := rawfile.Load(desc.Path, known...)
+// Open loads the sheet file described by desc and builds a reader over it.
+func Open(desc *sdg.Description) (*Reader, error) {
+	file, err := rawfile.Load(desc.Path)
 	if err != nil {
 		return nil, fmt.Errorf("rawxls: %s: %w", desc.Name, err)
 	}
-	return open(desc, file)
-}
-
-// Refresh re-checks the file: the receiver while it is unchanged, else the
-// file parsed again (rawfile.Reopen).
-func (r *Reader) Refresh(known ...*rawfile.Generation) (*Reader, rawfile.Change, error) {
-	return rawfile.Reopen(r, r.file, func(file *rawfile.Generation) (*Reader, error) {
-		return open(r.desc, file)
-	}, known...)
+	return New(desc, file)
 }
 
 // File returns the file generation this reader reads.
 func (r *Reader) File() *rawfile.Generation { return r.file }
 
-func open(desc *sdg.Description, file *rawfile.Generation) (*Reader, error) {
+// New indexes the rows of one generation of the sheet file described by
+// desc. A row count the body cannot hold — every cell takes at least its
+// tag byte — is refused before anything is allocated for it, and so is a
+// sheet without columns that claims rows.
+func New(desc *sdg.Description, file *rawfile.Generation) (*Reader, error) {
 	raw := file.Bytes()
 	if len(raw) < 8 || string(raw[:4]) != magic {
 		return nil, fmt.Errorf("rawxls: %s: bad magic", desc.Name)
@@ -160,7 +156,14 @@ func open(desc *sdg.Description, file *rawfile.Generation) (*Reader, error) {
 	}
 	nrows := int(binary.LittleEndian.Uint32(raw[pos:]))
 	pos += 4
+	switch {
+	case ncols == 0 && nrows > 0:
+		return nil, fmt.Errorf("rawxls: %s: %d rows without a column", desc.Name, nrows)
+	case ncols > 0 && nrows > (len(raw)-pos)/ncols:
+		return nil, fmt.Errorf("rawxls: %s: %d rows of %d cells do not fit %d bytes", desc.Name, nrows, ncols, len(raw)-pos)
+	}
 	// Index row offsets up front: cells are variable width (strings).
+	r.rowOffs = make([]int, 0, nrows)
 	for i := 0; i < nrows; i++ {
 		r.rowOffs = append(r.rowOffs, pos)
 		for c := 0; c < ncols; c++ {

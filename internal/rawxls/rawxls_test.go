@@ -1,15 +1,17 @@
 package rawxls
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"vida/internal/sdg"
 	"vida/internal/values"
 )
 
-func writeSheet(t *testing.T) string {
+func writeSheet(t testing.TB) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "s.vxls")
 	s := &Sheet{
@@ -91,6 +93,7 @@ func TestCorruptFiles(t *testing.T) {
 		"vers":   []byte("VXLS\x09\x00\x01\x00"),
 		"trunc":  []byte("VXLS\x01\x00\x02\x00\x02ab"),
 		"norows": append([]byte("VXLS\x01\x00\x01\x00\x01a\x00"), 5, 0, 0, 0),
+		"nocols": columnlessRows(),
 	}
 	for name, data := range cases {
 		p := filepath.Join(dir, name)
@@ -114,4 +117,44 @@ func TestWriteValidation(t *testing.T) {
 	if err := Write(path, s, rows); err == nil {
 		t.Fatal("wrong row arity should fail")
 	}
+}
+
+// columnlessRows is a 12-byte sheet without columns that claims 5 000 000
+// rows.
+func columnlessRows() []byte {
+	return binary.LittleEndian.AppendUint32([]byte("VXLS\x01\x00\x00\x00"), 5_000_000)
+}
+
+// FuzzOpen: a sheet that opens never makes a row read panic, and opening
+// it allocates in proportion to its size.
+func FuzzOpen(f *testing.F) {
+	data, err := os.ReadFile(writeSheet(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(columnlessRows())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "f.vxls")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := Open(sheetDesc(path))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+1<<16 {
+			t.Fatalf("Open of %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		nop := func(values.Value) error { return nil }
+		_ = r.Iterate(nil, nop)
+		cols := r.Columns().ColNames
+		_ = r.Iterate(cols[max(0, len(cols)-1):], nop)
+		for i := -1; i <= r.NumRows(); i++ {
+			_, _ = r.Row(i, cols[:min(1, len(cols))])
+		}
+	})
 }
