@@ -67,7 +67,8 @@ func (m ExecMode) String() string {
 
 // Options configures an Engine.
 type Options struct {
-	// Mode selects the executor (default ModeJIT).
+	// Mode selects the executor (default ModeJIT), fixed for the
+	// engine's lifetime.
 	Mode ExecMode
 	// CacheBudgetBytes bounds the data caches (<=0: unlimited).
 	CacheBudgetBytes int64
@@ -348,16 +349,6 @@ func NewEngine(opts Options) *Engine {
 
 // Caches exposes the cache manager (CLI, experiments).
 func (e *Engine) Caches() *cache.Manager { return e.caches }
-
-// Mode returns the active executor mode.
-func (e *Engine) Mode() ExecMode { return e.opts.Mode }
-
-// SetMode switches the executor.
-func (e *Engine) SetMode(m ExecMode) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.opts.Mode = m
-}
 
 // Register adds a raw source from its description, opening the
 // format-appropriate reader.
@@ -952,9 +943,6 @@ func (e *Engine) execute(ctx context.Context, plan *algebra.Reduce, sink jit.Str
 	defer e.endQuery()
 	e.queries.Add(1)
 	rawBefore := e.rawScans.Load()
-	e.mu.RLock()
-	mode := e.opts.Mode
-	e.mu.RUnlock()
 	sp := trace.FromContext(ctx).Root().Child("execute")
 	defer sp.End()
 	qm := e.newQueryMem()
@@ -987,7 +975,7 @@ func (e *Engine) execute(ctx context.Context, plan *algebra.Reduce, sink jit.Str
 		}
 	}()
 	cat := e.catalogFor(ctx, sp)
-	switch mode {
+	switch e.opts.Mode {
 	case ModeStatic:
 		v, err = algebra.Static{}.Run(plan, cat)
 	case ModeReference:

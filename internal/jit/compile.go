@@ -76,16 +76,70 @@ type batchSink func(b *vec.Batch) error
 // run or per morsel worker.
 type batchFilter func(b *vec.Batch) error
 
-// compiledPlan is one operator subtree staged into a closure pipeline.
+// compiledPlan is one operator subtree staged into a closure pipeline: a
+// producer — a scan, a join probe, a product, the group table — and the
+// per-batch stages (filters, binds, generates) fused in front of
+// whatever consumes it.
 type compiledPlan struct {
 	frame *frame
-	run   func(sink batchSink) error
-	// openRange, when non-nil, attempts to open a partitioned runner over
-	// the subtree: scan may be invoked concurrently over disjoint
+	src   func(sink batchSink) error
+	// srcRange, when non-nil, attempts to open a partitioned runner over
+	// the producer: scan may be invoked concurrently over disjoint
 	// [lo,hi) row ranges (each invocation allocates its own scratch).
-	// It is set only for chains of per-row-independent operators over a
-	// RangeBatchSource — the morsel scheduler's contract.
-	openRange func() (scan func(lo, hi int, sink batchSink) error, n int, ok bool)
+	// It is set only for producers over a RangeBatchSource — the morsel
+	// scheduler's contract; stages are per-row independent, so they
+	// never take it away (see parallelInput).
+	srcRange func() (scan func(lo, hi int, sink batchSink) error, n int, ok bool)
+	stage    stageFn // nil: none
+}
+
+// stageFn instantiates the plan's per-batch stages in front of sink —
+// once per serial run and once per morsel, so every instance owns its
+// scratch — returning the batch function the producer feeds and, when a
+// stage buffers (generate), a flush to call once the producer is drained.
+type stageFn func(sink batchSink) (next batchSink, flush func() error)
+
+// run drives the plan serially into sink.
+func (cp *compiledPlan) run(sink batchSink) error { return drive(cp.stage, cp.src, sink) }
+
+// drive runs one instance of stage over one input src into sink.
+func drive(stage stageFn, src func(batchSink) error, sink batchSink) error {
+	if stage == nil {
+		return src(sink)
+	}
+	next, flush := stage(sink)
+	if err := src(next); err != nil || flush == nil {
+		return err
+	}
+	return flush()
+}
+
+// then appends one per-batch stage, producing frame f.
+func (cp *compiledPlan) then(f *frame, st stageFn) *compiledPlan {
+	cp.frame = f
+	up := cp.stage
+	if up == nil {
+		cp.stage = st
+		return cp
+	}
+	cp.stage = func(sink batchSink) (batchSink, func() error) {
+		next, flush := st(sink)
+		unext, uflush := up(next)
+		switch {
+		case uflush == nil:
+			return unext, flush
+		case flush == nil:
+			return unext, uflush
+		}
+		// Upstream flushes first: its buffered rows pass through st.
+		return unext, func() error {
+			if err := uflush(); err != nil {
+				return err
+			}
+			return flush()
+		}
+	}
+	return cp
 }
 
 // Options tunes the generated pipelines.
@@ -235,11 +289,6 @@ func (e Executor) RunStream(ctx context.Context, p *algebra.Reduce, cat algebra.
 	return prog.stream(emit)
 }
 
-// Compile stages the plan into an executable program with default options.
-func Compile(p *algebra.Reduce, cat algebra.Catalog) (func() (values.Value, error), error) {
-	return CompileWith(p, cat, Options{})
-}
-
 // CompileWith stages the plan into an executable program returning the
 // buffered result. Compilation is the reproduction's analogue of the
 // paper's per-query code generation: all schema resolution, slot layout,
@@ -260,43 +309,60 @@ func CompileWith(p *algebra.Reduce, cat algebra.Catalog, opts Options) (func() (
 	return prog.collect, nil
 }
 
-// compileFilter stages a predicate as a batch filter factory: vectorized
-// kernels for the comparison shapes the compiler recognizes, a row-wise
-// boxed fallback otherwise. Each factory call returns a filter with its
-// own scratch, safe for one (serial) run or one morsel worker.
-func (c *compiler) compileFilter(e mcl.Expr, f *frame) (func() batchFilter, error) {
-	if vf := compileVecFilter(e, f); vf != nil {
+// filterStage fuses a predicate into the batch stream as a selection-
+// vector refinement between producer and sink — no operator boundary;
+// batches the filter empties stop here. Scan filters, selections and the
+// root predicate (HAVING over groups) are all this stage. The comparison
+// shapes compileVecFilter recognizes run as typed kernels; any other
+// predicate is a staged column (mkGetter) whose true rows survive.
+func (c *compiler) filterStage(in *compiledPlan, pred mcl.Expr) (*compiledPlan, error) {
+	mkFilter := compileVecFilter(pred, in.frame)
+	if mkFilter != nil {
 		c.vecStages++
-		return vf, nil
+	} else {
+		mk, err := c.mkGetter(pred, in.frame)
+		if err != nil {
+			return nil, err
+		}
+		mkFilter = truthFilter(mk)
 	}
-	c.boxedStages++
-	pred, err := c.compileExpr(e, f)
-	if err != nil {
-		return nil, err
-	}
-	width := f.width()
+	return in.then(in.frame, func(sink batchSink) (batchSink, func() error) {
+		flt := mkFilter()
+		return func(b *vec.Batch) error {
+			if err := flt(b); err != nil {
+				return err
+			}
+			if b.Len() == 0 {
+				return nil
+			}
+			return sink(b)
+		}, nil
+	}), nil
+}
+
+// truthFilter keeps the rows whose staged predicate column is true.
+func truthFilter(mk func() vecExpr) func() batchFilter {
 	return func() batchFilter {
-		row := make([]values.Value, width)
+		get := mk()
 		// Non-nil even when empty: a nil Sel means "all rows live".
 		sel := make([]int, 0, 64)
 		return func(b *vec.Batch) error {
+			col, err := get(b)
+			if err != nil {
+				return err
+			}
 			sel = sel[:0]
 			n := b.Len()
 			for k := 0; k < n; k++ {
 				i := b.Index(k)
-				fillRow(b, i, row)
-				pv, err := pred(row)
-				if err != nil {
-					return err
-				}
-				if pv.Kind() == values.KindBool && pv.Bool() {
+				if v := col.Value(i); v.Kind() == values.KindBool && v.Bool() {
 					sel = append(sel, i)
 				}
 			}
 			b.Sel = sel
 			return nil
 		}
-	}, nil
+	}
 }
 
 // fillRow boxes physical row i of b into row, one entry per slot.
@@ -310,7 +376,7 @@ func (c *compiler) compilePlan(p algebra.Plan) (*compiledPlan, error) {
 	if p == nil {
 		// Unit input: one empty row.
 		f := newFrame()
-		return &compiledPlan{frame: f, run: func(sink batchSink) error {
+		return &compiledPlan{frame: f, src: func(sink batchSink) error {
 			return sink(&vec.Batch{N: 1})
 		}}, nil
 	}
@@ -335,7 +401,7 @@ func (c *compiler) compilePlan(p algebra.Plan) (*compiledPlan, error) {
 
 // compileScan stages the scan loop over the source's batch view: one
 // slot per attribute when the schema (or the plan) names them, whole
-// values otherwise.
+// values otherwise. A pushed-down filter is a filterStage over it.
 func (c *compiler) compileScan(n *algebra.Scan) (*compiledPlan, error) {
 	src, ok := c.cat.Source(n.Source)
 	if !ok {
@@ -356,24 +422,12 @@ func (c *compiler) compileScan(n *algebra.Scan) (*compiledPlan, error) {
 	}
 	bs := c.opts.BatchSize
 
+	cp := &compiledPlan{frame: newFrame()}
 	if len(fields) == 0 {
 		// Open schema: one whole-value slot per datum (JSON objects).
-		f := newFrame()
-		f.add(n.Var, "")
-		var mkFilter func() batchFilter
-		if n.Filter != nil {
-			var err error
-			mkFilter, err = c.compileFilter(n.Filter, f)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return &compiledPlan{frame: f, run: func(sink batchSink) error {
-			var flt batchFilter
-			if mkFilter != nil {
-				flt = mkFilter()
-			}
-			p := vec.NewPacker(1, bs, flt, sink)
+		cp.frame.add(n.Var, "")
+		cp.src = func(sink batchSink) error {
+			p := vec.NewPacker(1, bs, nil, sink)
 			row := make([]values.Value, 1)
 			if err := src.Iterate(nil, func(v values.Value) error {
 				row[0] = v
@@ -382,108 +436,50 @@ func (c *compiler) compileScan(n *algebra.Scan) (*compiledPlan, error) {
 				return err
 			}
 			return p.Flush()
-		}}, nil
-	}
-
-	// Flattened scan: one slot per attribute.
-	f := newFrame()
-	for _, fld := range fields {
-		f.add(n.Var, fld)
-	}
-	var mkFilter func() batchFilter
-	if n.Filter != nil {
-		var err error
-		mkFilter, err = c.compileFilter(n.Filter, f)
-		if err != nil {
-			return nil, err
 		}
-	}
-	cp := &compiledPlan{frame: f}
-	// filtered fuses the scan filter (a fresh instance per run or morsel:
-	// filters carry scratch) in front of the sink.
-	filtered := func(sink batchSink) func(*vec.Batch) error {
-		if mkFilter == nil {
-			return sink
+	} else {
+		// Flattened scan: one slot per attribute.
+		for _, fld := range fields {
+			cp.frame.add(n.Var, fld)
 		}
-		flt := mkFilter()
-		return func(b *vec.Batch) error {
-			if err := flt(b); err != nil {
-				return err
+		bsrc := Lift(src)
+		cp.src = func(sink batchSink) error {
+			return bsrc.IterateBatches(fields, bs, sink)
+		}
+		if rsrc, ok := bsrc.(RangeBatchSource); ok {
+			cp.srcRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
+				scan, total, ok := rsrc.OpenRange(fields)
+				if !ok {
+					return nil, 0, false
+				}
+				return func(lo, hi int, sink batchSink) error {
+					return scan(lo, hi, bs, sink)
+				}, total, true
 			}
-			if b.Len() == 0 {
-				return nil
-			}
-			return sink(b)
 		}
 	}
-	bsrc := Lift(src)
-	cp.run = func(sink batchSink) error {
-		return bsrc.IterateBatches(fields, bs, filtered(sink))
+	if n.Filter == nil {
+		return cp, nil
 	}
-	if rsrc, ok := bsrc.(RangeBatchSource); ok {
-		cp.openRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
-			scan, total, ok := rsrc.OpenRange(fields)
-			if !ok {
-				return nil, 0, false
-			}
-			return func(lo, hi int, sink batchSink) error {
-				return scan(lo, hi, bs, filtered(sink))
-			}, total, true
-		}
-	}
-	return cp, nil
+	return c.filterStage(cp, n.Filter)
 }
 
-// compileSelect fuses a filter into the batch stream: no operator
-// boundary, just a selection-vector refinement between producer and sink.
+// compileSelect fuses a filter into the batch stream (filterStage).
 func (c *compiler) compileSelect(n *algebra.Select) (*compiledPlan, error) {
 	in, err := c.compilePlan(n.Input)
 	if err != nil {
 		return nil, err
 	}
-	mkFilter, err := c.compileFilter(n.Pred, in.frame)
-	if err != nil {
-		return nil, err
-	}
-	cp := &compiledPlan{frame: in.frame}
-	cp.run = func(sink batchSink) error {
-		flt := mkFilter()
-		return in.run(func(b *vec.Batch) error {
-			if err := flt(b); err != nil {
-				return err
-			}
-			if b.Len() == 0 {
-				return nil
-			}
-			return sink(b)
-		})
-	}
-	if in.openRange != nil {
-		cp.openRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
-			scan, total, ok := in.openRange()
-			if !ok {
-				return nil, 0, false
-			}
-			return func(lo, hi int, sink batchSink) error {
-				flt := mkFilter()
-				return scan(lo, hi, func(b *vec.Batch) error {
-					if err := flt(b); err != nil {
-						return err
-					}
-					if b.Len() == 0 {
-						return nil
-					}
-					return sink(b)
-				})
-			}, total, true
-		}
-	}
-	return cp, nil
+	return c.filterStage(in, n.Pred)
 }
 
-// compileBind extends each batch with one computed column. Column storage
-// of the input batch is shared (headers copied, payloads untouched); only
-// the extension column is materialized, at the rows' physical indices.
+// compileBind extends each batch with one computed column, staged by
+// mkGetter: typed (int64/float64 payloads when the inputs are) for kernel
+// shapes, so downstream filters and aggregates over the bound variable
+// stay on the unboxed fast paths, boxed otherwise. Column storage of the
+// input batch is shared (headers copied, payloads untouched); the
+// extension column is the getter's own, so the extended batch is never
+// zero-copy-stable.
 func (c *compiler) compileBind(n *algebra.Bind) (*compiledPlan, error) {
 	in, err := c.compilePlan(n.Input)
 	if err != nil {
@@ -491,81 +487,25 @@ func (c *compiler) compileBind(n *algebra.Bind) (*compiledPlan, error) {
 	}
 	f := in.frame.clone()
 	f.add(n.Var, "")
-	mkKernel := compileVecExpr(n.E, in.frame)
-	var e compiledExpr
-	if mkKernel == nil {
-		c.boxedStages++
-		e, err = c.compileExpr(n.E, in.frame)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		c.vecStages++
+	mk, err := c.mkGetter(n.E, in.frame)
+	if err != nil {
+		return nil, err
 	}
-	inWidth := in.frame.width()
-	mkExtend := func() func(b *vec.Batch, emit batchSink) error {
+	return in.then(f, func(sink batchSink) (batchSink, func() error) {
+		get := mk()
 		var out vec.Batch
-		if mkKernel != nil {
-			// Projection kernel: the extension column is computed typed
-			// per batch (int64/float64 payloads when the inputs are), so
-			// downstream filters and aggregates over the bound variable
-			// stay on the unboxed fast paths. The kernel owns the column
-			// storage, so the extended batch is never zero-copy-stable.
-			k := mkKernel()
-			return func(b *vec.Batch, emit batchSink) error {
-				col, err := k(b)
-				if err != nil {
-					return err
-				}
-				out.Cols = append(out.Cols[:0], b.Cols...)
-				out.Cols = append(out.Cols, *col)
-				out.N = b.N
-				out.Sel = b.Sel
-				return emit(&out)
-			}
-		}
-		row := make([]values.Value, inWidth)
-		var ext []values.Value
-		return func(b *vec.Batch, emit batchSink) error {
-			if cap(ext) < b.N {
-				ext = make([]values.Value, b.N)
-			}
-			ext = ext[:b.N]
-			n := b.Len()
-			for k := 0; k < n; k++ {
-				i := b.Index(k)
-				fillRow(b, i, row)
-				v, err := e(row)
-				if err != nil {
-					return err
-				}
-				ext[i] = v
+		return func(b *vec.Batch) error {
+			col, err := get(b)
+			if err != nil {
+				return err
 			}
 			out.Cols = append(out.Cols[:0], b.Cols...)
-			out.Cols = append(out.Cols, vec.Col{Tag: vec.Boxed, Boxed: ext})
+			out.Cols = append(out.Cols, *col)
 			out.N = b.N
 			out.Sel = b.Sel
-			return emit(&out)
-		}
-	}
-	cp := &compiledPlan{frame: f}
-	cp.run = func(sink batchSink) error {
-		extend := mkExtend()
-		return in.run(func(b *vec.Batch) error { return extend(b, sink) })
-	}
-	if in.openRange != nil {
-		cp.openRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
-			scan, total, ok := in.openRange()
-			if !ok {
-				return nil, 0, false
-			}
-			return func(lo, hi int, sink batchSink) error {
-				extend := mkExtend()
-				return scan(lo, hi, func(b *vec.Batch) error { return extend(b, sink) })
-			}, total, true
-		}
-	}
-	return cp, nil
+			return sink(&out)
+		}, nil
+	}), nil
 }
 
 // compileGenerate explodes a collection-valued expression: each input row
@@ -585,7 +525,7 @@ func (c *compiler) compileGenerate(n *algebra.Generate) (*compiledPlan, error) {
 	inWidth := in.frame.width()
 	outWidth := f.width()
 	bs := c.opts.BatchSize
-	mkExplode := func(sink batchSink) (func(b *vec.Batch) error, *vec.Packer) {
+	return in.then(f, func(sink batchSink) (batchSink, func() error) {
 		p := vec.NewPacker(outWidth, bs, nil, sink)
 		buf := make([]values.Value, outWidth)
 		row := buf[:inWidth]
@@ -612,32 +552,8 @@ func (c *compiler) compileGenerate(n *algebra.Generate) (*compiledPlan, error) {
 				}
 			}
 			return nil
-		}, p
-	}
-	cp := &compiledPlan{frame: f}
-	cp.run = func(sink batchSink) error {
-		explode, p := mkExplode(sink)
-		if err := in.run(explode); err != nil {
-			return err
-		}
-		return p.Flush()
-	}
-	if in.openRange != nil {
-		cp.openRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
-			scan, total, ok := in.openRange()
-			if !ok {
-				return nil, 0, false
-			}
-			return func(lo, hi int, sink batchSink) error {
-				explode, p := mkExplode(sink)
-				if err := scan(lo, hi, explode); err != nil {
-					return err
-				}
-				return p.Flush()
-			}, total, true
-		}
-	}
-	return cp, nil
+		}, p.Flush
+	}), nil
 }
 
 // copyRows materializes the live rows of a batch stream as boxed slices
@@ -671,7 +587,7 @@ func (c *compiler) compileProduct(n *algebra.Product) (*compiledPlan, error) {
 	}
 	lw, rw := l.frame.width(), r.frame.width()
 	bs := c.opts.BatchSize
-	return &compiledPlan{frame: f, run: func(sink batchSink) error {
+	return &compiledPlan{frame: f, src: func(sink batchSink) error {
 		// Materialize the right side once (it restarts per left row).
 		right, err := copyRows(r.run, rw)
 		if err != nil {
@@ -722,7 +638,7 @@ func retainForBuild(b *vec.Batch) (stored vec.Batch, compacted bool) {
 // side probes. Null keys never match. The staged machinery lives in
 // join.go — a build (morsel-parallel over partitionable build sides)
 // sealed into an immutable shared chain table, probed serially by run
-// and morsel-parallel through openRange when the probe side is
+// and morsel-parallel through srcRange when the probe side is
 // partitionable.
 func (c *compiler) compileJoin(n *algebra.Join) (*compiledPlan, error) {
 	l, err := c.compilePlan(n.L)

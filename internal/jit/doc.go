@@ -40,38 +40,41 @@
 //
 // # Vectorized kernels
 //
-// Three kernel families keep hot paths off values.Value entirely; each
-// dispatches on the columns' runtime representation once per batch, so
-// the same staged pipeline serves typed CSV vectors, zero-copy cache
-// slices and boxed fallback batches:
+// One stager, mkGetter (groupagg.go), turns every expression a consumer
+// reads into a per-batch column: root heads and ORDER BY keys, group
+// keys and aggregate inputs, join keys, Bind extension columns and
+// predicates no comparison kernel covers. It takes compileVecExpr's
+// kernels first — the identity kernel of a slot returns the batch's own
+// column (shared, allocation-free), a constant is a broadcast column
+// (Int64, Float64 or Str) filled once, + - * / % and negation over
+// slots, numeric constants folded in, compute a typed column — and
+// otherwise evaluates the expression row-wise into a reused boxed
+// column. Each decision is tallied once (Counters.KernelsVectorized /
+// KernelsBoxed). Kernels dispatch on the columns' runtime representation
+// once per batch, so the same staged pipeline serves typed CSV vectors,
+// zero-copy cache slices and boxed fallback batches; inputs that arrive
+// boxed at run time take a row-wise mcl.ApplyBinOp loop inside the
+// kernel, so semantics (null propagation, int/float promotion,
+// division-by-zero errors, string concatenation) are byte-identical with
+// the row engine. Three families consume the columns:
 //
-//   - Comparison filters refine the selection vector: slot⊕const,
-//     slot⊕slot and conjunctions, with typed int/float/string loops.
-//   - Expression kernels (vecexpr.go) stage arithmetic/projection
-//     trees — + - * / % and negation over slots, numeric constants
-//     folded into the kernel — into per-batch column loops; a constant
-//     on its own is a broadcast column (Int64, Float64 or Str) filled
-//     once per kernel. They feed comparison filters over computed
-//     values, reduce heads, group keys and aggregate inputs, ORDER BY
-//     key extraction, element heads and Bind extension columns (which
-//     then stay typed for everything downstream). Inputs that arrive
-//     boxed at run time take a row-wise mcl.ApplyBinOp loop inside the
-//     kernel, so semantics (null propagation, int/float promotion,
-//     division-by-zero errors, string concatenation) are byte-identical
-//     with the row engine.
+//   - Comparison filters refine the selection vector: kernel⊕const and
+//     kernel⊕kernel (a slot is its identity kernel) and conjunctions,
+//     with typed int/float/string/dictionary loops.
+//   - Unboxed reduce kernels fold count/sum/avg/min/max heads per batch
+//     into a monoid collector; any other monoid, and any boxed column,
+//     folds value by value.
 //   - Join-key kernels (hash.go) hash the key column of each build and
 //     probe batch in one tag-dispatched pass using the scalar hash
 //     helpers of internal/values (typed rows hash identically to their
 //     boxed forms), and verify hash matches with typed equality —
 //     slot-keyed hash joins never box a key row.
 //
-// Unboxed reduce kernels cover the count/sum/avg/min/max monoids over
-// slot or kernel heads, and over numeric constant heads (a literal or a
-// bound parameter — SQL's COUNT(*) lowers to `sum 1`), which fold on the
-// batch's live row count without touching a row: integer sums multiply,
-// float sums add the constant once per row so they round as the
-// reference executor does. Every other shape falls back to the row-wise
-// compiled closures, batch by batch.
+// Two heads stay special. A numeric constant head (a literal or a bound
+// parameter — SQL's COUNT(*) lowers to `sum 1`) folds on the batch's live
+// row count without touching a row: integer sums multiply, float sums add
+// the constant once per row so they round as the reference executor does.
+// The top-k head is evaluated lazily (see below).
 //
 // # Grouped aggregation
 //
@@ -97,8 +100,8 @@
 //
 // When the access path can serve arbitrary row ranges (RangeBatchSource —
 // the CSV plugin over a built positional map, columnar cache entries) and
-// the operator chain above it is per-row independent (scan, select, bind,
-// generate), a scan of at least Options.ParallelThreshold rows runs
+// the operator chain above it is per-row independent (the per-batch
+// stages: scan filter, select, bind, generate, root predicate), a scan of at least Options.ParallelThreshold rows runs
 // morsel-parallel through one driver (parallel.go): the row range is
 // split into a few morsels per worker, submitted as one job to the shared
 // scheduler pool, each morsel drives its own clone of the staged pipeline
@@ -130,8 +133,14 @@
 //
 // # One root per plan; results go to sinks
 //
-// Every plan compiles once (root.go) into the staged pipeline under
-// exactly one root, chosen from the plan alone: a fold (scalar and other
+// A compiled plan is a producer (a scan, a join probe, a product, the
+// group table) plus per-batch stages fused in front of its consumer:
+// filters, binds and generates are all instances of one stage, built
+// once per serial run and once per morsel (compiledPlan.then, drive,
+// parallelInput). Every plan compiles once (root.go) into that pipeline
+// under exactly one root, chosen from the plan alone. The root predicate
+// — HAVING, for a grouped plan — is compiled there once, as one more
+// filter stage, so every root consumes already-filtered batches: a fold (scalar and other
 // non-collection monoids, into a monoid collector through the unboxed
 // reduce kernels), elements (list/bag/set: the head of every live row,
 // emitted in chunks), a keyed top-k (ORDER BY) or a row quota (bare
@@ -148,12 +157,15 @@
 // chunks until the fold completes and emit in morsel order. Set roots
 // deduplicate in the root, first occurrence wins.
 //
-// The top-k root evaluates the sort keys per live row (slot fast paths
-// for pure column references) and offers the entry to a monoid.TopKAcc
-// bounded to offset+limit entries — O(offset+limit) memory, never
-// O(rows). A keys-only competitiveness pre-check rejects rows that cannot
-// place before their head is evaluated, so a wide SELECT under a small
-// LIMIT folds allocation-free in the steady state. Morsel-parallel
+// The top-k root computes the sort-key columns per batch and offers each
+// live row's keys to a monoid.TopKAcc bounded to offset+limit entries —
+// O(offset+limit) memory, never O(rows). A keys-only competitiveness
+// pre-check rejects rows that cannot place before their head is
+// evaluated: the head getter runs over a one-row selection for each row
+// that passes, never over the whole batch, because the head is usually
+// a record build — the per-row cost of a wide SELECT — and under a small
+// LIMIT almost no row places. So a wide SELECT under a small LIMIT folds
+// allocation-free in the steady state. Morsel-parallel
 // partial heaps merge at the root, sound for any monoid because the final
 // sort's total order (keys, then the element value) does not depend on
 // input order. Set plans deduplicate at finalize, so DISTINCT + ORDER BY

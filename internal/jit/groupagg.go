@@ -33,28 +33,20 @@ const groupTableInitSlots = 256
 // per group.
 const groupChargeChunk = 256 << 10
 
-// valGetter produces the value column of one expression for a batch:
-// a slot reference returns its column untouched, a vectorized kernel
-// computes a typed column (a constant is a broadcast column filled once),
-// the boxed fallback evaluates row-wise into a reused boxed column
-// (filled at physical indices, live rows only).
-type valGetter func(b *vec.Batch) (*vec.Col, error)
-
-// mkGetter stages an expression as a valGetter factory; each factory
-// call returns a getter with its own scratch (one per consumer).
-func (c *compiler) mkGetter(e mcl.Expr, f *frame) (func() valGetter, error) {
-	if s := slotOf(e, f); s >= 0 {
-		c.vecStages++
-		return func() valGetter {
-			return func(b *vec.Batch) (*vec.Col, error) { return &b.Cols[s], nil }
-		}, nil
-	}
+// mkGetter is the JIT's one expression stager: it turns an expression
+// into a per-batch column factory for every consumer that reads a
+// computed value — group keys and aggregate inputs, join keys, root
+// heads and sort keys, bind columns and non-kernel filter predicates.
+// compileVecExpr's kernels come first: a slot reference returns its
+// column untouched (a shared, stateless kernel), a constant is a
+// broadcast column filled once, arithmetic computes a typed column. Any
+// other expression evaluates row-wise into a reused boxed column (filled
+// at physical indices, live rows only). Each factory call returns a
+// getter with its own scratch (one per consumer).
+func (c *compiler) mkGetter(e mcl.Expr, f *frame) (func() vecExpr, error) {
 	if mk := compileVecExpr(e, f); mk != nil {
 		c.vecStages++
-		return func() valGetter {
-			k := mk()
-			return func(b *vec.Batch) (*vec.Col, error) { return k(b) }
-		}, nil
+		return mk, nil
 	}
 	c.boxedStages++
 	ce, err := c.compileExpr(e, f)
@@ -62,7 +54,7 @@ func (c *compiler) mkGetter(e mcl.Expr, f *frame) (func() valGetter, error) {
 		return nil, err
 	}
 	width := f.width()
-	return func() valGetter {
+	return func() vecExpr {
 		row := make([]values.Value, width)
 		out := &vec.Col{Tag: vec.Boxed}
 		return func(b *vec.Batch) (*vec.Col, error) {
@@ -86,8 +78,8 @@ func (c *compiler) mkGetter(e mcl.Expr, f *frame) (func() valGetter, error) {
 }
 
 // newGetters instantiates one consumer's getters (getters own scratch).
-func newGetters(mks []func() valGetter) []valGetter {
-	gets := make([]valGetter, len(mks))
+func newGetters(mks []func() vecExpr) []vecExpr {
+	gets := make([]vecExpr, len(mks))
 	for j, mk := range mks {
 		gets[j] = mk()
 	}
@@ -95,7 +87,7 @@ func newGetters(mks []func() valGetter) []valGetter {
 }
 
 // getCols produces the columns of b into cols.
-func getCols(gets []valGetter, b *vec.Batch, cols []*vec.Col) error {
+func getCols(gets []vecExpr, b *vec.Batch, cols []*vec.Col) error {
 	for j, get := range gets {
 		col, err := get(b)
 		if err != nil {
@@ -430,8 +422,8 @@ func (a *boxedAcc) bytes() int64              { return int64(len(a.cs)) * 48 }
 // merge through absorb in morsel order.
 type groupConsumer struct {
 	nKeys  int
-	keyGet []valGetter
-	aggGet []valGetter
+	keyGet []vecExpr
+	aggGet []vecExpr
 	aggs   []groupAcc
 
 	// Dense group list (insertion order = first-occurrence order) plus
@@ -723,7 +715,7 @@ func (gc *groupConsumer) emit(bs int, sink batchSink) error {
 // TopKAcc directly.
 func (c *compiler) compileGroupAgg(p *algebra.Reduce, input *compiledPlan) (*compiledPlan, error) {
 	nKeys := len(p.GroupBy)
-	mkKeyGets := make([]func() valGetter, nKeys)
+	mkKeyGets := make([]func() vecExpr, nKeys)
 	for i, k := range p.GroupBy {
 		g, err := c.mkGetter(k.E, input.frame)
 		if err != nil {
@@ -731,7 +723,7 @@ func (c *compiler) compileGroupAgg(p *algebra.Reduce, input *compiledPlan) (*com
 		}
 		mkKeyGets[i] = g
 	}
-	mkAggGets := make([]func() valGetter, len(p.Aggs))
+	mkAggGets := make([]func() vecExpr, len(p.Aggs))
 	aggMs := make([]monoid.Monoid, len(p.Aggs))
 	for i, a := range p.Aggs {
 		g, err := c.mkGetter(a.E, input.frame)
@@ -812,7 +804,7 @@ func (c *compiler) compileGroupAgg(p *algebra.Reduce, input *compiledPlan) (*com
 		}
 		return root.emit(opts.BatchSize, sink)
 	}
-	return &compiledPlan{frame: gf, run: run}, nil
+	return &compiledPlan{frame: gf, src: run}, nil
 }
 
 // shadowGrouped strips the grouping clause off a grouped reduce so the

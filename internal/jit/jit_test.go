@@ -112,6 +112,9 @@ var equivalenceQueries = []string{
 	`for { e <- Employees, d <- Departments, e.deptNo = d.id, d.deptName = "HR" } yield sum 1`,
 	`for { e <- Employees, d <- Departments, e.deptNo = d.id } yield bag (n := e.name, dep := d.deptName)`,
 	`for { o <- Orders, i <- o.items, i > 3 } yield list i`,
+	// Two generates in one pipeline: the inner one's buffered rows flush
+	// through the outer one before it flushes.
+	`for { o <- Orders, i <- o.items, j <- o.items, i >= j } yield list (i * 10 + j)`,
 	`for { e <- Employees, b := e.salary * 0.1, b > 9.0 } yield set e.name`,
 	`for { e <- Employees } yield max e.salary`,
 	`for { e <- Employees } yield avg e.salary`,

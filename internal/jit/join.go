@@ -25,14 +25,14 @@ import (
 // for any worker count — including for the non-commutative list monoid.
 
 // joinState is the compile-time staging of one hash join: everything
-// both the serial run path and the morsel-parallel openRange path share.
+// both the serial run path and the morsel-parallel srcRange path share.
 // Join keys are key columns, one per On pair and side (mkGetter: slot,
 // kernel or boxed fallback). A build key that is not a build slot rides
 // along as an extra column of each retained build batch; rKeyAt[j] is
 // the retained column holding build key j.
 type joinState struct {
 	l, r         *compiledPlan
-	lKeys, rKeys []func() valGetter
+	lKeys, rKeys []func() vecExpr
 	rKeyAt       []int
 	lw, rw       int
 	opts         Options
@@ -182,7 +182,7 @@ func (js *joinState) seal(partials []*joinPartial) (*joinIndex, error) {
 // `fold kind=join` span. The build scan goes morsel-parallel when the
 // build side is partitionable and at least ParallelThreshold rows;
 // below that it stays serial (one partial).
-// buildIndex always runs on the query's main goroutine — openRange
+// buildIndex always runs on the query's main goroutine — srcRange
 // callers invoke it eagerly before dispatching probe morsels, so the
 // pool never nests Run inside its own workers.
 func (js *joinState) buildIndex() (*joinIndex, *trace.Span, error) {
@@ -294,11 +294,11 @@ func (js *joinState) mkProber(idx *joinIndex, psp *trace.Span, sink batchSink) (
 
 // plan assembles the compiledPlan for a staged join: a serial run path
 // (build may still go parallel; the probe is one pipeline) and, when the
-// probe side is partitionable, an openRange path probing morsel-parallel
+// probe side is partitionable, a srcRange path probing morsel-parallel
 // against the eagerly sealed index.
 func (js *joinState) plan(f *frame) *compiledPlan {
 	cp := &compiledPlan{frame: f}
-	cp.run = func(sink batchSink) error {
+	cp.src = func(sink batchSink) error {
 		idx, fold, err := js.buildIndex()
 		if err != nil {
 			return err
@@ -312,18 +312,18 @@ func (js *joinState) plan(f *frame) *compiledPlan {
 		psp.End()
 		return err
 	}
-	if js.l.openRange == nil {
+	if js.l.srcRange == nil {
 		return cp
 	}
-	cp.openRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
-		pscan, n, ok := js.l.openRange()
-		if !ok || n < js.opts.ParallelThreshold {
+	cp.srcRange = func() (func(lo, hi int, sink batchSink) error, int, bool) {
+		pscan, n, ok := parallelInput(js.l, js.opts, js.opts.ParallelThreshold)
+		if !ok {
 			// Below the root's own parallel gate the caller would fall
 			// back to run() anyway; declining here avoids building the
 			// index twice.
 			return nil, 0, false
 		}
-		// Eager build: openRange is called on the query's main goroutine
+		// Eager build: srcRange is called on the query's main goroutine
 		// before any probe morsel is dispatched, so a parallel build's
 		// Pool.Run never nests inside pool workers. A build failure is
 		// stashed and surfaces from every probe morsel, preserving typed

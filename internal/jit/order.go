@@ -27,161 +27,84 @@ import (
 // sibling morsel workers) into successful early completion.
 var errLimitReached = errors.New("jit: row limit reached")
 
-// orderedConsumer evaluates sort keys and the head per live row and
-// folds them into a keyed top-k accumulator. One consumer serves one
-// serial run or one morsel; reset swaps the accumulator between morsels.
+// orderedConsumer folds live rows into a keyed top-k accumulator: sort
+// keys are mkGetter columns computed per batch, the head a mkGetter
+// column computed lazily, row by row, only for rows whose keys are
+// competitive. One consumer serves one serial run or one morsel; reset
+// swaps the accumulator between morsels.
 type orderedConsumer struct {
-	acc         *monoid.TopKAcc
-	filter      batchFilter // may be nil
-	keyIdxs     []int       // per key: >= 0 slot fast path, -1 via kernel/expr
-	keyKernels  []vecExpr   // per key: non-nil vectorized kernel
-	keyCols     []*vec.Col  // per-batch kernel outputs (scratch)
-	keyEs       []compiledExpr
-	headIdx     int // >= 0: head is this slot
-	head        compiledExpr
-	row         []values.Value
-	keys        []values.Value // reusable key scratch (fresh after retention)
-	needRowKeys bool
-	needRowHead bool
+	acc     *monoid.TopKAcc
+	keyGet  []vecExpr
+	keyCols []*vec.Col
+	head    vecExpr
+	keys    []values.Value // reusable key scratch (fresh after retention)
+	one     [1]int         // the one-row selection the head is computed over
 }
 
 func (oc *orderedConsumer) reset(acc *monoid.TopKAcc) { oc.acc = acc }
 
 func (oc *orderedConsumer) consume(b *vec.Batch) error {
-	if oc.filter != nil {
-		if err := oc.filter(b); err != nil {
-			return err
-		}
-	}
 	n := b.Len()
 	if n == 0 {
 		return nil
 	}
-	// Kernel keys evaluate once per batch; rows then box only the key
-	// values they feed into the competitiveness check.
-	for j, kk := range oc.keyKernels {
-		if kk == nil {
+	if err := getCols(oc.keyGet, b, oc.keyCols); err != nil {
+		return err
+	}
+	// The head runs over a one-row selection per competitive row; the
+	// batch's own selection is restored once the rows are folded.
+	sel := b.Sel
+	for k := 0; k < n; k++ {
+		i := k
+		if sel != nil {
+			i = sel[k]
+		}
+		if oc.keys == nil {
+			oc.keys = make([]values.Value, len(oc.keyCols))
+		}
+		for j, col := range oc.keyCols {
+			oc.keys[j] = col.Value(i)
+		}
+		// Keys-only pre-check: rows that cannot place skip head
+		// evaluation (the record build is the per-row cost of wide
+		// selects) and reuse the key buffer — the steady state of a
+		// large scan under a small limit folds allocation-free.
+		if !oc.acc.Competitive(oc.keys) {
 			continue
 		}
-		kc, err := kk(b)
+		oc.one[0] = i
+		b.Sel = oc.one[:]
+		hc, err := oc.head(b)
 		if err != nil {
 			return err
 		}
-		oc.keyCols[j] = kc
-	}
-	for k := 0; k < n; k++ {
-		i := b.Index(k)
-		if oc.needRowKeys {
-			fillRow(b, i, oc.row)
-		}
-		if oc.keys == nil {
-			oc.keys = make([]values.Value, len(oc.keyIdxs))
-		}
-		keys := oc.keys
-		for j, idx := range oc.keyIdxs {
-			if idx >= 0 {
-				keys[j] = b.Cols[idx].Value(i)
-				continue
-			}
-			if oc.keyCols[j] != nil {
-				keys[j] = oc.keyCols[j].Value(i)
-				continue
-			}
-			kv, err := oc.keyEs[j](oc.row)
-			if err != nil {
-				return err
-			}
-			keys[j] = kv
-		}
-		// Keys-only pre-check: rows that cannot place skip row
-		// materialization and head evaluation (the record build is the
-		// per-row cost of wide selects) and reuse the key buffer — the
-		// steady state of a large scan under a small limit folds
-		// allocation-free.
-		if !oc.acc.Competitive(keys) {
-			continue
-		}
-		var h values.Value
-		if oc.headIdx >= 0 {
-			h = b.Cols[oc.headIdx].Value(i)
-		} else {
-			if oc.needRowHead && !oc.needRowKeys {
-				fillRow(b, i, oc.row)
-			}
-			var err error
-			h, err = oc.head(oc.row)
-			if err != nil {
-				return err
-			}
-		}
-		if oc.acc.Offer(keys, h) {
+		if oc.acc.Offer(oc.keys, hc.Value(i)) {
 			oc.keys = nil
 		}
 	}
+	b.Sel = sel
 	return nil
 }
 
-// compileOrderedConsumer stages the keyed top-k root: optional inline
-// predicate, per-key slot fast paths, head evaluation.
+// compileOrderedConsumer stages the keyed top-k root's consumer: one
+// mkGetter column per sort key and one for the head.
 func (c *compiler) compileOrderedConsumer(p *algebra.Reduce, input *compiledPlan) (func() *orderedConsumer, []bool, error) {
-	var mkFilter func() batchFilter
-	var err error
-	if p.Pred != nil {
-		mkFilter, err = c.compileFilter(p.Pred, input.frame)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
 	keys := p.Order.Keys
 	desc := make([]bool, len(keys))
-	keyIdxs := make([]int, len(keys))
-	mkKeyKernels := make([]func() vecExpr, len(keys))
-	keyEs := make([]compiledExpr, len(keys))
-	needRowKeys := false
+	mkKeys := make([]func() vecExpr, len(keys))
 	for i, k := range keys {
 		desc[i] = k.Desc
-		keyIdxs[i] = slotOf(k.E, input.frame)
-		if keyIdxs[i] < 0 {
-			if mkKeyKernels[i] = compileVecExpr(k.E, input.frame); mkKeyKernels[i] != nil {
-				continue
-			}
-			keyEs[i], err = c.compileExpr(k.E, input.frame)
-			if err != nil {
-				return nil, nil, err
-			}
-			needRowKeys = true
-		}
-	}
-	headIdx := slotOf(p.Head, input.frame)
-	var head compiledExpr
-	needRowHead := false
-	if headIdx < 0 {
-		head, err = c.compileExpr(p.Head, input.frame)
-		if err != nil {
+		var err error
+		if mkKeys[i], err = c.mkGetter(k.E, input.frame); err != nil {
 			return nil, nil, err
 		}
-		needRowHead = true
 	}
-	width := input.frame.width()
+	mkHead, err := c.mkGetter(p.Head, input.frame)
+	if err != nil {
+		return nil, nil, err
+	}
 	return func() *orderedConsumer {
-		oc := &orderedConsumer{
-			keyIdxs: keyIdxs, keyEs: keyEs, headIdx: headIdx, head: head,
-			needRowKeys: needRowKeys, needRowHead: needRowHead,
-			keyKernels: make([]vecExpr, len(keys)),
-			keyCols:    make([]*vec.Col, len(keys)),
-		}
-		for i, mk := range mkKeyKernels {
-			if mk != nil {
-				oc.keyKernels[i] = mk()
-			}
-		}
-		if needRowKeys || needRowHead {
-			oc.row = make([]values.Value, width)
-		}
-		if mkFilter != nil {
-			oc.filter = mkFilter()
-		}
-		return oc
+		return &orderedConsumer{keyGet: newGetters(mkKeys), keyCols: make([]*vec.Col, len(keys)), head: mkHead()}
 	}, desc, nil
 }
 

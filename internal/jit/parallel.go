@@ -10,17 +10,25 @@ import (
 )
 
 // parallelInput opens the morsel-parallel runner of a compiled subtree
-// when the plan allows it: more than one worker, a partitionable subtree
-// (openRange) and at least threshold rows. ok false means run serially.
+// when the plan allows it: more than one worker, a partitionable
+// producer (srcRange) and at least threshold rows. Each scan invocation
+// runs its own instance of the plan's stages. ok false means run
+// serially.
 func parallelInput(cp *compiledPlan, opts Options, threshold int) (scan func(lo, hi int, sink batchSink) error, n int, ok bool) {
-	if opts.Workers <= 1 || cp.openRange == nil {
+	if opts.Workers <= 1 || cp.srcRange == nil {
 		return nil, 0, false
 	}
-	scan, n, ok = cp.openRange()
+	scan, n, ok = cp.srcRange()
 	if !ok || n < threshold {
 		return nil, 0, false
 	}
-	return scan, n, true
+	if cp.stage == nil {
+		return scan, n, true
+	}
+	src, stage := scan, cp.stage
+	return func(lo, hi int, sink batchSink) error {
+		return drive(stage, func(next batchSink) error { return src(lo, hi, next) }, sink)
+	}, n, true
 }
 
 // morsels is the one morsel driver (morsel-driven parallelism, Leis et

@@ -64,6 +64,13 @@ func compile(p *algebra.Reduce, cat algebra.Catalog, opts Options) (program, err
 		}
 		p = shadowGrouped(p)
 	}
+	// The root predicate (HAVING over group rows) is one more filter
+	// stage: every root consumes already-filtered batches.
+	if p.Pred != nil {
+		if input, err = c.filterStage(input, p.Pred); err != nil {
+			return program{}, err
+		}
+	}
 	prog := program{coll: p.M.Name(), reserve: opts.MemReserve}
 	switch {
 	case p.Order.Ordered():
@@ -244,7 +251,7 @@ func (c *compiler) quotaRoot(p *algebra.Reduce, input *compiledPlan) (func(Strea
 		return nil, err
 	}
 	if name == "list" {
-		input = &compiledPlan{frame: input.frame, run: input.run}
+		input = &compiledPlan{frame: input.frame, src: input.src, stage: input.stage}
 	}
 	opts := c.opts
 	return func(emit StreamSink) error {
@@ -356,51 +363,27 @@ func dedupSink(next StreamSink, reserve func(delta int64) error) StreamSink {
 	}
 }
 
-// streamConsumer turns pipeline batches into chunks of evaluated head
-// values. One consumer serves one serial run or one morsel.
+// streamConsumer turns pipeline batches into chunks of head values (the
+// head's staged column, read at the live rows). One consumer serves one
+// serial run or one morsel.
 type streamConsumer struct {
-	filter     batchFilter // may be nil
-	headIdx    int         // >= 0: head is this slot (no per-row evaluation)
-	headKernel vecExpr     // non-nil: head computed per batch by a kernel
-	head       compiledExpr
-	row        []values.Value
-	chunk      []values.Value
-	size       int
-	emit       StreamSink
+	head  vecExpr
+	chunk []values.Value
+	size  int
+	emit  StreamSink
 }
 
 func (sc *streamConsumer) consume(b *vec.Batch) error {
-	if sc.filter != nil {
-		if err := sc.filter(b); err != nil {
-			return err
-		}
-	}
 	n := b.Len()
-	var headCol *vec.Col
-	if sc.headKernel != nil && n > 0 {
-		var err error
-		headCol, err = sc.headKernel(b)
-		if err != nil {
-			return err
-		}
+	if n == 0 {
+		return nil
+	}
+	col, err := sc.head(b)
+	if err != nil {
+		return err
 	}
 	for k := 0; k < n; k++ {
-		i := b.Index(k)
-		var v values.Value
-		switch {
-		case sc.headIdx >= 0:
-			v = b.Cols[sc.headIdx].Value(i)
-		case headCol != nil:
-			v = headCol.Value(i)
-		default:
-			fillRow(b, i, sc.row)
-			var err error
-			v, err = sc.head(sc.row)
-			if err != nil {
-				return err
-			}
-		}
-		sc.chunk = append(sc.chunk, v)
+		sc.chunk = append(sc.chunk, col.Value(b.Index(k)))
 		if len(sc.chunk) >= sc.size {
 			if err := sc.flush(); err != nil {
 				return err
@@ -425,44 +408,14 @@ func (sc *streamConsumer) flush() error {
 }
 
 // compileStreamConsumer stages the consumer of an element-emitting root:
-// optional inline predicate, head evaluation (slot fast path when the
-// head is a pure slot reference) and chunk assembly.
+// the head as a mkGetter column, and chunk assembly.
 func (c *compiler) compileStreamConsumer(p *algebra.Reduce, input *compiledPlan) (func(StreamSink) *streamConsumer, error) {
-	var mkFilter func() batchFilter
-	var err error
-	if p.Pred != nil {
-		mkFilter, err = c.compileFilter(p.Pred, input.frame)
-		if err != nil {
-			return nil, err
-		}
+	mkHead, err := c.mkGetter(p.Head, input.frame)
+	if err != nil {
+		return nil, err
 	}
-	headIdx := slotOf(p.Head, input.frame)
-	var mkHeadKernel func() vecExpr
-	var head compiledExpr
-	if headIdx < 0 {
-		mkHeadKernel = compileVecExpr(p.Head, input.frame)
-	}
-	if headIdx < 0 && mkHeadKernel == nil {
-		c.boxedStages++
-		if head, err = c.compileExpr(p.Head, input.frame); err != nil {
-			return nil, err
-		}
-	} else {
-		c.vecStages++
-	}
-	width := input.frame.width()
 	size := c.opts.BatchSize
 	return func(emit StreamSink) *streamConsumer {
-		sc := &streamConsumer{headIdx: headIdx, head: head, size: size, emit: emit}
-		sc.chunk = make([]values.Value, 0, size)
-		if mkHeadKernel != nil {
-			sc.headKernel = mkHeadKernel()
-		} else if headIdx < 0 {
-			sc.row = make([]values.Value, width)
-		}
-		if mkFilter != nil {
-			sc.filter = mkFilter()
-		}
-		return sc
+		return &streamConsumer{head: mkHead(), chunk: make([]values.Value, 0, size), size: size, emit: emit}
 	}, nil
 }

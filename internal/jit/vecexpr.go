@@ -50,9 +50,10 @@ func compileVecExpr(e mcl.Expr, f *frame) func() vecExpr {
 		if idx < 0 {
 			return nil
 		}
-		return func() vecExpr {
-			return func(b *vec.Batch) (*vec.Col, error) { return &b.Cols[idx], nil }
+		if idx < len(slotKernels) {
+			return slotKernels[idx]
 		}
+		return slotKernel(idx)
 	case *mcl.ConstExpr:
 		return constKernel(n.Val)
 	case *mcl.NegExpr:
@@ -100,6 +101,23 @@ func compileVecExpr(e mcl.Expr, f *frame) func() vecExpr {
 	}
 	return nil
 }
+
+// slotKernel is the identity kernel of slot idx: it returns the batch's
+// own column. Stateless, so every consumer shares one kernel.
+func slotKernel(idx int) func() vecExpr {
+	k := vecExpr(func(b *vec.Batch) (*vec.Col, error) { return &b.Cols[idx], nil })
+	return func() vecExpr { return k }
+}
+
+// slotKernels are the identity kernels of the first frame slots, built
+// once per process: staging a slot reference allocates nothing, per
+// query or per consumer.
+var slotKernels = func() (ks [256]func() vecExpr) {
+	for i := range ks {
+		ks[i] = slotKernel(i)
+	}
+	return ks
+}()
 
 // constKernel stages a constant as a broadcast column: Int64 or Float64
 // payloads for numbers, a Str column for strings. The kernel fills its

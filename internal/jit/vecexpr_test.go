@@ -16,31 +16,58 @@ import (
 
 // kernelQueries exercise every staged kernel shape: arithmetic heads
 // (int, float, mixed, constant-folded), computed filters against
-// constants and against other computed columns, binds feeding typed
-// extension columns, negation, integer division/modulo, string
-// concatenation through the boxed kernel loop, computed ORDER BY keys
-// and constants as broadcast columns.
-var kernelQueries = []string{
-	`for { e <- Employees } yield sum (e.salary * 2.0 + 1.0)`,
-	`for { e <- Employees } yield avg (e.id + e.deptNo)`,
-	`for { e <- Employees } yield count (e.id + 1)`,
-	`for { e <- Employees } yield min (-e.salary)`,
-	`for { e <- Employees } yield sum (e.id % 3)`,
-	`for { e <- Employees } yield sum (e.id / 2)`,
-	`for { e <- Employees } yield sum (e.salary / 4.0)`,
-	`for { e <- Employees } yield max (100 - e.id)`,
-	`for { e <- Employees, e.salary + 10.0 > 95.0 } yield count e`,
-	`for { e <- Employees, e.id * 100 > e.deptNo * 3 } yield count e`,
-	`for { e <- Employees, e.salary * 0.5 > 40.0, e.id + 1 < 4 } yield sum e.salary`,
-	`for { e <- Employees, b := e.id * 3 + 1, b > 5 } yield sum b`,
-	`for { e <- Employees } yield list (e.name + e.name)`,
-	`for { e <- Employees } yield bag (e.id * 2) order by e.salary * 2.0 desc limit 2`,
-	`for { e <- Employees } yield list (e.id - e.deptNo) order by 0 - e.id limit 3`,
-	`for { s <- Sparse, s.v + 1 > 2 } yield count s`,
-	`for { s <- Sparse } yield bag (s.v * 2)`,
+// constants and against other computed columns, int columns against
+// float constants, binds feeding typed extension columns, negation,
+// integer division/modulo, string concatenation through the boxed kernel
+// loop, computed and boxed ORDER BY keys, constants as broadcast columns,
+// boxed heads (conditionals and calls) on fold roots, and HAVING over
+// groups under every root shape. Each row pins its plan's staging tally
+// (Counters.KernelsVectorized/KernelsBoxed), so no stage silently falls
+// back to the boxed row loop. Every stage counts once: scan filters and
+// the root predicate, binds, heads, group keys and aggregate inputs, and
+// ORDER BY keys and the top-k head.
+var kernelQueries = []struct {
+	q          string
+	vec, boxed int64
+}{
+	{`for { e <- Employees } yield sum (e.salary * 2.0 + 1.0)`, 1, 0},
+	{`for { e <- Employees } yield avg (e.id + e.deptNo)`, 1, 0},
+	{`for { e <- Employees } yield count (e.id + 1)`, 1, 0},
+	{`for { e <- Employees } yield min (-e.salary)`, 1, 0},
+	{`for { e <- Employees } yield sum (e.id % 3)`, 1, 0},
+	{`for { e <- Employees } yield sum (e.id / 2)`, 1, 0},
+	{`for { e <- Employees } yield sum (e.salary / 4.0)`, 1, 0},
+	{`for { e <- Employees } yield max (100 - e.id)`, 1, 0},
+	{`for { e <- Employees, e.salary + 10.0 > 95.0 } yield count e`, 1, 1},
+	{`for { e <- Employees, e.id * 100 > e.deptNo * 3 } yield count e`, 1, 1},
+	{`for { e <- Employees, e.salary * 0.5 > 40.0, e.id + 1 < 4 } yield sum e.salary`, 3, 0},
+	{`for { e <- Employees, b := e.id * 3 + 1, b > 5 } yield sum b`, 2, 0},
+	{`for { e <- Employees } yield list (e.name + e.name)`, 1, 0},
+	{`for { e <- Employees } yield bag (e.id * 2) order by e.salary * 2.0 desc limit 2`, 2, 0},
+	{`for { e <- Employees } yield list (e.id - e.deptNo) order by 0 - e.id limit 3`, 2, 0},
+	{`for { s <- Sparse, s.v + 1 > 2 } yield count s`, 1, 1},
+	{`for { s <- Sparse } yield bag (s.v * 2)`, 1, 0},
 	// Broadcast constants: an element head and an ORDER BY key.
-	`for { e <- Employees } yield list "x"`,
-	`for { e <- Employees } yield list e.id order by 1, e.id desc limit 3`,
+	{`for { e <- Employees } yield list "x"`, 1, 0},
+	{`for { e <- Employees } yield list e.id order by 1, e.id desc limit 3`, 3, 0},
+	// Int columns against float constants, both orientations, over a
+	// nullable column too.
+	{`for { e <- Employees, e.id > 1.5 } yield count e`, 1, 1},
+	{`for { e <- Employees, 2.5 >= e.id } yield sum e.salary`, 2, 0},
+	{`for { s <- Sparse, s.v > 1.5 } yield count s`, 1, 1},
+	{`for { s <- Sparse, 4.5 >= s.v } yield bag s.k`, 2, 0},
+	// Boxed heads on fold roots: a conditional under sum, a call under min.
+	{`for { e <- Employees } yield sum (if e.salary > 95.0 then e.id else 0)`, 0, 1},
+	{`for { e <- Employees } yield min abs(e.id - 3)`, 0, 1},
+	// A boxed ORDER BY key; a kernel head on a top-k root.
+	{`for { e <- Employees } yield list e.name order by (if e.deptNo > 10 then e.salary else 0.0 - e.salary) desc limit 3`, 1, 1},
+	{`for { e <- Employees } yield list (e.salary * 2.0) order by e.id desc limit 2`, 2, 0},
+	{`for { e <- Employees, e.deptNo > 10 } yield list e.name order by e.salary limit 1`, 3, 0},
+	// HAVING (the root predicate) under a top-k, an elements and a quota
+	// root.
+	{`for { e <- Employees } group by { d := e.deptNo } agg { n := count e, t := sum e.salary } having n > 1 yield list (d := d, t := t) order by t desc limit 2`, 4, 2},
+	{`for { e <- Employees } group by { d := e.deptNo } agg { t := sum e.salary } having t > 95.0 yield bag d`, 4, 0},
+	{`for { e <- Employees } group by { d := e.deptNo } agg { t := sum e.salary } having t < 150.0 yield list d limit 2`, 4, 0},
 }
 
 func sparseCatalog() *schemaCat {
@@ -61,21 +88,26 @@ func sparseCatalog() *schemaCat {
 }
 
 // TestVecExprKernelEquivalence pins the kernels to the row-wise
-// reference executor on every kernel shape.
+// reference executor on every kernel shape, and each plan's staging
+// tally to the table.
 func TestVecExprKernelEquivalence(t *testing.T) {
 	cat := sparseCatalog()
-	for _, q := range kernelQueries {
-		plan := planFor(t, q, cat)
+	for _, kq := range kernelQueries {
+		plan := planFor(t, kq.q, cat)
 		want, err := algebra.Reference{}.Run(plan, cat)
 		if err != nil {
-			t.Fatalf("reference %q: %v", q, err)
+			t.Fatalf("reference %q: %v", kq.q, err)
 		}
-		got, err := Executor{}.Run(plan, cat)
+		var ct Counters
+		got, err := Executor{Opts: Options{Counters: &ct}}.Run(plan, cat)
 		if err != nil {
-			t.Fatalf("kernels %q: %v", q, err)
+			t.Fatalf("kernels %q: %v", kq.q, err)
 		}
 		if !values.Equal(got, want) {
-			t.Fatalf("kernels diverged on %q:\nkernels: %v\nref: %v", q, got, want)
+			t.Fatalf("kernels diverged on %q:\nkernels: %v\nref: %v", kq.q, got, want)
+		}
+		if v, b := ct.KernelsVectorized.Load(), ct.KernelsBoxed.Load(); v != kq.vec || b != kq.boxed {
+			t.Errorf("%q staged %d vectorized, %d boxed; want %d, %d", kq.q, v, b, kq.vec, kq.boxed)
 		}
 	}
 }
@@ -112,20 +144,36 @@ func TestVecExprKernelsOnTypedBatches(t *testing.T) {
 		`for { m <- M } yield bag (m.score + 0.5)`,
 		`for { m <- M, m.id + m.id > 3 } yield list (m.name + m.name)`,
 		`for { m <- M } yield list m.name order by 0 - m.id limit 2`,
+		`for { m <- M, m.id > 1.5 } yield count m`,
+		`for { m <- M, 2.5 >= m.id } yield list m.name`,
+		`for { m <- M, m.score > 11.5 } yield list m.id`,
+		`for { m <- M } yield sum (if m.score > 11.0 then m.id else 0)`,
+		`for { m <- M } yield min abs(m.id - 3)`,
+		`for { m <- M } yield list m.name order by (if m.id > 2 then m.id else 0 - m.id) desc limit 3`,
+		`for { m <- M } yield list (m.id * 2) order by m.name desc limit 3`,
+		`for { m <- M, m.id > 1 } yield list m.name order by m.id limit 2`,
+		`for { m <- M } group by { big := m.id > 2 } agg { n := count m, t := sum m.id } having t > 3 yield list (big := big, n := n) order by t limit 1`,
+		`for { m <- M } group by { big := m.id > 2 } agg { t := sum m.id } having t > 3 yield bag big`,
 	}
+	// The parallel executor splits the four rows into two-row morsels
+	// once the positional map serves ranges (the second pass), so the
+	// per-batch stages and the root predicate also run per morsel.
+	executors := []Executor{{}, {Opts: Options{Workers: 4, ParallelThreshold: 1, BatchSize: 2}}}
 	for _, q := range queries {
 		plan := planFor2(t, q, cat)
 		want, err := algebra.Reference{}.Run(plan, cat)
 		if err != nil {
 			t.Fatalf("reference %q: %v", q, err)
 		}
-		for pass := 0; pass < 2; pass++ {
-			got, err := Executor{}.Run(plan, cat)
-			if err != nil {
-				t.Fatalf("pass %d %q: %v", pass, q, err)
-			}
-			if !values.Equal(got, want) {
-				t.Fatalf("pass %d diverged on %q:\ngot: %v\nref: %v", pass, q, got, want)
+		for x, ex := range executors {
+			for pass := 0; pass < 2; pass++ {
+				got, err := ex.Run(plan, cat)
+				if err != nil {
+					t.Fatalf("executor %d pass %d %q: %v", x, pass, q, err)
+				}
+				if !values.Equal(got, want) {
+					t.Fatalf("executor %d pass %d diverged on %q:\ngot: %v\nref: %v", x, pass, q, got, want)
+				}
 			}
 		}
 	}

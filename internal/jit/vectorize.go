@@ -91,11 +91,11 @@ func isCmpOp(op mcl.BinOp) bool {
 }
 
 // compileVecFilter stages a predicate as a vectorized selection kernel
-// when its shape allows (comparisons whose sides are slots, constants
-// or arithmetic kernels over them, plus
-// conjunctions thereof); nil means the caller must use the row-wise
-// fallback. Comparison semantics match mcl.ApplyBinOp exactly: null
-// operands compare false, int/float compare numerically.
+// when its shape allows (comparisons whose sides are compileVecExpr
+// kernels — slots, constants or arithmetic over them — plus
+// conjunctions thereof); nil means the caller stages the predicate as a
+// column (filterStage). Comparison semantics match mcl.ApplyBinOp
+// exactly: null operands compare false, int/float compare numerically.
 func compileVecFilter(e mcl.Expr, f *frame) func() batchFilter {
 	n, ok := e.(*mcl.BinExpr)
 	if !ok {
@@ -123,35 +123,20 @@ func compileVecFilter(e mcl.Expr, f *frame) func() batchFilter {
 	if !isCmpOp(n.Op) {
 		return nil
 	}
-	li, ri := slotOf(n.L, f), slotOf(n.R, f)
-	if li >= 0 && ri >= 0 {
-		return colColFilter(li, ri, n.Op)
-	}
-	if li >= 0 {
-		if cv, ok := constOf(n.R); ok {
-			return colConstFilter(li, n.Op, cv)
-		}
-	}
-	if ri >= 0 {
-		if cv, ok := constOf(n.L); ok {
-			return colConstFilter(ri, flipOp(n.Op), cv)
-		}
-	}
-	// Computed sides: arithmetic kernels feed the same comparison loops.
-	// A constant side folds into the loop rather than running as a
-	// broadcast column.
-	lk := compileVecExpr(n.L, f)
-	rk := compileVecExpr(n.R, f)
-	if lk != nil {
-		if cv, ok := constOf(n.R); ok {
+	// Slots are identity kernels and computed sides arithmetic kernels;
+	// both feed the same comparison loops. A constant side folds into the
+	// loop rather than running as a broadcast column.
+	if cv, ok := constOf(n.R); ok {
+		if lk := compileVecExpr(n.L, f); lk != nil {
 			return kernelConstFilter(lk, n.Op, cv)
 		}
 	}
-	if rk != nil {
-		if cv, ok := constOf(n.L); ok {
+	if cv, ok := constOf(n.L); ok {
+		if rk := compileVecExpr(n.R, f); rk != nil {
 			return kernelConstFilter(rk, flipOp(n.Op), cv)
 		}
 	}
+	lk, rk := compileVecExpr(n.L, f), compileVecExpr(n.R, f)
 	if lk != nil && rk != nil {
 		return kernelPairFilter(lk, rk, n.Op)
 	}
@@ -177,28 +162,9 @@ func selConstCmp(col *vec.Col, b *vec.Batch, cv values.Value, lt, eq, gt bool, s
 	}
 }
 
-// colConstFilter builds the slot-vs-constant kernel factory.
-func colConstFilter(idx int, op mcl.BinOp, cv values.Value) func() batchFilter {
-	lt, eq, gt := cmpMask(op)
-	return func() batchFilter {
-		// Non-nil even when empty: a nil Sel means "all rows live".
-		sel := make([]int, 0, 64)
-		return func(b *vec.Batch) error {
-			sel = sel[:0]
-			if cv.IsNull() {
-				b.Sel = sel // comparisons with null are uniformly false
-				return nil
-			}
-			sel = selConstCmp(&b.Cols[idx], b, cv, lt, eq, gt, sel)
-			b.Sel = sel
-			return nil
-		}
-	}
-}
-
-// kernelConstFilter builds the computed-column-vs-constant filter
-// factory: the kernel evaluates over the current live rows, then the
-// comparison loops refine the selection.
+// kernelConstFilter builds the column-vs-constant filter factory: the
+// kernel (an identity kernel for a slot) evaluates over the current live
+// rows, then the comparison loops refine the selection.
 func kernelConstFilter(mk func() vecExpr, op mcl.BinOp, cv values.Value) func() batchFilter {
 	lt, eq, gt := cmpMask(op)
 	return func() batchFilter {
@@ -206,8 +172,8 @@ func kernelConstFilter(mk func() vecExpr, op mcl.BinOp, cv values.Value) func() 
 		sel := make([]int, 0, 64)
 		return func(b *vec.Batch) error {
 			// The kernel runs even against a null constant (uniformly
-			// false comparison): unlike a slot read it can error — e.g.
-			// a division by zero — and the row engine surfaces that.
+			// false comparison): a computed column can error — e.g. a
+			// division by zero — and the row engine surfaces that.
 			col, err := k(b)
 			if err != nil {
 				return err
@@ -226,7 +192,7 @@ func kernelConstFilter(mk func() vecExpr, op mcl.BinOp, cv values.Value) func() 
 
 // kernelPairFilter builds the computed-vs-computed filter factory with
 // typed comparison loops (slot references compile to identity kernels,
-// so slot-vs-kernel shapes land here too).
+// so slot-vs-slot and slot-vs-kernel shapes land here too).
 func kernelPairFilter(mkL, mkR func() vecExpr, op mcl.BinOp) func() batchFilter {
 	lt, eq, gt := cmpMask(op)
 	return func() batchFilter {
@@ -476,22 +442,6 @@ func filterBoxedConst(col *vec.Col, b *vec.Batch, cv values.Value, lt, eq, gt bo
 	return out
 }
 
-// colColFilter builds the slot-vs-slot filter factory: one typed (or
-// boxed-fallback) comparison loop per batch, no closure chain per row.
-func colColFilter(li, ri int, op mcl.BinOp) func() batchFilter {
-	lt, eq, gt := cmpMask(op)
-	return func() batchFilter {
-		// Non-nil even when empty: a nil Sel means "all rows live".
-		sel := make([]int, 0, 64)
-		return func(b *vec.Batch) error {
-			sel = sel[:0]
-			sel = selPairCmp(&b.Cols[li], &b.Cols[ri], b, lt, eq, gt, sel)
-			b.Sel = sel
-			return nil
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Vectorized reduce
 // ---------------------------------------------------------------------------
@@ -514,17 +464,13 @@ const (
 // consumer serves one serial run or one morsel worker; reset swaps the
 // collector between morsels so partial aggregates merge in morsel order.
 type reduceConsumer struct {
-	acc        *monoid.Collector
-	filter     batchFilter // may be nil
-	headIdx    int         // >= 0: head is this slot (no per-row evaluation)
-	headKernel vecExpr     // non-nil: head is a vectorized expression kernel
+	acc  *monoid.Collector
+	head vecExpr // the staged head column; nil for a constant head
 	// headConst marks a numeric constant head (a literal or a bound
 	// parameter, as in COUNT(*) = sum 1): every live row contributes the
 	// same value, so a batch folds on its row count without reading a row.
 	headConst bool
 	constVal  values.Value
-	head      compiledExpr
-	row       []values.Value
 	kind      aggKind
 
 	// Unboxed partial aggregates, folded into acc by finish. Typed
@@ -586,11 +532,6 @@ func (rc *reduceConsumer) reset(acc *monoid.Collector) {
 }
 
 func (rc *reduceConsumer) consume(b *vec.Batch) error {
-	if rc.filter != nil {
-		if err := rc.filter(b); err != nil {
-			return err
-		}
-	}
 	n := b.Len()
 	if n == 0 {
 		return nil
@@ -599,42 +540,15 @@ func (rc *reduceConsumer) consume(b *vec.Batch) error {
 		rc.foldConst(int64(n))
 		return nil
 	}
-	if rc.headIdx < 0 && rc.headKernel == nil {
-		var sample values.Value
-		for k := 0; k < n; k++ {
-			fillRow(b, b.Index(k), rc.row)
-			v, err := rc.head(rc.row)
-			if err != nil {
-				return err
-			}
-			if k == 0 {
-				sample = v
-			}
-			rc.acc.Add(v)
-		}
-		return rc.chargeBoxed(sample, n)
+	col, err := rc.head(b)
+	if err != nil {
+		return err
 	}
 	if rc.kind == aggCount {
-		// Unit is 1 regardless of the head value; a slot head cannot
-		// error and a kernel head is evaluated only to surface its
-		// errors, so counting stays pure arithmetic.
-		if rc.headKernel != nil {
-			if _, err := rc.headKernel(b); err != nil {
-				return err
-			}
-		}
+		// Unit is 1 regardless of the head value: the head column is
+		// computed only to surface its errors.
 		rc.count += int64(n)
 		return nil
-	}
-	var col *vec.Col
-	if rc.headIdx >= 0 {
-		col = &b.Cols[rc.headIdx]
-	} else {
-		var err error
-		col, err = rc.headKernel(b)
-		if err != nil {
-			return err
-		}
 	}
 	if col.Nulls == nil {
 		switch rc.kind {
@@ -728,8 +642,10 @@ func (rc *reduceConsumer) consume(b *vec.Batch) error {
 			}
 		}
 	}
-	// Boxed fallback kernels: same accumulation as the collector would
-	// perform per row, minus the per-row boxing of partial aggregates.
+	// Boxed fallback kernels (boxed or nullable columns, and the boxed
+	// columns of heads no kernel covers): same accumulation as the
+	// collector would perform per row, minus the per-row boxing of
+	// partial aggregates.
 	// Numeric conversions go through Value.Float/Kind exactly as the
 	// monoids' Unit/Merge would, so error behaviour (panics on null or
 	// non-numeric sum/avg inputs) is unchanged.
@@ -887,57 +803,34 @@ func (rc *reduceConsumer) finish() {
 	}
 }
 
-// compileReduceConsumer stages the root reduce: predicate filter, head
-// evaluation and monoid accumulation, with unboxed kernels when the head
-// is a slot reference, a numeric constant or a vectorized expression
-// kernel and the monoid is one of count/sum/avg/min/max.
+// compileReduceConsumer stages the fold root's consumer: the head is a
+// mkGetter column — or, for a numeric constant head, folded on the batch
+// length — accumulated with unboxed kernels when the monoid is one of
+// count/sum/avg/min/max, through the collector otherwise.
 func (c *compiler) compileReduceConsumer(p *algebra.Reduce, input *compiledPlan) (func() *reduceConsumer, error) {
-	var mkFilter func() batchFilter
-	var err error
-	if p.Pred != nil {
-		mkFilter, err = c.compileFilter(p.Pred, input.frame)
-		if err != nil {
-			return nil, err
-		}
-	}
-	headIdx := slotOf(p.Head, input.frame)
-	var mkHeadKernel func() vecExpr
-	var head compiledExpr
-	constVal, headConst := constOf(p.Head)
+	kind := aggGeneric
 	switch p.M.Name() {
-	case "count", "sum", "avg", "min", "max":
-		headConst = headConst && (constVal.Kind() == values.KindInt || constVal.Kind() == values.KindFloat)
-	default:
-		headConst = false
+	case "count":
+		kind = aggCount
+	case "sum":
+		kind = aggSum
+	case "avg":
+		kind = aggAvg
+	case "min":
+		kind = aggMin
+	case "max":
+		kind = aggMax
 	}
+	constVal, headConst := constOf(p.Head)
+	headConst = headConst && kind != aggGeneric &&
+		(constVal.Kind() == values.KindInt || constVal.Kind() == values.KindFloat)
+	var mkHead func() vecExpr
 	if headConst {
 		c.vecStages++
-	} else if headIdx < 0 {
-		if mkHeadKernel = compileVecExpr(p.Head, input.frame); mkHeadKernel == nil {
-			c.boxedStages++
-			head, err = c.compileExpr(p.Head, input.frame)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			c.vecStages++
-		}
 	} else {
-		c.vecStages++
-	}
-	kind := aggGeneric
-	if headIdx >= 0 || mkHeadKernel != nil || headConst {
-		switch p.M.Name() {
-		case "count":
-			kind = aggCount
-		case "sum":
-			kind = aggSum
-		case "avg":
-			kind = aggAvg
-		case "min":
-			kind = aggMin
-		case "max":
-			kind = aggMax
+		var err error
+		if mkHead, err = c.mkGetter(p.Head, input.frame); err != nil {
+			return nil, err
 		}
 	}
 	// Only monoids that retain their inputs owe the memory budget for
@@ -947,17 +840,10 @@ func (c *compiler) compileReduceConsumer(p *algebra.Reduce, input *compiledPlan)
 	if name := p.M.Name(); name != "array" && name != "median" {
 		reserve = nil
 	}
-	width := input.frame.width()
 	return func() *reduceConsumer {
-		rc := &reduceConsumer{headIdx: headIdx, head: head, kind: kind, reserve: reserve,
-			headConst: headConst, constVal: constVal}
-		if mkHeadKernel != nil {
-			rc.headKernel = mkHeadKernel()
-		} else if headIdx < 0 && !headConst {
-			rc.row = make([]values.Value, width)
-		}
-		if mkFilter != nil {
-			rc.filter = mkFilter()
+		rc := &reduceConsumer{kind: kind, reserve: reserve, headConst: headConst, constVal: constVal}
+		if mkHead != nil {
+			rc.head = mkHead()
 		}
 		return rc
 	}, nil

@@ -77,10 +77,10 @@ func (t *TopKAcc) Add(keys []values.Value, elem values.Value) {
 
 func (t *TopKAcc) add(e KeyedEntry) {
 	if t.keep < 0 || len(t.entries) < t.keep {
+		// The heap forms once the bound is reached and never shrinks, so
+		// below the bound entries are a plain unordered slice.
 		t.entries = append(t.entries, e)
-		if t.heaped {
-			t.siftUp(len(t.entries) - 1)
-		} else if t.keep >= 0 && len(t.entries) == t.keep {
+		if len(t.entries) == t.keep {
 			t.heapify()
 		}
 		return
@@ -179,21 +179,10 @@ func (t *TopKAcc) siftDown(i int) {
 	}
 }
 
-func (t *TopKAcc) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !t.less(&t.entries[parent], &t.entries[i]) {
-			return
-		}
-		t.entries[i], t.entries[parent] = t.entries[parent], t.entries[i]
-		i = parent
-	}
-}
-
 // MergeFrom absorbs another accumulator's partial state (the ⊕ of the
 // auxiliary monoid). The absorbed accumulator must not be used afterwards.
 func (t *TopKAcc) MergeFrom(o *TopKAcc) {
-	if t.keep < 0 && !t.heaped && len(o.entries) > 0 {
+	if t.keep < 0 && len(o.entries) > 0 {
 		// Unbounded fast path: plain concatenation.
 		t.entries = append(t.entries, o.entries...)
 		return
