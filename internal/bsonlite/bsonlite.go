@@ -40,7 +40,11 @@ const (
 // Marshal encodes a record value as a document. Non-record roots are
 // wrapped in a single-field document {"": v} so any value round-trips.
 func Marshal(v values.Value) ([]byte, error) {
-	buf := make([]byte, 0, 64)
+	return Append(make([]byte, 0, 64), v)
+}
+
+// Append appends the document Marshal would return for v to buf.
+func Append(buf []byte, v values.Value) ([]byte, error) {
 	return appendDoc(buf, v)
 }
 

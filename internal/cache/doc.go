@@ -60,7 +60,8 @@
 // raw source. A dataset without a key never spills: the engine keys only
 // what is the raw file's own content, so a cleaned generation (repaired
 // or dropped rows) stays in memory and a restart never mistakes it for
-// the file. Files from stale generations are deleted; truncated or
+// the file. Files from stale generations or of another spill format
+// version are deleted, and the entry rebuilt from raw; truncated or
 // checksum-failing files are quarantined (renamed *.bad) and counted,
 // never served. Invalidate removes a dataset's spill files along with
 // its entry.

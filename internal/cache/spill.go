@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
@@ -94,9 +95,10 @@ func (m *Manager) quarantineLocked(path string, err error) {
 }
 
 // Rehydrate loads a dataset's spill file into the encoded tier, keyed
-// to the given raw-file generation. Stale-generation files are deleted,
-// corrupt ones quarantined; neither aborts startup. Returns the number
-// of encoded blocks brought back (0 when nothing usable was found).
+// to the given raw-file generation. Files of a stale generation or of
+// another format version are deleted, corrupt ones quarantined; none
+// aborts startup. Returns the number of encoded blocks brought back (0
+// when nothing usable was found).
 func (m *Manager) Rehydrate(dataset, generation string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -114,6 +116,13 @@ func (m *Manager) Rehydrate(dataset, generation string) int {
 			continue
 		}
 		meta, tab, rerr := colenc.ReadSpillFile(path)
+		if errors.Is(rerr, colenc.ErrSpillVersion) {
+			// Another format version is stale, not corrupt: the next scan
+			// rebuilds the entry from raw and spills it afresh.
+			os.Remove(path)
+			slog.Info("cache: spill file of another format version removed", "path", path, "err", rerr)
+			continue
+		}
 		if rerr != nil {
 			m.quarantineLocked(path, rerr)
 			continue

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -120,9 +121,6 @@ func (t *Table) HasColumns(fields []string) bool {
 	}
 	return true
 }
-
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // EncodeColumns encodes a full columnar entry of n rows.
 func EncodeColumns(cols map[string]vec.Col, n int) (*Table, error) {
@@ -260,71 +258,250 @@ func buildDict(c *vec.Col, n int) ([]string, []uint32) {
 	return dict, codes
 }
 
+// The two modes of an EncDelta block: its ints are packed as values
+// minus the block's base, or as the deltas between neighbours minus the
+// smallest delta.
+const (
+	modeValues byte = iota
+	modeDeltas
+)
+
+// packSlack is the zeroed tail of every bit-packed payload: with it, a
+// value of up to 56 bits is one unaligned 64-bit load wherever it starts,
+// and a wider one that load plus the byte after it.
+const packSlack = 8
+
+// packedLen is the byte length of rows values packed at width bits,
+// slack included.
+func packedLen(rows, width int) int { return (rows*width+7)/8 + packSlack }
+
+// bitWriter packs values of w bits each LSB-first into a payload, a
+// 64-bit word at a time.
+type bitWriter struct {
+	out  []byte
+	p    int    // byte offset of the word being filled
+	acc  uint64 // the word being filled
+	n, w uint   // bits held in acc, bits per value
+}
+
+func (bw *bitWriter) put(x uint64) {
+	bw.acc |= x << bw.n
+	bw.n += bw.w
+	if bw.n >= 64 {
+		binary.LittleEndian.PutUint64(bw.out[bw.p:], bw.acc)
+		bw.p += 8
+		bw.n -= 64
+		bw.acc = x >> (bw.w - bw.n) // the bits of x that did not fit
+	}
+}
+
+// flush writes the partly filled last word (into the slack).
+func (bw *bitWriter) flush() {
+	if bw.n > 0 {
+		binary.LittleEndian.PutUint64(bw.out[bw.p:], bw.acc)
+	}
+}
+
+// unpackInts decodes len(out) values packed at width w from data, which
+// must hold packedLen(len(out), w) bytes, adding base to each (wrapping).
+func unpackInts(out []int64, data []byte, w uint, base uint64) {
+	if w == 0 {
+		for i := range out {
+			out[i] = int64(base)
+		}
+		return
+	}
+	mask := uint64(1)<<w - 1
+	if w <= 56 {
+		for i := range out {
+			off := uint(i) * w
+			out[i] = int64(base + binary.LittleEndian.Uint64(data[off>>3:])>>(off&7)&mask)
+		}
+		return
+	}
+	for i := range out {
+		off := uint(i) * w
+		p, s := off>>3, off&7
+		x := binary.LittleEndian.Uint64(data[p:])>>s | uint64(data[p+8])<<(64-s)
+		out[i] = int64(base + x&mask)
+	}
+}
+
+// unpackCodes is unpackInts for dictionary codes (w <= 32, so each is one
+// load at any offset); it returns the largest code. It stays out of line:
+// inlined into DecodeBlock, its loop state spills to the stack and the
+// unpack runs at half speed.
+//
+//go:noinline
+func unpackCodes(out []uint32, data []byte, w uint) uint32 {
+	mask := uint64(1)<<w - 1
+	var top uint32
+	for i := range out {
+		off := uint(i) * w
+		k := uint32(binary.LittleEndian.Uint64(data[off>>3:]) >> (off & 7) & mask)
+		out[i] = k
+		top = max(top, k)
+	}
+	return top
+}
+
+// appendPacked appends a zeroed payload for rows values of w bits and
+// returns the grown buffer and a writer over the payload.
+func appendPacked(buf []byte, rows, w int) ([]byte, bitWriter) {
+	start := len(buf)
+	buf = append(buf, make([]byte, packedLen(rows, w))...)
+	return buf, bitWriter{out: buf[start:], w: uint(w)}
+}
+
+// blockEncoder cuts one column into blocks. Its scratch (the block being
+// built, one block of null-zeroed ints, one boxed document) carries over
+// from block to block, so a column allocates each block's bytes once and
+// nothing per row.
+type blockEncoder struct {
+	enc   Encoding
+	c     *vec.Col
+	codes []uint32 // per-row dictionary codes of EncDict
+	buf   []byte
+	ints  []int64
+	doc   []byte
+}
+
 // encodeBlocks cuts c into BlockRows runs under encoding enc (codes
 // carries the per-row dictionary codes of EncDict), prepending the flags
 // byte + null bitmap and checksumming each block. An empty column still
 // yields one empty block.
 func encodeBlocks(enc Encoding, c *vec.Col, codes []uint32) ([]Block, error) {
 	n := c.Len()
-	var blocks []Block
+	e := blockEncoder{enc: enc, c: c, codes: codes}
+	blocks := make([]Block, 0, max(1, (n+BlockRows-1)/BlockRows))
 	for lo := 0; lo < n || lo == 0; lo += BlockRows {
 		hi := min(lo+BlockRows, n)
-		rows := hi - lo
-		buf := make([]byte, 0, rows+1)
-		if c.Nulls != nil {
-			buf = append(buf, 1)
-			bitmap := make([]byte, (rows+7)/8)
-			for i := lo; i < hi; i++ {
-				if c.Nulls[i] {
-					bitmap[(i-lo)/8] |= 1 << uint((i-lo)%8)
-				}
-			}
-			buf = append(buf, bitmap...)
-		} else {
-			buf = append(buf, 0)
+		data, err := e.block(lo, hi)
+		if err != nil {
+			return nil, err
 		}
-		switch enc {
-		case EncDelta:
-			prev := int64(0)
-			for i := lo; i < hi; i++ {
-				v := int64(0)
-				if c.Nulls == nil || !c.Nulls[i] {
-					v = c.Ints[i]
-				}
-				if i == lo {
-					buf = binary.AppendUvarint(buf, zigzag(v))
-				} else {
-					buf = binary.AppendUvarint(buf, zigzag(v-prev))
-				}
-				prev = v
-			}
-		case EncFloat:
-			for i := lo; i < hi; i++ {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Floats[i]))
-			}
-		case EncDict:
-			for i := lo; i < hi; i++ {
-				buf = binary.AppendUvarint(buf, uint64(codes[i]))
-			}
-		case EncStr:
-			for i := lo; i < hi; i++ {
-				s := c.StrAt(i)
-				buf = binary.AppendUvarint(buf, uint64(len(s)))
-				buf = append(buf, s...)
-			}
-		case EncBoxed:
-			for i := lo; i < hi; i++ {
-				doc, err := bsonlite.Marshal(c.Boxed[i])
-				if err != nil {
-					return nil, err
-				}
-				buf = binary.AppendUvarint(buf, uint64(len(doc)))
-				buf = append(buf, doc...)
-			}
-		}
-		blocks = append(blocks, Block{Rows: rows, Data: buf, CRC: crc32.Checksum(buf, castagnoli)})
+		blocks = append(blocks, Block{Rows: hi - lo, Data: data, CRC: crc32.Checksum(data, castagnoli)})
 	}
 	return blocks, nil
+}
+
+// block encodes rows [lo, hi) into a fresh slice.
+func (e *blockEncoder) block(lo, hi int) ([]byte, error) {
+	c := e.c
+	buf := append(e.buf[:0], 0)
+	var nulls []bool
+	if c.Nulls != nil {
+		nulls = c.Nulls[lo:hi]
+		buf[0] = 1
+		buf = append(buf, make([]byte, (hi-lo+7)/8)...)
+		bitmap := buf[1:]
+		for i, null := range nulls {
+			if null {
+				bitmap[i/8] |= 1 << uint(i%8)
+			}
+		}
+	}
+	switch e.enc {
+	case EncDelta:
+		buf = e.appendInts(buf, c.Ints[lo:hi], nulls)
+	case EncFloat:
+		for _, f := range c.Floats[lo:hi] {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+		}
+	case EncDict:
+		codes := e.codes[lo:hi]
+		var top uint32
+		for _, k := range codes {
+			top = max(top, k)
+		}
+		w := bits.Len32(top)
+		buf = append(buf, byte(w))
+		var bw bitWriter
+		buf, bw = appendPacked(buf, len(codes), w)
+		if w > 0 {
+			for _, k := range codes {
+				bw.put(uint64(k))
+			}
+			bw.flush()
+		}
+	case EncStr:
+		for i := lo; i < hi; i++ {
+			s := c.StrAt(i)
+			buf = binary.AppendUvarint(buf, uint64(len(s)))
+			buf = append(buf, s...)
+		}
+	case EncBoxed:
+		for _, v := range c.Boxed[lo:hi] {
+			doc, err := bsonlite.Append(e.doc[:0], v)
+			if err != nil {
+				return nil, err
+			}
+			e.doc = doc
+			buf = binary.AppendUvarint(buf, uint64(len(doc)))
+			buf = append(buf, doc...)
+		}
+	}
+	e.buf = buf
+	return slices.Clone(buf), nil
+}
+
+// appendInts appends one block of ints (null rows as 0) in whichever
+// mode packs it smaller:
+//
+//	modeValues: mode u8 | width u8 | base u64 | packed(x - base)
+//	modeDeltas: mode u8 | width u8 | base u64 | first u64
+//	            | packed(x[i] - x[i-1] - base), i >= 1
+//
+// base is the smallest value (delta); every subtraction wraps, so the
+// width covers the full range between any two int64s.
+func (e *blockEncoder) appendInts(buf []byte, xs []int64, nulls []bool) []byte {
+	if nulls != nil {
+		e.ints = append(e.ints[:0], xs...)
+		for i, null := range nulls {
+			if null {
+				e.ints[i] = 0
+			}
+		}
+		xs = e.ints
+	}
+	n := len(xs)
+	var vmin, vmax int64
+	if n > 0 {
+		vmin, vmax = xs[0], xs[0]
+	}
+	dmin, dmax := int64(math.MaxInt64), int64(math.MinInt64)
+	for i := 1; i < n; i++ {
+		x := xs[i]
+		vmin, vmax = min(vmin, x), max(vmax, x)
+		d := x - xs[i-1]
+		dmin, dmax = min(dmin, d), max(dmax, d)
+	}
+	vw := bits.Len64(uint64(vmax - vmin))
+	if dw := bits.Len64(uint64(dmax - dmin)); n > 1 && 8+packedLen(n-1, dw) < packedLen(n, vw) {
+		buf = append(buf, modeDeltas, byte(dw))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(dmin))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(xs[0]))
+		var bw bitWriter
+		buf, bw = appendPacked(buf, n-1, dw)
+		if dw > 0 {
+			for i := 1; i < n; i++ {
+				bw.put(uint64(xs[i] - xs[i-1] - dmin))
+			}
+			bw.flush()
+		}
+		return buf
+	}
+	buf = append(buf, modeValues, byte(vw))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(vmin))
+	var bw bitWriter
+	buf, bw = appendPacked(buf, n, vw)
+	if vw > 0 {
+		for _, x := range xs {
+			bw.put(uint64(x - vmin))
+		}
+		bw.flush()
+	}
+	return buf
 }
 
 // VerifyBlock recomputes the checksum of block bi.
@@ -341,13 +518,17 @@ func (c *Col) VerifyBlock(bi int) error {
 // other encodings decode to their original tag. The destination keeps
 // its payload capacity across calls, its validity mask's included, so a
 // scan reusing one dst per column allocates only on the first (and
-// largest) block.
+// largest) block. Every length a block claims is checked once, up front:
+// a truncated or malformed block returns an error, never a panic.
 func (c *Col) DecodeBlock(bi int, dst *vec.Col) error {
 	if bi < 0 || bi >= len(c.Blocks) {
 		return fmt.Errorf("colenc: block %d out of range [0,%d)", bi, len(c.Blocks))
 	}
 	b := &c.Blocks[bi]
-	data := b.Data
+	rows, data := b.Rows, b.Data
+	if rows < 0 || rows > BlockRows {
+		return fmt.Errorf("colenc: block %d: %d rows outside [0,%d]", bi, rows, BlockRows)
+	}
 	if len(data) < 1 {
 		return fmt.Errorf("colenc: block %d: empty data", bi)
 	}
@@ -358,98 +539,121 @@ func (c *Col) DecodeBlock(bi int, dst *vec.Col) error {
 	spare := dst.Nulls[:0]
 	dst.Reset(tag)
 	flags, data := data[0], data[1:]
-	var nulls []byte
 	if flags&1 != 0 {
-		nb := (b.Rows + 7) / 8
+		nb := (rows + 7) / 8
 		if len(data) < nb {
 			return fmt.Errorf("colenc: block %d: truncated null bitmap", bi)
 		}
+		var nulls []byte
 		nulls, data = data[:nb], data[nb:]
-		mask := slices.Grow(spare, b.Rows)[:b.Rows]
-		for i := 0; i < b.Rows; i++ {
+		mask := slices.Grow(spare, rows)[:rows]
+		for i := range mask {
 			mask[i] = nulls[i/8]&(1<<uint(i%8)) != 0
 		}
 		dst.Nulls = mask
 	}
-	pos := 0
-	uv := func() (uint64, error) {
-		v, w := binary.Uvarint(data[pos:])
-		if w <= 0 {
-			return 0, fmt.Errorf("colenc: block %d: truncated varint at offset %d", bi, pos)
-		}
-		pos += w
-		return v, nil
-	}
 	switch c.Enc {
 	case EncDelta:
-		prev := int64(0)
-		for i := 0; i < b.Rows; i++ {
-			u, err := uv()
-			if err != nil {
-				return err
-			}
-			v := unzigzag(u)
-			if i > 0 {
-				v += prev
-			}
-			prev = v
-			dst.Ints = append(dst.Ints, v)
-		}
+		return c.decodeInts(bi, rows, data, dst)
 	case EncFloat:
-		if len(data) < b.Rows*8 {
+		if len(data) < rows*8 {
 			return fmt.Errorf("colenc: block %d: truncated float payload", bi)
 		}
-		for i := 0; i < b.Rows; i++ {
-			dst.Floats = append(dst.Floats, math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:])))
+		fs := slices.Grow(dst.Floats[:0], rows)[:rows]
+		for i := range fs {
+			fs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
 		}
+		dst.Floats = fs
 	case EncDict:
-		for i := 0; i < b.Rows; i++ {
-			u, err := uv()
-			if err != nil {
-				return err
-			}
-			if u >= uint64(len(c.Dict)) {
-				return fmt.Errorf("colenc: block %d: code %d outside dictionary of %d", bi, u, len(c.Dict))
-			}
-			dst.Codes = append(dst.Codes, uint32(u))
-		}
-		dst.Dict = c.Dict
-	case EncStr:
-		for i := 0; i < b.Rows; i++ {
-			u, err := uv()
-			if err != nil {
-				return err
-			}
-			if uint64(len(data)-pos) < u {
-				return fmt.Errorf("colenc: block %d: truncated string payload", bi)
-			}
-			dst.Strs = append(dst.Strs, string(data[pos:pos+int(u)]))
-			pos += int(u)
-		}
-	case EncBoxed:
-		for i := 0; i < b.Rows; i++ {
-			u, err := uv()
-			if err != nil {
-				return err
-			}
-			if uint64(len(data)-pos) < u {
-				return fmt.Errorf("colenc: block %d: truncated document payload", bi)
-			}
-			var v values.Value
-			if dst.Nulls != nil && dst.Nulls[i] {
-				v = values.Null
-			} else {
-				var derr error
-				v, derr = bsonlite.Unmarshal(data[pos : pos+int(u)])
-				if derr != nil {
-					return fmt.Errorf("colenc: block %d row %d: %w", bi, i, derr)
-				}
-			}
-			pos += int(u)
-			dst.Boxed = append(dst.Boxed, v)
-		}
+		return c.decodeCodes(bi, rows, data, dst)
+	case EncStr, EncBoxed:
+		return c.decodeVarLen(bi, rows, data, dst)
 	default:
 		return fmt.Errorf("colenc: unknown encoding %d", c.Enc)
+	}
+	return nil
+}
+
+// decodeInts unpacks an EncDelta payload (see appendInts) into dst.Ints.
+func (c *Col) decodeInts(bi, rows int, data []byte, dst *vec.Col) error {
+	if len(data) < 10 {
+		return fmt.Errorf("colenc: block %d: truncated int header", bi)
+	}
+	mode, w, base := data[0], int(data[1]), binary.LittleEndian.Uint64(data[2:])
+	if w > 64 {
+		return fmt.Errorf("colenc: block %d: int width %d over 64", bi, w)
+	}
+	hdr, packed := 10, rows
+	switch mode {
+	case modeValues:
+	case modeDeltas:
+		hdr, packed = 18, rows-1
+	default:
+		return fmt.Errorf("colenc: block %d: unknown int mode %d", bi, mode)
+	}
+	if packed < 0 || len(data) < hdr+packedLen(packed, w) {
+		return fmt.Errorf("colenc: block %d: truncated int payload", bi)
+	}
+	xs := slices.Grow(dst.Ints[:0], rows)[:rows]
+	if mode == modeValues {
+		unpackInts(xs, data[hdr:], uint(w), base)
+	} else {
+		unpackInts(xs[1:], data[hdr:], uint(w), base)
+		v := int64(binary.LittleEndian.Uint64(data[10:]))
+		xs[0] = v
+		for i, d := range xs[1:] {
+			v += d
+			xs[i+1] = v
+		}
+	}
+	dst.Ints = xs
+	return nil
+}
+
+// decodeCodes unpacks an EncDict payload into dst.Codes.
+func (c *Col) decodeCodes(bi, rows int, data []byte, dst *vec.Col) error {
+	if len(data) < 1 || data[0] > 32 {
+		return fmt.Errorf("colenc: block %d: missing or invalid code width", bi)
+	}
+	w, data := int(data[0]), data[1:]
+	if len(data) < packedLen(rows, w) {
+		return fmt.Errorf("colenc: block %d: truncated code payload", bi)
+	}
+	codes := slices.Grow(dst.Codes[:0], rows)[:rows]
+	if top := unpackCodes(codes, data, uint(w)); rows > 0 && int(top) >= len(c.Dict) {
+		return fmt.Errorf("colenc: block %d: code %d outside dictionary of %d", bi, top, len(c.Dict))
+	}
+	dst.Codes, dst.Dict = codes, c.Dict
+	return nil
+}
+
+// decodeVarLen decodes the length-prefixed rows of an EncStr or EncBoxed
+// payload into dst.
+func (c *Col) decodeVarLen(bi, rows int, data []byte, dst *vec.Col) error {
+	pos := 0
+	for i := 0; i < rows; i++ {
+		u, w := binary.Uvarint(data[pos:])
+		if w <= 0 {
+			return fmt.Errorf("colenc: block %d: truncated varint at offset %d", bi, pos)
+		}
+		pos += w
+		if uint64(len(data)-pos) < u {
+			return fmt.Errorf("colenc: block %d: truncated %s payload", bi, c.Enc)
+		}
+		row := data[pos : pos+int(u)]
+		pos += int(u)
+		if c.Enc == EncStr {
+			dst.Strs = append(dst.Strs, string(row))
+			continue
+		}
+		v := values.Null
+		if dst.Nulls == nil || !dst.Nulls[i] {
+			var err error
+			if v, err = bsonlite.Unmarshal(row); err != nil {
+				return fmt.Errorf("colenc: block %d row %d: %w", bi, i, err)
+			}
+		}
+		dst.Boxed = append(dst.Boxed, v)
 	}
 	return nil
 }

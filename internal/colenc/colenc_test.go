@@ -202,6 +202,21 @@ func TestSpillCorruptionDetected(t *testing.T) {
 		{"flipped body bit", func(b []byte) []byte { b = append([]byte(nil), b...); b[len(b)-3] ^= 0x40; return b }},
 		{"empty", func(b []byte) []byte { return nil }},
 	}
+	// A well-formed file whose first block is short: every checksum holds,
+	// but a scan would look for row BlockRows-1 in the wrong block.
+	short, err := EncodeCol(&vec.Col{Tag: vec.Int64, Ints: make([]int64, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short.Blocks = append(short.Blocks, short.Blocks[0])
+	short.N = 20
+	geometry := filepath.Join(dir, "geometry.vspill")
+	if err := WriteSpillFile(geometry, SpillMeta{Dataset: "D", Generation: "g"}, &Table{N: 20, Cols: map[string]*Col{"id": short}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadSpillFile(geometry); err == nil {
+		t.Fatal("a short interior block read back without error")
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := filepath.Join(dir, "bad.vspill")

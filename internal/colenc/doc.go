@@ -10,16 +10,20 @@
 // Each column encodes independently under one of five schemes, chosen
 // from the vector's tag and value distribution at encode time:
 //
-//	EncDelta  int64: per block, zig-zag varint of the first value
-//	          followed by zig-zag varint deltas. Sequential IDs and
-//	          near-sorted measures collapse to ~1 byte/row.
+//	EncDelta  int64: per block, the values bit-packed at the narrowest
+//	          width that holds them, either as offsets from the block's
+//	          smallest value or as deltas between neighbours (offsets
+//	          from the smallest delta), whichever packs smaller.
+//	          Sequential IDs are all one delta and pack at width 0: no
+//	          per-row bytes at all.
 //	EncFloat  float64: raw 8-byte little-endian passthrough.
-//	EncDict   strings, low cardinality: the block payload is one varint
-//	          dictionary code per row; the dictionary itself (sorted
-//	          ascending, so code order IS string order) is stored once
-//	          per column. Decoding yields vec.StrDict windows, and
-//	          filters compare codes against one binary-searched pivot
-//	          before any string materializes.
+//	EncDict   strings, low cardinality: the block payload is the rows'
+//	          dictionary codes bit-packed at the width of the block's
+//	          largest code; the dictionary itself (sorted ascending, so
+//	          code order IS string order) is stored once per column.
+//	          Decoding yields vec.StrDict windows, and filters compare
+//	          codes against one binary-searched pivot before any string
+//	          materializes.
 //	EncStr    strings, high cardinality: varint length + bytes per row.
 //	EncBoxed  mixed/generic columns: varint length + bsonlite document
 //	          per row (raw passthrough — no compression is attempted).
@@ -33,11 +37,32 @@
 // the blocks a morsel range touches. Every block carries its payload
 // with a leading flags byte:
 //
-//	block := flags(u8) [nullBitmap] payload
+//	block  := flags(u8) [nullBitmap] payload
 //	flags bit0: a null bitmap of ceil(rows/8) bytes follows; bit i of
 //	            byte i/8 marks row i null. Null rows still occupy a
-//	            zero-valued payload slot, keeping delta chains and row
-//	            offsets uniform.
+//	            zero-valued payload slot, keeping row offsets uniform.
+//
+//	EncDelta payload := mode(u8) width(u8) base(u64) [first(u64)] packed
+//	  mode 0 (values): packed holds x[i] - base for every row, base the
+//	                   block's smallest value.
+//	  mode 1 (deltas): first is x[0]; packed holds x[i] - x[i-1] - base
+//	                   for i >= 1, base the block's smallest delta.
+//	EncDict  payload := width(u8) packed   (codes, width <= 32)
+//	EncFloat payload := f64 little-endian per row
+//	EncStr   payload := (uvarint length, bytes) per row
+//	EncBoxed payload := (uvarint length, bsonlite document) per row
+//
+// packed is the values at width bits each (0..64), LSB-first, followed
+// by 8 zero bytes of slack: packedLen(rows, width) = ceil(rows*width/8)
+// + 8. With the slack every value is one unaligned 64-bit load and a
+// shift, whatever its offset (widths above 56 add the next byte), so
+// decoding is a fixed-width unpack with no varint and no branch per
+// value. Integer arithmetic wraps (two's complement), so a block mixing
+// MinInt64 and MaxInt64 round-trips at width 64. Decoding checks every
+// claimed length once per block, before the first row: the bitmap, the
+// header, the width (at most 64 for ints, 32 for codes) and
+// packedLen(rows, width) against the payload; a dictionary block's
+// largest code is checked against the dictionary after the unpack.
 //
 // Each block stores a CRC-32C (Castagnoli) checksum of its bytes.
 // Checksums are verified when a spill file is read back (a mismatch
@@ -62,6 +87,13 @@
 //	str    := uvarint length | bytes
 //
 // Block payloads follow the header in column order, then block order.
+// Every block but a column's last holds exactly BlockRows rows (a reader
+// rejects any other geometry: scans locate a row's block by division).
+// Version 2 is the bit-packed int and dictionary layout above; version 1
+// stored one varint per value. A file of any other version fails with
+// ErrSpillVersion, and the cache deletes it and rebuilds the entry from
+// the raw file rather than quarantine it: no decoder for an older
+// version is kept.
 // The generation string keys the file to one raw-file generation
 // (content hash), so a source Refresh that finds new content makes the
 // file stale: the cache layer deletes it (and, when the file only grew,

@@ -2,6 +2,7 @@ package colenc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -10,11 +11,16 @@ import (
 	"vida/internal/vec"
 )
 
-// spillMagic and spillVersion gate spill files: an unknown magic or
-// version is a parse error, which callers treat as corruption.
+// spillMagic and spillVersion gate spill files: an unknown magic is a
+// parse error, which callers treat as corruption; a known magic with
+// another version is ErrSpillVersion, a file of another format that the
+// cache rebuilds from raw. Version 2 bit-packs int and dictionary blocks.
 var spillMagic = []byte("VCSP")
 
-const spillVersion = 1
+const spillVersion = 2
+
+// ErrSpillVersion reports a spill file written in another format version.
+var ErrSpillVersion = errors.New("unsupported spill version")
 
 // SpillMeta identifies what a spill file holds: the dataset and the raw
 // file generation (content hash) it was encoded from.
@@ -99,7 +105,7 @@ func ReadSpillFile(path string) (SpillMeta, *Table, error) {
 	}
 	off := len(spillMagic)
 	if v := binary.LittleEndian.Uint16(raw[off:]); v != spillVersion {
-		return meta, nil, fmt.Errorf("colenc: %s: unsupported spill version %d", path, v)
+		return meta, nil, fmt.Errorf("colenc: %s: %w %d", path, ErrSpillVersion, v)
 	}
 	off += 2
 	hlen := int(binary.LittleEndian.Uint32(raw[off:]))
@@ -203,6 +209,11 @@ func ReadSpillFile(path string) (SpillMeta, *Table, error) {
 			off += int(dlen)
 			if crc32.Checksum(data, castagnoli) != crc {
 				return meta, nil, fmt.Errorf("colenc: %s: block checksum mismatch (column %q block %d)", path, name, bi)
+			}
+			// Scans find a row's block by dividing by BlockRows: only the
+			// last block may be short.
+			if r > BlockRows || (r < BlockRows && bi+1 < nBlocks) {
+				return meta, nil, fmt.Errorf("colenc: %s: column %q block %d holds %d rows", path, name, bi, r)
 			}
 			c.Blocks = append(c.Blocks, Block{Rows: int(r), Data: data, CRC: crc})
 			rows += int(r)

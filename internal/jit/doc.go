@@ -74,7 +74,11 @@
 // parameter — SQL's COUNT(*) lowers to `sum 1`) folds on the batch's live
 // row count without touching a row: integer sums multiply, float sums add
 // the constant once per row so they round as the reference executor does.
-// The top-k head is evaluated lazily (see below).
+// A `count` whose head cannot fail (a constant, a slot, or a bare variable
+// such as the whole record in `yield count r`) folds the same way: count
+// ignores its argument, so nothing is staged. A head that can fail is
+// still computed, for its errors. The top-k head is evaluated lazily (see
+// below).
 //
 // # Grouped aggregation
 //
@@ -86,7 +90,8 @@
 // fallback. Key hashing and aggregate-head evaluation run per batch
 // through the same kernel families as ungrouped reduces — slots,
 // expression kernels and broadcast constants, so a grouped COUNT(*)
-// folds a typed column like `count` of a slot does; the per-row
+// folds a typed column (a grouped `count` over a head that cannot fail
+// reads no column at all); the per-row
 // key equality check on a hash match compares column payloads against
 // unpacked primitive mirrors of the stored keys, so the probe loop
 // never touches a boxed values.Value. Partitionable scans fold

@@ -18,7 +18,8 @@ import (
 // (keyHasher): one tag-dispatched pass per key column per batch, typed
 // payloads and vec.StrDict codes never boxing on the hash path. Keys and
 // aggregate inputs are staged by mkGetter through the expression kernels,
-// constants included: COUNT(*) (`sum 1`) folds a broadcast Int64 column.
+// constants included: COUNT(*) (`sum 1`) folds a broadcast Int64 column,
+// and a `count` whose input cannot fail stages none.
 // Under morsel parallelism each worker builds a partial table; partials
 // merge into the root in morsel order, which — with groups kept in local
 // first-occurrence order — reproduces the serial first-occurrence group
@@ -77,11 +78,14 @@ func (c *compiler) mkGetter(e mcl.Expr, f *frame) (func() vecExpr, error) {
 	}, nil
 }
 
-// newGetters instantiates one consumer's getters (getters own scratch).
+// newGetters instantiates one consumer's getters (getters own scratch);
+// a nil factory, an input nothing reads, stays a nil getter.
 func newGetters(mks []func() vecExpr) []vecExpr {
 	gets := make([]vecExpr, len(mks))
 	for j, mk := range mks {
-		gets[j] = mk()
+		if mk != nil {
+			gets[j] = mk()
+		}
 	}
 	return gets
 }
@@ -642,9 +646,12 @@ func (gc *groupConsumer) consume(b *vec.Batch) error {
 		gc.gidx = append(gc.gidx, gc.findOrAddRow(gc.kh.sums[k], b.Index(k)))
 	}
 	for j, get := range gc.aggGet {
-		col, err := get(b)
-		if err != nil {
-			return err
+		var col *vec.Col
+		if get != nil {
+			var err error
+			if col, err = get(b); err != nil {
+				return err
+			}
 		}
 		bytes, err := gc.aggs[j].addBatch(col, b, gc.gidx)
 		if err != nil {
@@ -726,12 +733,17 @@ func (c *compiler) compileGroupAgg(p *algebra.Reduce, input *compiledPlan) (*com
 	mkAggGets := make([]func() vecExpr, len(p.Aggs))
 	aggMs := make([]monoid.Monoid, len(p.Aggs))
 	for i, a := range p.Aggs {
+		aggMs[i] = a.M
+		if a.M.Name() == "count" && c.infallible(a.E, input.frame) {
+			// countAcc reads no input: stage nothing, count the rows.
+			c.vecStages++
+			continue
+		}
 		g, err := c.mkGetter(a.E, input.frame)
 		if err != nil {
 			return nil, err
 		}
 		mkAggGets[i] = g
-		aggMs[i] = a.M
 	}
 	gf := newFrame()
 	for _, k := range p.GroupBy {

@@ -38,24 +38,30 @@ var kernelQueries = []struct {
 	{`for { e <- Employees } yield sum (e.id / 2)`, 1, 0},
 	{`for { e <- Employees } yield sum (e.salary / 4.0)`, 1, 0},
 	{`for { e <- Employees } yield max (100 - e.id)`, 1, 0},
-	{`for { e <- Employees, e.salary + 10.0 > 95.0 } yield count e`, 1, 1},
-	{`for { e <- Employees, e.id * 100 > e.deptNo * 3 } yield count e`, 1, 1},
+	{`for { e <- Employees, e.salary + 10.0 > 95.0 } yield count e`, 2, 0},
+	{`for { e <- Employees, e.id * 100 > e.deptNo * 3 } yield count e`, 2, 0},
 	{`for { e <- Employees, e.salary * 0.5 > 40.0, e.id + 1 < 4 } yield sum e.salary`, 3, 0},
 	{`for { e <- Employees, b := e.id * 3 + 1, b > 5 } yield sum b`, 2, 0},
 	{`for { e <- Employees } yield list (e.name + e.name)`, 1, 0},
 	{`for { e <- Employees } yield bag (e.id * 2) order by e.salary * 2.0 desc limit 2`, 2, 0},
 	{`for { e <- Employees } yield list (e.id - e.deptNo) order by 0 - e.id limit 3`, 2, 0},
-	{`for { s <- Sparse, s.v + 1 > 2 } yield count s`, 1, 1},
+	{`for { s <- Sparse, s.v + 1 > 2 } yield count s`, 2, 0},
 	{`for { s <- Sparse } yield bag (s.v * 2)`, 1, 0},
 	// Broadcast constants: an element head and an ORDER BY key.
 	{`for { e <- Employees } yield list "x"`, 1, 0},
 	{`for { e <- Employees } yield list e.id order by 1, e.id desc limit 3`, 3, 0},
 	// Int columns against float constants, both orientations, over a
 	// nullable column too.
-	{`for { e <- Employees, e.id > 1.5 } yield count e`, 1, 1},
+	{`for { e <- Employees, e.id > 1.5 } yield count e`, 2, 0},
 	{`for { e <- Employees, 2.5 >= e.id } yield sum e.salary`, 2, 0},
-	{`for { s <- Sparse, s.v > 1.5 } yield count s`, 1, 1},
+	{`for { s <- Sparse, s.v > 1.5 } yield count s`, 2, 0},
 	{`for { s <- Sparse, 4.5 >= s.v } yield bag s.k`, 2, 0},
+	// A count over a head that cannot fail (a whole record, a slot, a
+	// constant), grouped or not, stages no head: the rows are the count.
+	{`for { e <- Employees } yield count e`, 1, 0},
+	{`for { s <- Sparse } yield count s.v`, 1, 0},
+	{`for { e <- Employees } yield count "x"`, 1, 0},
+	{`for { s <- Sparse } group by { k := s.v } agg { n := count s, m := count s.k } yield bag (n + m)`, 4, 0},
 	// Boxed heads on fold roots: a conditional under sum, a call under min.
 	{`for { e <- Employees } yield sum (if e.salary > 95.0 then e.id else 0)`, 0, 1},
 	{`for { e <- Employees } yield min abs(e.id - 3)`, 0, 1},
@@ -65,7 +71,7 @@ var kernelQueries = []struct {
 	{`for { e <- Employees, e.deptNo > 10 } yield list e.name order by e.salary limit 1`, 3, 0},
 	// HAVING (the root predicate) under a top-k, an elements and a quota
 	// root.
-	{`for { e <- Employees } group by { d := e.deptNo } agg { n := count e, t := sum e.salary } having n > 1 yield list (d := d, t := t) order by t desc limit 2`, 4, 2},
+	{`for { e <- Employees } group by { d := e.deptNo } agg { n := count e, t := sum e.salary } having n > 1 yield list (d := d, t := t) order by t desc limit 2`, 5, 1},
 	{`for { e <- Employees } group by { d := e.deptNo } agg { t := sum e.salary } having t > 95.0 yield bag d`, 4, 0},
 	{`for { e <- Employees } group by { d := e.deptNo } agg { t := sum e.salary } having t < 150.0 yield list d limit 2`, 4, 0},
 }
@@ -191,6 +197,24 @@ func TestVecExprDivisionByZero(t *testing.T) {
 	_, rerr := algebra.Reference{}.Run(plan, cat)
 	if rerr == nil || kerr.Error() != rerr.Error() {
 		t.Fatalf("kernel error %q != reference error %q", kerr, rerr)
+	}
+}
+
+// TestCountOfFallibleHeadErrors: a count folds on the row count only
+// over heads that cannot fail; one that can still raises the reference
+// executor's error, grouped or not.
+func TestCountOfFallibleHeadErrors(t *testing.T) {
+	cat := testCatalog()
+	for _, q := range []string{
+		`for { e <- Employees } yield count (e.id / (e.deptNo - e.deptNo))`,
+		`for { e <- Employees } group by { d := e.deptNo } agg { n := count (e.id % 0) } yield bag n`,
+	} {
+		plan := planFor(t, q, cat)
+		_, rerr := algebra.Reference{}.Run(plan, cat)
+		_, kerr := Executor{}.Run(plan, cat)
+		if rerr == nil || kerr == nil || kerr.Error() != rerr.Error() {
+			t.Fatalf("%q: kernel error %v, reference error %v", q, kerr, rerr)
+		}
 	}
 }
 

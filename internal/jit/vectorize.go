@@ -37,6 +37,23 @@ func slotOf(e mcl.Expr, f *frame) int {
 	return -1
 }
 
+// infallible reports whether evaluating e can never fail: a constant, a
+// slot, or a bare variable (a slot, a record rebuilt from slots, or a
+// catalog source). A count over such an expression needs no value of it.
+func (c *compiler) infallible(e mcl.Expr, f *frame) bool {
+	switch n := e.(type) {
+	case *mcl.ConstExpr, *mcl.NullExpr:
+		return true
+	case *mcl.VarExpr:
+		if f.hasVar(n.Name) {
+			return true
+		}
+		_, ok := c.baseEnv.Lookup(n.Name)
+		return ok
+	}
+	return slotOf(e, f) >= 0
+}
+
 // constOf resolves an expression to a compile-time constant value.
 func constOf(e mcl.Expr) (values.Value, bool) {
 	switch n := e.(type) {
@@ -467,8 +484,9 @@ type reduceConsumer struct {
 	acc  *monoid.Collector
 	head vecExpr // the staged head column; nil for a constant head
 	// headConst marks a numeric constant head (a literal or a bound
-	// parameter, as in COUNT(*) = sum 1): every live row contributes the
-	// same value, so a batch folds on its row count without reading a row.
+	// parameter, as in COUNT(*) = sum 1), or a count over a head that
+	// cannot fail: every live row contributes the same value, so a batch
+	// folds on its row count without reading a row.
 	headConst bool
 	constVal  values.Value
 	kind      aggKind
@@ -545,7 +563,7 @@ func (rc *reduceConsumer) consume(b *vec.Batch) error {
 		return err
 	}
 	if rc.kind == aggCount {
-		// Unit is 1 regardless of the head value: the head column is
+		// Unit is 1 regardless of the head value: a head that can fail is
 		// computed only to surface its errors.
 		rc.count += int64(n)
 		return nil
@@ -824,6 +842,9 @@ func (c *compiler) compileReduceConsumer(p *algebra.Reduce, input *compiledPlan)
 	constVal, headConst := constOf(p.Head)
 	headConst = headConst && kind != aggGeneric &&
 		(constVal.Kind() == values.KindInt || constVal.Kind() == values.KindFloat)
+	// count's Unit ignores its argument: a head that cannot fail folds on
+	// the batch length too, whatever it is.
+	headConst = headConst || kind == aggCount && c.infallible(p.Head, input.frame)
 	var mkHead func() vecExpr
 	if headConst {
 		c.vecStages++

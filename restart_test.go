@@ -2,6 +2,7 @@ package vida_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -95,6 +96,82 @@ func TestRestartWarmFromCacheDir(t *testing.T) {
 	}
 	if st.Cache.DecodedBlocks == 0 {
 		t.Fatal("post-restart queries decoded no blocks")
+	}
+}
+
+// TestRestartRebuildsOlderSpillVersion: a spill file of an older format
+// version is stale, not corrupt. A restart deletes it without a .bad
+// quarantine, the first query rebuilds the entry from the raw file once,
+// and the spill written in its place has the current version.
+func TestRestartRebuildsOlderSpillVersion(t *testing.T) {
+	dir := t.TempDir()
+	path := writeCondPeopleCSV(t, dir, 3000)
+	cacheDir := filepath.Join(dir, "cache")
+	q := `for { p <- People, p.cond = "mild" } yield sum p.age`
+	spillVersions := func() []uint16 {
+		t.Helper()
+		files, _ := filepath.Glob(filepath.Join(cacheDir, "*.vspill"))
+		var vs []uint16
+		for _, f := range files {
+			raw, err := os.ReadFile(f)
+			if err != nil || len(raw) < 6 {
+				t.Fatalf("spill %s: %v", f, err)
+			}
+			vs = append(vs, binary.LittleEndian.Uint16(raw[4:]))
+		}
+		return vs
+	}
+
+	eng1 := vida.New(vida.WithCacheDir(cacheDir))
+	if err := eng1.RegisterCSV("People", path, condPeopleSchema, nil); err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng1.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	current := spillVersions()
+	if len(current) != 1 || current[0] < 2 {
+		t.Fatalf("spill versions after the first run: %v", current)
+	}
+	files, _ := filepath.Glob(filepath.Join(cacheDir, "*.vspill"))
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(raw[4:], 1) // a version-1 header
+	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	eng2 := vida.New(vida.WithCacheDir(cacheDir))
+	if err := eng2.RegisterCSV("People", path, condPeopleSchema, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng2.Stats(); st.Cache.RehydratedBlocks != 0 || st.Cache.SpillCorrupt != 0 {
+		t.Fatalf("a version-1 spill was rehydrated or counted corrupt: %+v", st.Cache)
+	}
+	got, err := eng2.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Value().Equal(want.Value()) {
+		t.Fatalf("answer after the rebuild: %s, want %s", got, want)
+	}
+	if st := eng2.Stats(); st.RawScans != 1 {
+		t.Fatalf("raw scans after the restart = %d, want one rebuild", st.RawScans)
+	}
+	if err := eng2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if bad, _ := filepath.Glob(filepath.Join(cacheDir, "*.bad")); len(bad) != 0 {
+		t.Fatalf("quarantined: %v", bad)
+	}
+	if vs := spillVersions(); len(vs) != 1 || vs[0] != current[0] {
+		t.Fatalf("spill versions after the rebuild: %v, want [%d]", vs, current[0])
 	}
 }
 
