@@ -151,7 +151,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		fmt.Println("== E6: generated (JIT) vs pre-cooked (static channel) operators ==")
+		fmt.Println("== E6: generated (JIT) vs pre-cooked (interpreted) operators ==")
 		fmt.Printf("%-18s %10s %10s %8s\n", "Plan", "JIT", "Static", "Ratio")
 		for _, r := range rows {
 			fmt.Printf("%-18s %9.4fs %9.4fs %7.1fx\n", r.Plan, r.JITSec, r.StaticSec, r.Ratio)

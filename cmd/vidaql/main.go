@@ -5,7 +5,9 @@
 // Sources are registered with -csv/-json/-array/-xls flags of the form
 // name=path[:schema] where schema is the source description grammar (CSV
 // without a schema infers string columns from the header). The query is
-// the final argument, or use -i for a simple interactive loop.
+// the final argument, or use -i for a simple interactive loop; -sql reads
+// it as SQL and -explain prints its optimized plan instead of running it.
+// Queries run on the just-in-time executor.
 //
 //	vidaql -csv 'Emps=emps.csv:Record(Att(id,int), Att(name,string))' \
 //	       'for { e <- Emps, e.id > 1 } yield count e'
@@ -44,14 +46,9 @@ func main() {
 	sql := flag.Bool("sql", false, "treat the query as SQL")
 	explain := flag.Bool("explain", false, "print the optimized plan instead of running")
 	interactive := flag.Bool("i", false, "interactive loop")
-	static := flag.Bool("static", false, "use the static (channel) executor")
 	flag.Parse()
 
-	var opts []vida.Option
-	if *static {
-		opts = append(opts, vida.WithStaticExecutor())
-	}
-	eng := vida.New(opts...)
+	eng := vida.New()
 	registerAll(eng, csvs.entries, "csv")
 	registerAll(eng, jsons.entries, "json")
 	registerAll(eng, arrays.entries, "array")

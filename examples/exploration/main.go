@@ -82,12 +82,11 @@ func main() {
 	fmt.Printf("rows before append: %s, after Refresh: %s\n\n", before, after)
 
 	// 4. The same plan on the two executors: generated operators vs the
-	// interpreted operators pipelined over Go channels (the paper's
-	// static executor, the reference executor's operators on channels).
-	// Both engines get one warm-up run so the comparison measures pure
-	// execution, not first-touch raw parsing (the Refresh above dropped
-	// eng's caches).
-	staticEng := vida.New(vida.WithStaticExecutor())
+	// interpreter's generic "pre-cooked" operators (the reference
+	// executor). Both engines get one warm-up run so the comparison
+	// measures pure execution, not first-touch raw parsing (the Refresh
+	// above dropped eng's caches).
+	staticEng := vida.New(vida.WithReferenceExecutor())
 	must(staticEng.RegisterCSV("Wide", path, schema, nil))
 	_, _ = staticEng.Query(query)
 	_, _ = eng.Query(query)

@@ -47,7 +47,6 @@ func TestGroupByAcrossAPIs(t *testing.T) {
 		opts []Option
 	}{
 		{"jit", nil},
-		{"static", []Option{WithStaticExecutor()}},
 		{"reference", []Option{WithReferenceExecutor()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,7 +105,6 @@ func TestGroupByEmptyAndSingleGroup(t *testing.T) {
 		opts []Option
 	}{
 		{"jit", nil},
-		{"static", []Option{WithStaticExecutor()}},
 		{"reference", []Option{WithReferenceExecutor()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -188,7 +186,6 @@ func TestGroupByCorrelatedSubquery(t *testing.T) {
 		opts []Option
 	}{
 		{"jit", nil},
-		{"static", []Option{WithStaticExecutor()}},
 		{"reference", []Option{WithReferenceExecutor()}},
 	} {
 		e := setup(t, tc.opts...)
@@ -223,7 +220,6 @@ func TestGroupByOverBind(t *testing.T) {
 		opts []Option
 	}{
 		{"jit", nil},
-		{"static", []Option{WithStaticExecutor()}},
 		{"reference", []Option{WithReferenceExecutor()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,151 +1,47 @@
 package algebra
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"vida/internal/mcl"
 	"vida/internal/monoid"
 	"vida/internal/values"
 )
 
-// Executor is implemented by every ViDa execution engine: the two drivers
-// of the interpreter here (Reference and Static) and the JIT executor in
-// internal/jit. Run evaluates the plan against the catalog and returns
-// the reduced result.
-type Executor interface {
-	Run(p *Reduce, cat Catalog) (values.Value, error)
-}
-
-// Reference drives the interpreter lazily in the caller's goroutine: a
+// Reference runs the interpreter lazily in the caller's goroutine: a
 // node's bindings are produced one at a time as its consumer asks for
-// them, and every expression is evaluated by walking its AST. It is the
-// simple, obviously correct oracle the JIT engine is checked against.
+// them, and every expression is evaluated by walking its AST. Its generic
+// operators carry on every row the interpretation overhead the JIT
+// removes (§4: "a 'pre-cooked' operator offering all these capabilities
+// must be very generic, thus introducing significant interpretation
+// overhead"): it is the simple, obviously correct oracle the JIT engine
+// is checked against, and the baseline of the JIT-vs-static experiment.
 type Reference struct{}
 
-// Run implements Executor.
+// Run evaluates the plan against the catalog and returns the reduced
+// result.
 func (Reference) Run(p *Reduce, cat Catalog) (values.Value, error) {
-	return execute(p, cat, 0)
-}
-
-// Static drives the same interpreted operators as Reference, but runs
-// every plan node in its own goroutine, which feeds its consumer through
-// a channel of ChanBuf bindings. Its generic operators carry on every row
-// the interpretation overhead the JIT removes (§4: "a 'pre-cooked'
-// operator offering all these capabilities must be very generic, thus
-// introducing significant interpretation overhead"); it is the baseline
-// of the JIT-vs-static experiment.
-type Static struct {
-	// ChanBuf is the channel buffer size between operators (default 64).
-	ChanBuf int
-}
-
-// Run implements Executor.
-func (s Static) Run(p *Reduce, cat Catalog) (values.Value, error) {
-	buf := s.ChanBuf
-	if buf <= 0 {
-		buf = 64
+	base, err := BaseEnv(p, cat)
+	if err != nil {
+		return values.Null, err
 	}
-	return execute(p, cat, buf)
+	return (&interp{cat: cat, base: base}).reduce(p)
 }
 
 // rows is a plan node's stream of bindings: it calls emit once per
 // binding, in order, and returns the first error, emit's included.
 type rows func(emit func(*mcl.Env) error) error
 
-// interp is one run of the interpreter. With buf 0 (Reference) a node's
-// stream runs in its consumer's goroutine; otherwise (Static) open starts
-// the node's goroutine behind a channel of buf bindings.
+// interp is one run of the interpreter.
 type interp struct {
 	cat  Catalog
 	base *mcl.Env
-	buf  int
-
-	wg   sync.WaitGroup
-	stop chan struct{} // closed at the first error and when the run ends
-	once sync.Once
-	mu   sync.Mutex
-	err  error // the first error of the run
 }
 
-// errStopped ends a producer whose run has stopped; it is never the
-// run's error.
-var errStopped = errors.New("algebra: run stopped")
-
-func execute(p *Reduce, cat Catalog, buf int) (values.Value, error) {
-	base, err := BaseEnv(p, cat)
-	if err != nil {
-		return values.Null, err
-	}
-	r := &interp{cat: cat, base: base, buf: buf, stop: make(chan struct{})}
-	v, err := r.reduce(p)
-	r.halt(err)
-	r.wg.Wait()
-	if err := r.failed(); err != nil {
-		return values.Null, err
-	}
-	return v, nil
-}
-
-// halt records err unless an error came first, and stops every producer.
-func (r *interp) halt(err error) {
-	r.mu.Lock()
-	if r.err == nil && err != errStopped {
-		r.err = err
-	}
-	r.mu.Unlock()
-	r.once.Do(func() { close(r.stop) })
-}
-
-func (r *interp) failed() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
-// open returns the stream of plan node p; a nil plan is the single base
-// binding (the unit row driving qualifier-free comprehensions). Reference
-// and Static differ only here: under Static the node's goroutine starts
-// now, so opening the root starts every node of the plan, and the
-// returned stream drains the node's channel.
+// open returns the stream of plan node p, its interpreted operator; a nil
+// plan is the single base binding (the unit row driving qualifier-free
+// comprehensions).
 func (r *interp) open(p Plan) rows {
-	s := r.operator(p)
-	if r.buf == 0 {
-		return s
-	}
-	ch := make(chan *mcl.Env, r.buf)
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		defer close(ch)
-		err := s(func(env *mcl.Env) error {
-			select {
-			case ch <- env:
-				return nil
-			case <-r.stop:
-				return errStopped
-			}
-		})
-		if err != nil {
-			r.halt(err)
-		}
-	}()
-	return func(emit func(*mcl.Env) error) error {
-		for env := range ch {
-			if err := emit(env); err != nil {
-				return err
-			}
-		}
-		// A producer that failed recorded its error before closing ch.
-		return r.failed()
-	}
-}
-
-// operator is the interpreted operator of one plan node. Binary nodes
-// open both inputs before draining either, so under Static the two sides
-// of a self-join are concurrent scans.
-func (r *interp) operator(p Plan) rows {
 	switch n := p.(type) {
 	case nil:
 		return func(emit func(*mcl.Env) error) error { return emit(r.base) }

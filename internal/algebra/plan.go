@@ -13,13 +13,10 @@
 // algebra span tabular, hierarchical and array data.
 //
 // One interpreter executes plans row at a time (exec.go): every operator
-// is written once over a node's stream of bindings, and two drivers run
-// it. Reference evaluates each node lazily in its consumer's goroutine;
-// it is the oracle the JIT engine (internal/jit) is checked against.
-// Static runs each node in its own goroutine behind a bounded channel —
-// the paper's fallback engine, "written in GO, exploiting GO's channels
-// to offer pipelined execution", and the baseline the JIT is measured
-// against.
+// is written once over a node's stream of bindings, and Reference
+// evaluates each node lazily in its consumer's goroutine. It is the
+// oracle the JIT engine (internal/jit) is checked against, and the
+// "pre-cooked" operators the JIT is measured against.
 package algebra
 
 import (

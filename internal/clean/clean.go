@@ -5,13 +5,21 @@
 // null the field, or transform it to the nearest acceptable value under a
 // distance metric (the paper names Hamming distance [25]; edit distance
 // handles unequal lengths).
+//
+// Cleaning is a stage of the raw scan (Cleaner.Clean), run on every batch
+// a serial scan or a morsel reads, before the cache harvest and the query
+// see it. So Stats count what raw scans cleaned: a rule fires only on the
+// columns a raw scan reads, a SkipRow rule's attribute is always read,
+// and a cache hit, which reads cleaned columns, cleans nothing again.
 package clean
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"vida/internal/values"
+	"vida/internal/vec"
 )
 
 // Policy selects what happens to a value that violates its rule.
@@ -74,18 +82,28 @@ func (r *Rule) Valid(v values.Value) bool {
 		return false
 	}
 	if r.Min != nil || r.Max != nil {
-		if !v.IsNumeric() {
-			return false
-		}
-		f := v.Float()
-		if r.Min != nil && f < *r.Min {
-			return false
-		}
-		if r.Max != nil && f > *r.Max {
-			return false
-		}
+		return v.IsNumeric() && r.inRange(v.Float())
 	}
 	return true
+}
+
+// inRange reports whether f is not out of the rule's bounds (NaN is not).
+func (r *Rule) inRange(f float64) bool {
+	return !(r.Min != nil && f < *r.Min) && !(r.Max != nil && f > *r.Max)
+}
+
+// validAt is Valid of row of c, read without boxing when c is numeric and
+// the rule a range.
+func (r *Rule) validAt(c *vec.Col, row int) bool {
+	if len(r.Dictionary) == 0 && (c.Nulls == nil || !c.Nulls[row]) {
+		switch c.Tag {
+		case vec.Int64:
+			return r.inRange(float64(c.Ints[row]))
+		case vec.Float64:
+			return r.inRange(c.Floats[row])
+		}
+	}
+	return r.Valid(c.Value(row))
 }
 
 // Repair maps an invalid value per the rule's policy. ok=false means the
@@ -195,11 +213,13 @@ type Stats struct {
 	FieldsFixed  int64
 }
 
-// Cleaner applies a rule set to record rows; it wraps a source's stream
-// (the "specialized input plugin" of §7). Apply is safe for concurrent
-// use: every query over a cleaned source calls it, possibly at once.
+// Cleaner applies a rule set to the raw scans of one source (the
+// "specialized input plugin" of §7). Clean and Apply are safe for
+// concurrent use: every query over a cleaned source runs them, possibly
+// at once and from several morsels.
 type Cleaner struct {
 	rules map[string]*Rule
+	skips []string // the attributes of the SkipRow rules, sorted
 
 	rowsChecked, rowsSkipped, fieldsNulled, fieldsFixed atomic.Int64
 }
@@ -211,6 +231,12 @@ func New(rules ...Rule) *Cleaner {
 		r := rules[i]
 		c.rules[r.Attr] = &r
 	}
+	for attr, r := range c.rules {
+		if r.Policy == SkipRow {
+			c.skips = append(c.skips, attr)
+		}
+	}
+	slices.Sort(c.skips)
 	return c
 }
 
@@ -224,8 +250,108 @@ func (c *Cleaner) Stats() Stats {
 	}
 }
 
+// Reads returns the columns a cleaned scan of fields reads: fields, then
+// the attribute of each SkipRow rule not among them, since whether a row
+// exists at all depends on it.
+func (c *Cleaner) Reads(fields []string) []string {
+	read := fields
+	for _, attr := range c.skips {
+		if !slices.Contains(read, attr) {
+			read = append(read[:len(read):len(read)], attr)
+		}
+	}
+	return read
+}
+
+// Clean is the cleaning stage of a raw batch scan. b's columns are
+// fields, as Reads returned them, and only their rules fire, column by
+// column in that order. A SkipRow violation drops the row from b.Sel;
+// any other repair goes into a copy of its column that replaces
+// b.Cols[i], boxed when its type cannot hold the repaired value. Clean
+// never writes into the storage b's columns or selection point at, so b
+// is the caller's own copy of the producer's batch header. Each row ends
+// up, and is counted, as Apply leaves the record of its fields.
+func (c *Cleaner) Clean(b *vec.Batch, fields []string) {
+	checked := b.Len()
+	var nulled, fixed int64
+	for i, f := range fields {
+		r := c.rules[f]
+		if r == nil {
+			continue
+		}
+		col := &b.Cols[i]
+		var sel []int // the rows kept, once one is dropped
+		var repaired *vec.Col
+		for k, n := 0, b.Len(); k < n; k++ {
+			row := b.Index(k)
+			valid := r.validAt(col, row)
+			switch {
+			case r.Policy != SkipRow && !valid:
+				v, _ := r.Repair(col.Value(row))
+				if v.IsNull() {
+					nulled++
+				} else {
+					fixed++
+				}
+				if repaired == nil {
+					cb := vec.NewColBuilder(b.N)
+					cb.Append(col, &vec.Batch{N: b.N})
+					copied := cb.Finish()
+					repaired = &copied
+				}
+				set(repaired, row, v)
+			case valid && sel != nil:
+				sel = append(sel, row)
+			case !valid && sel == nil:
+				sel = make([]int, k, n)
+				for j := range sel {
+					sel[j] = b.Index(j)
+				}
+			}
+		}
+		if sel != nil {
+			b.Sel = sel
+		}
+		if repaired != nil {
+			*col = *repaired
+		}
+	}
+	c.rowsChecked.Add(int64(checked))
+	c.rowsSkipped.Add(int64(checked - b.Len()))
+	c.fieldsNulled.Add(nulled)
+	c.fieldsFixed.Add(fixed)
+}
+
+// set writes the repaired value v into row of c, boxing c first when its
+// type cannot hold v.
+func set(c *vec.Col, row int, v values.Value) {
+	switch {
+	case c.Tag == vec.Boxed:
+		c.Boxed[row] = v
+	case v.IsNull():
+		if c.Nulls == nil {
+			c.Nulls = make([]bool, c.Len())
+		}
+		c.Nulls[row] = true
+	case c.Tag == vec.Int64 && v.Kind() == values.KindInt:
+		c.Ints[row] = v.Int()
+	case c.Tag == vec.Float64 && v.Kind() == values.KindFloat:
+		c.Floats[row] = v.Float()
+	case c.Tag == vec.Str && v.Kind() == values.KindString:
+		c.Strs[row] = v.Str()
+	default:
+		boxed := make([]values.Value, c.Len())
+		for i := range boxed {
+			boxed[i] = c.Value(i)
+		}
+		*c = vec.Col{Tag: vec.Boxed, Boxed: boxed}
+		c.Boxed[row] = v
+	}
+}
+
 // Apply validates and repairs one record. ok=false means the row is
-// dropped (SkipRow policy fired).
+// dropped (SkipRow policy fired). It cleans the whole objects of an
+// open-schema source, and is the row oracle Clean is tested against.
 func (c *Cleaner) Apply(row values.Value) (values.Value, bool) {
 	c.rowsChecked.Add(1)
 	if row.Kind() != values.KindRecord {
@@ -256,17 +382,4 @@ func (c *Cleaner) Apply(row values.Value) (values.Value, bool) {
 		return row, true
 	}
 	return values.NewRecord(fixed...), true
-}
-
-// WrapIterate decorates a source's Iterate with cleaning.
-func (c *Cleaner) WrapIterate(iterate func(fields []string, yield func(values.Value) error) error) func(fields []string, yield func(values.Value) error) error {
-	return func(fields []string, yield func(values.Value) error) error {
-		return iterate(fields, func(v values.Value) error {
-			out, keep := c.Apply(v)
-			if !keep {
-				return nil
-			}
-			return yield(out)
-		})
-	}
 }

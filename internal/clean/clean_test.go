@@ -1,9 +1,11 @@
 package clean
 
 import (
+	"math"
 	"testing"
 
 	"vida/internal/values"
+	"vida/internal/vec"
 )
 
 func rec(pairs ...any) values.Value {
@@ -55,6 +57,13 @@ func TestRangeValidation(t *testing.T) {
 	open := Rule{Attr: "n", Min: Float(0)}
 	if !open.Valid(values.NewFloat(1e12)) {
 		t.Fatal("open upper bound rejected")
+	}
+	// The unboxed check of a typed column agrees with Valid, NaN included.
+	col := vec.Col{Tag: vec.Float64, Floats: []float64{math.NaN(), -1, 200, 7}}
+	for row := range col.Floats {
+		if r.validAt(&col, row) != r.Valid(col.Value(row)) {
+			t.Fatalf("validAt(%v) disagrees with Valid", col.Floats[row])
+		}
 	}
 }
 
@@ -123,33 +132,6 @@ func TestCleanerApply(t *testing.T) {
 	st := c.Stats()
 	if st.RowsChecked != 3 || st.RowsSkipped != 1 || st.FieldsFixed != 1 || st.FieldsNulled != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestWrapIterate(t *testing.T) {
-	rows := []values.Value{
-		rec("age", 30),
-		rec("age", 999),
-		rec("age", 40),
-	}
-	c := New(Rule{Attr: "age", Policy: SkipRow, Max: Float(120)})
-	iter := c.WrapIterate(func(fields []string, yield func(values.Value) error) error {
-		for _, r := range rows {
-			if err := yield(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	var out []values.Value
-	if err := iter(nil, func(v values.Value) error {
-		out = append(out, v)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("cleaned stream = %d rows", len(out))
 	}
 }
 

@@ -46,9 +46,8 @@ type ExecMode uint8
 
 // The execution modes.
 const (
-	ModeJIT ExecMode = iota // generated operators (default)
-	ModeStatic
-	ModeReference
+	ModeJIT       ExecMode = iota // generated operators (default)
+	ModeReference                 // the interpreter, the JIT's oracle
 )
 
 // String returns the mode name.
@@ -56,8 +55,6 @@ func (m ExecMode) String() string {
 	switch m {
 	case ModeJIT:
 		return "jit"
-	case ModeStatic:
-		return "static"
 	case ModeReference:
 		return "reference"
 	default:
@@ -166,8 +163,8 @@ type sourceEntry struct {
 	file    plugin
 	view    algebra.Source
 	cleaner *clean.Cleaner
-	// src is the plug-in behind its cleaner and raw its batch view
-	// (jit.Lift), which scans read.
+	// src is the plug-in and raw its batch view (jit.Lift), which scans
+	// read and clean (scanSource).
 	src algebra.Source
 	raw jit.BatchSource
 }
@@ -231,16 +228,13 @@ func (e *Engine) known(path string) []*rawfile.Generation {
 	return out
 }
 
-// derive sets src and raw from the plug-in and cleaner, and returns s.
+// derive sets src and raw from the plug-in, and returns s.
 func (s *sourceEntry) derive() *sourceEntry {
-	src := s.view
+	s.src = s.view
 	if s.file != nil {
-		src = s.file
+		s.src = s.file
 	}
-	if s.cleaner != nil {
-		src = &cleanedSource{inner: src, cleaner: s.cleaner}
-	}
-	s.src, s.raw = src, jit.Lift(src)
+	s.raw = jit.Lift(s.src)
 	return s
 }
 
@@ -473,36 +467,6 @@ func (e *Engine) saveAux(entry *sourceEntry) {
 // store wrapper, ...) with its description.
 func (e *Engine) RegisterSource(desc *sdg.Description, src algebra.Source) error {
 	return e.publish(desc.Name, add((&sourceEntry{desc: desc, view: src}).derive()))
-}
-
-// cleanedSource decorates a source with a data cleaner (paper §7): every
-// record passes validation/repair before reaching executors and caches.
-type cleanedSource struct {
-	inner   algebra.Source
-	cleaner *clean.Cleaner
-}
-
-// Name implements algebra.Source.
-func (s *cleanedSource) Name() string { return s.inner.Name() }
-
-// Iterate implements algebra.Source. Cleaning needs whole records, so the
-// projection is applied after repair.
-func (s *cleanedSource) Iterate(fields []string, yield func(values.Value) error) error {
-	return s.inner.Iterate(nil, func(v values.Value) error {
-		out, keep := s.cleaner.Apply(v)
-		if !keep {
-			return nil
-		}
-		if len(fields) > 0 {
-			fs := make([]values.Field, len(fields))
-			for i, f := range fields {
-				fv, _ := out.Get(f)
-				fs[i] = values.Field{Name: f, Val: fv}
-			}
-			out = values.NewRecord(fs...)
-		}
-		return yield(out)
-	})
 }
 
 // AttachCleaner installs a data cleaner on a registered source, in place
@@ -928,8 +892,8 @@ func (p *Prepared) RunParamsCtx(ctx context.Context, params map[string]values.Va
 // caller's goroutine with a nil sink and gets the result value; a cursor
 // calls it on its producer goroutine with the channel sink, and the
 // result's rows go there instead (every executor: the JIT streams its
-// root into the sink, the reference and static engines emit their
-// materialized result through jit.EmitResult). It owns, once each, the
+// root into the sink, the reference executor emits its materialized
+// result through jit.EmitResult). It owns, once each, the
 // close gate, the query counters and raw/cache classification, the
 // execute span, the query's memory ledger and the mapping of failures:
 // budget kills are counted, cancellation surfaces as the ctx error, and
@@ -976,8 +940,6 @@ func (e *Engine) execute(ctx context.Context, plan *algebra.Reduce, sink jit.Str
 	}()
 	cat := e.catalogFor(ctx, sp)
 	switch e.opts.Mode {
-	case ModeStatic:
-		v, err = algebra.Static{}.Run(plan, cat)
 	case ModeReference:
 		v, err = algebra.Reference{}.Run(plan, cat)
 	default:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"vida/internal/algebra"
 	"vida/internal/cache"
 	"vida/internal/sdg"
 	"vida/internal/values"
@@ -95,7 +97,7 @@ func TestModesAgree(t *testing.T) {
 	}
 	for _, q := range queries {
 		var results []values.Value
-		for _, mode := range []ExecMode{ModeJIT, ModeStatic, ModeReference} {
+		for _, mode := range []ExecMode{ModeJIT, ModeReference} {
 			e := newEngine(t, Options{Mode: mode})
 			v, err := e.Query(q)
 			if err != nil {
@@ -103,8 +105,8 @@ func TestModesAgree(t *testing.T) {
 			}
 			results = append(results, v)
 		}
-		if !values.Equal(results[0], results[1]) || !values.Equal(results[0], results[2]) {
-			t.Fatalf("modes disagree on %q: jit=%v static=%v ref=%v", q, results[0], results[1], results[2])
+		if !values.Equal(results[0], results[1]) {
+			t.Fatalf("modes disagree on %q: jit=%v ref=%v", q, results[0], results[1])
 		}
 	}
 }
@@ -508,46 +510,89 @@ func TestHarvestNullMaskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStaticSelfJoinColdCSV: the static executor runs both sides of a
-// self-join as concurrent scans of one cold file, each feeding a bounded
-// channel the join drains one side at a time; neither scan may wait on
-// the other's consumer.
-func TestStaticSelfJoinColdCSV(t *testing.T) {
+// TestCursorParkedInColdScan: a scan holds no lock across its yields. A
+// cursor whose consumer stops reading parks its producer inside the yield
+// of a cold CSV scan, its chunk channel full; a second query over the
+// same file must still run to the end, and the parked cursor then
+// resumes and reads every row.
+func TestCursorParkedInColdScan(t *testing.T) {
 	path := writePatients(t, t.TempDir(), "p.csv", patientRows(0, 3000, 1))
 	// Past 1 MiB a first touch is cut into chunks that pool helpers
 	// tokenize beside the scanning goroutine.
 	multiChunk := writePatients(t, t.TempDir(), "p.csv", patientRows(0, 100000, 1))
+	// Eight rows the cursor's product repeats each P row for, so even
+	// the small file streams more chunks than the cursor buffers.
+	var eight []values.Value
+	for i := 0; i < 8; i++ {
+		eight = append(eight, values.NewRecord(values.Field{Name: "k", Val: values.NewInt(int64(i))}))
+	}
 	for _, c := range []struct {
-		path, q string
-		passes  int
-		want    values.Value
-	}{
-		{path, `for { p <- P, q <- P, p.id = q.id } yield count p`, 5, values.NewInt(3000)},
-		{path, `for { p <- P, q <- P, p.id = q.id } yield sum q.score`, 5, values.NewFloat(3000)},
-		{path, `for { p <- P, q <- P, p.age > 60, q.id < 3 } yield count p`, 5, values.NewInt(540 * 3)},
-		{multiChunk, `for { p <- P, q <- P, p.id = q.id } yield count p`, 2, values.NewInt(100000)},
-		{multiChunk, `for { p <- P, q <- P, p.id = q.id } yield sum q.score`, 2, values.NewFloat(100000)},
-	} {
-		q := c.q
+		path   string
+		rows   int64
+		passes int
+	}{{path, 3000, 3}, {multiChunk, 100000, 1}} {
 		for pass := 0; pass < c.passes; pass++ {
-			e := freshEngine(t, c.path, Options{Mode: ModeStatic})
-			done := make(chan error, 1)
-			var got values.Value
-			go func() {
-				var err error
-				got, err = e.Query(q)
-				done <- err
-			}()
-			select {
-			case err := <-done:
+			for _, q := range []string{
+				`for { p <- P, q <- P, p.id = q.id } yield count p`,
+				`for { p <- P, q <- P, p.id = q.id } yield sum q.score`,
+			} {
+				e := freshEngine(t, c.path, Options{})
+				desc := sdg.DefaultDescription("K", sdg.FormatTable, "", sdg.Bag(sdg.Record(sdg.Attr{Name: "k", Type: sdg.Int})))
+				if err := e.RegisterSource(desc, &algebra.SliceSource{SrcName: "K", Rows: eight}); err != nil {
+					t.Fatal(err)
+				}
+				p, err := e.Prepare(`for { p <- P, k <- K } yield bag p.id`)
 				if err != nil {
-					t.Fatalf("%s: %v", q, err)
+					t.Fatal(err)
 				}
-				if !values.Equal(got, c.want) {
-					t.Fatalf("%s: %v, want %v", q, got, c.want)
+				rows, err := p.RowsCtx(context.Background(), nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-			case <-time.After(20 * time.Second):
-				t.Fatalf("%s: the self-join's scans deadlocked", q)
+				first, err := rows.NextChunk()
+				if err != nil || len(first) == 0 {
+					t.Fatalf("first chunk: %d elements, %v", len(first), err)
+				}
+				for deadline := time.Now().Add(20 * time.Second); len(rows.ch) < streamChanCap; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the cursor's producer never filled its channel")
+					}
+				}
+				if _, ok := e.Caches().Peek("P", cache.LayoutColumns); ok {
+					t.Fatal("P's scan finished: the cursor is not parked inside it")
+				}
+				done := make(chan error, 1)
+				var got values.Value
+				go func() {
+					var err error
+					got, err = e.Query(q)
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatalf("%s: %v", q, err)
+					}
+					if got.Float() != float64(c.rows) {
+						t.Fatalf("%s = %v, want %d", q, got, c.rows)
+					}
+				case <-time.After(20 * time.Second):
+					t.Fatalf("%s: blocked behind a cursor parked in a scan of the same file", q)
+				}
+				n := int64(len(first))
+				for {
+					chunk, err := rows.NextChunk()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if chunk == nil {
+						break
+					}
+					n += int64(len(chunk))
+				}
+				if err := rows.Close(); err != nil || n != 8*c.rows {
+					t.Fatalf("the resumed cursor read %d elements (%v), want %d", n, err, 8*c.rows)
+				}
 			}
 		}
 	}

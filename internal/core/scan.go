@@ -7,6 +7,7 @@ import (
 
 	"vida/internal/algebra"
 	"vida/internal/cache"
+	"vida/internal/clean"
 	"vida/internal/faultinject"
 	"vida/internal/jit"
 	"vida/internal/sdg"
@@ -86,8 +87,10 @@ func (e *Engine) sourceFor(ctx context.Context, name string, sp *trace.Span) (al
 // and OpenRange serve a scan from the columnar cache when it covers the
 // requested fields; otherwise they read the raw plug-in and — on the
 // sequential path — promote the touched fields into the cache (the
-// paper's access-driven cache growth). Iterate is the record view of
-// the same scan for the reference and static executors.
+// paper's access-driven cache growth). A raw read runs the source's
+// cleaner as a batch stage (cleanStage) before the harvest, so the cache
+// holds cleaned columns and a hit cleans nothing. Iterate is the record
+// view of the same scan for the reference executor.
 type scanSource struct {
 	e     *Engine
 	entry *sourceEntry
@@ -241,6 +244,7 @@ func (s *scanSource) IterateBatches(fields []string, batchSize int, yield func(*
 	// is shed before any query is killed.
 	harvest := s.shouldHarvest(cacheable)
 	sp.SetAttr("harvest", harvest)
+	stage, read := newCleanStage(s.entry.cleaner, fields)
 	var builders []*vec.ColBuilder
 	if harvest {
 		// Pre-size harvest columns when the reader already knows its row
@@ -252,7 +256,7 @@ func (s *scanSource) IterateBatches(fields []string, batchSize int, yield func(*
 				hint = pm.NumRows()
 			}
 		}
-		builders = make([]*vec.ColBuilder, len(fields))
+		builders = make([]*vec.ColBuilder, len(read))
 		for i := range builders {
 			builders[i] = vec.NewColBuilder(hint)
 		}
@@ -260,24 +264,25 @@ func (s *scanSource) IterateBatches(fields []string, batchSize int, yield func(*
 	var reserved int64
 	defer func() { s.e.mem.release(reserved) }()
 	n := 0
-	err := s.entry.raw.IterateBatches(fields, batchSize, func(b *vec.Batch) error {
+	err := s.entry.raw.IterateBatches(read, batchSize, func(b *vec.Batch) error {
 		if ferr := faultinject.Hit(faultinject.RefreshDuringScan); ferr != nil {
 			return ferr
 		}
+		all, b := stage.apply(b)
 		if harvest {
 			// Harvest before the JIT refines the selection: the cache
-			// stores every scanned row, filters apply per query. The
-			// plug-in's vectors are retained in their representation, so
-			// the entry serves the next scan unboxed; mixed-type columns
-			// demote to boxed inside the builder.
-			delta := b.MemoryBytes() + faultinject.Value(faultinject.AllocSpike)
+			// stores every scanned row the cleaner keeps, filters apply
+			// per query. The plug-in's vectors are retained in their
+			// representation, so the entry serves the next scan unboxed;
+			// mixed-type columns demote to boxed inside the builder.
+			delta := all.MemoryBytes() + faultinject.Value(faultinject.AllocSpike)
 			if rerr := s.e.mem.reserve(delta); rerr != nil {
 				harvest, builders = false, nil
 				s.e.harvestSkips.Add(1)
 			} else {
 				reserved += delta
-				for c := range fields {
-					builders[c].Append(&b.Cols[c], b)
+				for c := range read {
+					builders[c].Append(&all.Cols[c], all)
 				}
 			}
 		}
@@ -287,8 +292,8 @@ func (s *scanSource) IterateBatches(fields []string, batchSize int, yield func(*
 	if err != nil || !harvest {
 		return err
 	}
-	cols := make(map[string]vec.Col, len(fields))
-	for i, f := range fields {
+	cols := make(map[string]vec.Col, len(read))
+	for i, f := range read {
 		cols[f] = builders[i].Finish()
 	}
 	return s.install(func() error {
@@ -332,8 +337,19 @@ func (s *scanSource) OpenRange(fields []string) (func(lo, hi, batchSize int, yie
 		// No scan span is open yet, and the JIT may still fall back to
 		// IterateBatches: the load lands on the query's span.
 		loadSidecar(s.entry, s.sp)
-		if scan, n, ok = rs.OpenRange(fields); !ok {
+		stage, read := newCleanStage(s.entry.cleaner, fields)
+		if scan, n, ok = rs.OpenRange(read); !ok {
 			return nil, 0, false
+		}
+		if stage != nil {
+			raw := scan
+			scan = func(lo, hi, batchSize int, yield func(*vec.Batch) error) error {
+				morsel := *stage
+				return raw(lo, hi, batchSize, func(b *vec.Batch) error {
+					_, b = morsel.apply(b)
+					return yield(b)
+				})
+			}
 		}
 	}
 	// The range scan span has no single end point (morsels finish with the
@@ -385,13 +401,58 @@ func (s *scanSource) Iterate(fields []string, yield func(values.Value) error) er
 	sp.SetAttr("harvest", false)
 	defer sp.End()
 	n := 0
+	c := s.entry.cleaner
 	return s.entry.src.Iterate(nil, func(v values.Value) error {
 		if n++; s.ctx != nil && n%ctxRowStride == 0 {
 			if err := s.ctx.Err(); err != nil {
 				return err
 			}
 		}
+		if c != nil {
+			var keep bool
+			if v, keep = c.Apply(v); !keep {
+				return nil
+			}
+		}
 		sp.AddRows(1)
 		return yield(v)
 	})
+}
+
+// cleanStage is a source's cleaner (paper §7) as a stage of one raw scan,
+// run on each batch the plug-in yields before the harvest or the query
+// sees it. The scan reads what the cleaner needs — the requested fields,
+// then the attributes of its SkipRow rules (clean.Cleaner.Reads) — and
+// the query sees the requested columns. A stage holds one batch's
+// headers, so each serial scan and each morsel runs its own; a nil stage
+// (no cleaner) passes batches through.
+type cleanStage struct {
+	c        *clean.Cleaner
+	read     []string
+	width    int       // the requested fields, read's prefix
+	all, out vec.Batch // the cleaned batch: every column read, the requested ones
+}
+
+// newCleanStage returns the stage of a raw scan of fields under c and
+// the columns the scan asks the plug-in for.
+func newCleanStage(c *clean.Cleaner, fields []string) (*cleanStage, []string) {
+	if c == nil {
+		return nil, fields
+	}
+	st := &cleanStage{c: c, read: c.Reads(fields), width: len(fields)}
+	return st, st.read
+}
+
+// apply cleans the raw batch b and returns it as the harvest keeps it
+// (every column read) and as the query sees it (the requested columns).
+// Both share b's storage except the columns a repair copied.
+func (st *cleanStage) apply(b *vec.Batch) (all, out *vec.Batch) {
+	if st == nil {
+		return b, b
+	}
+	st.all = vec.Batch{Cols: append(st.all.Cols[:0], b.Cols...), N: b.N, Sel: b.Sel, Stable: b.Stable}
+	st.c.Clean(&st.all, st.read)
+	st.out = st.all
+	st.out.Cols = st.all.Cols[:st.width:st.width]
+	return &st.all, &st.out
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,8 +32,12 @@ func matrixRow(i int) (id, g int64, v float64) {
 	return int64(i), int64(i % 7), float64(i%100) / 2 // halves: float sums are exact in any order
 }
 
-// matrixCleanMax is the cleaner's bound on v: rows above it are dropped.
-const matrixCleanMax = 40
+// matrixCleanMax is the cleaners' bound on v (rows above it are dropped
+// or clamped) and matrixCleanMaxG their bound on g (larger g is nulled).
+const (
+	matrixCleanMax  = 40
+	matrixCleanMaxG = 5
+)
 
 func matrixSchema() *sdg.Type {
 	return sdg.Bag(sdg.Record(
@@ -57,13 +62,27 @@ var matrixQueries = []matrixQuery{
 }
 
 // matrixKind registers T over one plug-in; view kinds never cache and
-// cleaned ones answer over the rows the cleaner keeps.
+// cleaned ones answer over what their cleaner leaves of each row: clean
+// maps a row's g and v to the cleaned ones (g < 0: nulled) and says
+// whether the row is kept at all (nil: not cleaned).
 type matrixKind struct {
 	name     string
 	view     bool
-	cleaned  bool
+	clean    func(g int64, v float64) (int64, float64, bool)
 	register func(t *testing.T, e *Engine)
 }
+
+// cleaned registers T with file and attaches a cleaner of rule to it.
+func cleaned(file func(*testing.T, *Engine), rule clean.Rule) func(*testing.T, *Engine) {
+	return func(t *testing.T, e *Engine) {
+		file(t, e)
+		if err := e.AttachCleaner("T", clean.New(rule)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func skipAboveMax(g int64, v float64) (int64, float64, bool) { return g, v, v <= matrixCleanMax }
 
 func matrixKinds(t *testing.T) []matrixKind {
 	dir := t.TempDir()
@@ -138,13 +157,21 @@ func matrixKinds(t *testing.T) []matrixKind {
 				t.Fatal(err)
 			}
 		}},
-		{name: "cleaned-csv", cleaned: true, register: func(t *testing.T, e *Engine) {
-			file(sdg.FormatCSV, csvPath, matrixSchema())(t, e)
-			rule := clean.Rule{Attr: "v", Policy: clean.SkipRow, Max: clean.Float(matrixCleanMax)}
-			if err := e.AttachCleaner("T", clean.New(rule)); err != nil {
-				t.Fatal(err)
+		{name: "cleaned-csv", clean: skipAboveMax, register: cleaned(file(sdg.FormatCSV, csvPath, matrixSchema()),
+			clean.Rule{Attr: "v", Policy: clean.SkipRow, Max: clean.Float(matrixCleanMax)})},
+		{name: "cleaned-csv-null", clean: func(g int64, v float64) (int64, float64, bool) {
+			if g > matrixCleanMaxG {
+				g = -1
 			}
-		}},
+			return g, v, true
+		}, register: cleaned(file(sdg.FormatCSV, csvPath, matrixSchema()),
+			clean.Rule{Attr: "g", Policy: clean.NullField, Max: clean.Float(matrixCleanMaxG)})},
+		{name: "cleaned-csv-nearest", clean: func(g int64, v float64) (int64, float64, bool) {
+			return g, min(v, matrixCleanMax), true
+		}, register: cleaned(file(sdg.FormatCSV, csvPath, matrixSchema()),
+			clean.Rule{Attr: "v", Policy: clean.Nearest, Max: clean.Float(matrixCleanMax)})},
+		{name: "cleaned-json", clean: skipAboveMax, register: cleaned(file(sdg.FormatJSON, jsonPath, matrixSchema()),
+			clean.Rule{Attr: "v", Policy: clean.SkipRow, Max: clean.Float(matrixCleanMax)})},
 	}
 }
 
@@ -176,25 +203,25 @@ func TestScanContractMatrix(t *testing.T) {
 		{"jit-w1", func(o *Options) { o.Workers = 1 }},
 		{"jit-w4", func(o *Options) { o.Workers = 4 }},
 	}
-	// Plain-Go oracles for the two scalar queries.
-	var wantSum, wantSumClean float64
-	var wantCount, wantCountClean int64
-	for i := 0; i < matrixRows; i++ {
-		_, g, v := matrixRow(i)
-		keep := v <= matrixCleanMax
-		wantCount++
-		if keep {
-			wantCountClean++
-		}
-		if g > 3 {
-			wantSum += v
-			if keep {
-				wantSumClean += v
-			}
-		}
-	}
 	for _, kind := range matrixKinds(t) {
 		kind := kind
+		// Plain-Go oracles for the two scalar queries.
+		var sum float64
+		var count int64
+		for i := 0; i < matrixRows; i++ {
+			_, g, v := matrixRow(i)
+			keep := true
+			if kind.clean != nil {
+				g, v, keep = kind.clean(g, v)
+			}
+			if !keep {
+				continue
+			}
+			count++
+			if g > 3 {
+				sum += v
+			}
+		}
 		t.Run(kind.name, func(t *testing.T) {
 			want := map[string]values.Value{} // first answer of this kind, per query
 			for _, st := range states {
@@ -231,10 +258,6 @@ func TestScanContractMatrix(t *testing.T) {
 							want[q.name] = got
 						} else if !values.Equal(got, w) {
 							t.Errorf("%s = %v, want %v", label, got, w)
-						}
-						sum, count := wantSum, wantCount
-						if kind.cleaned {
-							sum, count = wantSumClean, wantCountClean
 						}
 						if q.name == "filtered-sum" && got.Float() != sum {
 							t.Errorf("%s = %v, oracle %v", label, got, sum)
@@ -333,6 +356,21 @@ func TestScanSpans(t *testing.T) {
 		step := fmt.Sprintf("%+v", tc.opts)
 		check(step+" cold", scan(e, q), true, tc.cold)
 		check(step+" warm", scan(e, q), false, tc.warm)
+	}
+	// A cleaned CSV scans like any other: typed and harvested on its first
+	// touch, then from raw ranges of its positional map, each morsel
+	// cleaned on its own.
+	nearest := kinds[slices.IndexFunc(kinds, func(k matrixKind) bool { return k.name == "cleaned-csv-nearest" })]
+	for _, opts := range []Options{{Workers: 4, DisableCaching: true}, {Workers: 4}} {
+		e := NewEngine(opts)
+		nearest.register(t, e)
+		step := fmt.Sprintf("cleaned %+v", opts)
+		check(step+" cold", scan(e, q), true, map[string]any{"source": "T", "mode": "raw", "harvest": !opts.DisableCaching})
+		warm := map[string]any{"source": "T", "mode": "raw", "range": true}
+		if !opts.DisableCaching {
+			warm["mode"] = "cache"
+		}
+		check(step+" warm", scan(e, q), false, warm)
 	}
 	// A reference-mode whole-record scan is the batch scan of every
 	// attribute; an open-schema source streams its objects raw, unharvested.
@@ -435,7 +473,7 @@ func TestWholeRecordOpenSchemaStreamsRaw(t *testing.T) {
 	path := writeOpenJSON(t, 300)
 	q := `for { t <- T } yield list t`
 	var want values.Value
-	for _, opts := range []Options{{Mode: ModeReference}, {Mode: ModeStatic}, {Workers: 1}, {Workers: 4}} {
+	for _, opts := range []Options{{Mode: ModeReference}, {Workers: 1}, {Workers: 4}} {
 		e := NewEngine(opts)
 		registerOpenJSON(t, e, path)
 		for run := 0; run < 2; run++ {

@@ -246,13 +246,13 @@ func RunMongoSpace(dir string, sc workload.Scale, seed int64) (*MongoSpaceResult
 type JITvsStaticRow struct {
 	Plan      string
 	JITSec    float64
-	StaticSec float64
+	StaticSec float64 // algebra.Reference's time
 	Ratio     float64 // static / jit
 }
 
 // RunJITvsStatic runs representative plans on the generated-operator
-// engine and on the channel-pipelined generic engine (the paper's own
-// static Go executor).
+// engine and on the interpreter's generic pre-cooked operators
+// (algebra.Reference).
 func RunJITvsStatic(dir string, sc workload.Scale, repeats int, seed int64) ([]JITvsStaticRow, error) {
 	paths, err := workload.GenerateAll(dir, sc, seed)
 	if err != nil {
@@ -316,7 +316,7 @@ func RunJITvsStatic(dir string, sc workload.Scale, repeats int, seed int64) ([]J
 		jitSec := time.Since(t0).Seconds()
 		t0 = time.Now()
 		for i := 0; i < repeats; i++ {
-			v, err := (algebra.Static{}).Run(opt, cat)
+			v, err := (algebra.Reference{}).Run(opt, cat)
 			if err != nil {
 				return nil, err
 			}

@@ -258,8 +258,9 @@ type Executor struct {
 	Opts Options
 }
 
-// Run implements algebra.Executor: it generates the specialized pipeline
-// for this exact plan ("database as a query") and runs it.
+// Run evaluates the plan against the catalog, as algebra.Reference does:
+// it generates the specialized pipeline for this exact plan ("database as
+// a query") and runs it.
 func (e Executor) Run(p *algebra.Reduce, cat algebra.Catalog) (values.Value, error) {
 	prog, err := CompileWith(p, cat, e.Opts)
 	if err != nil {

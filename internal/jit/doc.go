@@ -1,6 +1,6 @@
 // Package jit implements ViDa's just-in-time execution engine over the
-// algebra; the interpreted engines it is measured and checked against
-// are algebra.Static and algebra.Reference.
+// algebra; the interpreted engine it is measured and checked against is
+// algebra.Reference.
 //
 // # The just-in-time executor
 //
@@ -12,7 +12,7 @@
 // where the schema is known. Closure staging is this reproduction's
 // substitute for the paper's LLVM code generation — it removes the same
 // interpretation overheads relative to the interpreted operators of
-// algebra.Static.
+// algebra.Reference.
 //
 // # Batch format
 //

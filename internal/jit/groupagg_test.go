@@ -112,13 +112,6 @@ func TestGroupedExecutorEquivalence(t *testing.T) {
 		if !values.Equal(gotJIT, want) {
 			t.Fatalf("jit diverged on %q:\njit: %v\nref: %v", q, gotJIT, want)
 		}
-		gotStatic, err := algebra.Static{}.Run(plan, cat)
-		if err != nil {
-			t.Fatalf("static %q: %v", q, err)
-		}
-		if !values.Equal(gotStatic, want) {
-			t.Fatalf("static diverged on %q:\nstatic: %v\nref: %v", q, gotStatic, want)
-		}
 	}
 }
 

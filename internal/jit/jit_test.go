@@ -4,9 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
-	"time"
 
 	"vida/internal/algebra"
 	"vida/internal/mcl"
@@ -141,13 +139,6 @@ func TestExecutorEquivalence(t *testing.T) {
 		if !values.Equal(gotJIT, want) {
 			t.Fatalf("jit diverged on %q:\njit: %v\nref: %v", q, gotJIT, want)
 		}
-		gotStatic, err := algebra.Static{}.Run(plan, cat)
-		if err != nil {
-			t.Fatalf("static %q: %v", q, err)
-		}
-		if !values.Equal(gotStatic, want) {
-			t.Fatalf("static diverged on %q:\nstatic: %v\nref: %v", q, gotStatic, want)
-		}
 	}
 }
 
@@ -167,16 +158,12 @@ func TestExecutorsOnJoinPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, ex := range map[string]algebra.Executor{
-		"jit": Executor{}, "static": algebra.Static{},
-	} {
-		got, err := ex.Run(plan, cat)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !values.Equal(got, want) {
-			t.Fatalf("%s join diverged: %v vs %v", name, got, want)
-		}
+	got, err := Executor{}.Run(plan, cat)
+	if err != nil {
+		t.Fatalf("jit: %v", err)
+	}
+	if !values.Equal(got, want) {
+		t.Fatalf("jit join diverged: %v vs %v", got, want)
 	}
 }
 
@@ -269,8 +256,8 @@ func TestErrorsPropagate(t *testing.T) {
 	if _, err := (Executor{}).Run(plan, cat); err == nil {
 		t.Fatal("jit should propagate the error")
 	}
-	if _, err := (algebra.Static{}).Run(plan, cat); err == nil {
-		t.Fatal("static should propagate the error")
+	if _, err := (algebra.Reference{}).Run(plan, cat); err == nil {
+		t.Fatal("reference should propagate the error")
 	}
 	// Unknown source.
 	bad := &algebra.Reduce{
@@ -281,8 +268,8 @@ func TestErrorsPropagate(t *testing.T) {
 	if _, err := (Executor{}).Run(bad, cat); err == nil {
 		t.Fatal("jit should fail on unknown source")
 	}
-	if _, err := (algebra.Static{}).Run(bad, cat); err == nil {
-		t.Fatal("static should fail on unknown source")
+	if _, err := (algebra.Reference{}).Run(bad, cat); err == nil {
+		t.Fatal("reference should fail on unknown source")
 	}
 }
 
@@ -333,64 +320,9 @@ func TestRandomizedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("jit %q: %v", q, err)
 			}
-			gotS, err := algebra.Static{ChanBuf: 1 + r.Intn(8)}.Run(plan, cat)
-			if err != nil {
-				t.Fatalf("static %q: %v", q, err)
+			if !values.Equal(gotJ, want) {
+				t.Fatalf("%q diverged: jit=%v ref=%v", q, gotJ, want)
 			}
-			if !values.Equal(gotJ, want) || !values.Equal(gotS, want) {
-				t.Fatalf("%q diverged: jit=%v static=%v ref=%v", q, gotJ, gotS, want)
-			}
-		}
-	}
-}
-
-// TestStaticEarlyStopDoesNotDeadlock: an error mid-stream must neither
-// leave a producer blocked on a full channel nor outlive Run, wherever
-// in the plan it is raised.
-func TestStaticEarlyStopDoesNotDeadlock(t *testing.T) {
-	rows := make([]values.Value, 10000)
-	for i := range rows {
-		rows[i] = rec("a", i)
-	}
-	cat := &schemaCat{
-		MapCatalog: algebra.MapCatalog{
-			"Xs": &algebra.SliceSource{SrcName: "Xs", Rows: rows},
-			"Ys": &algebra.SliceSource{SrcName: "Ys", Rows: rows},
-		},
-		descs: map[string]*sdg.Description{},
-	}
-	// x.a.b projects through an int: each plan fails at its first row.
-	join := func(l, r string) *algebra.Reduce {
-		return &algebra.Reduce{
-			M:    mustMonoid("count"),
-			Head: mcl.MustParse("1"),
-			Input: &algebra.Join{
-				L:  &algebra.Scan{Source: "Xs", Var: "x"},
-				R:  &algebra.Scan{Source: "Ys", Var: "y"},
-				On: []algebra.EquiPair{{LExpr: mcl.MustParse(l), RExpr: mcl.MustParse(r)}},
-			},
-		}
-	}
-	plans := map[string]*algebra.Reduce{
-		"scan":        planFor2(t, "for { x <- Xs, x.a.b > 0 } yield count x", cat),
-		"build side":  join("x.a", "y.a.b"),
-		"probe side":  join("x.a.b", "y.a"),
-		"group key":   planFor2(t, "for { x <- Xs } group by { k := x.a.b } agg { n := count x } yield bag (k := k, n := n)", cat),
-		"select":      planFor2(t, "for { x <- Xs, y <- Ys, x.a.b = y.a } yield count x", cat),
-		"order key":   planFor2(t, "for { x <- Xs } yield list x.a order by x.a.b limit 3", cat),
-		"unnest over": planFor2(t, "for { x <- Xs, v <- x.a } yield count x", cat),
-	}
-	baseline := runtime.NumGoroutine()
-	for name, plan := range plans {
-		if _, err := (algebra.Static{ChanBuf: 1}).Run(plan, cat); err == nil {
-			t.Fatalf("%s: expected error", name)
-		}
-		deadline := time.Now().Add(time.Second)
-		for runtime.NumGoroutine() > baseline {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d goroutines outlived Run (baseline %d)", name, runtime.NumGoroutine(), baseline)
-			}
-			time.Sleep(time.Millisecond)
 		}
 	}
 }

@@ -26,7 +26,7 @@ import (
 // byte-identical output, not just equal multisets.
 
 // diffTable is an in-memory table serving all three scan contracts: record
-// iteration for the reference/static executors, batch iteration for the
+// iteration for the reference executor, batch iteration for the
 // serial jit pipeline, and concurrent range scans for the morsel-parallel
 // paths — the same shapes CSV scans and cache windows produce. Columns
 // are typed (with validity masks) or boxed, per table, so both the
@@ -290,11 +290,6 @@ func TestJoinDifferentialFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d (%s): reference: %v", ci, sc.desc, err)
 		}
-		if got, err := (algebra.Static{}).Run(sc.plan, sc.cat); err != nil {
-			t.Fatalf("case %d (%s): static: %v", ci, sc.desc, err)
-		} else if !values.Equal(got, want) {
-			t.Fatalf("case %d (%s): static diverged:\n got %v\nwant %v", ci, sc.desc, got, want)
-		}
 		serial := Executor{Opts: Options{Workers: 1, BatchSize: 64}}
 		if got, err := serial.Run(sc.plan, sc.cat); err != nil {
 			t.Fatalf("case %d (%s): jit serial: %v", ci, sc.desc, err)
@@ -363,8 +358,6 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	}
 	got, err := algebra.Reference{}.Run(plan, cat)
 	check("reference", got, err)
-	got, err = (algebra.Static{}).Run(plan, cat)
-	check("static", got, err)
 	got, err = (Executor{Opts: Options{Workers: 1}}).Run(plan, cat)
 	check("jit serial", got, err)
 	got, err = (Executor{Opts: Options{Workers: 4, BatchSize: 64, ParallelThreshold: 1, Pool: pool}}).Run(plan, cat)

@@ -152,8 +152,7 @@ func (r *Reader) IterateBatches(fields []string, batchSize int, yield func(*vec.
 	}
 	// Cold or partially mapped: tokenize, and install what is located. The
 	// scan takes no lock across its yields, so it never waits on another
-	// scan's consumer — the two scans of a self-join run side by side in
-	// the static executor, and a stalled cursor holds only its own scan.
+	// scan's consumer: a stalled cursor holds only its own scan.
 	// Scans that overlap build the same positions from the same bytes, so
 	// whichever installs last installs what the other would have.
 	yield = injectCSVFaults(yield)

@@ -523,7 +523,7 @@ func PackRecords(iterate func(fields []string, yield func(values.Value) error) e
 
 // BoxRecords lowers a batch back to the record contract: every live row
 // of b is boxed into a {field: value} record, fields naming b's columns
-// in order. It is the row view the reference and static executors read.
+// in order. It is the row view the reference executor reads.
 func BoxRecords(b *Batch, fields []string, yield func(values.Value) error) error {
 	for k, n := 0, b.Len(); k < n; k++ {
 		row := b.Index(k)

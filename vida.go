@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sync"
 
+	"vida/internal/algebra"
 	"vida/internal/clean"
 	"vida/internal/core"
 	"vida/internal/mcl"
@@ -40,14 +41,9 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*core.Options)
 
-// WithStaticExecutor selects the pre-cooked channel-pipelined executor
-// (the reference executor's interpreted operators, one goroutine per
-// plan node) instead of the default just-in-time generated one.
-func WithStaticExecutor() Option {
-	return func(o *core.Options) { o.Mode = core.ModeStatic }
-}
-
-// WithReferenceExecutor selects the slow reference executor (testing).
+// WithReferenceExecutor selects the slow reference executor — the
+// interpreter's generic operators — instead of the default just-in-time
+// generated one (testing, and the baseline the JIT is measured against).
 func WithReferenceExecutor() Option {
 	return func(o *core.Options) { o.Mode = core.ModeReference }
 }
@@ -206,30 +202,7 @@ func (e *Engine) RegisterValues(name string, rows []Value, schema string) error 
 	for i, r := range rows {
 		raw[i] = r.raw
 	}
-	return e.inner.RegisterSource(desc, &sliceSource{name: name, rows: raw})
-}
-
-type sliceSource struct {
-	name string
-	rows []values.Value
-}
-
-func (s *sliceSource) Name() string { return s.name }
-func (s *sliceSource) Iterate(fields []string, yield func(values.Value) error) error {
-	for _, r := range s.rows {
-		if len(fields) > 0 {
-			fs := make([]values.Field, len(fields))
-			for i, f := range fields {
-				v, _ := r.Get(f)
-				fs[i] = values.Field{Name: f, Val: v}
-			}
-			r = values.NewRecord(fs...)
-		}
-		if err := yield(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.inner.RegisterSource(desc, &algebra.SliceSource{SrcName: name, Rows: raw})
 }
 
 // Query runs a comprehension query and returns its buffered result.

@@ -184,7 +184,6 @@ func TestExecutorOptionsAgree(t *testing.T) {
 	var results []*Result
 	for _, opts := range [][]Option{
 		nil,
-		{WithStaticExecutor()},
 		{WithReferenceExecutor()},
 		{WithAdaptiveOptimizer()},
 		{WithoutCaching()},
@@ -218,7 +217,6 @@ func TestLambdaBindAcrossExecutors(t *testing.T) {
 		opts []Option
 	}{
 		{"jit", nil},
-		{"static", []Option{WithStaticExecutor()}},
 		{"reference", []Option{WithReferenceExecutor()}},
 	} {
 		e := setup(t, tc.opts...)
