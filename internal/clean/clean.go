@@ -139,19 +139,24 @@ func (r *Rule) nearest(v values.Value) values.Value {
 		return values.NewString(best)
 	}
 	if v.IsNumeric() {
-		f := v.Float()
-		if r.Min != nil && f < *r.Min {
-			f = *r.Min
-		}
-		if r.Max != nil && f > *r.Max {
-			f = *r.Max
-		}
+		f := r.clamp(v.Float())
 		if v.Kind() == values.KindInt {
 			return values.NewInt(int64(f))
 		}
 		return values.NewFloat(f)
 	}
 	return values.Null
+}
+
+// clamp moves f into the rule's range.
+func (r *Rule) clamp(f float64) float64 {
+	if r.Min != nil && f < *r.Min {
+		f = *r.Min
+	}
+	if r.Max != nil && f > *r.Max {
+		f = *r.Max
+	}
+	return f
 }
 
 // distance is Hamming distance for equal-length strings (the paper's
@@ -271,7 +276,13 @@ func (c *Cleaner) Reads(fields []string) []string {
 // never writes into the storage b's columns or selection point at, so b
 // is the caller's own copy of the producer's batch header. Each row ends
 // up, and is counted, as Apply leaves the record of its fields.
-func (c *Cleaner) Clean(b *vec.Batch, fields []string) {
+//
+// bufs, one column per field, is the caller's repair storage for range
+// rules over Int64 and Float64 columns, which repair typed: the copy of
+// column i reuses bufs[i] batch after batch. A Stable batch's
+// repairs get fresh storage instead, since its consumers may keep its
+// columns.
+func (c *Cleaner) Clean(b *vec.Batch, fields []string, bufs []vec.Col) {
 	checked := b.Len()
 	var nulled, fixed int64
 	for i, f := range fields {
@@ -280,6 +291,16 @@ func (c *Cleaner) Clean(b *vec.Batch, fields []string) {
 			continue
 		}
 		col := &b.Cols[i]
+		if r.Policy != SkipRow && len(r.Dictionary) == 0 && (col.Tag == vec.Int64 || col.Tag == vec.Float64) {
+			buf := &vec.Col{}
+			if !b.Stable {
+				buf = &bufs[i]
+			}
+			n, x := r.repairNumeric(col, b, buf)
+			nulled += n
+			fixed += x
+			continue
+		}
 		var sel []int // the rows kept, once one is dropped
 		var repaired *vec.Col
 		for k, n := 0, b.Len(); k < n; k++ {
@@ -322,6 +343,68 @@ func (c *Cleaner) Clean(b *vec.Batch, fields []string) {
 	c.fieldsFixed.Add(fixed)
 }
 
+// repairNumeric applies the range rule r, whose policy is NullField or
+// Nearest, to the live rows of the Int64 or Float64 column col without
+// boxing a row: Nearest clamps the payload as nearest does, NullField
+// sets its null bit. The first repair copies col into buf's storage and
+// the copy replaces col. It returns the fields nulled and fixed.
+func (r *Rule) repairNumeric(col *vec.Col, b *vec.Batch, buf *vec.Col) (nulled, fixed int64) {
+	var out *vec.Col
+	for k, n := 0, b.Len(); k < n; k++ {
+		row := b.Index(k)
+		if col.Nulls != nil && col.Nulls[row] {
+			continue
+		}
+		var v float64
+		if col.Tag == vec.Int64 {
+			v = float64(col.Ints[row])
+		} else {
+			v = col.Floats[row]
+		}
+		if r.inRange(v) {
+			continue
+		}
+		if out == nil {
+			out = copyNumeric(col, b.N, buf, r.Policy == NullField)
+		}
+		switch {
+		case r.Policy == NullField:
+			out.Nulls[row] = true
+			nulled++
+		case col.Tag == vec.Int64:
+			out.Ints[row] = int64(r.clamp(v))
+			fixed++
+		default:
+			out.Floats[row] = r.clamp(v)
+			fixed++
+		}
+	}
+	if out != nil {
+		*col = *out
+	}
+	return nulled, fixed
+}
+
+// copyNumeric copies the n rows of the Int64 or Float64 column col into
+// buf's storage, with a validity mask when col has one or withNulls, and
+// returns buf holding the copy.
+func copyNumeric(col *vec.Col, n int, buf *vec.Col, withNulls bool) *vec.Col {
+	out := vec.Col{Tag: col.Tag}
+	if col.Tag == vec.Int64 {
+		out.Ints = append(buf.Ints[:0], col.Ints[:n]...)
+	} else {
+		out.Floats = append(buf.Floats[:0], col.Floats[:n]...)
+	}
+	switch {
+	case col.Nulls != nil:
+		out.Nulls = append(buf.Nulls[:0], col.Nulls[:n]...)
+	case withNulls:
+		out.Nulls = append(buf.Nulls[:0], make([]bool, n)...)
+	}
+	*buf = out
+	return buf
+}
+
 // set writes the repaired value v into row of c, boxing c first when its
 // type cannot hold v.
 func set(c *vec.Col, row int, v values.Value) {
@@ -333,10 +416,6 @@ func set(c *vec.Col, row int, v values.Value) {
 			c.Nulls = make([]bool, c.Len())
 		}
 		c.Nulls[row] = true
-	case c.Tag == vec.Int64 && v.Kind() == values.KindInt:
-		c.Ints[row] = v.Int()
-	case c.Tag == vec.Float64 && v.Kind() == values.KindFloat:
-		c.Floats[row] = v.Float()
 	case c.Tag == vec.Str && v.Kind() == values.KindString:
 		c.Strs[row] = v.Str()
 	default:

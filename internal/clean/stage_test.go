@@ -96,6 +96,9 @@ func TestCleanMatchesApply(t *testing.T) {
 	projections := [][]string{stageFields, {"s", "f"}, {"m"}, {"d", "i"}}
 	for name, policy := range policies {
 		for _, fields := range projections {
+			// One repair storage per projection, reused by every batch
+			// after the first, as a scan's stage reuses it.
+			bufs := make([]vec.Col, len(New(stageRules(policy)...).Reads(fields)))
 			for _, withSel := range []bool{false, true} {
 				for _, stable := range []bool{false, true} {
 					label := fmt.Sprintf("%s/%v/sel=%v/stable=%v", name, fields, withSel, stable)
@@ -131,7 +134,7 @@ func TestCleanMatchesApply(t *testing.T) {
 
 					view := *prod
 					view.Cols = slices.Clone(prod.Cols)
-					stage.Clean(&view, read)
+					stage.Clean(&view, read, bufs)
 
 					if !reflect.DeepEqual(prod, before) {
 						t.Fatalf("%s: Clean wrote into the producer's batch", label)
@@ -152,6 +155,33 @@ func TestCleanMatchesApply(t *testing.T) {
 						t.Fatalf("%s: stage counted %+v, Apply %+v", label, got, exp)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestCleanReusesRepairStorage: a numeric range repair of a batch that
+// is not Stable goes into the stage's repair storage, the same storage
+// batch after batch; a Stable batch's repair gets fresh storage.
+func TestCleanReusesRepairStorage(t *testing.T) {
+	for _, p := range []Policy{Nearest, NullField} {
+		c := New(Rule{Attr: "age", Policy: p, Max: Float(100)})
+		bufs := make([]vec.Col, 1)
+		var first *int64
+		for _, stable := range []bool{false, false, true} {
+			b := &vec.Batch{Cols: []vec.Col{{Tag: vec.Int64, Ints: []int64{30, 999, 40}}}, N: 3, Stable: stable}
+			c.Clean(b, []string{"age"}, bufs)
+			col := b.Cols[0]
+			if got := col.Value(1); p == Nearest && got.Int() != 100 || p == NullField && !got.IsNull() {
+				t.Fatalf("%s: repaired row = %v", p, got)
+			}
+			switch {
+			case first == nil:
+				first = &col.Ints[0]
+			case !stable && &col.Ints[0] != first:
+				t.Fatalf("%s: the repair of a transient batch took fresh storage", p)
+			case stable && &col.Ints[0] == first:
+				t.Fatalf("%s: the repair of a Stable batch went into the reused storage", p)
 			}
 		}
 	}
@@ -184,7 +214,7 @@ func TestCleanSkipRowDropsFromSel(t *testing.T) {
 		b.Cols[1].AppendInt(age)
 		b.N++
 	}
-	c.Clean(b, read)
+	c.Clean(b, read, make([]vec.Col, len(read)))
 	if !slices.Equal(b.Sel, []int{0, 2}) {
 		t.Fatalf("Sel = %v, want [0 2]", b.Sel)
 	}

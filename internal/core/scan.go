@@ -431,6 +431,10 @@ type cleanStage struct {
 	read     []string
 	width    int       // the requested fields, read's prefix
 	all, out vec.Batch // the cleaned batch: every column read, the requested ones
+	// bufs is the repair storage of each column read, reused batch after
+	// batch; the first batch allocates it, so each copy of a stage (one
+	// per morsel) has its own.
+	bufs []vec.Col
 }
 
 // newCleanStage returns the stage of a raw scan of fields under c and
@@ -450,8 +454,11 @@ func (st *cleanStage) apply(b *vec.Batch) (all, out *vec.Batch) {
 	if st == nil {
 		return b, b
 	}
+	if st.bufs == nil {
+		st.bufs = make([]vec.Col, len(st.read))
+	}
 	st.all = vec.Batch{Cols: append(st.all.Cols[:0], b.Cols...), N: b.N, Sel: b.Sel, Stable: b.Stable}
-	st.c.Clean(&st.all, st.read)
+	st.c.Clean(&st.all, st.read, st.bufs)
 	st.out = st.all
 	st.out.Cols = st.all.Cols[:st.width:st.width]
 	return &st.all, &st.out

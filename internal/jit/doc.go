@@ -60,7 +60,17 @@
 //
 //   - Comparison filters refine the selection vector: kernel⊕const and
 //     kernel⊕kernel (a slot is its identity kernel) and conjunctions,
-//     with typed int/float/string/dictionary loops.
+//     with typed int/float/string/dictionary loops. No loop branches on
+//     the data: each stores the row index unconditionally and advances
+//     by the test's 0/1 outcome, into a selection buffer sized once to
+//     the batch. A compare against a constant is staged per batch as a
+//     range: an int64 or dictionary-code compare is one unsigned
+//     `uint64(v-lo) <= width` test (a circular range, so != is the
+//     complement of [c, c]), a float compare a closed range or its
+//     complement that orders NaN and ±0 as values.CompareFloats does.
+//     Pair and string compares apply the accepted three-way outcomes as
+//     a bit mask. The cost per row is flat across selectivity, so no
+//     form is chosen per call.
 //   - Unboxed reduce kernels fold count/sum/avg/min/max heads per batch
 //     into a monoid collector; any other monoid, and any boxed column,
 //     folds value by value.
@@ -164,8 +174,15 @@
 //
 // The top-k root computes the sort-key columns per batch and offers each
 // live row's keys to a monoid.TopKAcc bounded to offset+limit entries —
-// O(offset+limit) memory, never O(rows). A keys-only competitiveness
-// pre-check rejects rows that cannot place before their head is
+// O(offset+limit) memory, never O(rows). Once the heap is full and the
+// first sort key's column is typed, the column-vs-constant selection
+// kernel first keeps the rows whose first key is >= (DESC) or <= (ASC)
+// the worst retained one, so the rows that cannot place are never
+// boxed; the worst key only tightens within a batch, so this superset
+// changes no answer. A null worst key, a boxed column, or an ascending
+// key over a column with nulls (null keys sort first and stay
+// candidates) skips it. A keys-only competitiveness pre-check then
+// rejects the remaining rows that cannot place before their head is
 // evaluated: the head getter runs over a one-row selection for each row
 // that passes, never over the whole batch, because the head is usually
 // a record build — the per-row cost of a wide SELECT — and under a small

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"vida/internal/algebra"
+	"vida/internal/mcl"
 	"vida/internal/monoid"
 	"vida/internal/trace"
 	"vida/internal/values"
@@ -36,16 +37,17 @@ type orderedConsumer struct {
 	acc     *monoid.TopKAcc
 	keyGet  []vecExpr
 	keyCols []*vec.Col
+	desc0   bool // the first sort key is descending
 	head    vecExpr
 	keys    []values.Value // reusable key scratch (fresh after retention)
 	one     [1]int         // the one-row selection the head is computed over
+	cand    []int          // the rows the prefilter keeps
 }
 
 func (oc *orderedConsumer) reset(acc *monoid.TopKAcc) { oc.acc = acc }
 
 func (oc *orderedConsumer) consume(b *vec.Batch) error {
-	n := b.Len()
-	if n == 0 {
+	if b.Len() == 0 {
 		return nil
 	}
 	if err := getCols(oc.keyGet, b, oc.keyCols); err != nil {
@@ -54,11 +56,9 @@ func (oc *orderedConsumer) consume(b *vec.Batch) error {
 	// The head runs over a one-row selection per competitive row; the
 	// batch's own selection is restored once the rows are folded.
 	sel := b.Sel
-	for k := 0; k < n; k++ {
-		i := k
-		if sel != nil {
-			i = sel[k]
-		}
+	rows := oc.candidates(b)
+	for k, n := 0, liveLen(b.N, rows); k < n; k++ {
+		i := rowAt(rows, k)
 		if oc.keys == nil {
 			oc.keys = make([]values.Value, len(oc.keyCols))
 		}
@@ -86,6 +86,30 @@ func (oc *orderedConsumer) consume(b *vec.Batch) error {
 	return nil
 }
 
+// candidates returns the live rows of b that Competitive may accept
+// (nil: all N). Once the accumulator is full, a row places only if its
+// first key sorts before or ties with the worst retained one: on a typed
+// first-key column the selection kernel keeps those rows (>= the worst
+// key descending, <= ascending) before a key is boxed. The worst key
+// only tightens while the batch folds, so the candidates are a superset
+// of the rows that place. The prefilter is skipped on a boxed column,
+// against a null worst key, and under ascending order over a column with
+// nulls: a null key sorts first, so it stays a candidate, but a
+// selection kernel never keeps a null.
+func (oc *orderedConsumer) candidates(b *vec.Batch) []int {
+	worst, ok := oc.acc.Worst()
+	col := oc.keyCols[0]
+	if !ok || worst[0].IsNull() || col.Tag == vec.Boxed || !oc.desc0 && col.Nulls != nil {
+		return b.Sel
+	}
+	op := mcl.OpLe
+	if oc.desc0 {
+		op = mcl.OpGe
+	}
+	oc.cand = selConstCmp(col, b, worst[0], op, selBuf(oc.cand, b.N))
+	return oc.cand
+}
+
 // compileOrderedConsumer stages the keyed top-k root's consumer: one
 // mkGetter column per sort key and one for the head.
 func (c *compiler) compileOrderedConsumer(p *algebra.Reduce, input *compiledPlan) (func() *orderedConsumer, []bool, error) {
@@ -104,7 +128,7 @@ func (c *compiler) compileOrderedConsumer(p *algebra.Reduce, input *compiledPlan
 		return nil, nil, err
 	}
 	return func() *orderedConsumer {
-		return &orderedConsumer{keyGet: newGetters(mkKeys), keyCols: make([]*vec.Col, len(keys)), head: mkHead()}
+		return &orderedConsumer{keyGet: newGetters(mkKeys), keyCols: make([]*vec.Col, len(keys)), desc0: desc[0], head: mkHead()}
 	}, desc, nil
 }
 

@@ -130,18 +130,15 @@ func (t *TopKAcc) Offer(keys []values.Value, elem values.Value) bool {
 // tiebreak then decides) the current worst. Executors use it to skip
 // evaluating the head expression of rows that cannot place.
 func (t *TopKAcc) Competitive(keys []values.Value) bool {
-	if t.keep < 0 || len(t.entries) < t.keep {
-		return true
-	}
 	if t.keep == 0 {
 		return false
 	}
-	if !t.heaped {
-		t.heapify()
+	worst, full := t.Worst()
+	if !full {
+		return true
 	}
-	worst := &t.entries[0]
 	for i := range t.desc {
-		c := values.Compare(keys[i], worst.Keys[i])
+		c := values.Compare(keys[i], worst[i])
 		if t.desc[i] {
 			c = -c
 		}
@@ -150,6 +147,21 @@ func (t *TopKAcc) Competitive(keys []values.Value) bool {
 		}
 	}
 	return true
+}
+
+// Worst returns the keys of the worst retained entry once the
+// accumulator is full, when a row must sort before (or tie with) them to
+// place; ok is false while every row can still place (unbounded or not
+// yet full) and when nothing can (keep 0). The keys must not be
+// modified.
+func (t *TopKAcc) Worst() (keys []values.Value, ok bool) {
+	if t.keep <= 0 || len(t.entries) < t.keep {
+		return nil, false
+	}
+	if !t.heaped {
+		t.heapify()
+	}
+	return t.entries[0].Keys, true
 }
 
 // heapify arranges entries as a max-heap under less (root = worst).
