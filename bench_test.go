@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -969,4 +970,64 @@ func BenchmarkJoinParallelColdCSV(b *testing.B) {
 	}
 	b.Run("serial", func(b *testing.B) { run(b, 1) })
 	b.Run("parallel4", func(b *testing.B) { run(b, 4) })
+}
+
+// writeJoinAggCSVs writes n People(id,age,city,salary) rows and n
+// Orders(oid,pid,amount,qty,status) rows whose pid is uniform over the
+// people ids, and returns their paths with the answer of
+// joinAggQuery(age, qty). Amounts are multiples of 0.25, so the sum is
+// exact in any order of addition.
+func writeJoinAggCSVs(b *testing.B, n int, age, qty int64) (people, orders string, want float64) {
+	b.Helper()
+	r := rand.New(rand.NewSource(42))
+	dir := b.TempDir()
+	ages := make([]int64, n)
+	var buf bytes.Buffer
+	buf.WriteString("id,age,city,salary\n")
+	for i := range ages {
+		ages[i] = int64(18 + r.Intn(70))
+		fmt.Fprintf(&buf, "%d,%d,c%02d,%.2f\n", i, ages[i], r.Intn(60), float64(r.Intn(400_000))/4)
+	}
+	people = filepath.Join(dir, "people.csv")
+	must(b, os.WriteFile(people, buf.Bytes(), 0o644))
+	buf.Reset()
+	buf.WriteString("oid,pid,amount,qty,status\n")
+	for i := 0; i < n; i++ {
+		pid, amount, q := r.Intn(n), float64(r.Intn(40_000))/4, int64(1+r.Intn(9))
+		fmt.Fprintf(&buf, "%d,%d,%.2f,%d,s%d\n", i, pid, amount, q, r.Intn(5))
+		if q > qty && ages[pid] >= age {
+			want += amount
+		}
+	}
+	orders = filepath.Join(dir, "orders.csv")
+	must(b, os.WriteFile(orders, buf.Bytes(), 0o644))
+	return people, orders, want
+}
+
+const joinAggQuery = `SELECT SUM(o.amount) FROM People p JOIN Orders o ON (p.id = o.pid) WHERE p.age >= ? AND o.qty > ?`
+
+// BenchmarkJoinAggWarm is a filtered join under a fold over warm
+// columnar caches: 300k People probe 300k Orders on id = pid, with a
+// filter on each side, and SUM(o.amount) folds the matched rows. The
+// probe gathers its matches column by column, so the fold reads typed
+// columns.
+func BenchmarkJoinAggWarm(b *testing.B) {
+	const age, qty = 65, 6
+	people, orders, want := writeJoinAggCSVs(b, 300_000, age, qty)
+	eng := vida.New()
+	must(b, eng.RegisterCSV("People", people, "Record(Att(id,int),Att(age,int),Att(city,string),Att(salary,float))", nil))
+	must(b, eng.RegisterCSV("Orders", orders, "Record(Att(oid,int),Att(pid,int),Att(amount,float),Att(qty,int),Att(status,string))", nil))
+	res, err := eng.QuerySQL(joinAggQuery, age, qty)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got := res.Value().Float(); got != want {
+		b.Fatalf("sum = %v, want %v", got, want)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.QuerySQL(joinAggQuery, age, qty); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

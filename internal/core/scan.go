@@ -342,10 +342,14 @@ func (s *scanSource) OpenRange(fields []string) (func(lo, hi, batchSize int, yie
 			return nil, 0, false
 		}
 		if stage != nil {
-			raw := scan
+			raw, free := scan, &stageFree{proto: stage}
 			scan = func(lo, hi, batchSize int, yield func(*vec.Batch) error) error {
-				morsel := *stage
+				var morsel *cleanStage
+				defer func() { free.put(morsel) }()
 				return raw(lo, hi, batchSize, func(b *vec.Batch) error {
+					if morsel == nil {
+						morsel = free.take()
+					}
 					_, b = morsel.apply(b)
 					return yield(b)
 				})
@@ -432,9 +436,42 @@ type cleanStage struct {
 	width    int       // the requested fields, read's prefix
 	all, out vec.Batch // the cleaned batch: every column read, the requested ones
 	// bufs is the repair storage of each column read, reused batch after
-	// batch; the first batch allocates it, so each copy of a stage (one
-	// per morsel) has its own.
+	// batch; the first batch allocates it. Concurrent morsels each hold
+	// their own copy of the stage (stageFree).
 	bufs []vec.Col
+}
+
+// stageFree is one range scan's free list of stage copies: a morsel
+// takes a copy at its first batch and puts it back when it ends, so
+// concurrent morsels never share repair storage while later morsels
+// reuse what earlier ones allocated.
+type stageFree struct {
+	proto *cleanStage
+	mu    sync.Mutex
+	free  []*cleanStage
+}
+
+func (f *stageFree) take() *cleanStage {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.free); n > 0 {
+		st := f.free[n-1]
+		f.free = f.free[:n-1]
+		return st
+	}
+	st := *f.proto
+	return &st
+}
+
+// put returns a morsel's copy; nil (a morsel that saw no batch) is a
+// no-op.
+func (f *stageFree) put(st *cleanStage) {
+	if st == nil {
+		return
+	}
+	f.mu.Lock()
+	f.free = append(f.free, st)
+	f.mu.Unlock()
 }
 
 // newCleanStage returns the stage of a raw scan of fields under c and

@@ -557,64 +557,6 @@ func (c *compiler) compileGenerate(n *algebra.Generate) (*compiledPlan, error) {
 	}), nil
 }
 
-// copyRows materializes the live rows of a batch stream as boxed slices
-// (build sides of products and joins — the operator's "output plugin").
-func copyRows(run func(sink batchSink) error, width int) ([][]values.Value, error) {
-	var rows [][]values.Value
-	row := make([]values.Value, width)
-	err := run(func(b *vec.Batch) error {
-		n := b.Len()
-		for k := 0; k < n; k++ {
-			fillRow(b, b.Index(k), row)
-			rows = append(rows, append([]values.Value{}, row...))
-		}
-		return nil
-	})
-	return rows, err
-}
-
-func (c *compiler) compileProduct(n *algebra.Product) (*compiledPlan, error) {
-	l, err := c.compilePlan(n.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := c.compilePlan(n.R)
-	if err != nil {
-		return nil, err
-	}
-	f := l.frame.clone()
-	for _, s := range r.frame.slots {
-		f.add(s.key.varName, s.key.attr)
-	}
-	lw, rw := l.frame.width(), r.frame.width()
-	bs := c.opts.BatchSize
-	return &compiledPlan{frame: f, src: func(sink batchSink) error {
-		// Materialize the right side once (it restarts per left row).
-		right, err := copyRows(r.run, rw)
-		if err != nil {
-			return err
-		}
-		p := vec.NewPacker(lw+rw, bs, nil, sink)
-		buf := make([]values.Value, lw+rw)
-		if err := l.run(func(b *vec.Batch) error {
-			n := b.Len()
-			for k := 0; k < n; k++ {
-				fillRow(b, b.Index(k), buf[:lw])
-				for _, rrow := range right {
-					copy(buf[lw:], rrow)
-					if err := p.Add(buf); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		return p.Flush()
-	}}, nil
-}
-
 // buildCompactFactor is the selection-density threshold below which a
 // transient build-side batch is compacted before retention: when the
 // filter kept at most 1/buildCompactFactor of the batch's physical rows,

@@ -24,8 +24,9 @@
 // ([]values.Value) otherwise. Filters refine a selection vector (Sel)
 // instead of copying survivors, which lets columnar cache entries serve
 // their slices zero-copy; values are boxed only at the typed→generic
-// boundaries: interpreted expressions, join build sides, and the
-// monoid-reduce root when no unboxed kernel applies.
+// boundaries: interpreted expressions and the monoid-reduce root when no
+// unboxed kernel applies. Join build sides retain their batches typed,
+// and a join or product gathers its output column by column from them.
 //
 // Scans enter the batch pipeline through one contract, BatchSource
 // (column-vector batches), optionally extended by RangeBatchSource
@@ -142,7 +143,12 @@
 // it without synchronization, verify hash matches with typed column
 // equality, and produce output byte-identical to the serial join for
 // any worker count (pinned by the differential fuzzer in
-// join_diff_test.go). Retained batches and index arrays charge the
+// join_diff_test.go). A probe records its matches as (probe row, build
+// entry) pairs and gathers them into its output batch column by column,
+// each column typed as its source is; a build column whose retained
+// batches differ in tag, or in dictionary for StrDict, gathers boxed.
+// A product pairs every left row with every retained right row through
+// the same gather. Retained batches and index arrays charge the
 // query memory budget. The join traces as a fold span (kind=join) with
 // join_build/join_seal/join_probe children.
 //

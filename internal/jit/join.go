@@ -1,9 +1,9 @@
 package jit
 
 import (
+	"vida/internal/algebra"
 	"vida/internal/faultinject"
 	"vida/internal/trace"
-	"vida/internal/values"
 	"vida/internal/vec"
 )
 
@@ -39,13 +39,12 @@ type joinState struct {
 }
 
 // joinPartial is one build morsel's output: the batches it retained and
-// its entries in scan order. An entry's batch indexes the morsel's own
-// retained list; sealing rebases it into the global list.
+// its entries in scan order, each with its key-tuple hash. An entry's
+// batch indexes the morsel's own retained list; sealing rebases it into
+// the global list.
 type joinPartial struct {
-	retained []vec.Batch
-	hashes   []uint64
-	batch    []int32
-	row      []int32
+	rowSide
+	hashes []uint64
 }
 
 // joinIndex is the sealed immutable build index shared by all probe
@@ -137,9 +136,8 @@ func (js *joinState) seal(partials []*joinPartial) (*joinIndex, error) {
 		total += len(m.hashes)
 	}
 	idx := &joinIndex{joinPartial: joinPartial{
-		hashes: make([]uint64, 0, total),
-		batch:  make([]int32, 0, total),
-		row:    make([]int32, 0, total),
+		rowSide: rowSide{batch: make([]int32, 0, total), row: make([]int32, 0, total)},
+		hashes:  make([]uint64, 0, total),
 	}}
 	for _, m := range partials {
 		base := int32(len(idx.retained))
@@ -153,6 +151,7 @@ func (js *joinState) seal(partials []*joinPartial) (*joinIndex, error) {
 			idx.batch = append(idx.batch, base+bi)
 		}
 	}
+	idx.describe(js.rw)
 	// Power-of-two bucket heads plus per-entry chains, inserted in
 	// reverse so each chain lists entries in build order (probe results
 	// match the row-at-a-time engines exactly).
@@ -227,14 +226,13 @@ func (js *joinState) buildIndex() (*joinIndex, *trace.Span, error) {
 }
 
 // mkProber stages one probe pipeline over the sealed index: a batchSink
-// probing each live row and packing matches into sink. All scratch
-// (packer, row buffer, key getters, hashes) is per-prober, so one prober
-// serves one serial run or one probe-morsel scan invocation. psp and the
-// join counters accumulate the matches atomically across concurrent
-// probers.
-func (js *joinState) mkProber(idx *joinIndex, psp *trace.Span, sink batchSink) (probe batchSink, pk *vec.Packer) {
-	pk = vec.NewPacker(js.lw+js.rw, js.opts.BatchSize, nil, sink)
-	buf := make([]values.Value, js.lw+js.rw)
+// probing each live row and gathering its matches into sink. All scratch
+// (match pairs, the output batch, key getters, hashes) is per-prober, so
+// one prober serves one serial run or one probe-morsel scan invocation.
+// psp and the join counters accumulate the matches atomically across
+// concurrent probers.
+func (js *joinState) mkProber(idx *joinIndex, psp *trace.Span, sink batchSink) batchSink {
+	g := newPairGather(&idx.rowSide, js.lw, js.opts.BatchSize, sink)
 	gets, cols := newGetters(js.lKeys), make([]*vec.Col, len(js.lKeys))
 	var kh keyHasher
 	// keysEqual verifies a hash match key by key, typed where both
@@ -247,7 +245,7 @@ func (js *joinState) mkProber(idx *joinIndex, psp *trace.Span, sink batchSink) (
 		}
 		return true
 	}
-	probe = func(b *vec.Batch) error {
+	return func(b *vec.Batch) error {
 		if err := getCols(gets, b, cols); err != nil {
 			return err
 		}
@@ -258,25 +256,16 @@ func (js *joinState) mkProber(idx *joinIndex, psp *trace.Span, sink batchSink) (
 				continue
 			}
 			h, i := kh.sums[k], b.Index(k)
-			filled := false
 			for e := idx.head[h&idx.mask]; e != 0; e = idx.next[e-1] {
 				ei := e - 1
 				if idx.hashes[ei] != h {
 					continue
 				}
-				rb, ri := &idx.retained[idx.batch[ei]], int(idx.row[ei])
-				if !keysEqual(i, rb, ri) {
+				if !keysEqual(i, &idx.retained[idx.batch[ei]], int(idx.row[ei])) {
 					continue
 				}
-				if !filled {
-					fillRow(b, i, buf[:js.lw])
-					filled = true
-				}
-				for s := 0; s < js.rw; s++ {
-					buf[js.lw+s] = rb.Cols[s].Value(ri)
-				}
 				delta++
-				if err := pk.Add(buf); err != nil {
+				if err := g.add(b, i, ei); err != nil {
 					return err
 				}
 			}
@@ -287,9 +276,8 @@ func (js *joinState) mkProber(idx *joinIndex, psp *trace.Span, sink batchSink) (
 				ct.JoinProbeRows.Add(delta)
 			}
 		}
-		return nil
+		return g.flush(b)
 	}
-	return probe, pk
 }
 
 // plan assembles the compiledPlan for a staged join: a serial run path
@@ -304,11 +292,7 @@ func (js *joinState) plan(f *frame) *compiledPlan {
 			return err
 		}
 		psp := fold.Child("join_probe")
-		probe, pk := js.mkProber(idx, psp, sink)
-		err = js.l.run(probe)
-		if err == nil {
-			err = pk.Flush()
-		}
+		err = js.l.run(js.mkProber(idx, psp, sink))
 		psp.End()
 		return err
 	}
@@ -340,12 +324,262 @@ func (js *joinState) plan(f *frame) *compiledPlan {
 			if err != nil {
 				return err
 			}
-			probe, pk := js.mkProber(idx, psp, sink)
-			if perr := pscan(lo, hi, probe); perr != nil {
-				return perr
-			}
-			return pk.Flush()
+			return pscan(lo, hi, js.mkProber(idx, psp, sink))
 		}, n, true
 	}
 	return cp
+}
+
+// rowSide is the retained right side of a binary operator (a join's
+// build, a product's right input): the batches it retained, typed as
+// they arrived, and one entry (batch, physical row) per row the operator
+// may emit. cols says how each output column of the side gathers; it is
+// set once the side is complete (describe).
+type rowSide struct {
+	retained []vec.Batch
+	batch    []int32
+	row      []int32
+	cols     []sideCol
+}
+
+// sideCol is how one column of a rowSide gathers: typed as tag when
+// every retained batch agrees on the tag (and, for StrDict, on the
+// dictionary), boxed through Col.Value when they do not (mixed).
+type sideCol struct {
+	tag   vec.Tag
+	mixed bool
+	nulls bool // some retained batch carries a validity mask
+}
+
+// retain keeps b, typed, and appends one entry per live row of it.
+func (rs *rowSide) retain(b *vec.Batch) error {
+	n := b.Len()
+	if n == 0 {
+		return nil
+	}
+	bi := int32(len(rs.retained))
+	rs.retained = append(rs.retained, b.Retain())
+	for k := 0; k < n; k++ {
+		rs.batch = append(rs.batch, bi)
+		rs.row = append(rs.row, int32(b.Index(k)))
+	}
+	return nil
+}
+
+// describe records how each of the side's first width columns gathers.
+func (rs *rowSide) describe(width int) {
+	rs.cols = make([]sideCol, width)
+	for s := range rs.cols {
+		sc := &rs.cols[s]
+		for i := range rs.retained {
+			c := &rs.retained[i].Cols[s]
+			if i == 0 {
+				sc.tag = c.Tag
+			} else if c.Tag != sc.tag || c.Tag == vec.StrDict && !sameDict(c.Dict, rs.retained[0].Cols[s].Dict) {
+				sc.mixed = true
+			}
+			sc.nulls = sc.nulls || c.Nulls != nil
+		}
+	}
+}
+
+// sameDict reports that two StrDict columns share one dictionary.
+func sameDict(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// gather returns column s of the entries whose retained batches and
+// rows are bs and rs, in buf's storage. A mixed column is the one place
+// a binary operator's output boxes.
+func (rs *rowSide) gather(buf *vec.Col, s int, bs, rows []int32) vec.Col {
+	sc, ret, n := rs.cols[s], rs.retained, len(bs)
+	if sc.mixed {
+		buf.Boxed = resize(buf.Boxed, n)
+		for k := range buf.Boxed {
+			buf.Boxed[k] = ret[bs[k]].Cols[s].Value(int(rows[k]))
+		}
+		return vec.Col{Tag: vec.Boxed, Boxed: buf.Boxed}
+	}
+	out := vec.Col{Tag: sc.tag}
+	switch sc.tag {
+	case vec.Int64:
+		buf.Ints = resize(buf.Ints, n)
+		for k := range buf.Ints {
+			buf.Ints[k] = ret[bs[k]].Cols[s].Ints[rows[k]]
+		}
+		out.Ints = buf.Ints
+	case vec.Float64:
+		buf.Floats = resize(buf.Floats, n)
+		for k := range buf.Floats {
+			buf.Floats[k] = ret[bs[k]].Cols[s].Floats[rows[k]]
+		}
+		out.Floats = buf.Floats
+	case vec.Str:
+		buf.Strs = resize(buf.Strs, n)
+		for k := range buf.Strs {
+			buf.Strs[k] = ret[bs[k]].Cols[s].Strs[rows[k]]
+		}
+		out.Strs = buf.Strs
+	case vec.StrDict:
+		buf.Codes = resize(buf.Codes, n)
+		for k := range buf.Codes {
+			buf.Codes[k] = ret[bs[k]].Cols[s].Codes[rows[k]]
+		}
+		out.Codes, out.Dict = buf.Codes, ret[0].Cols[s].Dict
+	default:
+		buf.Boxed = resize(buf.Boxed, n)
+		for k := range buf.Boxed {
+			buf.Boxed[k] = ret[bs[k]].Cols[s].Boxed[rows[k]]
+		}
+		out.Boxed = buf.Boxed
+	}
+	if sc.nulls {
+		buf.Nulls = resize(buf.Nulls, n)
+		for k := range buf.Nulls {
+			c := &ret[bs[k]].Cols[s]
+			buf.Nulls[k] = c.Nulls != nil && c.Nulls[rows[k]]
+		}
+		out.Nulls = buf.Nulls
+	}
+	return out
+}
+
+// gatherCol returns the rows of src, typed as src is, in buf's storage.
+func gatherCol(buf, src *vec.Col, rows []int32) vec.Col {
+	out := vec.Col{Tag: src.Tag}
+	switch src.Tag {
+	case vec.Int64:
+		buf.Ints = pick(buf.Ints, src.Ints, rows)
+		out.Ints = buf.Ints
+	case vec.Float64:
+		buf.Floats = pick(buf.Floats, src.Floats, rows)
+		out.Floats = buf.Floats
+	case vec.Str:
+		buf.Strs = pick(buf.Strs, src.Strs, rows)
+		out.Strs = buf.Strs
+	case vec.StrDict:
+		buf.Codes = pick(buf.Codes, src.Codes, rows)
+		out.Codes, out.Dict = buf.Codes, src.Dict
+	default:
+		buf.Boxed = pick(buf.Boxed, src.Boxed, rows)
+		out.Boxed = buf.Boxed
+	}
+	if src.Nulls != nil {
+		buf.Nulls = pick(buf.Nulls, src.Nulls, rows)
+		out.Nulls = buf.Nulls
+	}
+	return out
+}
+
+// pick returns dst, resized to len(rows), holding src[rows[k]] at k.
+func pick[T any](dst, src []T, rows []int32) []T {
+	dst = resize(dst, len(rows))
+	for k, r := range rows {
+		dst[k] = src[r]
+	}
+	return dst
+}
+
+// resize returns s with length n, reallocated only when it lacks the
+// capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// pairGather builds a binary operator's output from pairs of a left
+// physical row, of the left batch being processed, and a right-side
+// entry. A flush fills one reused output batch column by column: left
+// slots gather from the left batch, right slots from the side's
+// retained batches, each typed as its source is. Pairs emit in the order
+// they were added, at most size to a batch; the owner flushes at the end
+// of each left batch, before the batch's storage moves on.
+type pairGather struct {
+	side        *rowSide
+	lw, size    int
+	left, right []int32   // the pending pairs
+	bs, rs      []int32   // the pending right entries' batch and row
+	bufs        []vec.Col // each output column's storage, reused
+	out         vec.Batch
+	sink        batchSink
+}
+
+// newPairGather returns the gather of lw left slots and the side's
+// described columns.
+func newPairGather(side *rowSide, lw, size int, sink batchSink) *pairGather {
+	w := lw + len(side.cols)
+	return &pairGather{side: side, lw: lw, size: size, sink: sink,
+		bufs: make([]vec.Col, w), out: vec.Batch{Cols: make([]vec.Col, w)}}
+}
+
+// add records the pair (left row l of b, right entry e), flushing a
+// full batch.
+func (g *pairGather) add(b *vec.Batch, l int, e int32) error {
+	g.left, g.right = append(g.left, int32(l)), append(g.right, e)
+	if len(g.left) < g.size {
+		return nil
+	}
+	return g.flush(b)
+}
+
+// flush emits the pending pairs, whose left rows are rows of b.
+func (g *pairGather) flush(b *vec.Batch) error {
+	n := len(g.left)
+	if n == 0 {
+		return nil
+	}
+	for s := 0; s < g.lw; s++ {
+		g.out.Cols[s] = gatherCol(&g.bufs[s], &b.Cols[s], g.left)
+	}
+	g.bs, g.rs = resize(g.bs, n), resize(g.rs, n)
+	for k, e := range g.right {
+		g.bs[k], g.rs[k] = g.side.batch[e], g.side.row[e]
+	}
+	for s := range g.side.cols {
+		g.out.Cols[g.lw+s] = g.side.gather(&g.bufs[g.lw+s], s, g.bs, g.rs)
+	}
+	g.out.N, g.out.Sel = n, nil
+	g.left, g.right = g.left[:0], g.right[:0]
+	return g.sink(&g.out)
+}
+
+// compileProduct stages a cross product: the right side is retained
+// once, typed, and every live left row pairs with every right row, in
+// right-side order, through the join's gather.
+func (c *compiler) compileProduct(n *algebra.Product) (*compiledPlan, error) {
+	l, err := c.compilePlan(n.L)
+	if err != nil {
+		return nil, err
+	}
+	r, err := c.compilePlan(n.R)
+	if err != nil {
+		return nil, err
+	}
+	f := l.frame.clone()
+	for _, s := range r.frame.slots {
+		f.add(s.key.varName, s.key.attr)
+	}
+	lw, rw := l.frame.width(), r.frame.width()
+	bs := c.opts.BatchSize
+	return &compiledPlan{frame: f, src: func(sink batchSink) error {
+		var right rowSide
+		if err := r.run(right.retain); err != nil {
+			return err
+		}
+		right.describe(rw)
+		g := newPairGather(&right, lw, bs, sink)
+		return l.run(func(b *vec.Batch) error {
+			for k, n := 0, b.Len(); k < n; k++ {
+				i := b.Index(k)
+				for e := range right.row {
+					if err := g.add(b, i, int32(e)); err != nil {
+						return err
+					}
+				}
+			}
+			return g.flush(b)
+		})
+	}}, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -19,9 +21,10 @@ import (
 // distributions (uniform, skewed, all-null, all-duplicate, empty build
 // or probe side), filters that force build-side compaction, multi-column
 // keys, expression keys (slot, kernel and boxed-fallback key columns),
-// boxed sides — asserting that the morsel-parallel join, the serial jit
-// join and both drivers of the row interpreter (reference and static)
-// all agree, across worker counts. List
+// boxed sides, string columns served as Str or as StrDict over one
+// shared or a per-window dictionary — asserting that the
+// morsel-parallel join, the serial jit join and the row interpreter
+// (algebra.Reference) all agree, across worker counts. List
 // results make the comparison order-sensitive, so agreement here means
 // byte-identical output, not just equal multisets.
 
@@ -37,6 +40,45 @@ type diffTable struct {
 	cols   []vec.Col // full-length column storage, immutable once built
 	n      int
 	boxed  bool // serve boxed columns instead of typed windows
+	boxOdd bool // serve every other window boxed, the rest typed
+	strs   int  // how Str columns are served: strPlain, strSharedDict or strWindowDict
+	dicts  [][]string
+}
+
+// How a diffTable serves its Str columns.
+const (
+	strPlain      = iota // typed Str windows
+	strSharedDict        // StrDict windows over one dictionary per column
+	strWindowDict        // StrDict windows, each with a dictionary of its own
+)
+
+// serveStrs sets how the table serves its Str columns and returns it.
+func (s *diffTable) serveStrs(mode int) *diffTable {
+	s.strs, s.dicts = mode, make([][]string, len(s.cols))
+	for c := range s.cols {
+		if s.cols[c].Tag == vec.Str {
+			s.dicts[c] = sortedDistinct(s.cols[c].Strs)
+		}
+	}
+	return s
+}
+
+// sortedDistinct is the dictionary of strs: its distinct values, sorted.
+func sortedDistinct(strs []string) []string {
+	dict := append([]string(nil), strs...)
+	sort.Strings(dict)
+	return slices.Compact(dict)
+}
+
+// dictWindow encodes rows [lo,hi) of the Str column col over dict, which
+// holds every payload of the window (null rows included, so every code
+// indexes the dictionary).
+func dictWindow(col *vec.Col, lo, hi int, dict []string) vec.Col {
+	w := vec.Col{Tag: vec.StrDict, Dict: dict, Codes: make([]uint32, 0, hi-lo)}
+	for _, v := range col.Strs[lo:hi] {
+		w.Codes = append(w.Codes, uint32(sort.SearchStrings(dict, v)))
+	}
+	return w
 }
 
 func (s *diffTable) Name() string { return s.name }
@@ -55,10 +97,11 @@ func (s *diffTable) Iterate(fields []string, yield func(values.Value) error) err
 	return nil
 }
 
-// colWindow serves rows [lo,hi) of column c as a batch column.
-func (s *diffTable) colWindow(c, lo, hi int) vec.Col {
+// colWindow serves rows [lo,hi) of column c as a batch column, boxed
+// when boxed is set.
+func (s *diffTable) colWindow(c, lo, hi int, boxed bool) vec.Col {
 	col := s.cols[c]
-	if s.boxed {
+	if boxed {
 		out := vec.Col{Tag: vec.Boxed, Boxed: make([]values.Value, 0, hi-lo)}
 		for i := lo; i < hi; i++ {
 			out.Boxed = append(out.Boxed, col.Value(i))
@@ -72,7 +115,14 @@ func (s *diffTable) colWindow(c, lo, hi int) vec.Col {
 	case vec.Float64:
 		w.Floats = col.Floats[lo:hi]
 	case vec.Str:
-		w.Strs = col.Strs[lo:hi]
+		switch s.strs {
+		case strSharedDict:
+			w = dictWindow(&col, lo, hi, s.dicts[c])
+		case strWindowDict:
+			w = dictWindow(&col, lo, hi, sortedDistinct(col.Strs[lo:hi]))
+		default:
+			w.Strs = col.Strs[lo:hi]
+		}
 	default:
 		w.Tag = vec.Boxed
 		w.Boxed = col.Boxed[lo:hi]
@@ -118,8 +168,9 @@ func (s *diffTable) OpenRange(fields []string) (func(lo, hi, batchSize int, yiel
 				end = hi
 			}
 			b.Cols = b.Cols[:0]
+			boxed := s.boxed || s.boxOdd && (at/batchSize)%2 == 1
 			for _, c := range idx {
-				b.Cols = append(b.Cols, s.colWindow(c, at, end))
+				b.Cols = append(b.Cols, s.colWindow(c, at, end, boxed))
 			}
 			b.N = end - at
 			b.Sel = nil
@@ -200,6 +251,21 @@ func genIntCol(rng *rand.Rand, n, domain int) vec.Col {
 	return col
 }
 
+// genStrCol draws n strings from a small domain, a nullFrac share of
+// them null.
+func genStrCol(rng *rand.Rand, n int, nullFrac float64) vec.Col {
+	col := vec.Col{Tag: vec.Str}
+	nulls := make([]bool, n)
+	for i := 0; i < n; i++ {
+		col.Strs = append(col.Strs, "v"+strconv.Itoa(rng.Intn(10)))
+		nulls[i] = rng.Float64() < nullFrac
+	}
+	if slices.Contains(nulls, true) {
+		col.Nulls = nulls
+	}
+	return col
+}
+
 // genJoinScenario draws one random join case.
 func genJoinScenario(rng *rand.Rand) joinScenario {
 	sizes := []int{0, 1, 7, 120, 700, 1500}
@@ -215,13 +281,14 @@ func genJoinScenario(rng *rand.Rand) joinScenario {
 	boxedL := rng.Intn(4) == 0
 	boxedR := rng.Intn(4) == 0
 	monoidName := []string{"bag", "list", "sum", "count"}[rng.Intn(4)]
+	strsL, strsR := rng.Intn(3), rng.Intn(3)
 
-	lFields := []string{"k", "a", "k2"}
-	rFields := []string{"k", "b", "k2"}
-	lCols := []vec.Col{genKeyCol(rng, nL, keyKind, distL, nullFrac), genIntCol(rng, nL, 100), genKeyCol(rng, nL, 0, 0, nullFrac)}
-	rCols := []vec.Col{genKeyCol(rng, nR, keyKind, distR, nullFrac), genIntCol(rng, nR, 100), genKeyCol(rng, nR, 0, 0, nullFrac)}
-	left := &diffTable{name: "L", fields: lFields, cols: lCols, n: nL, boxed: boxedL}
-	right := &diffTable{name: "R", fields: rFields, cols: rCols, n: nR, boxed: boxedR}
+	lFields := []string{"k", "a", "k2", "s"}
+	rFields := []string{"k", "b", "k2", "s"}
+	lCols := []vec.Col{genKeyCol(rng, nL, keyKind, distL, nullFrac), genIntCol(rng, nL, 100), genKeyCol(rng, nL, 0, 0, nullFrac), genStrCol(rng, nL, 0.2)}
+	rCols := []vec.Col{genKeyCol(rng, nR, keyKind, distR, nullFrac), genIntCol(rng, nR, 100), genKeyCol(rng, nR, 0, 0, nullFrac), genStrCol(rng, nR, 0.2)}
+	left := (&diffTable{name: "L", fields: lFields, cols: lCols, n: nL, boxed: boxedL}).serveStrs(strsL)
+	right := (&diffTable{name: "R", fields: rFields, cols: rCols, n: nR, boxed: boxedR}).serveStrs(strsR)
 
 	// The k2 key pair comes in four shapes: slot columns, kernel
 	// expressions on both sides, a slot against a kernel, and a
@@ -252,11 +319,11 @@ func genJoinScenario(rng *rand.Rand) joinScenario {
 	case "count":
 		head = mcl.MustParse("x.a")
 	default:
-		head = mcl.MustParse("(k := x.k, a := x.a, b := y.b)")
+		head = mcl.MustParse("(k := x.k, a := x.a, b := y.b, s := x.s, t := y.s, u := y.k)")
 	}
 	return joinScenario{
-		desc: fmt.Sprintf("nL=%d nR=%d key=%d distL=%d distR=%d nulls=%.2f keys=%d k2=%d filter=%v boxedL=%v boxedR=%v m=%s",
-			nL, nR, keyKind, distL, distR, nullFrac, keySet, k2Shape, buildFilter, boxedL, boxedR, monoidName),
+		desc: fmt.Sprintf("nL=%d nR=%d key=%d distL=%d distR=%d nulls=%.2f keys=%d k2=%d filter=%v boxedL=%v boxedR=%v strsL=%d strsR=%d m=%s",
+			nL, nR, keyKind, distL, distR, nullFrac, keySet, k2Shape, buildFilter, boxedL, boxedR, strsL, strsR, monoidName),
 		cat:  algebra.MapCatalog{"L": left, "R": right},
 		plan: &algebra.Reduce{M: mustMonoid(monoidName), Head: head, Input: join},
 		nL:   nL, nR: nR,
