@@ -823,6 +823,9 @@ func BenchmarkRestartWarmFirstQuery(b *testing.B) {
 // computes the same aggregate per age group (60 groups) in one scan.
 // Acceptance: grouped stays within ~2x of ungrouped — the group table
 // adds a hash+probe per row, never a second pass over the data.
+// grouped-string is the same fold keyed by a 60-value string column
+// (the cache holds it dictionary-coded, so the group table indexes rows
+// by code): COUNT(*) and AVG per city.
 func BenchmarkGroupByWarmCSV(b *testing.B) {
 	path := writeBigPeopleCSV(b, 300_000)
 	run := func(b *testing.B, q string) {
@@ -847,6 +850,31 @@ func BenchmarkGroupByWarmCSV(b *testing.B) {
 	b.Run("grouped-having", func(b *testing.B) {
 		run(b, `SELECT p.age, COUNT(*) AS n, AVG(p.id * 2 + p.age) AS a
 		    FROM People p GROUP BY p.age HAVING COUNT(*) > 1000 ORDER BY a DESC LIMIT 10`)
+	})
+	b.Run("grouped-string", func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "people_city.csv")
+		var buf bytes.Buffer
+		buf.WriteString("id,city,age\n")
+		for i := 1; i <= 300_000; i++ {
+			fmt.Fprintf(&buf, "%d,c%02d,%d\n", i, (i*7919)%60, 20+i%60)
+		}
+		must(b, os.WriteFile(path, buf.Bytes(), 0o644))
+		eng := vida.New()
+		must(b, eng.RegisterCSV("People", path, "Record(Att(id, int), Att(city, string), Att(age, int))", nil))
+		q := `SELECT p.city, COUNT(*) AS n, AVG(p.age) AS a FROM People p GROUP BY p.city`
+		res, err := eng.QuerySQL(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := res.Len(); n != 60 {
+			b.Fatalf("%d groups, want 60", n)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.QuerySQL(q); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 

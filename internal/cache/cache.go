@@ -215,13 +215,23 @@ func EstimateColBytes(c *vec.Col) int64 {
 // so a published entry is never mutated — a grown replacement entry
 // (sharing the column storage) takes its place instead. Ownership of
 // the column storage transfers to the cache; callers must not retain
-// mutable references.
+// mutable references. A Str column that passes the dictionary rule
+// (vec.DictEncode) is installed as StrDict; the encode runs before the
+// manager lock is taken.
 func (m *Manager) PutColumnVectors(dataset string, n int, cols map[string]vec.Col) error {
+	hot := make(map[string]vec.Col, len(cols))
 	for name, col := range cols {
 		if col.Len() != n {
 			return fmt.Errorf("cache: column %q has %d values, want %d", name, col.Len(), n)
 		}
+		if col.Tag == vec.Str {
+			if d, ok := vec.DictEncode(&col); ok {
+				col = d
+			}
+		}
+		hot[name] = col
 	}
+	cols = hot
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	old := m.entries[dataset]
@@ -289,55 +299,36 @@ func (m *Manager) PutColumnVectors(dataset string, n int, cols map[string]vec.Co
 // touches rows below oldN; reallocated with bounded headroom otherwise);
 // an encoded entry re-encodes from its last full block boundary. It
 // reports false, changing nothing, when the entry cannot be extended — no
-// entry, a row count other than oldN, a different attribute set, or tail
-// columns of unequal length or another representation. The caller then
+// entry, a row count other than oldN, a different attribute set, tail
+// columns of unequal length or another representation, or an entry
+// replaced while the extension was built. The caller then
 // invalidates the dataset.
+//
+// The extended columns are built outside the manager lock (a new string
+// re-encodes a whole dictionary column); the successor is published only
+// if the entry it was built from is still the current one, and false is
+// reported otherwise. Extensions of one dataset must not run
+// concurrently: a hot vector's spare capacity has one writer.
 func (m *Manager) ExtendColumns(dataset string, oldN int, tail map[string]vec.Col) bool {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	old := m.entries[dataset]
+	m.mu.Unlock()
 	if old == nil || old.N != oldN {
 		return false
 	}
-	names := old.ColumnNames()
-	if len(names) == 0 || len(names) != len(tail) {
+	e := extendEntry(old, tail)
+	if e == nil {
 		return false
 	}
-	add := -1
-	e := &Entry{Dataset: dataset, tick: old.tick, hits: old.hits}
-	if old.Enc != nil {
-		e.Enc = &colenc.Table{Cols: make(map[string]*colenc.Col, len(names))}
-	} else {
-		e.Cols = make(map[string]vec.Col, len(names))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.entries[dataset] != old {
+		return false
 	}
-	for _, name := range names {
-		t, ok := tail[name]
-		if !ok || (add >= 0 && t.Len() != add) {
-			return false
-		}
-		add = t.Len()
-		if old.Enc != nil {
-			col, err := old.Enc.Cols[name].Append(&t)
-			if err != nil {
-				return false
-			}
-			e.Enc.Cols[name] = col
-			continue
-		}
-		oc := old.Cols[name]
-		col, ok := oc.Extend(&t)
-		if !ok {
-			return false
-		}
-		e.Cols[name] = col
-		e.size += EstimateColBytes(&col)
-	}
-	e.N = oldN + add
+	e.tick, e.hits = old.tick, old.hits
 	m.removeLocked(dataset)
 	m.entries[dataset] = e
 	if e.Enc != nil {
-		e.Enc.N = e.N
-		e.size = e.Enc.SizeBytes()
 		m.encodedUsed += e.size
 	} else {
 		m.hotUsed += e.size
@@ -350,6 +341,50 @@ func (m *Manager) ExtendColumns(dataset string, oldN int, tail map[string]vec.Co
 	m.spillLocked(m.entries[dataset])
 	m.evictLocked()
 	return true
+}
+
+// extendEntry returns the unpublished successor of the entry old grown
+// by tail, or nil when old cannot be extended by it.
+func extendEntry(old *Entry, tail map[string]vec.Col) *Entry {
+	names := old.ColumnNames()
+	if len(names) == 0 || len(names) != len(tail) {
+		return nil
+	}
+	add := -1
+	e := &Entry{Dataset: old.Dataset}
+	if old.Enc != nil {
+		e.Enc = &colenc.Table{Cols: make(map[string]*colenc.Col, len(names))}
+	} else {
+		e.Cols = make(map[string]vec.Col, len(names))
+	}
+	for _, name := range names {
+		t, ok := tail[name]
+		if !ok || (add >= 0 && t.Len() != add) {
+			return nil
+		}
+		add = t.Len()
+		if old.Enc != nil {
+			col, err := old.Enc.Cols[name].Append(&t)
+			if err != nil {
+				return nil
+			}
+			e.Enc.Cols[name] = col
+			continue
+		}
+		oc := old.Cols[name]
+		col, ok := oc.Extend(&t)
+		if !ok {
+			return nil
+		}
+		e.Cols[name] = col
+		e.size += EstimateColBytes(&col)
+	}
+	e.N = old.N + add
+	if e.Enc != nil {
+		e.Enc.N = e.N
+		e.size = e.Enc.SizeBytes()
+	}
+	return e
 }
 
 // maybeEncodeLocked transitions the coldest entries from flat

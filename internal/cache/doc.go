@@ -7,12 +7,18 @@
 //
 // A dataset owns at most one Entry: one vec.Col per attribute. Columns
 // stay in the typed representation the harvesting scan produced
-// (int64/float64/string payload slices with optional validity masks);
-// attributes whose rows mix types, or that arrive boxed because the
-// plug-in only produces records (lifted by vec.PackRecords) or hold
-// nested values, are stored as boxed []values.Value payloads. Warm scans
-// are served as slice windows of these vectors — zero copies, marked
-// vec.Batch.Stable so consumers may retain them header-only. A
+// (int64/float64/string payload slices with optional validity masks),
+// with one exception: a string column that passes the dictionary rule
+// (vec.DictEncode: at most vec.MaxDictSize distinct strings, at most one
+// per two rows — the rule the encoded tier applies too) is installed as
+// vec.StrDict, codes over one sorted dictionary that every window of
+// the column shares, so filters compare codes and a GROUP BY on it
+// indexes its group table by code. The encode runs before the manager
+// lock is taken. Attributes whose rows mix types, or that arrive boxed
+// because the plug-in only produces records (lifted by vec.PackRecords)
+// or hold nested values, are stored as boxed []values.Value payloads.
+// Warm scans are served as slice windows of these vectors — zero copies,
+// marked vec.Batch.Stable so consumers may retain them header-only. A
 // whole-record scan is the scan of every attribute, so it reads and
 // grows the same entry a projected scan does.
 //
@@ -34,7 +40,13 @@
 // until the budget holds. A file that changed invalidates its dataset's
 // entry wholesale — unless it only grew: then Refresh extends the entry
 // by the tail rows (ExtendColumns), copy-on-write like every other
-// change to a published entry.
+// change to a published entry. A StrDict column extends by the codes of
+// tail strings already in its dictionary; a new string re-encodes the
+// column into a fresh dictionary (or demotes it to plain strings once it
+// fails the rule), and the entry a scan holds keeps the old one. Like
+// an install's encode, the extension is built outside the manager lock;
+// only the check that the entry is still the one it grew, and the
+// publish, run under it.
 //
 // # Encoded tier
 //

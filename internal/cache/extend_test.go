@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
+	"vida/internal/values"
 	"vida/internal/vec"
 )
 
@@ -203,5 +205,144 @@ func TestExtendColumnsRespills(t *testing.T) {
 	ids, _ := extendRows(t, m2, e)
 	if ids[5599] != 5599 {
 		t.Fatalf("last rehydrated id = %d", ids[5599])
+	}
+}
+
+// TestPutInstallsDictColumns: the hot tier installs a string column
+// dictionary-coded exactly when it passes vec.DictEncode's rule — here a
+// 5-value column and a null-bearing 2-value one, not a column of distinct
+// strings nor one past MaxDictSize values — and serves what it was given.
+func TestPutInstallsDictColumns(t *testing.T) {
+	n := 3 * vec.MaxDictSize
+	low, distinct, wide, nullable := tierCols(n, 0)["cond"], vec.Col{Tag: vec.Str}, vec.Col{Tag: vec.Str}, vec.Col{Tag: vec.Str}
+	for i := 0; i < n; i++ {
+		distinct.AppendStr(fmt.Sprintf("d%d", i))
+		wide.AppendStr(fmt.Sprintf("w%d", i%(vec.MaxDictSize+1)))
+		if i%4 == 0 {
+			nullable.AppendNull()
+		} else {
+			nullable.AppendStr([]string{"x", "y"}[i%2])
+		}
+	}
+	m := New(0)
+	given := map[string]vec.Col{"low": low, "distinct": distinct, "wide": wide, "nullable": nullable}
+	if err := m.PutColumnVectors("D", n, given); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := m.Peek("D", LayoutColumns)
+	want := map[string]vec.Tag{"low": vec.StrDict, "distinct": vec.Str, "wide": vec.Str, "nullable": vec.StrDict}
+	for name, tag := range want {
+		col, in := e.Cols[name], given[name]
+		if col.Tag != tag {
+			t.Fatalf("column %q installed as %v, want %v", name, col.Tag, tag)
+		}
+		for i := 0; i < n; i++ {
+			if !values.Equal(col.Value(i), in.Value(i)) {
+				t.Fatalf("column %q row %d = %v, want %v", name, i, col.Value(i), in.Value(i))
+			}
+		}
+	}
+	if st := m.Stats(); st.HotBytes != e.SizeBytes() || e.SizeBytes() >= 4*int64(n)*16 {
+		t.Fatalf("hot bytes %d, entry size %d", st.HotBytes, e.SizeBytes())
+	}
+	// An empty entry installs (and extends) like any other.
+	if err := m.PutColumnVectors("E", 0, map[string]vec.Col{"s": {Tag: vec.Str}}); err != nil {
+		t.Fatal(err)
+	}
+	tail := vec.Col{Tag: vec.Str, Strs: []string{"a", "b", "a", "a"}}
+	if !m.ExtendColumns("E", 0, map[string]vec.Col{"s": tail}) {
+		t.Fatal("extension of an empty entry refused")
+	}
+	ee, _ := m.Peek("E", LayoutColumns)
+	if s := ee.Cols["s"]; ee.N != 4 || s.Tag != vec.StrDict || s.StrAt(1) != "b" || s.StrAt(3) != "a" {
+		t.Fatalf("extended empty entry: n=%d tag=%v", ee.N, s.Tag)
+	}
+}
+
+// TestExtendAfterEncodedMerge is the regression test for an append after
+// a harvest merged into an encoded entry. The entry is pushed to the
+// encoded tier; a harvest adds a column, so PutColumnVectors decodes the
+// entry and it turns hot again with its string column dictionary-coded;
+// the next append must then extend it (it used to be refused, and the
+// caller rebuilt the source from raw) — with the tail's strings in the
+// dictionary and with a new one — while the entry a scan holds stays as
+// it was.
+func TestExtendAfterEncodedMerge(t *testing.T) {
+	// The hot tier holds one entry with the added column but not two
+	// entries without it.
+	m := NewWithConfig(Config{HotBytes: 200_000})
+	n := 9000
+	for i, name := range []string{"A", "B"} {
+		if err := m.PutColumnVectors(name, n, tierCols(n, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, _ := m.Peek("A", LayoutColumns); !a.Encoded() {
+		t.Fatal("A did not move to the encoded tier")
+	}
+	score := vec.Col{Tag: vec.Float64, Floats: make([]float64, n)}
+	for i := range score.Floats {
+		score.Floats[i] = float64(i) / 4
+	}
+	if err := m.PutColumnVectors("A", n, map[string]vec.Col{"score": score}); err != nil {
+		t.Fatal(err)
+	}
+	held, _ := m.Peek("A", LayoutColumns)
+	if b, _ := m.Peek("B", LayoutColumns); held.Encoded() || !b.Encoded() || held.Cols["cond"].Tag != vec.StrDict {
+		t.Fatalf("after the harvest: A encoded %v (cond %v), B encoded %v", held.Encoded(), held.Cols["cond"].Tag, b.Encoded())
+	}
+	heldIDs, heldConds := extendRows(t, m, held)
+	heldDict := held.Cols["cond"].Dict
+
+	grow := func(hi int, newCond string) {
+		t.Helper()
+		cur, _ := m.Peek("A", LayoutColumns)
+		tail := tailOf(cur.N, hi)
+		if newCond != "" {
+			c := tail["cond"]
+			c.Strs[len(c.Strs)-1] = newCond
+		}
+		s := vec.Col{Tag: vec.Float64, Floats: make([]float64, hi-cur.N)}
+		for i := range s.Floats {
+			s.Floats[i] = float64(cur.N+i) / 4
+		}
+		tail["score"] = s
+		if !m.ExtendColumns("A", cur.N, tail) {
+			t.Fatalf("extension to %d refused", hi)
+		}
+	}
+	grow(9700, "")
+	e, _ := m.Peek("A", LayoutColumns)
+	if e.Encoded() || e.N != 9700 || e.Cols["cond"].Tag != vec.StrDict || &e.Cols["cond"].Dict[0] != &heldDict[0] {
+		t.Fatalf("in-dictionary tail: encoded %v, n=%d, cond %v", e.Encoded(), e.N, e.Cols["cond"].Tag)
+	}
+	grow(9800, "zz-new")
+	e, _ = m.Peek("A", LayoutColumns)
+	cond := e.Cols["cond"]
+	if e.N != 9800 || cond.Tag != vec.StrDict || len(cond.Dict) != len(heldDict)+1 || cond.StrAt(9799) != "zz-new" {
+		t.Fatalf("new-string tail: n=%d, cond %v over %d strings", e.N, cond.Tag, len(cond.Dict))
+	}
+	ids, conds := extendRows(t, m, e)
+	whole := tierCols(9800, 0)
+	for i := 0; i < 9800; i++ {
+		want := whole["cond"].Strs[i]
+		if i == 9799 {
+			want = "zz-new"
+		}
+		if ids[i] != whole["id"].Ints[i] || conds[i] != want || e.Cols["score"].Floats[i] != float64(i)/4 {
+			t.Fatalf("row %d = (%d,%q)", i, ids[i], conds[i])
+		}
+	}
+	ids, conds = extendRows(t, m, held)
+	if held.N != n || len(ids) != n || len(heldDict) != 5 {
+		t.Fatalf("held entry now reports %d rows, yields %d", held.N, len(ids))
+	}
+	for i := range ids {
+		if ids[i] != heldIDs[i] || conds[i] != heldConds[i] {
+			t.Fatalf("held entry row %d changed", i)
+		}
+	}
+	if st := m.Stats(); st.HotBytes+st.EncodedBytes != st.BytesUsed {
+		t.Fatalf("tracked bytes %+v", st)
 	}
 }

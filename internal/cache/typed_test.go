@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"vida/internal/values"
@@ -10,39 +12,46 @@ import (
 func typedCols(n int) map[string]vec.Col {
 	ints := make([]int64, n)
 	strs := make([]string, n)
+	keys := make([]string, n)
 	for i := 0; i < n; i++ {
 		ints[i] = int64(i)
 		strs[i] = "row"
+		keys[i] = fmt.Sprintf("key-%d", i)
 	}
 	return map[string]vec.Col{
 		"id":   {Tag: vec.Int64, Ints: ints},
 		"name": {Tag: vec.Str, Strs: strs},
+		"key":  {Tag: vec.Str, Strs: keys},
 	}
 }
 
 // TestTypedColumnsServedZeroCopy checks batch scans over a typed entry
 // keep the typed representation and alias the cached storage (no copy,
-// no boxing).
+// no boxing). The one-value string column is installed dictionary-coded,
+// the all-distinct one stays plain strings; both serve windows of the
+// installed storage.
 func TestTypedColumnsServedZeroCopy(t *testing.T) {
 	m := New(0)
 	cols := typedCols(40)
 	if err := m.PutColumnVectors("D", 40, cols); err != nil {
 		t.Fatal(err)
 	}
-	e, ok := m.GetColumns("D", []string{"id", "name"})
+	e, ok := m.GetColumns("D", []string{"id", "name", "key"})
 	if !ok {
 		t.Fatal("miss")
 	}
+	name := e.Cols["name"]
 	src := &ColumnsSource{Entry: e, Dataset: "D"}
 	rows := 0
-	err := src.IterateBatches([]string{"id", "name"}, 16, func(b *vec.Batch) error {
+	err := src.IterateBatches([]string{"id", "name", "key"}, 16, func(b *vec.Batch) error {
 		if !b.Stable {
 			t.Fatal("cache batches must be stable")
 		}
-		if b.Cols[0].Tag != vec.Int64 || b.Cols[1].Tag != vec.Str {
-			t.Fatalf("tags = %v/%v, want typed", b.Cols[0].Tag, b.Cols[1].Tag)
+		if b.Cols[0].Tag != vec.Int64 || b.Cols[1].Tag != vec.StrDict || b.Cols[2].Tag != vec.Str {
+			t.Fatalf("tags = %v/%v/%v, want int64/strdict/string", b.Cols[0].Tag, b.Cols[1].Tag, b.Cols[2].Tag)
 		}
-		if &b.Cols[0].Ints[0] != &cols["id"].Ints[rows] {
+		if &b.Cols[0].Ints[0] != &cols["id"].Ints[rows] || &b.Cols[2].Strs[0] != &cols["key"].Strs[rows] ||
+			&b.Cols[1].Codes[0] != &name.Codes[rows] || !slices.Equal(b.Cols[1].Dict, []string{"row"}) {
 			t.Fatal("batch must alias cached storage (zero-copy)")
 		}
 		rows += b.Len()

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"vida/internal/bsonlite"
 	"vida/internal/values"
@@ -18,10 +17,6 @@ import (
 // a column may be shorter). 4096 keeps a decoded block within a couple
 // of pipeline batches while amortizing per-block overhead.
 const BlockRows = 4096
-
-// MaxDictSize caps the dictionary cardinality: columns with more
-// distinct strings encode as raw length-prefixed strings instead.
-const MaxDictSize = 4096
 
 // Encoding identifies a column's block payload scheme.
 type Encoding uint8
@@ -146,8 +141,8 @@ func EncodeCol(c *vec.Col) (*Col, error) {
 		out.Enc = EncFloat
 	case vec.Str, vec.StrDict:
 		out.Tag, out.Enc = vec.Str, EncStr
-		if out.Dict, codes = buildDict(c, out.N); out.Dict != nil {
-			out.Enc = EncDict
+		if d, ok := vec.DictEncode(c); ok {
+			out.Enc, out.Dict, codes = EncDict, d.Dict, d.Codes
 		}
 	case vec.Boxed:
 		out.Enc = EncBoxed
@@ -190,18 +185,14 @@ func (c *Col) Append(tail *vec.Col) (*Col, error) {
 	}
 	var codes []uint32
 	if c.Enc == EncDict {
-		codes = make([]uint32, len(col.Strs))
-		for i, s := range col.Strs {
-			k := sort.SearchStrings(c.Dict, s)
-			if k == len(c.Dict) || c.Dict[k] != s {
-				all, err := c.Decode()
-				if err != nil {
-					return nil, err
-				}
-				whole := joinCols(&all, tail)
-				return EncodeCol(&whole)
+		var ok bool
+		if codes, ok = vec.DictCodes(c.Dict, &col); !ok {
+			all, err := c.Decode()
+			if err != nil {
+				return nil, err
 			}
-			codes[i] = uint32(k)
+			whole := joinCols(&all, tail)
+			return EncodeCol(&whole)
 		}
 	}
 	blocks, err := encodeBlocks(c.Enc, &col, codes)
@@ -220,42 +211,6 @@ func joinCols(a, b *vec.Col) vec.Col {
 	cb.Append(a, &vec.Batch{N: a.Len()})
 	cb.Append(b, &vec.Batch{N: b.Len()})
 	return cb.Finish()
-}
-
-// buildDict returns the sorted dictionary and per-row codes of a string
-// column, or nil when its cardinality disqualifies dictionary encoding.
-func buildDict(c *vec.Col, n int) ([]string, []uint32) {
-	if c.Tag == vec.StrDict {
-		// Already dictionary-shaped: reuse the sorted dictionary as-is.
-		if len(c.Dict) <= MaxDictSize && len(c.Dict)*2 <= n {
-			return c.Dict, c.Codes
-		}
-		return nil, nil
-	}
-	uniq := make(map[string]struct{}, 64)
-	for _, s := range c.Strs {
-		uniq[s] = struct{}{}
-		if len(uniq) > MaxDictSize {
-			return nil, nil
-		}
-	}
-	if len(uniq)*2 > n {
-		return nil, nil
-	}
-	dict := make([]string, 0, len(uniq))
-	for s := range uniq {
-		dict = append(dict, s)
-	}
-	sort.Strings(dict)
-	idx := make(map[string]uint32, len(dict))
-	for i, s := range dict {
-		idx[s] = uint32(i)
-	}
-	codes := make([]uint32, n)
-	for i, s := range c.Strs {
-		codes[i] = idx[s]
-	}
-	return dict, codes
 }
 
 // The two modes of an EncDelta block: its ints are packed as values

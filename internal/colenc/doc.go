@@ -28,8 +28,10 @@
 //	EncBoxed  mixed/generic columns: varint length + bsonlite document
 //	          per row (raw passthrough — no compression is attempted).
 //
-// A column picks EncDict when its cardinality is at most MaxDictSize
-// and at most half its row count; otherwise strings stay EncStr.
+// A column picks EncDict under the one dictionary rule, vec.DictEncode:
+// at most vec.MaxDictSize distinct strings and at most one per two rows
+// (the rule the hot tier installs string columns under); otherwise
+// strings stay EncStr.
 //
 // # Block format
 //

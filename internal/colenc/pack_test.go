@@ -129,16 +129,16 @@ func TestSequentialIDsPackAtWidthZero(t *testing.T) {
 }
 
 // TestPackedDictRoundTrip: dictionaries of one entry (codes at width 0)
-// and of MaxDictSize entries (the widest codes) round-trip, nulls and a
+// and of vec.MaxDictSize entries (the widest codes) round-trip, nulls and a
 // short last block included.
 func TestPackedDictRoundTrip(t *testing.T) {
-	for _, size := range []int{1, 2, 40, MaxDictSize} {
+	for _, size := range []int{1, 2, 40, vec.MaxDictSize} {
 		for _, withNulls := range []bool{false, true} {
 			nullEntry := 0
 			if withNulls {
 				nullEntry = 1
 			}
-			n := 2*MaxDictSize + 300
+			n := 2*vec.MaxDictSize + 300
 			c := vec.Col{Tag: vec.Str}
 			for i := 0; i < n; i++ {
 				if withNulls && i%7 == 3 {
@@ -289,7 +289,7 @@ func FuzzDecodeBlock(f *testing.F) {
 			f.Add(uint16(len(ec.Dict)), b.Rows, b.Data)
 		}
 	}
-	names := make([]string, MaxDictSize)
+	names := make([]string, vec.MaxDictSize)
 	for i := range names {
 		names[i] = fmt.Sprintf("n%04d", i)
 	}
@@ -298,7 +298,7 @@ func FuzzDecodeBlock(f *testing.F) {
 		for enc, tag := range tags {
 			c := &Col{Tag: tag, Enc: enc, Blocks: []Block{{Rows: rows, Data: data}}}
 			if enc == EncDict {
-				c.Dict = names[:int(dictLen)%(MaxDictSize+1)]
+				c.Dict = names[:int(dictLen)%(vec.MaxDictSize+1)]
 			}
 			var dst vec.Col
 			if err := c.DecodeBlock(0, &dst); err != nil {

@@ -173,7 +173,7 @@ func ReadSpillFile(path string) (SpillMeta, *Table, error) {
 		if err != nil {
 			return meta, nil, err
 		}
-		if nDict > MaxDictSize {
+		if nDict > vec.MaxDictSize {
 			return meta, nil, fmt.Errorf("colenc: %s: implausible dictionary size %d", path, nDict)
 		}
 		for di := uint64(0); di < nDict; di++ {

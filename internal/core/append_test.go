@@ -14,11 +14,13 @@ import (
 	"testing"
 	"time"
 
+	"vida/internal/cache"
 	"vida/internal/clean"
 	"vida/internal/sched"
 	"vida/internal/sdg"
 	"vida/internal/trace"
 	"vida/internal/values"
+	"vida/internal/vec"
 )
 
 // The append-refresh suite holds one equivalence: whatever happened to
@@ -496,6 +498,64 @@ func TestAppendAfterWholeRecordScan(t *testing.T) {
 			st.Cache.Entries, st.RefreshAppends, st.RefreshReplacements)
 	}
 	assertLikeFreshEngine(t, e, f.path, "append after a whole-record scan")
+}
+
+// TestAppendAfterEncodedHarvest: an entry pushed to the encoded tier,
+// then grown by a harvest of another column (which decodes it, so it
+// turns hot with its string column dictionary-coded), takes the append
+// path on the next append and answers like a fresh engine.
+func TestAppendAfterEncodedHarvest(t *testing.T) {
+	const rows = 4000
+	dir := t.TempDir()
+	f := &appendFile{t: t, path: filepath.Join(dir, "e.csv"), rng: rand.New(rand.NewSource(9))}
+	f.rewrite(appendHeader + f.rows(rows))
+	g := &appendFile{t: t, path: filepath.Join(dir, "f.csv"), rng: rand.New(rand.NewSource(10))}
+	g.rewrite(appendHeader + g.rows(rows))
+	// E and F each cache s (dictionary-coded, 4 bytes a row) and k (8):
+	// the two (24 bytes a row) do not fit the hot tier, E with f added
+	// (20) does.
+	e := appendEngine(t, f.path, Options{CacheHotBytes: 22 * rows})
+	if err := e.Register(sdg.DefaultDescription("F", sdg.FormatCSV, g.path, appendSchema())); err != nil {
+		t.Fatal(err)
+	}
+	entry := func(name string) *cache.Entry {
+		t.Helper()
+		en, ok := e.Caches().Peek(name, cache.LayoutColumns)
+		if !ok {
+			t.Fatalf("no cache entry for %s", name)
+		}
+		return en
+	}
+	for _, q := range []string{
+		`for { e <- E } group by { s := e.s } agg { t := sum e.k } yield bag (s := s, t := t)`,
+		`for { e <- F } group by { s := e.s } agg { t := sum e.k } yield bag (s := s, t := t)`,
+	} {
+		if _, err := e.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !entry("E").Encoded() || entry("F").Encoded() {
+		t.Fatalf("before the harvest: E encoded %v, F encoded %v", entry("E").Encoded(), entry("F").Encoded())
+	}
+	if _, err := e.Query(`for { e <- E, e.k < 50 } yield sum e.f`); err != nil {
+		t.Fatal(err)
+	}
+	if en := entry("E"); en.Encoded() || en.Cols["s"].Tag != vec.StrDict || !en.HasColumns([]string{"s", "k", "f"}) {
+		t.Fatalf("after the harvest: E encoded %v, columns %v", en.Encoded(), en.ColumnNames())
+	}
+	before := e.StatsSnapshot()
+	f.grow(f.rows(50))
+	if err := e.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	st := e.StatsSnapshot()
+	if st.RefreshAppends-before.RefreshAppends != 1 || st.RefreshReplacements != before.RefreshReplacements {
+		t.Fatalf("%d appends, %d replacements", st.RefreshAppends-before.RefreshAppends, st.RefreshReplacements-before.RefreshReplacements)
+	}
+	if en := entry("E"); en.N != rows+50 || en.Encoded() || en.Cols["s"].Tag != vec.StrDict {
+		t.Fatalf("after the append: E holds %d rows, encoded %v", en.N, en.Encoded())
+	}
+	assertLikeFreshEngine(t, e, f.path, "append after a harvest into an encoded entry")
 }
 
 // TestRefreshSeesThroughCleaner is the regression test for Refresh

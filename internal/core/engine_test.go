@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -416,15 +417,16 @@ func TestRefreshMidScanDropsStaleHarvest(t *testing.T) {
 
 // TestHarvestInstallsTypedColumns checks the cold batch scan promotes
 // its typed column vectors into the cache unboxed — int/float/string
-// attributes keep their payload representation, bool attributes (no
-// typed tag) fall back to boxed — and that the warm scan over the typed
-// entry returns identical results.
+// attributes keep their payload representation, a low-cardinality string
+// attribute is dictionary-coded, bool attributes (no typed tag) fall
+// back to boxed — and that the warm scan over the typed entry returns
+// identical results.
 func TestHarvestInstallsTypedColumns(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.csv")
-	csv := "id,score,city,ok\n"
+	csv := "id,score,city,name,ok\n"
 	for i := 0; i < 30; i++ {
-		csv += fmt.Sprintf("%d,%g,c%d,%v\n", i, float64(i)/2, i%3, i%2 == 0)
+		csv += fmt.Sprintf("%d,%g,c%d,n%d,%v\n", i, float64(i)/2, i%3, i, i%2 == 0)
 	}
 	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
 		t.Fatal(err)
@@ -434,12 +436,13 @@ func TestHarvestInstallsTypedColumns(t *testing.T) {
 		sdg.Attr{Name: "id", Type: sdg.Int},
 		sdg.Attr{Name: "score", Type: sdg.Float},
 		sdg.Attr{Name: "city", Type: sdg.String},
+		sdg.Attr{Name: "name", Type: sdg.String},
 		sdg.Attr{Name: "ok", Type: sdg.Bool},
 	))
 	if err := e.Register(sdg.DefaultDescription("T", sdg.FormatCSV, path, schema)); err != nil {
 		t.Fatal(err)
 	}
-	q := `for { x <- T, x.ok = true } yield bag (i := x.id, s := x.score, c := x.city, o := x.ok)`
+	q := `for { x <- T, x.ok = true } yield bag (i := x.id, s := x.score, c := x.city, n := x.name, o := x.ok)`
 	cold, err := e.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +451,7 @@ func TestHarvestInstallsTypedColumns(t *testing.T) {
 	if !ok {
 		t.Fatal("no columnar entry after cold scan")
 	}
-	wantTags := map[string]vec.Tag{"id": vec.Int64, "score": vec.Float64, "city": vec.Str, "ok": vec.Boxed}
+	wantTags := map[string]vec.Tag{"id": vec.Int64, "score": vec.Float64, "city": vec.StrDict, "name": vec.Str, "ok": vec.Boxed}
 	for name, want := range wantTags {
 		col, ok := entry.Cols[name]
 		if !ok {
@@ -466,6 +469,52 @@ func TestHarvestInstallsTypedColumns(t *testing.T) {
 	if e.StatsSnapshot().RawScans != rawBefore {
 		// The warm run must come from the cache, not the file.
 		t.Fatal("warm query touched raw data")
+	}
+	if !values.Equal(cold, warm) {
+		t.Fatalf("cold %v != warm %v", cold, warm)
+	}
+}
+
+// TestBudgetedJoinOverDictColumn: a join whose build side carries a
+// dictionary-coded cache column is charged for the codes it retains, not
+// for the column's shared dictionary once per retained batch. T's tag
+// column (4000 distinct strings over 20 000 rows) is cached as StrDict;
+// a warm filtered self-join grouping by it fits the same query budget
+// the cold run, over plain strings, fits. (Charging the 96 KB dictionary
+// per retained batch needs about 3 MB; the retained rows need under 1.)
+func TestBudgetedJoinOverDictColumn(t *testing.T) {
+	const rows = 20000
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.csv")
+	var sb strings.Builder
+	sb.WriteString("id,k,tag\n")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&sb, "%d,%d,tag-%04d\n", i, i%10, (i*7)%4000)
+	}
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(Options{QueryMemoryBudgetBytes: 2 << 20})
+	schema := sdg.Bag(sdg.Record(
+		sdg.Attr{Name: "id", Type: sdg.Int},
+		sdg.Attr{Name: "k", Type: sdg.Int},
+		sdg.Attr{Name: "tag", Type: sdg.String},
+	))
+	if err := e.Register(sdg.DefaultDescription("T", sdg.FormatCSV, path, schema)); err != nil {
+		t.Fatal(err)
+	}
+	q := `for { a <- T, b <- T, a.id = b.id, a.k = 0, b.k = 0 } group by { s := a.tag, u := b.tag } agg { n := count 1 } yield bag (s := s, u := u, n := n)`
+	cold, err := e.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, ok := e.Caches().Peek("T", cache.LayoutColumns)
+	if !ok || entry.Cols["tag"].Tag != vec.StrDict {
+		t.Fatalf("tag not cached dictionary-coded (entry %v)", ok)
+	}
+	warm, err := e.Query(q)
+	if err != nil {
+		t.Fatalf("warm join over the coded column: %v", err)
 	}
 	if !values.Equal(cold, warm) {
 		t.Fatalf("cold %v != warm %v", cold, warm)

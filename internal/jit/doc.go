@@ -105,7 +105,13 @@
 // reads no column at all); the per-row
 // key equality check on a hash match compares column payloads against
 // unpacked primitive mirrors of the stored keys, so the probe loop
-// never touches a boxed values.Value. Partitionable scans fold
+// never touches a boxed values.Value. A single key column served as
+// vec.StrDict (a dictionary-coded cache column, hot or encoded) skips
+// the hash and the probe: the consumer memoizes each code's group in an
+// array indexed by code, reset when the dictionary changes, so a row
+// costs one array load; a code's first row goes through the hash table
+// with the tuple hash the hash path computes, so group ids, order and
+// partial merges do not depend on the representation. Partitionable scans fold
 // morsel-parallel with per-worker tables merged at the root in morsel
 // order, which keeps unordered group output in deterministic
 // first-occurrence order. HAVING applies post-fold over the group

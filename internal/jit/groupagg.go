@@ -16,7 +16,10 @@ import (
 // arrays, with a boxed per-group Collector fallback for monoids the
 // typed paths do not specialize. Group keys hash like join keys
 // (keyHasher): one tag-dispatched pass per key column per batch, typed
-// payloads and vec.StrDict codes never boxing on the hash path. Keys and
+// payloads and vec.StrDict codes never boxing on the hash path. One key
+// column served as vec.StrDict takes the code-indexed path instead
+// (groupCodes): each code's group is memoized in an array indexed by
+// code, so such a row is neither hashed nor probed. Keys and
 // aggregate inputs are staged by mkGetter through the expression kernels,
 // constants included: COUNT(*) (`sum 1`) folds a broadcast Int64 column,
 // and a `count` whose input cannot fail stages none.
@@ -455,6 +458,14 @@ type groupConsumer struct {
 	keyBytes int64
 	boxed    int64 // accumulated boxed-accumulator bytes
 
+	// The code-indexed path of a single StrDict key: byCode[code] is the
+	// group+1 of that code of dict (0: not seen yet), nullGroup the
+	// group+1 of the null key. Group ids never change, so only byCode
+	// resets, when the dictionary does.
+	dict      []string
+	byCode    []int32
+	nullGroup int32
+
 	// Per-batch scratch.
 	kh      keyHasher
 	gidx    []int32
@@ -638,12 +649,16 @@ func (gc *groupConsumer) consume(b *vec.Batch) error {
 	if err := getCols(gc.keyGet, b, gc.keyCols); err != nil {
 		return err
 	}
-	// Tuple hash per live row (mcl.GroupHash semantics: null keys share
-	// a group).
-	gc.kh.hash(gc.keyCols, b)
 	gc.gidx = gc.gidx[:0]
-	for k := 0; k < n; k++ {
-		gc.gidx = append(gc.gidx, gc.findOrAddRow(gc.kh.sums[k], b.Index(k)))
+	if gc.nKeys == 1 && gc.keyCols[0].Tag == vec.StrDict {
+		gc.groupCodes(b)
+	} else {
+		// Tuple hash per live row (mcl.GroupHash semantics: null keys
+		// share a group).
+		gc.kh.hash(gc.keyCols, b)
+		for k := 0; k < n; k++ {
+			gc.gidx = append(gc.gidx, gc.findOrAddRow(gc.kh.sums[k], b.Index(k)))
+		}
 	}
 	for j, get := range gc.aggGet {
 		var col *vec.Col
@@ -660,6 +675,37 @@ func (gc *groupConsumer) consume(b *vec.Batch) error {
 		gc.boxed += bytes
 	}
 	return gc.maybeCharge(false)
+}
+
+// groupCodes maps the live rows of b to groups by the codes of the one
+// StrDict key column: a code's group is memoized in byCode the first
+// time it is seen, which goes through findOrAddRow with the same tuple
+// hash the hash path computes — so group ids, first-occurrence order and
+// partial merges are those of the hash path, and a code-indexed consumer
+// and a hashing one (another window's representation) share one table.
+func (gc *groupConsumer) groupCodes(b *vec.Batch) {
+	col := gc.keyCols[0]
+	if !sameDict(gc.dict, col.Dict) {
+		gc.dict = col.Dict
+		gc.byCode = append(gc.byCode[:0], make([]int32, len(col.Dict))...)
+	}
+	byCode := gc.byCode
+	for k, n := 0, b.Len(); k < n; k++ {
+		i := b.Index(k)
+		if col.Nulls != nil && col.Nulls[i] {
+			if gc.nullGroup == 0 {
+				gc.nullGroup = gc.findOrAddRow(tupleHash1(nullKeyHash), i) + 1
+			}
+			gc.gidx = append(gc.gidx, gc.nullGroup-1)
+			continue
+		}
+		code := col.Codes[i]
+		if byCode[code] == 0 {
+			h := tupleHash1(values.HashString(col.Dict[code]))
+			byCode[code] = gc.findOrAddRow(h, i) + 1
+		}
+		gc.gidx = append(gc.gidx, byCode[code]-1)
+	}
 }
 
 // absorb merges a partial consumer's table into this one. Called in

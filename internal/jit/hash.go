@@ -23,6 +23,10 @@ const (
 	nullKeyHash  uint64 = 0x9e3779b97f4a7c15
 )
 
+// tupleHash1 is the tuple hash of a one-key tuple whose key hashes to h
+// (nullKeyHash for a null key): keyHasher.hash's combine for one column.
+func tupleHash1(h uint64) uint64 { return (keyHashBasis ^ h) * keyHashPrime }
+
 // keyHasher hashes the key columns of a batch into one tuple hash per
 // live row, reusing its scratch across batches. After hash, sums[k] is
 // the k-th live row's tuple hash and nonNull[k] reports that none of its

@@ -41,8 +41,9 @@ type diffTable struct {
 	n      int
 	boxed  bool // serve boxed columns instead of typed windows
 	boxOdd bool // serve every other window boxed, the rest typed
-	strs   int  // how Str columns are served: strPlain, strSharedDict or strWindowDict
+	strs   int  // how Str columns are served: strPlain, strSharedDict, strWindowDict or strSplitDict
 	dicts  [][]string
+	late   [][]string // strSplitDict: the dictionaries of the second half
 }
 
 // How a diffTable serves its Str columns.
@@ -50,14 +51,21 @@ const (
 	strPlain      = iota // typed Str windows
 	strSharedDict        // StrDict windows over one dictionary per column
 	strWindowDict        // StrDict windows, each with a dictionary of its own
+	// StrDict windows over one dictionary, and from the middle row on
+	// over a second one holding an extra string ("!", which sorts before
+	// every generated one and so shifts their codes): the dictionary
+	// changes mid-scan, as an extended cache column's does when a new
+	// string re-encodes it.
+	strSplitDict
 )
 
 // serveStrs sets how the table serves its Str columns and returns it.
 func (s *diffTable) serveStrs(mode int) *diffTable {
-	s.strs, s.dicts = mode, make([][]string, len(s.cols))
+	s.strs, s.dicts, s.late = mode, make([][]string, len(s.cols)), make([][]string, len(s.cols))
 	for c := range s.cols {
 		if s.cols[c].Tag == vec.Str {
 			s.dicts[c] = sortedDistinct(s.cols[c].Strs)
+			s.late[c] = sortedDistinct(append([]string{"!"}, s.cols[c].Strs...))
 		}
 	}
 	return s
@@ -120,6 +128,12 @@ func (s *diffTable) colWindow(c, lo, hi int, boxed bool) vec.Col {
 			w = dictWindow(&col, lo, hi, s.dicts[c])
 		case strWindowDict:
 			w = dictWindow(&col, lo, hi, sortedDistinct(col.Strs[lo:hi]))
+		case strSplitDict:
+			dict := s.dicts[c]
+			if lo >= s.n/2 {
+				dict = s.late[c]
+			}
+			w = dictWindow(&col, lo, hi, dict)
 		default:
 			w.Strs = col.Strs[lo:hi]
 		}

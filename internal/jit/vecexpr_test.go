@@ -222,11 +222,12 @@ func TestCountOfFallibleHeadErrors(t *testing.T) {
 // Value.Hash for every representation, including nulls and selection
 // vectors.
 func TestHashLiveColMatchesBoxedHash(t *testing.T) {
-	b := &vec.Batch{Cols: make([]vec.Col, 4), N: 3, Sel: []int{0, 2}}
+	b := &vec.Batch{Cols: make([]vec.Col, 5), N: 3, Sel: []int{0, 2}}
 	b.Cols[0] = vec.Col{Tag: vec.Int64, Ints: []int64{7, -1, 42}}
 	b.Cols[1] = vec.Col{Tag: vec.Float64, Floats: []float64{2.5, 0, math.NaN()}, Nulls: []bool{false, true, false}}
 	b.Cols[2] = vec.Col{Tag: vec.Str, Strs: []string{"x", "", "yz"}}
 	b.Cols[3] = vec.Col{Tag: vec.Boxed, Boxed: []values.Value{values.NewString("b"), values.Null, values.NewInt(9)}}
+	b.Cols[4] = vec.Col{Tag: vec.StrDict, Codes: []uint32{1, 0, 0}, Dict: []string{"a", "b"}, Nulls: []bool{false, false, true}}
 	for c := range b.Cols {
 		hs, valid := hashLiveCol(&b.Cols[c], b, nil, nil)
 		if len(hs) != 2 || len(valid) != 2 {

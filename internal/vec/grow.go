@@ -39,8 +39,9 @@ func clip[T any](s []T) []T {
 // stays valid for holders of the shorter version while the result is
 // published as its successor. ok is false when the two representations
 // cannot be concatenated (a typed column followed by a different tag); a
-// boxed column accepts any tail by boxing it, and an empty tail of any tag
-// extends any column to itself.
+// boxed column accepts any tail by boxing it, a StrDict column any string
+// tail (extendDict), and an empty tail of any tag extends any column to
+// itself.
 func (c *Col) Extend(tail *Col) (out Col, ok bool) {
 	n, tn := c.Len(), tail.Len()
 	out = Col{Tag: c.Tag}
@@ -57,6 +58,8 @@ func (c *Col) Extend(tail *Col) (out Col, ok bool) {
 		}
 		out.Boxed = AppendBounded(c.Boxed, boxed)
 		return out, true
+	case c.Tag == StrDict && (tail.Tag == Str || tail.Tag == StrDict):
+		out = c.extendDict(tail)
 	case c.Tag != tail.Tag:
 		return Col{}, false
 	case c.Tag == Int64:
@@ -65,8 +68,6 @@ func (c *Col) Extend(tail *Col) (out Col, ok bool) {
 		out.Floats = AppendBounded(c.Floats, tail.Floats)
 	case c.Tag == Str:
 		out.Strs = AppendBounded(c.Strs, tail.Strs)
-	default:
-		return Col{}, false // StrDict windows are never published
 	}
 	switch {
 	case c.Nulls != nil && tail.Nulls != nil:

@@ -420,16 +420,17 @@ func (b *Batch) Compact() Batch {
 }
 
 // MemoryBytes approximates the resident size of the batch's column
-// storage (payload slices; boxed values count their header only).
+// storage (payload slices; boxed values count their header only). A
+// StrDict column's dictionary is not counted: it is shared by every
+// window of its column, and the cache tier that owns it accounts for it
+// once (Col.SizeBytes), so a batch that retains a window holds only its
+// codes.
 func (b *Batch) MemoryBytes() int64 {
 	var total int64
 	for i := range b.Cols {
 		c := &b.Cols[i]
 		total += int64(cap(c.Ints))*8 + int64(cap(c.Floats))*8 + int64(cap(c.Boxed))*16 + int64(cap(c.Codes))*4
 		for _, s := range c.Strs[:cap(c.Strs)] {
-			total += int64(len(s)) + 16
-		}
-		for _, s := range c.Dict {
 			total += int64(len(s)) + 16
 		}
 		total += int64(cap(c.Nulls))
