@@ -1002,10 +1002,11 @@ func BenchmarkJoinParallelColdCSV(b *testing.B) {
 
 // writeJoinAggCSVs writes n People(id,age,city,salary) rows and n
 // Orders(oid,pid,amount,qty,status) rows whose pid is uniform over the
-// people ids, and returns their paths with the answer of
-// joinAggQuery(age, qty). Amounts are multiples of 0.25, so the sum is
-// exact in any order of addition.
-func writeJoinAggCSVs(b *testing.B, n int, age, qty int64) (people, orders string, want float64) {
+// people ids, both ids spread by the factor spread (id = spread·i), and
+// returns their paths with the answer of joinAggQuery(age, qty).
+// Amounts are multiples of 0.25, so the sum is exact in any order of
+// addition.
+func writeJoinAggCSVs(b *testing.B, n int, spread, age, qty int64) (people, orders string, want float64) {
 	b.Helper()
 	r := rand.New(rand.NewSource(42))
 	dir := b.TempDir()
@@ -1014,7 +1015,7 @@ func writeJoinAggCSVs(b *testing.B, n int, age, qty int64) (people, orders strin
 	buf.WriteString("id,age,city,salary\n")
 	for i := range ages {
 		ages[i] = int64(18 + r.Intn(70))
-		fmt.Fprintf(&buf, "%d,%d,c%02d,%.2f\n", i, ages[i], r.Intn(60), float64(r.Intn(400_000))/4)
+		fmt.Fprintf(&buf, "%d,%d,c%02d,%.2f\n", int64(i)*spread, ages[i], r.Intn(60), float64(r.Intn(400_000))/4)
 	}
 	people = filepath.Join(dir, "people.csv")
 	must(b, os.WriteFile(people, buf.Bytes(), 0o644))
@@ -1022,7 +1023,7 @@ func writeJoinAggCSVs(b *testing.B, n int, age, qty int64) (people, orders strin
 	buf.WriteString("oid,pid,amount,qty,status\n")
 	for i := 0; i < n; i++ {
 		pid, amount, q := r.Intn(n), float64(r.Intn(40_000))/4, int64(1+r.Intn(9))
-		fmt.Fprintf(&buf, "%d,%d,%.2f,%d,s%d\n", i, pid, amount, q, r.Intn(5))
+		fmt.Fprintf(&buf, "%d,%d,%.2f,%d,s%d\n", i, int64(pid)*spread, amount, q, r.Intn(5))
 		if q > qty && ages[pid] >= age {
 			want += amount
 		}
@@ -1038,24 +1039,38 @@ const joinAggQuery = `SELECT SUM(o.amount) FROM People p JOIN Orders o ON (p.id 
 // columnar caches: 300k People probe 300k Orders on id = pid, with a
 // filter on each side, and SUM(o.amount) folds the matched rows. The
 // probe gathers its matches column by column, so the fold reads typed
-// columns.
+// columns. The build side is People (the ~99k aged 65 or more, keyed by
+// id). In /dense the ids are 0..299 999, so the build seals a
+// key-indexed directory; in /sparse they are spread ×1000, so it seals
+// the chain table.
 func BenchmarkJoinAggWarm(b *testing.B) {
 	const age, qty = 65, 6
-	people, orders, want := writeJoinAggCSVs(b, 300_000, age, qty)
-	eng := vida.New()
-	must(b, eng.RegisterCSV("People", people, "Record(Att(id,int),Att(age,int),Att(city,string),Att(salary,float))", nil))
-	must(b, eng.RegisterCSV("Orders", orders, "Record(Att(oid,int),Att(pid,int),Att(amount,float),Att(qty,int),Att(status,string))", nil))
-	res, err := eng.QuerySQL(joinAggQuery, age, qty)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if got := res.Value().Float(); got != want {
-		b.Fatalf("sum = %v, want %v", got, want)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.QuerySQL(joinAggQuery, age, qty); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name   string
+		spread int64
+		dense  int64 // directories the warm-up query seals
+	}{{"dense", 1, 1}, {"sparse", 1000, 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			people, orders, want := writeJoinAggCSVs(b, 300_000, c.spread, age, qty)
+			eng := vida.New()
+			must(b, eng.RegisterCSV("People", people, "Record(Att(id,int),Att(age,int),Att(city,string),Att(salary,float))", nil))
+			must(b, eng.RegisterCSV("Orders", orders, "Record(Att(oid,int),Att(pid,int),Att(amount,float),Att(qty,int),Att(status,string))", nil))
+			res, err := eng.QuerySQL(joinAggQuery, age, qty)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got := res.Value().Float(); got != want {
+				b.Fatalf("sum = %v, want %v", got, want)
+			}
+			if got := eng.Stats().JoinDenseFolds; got != c.dense {
+				b.Fatalf("directories sealed = %d, want %d", got, c.dense)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.QuerySQL(joinAggQuery, age, qty); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

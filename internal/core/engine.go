@@ -129,9 +129,11 @@ type Stats struct {
 	GroupTableMaxBytes int64
 	GroupPartialMerges int64
 	// Hash-join tallies from the JIT's parallel join: sealed build
-	// tables, build-side entries indexed, probe matches emitted, and
-	// the largest single sealed join table observed (bytes).
+	// tables, those sealed as a key-indexed directory, build-side
+	// entries indexed, probe matches emitted, and the largest single
+	// sealed join table observed (bytes).
 	JoinFolds         int64
+	JoinDenseFolds    int64
 	JoinBuildRows     int64
 	JoinProbeRows     int64
 	JoinTableMaxBytes int64
@@ -620,6 +622,7 @@ func (e *Engine) StatsSnapshot() Stats {
 		GroupTableMaxBytes:     e.counters.GroupTableMaxBytes.Load(),
 		GroupPartialMerges:     e.counters.GroupPartialMerges.Load(),
 		JoinFolds:              e.counters.JoinFolds.Load(),
+		JoinDenseFolds:         e.counters.JoinDenseFolds.Load(),
 		JoinBuildRows:          e.counters.JoinBuildRows.Load(),
 		JoinProbeRows:          e.counters.JoinProbeRows.Load(),
 		JoinTableMaxBytes:      e.counters.JoinTableMaxBytes.Load(),

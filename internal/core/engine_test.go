@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -518,6 +519,61 @@ func TestBudgetedJoinOverDictColumn(t *testing.T) {
 	}
 	if !values.Equal(cold, warm) {
 		t.Fatalf("cold %v != warm %v", cold, warm)
+	}
+}
+
+// TestDenseJoinDirectoryReserved runs a join whose build seals a
+// key-indexed directory (even ids 0..19998: 10 000 entries over 19 999
+// slots) under a query budget that holds everything the unbudgeted run
+// charged except half the directory: the directory is reserved before
+// it is filled, so the query gets the typed budget error, and with the
+// whole charge allowed it runs.
+func TestDenseJoinDirectoryReserved(t *testing.T) {
+	const rows = 20000
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.csv")
+	var sb strings.Builder
+	sb.WriteString("id,k\n")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&sb, "%d,%d\n", i, i%2)
+	}
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	schema := sdg.Bag(sdg.Record(sdg.Attr{Name: "id", Type: sdg.Int}, sdg.Attr{Name: "k", Type: sdg.Int}))
+	q := `for { a <- T, b <- T, a.id = b.id, b.k = 0 } yield count a`
+	run := func(budget int64) (*Engine, error) {
+		e := NewEngine(Options{QueryMemoryBudgetBytes: budget})
+		if err := e.Register(sdg.DefaultDescription("T", sdg.FormatCSV, path, schema)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Query(q)
+		if err == nil && got.Int() != rows/2 {
+			t.Fatalf("count = %v, want %d", got, rows/2)
+		}
+		return e, err
+	}
+	e, err := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.StatsSnapshot()
+	if st.JoinDenseFolds != 1 {
+		t.Fatalf("dense join folds = %d, want 1", st.JoinDenseFolds)
+	}
+	directory := int64(4*(rows-1+1) + 8*rows/2)
+	if st.JoinTableMaxBytes <= directory {
+		t.Fatalf("join table bytes %d do not count the %d-byte directory", st.JoinTableMaxBytes, directory)
+	}
+	if _, err := run(st.JoinTableMaxBytes - directory/2); !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("under a budget short of the directory: err = %v, want %v", err, ErrMemoryBudget)
+	}
+	var be *MemoryBudgetError
+	if _, err := run(st.JoinTableMaxBytes - directory/2); !errors.As(err, &be) || be.Scope != "query" {
+		t.Fatalf("budget error = %v, want a query-scope *MemoryBudgetError", err)
+	}
+	if _, err := run(st.JoinTableMaxBytes); err != nil {
+		t.Fatalf("under a budget of the whole charge: %v", err)
 	}
 }
 

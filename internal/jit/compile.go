@@ -192,9 +192,10 @@ type Counters struct {
 	// distinct groups and GroupPartialMerges the morsel partials merged
 	// (0 for a serial fold).
 	GroupFolds, GroupsBuilt, GroupPartialMerges, GroupTableMaxBytes atomic.Int64
-	// JoinFolds counts sealed join builds, JoinBuildRows their entries
-	// and JoinProbeRows the matches the probes emitted.
-	JoinFolds, JoinBuildRows, JoinProbeRows, JoinTableMaxBytes atomic.Int64
+	// JoinFolds counts sealed join builds, JoinDenseFolds those sealed as
+	// a key-indexed directory, JoinBuildRows their entries and
+	// JoinProbeRows the matches the probes emitted.
+	JoinFolds, JoinDenseFolds, JoinBuildRows, JoinProbeRows, JoinTableMaxBytes atomic.Int64
 }
 
 // raiseMax lifts the high-water mark hw to v.

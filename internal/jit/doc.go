@@ -75,11 +75,12 @@
 //   - Unboxed reduce kernels fold count/sum/avg/min/max heads per batch
 //     into a monoid collector; any other monoid, and any boxed column,
 //     folds value by value.
-//   - Join-key kernels (hash.go) hash the key column of each build and
-//     probe batch in one tag-dispatched pass using the scalar hash
-//     helpers of internal/values (typed rows hash identically to their
-//     boxed forms), and verify hash matches with typed equality —
-//     slot-keyed hash joins never box a key row.
+//   - Join-key kernels (hash.go) hash the key columns of a chain-table
+//     join's build entries and probe batches in one tag-dispatched pass
+//     using the scalar hash helpers of internal/values (typed rows hash
+//     identically to their boxed forms), and verify hash matches with
+//     typed equality — slot-keyed hash joins never box a key row. A
+//     directory join reads its Int64 keys directly.
 //
 // Two heads stay special. A numeric constant head (a literal or a bound
 // parameter — SQL's COUNT(*) lowers to `sum 1`) folds on the batch's live
@@ -136,27 +137,42 @@
 // # Parallel hash join
 //
 // Equi-joins (join.go) extend the same morsel machinery to both join
-// sides, with one key path and one chain table. Each side's join keys
+// sides, with one key path and two index shapes. Each side's join keys
 // are key columns staged like group keys (a slot, a kernel or the boxed
-// fallback), hashed per batch and combined into one tuple hash; a null
-// in any key drops the row (NULL = NULL never matches). The build side
-// scans morsel-parallel once it reaches Options.ParallelThreshold rows,
-// retaining each batch — compacted first when a selective filter left
-// few survivors — with its computed key columns beside it. A seal step
-// concatenates the per-morsel entries in morsel order into one
-// immutable index, a power-of-two bucket-head array over entry chains
-// that enumerate entries in build-scan order; probe morsels then share
-// it without synchronization, verify hash matches with typed column
-// equality, and produce output byte-identical to the serial join for
-// any worker count (pinned by the differential fuzzer in
-// join_diff_test.go). A probe records its matches as (probe row, build
-// entry) pairs and gathers them into its output batch column by column,
-// each column typed as its source is; a build column whose retained
-// batches differ in tag, or in dictionary for StrDict, gathers boxed.
-// A product pairs every left row with every retained right row through
-// the same gather. Retained batches and index arrays charge the
-// query memory budget. The join traces as a fold span (kind=join) with
-// join_build/join_seal/join_probe children.
+// fallback); a null in any key drops the row (NULL = NULL never
+// matches). The build side scans morsel-parallel once it reaches
+// Options.ParallelThreshold rows, retaining each batch — compacted
+// first when a selective filter left few survivors — with its computed
+// key columns beside it and the rows of its entries in a slice sized
+// once for the batch. A seal step reads the partials in morsel order
+// and builds one immutable index:
+//
+//   - a key-indexed directory when the join has one key, every
+//     retained build key column is Int64, the keys lie inside ±2^53 and
+//     the directory (4 bytes per key slot plus 8 per entry) is no
+//     larger than the chain table — a stable counting sort on key − min,
+//     so a probe key k finds its matches at [off[k−min], off[k−min+1])
+//     with no hash and no key compare; a probe key column that is not
+//     Int64 maps each row through values.Equal (an integral float or a
+//     boxed number to its slot; NaN, strings and other kinds nowhere);
+//   - a chain table otherwise — seal hashes each entry's key tuple, and
+//     a power-of-two bucket-head array heads entry chains listing the
+//     entries in build-scan order; a probe hashes its keys the same way
+//     and verifies hash matches with typed column equality.
+//
+// Probe morsels share the index without synchronization and produce
+// output byte-identical to the serial join for any worker count and
+// either shape (pinned by the differential fuzzer in join_diff_test.go
+// and TestDenseJoinIndexChoice). A probe records its matches as (probe
+// row, build entry) pairs and gathers them into its output batch column
+// by column, each column typed as its source is; a build column whose
+// retained batches differ in tag, or in dictionary for StrDict, gathers
+// boxed. A product pairs every left row with every retained right row
+// through the same gather. Retained batches charge the query memory
+// budget as they arrive, the index arrays before seal allocates them.
+// The join traces as a fold span (kind=join, with index=dense|hash,
+// key_span for one Int64 key inside ±2^53, build_rows and table_bytes)
+// with join_build/join_seal/join_probe children.
 //
 // # One root per plan; results go to sinks
 //

@@ -1,28 +1,43 @@
 package jit
 
 import (
+	"math"
+
 	"vida/internal/algebra"
 	"vida/internal/faultinject"
 	"vida/internal/trace"
+	"vida/internal/values"
 	"vida/internal/vec"
 )
 
-// This file is the parallel hash join. The build side (the right input)
-// is scanned — morsel-parallel when it partitions — into per-morsel
-// partials: the retained batches and one entry (key-tuple hash, batch,
-// row) per live row whose keys are all non-null. Seal concatenates the
-// partials into one immutable chain table that probe morsels share
-// without synchronization. Determinism is structural, not synchronized:
+// This file is the parallel join. The build side (the right input) is
+// scanned — morsel-parallel when it partitions — into per-morsel
+// partials: the retained batches and, per batch, the physical rows of
+// its entries (live rows whose keys are all non-null), each allocated
+// once at its batch's size. Seal turns the partials into one immutable
+// index that probe morsels share without synchronization, in one of two
+// shapes:
 //
-//   - Sealing concatenates the partials in morsel order, which is
-//     build-scan order — the order a serial build appends entries in.
-//   - Chains insert in reverse so a chain lists its entries in build
-//     order, making every probe row emit its matches in exactly the
-//     serial engine's order.
+//   - A key-indexed directory, when the join has one key, every
+//     retained build key column is Int64, the keys lie inside ±2^53 and
+//     the directory is no larger than the chain table would be: a
+//     counting sort on key − min, so the entries of key k are
+//     [off[k−min], off[k−min+1]). A probe key finds its matches by
+//     subtraction, with no hash and no key compare. A probe key column
+//     that is not Int64 follows values.Equal: an integral float or a
+//     boxed number maps to its slot, anything else matches nothing.
+//   - A chain table otherwise: seal hashes every entry's key tuple and
+//     chains the entries under power-of-two bucket heads; a probe walks
+//     its bucket's chain comparing hashes, then keys.
 //
-// Probe morsels then merge at the root in morsel order (the grouped
-// fold's discipline), so results are byte-identical to the serial plan
-// for any worker count — including for the non-commutative list monoid.
+// Determinism is structural, not synchronized. Seal reads the partials
+// in morsel order, which is build-scan order. The counting sort is
+// stable and chains insert in reverse, so either shape lists a key's
+// entries in build order, and every probe row emits its matches in
+// exactly the serial engine's order. Probe morsels then merge at the
+// root in morsel order (the grouped fold's discipline), so results are
+// byte-identical to the serial plan for any worker count — including
+// for the non-commutative list monoid.
 
 // joinState is the compile-time staging of one hash join: everything
 // both the serial run path and the morsel-parallel srcRange path share.
@@ -38,33 +53,43 @@ type joinState struct {
 	opts         Options
 }
 
-// joinPartial is one build morsel's output: the batches it retained and
-// its entries in scan order, each with its key-tuple hash. An entry's
-// batch indexes the morsel's own retained list; sealing rebases it into
-// the global list.
+// joinPartial is one build morsel's output: the batches it retained,
+// in scan order, and per batch the physical rows of its entries — nil
+// when every row of the batch is one. A batch without entries is not
+// retained.
 type joinPartial struct {
-	rowSide
-	hashes []uint64
+	retained []vec.Batch
+	rows     [][]int32
 }
 
 // joinIndex is the sealed immutable build index shared by all probe
-// morsels: every entry in build order plus a power-of-two bucket-head
-// array over per-entry chains. No field is mutated after seal.
+// morsels. Its rowSide lists the entries: sorted by key for the
+// directory (off != nil), in build order for the chain table. No field
+// is mutated after seal.
 type joinIndex struct {
-	joinPartial
-	head  []int32 // 1-based entry, 0 = empty
-	next  []int32
-	mask  uint64
-	bytes int64 // retained batches + index arrays
+	rowSide
+	off    []int32 // directory: slot s's entries are [off[s], off[s+1])
+	min    int64   // directory: the key of slot 0
+	span   int64   // the build keys' max − min + 1, for one Int64 key; else 0
+	hashes []uint64
+	head   []int32 // chain table: 1-based entry, 0 = empty
+	next   []int32
+	mask   uint64
+	bytes  int64 // retained batches + index arrays
 }
+
+// maxDenseKey bounds the directory's keys: inside ±2^53 every integer
+// has an exact float64 image, so a float probe key equals at most one
+// of them.
+const maxDenseKey = 1 << 53
 
 // mkBuildAbsorb returns a batchSink accumulating build entries into
 // part. The sink owns its scratch — one per morsel (or one for the whole
 // serial build). bsp receives the entry count.
 func (js *joinState) mkBuildAbsorb(part *joinPartial, bsp *trace.Span) batchSink {
 	gets, cols := newGetters(js.rKeys), make([]*vec.Col, len(js.rKeys))
-	var kh keyHasher
 	var ext vec.Batch // computed build keys, retained beside the batch
+	var live []int32  // the batch's entry rows, before they are kept
 	reserve := js.opts.MemReserve
 	return func(b *vec.Batch) error {
 		cnt := b.Len()
@@ -77,7 +102,23 @@ func (js *joinState) mkBuildAbsorb(part *joinPartial, bsp *trace.Span) batchSink
 		if err := getCols(gets, b, cols); err != nil {
 			return err
 		}
+		live = live[:0]
+		for k := 0; k < cnt; k++ {
+			if !anyKeyNull(cols, b.Index(k)) { // null keys never join
+				live = append(live, int32(k))
+			}
+		}
+		if len(live) == 0 {
+			return nil
+		}
 		stored, compacted := retainForBuild(b)
+		if !compacted && b.Sel != nil {
+			// An entry's row is physical; a compacted batch re-indexes,
+			// its physical row k being the k-th live row of b.
+			for j, k := range live {
+				live[j] = int32(b.Sel[k])
+			}
+		}
 		ext.Cols, ext.N, ext.Sel = ext.Cols[:0], b.N, b.Sel
 		for j, at := range js.rKeyAt {
 			if at >= js.rw {
@@ -102,63 +143,188 @@ func (js *joinState) mkBuildAbsorb(part *joinPartial, bsp *trace.Span) batchSink
 				return err
 			}
 		}
-		bi := int32(len(part.retained))
-		part.retained = append(part.retained, stored)
-		kh.hash(cols, b)
-		var appended int64
-		for k := 0; k < cnt; k++ {
-			if !kh.nonNull[k] {
-				continue // null keys never join
-			}
-			// A compacted batch re-indexes: its physical row k is the
-			// k-th live row of b.
-			si := b.Index(k)
-			if compacted {
-				si = k
-			}
-			part.hashes = append(part.hashes, kh.sums[k])
-			part.batch = append(part.batch, bi)
-			part.row = append(part.row, int32(si))
-			appended++
+		var rows []int32 // nil: every row of stored is an entry
+		if len(live) < stored.N {
+			rows = make([]int32, len(live))
+			copy(rows, live)
 		}
-		bsp.AddRows(appended)
+		part.retained = append(part.retained, stored)
+		part.rows = append(part.rows, rows)
+		bsp.AddRows(int64(len(live)))
 		return nil
 	}
 }
 
-// seal concatenates the morsel partials — in morsel order, which is
-// build-scan order — into the shared immutable index and chains its
-// buckets. The index arrays are charged against the query budget here
-// (the retained batches were charged as they arrived).
-func (js *joinState) seal(partials []*joinPartial) (*joinIndex, error) {
-	total := 0
-	for _, m := range partials {
-		total += len(m.hashes)
+// anyKeyNull reports that some key column is null at physical row i.
+func anyKeyNull(cols []*vec.Col, i int) bool {
+	for _, c := range cols {
+		if c.Nulls != nil && c.Nulls[i] || c.Tag == vec.Boxed && c.Boxed[i].IsNull() {
+			return true
+		}
 	}
-	idx := &joinIndex{joinPartial: joinPartial{
-		rowSide: rowSide{batch: make([]int32, 0, total), row: make([]int32, 0, total)},
-		hashes:  make([]uint64, 0, total),
-	}}
+	return false
+}
+
+// seal builds the shared immutable index over the morsel partials, read
+// in morsel order (build-scan order): the key-indexed directory when
+// the join has one Int64 key inside ±2^53 whose directory is no larger
+// than the chain table, the chain table otherwise. The index arrays
+// are charged against the query budget before they are allocated (the
+// retained batches were charged as they arrived).
+func (js *joinState) seal(partials []*joinPartial) (*joinIndex, error) {
+	idx := &joinIndex{}
+	var rows [][]int32
 	for _, m := range partials {
-		base := int32(len(idx.retained))
-		for i := range m.retained {
-			idx.bytes += m.retained[i].MemoryBytes()
-		}
 		idx.retained = append(idx.retained, m.retained...)
-		idx.hashes = append(idx.hashes, m.hashes...)
-		idx.row = append(idx.row, m.row...)
-		for _, bi := range m.batch {
-			idx.batch = append(idx.batch, base+bi)
-		}
+		rows = append(rows, m.rows...)
+	}
+	total := 0
+	for i := range idx.retained {
+		idx.bytes += idx.retained[i].MemoryBytes()
+		total += entryCount(&idx.retained[i], rows[i])
 	}
 	idx.describe(js.rw)
-	// Power-of-two bucket heads plus per-entry chains, inserted in
-	// reverse so each chain lists entries in build order (probe results
-	// match the row-at-a-time engines exactly).
 	tableSize := 1
 	for tableSize < total*2 {
 		tableSize *= 2
 	}
+	indexBytes := int64(total)*(8+4+4+4) + int64(tableSize)*4
+	dense := false
+	if lo, hi, ok := js.keyRange(idx.retained, rows); ok {
+		idx.min, idx.span = lo, hi-lo+1
+		dirBytes := 4*(idx.span+1) + int64(total)*(4+4)
+		if dense = dirBytes <= indexBytes; dense {
+			indexBytes = dirBytes
+		}
+	}
+	if reserve := js.opts.MemReserve; reserve != nil {
+		if err := reserve(indexBytes); err != nil {
+			return nil, err
+		}
+	}
+	idx.bytes += indexBytes
+	if dense {
+		idx.fillDirectory(js.rKeyAt[0], rows, total)
+	} else {
+		idx.fillChains(js.rKeyAt, rows, total, tableSize)
+	}
+	return idx, nil
+}
+
+// entryCount is the number of entries of retained batch rb, whose entry
+// rows are rows.
+func entryCount(rb *vec.Batch, rows []int32) int {
+	if rows == nil {
+		return rb.N
+	}
+	return len(rows)
+}
+
+// entryRow is the physical row of the j-th entry of a retained batch
+// whose entry rows are rows.
+func entryRow(rows []int32, j int) int32 {
+	if rows == nil {
+		return int32(j)
+	}
+	return rows[j]
+}
+
+// keyRange returns the least and greatest build key when the join has
+// one key, held by an Int64 column of every retained batch, and every
+// key lies inside ±2^53; ok is false otherwise.
+func (js *joinState) keyRange(retained []vec.Batch, rows [][]int32) (lo, hi int64, ok bool) {
+	if len(js.rKeyAt) != 1 || len(retained) == 0 {
+		return 0, 0, false
+	}
+	at := js.rKeyAt[0]
+	lo, hi = math.MaxInt64, math.MinInt64
+	for i := range retained {
+		c := &retained[i].Cols[at]
+		if c.Tag != vec.Int64 {
+			return 0, 0, false
+		}
+		for j, n := 0, entryCount(&retained[i], rows[i]); j < n; j++ {
+			k := c.Ints[entryRow(rows[i], j)]
+			lo, hi = min(lo, k), max(hi, k)
+		}
+	}
+	return lo, hi, lo >= -maxDenseKey && hi <= maxDenseKey
+}
+
+// fillDirectory lays the entries out as the key-indexed directory: a
+// counting sort of the key column at (retained column) on key − min.
+func (idx *joinIndex) fillDirectory(at int, rows [][]int32, total int) {
+	slots := idx.span
+	off := make([]int32, slots+1)
+	idx.batch, idx.row = make([]int32, total), make([]int32, total)
+	for i := range idx.retained {
+		ints := idx.retained[i].Cols[at].Ints
+		for j, n := 0, entryCount(&idx.retained[i], rows[i]); j < n; j++ {
+			off[ints[entryRow(rows[i], j)]-idx.min]++
+		}
+	}
+	// Inclusive prefix sums: off[s] ends slot s.
+	var end int32
+	for s, c := range off {
+		end += c
+		off[s] = end
+	}
+	// Scatter in reverse build order: each slot fills back to front, so
+	// it lists its entries in build order, and off[s] ends at its start.
+	for i := len(idx.retained) - 1; i >= 0; i-- {
+		ints := idx.retained[i].Cols[at].Ints
+		for j := entryCount(&idx.retained[i], rows[i]) - 1; j >= 0; j-- {
+			r := entryRow(rows[i], j)
+			s := ints[r] - idx.min
+			off[s]--
+			idx.batch[off[s]], idx.row[off[s]] = int32(i), r
+		}
+	}
+	idx.off = off
+}
+
+// fillChains lays the entries out in build order, hashes their key
+// tuples (the key columns at keyAt of each retained batch) and chains
+// them under tableSize power-of-two bucket heads.
+func (idx *joinIndex) fillChains(keyAt []int, rows [][]int32, total, tableSize int) {
+	idx.hashes = make([]uint64, total)
+	idx.batch, idx.row = make([]int32, total), make([]int32, total)
+	keys := make([]*vec.Col, len(keyAt))
+	var kh keyHasher
+	var view vec.Batch
+	var sel []int
+	e := 0
+	for i := range idx.retained {
+		rb := &idx.retained[i]
+		for j, at := range keyAt {
+			keys[j] = &rb.Cols[at]
+		}
+		if len(keys) == 1 && keys[0].Tag == vec.Int64 {
+			// One Int64 key (a sparse one, or one outside ±2^53): its
+			// tuple hash is keyHasher's, without the batch view.
+			ints := keys[0].Ints
+			for j, n := 0, entryCount(rb, rows[i]); j < n; j++ {
+				r := entryRow(rows[i], j)
+				idx.hashes[e], idx.batch[e], idx.row[e] = tupleHash1(values.HashInt(ints[r])), int32(i), r
+				e++
+			}
+			continue
+		}
+		view.N, view.Sel = rb.N, nil
+		if rows[i] != nil {
+			sel = sel[:0]
+			for _, r := range rows[i] {
+				sel = append(sel, int(r))
+			}
+			view.Sel = sel
+		}
+		kh.hash(keys, &view)
+		for k, h := range kh.sums {
+			idx.hashes[e], idx.batch[e], idx.row[e] = h, int32(i), int32(view.Index(k))
+			e++
+		}
+	}
+	// Chains insert in reverse so each lists its entries in build order.
 	idx.mask = uint64(tableSize - 1)
 	idx.head = make([]int32, tableSize)
 	idx.next = make([]int32, total)
@@ -167,14 +333,6 @@ func (js *joinState) seal(partials []*joinPartial) (*joinIndex, error) {
 		idx.next[e] = idx.head[slot]
 		idx.head[slot] = int32(e + 1)
 	}
-	indexBytes := int64(total)*(8+4+4+4) + int64(tableSize)*4
-	if reserve := js.opts.MemReserve; reserve != nil {
-		if err := reserve(indexBytes); err != nil {
-			return nil, err
-		}
-	}
-	idx.bytes += indexBytes
-	return idx, nil
 }
 
 // buildIndex drives the build side to a sealed index under a
@@ -214,11 +372,22 @@ func (js *joinState) buildIndex() (*joinIndex, *trace.Span, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	entries := int64(len(idx.hashes))
+	entries, dense := int64(len(idx.row)), idx.off != nil
 	fold.SetAttr("build_rows", entries)
 	fold.SetAttr("table_bytes", idx.bytes)
+	if dense {
+		fold.SetAttr("index", "dense")
+	} else {
+		fold.SetAttr("index", "hash")
+	}
+	if idx.span != 0 {
+		fold.SetAttr("key_span", idx.span)
+	}
 	if ct := opts.Counters; ct != nil {
 		ct.JoinFolds.Add(1)
+		if dense {
+			ct.JoinDenseFolds.Add(1)
+		}
 		ct.JoinBuildRows.Add(entries)
 		raiseMax(&ct.JoinTableMaxBytes, idx.bytes)
 	}
@@ -234,21 +403,110 @@ func (js *joinState) buildIndex() (*joinIndex, *trace.Span, error) {
 func (js *joinState) mkProber(idx *joinIndex, psp *trace.Span, sink batchSink) batchSink {
 	g := newPairGather(&idx.rowSide, js.lw, js.opts.BatchSize, sink)
 	gets, cols := newGetters(js.lKeys), make([]*vec.Col, len(js.lKeys))
+	probe := idx.mkChainProbe(js.rKeyAt, cols, g)
+	if idx.off != nil {
+		probe = func(b *vec.Batch) (int64, error) { return idx.probeDirectory(cols[0], b, g) }
+	}
+	return func(b *vec.Batch) error {
+		if err := getCols(gets, b, cols); err != nil {
+			return err
+		}
+		delta, err := probe(b)
+		if err != nil {
+			return err
+		}
+		if delta != 0 {
+			psp.AddRows(delta)
+			if ct := js.opts.Counters; ct != nil {
+				ct.JoinProbeRows.Add(delta)
+			}
+		}
+		return g.flush(b)
+	}
+}
+
+// probeDirectory adds the directory matches of every live row of b,
+// whose key column is col, to g and returns their count. An Int64 key k
+// reads slot k − min; any other key column maps a row to the Int64 key
+// values.Equal makes it equal to, if any (denseKey).
+func (idx *joinIndex) probeDirectory(col *vec.Col, b *vec.Batch, g *pairGather) (int64, error) {
+	var delta int64
+	slots, off := uint64(idx.span), idx.off
+	for k, n := 0, b.Len(); k < n; k++ {
+		i := b.Index(k)
+		var key int64
+		if col.Tag == vec.Int64 && (col.Nulls == nil || !col.Nulls[i]) {
+			key = col.Ints[i]
+		} else if v, ok := denseKey(col, i); ok {
+			key = v
+		} else {
+			continue
+		}
+		// Wrapping subtraction: a key outside [min, max] lands past the
+		// last slot.
+		s := uint64(key - idx.min)
+		if s >= slots {
+			continue
+		}
+		for e := off[s]; e < off[s+1]; e++ {
+			delta++
+			if err := g.add(b, i, e); err != nil {
+				return delta, err
+			}
+		}
+	}
+	return delta, nil
+}
+
+// denseKey is row i of a probe key column as a directory key: the
+// integer values.Equal makes it equal to. Nulls, strings, NaN,
+// non-integral or out-of-range floats and other kinds equal no key.
+func denseKey(col *vec.Col, i int) (int64, bool) {
+	if col.Nulls != nil && col.Nulls[i] {
+		return 0, false
+	}
+	switch col.Tag {
+	case vec.Int64:
+		return col.Ints[i], true
+	case vec.Float64:
+		return floatKey(col.Floats[i])
+	case vec.Boxed:
+		switch v := col.Boxed[i]; v.Kind() {
+		case values.KindInt:
+			return v.Int(), true
+		case values.KindFloat:
+			return floatKey(v.Float())
+		}
+	}
+	return 0, false
+}
+
+// floatKey is the integer f equals, for an integral f inside ±2^53 —
+// the directory's key range, inside which the conversion is exact (−0
+// is 0; NaN fails the integral test).
+func floatKey(f float64) (int64, bool) {
+	if f != math.Trunc(f) || math.Abs(f) > maxDenseKey {
+		return 0, false
+	}
+	return int64(f), true
+}
+
+// mkChainProbe returns the chain-table probe of batches whose key
+// columns getCols has placed in cols: each live row with no null key
+// walks its bucket's chain, and a match must equal its hash and then
+// each key (typed where both columns are; colValEqual boxes only boxed
+// or mixed columns).
+func (idx *joinIndex) mkChainProbe(keyAt []int, cols []*vec.Col, g *pairGather) func(b *vec.Batch) (int64, error) {
 	var kh keyHasher
-	// keysEqual verifies a hash match key by key, typed where both
-	// columns are (colValEqual boxes only boxed or mixed columns).
 	keysEqual := func(i int, rb *vec.Batch, ri int) bool {
-		for j, at := range js.rKeyAt {
+		for j, at := range keyAt {
 			if !colValEqual(cols[j], i, &rb.Cols[at], ri) {
 				return false
 			}
 		}
 		return true
 	}
-	return func(b *vec.Batch) error {
-		if err := getCols(gets, b, cols); err != nil {
-			return err
-		}
+	return func(b *vec.Batch) (int64, error) {
 		kh.hash(cols, b)
 		var delta int64
 		for k, cnt := 0, b.Len(); k < cnt; k++ {
@@ -266,17 +524,11 @@ func (js *joinState) mkProber(idx *joinIndex, psp *trace.Span, sink batchSink) b
 				}
 				delta++
 				if err := g.add(b, i, ei); err != nil {
-					return err
+					return delta, err
 				}
 			}
 		}
-		if delta != 0 {
-			psp.AddRows(delta)
-			if ct := js.opts.Counters; ct != nil {
-				ct.JoinProbeRows.Add(delta)
-			}
-		}
-		return g.flush(b)
+		return delta, nil
 	}
 }
 

@@ -2,6 +2,7 @@ package jit
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
@@ -204,16 +205,40 @@ type joinScenario struct {
 	nL, nR int
 }
 
-// genKeyCol fills n keys of the chosen type/distribution. dist:
-// 0=uniform small domain (many matches), 1=uniform large domain (few
-// matches), 2=skewed (~70% one hot key), 3=all-duplicate, plus an
-// independent null fraction (1.0 = all-null).
-func genKeyCol(rng *rand.Rand, n int, keyKind, dist int, nullFrac float64) vec.Col {
+// Key kinds. The first three serve either side; a probe against an
+// Int64 build key may also draw keyFloatImage or keyBoxedMix, the probe
+// columns the directory maps through values.Equal.
+const (
+	keyInt        = iota
+	keyHalf       // Float64 key/2
+	keyStr        // Str "k<key>"
+	keyFloatImage // Float64 key, some rows key+0.5, NaN or −0
+	keyBoxedMix   // Boxed int, float image, key+0.5, string, NaN or −0
+)
+
+// keyDomains place the integer keys: a draw d becomes off + step·d.
+// They cover both sides of the directory's rule: dense from 0, dense
+// over negative keys, sparse with an offset, the lower ±2^53 bound
+// from inside, and the upper one from inside (small draws) or across
+// it (large draws).
+var keyDomains = []struct{ off, step int64 }{
+	{0, 1},
+	{-700, 1},
+	{1_000_000, 1000},
+	{-(1 << 53), 1},
+	{1<<53 - 1000, 1},
+}
+
+// genKeyCol fills n keys of the chosen kind and distribution over the
+// domain dom. dist: 0=uniform small domain (many matches), 1=uniform
+// large domain (few matches), 2=skewed (~70% one hot key),
+// 3=all-duplicate, plus an independent null fraction (1.0 = all-null).
+func genKeyCol(rng *rand.Rand, n int, keyKind, dist, dom int, nullFrac float64) vec.Col {
 	domain := 1 + rng.Intn(16)
 	if dist == 1 {
 		domain = 1000 + rng.Intn(1000)
 	}
-	keyAt := func() int64 {
+	draw := func() int64 {
 		switch dist {
 		case 2:
 			if rng.Float64() < 0.7 {
@@ -226,32 +251,57 @@ func genKeyCol(rng *rand.Rand, n int, keyKind, dist int, nullFrac float64) vec.C
 			return int64(rng.Intn(domain))
 		}
 	}
+	d := keyDomains[dom]
+	keyAt := func() int64 { return d.off + d.step*draw() }
+	negZero := math.Copysign(0, -1)
 	col := vec.Col{}
-	var nulls []bool
-	hasNull := false
 	switch keyKind {
-	case 0:
+	case keyInt:
 		col.Tag = vec.Int64
 		for i := 0; i < n; i++ {
 			col.Ints = append(col.Ints, keyAt())
 		}
-	case 1:
+	case keyHalf:
 		col.Tag = vec.Float64
 		for i := 0; i < n; i++ {
 			col.Floats = append(col.Floats, float64(keyAt())*0.5)
 		}
-	default:
+	case keyStr:
 		col.Tag = vec.Str
 		for i := 0; i < n; i++ {
 			col.Strs = append(col.Strs, "k"+strconv.FormatInt(keyAt(), 10))
 		}
+	case keyFloatImage:
+		col.Tag = vec.Float64
+		for i := 0; i < n; i++ {
+			f := float64(keyAt())
+			switch rng.Intn(10) {
+			case 0:
+				f += 0.5
+			case 1:
+				f = math.NaN()
+			case 2:
+				f = negZero
+			}
+			col.Floats = append(col.Floats, f)
+		}
+	default:
+		col.Tag = vec.Boxed
+		for i := 0; i < n; i++ {
+			k := keyAt()
+			v := []values.Value{values.NewInt(k), values.NewFloat(float64(k)), values.NewFloat(float64(k) + 0.5),
+				values.NewString(strconv.FormatInt(k, 10)), values.NewFloat(math.NaN()), values.NewFloat(negZero)}[rng.Intn(6)]
+			col.Boxed = append(col.Boxed, v)
+		}
 	}
-	for i := 0; i < n; i++ {
-		isNull := rng.Float64() < nullFrac
-		nulls = append(nulls, isNull)
-		hasNull = hasNull || isNull
+	nulls := make([]bool, n)
+	for i := range nulls {
+		nulls[i] = rng.Float64() < nullFrac
+		if nulls[i] && col.Tag == vec.Boxed {
+			col.Boxed[i] = values.Null // a boxed column holds its nulls
+		}
 	}
-	if hasNull {
+	if col.Tag != vec.Boxed && slices.Contains(nulls, true) {
 		col.Nulls = nulls
 	}
 	return col
@@ -285,7 +335,12 @@ func genJoinScenario(rng *rand.Rand) joinScenario {
 	sizes := []int{0, 1, 7, 120, 700, 1500}
 	nL := sizes[rng.Intn(len(sizes))]
 	nR := sizes[rng.Intn(len(sizes))]
-	keyKind := rng.Intn(3)
+	keyR := rng.Intn(3) // keyInt, keyHalf or keyStr
+	keyL := keyR
+	if keyR == keyInt {
+		keyL = []int{keyInt, keyFloatImage, keyBoxedMix}[rng.Intn(3)]
+	}
+	dom := rng.Intn(len(keyDomains))
 	distL := rng.Intn(4)
 	distR := rng.Intn(4)
 	nullFrac := []float64{0, 0, 0.15, 1.0}[rng.Intn(4)]
@@ -299,8 +354,8 @@ func genJoinScenario(rng *rand.Rand) joinScenario {
 
 	lFields := []string{"k", "a", "k2", "s"}
 	rFields := []string{"k", "b", "k2", "s"}
-	lCols := []vec.Col{genKeyCol(rng, nL, keyKind, distL, nullFrac), genIntCol(rng, nL, 100), genKeyCol(rng, nL, 0, 0, nullFrac), genStrCol(rng, nL, 0.2)}
-	rCols := []vec.Col{genKeyCol(rng, nR, keyKind, distR, nullFrac), genIntCol(rng, nR, 100), genKeyCol(rng, nR, 0, 0, nullFrac), genStrCol(rng, nR, 0.2)}
+	lCols := []vec.Col{genKeyCol(rng, nL, keyL, distL, dom, nullFrac), genIntCol(rng, nL, 100), genKeyCol(rng, nL, keyInt, 0, 0, nullFrac), genStrCol(rng, nL, 0.2)}
+	rCols := []vec.Col{genKeyCol(rng, nR, keyR, distR, dom, nullFrac), genIntCol(rng, nR, 100), genKeyCol(rng, nR, keyInt, 0, 0, nullFrac), genStrCol(rng, nR, 0.2)}
 	left := (&diffTable{name: "L", fields: lFields, cols: lCols, n: nL, boxed: boxedL}).serveStrs(strsL)
 	right := (&diffTable{name: "R", fields: rFields, cols: rCols, n: nR, boxed: boxedR}).serveStrs(strsR)
 
@@ -336,8 +391,8 @@ func genJoinScenario(rng *rand.Rand) joinScenario {
 		head = mcl.MustParse("(k := x.k, a := x.a, b := y.b, s := x.s, t := y.s, u := y.k)")
 	}
 	return joinScenario{
-		desc: fmt.Sprintf("nL=%d nR=%d key=%d distL=%d distR=%d nulls=%.2f keys=%d k2=%d filter=%v boxedL=%v boxedR=%v strsL=%d strsR=%d m=%s",
-			nL, nR, keyKind, distL, distR, nullFrac, keySet, k2Shape, buildFilter, boxedL, boxedR, strsL, strsR, monoidName),
+		desc: fmt.Sprintf("nL=%d nR=%d keyL=%d keyR=%d dom=%d distL=%d distR=%d nulls=%.2f keys=%d k2=%d filter=%v boxedL=%v boxedR=%v strsL=%d strsR=%d m=%s",
+			nL, nR, keyL, keyR, dom, distL, distR, nullFrac, keySet, k2Shape, buildFilter, boxedL, boxedR, strsL, strsR, monoidName),
 		cat:  algebra.MapCatalog{"L": left, "R": right},
 		plan: &algebra.Reduce{M: mustMonoid(monoidName), Head: head, Input: join},
 		nL:   nL, nR: nR,
@@ -364,29 +419,29 @@ func TestJoinDifferentialFuzz(t *testing.T) {
 	if testing.Short() {
 		cases = 8
 	}
-	workerCounts := []int{2, 4, 8}
+	var ct Counters
 	for ci := 0; ci < cases; ci++ {
 		sc := genJoinScenario(rng)
 		want, err := algebra.Reference{}.Run(sc.plan, sc.cat)
 		if err != nil {
 			t.Fatalf("case %d (%s): reference: %v", ci, sc.desc, err)
 		}
-		serial := Executor{Opts: Options{Workers: 1, BatchSize: 64}}
-		if got, err := serial.Run(sc.plan, sc.cat); err != nil {
-			t.Fatalf("case %d (%s): jit serial: %v", ci, sc.desc, err)
-		} else if !values.Equal(got, want) {
-			t.Fatalf("case %d (%s): jit serial diverged:\n got %v\nwant %v", ci, sc.desc, got, want)
-		}
-		for _, w := range workerCounts {
-			par := Executor{Opts: Options{Workers: w, BatchSize: 64, ParallelThreshold: 1, Pool: pool}}
-			got, err := par.Run(sc.plan, sc.cat)
-			if err != nil {
-				t.Fatalf("case %d (%s) w=%d: %v", ci, sc.desc, w, err)
-			}
-			if !values.Equal(got, want) {
-				t.Fatalf("case %d (%s) w=%d diverged:\n got %v\nwant %v", ci, sc.desc, w, got, want)
+		for _, w := range []int{1, 2, 4, 8} {
+			for _, bs := range []int{1, 7, 1024} {
+				ex := Executor{Opts: Options{Workers: w, BatchSize: bs, ParallelThreshold: 1, Pool: pool, Counters: &ct}}
+				got, err := ex.Run(sc.plan, sc.cat)
+				if err != nil {
+					t.Fatalf("case %d (%s) w=%d bs=%d: %v", ci, sc.desc, w, bs, err)
+				}
+				if !values.Equal(got, want) {
+					t.Fatalf("case %d (%s) w=%d bs=%d diverged:\n got %v\nwant %v", ci, sc.desc, w, bs, got, want)
+				}
 			}
 		}
+	}
+	// The full set of cases must reach both index shapes.
+	if dense, all := ct.JoinDenseFolds.Load(), ct.JoinFolds.Load(); !testing.Short() && (dense == 0 || dense == all) {
+		t.Fatalf("%d of %d joins sealed a directory: the cases miss an index shape", dense, all)
 	}
 }
 

@@ -124,6 +124,8 @@ var metricDefs = []metricDef{
 	// Engine: hash joins (morsel-parallel build and probe).
 	{"vida_join_folds_total", "counter", "Hash-join build tables sealed.", "engine.JoinFolds",
 		false, func(v *statsView) int64 { return v.eng.JoinFolds }},
+	{"vida_join_dense_folds_total", "counter", "Join builds sealed as a key-indexed directory instead of a chain table.", "engine.JoinDenseFolds",
+		false, func(v *statsView) int64 { return v.eng.JoinDenseFolds }},
 	{"vida_join_build_rows_total", "counter", "Build-side entries indexed across all hash joins.", "engine.JoinBuildRows",
 		false, func(v *statsView) int64 { return v.eng.JoinBuildRows }},
 	{"vida_join_probe_rows_total", "counter", "Rows emitted by hash-join probes.", "engine.JoinProbeRows",

@@ -405,7 +405,23 @@ func (v Value) Hash() uint64 {
 func HashInt(i int64) uint64 { return mix64(math.Float64bits(float64(i))) }
 
 // HashFloat hashes a float64 exactly as NewFloat(f).Hash() would.
-func HashFloat(f float64) uint64 { return mix64(math.Float64bits(f)) }
+func HashFloat(f float64) uint64 { return mix64(floatHashBits(f)) }
+
+// canonicalNaN is the bit pattern every NaN hashes as.
+const canonicalNaN = 0x7ff8000000000001
+
+// floatHashBits is the bit pattern f hashes as: its own, except that
+// the values Compare calls equal but whose bits differ hash alike —
+// −0 as 0, every NaN as one NaN.
+func floatHashBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return canonicalNaN
+	}
+	return math.Float64bits(f)
+}
 
 // HashString hashes a string exactly as NewString(s).Hash() would
 // (FNV-1a over the bytes).
@@ -462,7 +478,7 @@ func (v Value) hashInto(h *uint64) {
 		hashUint64(h, math.Float64bits(float64(v.i)))
 	case KindFloat:
 		hashByte(h, 2)
-		hashUint64(h, math.Float64bits(v.f))
+		hashUint64(h, floatHashBits(v.f))
 	case KindString:
 		hashByte(h, 3)
 		hashString(h, v.s)

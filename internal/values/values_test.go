@@ -1,6 +1,7 @@
 package values
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -130,6 +131,11 @@ func TestHashConsistentWithEqual(t *testing.T) {
 		{NewBag(NewInt(1), NewInt(2)), NewBag(NewInt(2), NewInt(1))},
 		{NewSet(NewInt(1), NewInt(1)), NewSet(NewInt(1))},
 		{NewRecord(Field{"a", NewInt(1)}), NewRecord(Field{"a", NewInt(1)})},
+		// −0 equals 0 and every NaN equals every NaN, in any bit pattern.
+		{NewFloat(math.Copysign(0, -1)), NewInt(0)},
+		{NewList(NewFloat(math.Copysign(0, -1))), NewList(NewFloat(0))},
+		{NewFloat(math.NaN()), NewFloat(math.Float64frombits(0xfff8000000000000))},
+		{NewList(NewFloat(math.NaN())), NewList(NewFloat(-math.NaN()))},
 	}
 	for _, p := range pairs {
 		if !Equal(p[0], p[1]) {
