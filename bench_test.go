@@ -1040,9 +1040,9 @@ const joinAggQuery = `SELECT SUM(o.amount) FROM People p JOIN Orders o ON (p.id 
 // filter on each side, and SUM(o.amount) folds the matched rows. The
 // probe gathers its matches column by column, so the fold reads typed
 // columns. The build side is People (the ~99k aged 65 or more, keyed by
-// id). In /dense the ids are 0..299 999, so the build seals a
-// key-indexed directory; in /sparse they are spread ×1000, so it seals
-// the chain table.
+// id). In /dense the ids are 0..299 999, so the build seals with the
+// dense slot rule (key − min); in /sparse they are spread ×1000, so it
+// seals with the hashed one.
 func BenchmarkJoinAggWarm(b *testing.B) {
 	const age, qty = 65, 6
 	for _, c := range []struct {

@@ -2,6 +2,8 @@ package vida
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -235,5 +237,60 @@ func TestGroupByOverBind(t *testing.T) {
 				t.Fatalf("groups = %q, want %q", strings.Join(got, "; "), want)
 			}
 		})
+	}
+}
+
+// TestGroupByFloatKeyEquality groups a float column holding NaN, −0 and
+// 0, 1 and 1.0 and null cells: every NaN falls in one group, −0 in 0's
+// and 1.0 in 1's, as the reference executor groups them. The JIT must
+// agree cold and warm, at 1, 2 and 4 workers, over a file large enough
+// to split into morsels (partial tables merge).
+func TestGroupByFloatKeyEquality(t *testing.T) {
+	cells := []string{"NaN", "-0", "1", "0", "1.0", "2.5", "NaN", "-1", "", "nan"}
+	var csv strings.Builder
+	csv.WriteString("id,v\n")
+	for i := 0; i < 9000; i++ {
+		fmt.Fprintf(&csv, "%d,%s\n", i, cells[i%len(cells)])
+	}
+	path := filepath.Join(t.TempDir(), "floats.csv")
+	if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const schema = "Record(Att(id,int),Att(v,float))"
+	const sql = `SELECT t.v, COUNT(*) AS n FROM T t GROUP BY t.v`
+	query := func(e *Engine) (Value, []string) {
+		t.Helper()
+		res, err := e.QuerySQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for _, row := range res.Rows() {
+			rows = append(rows, groupRow(row))
+		}
+		return res.Value(), rows
+	}
+	ref := New(WithReferenceExecutor())
+	if err := ref.RegisterCSV("T", path, schema, nil); err != nil {
+		t.Fatal(err)
+	}
+	want, wantRows := query(ref)
+	if len(wantRows) != 6 {
+		t.Fatalf("reference groups %q, want NaN, 0, 1, 2.5, -1 and null", wantRows)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		e := New(WithWorkers(workers))
+		if err := e.RegisterCSV("T", path, schema, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []string{"cold", "warm"} {
+			got, rows := query(e)
+			if got, want := strings.Join(rows, "; "), strings.Join(wantRows, "; "); got != want {
+				t.Fatalf("workers=%d %s: %d groups %.200s, reference %s", workers, pass, len(rows), got, want)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("workers=%d %s: %v, reference %v", workers, pass, got, want)
+			}
+		}
 	}
 }

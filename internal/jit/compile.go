@@ -581,7 +581,7 @@ func retainForBuild(b *vec.Batch) (stored vec.Batch, compacted bool) {
 // materialization is the operator's "output plugin" state), the left
 // side probes. Null keys never match. The staged machinery lives in
 // join.go — a build (morsel-parallel over partitionable build sides)
-// sealed into an immutable shared chain table, probed serially by run
+// sealed into an immutable shared index, probed serially by run
 // and morsel-parallel through srcRange when the probe side is
 // partitionable.
 func (c *compiler) compileJoin(n *algebra.Join) (*compiledPlan, error) {

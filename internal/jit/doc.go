@@ -75,12 +75,14 @@
 //   - Unboxed reduce kernels fold count/sum/avg/min/max heads per batch
 //     into a monoid collector; any other monoid, and any boxed column,
 //     folds value by value.
-//   - Join-key kernels (hash.go) hash the key columns of a chain-table
-//     join's build entries and probe batches in one tag-dispatched pass
-//     using the scalar hash helpers of internal/values (typed rows hash
-//     identically to their boxed forms), and verify hash matches with
-//     typed equality — slot-keyed hash joins never box a key row. A
-//     directory join reads its Int64 keys directly.
+//   - Key kernels (hash.go) hash the key columns of a batch — a hashed
+//     join's build entries and probe rows, a grouped fold's rows — in
+//     one tag-dispatched pass using the scalar hash helpers of
+//     internal/values (typed rows hash identically to their boxed
+//     forms), and check hash matches with one key equality, keyEqual,
+//     that compares typed payloads as values.Equal compares their boxed
+//     forms, so neither operator boxes a typed key row. A dense join
+//     reads its Int64 keys directly.
 //
 // Two heads stay special. A numeric constant head (a literal or a bound
 // parameter — SQL's COUNT(*) lowers to `sum 1`) folds on the batch's live
@@ -103,10 +105,11 @@
 // through the same kernel families as ungrouped reduces — slots,
 // expression kernels and broadcast constants, so a grouped COUNT(*)
 // folds a typed column (a grouped `count` over a head that cannot fail
-// reads no column at all); the per-row
-// key equality check on a hash match compares column payloads against
-// unpacked primitive mirrors of the stored keys, so the probe loop
-// never touches a boxed values.Value. A single key column served as
+// reads no column at all). The table stores each key position as one
+// typed column, boxed only once two key columns it is fed disagree on
+// a tag, and checks a hash match with the join's key equality plus the
+// grouping rule that nulls are equal; the finished groups emit windows
+// of those columns. A single key column served as
 // vec.StrDict (a dictionary-coded cache column, hot or encoded) skips
 // the hash and the probe: the consumer memoizes each code's group in an
 // array indexed by code, reset when the dictionary changes, so a row
@@ -137,28 +140,30 @@
 // # Parallel hash join
 //
 // Equi-joins (join.go) extend the same morsel machinery to both join
-// sides, with one key path and two index shapes. Each side's join keys
-// are key columns staged like group keys (a slot, a kernel or the boxed
-// fallback); a null in any key drops the row (NULL = NULL never
-// matches). The build side scans morsel-parallel once it reaches
-// Options.ParallelThreshold rows, retaining each batch — compacted
-// first when a selective filter left few survivors — with its computed
-// key columns beside it and the rows of its entries in a slice sized
-// once for the batch. A seal step reads the partials in morsel order
-// and builds one immutable index:
+// sides, with one key path, one index layout and two slot rules. Each
+// side's join keys are key columns staged like group keys (a slot, a
+// kernel or the boxed fallback); a null in any key drops the row (NULL
+// = NULL never matches). The build side scans morsel-parallel once it
+// reaches Options.ParallelThreshold rows, retaining each batch —
+// compacted first when a selective filter left few survivors — with
+// its computed key columns beside it and the rows of its entries in a
+// slice sized once for the batch. A seal step reads the partials in
+// morsel order and lays the entries out by one stable counting sort on
+// their slots, so slot s lists its entries [off[s], off[s+1]) in
+// build-scan order. The slot rule is:
 //
-//   - a key-indexed directory when the join has one key, every
-//     retained build key column is Int64, the keys lie inside ±2^53 and
-//     the directory (4 bytes per key slot plus 8 per entry) is no
-//     larger than the chain table — a stable counting sort on key − min,
-//     so a probe key k finds its matches at [off[k−min], off[k−min+1])
-//     with no hash and no key compare; a probe key column that is not
+//   - dense (key − min) when the join has one key, every retained
+//     build key column is Int64, the keys lie inside ±2^53 and the dense
+//     layout (4 bytes per slot plus 8 per entry) is no larger than the
+//     hashed one; every entry of a dense slot matches, so a probe needs
+//     no hash and no key compare, and a probe key column that is not
 //     Int64 maps each row through values.Equal (an integral float or a
 //     boxed number to its slot; NaN, strings and other kinds nowhere);
-//   - a chain table otherwise — seal hashes each entry's key tuple, and
-//     a power-of-two bucket-head array heads entry chains listing the
-//     entries in build-scan order; a probe hashes its keys the same way
-//     and verifies hash matches with typed column equality.
+//   - hashed otherwise: the low bits of the key-tuple hash over a
+//     power-of-two slot count no smaller than the entries; a probe
+//     hashes its keys the same way and checks each entry of its slot's
+//     range by its hash's high 32 bits, then by the grouped fold's key
+//     equality.
 //
 // Probe morsels share the index without synchronization and produce
 // output byte-identical to the serial join for any worker count and

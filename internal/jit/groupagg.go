@@ -14,9 +14,11 @@ import (
 // into a compact open-addressing group table (key tuple → dense group
 // index) and folds each aggregate into typed per-group accumulator
 // arrays, with a boxed per-group Collector fallback for monoids the
-// typed paths do not specialize. Group keys hash like join keys
-// (keyHasher): one tag-dispatched pass per key column per batch, typed
-// payloads and vec.StrDict codes never boxing on the hash path. One key
+// typed paths do not specialize. Group keys hash and compare like join
+// keys (keyHasher, keyEqual — plus the grouping rule that nulls are
+// equal): one tag-dispatched pass per key column per batch, and the
+// table stores each key position as one typed column, so typed payloads
+// and vec.StrDict codes never box. One key
 // column served as vec.StrDict takes the code-indexed path instead
 // (groupCodes): each code's group is memoized in an array indexed by
 // code, so such a row is neither hashed nor probed. Keys and
@@ -434,21 +436,13 @@ type groupConsumer struct {
 	aggs   []groupAcc
 
 	// Dense group list (insertion order = first-occurrence order) plus
-	// the open-addressing index: slots holds group+1, 0 = empty.
+	// the open-addressing index: slots holds group+1, 0 = empty. keys[j]
+	// holds key position j of every group, typed as the key columns
+	// arrived (a StrDict key as Str) and boxed once two disagree on a tag.
 	hashes []uint64
-	keys   []values.Value // boxed key tuples, nKeys per group
+	keys   []vec.Col
 	slots  []int32
 	mask   uint64
-
-	// Unpacked mirrors of the stored keys (kind plus primitive payload
-	// per key slot) for the per-row equality fast path: values.Value is
-	// a large struct, and any method call on a stored key copies it, so
-	// the hot compare never touches the boxed form. Non-primitive keys
-	// fall back to values.Equal on the boxed tuple.
-	keyKinds  []values.Kind
-	keyInts   []int64
-	keyFloats []float64
-	keyStrs   []string
 
 	rows          int64
 	partialMerges int64
@@ -477,10 +471,7 @@ func (gc *groupConsumer) numGroups() int { return len(gc.hashes) }
 // tableBytes approximates the resident footprint of the group table and
 // typed accumulator arrays (boxed accumulator bytes tally separately).
 func (gc *groupConsumer) tableBytes() int64 {
-	// 33 ≈ per-key cost of the unpacked mirrors (kind + int + float +
-	// string header).
-	b := int64(len(gc.slots))*4 + int64(len(gc.hashes))*8 + gc.keyBytes +
-		int64(len(gc.keyKinds))*33
+	b := int64(len(gc.slots))*4 + int64(len(gc.hashes))*8 + gc.keyBytes
 	for _, a := range gc.aggs {
 		b += a.bytes()
 	}
@@ -514,124 +505,82 @@ func (gc *groupConsumer) growTable(size int) {
 	}
 }
 
-// rowKeyEqual compares group g's stored key tuple against physical row i
-// of the current batch's key columns under grouping equality (nulls
-// equal). This runs once per row on every hash match — i.e. on nearly
-// every row once the groups exist — so typed columns compare their
-// primitive payloads directly; boxing happens only for boxed columns and
-// cross-representation ties.
-func (gc *groupConsumer) rowKeyEqual(g int32, i int) bool {
-	base := int(g) * gc.nKeys
-	for j := 0; j < gc.nKeys; j++ {
-		col := gc.keyCols[j]
-		k := gc.keyKinds[base+j]
-		null := colNullAt(col, i)
-		if null != (k == values.KindNull) {
-			return false
+// appendKey stores row i of src as the next group's key at position j.
+// The stored column takes the tag of the first key column (a StrDict one
+// as Str) and is boxed from the first key column whose tag differs on.
+// keyBytes counts a typed key's payload and validity byte, a boxed one's
+// approxValueBytes (a demoted column's typed bytes stay counted).
+func (gc *groupConsumer) appendKey(j int, src *vec.Col, i int) {
+	dst := &gc.keys[j]
+	tag := src.Tag
+	if tag == vec.StrDict {
+		tag = vec.Str
+	}
+	if dst.Len() == 0 {
+		dst.Tag = tag
+	} else if dst.Tag != tag && dst.Tag != vec.Boxed {
+		boxed := make([]values.Value, dst.Len(), dst.Len()+1)
+		for r := range boxed {
+			boxed[r] = dst.Value(r)
+			gc.keyBytes += approxValueBytes(boxed[r])
 		}
-		if null {
+		*dst = vec.Col{Tag: vec.Boxed, Boxed: boxed}
+	}
+	switch {
+	case dst.Tag == vec.Boxed:
+		v := src.Value(i)
+		dst.AppendValue(v)
+		gc.keyBytes += approxValueBytes(v)
+	case colNullAt(src, i):
+		dst.AppendNull()
+		gc.keyBytes += 9
+	case tag == vec.Int64:
+		dst.AppendInt(src.Ints[i])
+		gc.keyBytes += 9
+	case tag == vec.Float64:
+		dst.AppendFloat(src.Floats[i])
+		gc.keyBytes += 9
+	default:
+		s := src.StrAt(i)
+		dst.AppendStr(s)
+		gc.keyBytes += 17 + int64(len(s))
+	}
+}
+
+// findOrAddRow locates (or creates) the group of physical row i of the
+// key columns cols — a batch's, or a partial table's stored keys — whose
+// tuple hash is h. A hash match must also match every key (keyEqual).
+func (gc *groupConsumer) findOrAddRow(h uint64, cols []*vec.Col, i int) int32 {
+	if len(gc.slots) == 0 {
+		gc.growTable(groupTableInitSlots)
+		gc.keys = make([]vec.Col, gc.nKeys)
+	}
+	for s := h & gc.mask; ; s = (s + 1) & gc.mask {
+		e := gc.slots[s]
+		if e == 0 {
+			g := int32(gc.numGroups())
+			gc.hashes = append(gc.hashes, h)
+			for j, c := range cols {
+				gc.appendKey(j, c, i)
+			}
+			for _, a := range gc.aggs {
+				a.grow(int(g) + 1)
+			}
+			gc.slots[s] = g + 1
+			if (gc.numGroups()+1)*4 > len(gc.slots)*3 {
+				gc.growTable(len(gc.slots) * 2)
+			}
+			return g
+		}
+		g := e - 1
+		if gc.hashes[g] != h {
 			continue
 		}
-		switch {
-		case col.Tag == vec.Int64 && k == values.KindInt:
-			if gc.keyInts[base+j] != col.Ints[i] {
-				return false
-			}
-		case col.Tag == vec.Float64 && k == values.KindFloat:
-			if gc.keyFloats[base+j] != col.Floats[i] {
-				return false
-			}
-		case (col.Tag == vec.Str || col.Tag == vec.StrDict) && k == values.KindString:
-			if gc.keyStrs[base+j] != col.StrAt(i) {
-				return false
-			}
-		default:
-			if !values.Equal(col.Value(i), gc.keys[base+j]) {
-				return false
-			}
+		j := 0
+		for j < len(cols) && keyEqual(cols[j], i, &gc.keys[j], int(g)) {
+			j++
 		}
-	}
-	return true
-}
-
-// appendKey stores one group-key value, mirroring its primitive payload
-// into the unpacked arrays the equality fast path reads.
-func (gc *groupConsumer) appendKey(v values.Value) {
-	gc.keys = append(gc.keys, v)
-	gc.keyBytes += approxValueBytes(v)
-	k := v.Kind()
-	var i64 int64
-	var f float64
-	var s string
-	switch k {
-	case values.KindInt:
-		i64 = v.Int()
-	case values.KindFloat:
-		f = v.Float()
-	case values.KindString:
-		s = v.Str()
-	}
-	gc.keyKinds = append(gc.keyKinds, k)
-	gc.keyInts = append(gc.keyInts, i64)
-	gc.keyFloats = append(gc.keyFloats, f)
-	gc.keyStrs = append(gc.keyStrs, s)
-}
-
-// findOrAddRow locates (or creates) the group for physical row i of the
-// current key columns, probing by the combined tuple hash.
-func (gc *groupConsumer) findOrAddRow(h uint64, i int) int32 {
-	if len(gc.slots) == 0 {
-		gc.growTable(groupTableInitSlots)
-	}
-	for s := h & gc.mask; ; s = (s + 1) & gc.mask {
-		e := gc.slots[s]
-		if e == 0 {
-			g := int32(gc.numGroups())
-			gc.hashes = append(gc.hashes, h)
-			for j := 0; j < gc.nKeys; j++ {
-				gc.appendKey(gc.keyCols[j].Value(i))
-			}
-			for _, a := range gc.aggs {
-				a.grow(int(g) + 1)
-			}
-			gc.slots[s] = g + 1
-			if (gc.numGroups()+1)*4 > len(gc.slots)*3 {
-				gc.growTable(len(gc.slots) * 2)
-			}
-			return g
-		}
-		g := e - 1
-		if gc.hashes[g] == h && gc.rowKeyEqual(g, i) {
-			return g
-		}
-	}
-}
-
-// findOrAddTuple is findOrAddRow for an already-boxed key tuple (the
-// partial-merge path).
-func (gc *groupConsumer) findOrAddTuple(h uint64, tuple []values.Value) int32 {
-	if len(gc.slots) == 0 {
-		gc.growTable(groupTableInitSlots)
-	}
-	for s := h & gc.mask; ; s = (s + 1) & gc.mask {
-		e := gc.slots[s]
-		if e == 0 {
-			g := int32(gc.numGroups())
-			gc.hashes = append(gc.hashes, h)
-			for _, v := range tuple {
-				gc.appendKey(v)
-			}
-			for _, a := range gc.aggs {
-				a.grow(int(g) + 1)
-			}
-			gc.slots[s] = g + 1
-			if (gc.numGroups()+1)*4 > len(gc.slots)*3 {
-				gc.growTable(len(gc.slots) * 2)
-			}
-			return g
-		}
-		g := e - 1
-		if gc.hashes[g] == h && mcl.GroupKeysEqual(gc.keys[int(g)*gc.nKeys:int(g+1)*gc.nKeys], tuple) {
+		if j == len(cols) {
 			return g
 		}
 	}
@@ -649,15 +598,15 @@ func (gc *groupConsumer) consume(b *vec.Batch) error {
 	if err := getCols(gc.keyGet, b, gc.keyCols); err != nil {
 		return err
 	}
-	gc.gidx = gc.gidx[:0]
+	gc.gidx = resize(gc.gidx, n)
 	if gc.nKeys == 1 && gc.keyCols[0].Tag == vec.StrDict {
 		gc.groupCodes(b)
 	} else {
 		// Tuple hash per live row (mcl.GroupHash semantics: null keys
 		// share a group).
 		gc.kh.hash(gc.keyCols, b)
-		for k := 0; k < n; k++ {
-			gc.gidx = append(gc.gidx, gc.findOrAddRow(gc.kh.sums[k], b.Index(k)))
+		for k, h := range gc.kh.sums {
+			gc.gidx[k] = gc.findOrAddRow(h, gc.keyCols, b.Index(k))
 		}
 	}
 	for j, get := range gc.aggGet {
@@ -690,33 +639,37 @@ func (gc *groupConsumer) groupCodes(b *vec.Batch) {
 		gc.byCode = append(gc.byCode[:0], make([]int32, len(col.Dict))...)
 	}
 	byCode := gc.byCode
-	for k, n := 0, b.Len(); k < n; k++ {
+	for k := range gc.gidx {
 		i := b.Index(k)
 		if col.Nulls != nil && col.Nulls[i] {
 			if gc.nullGroup == 0 {
-				gc.nullGroup = gc.findOrAddRow(tupleHash1(nullKeyHash), i) + 1
+				gc.nullGroup = gc.findOrAddRow(tupleHash1(nullKeyHash), gc.keyCols, i) + 1
 			}
-			gc.gidx = append(gc.gidx, gc.nullGroup-1)
+			gc.gidx[k] = gc.nullGroup - 1
 			continue
 		}
 		code := col.Codes[i]
 		if byCode[code] == 0 {
 			h := tupleHash1(values.HashString(col.Dict[code]))
-			byCode[code] = gc.findOrAddRow(h, i) + 1
+			byCode[code] = gc.findOrAddRow(h, gc.keyCols, i) + 1
 		}
-		gc.gidx = append(gc.gidx, byCode[code]-1)
+		gc.gidx[k] = byCode[code] - 1
 	}
 }
 
-// absorb merges a partial consumer's table into this one. Called in
-// morsel order with each partial's groups visited in local insertion
+// absorb merges a partial consumer's table into this one, feeding the
+// partial's stored key columns and hashes through findOrAddRow. Called
+// in morsel order with each partial's groups visited in local insertion
 // order, the root table ends up in global first-occurrence order — the
 // serial semantics, deterministically, regardless of worker count.
 func (gc *groupConsumer) absorb(o *groupConsumer) error {
 	remap := make([]int32, o.numGroups())
-	for og := 0; og < o.numGroups(); og++ {
-		tuple := o.keys[og*o.nKeys : (og+1)*o.nKeys]
-		remap[og] = gc.findOrAddTuple(o.hashes[og], tuple)
+	cols := make([]*vec.Col, len(o.keys))
+	for j := range cols {
+		cols[j] = &o.keys[j]
+	}
+	for og, h := range o.hashes {
+		remap[og] = gc.findOrAddRow(h, cols, og)
 	}
 	for j := range gc.aggs {
 		gc.aggs[j].merge(o.aggs[j], remap)
@@ -726,31 +679,24 @@ func (gc *groupConsumer) absorb(o *groupConsumer) error {
 	return gc.maybeCharge(false)
 }
 
-// emit streams the group table downstream as batches of group rows, one
-// boxed column per key then per aggregate (slot order matches the group
-// frame), in first-occurrence order.
+// emit streams the group table downstream as batches of group rows, in
+// first-occurrence order: each key column a window of its stored column,
+// then one boxed column per aggregate (slot order matches the group
+// frame).
 func (gc *groupConsumer) emit(bs int, sink batchSink) error {
-	nG := gc.numGroups()
-	nk, na := gc.nKeys, len(gc.aggs)
+	nG, na := gc.numGroups(), len(gc.aggs)
 	for lo := 0; lo < nG; lo += bs {
-		hi := lo + bs
-		if hi > nG {
-			hi = nG
-		}
-		cols := make([]vec.Col, nk+na)
-		for j := 0; j < nk; j++ {
-			buf := make([]values.Value, hi-lo)
-			for g := lo; g < hi; g++ {
-				buf[g-lo] = gc.keys[g*nk+j]
-			}
-			cols[j] = vec.Col{Tag: vec.Boxed, Boxed: buf}
+		hi := min(lo+bs, nG)
+		cols := make([]vec.Col, gc.nKeys+na)
+		for j := range gc.keys {
+			cols[j] = gc.keys[j].Slice(lo, hi)
 		}
 		for j := 0; j < na; j++ {
 			buf := make([]values.Value, hi-lo)
 			for g := lo; g < hi; g++ {
 				buf[g-lo] = gc.aggs[j].result(g)
 			}
-			cols[nk+j] = vec.Col{Tag: vec.Boxed, Boxed: buf}
+			cols[gc.nKeys+j] = vec.Col{Tag: vec.Boxed, Boxed: buf}
 		}
 		if err := sink(&vec.Batch{Cols: cols, N: hi - lo}); err != nil {
 			return err

@@ -15,29 +15,31 @@ import (
 // partials: the retained batches and, per batch, the physical rows of
 // its entries (live rows whose keys are all non-null), each allocated
 // once at its batch's size. Seal turns the partials into one immutable
-// index that probe morsels share without synchronization, in one of two
-// shapes:
+// index that probe morsels share without synchronization. It has one
+// layout: a stable counting sort of the entries by slot, so slot s
+// lists its entries [off[s], off[s+1]) in build order. Two slot rules
+// fill it:
 //
-//   - A key-indexed directory, when the join has one key, every
-//     retained build key column is Int64, the keys lie inside ±2^53 and
-//     the directory is no larger than the chain table would be: a
-//     counting sort on key − min, so the entries of key k are
-//     [off[k−min], off[k−min+1]). A probe key finds its matches by
-//     subtraction, with no hash and no key compare. A probe key column
-//     that is not Int64 follows values.Equal: an integral float or a
-//     boxed number maps to its slot, anything else matches nothing.
-//   - A chain table otherwise: seal hashes every entry's key tuple and
-//     chains the entries under power-of-two bucket heads; a probe walks
-//     its bucket's chain comparing hashes, then keys.
+//   - Dense, when the join has one key, every retained build key column
+//     is Int64, the keys lie inside ±2^53 and the dense layout is no
+//     larger than the hashed one: slot key − min. A probe key finds its
+//     matches by subtraction, and every entry of its slot matches. A
+//     probe key column that is not Int64 follows values.Equal: an
+//     integral float or a boxed number maps to its slot, anything else
+//     matches nothing.
+//   - Hashed otherwise: the low bits of the key-tuple hash (keyHasher,
+//     as the grouped fold hashes), over a power-of-two slot count no
+//     smaller than the entries. A probe walks its slot's one contiguous
+//     range and checks each entry's hash fingerprint (the hash's high 32
+//     bits), then its keys (keyEqual, the grouped fold's equality).
 //
 // Determinism is structural, not synchronized. Seal reads the partials
-// in morsel order, which is build-scan order. The counting sort is
-// stable and chains insert in reverse, so either shape lists a key's
-// entries in build order, and every probe row emits its matches in
-// exactly the serial engine's order. Probe morsels then merge at the
-// root in morsel order (the grouped fold's discipline), so results are
-// byte-identical to the serial plan for any worker count — including
-// for the non-commutative list monoid.
+// in morsel order, which is build-scan order, and the counting sort is
+// stable, so every probe row emits its matches in exactly the serial
+// engine's order. Probe morsels then merge at the root in morsel order
+// (the grouped fold's discipline), so results are byte-identical to the
+// serial plan for any worker count — including for the non-commutative
+// list monoid.
 
 // joinState is the compile-time staging of one hash join: everything
 // both the serial run path and the morsel-parallel srcRange path share.
@@ -63,24 +65,20 @@ type joinPartial struct {
 }
 
 // joinIndex is the sealed immutable build index shared by all probe
-// morsels. Its rowSide lists the entries: sorted by key for the
-// directory (off != nil), in build order for the chain table. No field
-// is mutated after seal.
+// morsels: its rowSide lists the entries sorted by slot. No field is
+// mutated after seal.
 type joinIndex struct {
 	rowSide
-	off    []int32 // directory: slot s's entries are [off[s], off[s+1])
-	min    int64   // directory: the key of slot 0
-	span   int64   // the build keys' max − min + 1, for one Int64 key; else 0
-	hashes []uint64
-	head   []int32 // chain table: 1-based entry, 0 = empty
-	next   []int32
-	mask   uint64
-	bytes  int64 // retained batches + index arrays
+	keyAt []int    // the retained columns holding the build keys
+	off   []int32  // slot s's entries are [off[s], off[s+1])
+	fps   []uint32 // hashed: each entry's hash fingerprint; nil when dense
+	min   int64    // dense: the key of slot 0
+	span  int64    // the build keys' max − min + 1, for one Int64 key; else 0
+	bytes int64    // retained batches + index arrays
 }
 
-// maxDenseKey bounds the directory's keys: inside ±2^53 every integer
-// has an exact float64 image, so a float probe key equals at most one
-// of them.
+// maxDenseKey bounds the dense keys: inside ±2^53 every integer has an
+// exact float64 image, so a float probe key equals at most one of them.
 const maxDenseKey = 1 << 53
 
 // mkBuildAbsorb returns a batchSink accumulating build entries into
@@ -158,7 +156,7 @@ func (js *joinState) mkBuildAbsorb(part *joinPartial, bsp *trace.Span) batchSink
 // anyKeyNull reports that some key column is null at physical row i.
 func anyKeyNull(cols []*vec.Col, i int) bool {
 	for _, c := range cols {
-		if c.Nulls != nil && c.Nulls[i] || c.Tag == vec.Boxed && c.Boxed[i].IsNull() {
+		if colNullAt(c, i) {
 			return true
 		}
 	}
@@ -166,13 +164,13 @@ func anyKeyNull(cols []*vec.Col, i int) bool {
 }
 
 // seal builds the shared immutable index over the morsel partials, read
-// in morsel order (build-scan order): the key-indexed directory when
-// the join has one Int64 key inside ±2^53 whose directory is no larger
-// than the chain table, the chain table otherwise. The index arrays
-// are charged against the query budget before they are allocated (the
-// retained batches were charged as they arrived).
+// in morsel order (build-scan order): dense when the join has one Int64
+// key inside ±2^53 whose dense layout is no larger than the hashed one,
+// hashed otherwise. The index arrays, the hashed rule's build-order hash
+// scratch included, are charged against the query budget before they
+// are allocated (the retained batches were charged as they arrived).
 func (js *joinState) seal(partials []*joinPartial) (*joinIndex, error) {
-	idx := &joinIndex{}
+	idx := &joinIndex{keyAt: js.rKeyAt}
 	var rows [][]int32
 	for _, m := range partials {
 		idx.retained = append(idx.retained, m.retained...)
@@ -184,17 +182,19 @@ func (js *joinState) seal(partials []*joinPartial) (*joinIndex, error) {
 		total += entryCount(&idx.retained[i], rows[i])
 	}
 	idx.describe(js.rw)
-	tableSize := 1
-	for tableSize < total*2 {
-		tableSize *= 2
+	slots := int64(1)
+	for slots < int64(total) {
+		slots *= 2
 	}
-	indexBytes := int64(total)*(8+4+4+4) + int64(tableSize)*4
+	// Hashed: off, each entry's batch, row and fingerprint, and its hash
+	// in build order.
+	indexBytes := 4*(slots+1) + int64(total)*(4+4+4+8)
 	dense := false
 	if lo, hi, ok := js.keyRange(idx.retained, rows); ok {
 		idx.min, idx.span = lo, hi-lo+1
-		dirBytes := 4*(idx.span+1) + int64(total)*(4+4)
-		if dense = dirBytes <= indexBytes; dense {
-			indexBytes = dirBytes
+		denseBytes := 4*(idx.span+1) + int64(total)*(4+4)
+		if dense = denseBytes <= indexBytes; dense {
+			indexBytes, slots = denseBytes, idx.span
 		}
 	}
 	if reserve := js.opts.MemReserve; reserve != nil {
@@ -203,11 +203,12 @@ func (js *joinState) seal(partials []*joinPartial) (*joinIndex, error) {
 		}
 	}
 	idx.bytes += indexBytes
-	if dense {
-		idx.fillDirectory(js.rKeyAt[0], rows, total)
-	} else {
-		idx.fillChains(js.rKeyAt, rows, total, tableSize)
+	var hs []uint64
+	if !dense {
+		hs = idx.entryHashes(rows, total)
+		idx.fps = make([]uint32, total)
 	}
+	idx.layout(rows, total, slots, hs)
 	return idx, nil
 }
 
@@ -251,17 +252,57 @@ func (js *joinState) keyRange(retained []vec.Batch, rows [][]int32) (lo, hi int6
 	return lo, hi, lo >= -maxDenseKey && hi <= maxDenseKey
 }
 
-// fillDirectory lays the entries out as the key-indexed directory: a
-// counting sort of the key column at (retained column) on key − min.
-func (idx *joinIndex) fillDirectory(at int, rows [][]int32, total int) {
-	slots := idx.span
-	off := make([]int32, slots+1)
-	idx.batch, idx.row = make([]int32, total), make([]int32, total)
+// entryHashes returns every entry's key-tuple hash, in build order.
+func (idx *joinIndex) entryHashes(rows [][]int32, total int) []uint64 {
+	hs := make([]uint64, 0, total)
+	keys := make([]*vec.Col, len(idx.keyAt))
+	var kh keyHasher
+	var view vec.Batch
+	var sel []int
 	for i := range idx.retained {
-		ints := idx.retained[i].Cols[at].Ints
-		for j, n := 0, entryCount(&idx.retained[i], rows[i]); j < n; j++ {
-			off[ints[entryRow(rows[i], j)]-idx.min]++
+		rb := &idx.retained[i]
+		for j, at := range idx.keyAt {
+			keys[j] = &rb.Cols[at]
 		}
+		view.N, view.Sel = rb.N, nil
+		if rows[i] != nil {
+			sel = resize(sel, len(rows[i]))
+			for k, r := range rows[i] {
+				sel[k] = int(r)
+			}
+			view.Sel = sel
+		}
+		kh.hash(keys, &view)
+		hs = append(hs, kh.sums...)
+	}
+	return hs
+}
+
+// layout is seal's one counting sort: it lays the entries out by slot,
+// each slot listing its entries in build order. An entry's slot is key −
+// min when dense, the low bits of its hash hs[e] (e its build-order
+// index) when hashed; the scatter also carries each hash's fingerprint
+// to its entry's place.
+func (idx *joinIndex) layout(rows [][]int32, total int, slots int64, hs []uint64) {
+	off := make([]int32, slots+1)
+	batch, row := make([]int32, total), make([]int32, total)
+	mask, lo, at := uint64(slots-1), idx.min, idx.keyAt[0]
+	// Count each slot's entries, batch by batch: a batch's entries have
+	// the hashes hs[e:e+n].
+	e := 0
+	for i := range idx.retained {
+		rs, ints := rows[i], idx.retained[i].Cols[at].Ints
+		n := entryCount(&idx.retained[i], rs)
+		if hs != nil {
+			for _, h := range hs[e : e+n] {
+				off[h&mask]++
+			}
+		} else {
+			for j := range n {
+				off[ints[entryRow(rs, j)]-lo]++
+			}
+		}
+		e += n
 	}
 	// Inclusive prefix sums: off[s] ends slot s.
 	var end int32
@@ -272,67 +313,25 @@ func (idx *joinIndex) fillDirectory(at int, rows [][]int32, total int) {
 	// Scatter in reverse build order: each slot fills back to front, so
 	// it lists its entries in build order, and off[s] ends at its start.
 	for i := len(idx.retained) - 1; i >= 0; i-- {
-		ints := idx.retained[i].Cols[at].Ints
-		for j := entryCount(&idx.retained[i], rows[i]) - 1; j >= 0; j-- {
-			r := entryRow(rows[i], j)
-			s := ints[r] - idx.min
+		rs, ints := rows[i], idx.retained[i].Cols[at].Ints
+		for j := entryCount(&idx.retained[i], rs) - 1; j >= 0; j-- {
+			e--
+			r := entryRow(rs, j)
+			var s uint64
+			if hs != nil {
+				s = hs[e] & mask
+			} else {
+				s = uint64(ints[r] - lo)
+			}
 			off[s]--
-			idx.batch[off[s]], idx.row[off[s]] = int32(i), r
-		}
-	}
-	idx.off = off
-}
-
-// fillChains lays the entries out in build order, hashes their key
-// tuples (the key columns at keyAt of each retained batch) and chains
-// them under tableSize power-of-two bucket heads.
-func (idx *joinIndex) fillChains(keyAt []int, rows [][]int32, total, tableSize int) {
-	idx.hashes = make([]uint64, total)
-	idx.batch, idx.row = make([]int32, total), make([]int32, total)
-	keys := make([]*vec.Col, len(keyAt))
-	var kh keyHasher
-	var view vec.Batch
-	var sel []int
-	e := 0
-	for i := range idx.retained {
-		rb := &idx.retained[i]
-		for j, at := range keyAt {
-			keys[j] = &rb.Cols[at]
-		}
-		if len(keys) == 1 && keys[0].Tag == vec.Int64 {
-			// One Int64 key (a sparse one, or one outside ±2^53): its
-			// tuple hash is keyHasher's, without the batch view.
-			ints := keys[0].Ints
-			for j, n := 0, entryCount(rb, rows[i]); j < n; j++ {
-				r := entryRow(rows[i], j)
-				idx.hashes[e], idx.batch[e], idx.row[e] = tupleHash1(values.HashInt(ints[r])), int32(i), r
-				e++
+			p := off[s]
+			batch[p], row[p] = int32(i), r
+			if hs != nil {
+				idx.fps[p] = fingerprint(hs[e])
 			}
-			continue
-		}
-		view.N, view.Sel = rb.N, nil
-		if rows[i] != nil {
-			sel = sel[:0]
-			for _, r := range rows[i] {
-				sel = append(sel, int(r))
-			}
-			view.Sel = sel
-		}
-		kh.hash(keys, &view)
-		for k, h := range kh.sums {
-			idx.hashes[e], idx.batch[e], idx.row[e] = h, int32(i), int32(view.Index(k))
-			e++
 		}
 	}
-	// Chains insert in reverse so each lists its entries in build order.
-	idx.mask = uint64(tableSize - 1)
-	idx.head = make([]int32, tableSize)
-	idx.next = make([]int32, total)
-	for e := total - 1; e >= 0; e-- {
-		slot := idx.hashes[e] & idx.mask
-		idx.next[e] = idx.head[slot]
-		idx.head[slot] = int32(e + 1)
-	}
+	idx.off, idx.batch, idx.row = off, batch, row
 }
 
 // buildIndex drives the build side to a sealed index under a
@@ -372,7 +371,7 @@ func (js *joinState) buildIndex() (*joinIndex, *trace.Span, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	entries, dense := int64(len(idx.row)), idx.off != nil
+	entries, dense := int64(len(idx.row)), idx.fps == nil
 	fold.SetAttr("build_rows", entries)
 	fold.SetAttr("table_bytes", idx.bytes)
 	if dense {
@@ -403,15 +402,12 @@ func (js *joinState) buildIndex() (*joinIndex, *trace.Span, error) {
 func (js *joinState) mkProber(idx *joinIndex, psp *trace.Span, sink batchSink) batchSink {
 	g := newPairGather(&idx.rowSide, js.lw, js.opts.BatchSize, sink)
 	gets, cols := newGetters(js.lKeys), make([]*vec.Col, len(js.lKeys))
-	probe := idx.mkChainProbe(js.rKeyAt, cols, g)
-	if idx.off != nil {
-		probe = func(b *vec.Batch) (int64, error) { return idx.probeDirectory(cols[0], b, g) }
-	}
+	var kh keyHasher
 	return func(b *vec.Batch) error {
 		if err := getCols(gets, b, cols); err != nil {
 			return err
 		}
-		delta, err := probe(b)
+		delta, err := idx.probe(cols, b, &kh, g)
 		if err != nil {
 			return err
 		}
@@ -425,42 +421,86 @@ func (js *joinState) mkProber(idx *joinIndex, psp *trace.Span, sink batchSink) b
 	}
 }
 
-// probeDirectory adds the directory matches of every live row of b,
-// whose key column is col, to g and returns their count. An Int64 key k
-// reads slot k − min; any other key column maps a row to the Int64 key
-// values.Equal makes it equal to, if any (denseKey).
-func (idx *joinIndex) probeDirectory(col *vec.Col, b *vec.Batch, g *pairGather) (int64, error) {
+// probe is the one match loop: it adds the matches of every live row of
+// b, whose key columns are cols, to g and returns their count. A row
+// finds its slot by the index's rule — key − min (denseKey maps a key
+// column that is not Int64), or the low bits of its tuple hash — and a
+// hashed slot's entries must then equal its fingerprint and keys, where
+// every entry of a dense slot matches.
+func (idx *joinIndex) probe(cols []*vec.Col, b *vec.Batch, kh *keyHasher, g *pairGather) (int64, error) {
+	off, fps, lo := idx.off, idx.fps, idx.min
+	slots := uint64(len(off) - 1)
+	hashed := fps != nil
+	var ints []int64 // a dense probe's Int64 keys
+	var nulls []bool
+	if hashed {
+		kh.hash(cols, b)
+	} else if c := cols[0]; c.Tag == vec.Int64 {
+		ints, nulls = c.Ints, c.Nulls
+	}
 	var delta int64
-	slots, off := uint64(idx.span), idx.off
 	for k, n := 0, b.Len(); k < n; k++ {
 		i := b.Index(k)
-		var key int64
-		if col.Tag == vec.Int64 && (col.Nulls == nil || !col.Nulls[i]) {
-			key = col.Ints[i]
-		} else if v, ok := denseKey(col, i); ok {
-			key = v
-		} else {
-			continue
+		var s uint64
+		var fp uint32
+		switch {
+		case ints != nil:
+			if nulls != nil && nulls[i] {
+				continue
+			}
+			s = uint64(ints[i] - lo)
+		case hashed:
+			if !kh.nonNull[k] {
+				continue
+			}
+			h := kh.sums[k]
+			s, fp = h&(slots-1), fingerprint(h)
+		default:
+			key, ok := denseKey(cols[0], i)
+			if !ok {
+				continue
+			}
+			s = uint64(key - lo)
 		}
-		// Wrapping subtraction: a key outside [min, max] lands past the
-		// last slot.
-		s := uint64(key - idx.min)
+		// Dense: a key outside [min, max] wraps past the last slot.
 		if s >= slots {
 			continue
 		}
-		for e := off[s]; e < off[s+1]; e++ {
+		for e, end := off[s], off[s+1]; e < end; e++ {
+			if hashed && (fps[e] != fp || !idx.keysEqual(cols, i, e)) {
+				continue
+			}
 			delta++
-			if err := g.add(b, i, e); err != nil {
-				return delta, err
+			if g.add(i, e) {
+				if err := g.flush(b); err != nil {
+					return delta, err
+				}
 			}
 		}
 	}
 	return delta, nil
 }
 
-// denseKey is row i of a probe key column as a directory key: the
-// integer values.Equal makes it equal to. Nulls, strings, NaN,
-// non-integral or out-of-range floats and other kinds equal no key.
+// fingerprint is the part of a key-tuple hash the hashed rule keeps per
+// entry: its high 32 bits, independent of the low bits that pick the
+// slot, so a slot's entries rarely share one unless their keys match.
+func fingerprint(h uint64) uint32 { return uint32(h >> 32) }
+
+// keysEqual reports that row i of the probe key columns cols equals
+// entry e's build keys.
+func (idx *joinIndex) keysEqual(cols []*vec.Col, i int, e int32) bool {
+	rb, r := &idx.retained[idx.batch[e]], int(idx.row[e])
+	for j, at := range idx.keyAt {
+		if !keyEqual(cols[j], i, &rb.Cols[at], r) {
+			return false
+		}
+	}
+	return true
+}
+
+// denseKey is row i of a probe key column as a dense key: the integer
+// values.Equal makes it equal to. Nulls, strings, NaN, non-integral or
+// out-of-range floats and other kinds equal no key.
 func denseKey(col *vec.Col, i int) (int64, bool) {
 	if col.Nulls != nil && col.Nulls[i] {
 		return 0, false
@@ -482,54 +522,13 @@ func denseKey(col *vec.Col, i int) (int64, bool) {
 }
 
 // floatKey is the integer f equals, for an integral f inside ±2^53 —
-// the directory's key range, inside which the conversion is exact (−0
-// is 0; NaN fails the integral test).
+// the dense key range, inside which the conversion is exact (−0 is 0;
+// NaN fails the integral test).
 func floatKey(f float64) (int64, bool) {
 	if f != math.Trunc(f) || math.Abs(f) > maxDenseKey {
 		return 0, false
 	}
 	return int64(f), true
-}
-
-// mkChainProbe returns the chain-table probe of batches whose key
-// columns getCols has placed in cols: each live row with no null key
-// walks its bucket's chain, and a match must equal its hash and then
-// each key (typed where both columns are; colValEqual boxes only boxed
-// or mixed columns).
-func (idx *joinIndex) mkChainProbe(keyAt []int, cols []*vec.Col, g *pairGather) func(b *vec.Batch) (int64, error) {
-	var kh keyHasher
-	keysEqual := func(i int, rb *vec.Batch, ri int) bool {
-		for j, at := range keyAt {
-			if !colValEqual(cols[j], i, &rb.Cols[at], ri) {
-				return false
-			}
-		}
-		return true
-	}
-	return func(b *vec.Batch) (int64, error) {
-		kh.hash(cols, b)
-		var delta int64
-		for k, cnt := 0, b.Len(); k < cnt; k++ {
-			if !kh.nonNull[k] {
-				continue
-			}
-			h, i := kh.sums[k], b.Index(k)
-			for e := idx.head[h&idx.mask]; e != 0; e = idx.next[e-1] {
-				ei := e - 1
-				if idx.hashes[ei] != h {
-					continue
-				}
-				if !keysEqual(i, &idx.retained[idx.batch[ei]], int(idx.row[ei])) {
-					continue
-				}
-				delta++
-				if err := g.add(b, i, ei); err != nil {
-					return delta, err
-				}
-			}
-		}
-		return delta, nil
-	}
 }
 
 // plan assembles the compiledPlan for a staged join: a serial run path
@@ -766,14 +765,11 @@ func newPairGather(side *rowSide, lw, size int, sink batchSink) *pairGather {
 		bufs: make([]vec.Col, w), out: vec.Batch{Cols: make([]vec.Col, w)}}
 }
 
-// add records the pair (left row l of b, right entry e), flushing a
-// full batch.
-func (g *pairGather) add(b *vec.Batch, l int, e int32) error {
+// add records the pair (left row l, right entry e) and reports that a
+// full batch is pending: the caller flushes it.
+func (g *pairGather) add(l int, e int32) (full bool) {
 	g.left, g.right = append(g.left, int32(l)), append(g.right, e)
-	if len(g.left) < g.size {
-		return nil
-	}
-	return g.flush(b)
+	return len(g.left) == g.size
 }
 
 // flush emits the pending pairs, whose left rows are rows of b.
@@ -826,7 +822,10 @@ func (c *compiler) compileProduct(n *algebra.Product) (*compiledPlan, error) {
 			for k, n := 0, b.Len(); k < n; k++ {
 				i := b.Index(k)
 				for e := range right.row {
-					if err := g.add(b, i, int32(e)); err != nil {
+					if !g.add(i, int32(e)) {
+						continue
+					}
+					if err := g.flush(b); err != nil {
 						return err
 					}
 				}

@@ -248,28 +248,34 @@ func TestHashLiveColMatchesBoxedHash(t *testing.T) {
 	}
 }
 
-// TestColValEqualCrossKind checks the typed equality used on hash
-// matches agrees with values.Equal across representations.
+// TestColValEqualCrossKind checks the key equality used on hash matches
+// agrees with values.Equal across representations, and that nulls equal
+// only nulls.
 func TestColValEqualCrossKind(t *testing.T) {
 	ints := &vec.Col{Tag: vec.Int64, Ints: []int64{1, 3}}
 	floats := &vec.Col{Tag: vec.Float64, Floats: []float64{1.0, 2.5}}
 	strs := &vec.Col{Tag: vec.Str, Strs: []string{"a", "b"}}
 	boxed := &vec.Col{Tag: vec.Boxed, Boxed: []values.Value{values.NewInt(1), values.NewString("b")}}
-	if !colValEqual(ints, 0, floats, 0) {
+	if !keyEqual(ints, 0, floats, 0) {
 		t.Fatal("1 != 1.0 (values.Equal says they match)")
 	}
-	if colValEqual(ints, 1, floats, 1) {
+	if keyEqual(ints, 1, floats, 1) {
 		t.Fatal("3 == 2.5")
 	}
-	if !colValEqual(strs, 1, strs, 1) || colValEqual(strs, 0, strs, 1) {
+	if !keyEqual(strs, 1, strs, 1) || keyEqual(strs, 0, strs, 1) {
 		t.Fatal("string equality broken")
 	}
-	if !colValEqual(ints, 0, boxed, 0) || !colValEqual(boxed, 1, strs, 1) {
+	if !keyEqual(ints, 0, boxed, 0) || !keyEqual(boxed, 1, strs, 1) {
 		t.Fatal("boxed/typed equality broken")
 	}
 	nan := &vec.Col{Tag: vec.Float64, Floats: []float64{math.NaN()}}
-	if !colValEqual(nan, 0, nan, 0) {
+	if !keyEqual(nan, 0, nan, 0) {
 		t.Fatal("NaN must equal NaN (matching values.Compare)")
+	}
+	null := &vec.Col{Tag: vec.Int64, Ints: []int64{0}, Nulls: []bool{true}}
+	boxedNull := &vec.Col{Tag: vec.Boxed, Boxed: []values.Value{values.Null}}
+	if !keyEqual(null, 0, boxedNull, 0) || keyEqual(null, 0, ints, 0) || keyEqual(boxed, 0, boxedNull, 0) {
+		t.Fatal("a null key must equal a null key and nothing else")
 	}
 }
 

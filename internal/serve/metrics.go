@@ -124,7 +124,7 @@ var metricDefs = []metricDef{
 	// Engine: hash joins (morsel-parallel build and probe).
 	{"vida_join_folds_total", "counter", "Hash-join build tables sealed.", "engine.JoinFolds",
 		false, func(v *statsView) int64 { return v.eng.JoinFolds }},
-	{"vida_join_dense_folds_total", "counter", "Join builds sealed as a key-indexed directory instead of a chain table.", "engine.JoinDenseFolds",
+	{"vida_join_dense_folds_total", "counter", "Join builds sealed with the dense slot rule (key - min) instead of the hashed one.", "engine.JoinDenseFolds",
 		false, func(v *statsView) int64 { return v.eng.JoinDenseFolds }},
 	{"vida_join_build_rows_total", "counter", "Build-side entries indexed across all hash joins.", "engine.JoinBuildRows",
 		false, func(v *statsView) int64 { return v.eng.JoinBuildRows }},
