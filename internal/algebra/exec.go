@@ -293,7 +293,7 @@ func prefix(p *Reduce, each func(func(*mcl.Env, values.Value) error) error) (val
 
 // group is the grouped fold: it partitions its input by the key tuple
 // (nulls equal, first-occurrence order), folds each aggregate per group
-// under grouped null semantics (monoid.AggAdd), and then streams one
+// under the one null rule (monoid.Collector.Add), and then streams one
 // binding per group over the base env with the key and aggregate names
 // bound — the semantics of the grouped reduce every engine reproduces.
 func (r *interp) group(p *Reduce, in rows) rows {
@@ -330,7 +330,7 @@ func (r *interp) group(p *Reduce, in rows) rows {
 				if err != nil {
 					return err
 				}
-				monoid.AggAdd(g.accs[i], av)
+				g.accs[i].Add(av)
 			}
 			return nil
 		})

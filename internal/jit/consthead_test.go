@@ -82,29 +82,37 @@ func sameShape(a, b values.Value, floatEq func(x, y float64) bool) bool {
 	return values.Equal(a, b)
 }
 
+// constExecutor is one executor a differential query runs on, and how
+// its answer must relate to the reference executor's.
+type constExecutor struct {
+	name string
+	ex   Executor
+	same func(got, want values.Value) bool
+}
+
 // constExecutors are the executors every constant-aggregate query runs
 // on; the serial one must be identical to the reference executor, the
 // parallel one (partial folds merged in morsel order) mergeRounded.
-var constExecutors = []struct {
-	name string
-	ex   Executor
-	same func(a, b values.Value) bool
-}{
+var constExecutors = []constExecutor{
 	{"serial", Executor{Opts: Options{Workers: 1}}, identical},
 	{"parallel", Executor{Opts: Options{Workers: 4, ParallelThreshold: 1, BatchSize: 64}}, mergeRounded},
 }
 
-// checkConstQueries runs every query over cat on both executors, twice
-// each (the cold and the posmap-served scan), against the reference.
-func checkConstQueries(t *testing.T, cat *schemaCat, rows int, queries []string) {
+// checkConstQueries runs every query over cat on each executor (the
+// constExecutors unless others are given), twice each (the cold and the
+// posmap-served scan), against the reference.
+func checkConstQueries(t *testing.T, cat *schemaCat, rows int, queries []string, executors ...constExecutor) {
 	t.Helper()
+	if executors == nil {
+		executors = constExecutors
+	}
 	for _, q := range queries {
 		plan := algebra.BindParams(planFor2(t, q, cat), constParams)
 		want, err := algebra.Reference{}.Run(plan, cat)
 		if err != nil {
 			t.Fatalf("reference %q over %d rows: %v", q, rows, err)
 		}
-		for _, ce := range constExecutors {
+		for _, ce := range executors {
 			for pass := 0; pass < 2; pass++ {
 				got, err := ce.ex.Run(plan, cat)
 				if err != nil {
@@ -137,6 +145,127 @@ func TestConstantHeadFolds(t *testing.T) {
 	for _, rows := range []int{0, 1, 5000} {
 		cat, _ := csvCatalog(t, rows)
 		checkConstQueries(t, cat, rows, queries)
+	}
+}
+
+// parallelSame is mergeRounded where it can judge: an answer holding a
+// NaN, which IEEE equality — and so mergeRounded — never accepts, must be
+// identical instead.
+func parallelSame(got, want values.Value) bool {
+	if !mergeRounded(want, want) {
+		return identical(got, want)
+	}
+	return mergeRounded(got, want)
+}
+
+// foldDiffCatalog serves R(i, g, n, f, s, t, m, b, z, zb) over rows rows,
+// every other window boxed and a boxed window of one numeric kind typed:
+// i an Int64 and g a Float64 column of inexact tenths, neither with
+// nulls; n an Int64 and f a Float64 column with nulls; s a
+// Float64 column with NaN and +Inf, t one with −0 and −Inf (one NaN
+// source each, so a parallel NaN is the serial one bit for bit); m boxed
+// ints and floats with nulls; b boxed bools with nulls; z and zb null
+// throughout, typed and boxed.
+func foldDiffCatalog(rows int) *schemaCat {
+	names := []string{"i", "g", "n", "f", "s", "t", "m", "b", "z", "zb"}
+	cols := []vec.Col{{Tag: vec.Int64}, {Tag: vec.Float64}, {Tag: vec.Int64}, {Tag: vec.Float64}, {Tag: vec.Float64},
+		{Tag: vec.Float64}, {Tag: vec.Boxed}, {Tag: vec.Boxed}, {Tag: vec.Int64}, {Tag: vec.Boxed}}
+	for r := 0; r < rows; r++ {
+		unit := []float64{1, -1, 2, 0.5}[r%4]
+		s, t := unit, unit
+		switch {
+		case r%97 == 0:
+			s = math.NaN()
+		case r%89 == 0:
+			s = math.Inf(1)
+		}
+		switch {
+		case r%83 == 0:
+			t = math.Copysign(0, -1)
+		case r%79 == 0:
+			t = math.Inf(-1)
+		}
+		m := values.NewFloat(float64(r%40) + 0.5)
+		if r%2 == 0 {
+			m = values.NewInt(int64(2*(r%40) + 2))
+		}
+		if r%5 == 0 {
+			m = values.Null
+		}
+		b := values.NewBool(r%7 != 3)
+		if r%6 == 0 {
+			b = values.Null
+		}
+		cols[0].AppendInt(int64((r*7919)%201 - 100))
+		cols[1].AppendFloat(0.1 * float64(r%13+1))
+		if r%3 == 0 {
+			cols[2].AppendNull()
+		} else {
+			cols[2].AppendInt(int64(r%50 + 1))
+		}
+		if r%4 == 0 {
+			cols[3].AppendNull()
+		} else {
+			cols[3].AppendFloat(1 + float64(r%7)*0.001)
+		}
+		cols[4].AppendFloat(s)
+		cols[5].AppendFloat(t)
+		cols[6].AppendValue(m)
+		cols[7].AppendValue(b)
+		cols[8].AppendNull()
+		cols[9].AppendValue(values.Null)
+	}
+	types := []*sdg.Type{sdg.Int, sdg.Float, sdg.Int, sdg.Float, sdg.Float, sdg.Float, sdg.Float, sdg.Bool, sdg.Int, sdg.Int}
+	attrs := make([]sdg.Attr, len(names))
+	for c := range attrs {
+		attrs[c] = sdg.Attr{Name: names[c], Type: types[c]}
+	}
+	return &schemaCat{
+		MapCatalog: algebra.MapCatalog{"R": &diffTable{name: "R", fields: names, cols: cols, n: rows, boxOdd: true, narrow: true}},
+		descs:      map[string]*sdg.Description{"R": {Name: "R", Format: sdg.FormatTable, Schema: sdg.Bag(sdg.Record(attrs...))}},
+	}
+}
+
+// TestFoldDifferential runs every fold monoid over every head shape —
+// typed Int64; typed Float64 with NaN, −0 and ±Inf; typed with nulls;
+// boxed ints and floats mixed; numeric constants; an all-null input; a
+// count over a head that can fail — with no filter, a filter and a
+// filter no row passes, over 0 and 1200 rows, at batch sizes 1, 7 and
+// 1024; sum, avg, min and max also in three groups. Serially every
+// answer is the reference executor's bit for bit; morsel-parallel it
+// agrees up to merge rounding. An ungrouped fold is the group table's
+// one group, so this pins its typed, constant and boxed passes and its
+// morsel-order merge.
+func TestFoldDifferential(t *testing.T) {
+	var queries []string
+	add := func(m string, heads ...string) {
+		for _, head := range heads {
+			for _, filter := range []string{"", ", r.i > 0", ", r.i > 999"} {
+				queries = append(queries, fmt.Sprintf(`for { r <- R%s } yield %s %s`, filter, m, head))
+			}
+		}
+	}
+	for _, m := range []string{"count", "sum", "avg", "min", "max", "prod", "median", "array"} {
+		add(m, "r.i", "r.g", "r.n", "r.f", "r.s", "r.t", "r.m", "r.z", "r.zb", "3", "0.1")
+	}
+	add("and", "r.b", "r.zb", "true")
+	add("or", "r.b", "r.zb", "false")
+	add("count", "(r.i + 1)", "(r.n * 2)")
+	// The same accumulators with several groups: typed windows of either
+	// kind meet one group's best or sum.
+	for _, m := range []string{"sum", "avg", "min", "max"} {
+		for _, head := range []string{"r.i", "r.g", "r.n", "r.s", "r.t", "r.m"} {
+			queries = append(queries, fmt.Sprintf(`for { r <- R, r.i > -60 } group by { k := r.i %% 3 } agg { a := %s %s } yield list (k := k, a := a)`, m, head))
+		}
+	}
+	var executors []constExecutor
+	for _, bs := range []int{1, 7, 1024} {
+		executors = append(executors,
+			constExecutor{fmt.Sprintf("serial/bs=%d", bs), Executor{Opts: Options{Workers: 1, BatchSize: bs}}, identical},
+			constExecutor{fmt.Sprintf("parallel/bs=%d", bs), Executor{Opts: Options{Workers: 4, ParallelThreshold: 1, BatchSize: bs}}, parallelSame})
+	}
+	for _, rows := range []int{0, 1200} {
+		checkConstQueries(t, foldDiffCatalog(rows), rows, queries, executors...)
 	}
 }
 
@@ -191,7 +320,7 @@ func groupCSVCatalog(t *testing.T, n int) *schemaCat {
 
 // TestGroupedConstantAggs is the grouped counterpart of
 // TestConstantHeadFolds: constant aggregate inputs — which the group
-// fold reads as broadcast columns — under every typed accumulator, with
+// fold adds per row without a column — under every typed accumulator, with
 // and without a filter, with a null group key, over 0, 1 and 5000 rows.
 // Serially the groups are the reference executor's bit for bit (`sum
 // 0.1` adds 0.1 once per row there as here); morsel-parallel they agree
@@ -210,9 +339,9 @@ func TestGroupedConstantAggs(t *testing.T) {
 	}
 }
 
-// TestGroupedConstantStagesNoBoxedGetter: a grouped `sum 1` stages its
-// input as a broadcast kernel, so it adds no boxed stage over the same
-// plan folding `count r.id` (a slot).
+// TestGroupedConstantStagesNoBoxedGetter: a grouped `sum 1` stages no
+// column for its input, so it adds no boxed stage over the same plan
+// folding `count r.id` (a slot).
 func TestGroupedConstantStagesNoBoxedGetter(t *testing.T) {
 	cat := groupCSVCatalog(t, 100)
 	stages := func(agg string) (vectorized, boxed int64) {
@@ -233,7 +362,8 @@ func TestGroupedConstantStagesNoBoxedGetter(t *testing.T) {
 
 // BenchmarkGroupAggConstant times the grouped fold of COUNT(*) (`sum 1`)
 // against `count r.id` over 300k typed rows in 60 string-keyed groups,
-// serially: the constant's broadcast column should make the two cost
+// serially: the constant is added per row without staging a column, as
+// count adds 1 per row without reading one, so the two should cost
 // about the same.
 //
 //	go test -run '^$' -bench BenchmarkGroupAggConstant ./internal/jit

@@ -122,12 +122,13 @@ func TestDictGroupCodeIndexed(t *testing.T) {
 		{dict: first, rows: []string{"c", "b"}, fresh: true},
 	}
 	consumer := func() *groupConsumer {
-		gc := &groupConsumer{nKeys: 1, keyCols: make([]*vec.Col, 1), aggs: []groupAcc{&countAcc{}}}
+		gc := &groupConsumer{nKeys: 1, keyCols: make([]*vec.Col, 1), t: &groupTable{nKeys: 1, aggs: []groupAcc{&countAcc{}}}}
 		gc.keyGet = []vecExpr{func(b *vec.Batch) (*vec.Col, error) { return &b.Cols[0], nil }}
 		gc.aggGet = []vecExpr{nil}
 		return gc
 	}
-	coded, plain := consumer(), consumer()
+	codedCons, plainCons := consumer(), consumer()
+	coded, plain := codedCons.t, plainCons.t
 	for bi, in := range batches {
 		dict := in.dict
 		if in.fresh {
@@ -144,7 +145,7 @@ func TestDictGroupCodeIndexed(t *testing.T) {
 		for _, fold := range []struct {
 			gc  *groupConsumer
 			col vec.Col
-		}{{coded, c}, {plain, p}} {
+		}{{codedCons, c}, {plainCons, p}} {
 			if err := fold.gc.consume(&vec.Batch{Cols: []vec.Col{fold.col}, N: len(in.rows), Sel: in.sel}); err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +171,7 @@ func TestDictGroupCodeIndexed(t *testing.T) {
 
 // groupKeys boxes the key of every group of a one-key table, in group
 // order.
-func groupKeys(gc *groupConsumer) []values.Value {
+func groupKeys(gc *groupTable) []values.Value {
 	keys := make([]values.Value, gc.numGroups())
 	for g := range keys {
 		keys[g] = gc.keys[0].Value(g)

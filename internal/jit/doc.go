@@ -24,8 +24,8 @@
 // ([]values.Value) otherwise. Filters refine a selection vector (Sel)
 // instead of copying survivors, which lets columnar cache entries serve
 // their slices zero-copy; values are boxed only at the typed→generic
-// boundaries: interpreted expressions and the monoid-reduce root when no
-// unboxed kernel applies. Join build sides retain their batches typed,
+// boundaries: interpreted expressions and the folds of monoids no typed
+// accumulator covers. Join build sides retain their batches typed,
 // and a join or product gathers its output column by column from them.
 //
 // Scans enter the batch pipeline through one contract, BatchSource
@@ -72,9 +72,10 @@
 //     Pair and string compares apply the accepted three-way outcomes as
 //     a bit mask. The cost per row is flat across selectivity, so no
 //     form is chosen per call.
-//   - Unboxed reduce kernels fold count/sum/avg/min/max heads per batch
-//     into a monoid collector; any other monoid, and any boxed column,
-//     folds value by value.
+//   - Typed accumulators (groupagg.go) fold count/sum/avg/min/max
+//     inputs per batch, grouped or not — an ungrouped fold is the group
+//     table's one group, folded with its partial held in a register;
+//     any other monoid, and any boxed column, folds value by value.
 //   - Key kernels (hash.go) hash the key columns of a batch — a hashed
 //     join's build entries and probe rows, a grouped fold's rows — in
 //     one tag-dispatched pass using the scalar hash helpers of
@@ -84,28 +85,31 @@
 //     forms, so neither operator boxes a typed key row. A dense join
 //     reads its Int64 keys directly.
 //
-// Two heads stay special. A numeric constant head (a literal or a bound
-// parameter — SQL's COUNT(*) lowers to `sum 1`) folds on the batch's live
-// row count without touching a row: integer sums multiply, float sums add
-// the constant once per row so they round as the reference executor does.
-// A `count` whose head cannot fail (a constant, a slot, or a bare variable
-// such as the whole record in `yield count r`) folds the same way: count
-// ignores its argument, so nothing is staged. A head that can fail is
-// still computed, for its errors. The top-k head is evaluated lazily (see
-// below).
+// Two aggregate inputs stay special, grouped or not. A numeric constant
+// (a literal or a bound parameter — SQL's COUNT(*) lowers to `sum 1`)
+// under count/sum/avg/min/max reads no column: one group's integer sum
+// multiplies by the live row count, and a float sum adds the constant
+// once per row so it rounds as the reference executor does. A `count`
+// whose input cannot fail (a constant, a slot, or a bare variable such
+// as the whole record in `yield count r`) stages nothing either: count
+// ignores its argument. An input that can fail is still computed, for
+// its errors. The top-k head is evaluated lazily (see below).
 //
 // # Grouped aggregation
 //
-// A Reduce carrying GroupBy keys stages a vectorized hash-aggregation
-// consumer (groupagg.go) instead of a scalar fold: an open-addressing
-// table maps key tuples to dense group indices, and each aggregate
-// folds into a typed per-group accumulator array (count/sum/avg/
-// min/max), with one boxed Collector per group as the generic
-// fallback. Key hashing and aggregate-head evaluation run per batch
-// through the same kernel families as ungrouped reduces — slots,
-// expression kernels and broadcast constants, so a grouped COUNT(*)
-// folds a typed column (a grouped `count` over a head that cannot fail
-// reads no column at all). The table stores each key position as one
+// A reduce folds through one group table (groupagg.go), grouped or not:
+// an ungrouped reduce is its one-group case, with group 0 built up front
+// (an empty input answers the monoid's zero) and no hashing or slot
+// table. A Reduce carrying GroupBy keys stages the table before its
+// root: an open-addressing index maps key tuples to dense group indices,
+// and each aggregate folds into a typed per-group accumulator array
+// (count/sum/avg/min/max), with one boxed Collector per group as the
+// generic fallback. Every accumulator follows the one null rule of
+// monoid.Collector.Add: null inputs are skipped except by count and the
+// collection monoids. Key hashing and aggregate-input evaluation run per
+// batch through the same kernel families as every other consumer —
+// slots and expression kernels; a numeric constant input is added per
+// row without a column. The table stores each key position as one
 // typed column, boxed only once two key columns it is fed disagree on
 // a tag, and checks a hash match with the join's key equality plus the
 // grouping rule that nulls are equal; the finished groups emit windows
@@ -120,7 +124,8 @@
 // order, which keeps unordered group output in deterministic
 // first-occurrence order. HAVING applies post-fold over the group
 // scope, and the table's growth is charged against the query memory
-// budget.
+// budget (for an ungrouped fold, only by the monoids that retain their
+// inputs: array and median).
 //
 // # Morsel-parallel scans
 //
@@ -189,8 +194,8 @@
 // under exactly one root, chosen from the plan alone. The root predicate
 // — HAVING, for a grouped plan — is compiled there once, as one more
 // filter stage, so every root consumes already-filtered batches: a fold (scalar and other
-// non-collection monoids, into a monoid collector through the unboxed
-// reduce kernels), elements (list/bag/set: the head of every live row,
+// non-collection monoids, the group table's one-group case), elements
+// (list/bag/set: the head of every live row,
 // emitted in chunks), a keyed top-k (ORDER BY) or a row quota (bare
 // LIMIT/OFFSET). How the result leaves is the sink's business, not a
 // second compilation mode: a cursor passes a StreamSink feeding a bounded

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"vida/internal/algebra"
@@ -239,6 +240,34 @@ func TestGroupedMemoryBudget(t *testing.T) {
 	_, err := Executor{Opts: opts}.Run(plan, cat)
 	if !errors.Is(err, budgetErr) {
 		t.Fatalf("got err %v, want budget error", err)
+	}
+}
+
+// TestFoldChargesRetainedInputs: an ungrouped fold charges the query
+// budget for the inputs it retains — every value an array or a median
+// keeps, serially and from morsel partials — and nothing for a fold
+// whose state stays O(1).
+func TestFoldChargesRetainedInputs(t *testing.T) {
+	const rows = 1200
+	cat := foldDiffCatalog(rows)
+	for _, workers := range []int{1, 4} {
+		for q, retains := range map[string]bool{
+			`for { r <- R } yield array r.i`:  true,
+			`for { r <- R } yield median r.g`: true,
+			`for { r <- R } yield sum r.i`:    false,
+			`for { r <- R } yield avg r.g`:    false,
+			`for { r <- R } yield count r.n`:  false,
+		} {
+			var used atomic.Int64
+			opts := Options{Workers: workers, ParallelThreshold: 1, BatchSize: 64,
+				MemReserve: func(delta int64) error { used.Add(delta); return nil }}
+			if _, err := (Executor{Opts: opts}).Run(planFor2(t, q, cat), cat); err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, q, err)
+			}
+			if got := used.Load(); retains && got < rows*approxValueBytes(values.NewInt(0)) || !retains && got != 0 {
+				t.Fatalf("workers=%d %s charged %d bytes (retains its inputs: %v)", workers, q, got, retains)
+			}
+		}
 	}
 }
 

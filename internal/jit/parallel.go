@@ -2,11 +2,8 @@ package jit
 
 import (
 	"context"
-	"sync"
 
-	"vida/internal/monoid"
 	"vida/internal/trace"
-	"vida/internal/values"
 )
 
 // parallelInput opens the morsel-parallel runner of a compiled subtree
@@ -64,35 +61,4 @@ func morsels[T any](ctx context.Context, opts Options, sp *trace.Span, n int, wo
 		return nil, err
 	}
 	return out, nil
-}
-
-// runParallelReduce is the morsel-parallel fold root: each morsel drives
-// its own clone of the staged pipeline (consumers come from a free list
-// bounded by the pool's concurrency) into a partial collector, and the
-// partials merge at the root in morsel order. Associativity of the
-// monoid's ⊕ makes the merge exact — including for the non-commutative
-// list and array monoids — which is the paper's algebra paying rent.
-func runParallelReduce(scan func(lo, hi int, sink batchSink) error, n int, mkCons func() *reduceConsumer, m monoid.Monoid, opts Options, sp *trace.Span) (values.Value, error) {
-	consumers := sync.Pool{New: func() any { return mkCons() }}
-	partials, err := morsels(opts.Ctx, opts, sp, n, func(lo, hi int) (*monoid.Collector, error) {
-		rc := consumers.Get().(*reduceConsumer)
-		defer consumers.Put(rc)
-		acc := monoid.NewCollector(m)
-		rc.reset(acc)
-		if err := scan(lo, hi, rc.consume); err != nil {
-			return nil, err
-		}
-		rc.finish()
-		return acc, nil
-	})
-	if err != nil {
-		return values.Null, err
-	}
-	msp := sp.Child("merge")
-	root := monoid.NewCollector(m)
-	for _, part := range partials {
-		root.MergeFrom(part)
-	}
-	msp.End()
-	return root.Result(), nil
 }

@@ -6,7 +6,7 @@ import (
 	"sync"
 
 	"vida/internal/algebra"
-	"vida/internal/monoid"
+	"vida/internal/mcl"
 	"vida/internal/trace"
 	"vida/internal/values"
 	"vida/internal/vec"
@@ -153,14 +153,21 @@ func EmitResult(v values.Value, sink StreamSink) error {
 	return nil
 }
 
-// foldRoot stages the fold root: live rows fold into a monoid collector,
-// serially or morsel-parallel with partials merged in morsel order.
+// foldRoot stages the fold root: the group table's one-group case. Live
+// rows fold into group 0, serially or into per-morsel partials merged in
+// morsel order, and the answer is that group's aggregate.
 func (c *compiler) foldRoot(p *algebra.Reduce, input *compiledPlan) (func() (values.Value, error), error) {
-	mkCons, err := c.compileReduceConsumer(p, input)
+	// Only monoids that retain their inputs owe the memory budget for
+	// them; scalar folds keep O(1) state however many rows pass.
+	var reserve func(int64) error
+	if name := p.M.Name(); name == "array" || name == "median" {
+		reserve = c.opts.MemReserve
+	}
+	mkCons, err := c.groupConsumers(nil, []mcl.AggSpec{{M: p.M, E: p.Head}}, input.frame, reserve)
 	if err != nil {
 		return nil, err
 	}
-	m, opts := p.M, c.opts
+	opts := c.opts
 	return func() (values.Value, error) {
 		// The fold span wraps the whole pipeline run (the scan feeds the
 		// consumer in one closure chain), so its wall time is inclusive of
@@ -168,18 +175,11 @@ func (c *compiler) foldRoot(p *algebra.Reduce, input *compiledPlan) (func() (val
 		sp := opts.Trace.Child("fold")
 		sp.SetAttr("kind", "reduce")
 		defer sp.End()
-		if scan, n, ok := parallelInput(input, opts, opts.ParallelThreshold); ok {
-			sp.SetAttr("parallel", true)
-			return runParallelReduce(scan, n, mkCons, m, opts, sp)
-		}
-		acc := monoid.NewCollector(m)
-		rc := mkCons()
-		rc.reset(acc)
-		if err := input.run(rc.consume); err != nil {
+		root, err := foldTable(input, opts, sp, mkCons)
+		if err != nil {
 			return values.Null, err
 		}
-		rc.finish()
-		return acc.Result(), nil
+		return root.aggs[0].result(0), nil
 	}, nil
 }
 

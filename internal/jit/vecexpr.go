@@ -16,8 +16,9 @@ import (
 // mcl.ApplyBinOp) otherwise — so filters over computed values, reduce
 // heads, group keys and aggregates, ORDER BY keys and Bind extension
 // columns all stay unboxed when the data is. Constants fold into the
-// kernels at compile time; a constant standing alone (COUNT(*) lowers to
-// `sum 1`) is a broadcast column, typed for numbers and strings.
+// kernels at compile time; a constant standing alone is a broadcast
+// column, typed for numbers and strings (a numeric aggregate input such
+// as COUNT(*)'s `sum 1` stages none: the fold adds it per row).
 
 // vecExpr computes an expression over the live rows of a batch into a
 // column indexed by physical row (dead rows hold stale values no

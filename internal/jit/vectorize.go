@@ -5,18 +5,15 @@ import (
 	"slices"
 	"strings"
 
-	"vida/internal/algebra"
 	"vida/internal/mcl"
-	"vida/internal/monoid"
 	"vida/internal/values"
 	"vida/internal/vec"
 )
 
-// This file holds the vectorized execution kernels: predicate filters
-// that refine a batch's selection vector over typed column payloads, and
-// the reduce consumer that folds batches into a monoid collector with
-// unboxed fast paths for the common aggregate monoids. Kernels dispatch
-// on the column Tag per batch (once per ~1024 rows), so the same staged
+// This file holds the vectorized selection kernels: predicate filters
+// that refine a batch's selection vector over typed column payloads (the
+// folds that consume the batches are groupagg.go's). Kernels dispatch on
+// the column Tag per batch (once per ~1024 rows), so the same staged
 // pipeline serves typed CSV vectors, zero-copy cache slices and boxed
 // fallback batches.
 
@@ -218,12 +215,10 @@ func cmpMask(op mcl.BinOp) cmpBits {
 // dims difference.
 func (m cmpBits) accept(cmp int) int { return int(m>>uint(b2i(cmp > 0)-b2i(cmp < 0)+1)) & 1 }
 
-// cmpInts and cmpFloats are the branch-free three-way compares of int64s
-// and of float64s under values.CompareFloats (NaN sorts below every
-// number, −0 equals +0).
-func cmpInts(a, b int64) int { return b2i(a > b) - b2i(a < b) }
-
-func cmpFloats(a, b float64) int {
+// cmpNum is the branch-free three-way compare of int64s, and of float64s
+// under values.CompareFloats (NaN sorts below every number, −0 equals
+// +0); for ints the NaN terms fold away.
+func cmpNum[T int64 | float64](a, b T) int {
 	return b2i(a > b) - b2i(a < b) + b2i(b != b) - b2i(a != a)
 }
 
@@ -463,13 +458,13 @@ func selPairCmp(lc, rc *vec.Col, b *vec.Batch, op mcl.BinOp, dst []int) []int {
 		for j := 0; j < live; j++ {
 			i := rowAt(sel, j)
 			dst[k] = i
-			k += m.accept(cmpInts(l[i], r[i]))
+			k += m.accept(cmpNum(l[i], r[i]))
 		}
 	case numericTag(lc.Tag) && numericTag(rc.Tag):
 		for j := 0; j < live; j++ {
 			i := rowAt(sel, j)
 			dst[k] = i
-			k += m.accept(cmpFloats(numAt(lc, i), numAt(rc, i)))
+			k += m.accept(cmpNum(numAt(lc, i), numAt(rc, i)))
 		}
 	case strTag(lc.Tag) && strTag(rc.Tag):
 		for j := 0; j < live; j++ {
@@ -491,63 +486,11 @@ func selPairCmp(lc, rc *vec.Col, b *vec.Batch, op mcl.BinOp, dst []int) []int {
 // strTag reports whether the tag carries string payloads.
 func strTag(t vec.Tag) bool { return t == vec.Str || t == vec.StrDict }
 
-// ---------------------------------------------------------------------------
-// Vectorized reduce
-// ---------------------------------------------------------------------------
-
-// aggKind selects the reduce fast path. aggGeneric boxes every head value
-// into the collector; the others accumulate unboxed partials over typed
-// columns and absorb them into the collector at finish.
-type aggKind uint8
-
-const (
-	aggGeneric aggKind = iota
-	aggCount
-	aggSum
-	aggAvg
-	aggMin
-	aggMax
-)
-
-// reduceConsumer folds pipeline batches into a monoid collector. One
-// consumer serves one serial run or one morsel worker; reset swaps the
-// collector between morsels so partial aggregates merge in morsel order.
-type reduceConsumer struct {
-	acc  *monoid.Collector
-	head vecExpr // the staged head column; nil for a constant head
-	// headConst marks a numeric constant head (a literal or a bound
-	// parameter, as in COUNT(*) = sum 1), or a count over a head that
-	// cannot fail: every live row contributes the same value, so a batch
-	// folds on its row count without reading a row.
-	headConst bool
-	constVal  values.Value
-	kind      aggKind
-
-	// Unboxed partial aggregates, folded into acc by finish. Typed
-	// kernels only run on columns without a validity mask; batches with
-	// nulls (or boxed/string payloads) take the per-row boxed path so
-	// null semantics stay byte-identical with the row engine.
-	isum, count        int64
-	fsum               float64
-	sawInt, sawFloat   bool
-	imin, imax         int64
-	fmin, fmax         float64
-	haveIMin, haveIMax bool
-	haveFMin, haveFMax bool
-	best               values.Value // boxed min/max candidate
-	haveBest           bool
-
-	// reserve, when non-nil, charges the query memory budget for boxed
-	// values retained by the collector (collection monoids accumulate
-	// every row; aggregates hold O(1) state and never charge).
-	reserve func(delta int64) error
-}
-
 // approxValueBytes is a shallow per-value footprint estimate for budget
 // accounting of boxed accumulation: interface/struct overhead plus the
 // variable payload of strings and a flat allowance for nested values.
-// Charged once per batch from a sampled value, it bounds the dominant
-// allocator without walking every row.
+// A collecting sink charges it once per chunk from a sampled value, a
+// retaining accumulator once per value it keeps.
 func approxValueBytes(v values.Value) int64 {
 	const base = 56 // tagged value struct overhead
 	switch v.Kind() {
@@ -561,343 +504,4 @@ func approxValueBytes(v values.Value) int64 {
 	default:
 		return base
 	}
-}
-
-// chargeBoxed charges n boxed values against the query budget, sized by
-// a sampled representative.
-func (rc *reduceConsumer) chargeBoxed(sample values.Value, n int) error {
-	if rc.reserve == nil || n == 0 {
-		return nil
-	}
-	return rc.reserve(int64(n) * approxValueBytes(sample))
-}
-
-// reset points the consumer at a fresh collector and clears partials.
-func (rc *reduceConsumer) reset(acc *monoid.Collector) {
-	rc.acc = acc
-	rc.isum, rc.count, rc.fsum = 0, 0, 0
-	rc.sawInt, rc.sawFloat = false, false
-	rc.haveIMin, rc.haveIMax, rc.haveFMin, rc.haveFMax = false, false, false, false
-	rc.best, rc.haveBest = values.Null, false
-}
-
-func (rc *reduceConsumer) consume(b *vec.Batch) error {
-	n := b.Len()
-	if n == 0 {
-		return nil
-	}
-	if rc.headConst {
-		rc.foldConst(int64(n))
-		return nil
-	}
-	col, err := rc.head(b)
-	if err != nil {
-		return err
-	}
-	if rc.kind == aggCount {
-		// Unit is 1 regardless of the head value: a head that can fail is
-		// computed only to surface its errors.
-		rc.count += int64(n)
-		return nil
-	}
-	if col.Nulls == nil {
-		switch rc.kind {
-		case aggSum:
-			switch col.Tag {
-			case vec.Int64:
-				var s int64
-				if b.Sel == nil {
-					for _, v := range col.Ints[:b.N] {
-						s += v
-					}
-				} else {
-					for _, i := range b.Sel {
-						s += col.Ints[i]
-					}
-				}
-				rc.isum += s
-				rc.sawInt = true
-				return nil
-			case vec.Float64:
-				var s float64
-				if b.Sel == nil {
-					for _, v := range col.Floats[:b.N] {
-						s += v
-					}
-				} else {
-					for _, i := range b.Sel {
-						s += col.Floats[i]
-					}
-				}
-				rc.fsum += s
-				rc.sawFloat = true
-				return nil
-			}
-		case aggAvg:
-			// avg accumulates its sum as float64 (matching avgMonoid.Unit).
-			switch col.Tag {
-			case vec.Int64:
-				var s float64
-				if b.Sel == nil {
-					for _, v := range col.Ints[:b.N] {
-						s += float64(v)
-					}
-				} else {
-					for _, i := range b.Sel {
-						s += float64(col.Ints[i])
-					}
-				}
-				rc.fsum += s
-				rc.count += int64(n)
-				return nil
-			case vec.Float64:
-				var s float64
-				if b.Sel == nil {
-					for _, v := range col.Floats[:b.N] {
-						s += v
-					}
-				} else {
-					for _, i := range b.Sel {
-						s += col.Floats[i]
-					}
-				}
-				rc.fsum += s
-				rc.count += int64(n)
-				return nil
-			}
-		case aggMin, aggMax:
-			switch col.Tag {
-			case vec.Int64:
-				if b.Sel == nil {
-					for _, v := range col.Ints[:b.N] {
-						rc.noteInt(v)
-					}
-				} else {
-					for _, i := range b.Sel {
-						rc.noteInt(col.Ints[i])
-					}
-				}
-				return nil
-			case vec.Float64:
-				if b.Sel == nil {
-					for _, v := range col.Floats[:b.N] {
-						rc.noteFloat(v)
-					}
-				} else {
-					for _, i := range b.Sel {
-						rc.noteFloat(col.Floats[i])
-					}
-				}
-				return nil
-			}
-		}
-	}
-	// Boxed fallback kernels (boxed or nullable columns, and the boxed
-	// columns of heads no kernel covers): same accumulation as the
-	// collector would perform per row, minus the per-row boxing of
-	// partial aggregates.
-	// Numeric conversions go through Value.Float/Kind exactly as the
-	// monoids' Unit/Merge would, so error behaviour (panics on null or
-	// non-numeric sum/avg inputs) is unchanged.
-	switch rc.kind {
-	case aggSum:
-		for k := 0; k < n; k++ {
-			v := col.Value(b.Index(k))
-			switch v.Kind() {
-			case values.KindInt:
-				rc.isum += v.Int()
-				rc.sawInt = true
-			default:
-				rc.fsum += v.Float()
-				rc.sawFloat = true
-			}
-		}
-	case aggAvg:
-		for k := 0; k < n; k++ {
-			rc.fsum += col.Value(b.Index(k)).Float()
-		}
-		rc.count += int64(n)
-	case aggMin, aggMax:
-		want := -1
-		if rc.kind == aggMax {
-			want = 1
-		}
-		for k := 0; k < n; k++ {
-			v := col.Value(b.Index(k))
-			if v.IsNull() {
-				continue
-			}
-			if !rc.haveBest || values.Compare(v, rc.best)*want > 0 {
-				rc.best = v
-				rc.haveBest = true
-			}
-		}
-	default:
-		for k := 0; k < n; k++ {
-			rc.acc.Add(col.Value(b.Index(k)))
-		}
-		return rc.chargeBoxed(col.Value(b.Index(0)), n)
-	}
-	return nil
-}
-
-// foldConst accumulates n rows of the constant head. Integer sums are
-// one multiplication, exact mod 2^64 as n additions are. Float sums (and
-// avg's float sum) add the constant once per row, in row order: one
-// multiplication rounds once where the reference executor's n additions
-// round n times, so `sum 0.1` would not be its bit-for-bit answer.
-func (rc *reduceConsumer) foldConst(n int64) {
-	isInt := rc.constVal.Kind() == values.KindInt
-	switch rc.kind {
-	case aggCount:
-		rc.count += n
-	case aggSum:
-		if isInt {
-			rc.isum += rc.constVal.Int() * n
-			rc.sawInt = true
-		} else {
-			rc.addFloats(rc.constVal.Float(), n)
-			rc.sawFloat = true
-		}
-	case aggAvg:
-		rc.addFloats(rc.constVal.Float(), n)
-		rc.count += n
-	case aggMin, aggMax:
-		if isInt {
-			rc.noteInt(rc.constVal.Int())
-		} else {
-			rc.noteFloat(rc.constVal.Float())
-		}
-	}
-}
-
-// addFloats adds c to the float sum n times, one rounding per row.
-func (rc *reduceConsumer) addFloats(c float64, n int64) {
-	s := rc.fsum
-	for ; n > 0; n-- {
-		s += c
-	}
-	rc.fsum = s
-}
-
-func (rc *reduceConsumer) noteInt(v int64) {
-	if rc.kind == aggMin {
-		if !rc.haveIMin || v < rc.imin {
-			rc.imin = v
-		}
-		rc.haveIMin = true
-		return
-	}
-	if !rc.haveIMax || v > rc.imax {
-		rc.imax = v
-	}
-	rc.haveIMax = true
-}
-
-func (rc *reduceConsumer) noteFloat(v float64) {
-	if rc.kind == aggMin {
-		if !rc.haveFMin || values.CompareFloats(v, rc.fmin) < 0 {
-			rc.fmin = v
-		}
-		rc.haveFMin = true
-		return
-	}
-	if !rc.haveFMax || values.CompareFloats(v, rc.fmax) > 0 {
-		rc.fmax = v
-	}
-	rc.haveFMax = true
-}
-
-// finish folds the unboxed partials into the collector. It must be called
-// exactly once per reset before the collector is merged or finalized.
-func (rc *reduceConsumer) finish() {
-	switch rc.kind {
-	case aggCount:
-		if rc.count > 0 {
-			rc.acc.Absorb(values.NewInt(rc.count))
-		}
-	case aggSum:
-		switch {
-		case rc.sawInt && rc.sawFloat:
-			rc.acc.Absorb(values.NewFloat(rc.fsum + float64(rc.isum)))
-		case rc.sawInt:
-			rc.acc.Absorb(values.NewInt(rc.isum))
-		case rc.sawFloat:
-			rc.acc.Absorb(values.NewFloat(rc.fsum))
-		}
-	case aggAvg:
-		if rc.count > 0 {
-			rc.acc.Absorb(values.NewRecord(
-				values.Field{Name: "sum", Val: values.NewFloat(rc.fsum)},
-				values.Field{Name: "count", Val: values.NewInt(rc.count)},
-			))
-		}
-	case aggMin, aggMax:
-		if rc.haveIMin || rc.haveIMax {
-			v := rc.imin
-			if rc.kind == aggMax {
-				v = rc.imax
-			}
-			rc.acc.Absorb(values.NewInt(v))
-		}
-		if rc.haveFMin || rc.haveFMax {
-			v := rc.fmin
-			if rc.kind == aggMax {
-				v = rc.fmax
-			}
-			rc.acc.Absorb(values.NewFloat(v))
-		}
-		if rc.haveBest {
-			rc.acc.Absorb(rc.best)
-		}
-	}
-}
-
-// compileReduceConsumer stages the fold root's consumer: the head is a
-// mkGetter column — or, for a numeric constant head, folded on the batch
-// length — accumulated with unboxed kernels when the monoid is one of
-// count/sum/avg/min/max, through the collector otherwise.
-func (c *compiler) compileReduceConsumer(p *algebra.Reduce, input *compiledPlan) (func() *reduceConsumer, error) {
-	kind := aggGeneric
-	switch p.M.Name() {
-	case "count":
-		kind = aggCount
-	case "sum":
-		kind = aggSum
-	case "avg":
-		kind = aggAvg
-	case "min":
-		kind = aggMin
-	case "max":
-		kind = aggMax
-	}
-	constVal, headConst := constOf(p.Head)
-	headConst = headConst && kind != aggGeneric &&
-		(constVal.Kind() == values.KindInt || constVal.Kind() == values.KindFloat)
-	// count's Unit ignores its argument: a head that cannot fail folds on
-	// the batch length too, whatever it is.
-	headConst = headConst || kind == aggCount && c.infallible(p.Head, input.frame)
-	var mkHead func() vecExpr
-	if headConst {
-		c.vecStages++
-	} else {
-		var err error
-		if mkHead, err = c.mkGetter(p.Head, input.frame); err != nil {
-			return nil, err
-		}
-	}
-	// Only monoids that retain their inputs owe the memory budget for
-	// them; scalar folds (count/sum/min/...) keep O(1) state no matter
-	// how many boxed values pass through.
-	reserve := c.opts.MemReserve
-	if name := p.M.Name(); name != "array" && name != "median" {
-		reserve = nil
-	}
-	return func() *reduceConsumer {
-		rc := &reduceConsumer{kind: kind, reserve: reserve, headConst: headConst, constVal: constVal}
-		if mkHead != nil {
-			rc.head = mkHead()
-		}
-		return rc
-	}, nil
 }

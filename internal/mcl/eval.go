@@ -78,7 +78,9 @@ func evalErrf(format string, args ...any) error {
 //
 // Null handling: arithmetic with a null operand yields null; comparisons
 // with a null operand yield false; a filter evaluating to null rejects the
-// binding; a generator over null iterates zero times.
+// binding; a generator over null iterates zero times; a fold, grouped or
+// not, skips null inputs except under count and the collection monoids
+// (monoid.Collector.Add).
 func Eval(e Expr, env *Env) (values.Value, error) {
 	switch n := e.(type) {
 	case *NullExpr:
@@ -529,7 +531,7 @@ func evalGroupedComprehension(c *Comprehension, env *Env) (values.Value, error) 
 			if err != nil {
 				return err
 			}
-			monoid.AggAdd(g.accs[i], av)
+			g.accs[i].Add(av)
 		}
 		return nil
 	})

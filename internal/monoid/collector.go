@@ -27,25 +27,21 @@ func NewCollector(m Monoid) *Collector {
 	return &Collector{m: m, acc: m.Zero()}
 }
 
-// Add feeds one head value.
+// Add feeds one input. A null input is skipped by the monoids that
+// SkipsNull names, so sum, avg, min, max, prod, and, or, median and
+// top-k fold the non-null inputs (all-null folds to the finalized zero:
+// 0 for sum, null for avg/min/max), while count counts it and the
+// collection monoids keep it as an element. Grouped or not, every
+// executor folds through this one rule.
 func (c *Collector) Add(v values.Value) {
+	if v.IsNull() && SkipsNull(c.m) {
+		return
+	}
 	if c.collect {
 		c.elems = append(c.elems, v)
 		return
 	}
 	c.acc = c.m.Merge(c.acc, c.m.Unit(v))
-}
-
-// Absorb merges a value already in the accumulation domain of the
-// monoid — a partial aggregate, not a head element — into the collector.
-// For collection-building monoids the accumulation domain is the
-// collection itself, so its elements are appended in order.
-func (c *Collector) Absorb(v values.Value) {
-	if c.collect {
-		c.elems = append(c.elems, v.Elems()...)
-		return
-	}
-	c.acc = c.m.Merge(c.acc, v)
 }
 
 // MergeFrom absorbs another collector's partial state. Merging partials
@@ -60,27 +56,15 @@ func (c *Collector) MergeFrom(o *Collector) {
 	c.acc = c.m.Merge(c.acc, o.acc)
 }
 
-// AggSkipsNull reports whether m ignores null inputs when used as a
-// grouped aggregate. Scalar folds (sum/prod/avg/median/min/max/and/or)
-// follow SQL aggregate semantics and skip nulls; count counts every
-// binding, and collection monoids keep nulls as elements.
-func AggSkipsNull(m Monoid) bool {
+// SkipsNull reports whether m skips null inputs: every monoid but count,
+// which counts every binding, and the collection monoids, which keep
+// nulls as elements.
+func SkipsNull(m Monoid) bool {
 	switch m.Name() {
 	case "count", "list", "bag", "set", "array":
 		return false
 	}
 	return true
-}
-
-// AggAdd feeds one aggregate input to c under grouped-aggregate null
-// semantics: null inputs are dropped for null-skipping monoids (so an
-// all-null group yields the monoid's finalized zero — 0 for sum, null
-// for avg/min/max) and kept for count and collection monoids.
-func AggAdd(c *Collector, v values.Value) {
-	if v.IsNull() && AggSkipsNull(c.m) {
-		return
-	}
-	c.Add(v)
 }
 
 // Result finalizes the accumulation.

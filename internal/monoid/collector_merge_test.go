@@ -37,29 +37,48 @@ func TestMergeFromOrdering(t *testing.T) {
 	}
 }
 
-// TestAbsorb feeds accumulation-domain partials directly.
-func TestAbsorb(t *testing.T) {
-	c := NewCollector(Sum)
-	c.Add(values.NewInt(5))
-	c.Absorb(values.NewInt(37)) // a partial sum, not a head element
-	if got := c.Result(); got.Int() != 42 {
-		t.Fatalf("sum absorb = %v", got)
-	}
-
-	avg := NewCollector(Avg)
-	avg.Absorb(values.NewRecord(
-		values.Field{Name: "sum", Val: values.NewFloat(10)},
-		values.Field{Name: "count", Val: values.NewInt(4)},
-	))
-	if got := avg.Result(); got.Float() != 2.5 {
-		t.Fatalf("avg absorb = %v", got)
-	}
-
-	l := NewCollector(List)
-	l.Add(values.NewInt(1))
-	l.Absorb(values.NewList(values.NewInt(2), values.NewInt(3)))
-	want := values.NewList(values.NewInt(1), values.NewInt(2), values.NewInt(3))
-	if got := l.Result(); !values.Equal(got, want) {
-		t.Fatalf("list absorb = %v", got)
+// TestAddNullRule pins the one null rule: a null input is skipped by
+// every monoid but count and the collections, so an all-null fold is
+// the finalized zero, and Fold agrees with the Collector.
+func TestAddNullRule(t *testing.T) {
+	null, one, two := values.Null, values.NewInt(1), values.NewInt(2)
+	for _, tc := range []struct {
+		m    Monoid
+		want values.Value // fold of {null, 1, null, 2}
+		none values.Value // fold of {null}
+	}{
+		{Sum, values.NewInt(3), values.NewInt(0)},
+		{Prod, values.NewInt(2), values.NewInt(1)},
+		{Avg, values.NewFloat(1.5), null},
+		{Min, one, null},
+		{Max, two, null},
+		{And, null, values.True},
+		{Or, null, values.False},
+		{Median, values.NewFloat(1.5), null},
+		{TopK(1), values.NewList(two), values.NewList()},
+		{Count, values.NewInt(4), values.NewInt(1)},
+		{List, values.NewList(null, one, null, two), values.NewList(null)},
+		{Array, values.NewArray([]int{4}, []values.Value{null, one, null, two}), values.NewArray([]int{1}, []values.Value{null})},
+	} {
+		heads := []values.Value{null, one, null, two}
+		if tc.m == And || tc.m == Or {
+			heads = []values.Value{null, values.True, null, values.False}
+			tc.want = values.NewBool(tc.m == Or)
+		}
+		for _, in := range []struct {
+			heads []values.Value
+			want  values.Value
+		}{{heads, tc.want}, {[]values.Value{null}, tc.none}} {
+			c := NewCollector(tc.m)
+			for _, h := range in.heads {
+				c.Add(h)
+			}
+			if got := c.Result(); !values.Equal(got, in.want) {
+				t.Errorf("%s over %v = %v, want %v", tc.m.Name(), in.heads, got, in.want)
+			}
+			if got := Fold(tc.m, in.heads); !values.Equal(got, in.want) {
+				t.Errorf("Fold %s over %v = %v, want %v", tc.m.Name(), in.heads, got, in.want)
+			}
+		}
 	}
 }

@@ -31,11 +31,12 @@
 // scalar monoids it merges incrementally (constant state); for the
 // collection monoids and median it gathers elements and canonicalizes
 // once at Result — both compute exactly Finalize(fold of units).
-// Absorb/MergeFrom accept pre-folded partials, which is how parallel
-// workers hand their unboxed partial aggregates to the root.
+// MergeFrom accepts another collector's partial state in input order.
+// Add applies the one null rule: aggregates skip null inputs except
+// count, and the collection monoids keep them (SkipsNull).
 //
-// Grouped reduces (GROUP BY) fold the same monoids once per group:
-// the JIT's hash-aggregation operator keeps typed per-group
+// A reduce folds the same monoids once per group; an ungrouped reduce
+// is the one-group case. The JIT's group table keeps typed per-group
 // accumulator arrays for the scalar monoids and falls back to one
 // Collector per group otherwise. The monoid laws carry over
 // unchanged — associativity makes merging per-worker group tables in

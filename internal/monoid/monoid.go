@@ -388,11 +388,14 @@ func ByName(name string) (Monoid, error) {
 }
 
 // Fold accumulates a stream of head values under m and finalizes: the
-// unoptimized fold the monoid laws are tested against.
+// unoptimized fold the monoid laws are tested against. Null heads are
+// skipped as Collector.Add skips them.
 func Fold(m Monoid, heads []values.Value) values.Value {
 	acc := m.Zero()
 	for _, h := range heads {
-		acc = m.Merge(acc, m.Unit(h))
+		if !(h.IsNull() && SkipsNull(m)) {
+			acc = m.Merge(acc, m.Unit(h))
+		}
 	}
 	return m.Finalize(acc)
 }
